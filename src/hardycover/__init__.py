@@ -24,7 +24,6 @@ from .groups import (
 )
 from .covering import (
     CoveringAction,
-    SheetPermutation,
     SubgroupPresentation,
     Transversal,
     build_covering,
@@ -51,7 +50,6 @@ from .induction import (
     build_G2,
     build_J2_diagonal,
     check_representation,
-    evaluate_rep,
     extend_to_double,
     induce_representation,
     pairing_signature_matrices,

@@ -3,7 +3,8 @@
 Subcommands: ``group`` (emit a presentation), ``induce`` (run the induction
 pipeline on an explicit covering), ``verify`` (symmetry suite on the cyclic
 annulus family), ``isometry`` (numerical isometry check).  Reports are
-deterministic given config and seed: the JSON emission is byte-stable, with
+deterministic given the config (``isometry``, the only mode that draws random
+numbers, takes its ``seed`` from it): the JSON emission is byte-stable, with
 wall-clock timing shown only in the text rendering.
 """
 
@@ -11,10 +12,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -31,95 +33,72 @@ from .hardy import (
     verify_isometry,
 )
 from .induction import (
+    Check,
+    CheckReport,
     SignatureData,
     SubgroupRep,
     check_representation,
     induce_representation,
     matrix_from_json,
     rep_to_json,
-    subgroup_relators,
 )
 
 __all__ = ["RunConfig", "Report", "parse_config", "run_pipeline", "emit_report", "main"]
 
-_MODES = ("group", "induce", "verify", "isometry")
-
-# Per-mode field tables: name -> (required, default, validator).
-_COMMON = {"seed": (False, 0, lambda v: isinstance(v, int) and v >= 0)}
-
-_positive = lambda v: isinstance(v, (int, float)) and v > 0
-_pos_int = lambda v: isinstance(v, int) and v > 0
-_signs = lambda v: (
-    isinstance(v, list) and len(v) == 2 and all(x in (1, -1) for x in v)
-)
-
-_SCHEMAS: dict[str, dict[str, tuple[bool, Any, Any]]] = {
-    "group": {
-        "s": (True, None, lambda v: isinstance(v, int) and v >= 0),
-        "k": (True, None, _pos_int),
-        "double": (False, False, lambda v: isinstance(v, bool)),
-        **_COMMON,
-    },
-    "induce": {
-        "s": (True, None, lambda v: isinstance(v, int) and v >= 0),
-        "k": (True, None, _pos_int),
-        "double": (False, True, lambda v: isinstance(v, bool)),
-        "covering": (True, None, lambda v: isinstance(v, dict)),
-        "chi1": (True, None, lambda v: isinstance(v, dict)),
-        "tolerance": (False, 1e-12, _positive),
-        **_COMMON,
-    },
-    "verify": {
-        "n": (True, None, _pos_int),
-        "alpha": (True, None, lambda v: isinstance(v, (int, float))),
-        "signs": (True, None, _signs),
-        "m": (False, 1, _pos_int),
-        "tolerance": (False, 1e-12, _positive),
-        **_COMMON,
-    },
-    "isometry": {
-        "rho1": (True, None, lambda v: isinstance(v, (int, float)) and 0 < v < 1),
-        "n": (True, None, _pos_int),
-        "alpha": (True, None, lambda v: isinstance(v, (int, float))),
-        "signs": (True, None, _signs),
-        "m": (False, 1, _pos_int),
-        "degree": (False, 8, _pos_int),
-        "samples": (False, 1024, _pos_int),
-        "trials": (False, 20, _pos_int),
-        "tolerance": (False, 1e-9, _positive),
-        **_COMMON,
-    },
-}
+# Field validators.  JSON true/false load as bool, a subclass of int, so
+# integer and number fields reject bools explicitly.
+_int = lambda v: isinstance(v, int) and not isinstance(v, bool)
+_number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+_nonneg_int = lambda v: _int(v) and v >= 0
+_pos_int = lambda v: _int(v) and v > 0
+_positive = lambda v: _number(v) and v > 0
+_flag = lambda v: isinstance(v, bool)
+_object = lambda v: isinstance(v, dict)
+_signs = lambda v: isinstance(v, list) and len(v) == 2 and all(_int(x) and x in (1, -1) for x in v)
 
 
 @dataclass(frozen=True)
 class RunConfig:
     mode: str
     params: dict[str, Any]
-    out: str | None = None
 
     def echo(self) -> dict:
         return {"mode": self.mode, **self.params}
 
 
-def _reject_duplicates(pairs: list[tuple[str, Any]]) -> dict:
+def _non_finite(value: Any) -> bool:
+    if isinstance(value, float):
+        return not math.isfinite(value)
+    return isinstance(value, list) and any(_non_finite(v) for v in value)
+
+
+def _config_object(pairs: list[tuple[str, Any]]) -> dict:
+    """JSON object hook: reject duplicate keys and NaN/Infinity, naming the field.
+
+    Nested objects are checked by their own call, so only lists are searched.
+    """
     seen: dict[str, Any] = {}
     for key, value in pairs:
         if key in seen:
             raise ValueError(f"duplicate key {key!r} in configuration")
+        if _non_finite(value):
+            raise ValueError(f"field {key!r} holds a non-finite number")
         seen[key] = value
     return seen
 
 
-def parse_config(text: str, out: str | None = None) -> RunConfig:
-    """Parse and validate a JSON configuration, filling mode defaults."""
-    raw = json.loads(text, object_pairs_hook=_reject_duplicates)
+def parse_config(text: str) -> RunConfig:
+    """Parse and validate a JSON configuration, filling mode defaults.
+
+    Every value is checked before any work starts, and an error names the field.
+    """
+    raw = json.loads(text, object_pairs_hook=_config_object)
     if not isinstance(raw, dict):
         raise ValueError("configuration must be a JSON object")
     mode = raw.pop("mode", None)
-    if mode not in _MODES:
+    if not isinstance(mode, str) or mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {list(_MODES)}")
-    schema = _SCHEMAS[mode]
+    schema = _MODES[mode][1]
     unknown = sorted(set(raw) - set(schema))
     if unknown:
         raise ValueError(f"unknown field(s) for mode {mode!r}: {unknown}")
@@ -134,7 +113,12 @@ def parse_config(text: str, out: str | None = None) -> RunConfig:
         if not validator(value):
             raise ValueError(f"invalid value for field {name!r}: {value!r}")
         params[name] = value
-    return RunConfig(mode=mode, params=params, out=out)
+    # the covered annulus has inner radius rho1**n, which must be a normal float
+    if mode == "isometry" and params["rho1"] ** params["n"] < sys.float_info.min:
+        raise ValueError(
+            f"invalid value for field 'rho1': {params['rho1']!r} ** n={params['n']} underflows"
+        )
+    return RunConfig(mode=mode, params=params)
 
 
 @dataclass
@@ -142,30 +126,20 @@ class Report:
     """Outcome of one pipeline run: config echo, named checks, artifacts."""
 
     config: dict
-    checks: list[dict] = field(default_factory=list)
+    checks: list[Check] = field(default_factory=list)
     extras: dict = field(default_factory=dict)
     error: str | None = None
     timing_seconds: float = 0.0
 
     @property
     def passed(self) -> bool:
-        return self.error is None and all(c["passed"] for c in self.checks)
-
-    def add_check(self, name: str, residual: float, tolerance: float) -> None:
-        self.checks.append(
-            {
-                "name": name,
-                "residual": float(residual),
-                "tolerance": float(tolerance),
-                "passed": bool(residual < tolerance),
-            }
-        )
+        return self.error is None and all(c.passed for c in self.checks)
 
     def to_json_doc(self) -> dict:
         # timing is deliberately left out so the document is run-stable
         return {
             "config": self.config,
-            "checks": self.checks,
+            "checks": [c.to_json() for c in self.checks],
             "extras": self.extras,
             "error": self.error,
             "passed": self.passed,
@@ -175,10 +149,9 @@ class Report:
     def to_text(self) -> str:
         lines = [f"mode: {self.config.get('mode')}   passed: {self.passed}"]
         for c in self.checks:
-            status = "ok  " if c["passed"] else "FAIL"
+            status = "ok  " if c.passed else "FAIL"
             lines.append(
-                f"  [{status}] {c['name']}: residual {c['residual']:.3e}"
-                f" (tolerance {c['tolerance']:.1e})"
+                f"  [{status}] {c.name}: residual {c.residual:.3e} (tolerance {c.tolerance:.1e})"
             )
         if self.error:
             lines.append(f"  error: {self.error}")
@@ -194,9 +167,8 @@ class Report:
         return "\n".join(lines)
 
 
-def _absorb(report: Report, check_report, prefix: str = "") -> None:
-    for check in check_report.checks:
-        report.add_check(prefix + check.name, check.residual, check.tolerance)
+def _prefixed(check_report: CheckReport, prefix: str) -> list[Check]:
+    return [Check(prefix + c.name, c.residual, c.tolerance) for c in check_report.checks]
 
 
 def _run_group(cfg: RunConfig, report: Report) -> None:
@@ -214,24 +186,10 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
     images = {lbl: matrix_from_json(mat) for lbl, mat in chi1_doc["images"].items()}
     chi1 = SubgroupRep(covering=cov, transversal=trans, m=int(chi1_doc["m"]), images=images)
 
-    consistency = check_representation(chi1)
-    _absorb(report, consistency, prefix="chi1:")
-    if not consistency.passed:
-        relators = subgroup_relators(cov, trans)
-        failing = [
-            str(relators[int(c.name.split("[")[1][:-1])])
-            for c in consistency.failing()
-            if c.name.startswith("relator[")
-        ]
-        report.error = (
-            "subgroup representation inconsistent on rewritten relator(s): "
-            + "; ".join(failing)
-            if failing
-            else "subgroup representation images are not unitary"
-        )
-        return
+    # the chi1 checks are reported even when induce_representation refuses chi1
+    report.checks += _prefixed(check_representation(chi1), "chi1:")
     chi2 = induce_representation(cov, trans, chi1)
-    _absorb(report, check_representation(chi2), prefix="chi2:")
+    report.checks += _prefixed(check_representation(chi2), "chi2:")
     report.extras["induced"] = rep_to_json(chi2)
     report.extras["transversal"] = [str(w) for w in trans.reps]
     report.extras["schreier_generators"] = {
@@ -247,8 +205,8 @@ def _signature_from_params(p: dict) -> SignatureData:
 def _run_verify(cfg: RunConfig, report: Report) -> None:
     p = cfg.params
     pipeline = annulus_pipeline(p["n"], float(p["alpha"]), _signature_from_params(p))
-    _absorb(report, check_representation(pipeline.chi2), prefix="chi2:")
-    _absorb(report, pipeline.report)
+    report.checks += _prefixed(check_representation(pipeline.chi2), "chi2:")
+    report.checks += pipeline.report.checks
 
 
 def _run_isometry(cfg: RunConfig, report: Report) -> None:
@@ -269,7 +227,7 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
         secs = tuple(sample_section(constant, comp, samples, rho) for comp in (0, 1))
         value = indefinite_inner_product(secs, secs, sig.J_list)
         expected = 2.0 * np.pi * (e0 + rho * e1)
-        report.add_check(f"closed-form[{tag}]", abs(value - expected), 1e-10)
+        report.checks.append(Check(f"closed-form[{tag}]", abs(value - expected), 1e-10))
 
     rng = np.random.default_rng(p["seed"])
     pairs = [
@@ -280,7 +238,7 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
         verify_isometry(cov, f, h, alpha, sig, samples) for f, h in pairs
     ]
     report.extras["per_trial_residuals"] = residuals
-    report.add_check("isometry-residual[max]", max(residuals), tolerance)
+    report.checks.append(Check("isometry-residual[max]", max(residuals), tolerance))
 
     table = []
     n_samples = min(64, samples)
@@ -298,15 +256,54 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
             for i in range(len(table) - 1)
         ]
     )
-    report.add_check("convergence-monotone", monotone_violation, tolerance)
-    report.add_check("convergence-final", table[-1][1], tolerance)
+    report.checks.append(Check("convergence-monotone", monotone_violation, tolerance))
+    report.checks.append(Check("convergence-final", table[-1][1], tolerance))
 
 
-_RUNNERS = {
-    "group": _run_group,
-    "induce": _run_induce,
-    "verify": _run_verify,
-    "isometry": _run_isometry,
+# mode -> (runner, field table); a field table maps name -> (required, default, validator)
+_MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict]] = {
+    "group": (
+        _run_group,
+        {
+            "s": (True, None, _nonneg_int),
+            "k": (True, None, _pos_int),
+            "double": (False, False, _flag),
+        },
+    ),
+    "induce": (
+        _run_induce,
+        {
+            "s": (True, None, _nonneg_int),
+            "k": (True, None, _pos_int),
+            "double": (False, True, _flag),
+            "covering": (True, None, _object),
+            "chi1": (True, None, _object),
+        },
+    ),
+    "verify": (
+        _run_verify,
+        {
+            "n": (True, None, _pos_int),
+            "alpha": (True, None, _number),
+            "signs": (True, None, _signs),
+            "m": (False, 1, _pos_int),
+        },
+    ),
+    "isometry": (
+        _run_isometry,
+        {
+            "rho1": (True, None, lambda v: _number(v) and 0 < v < 1),
+            "n": (True, None, _pos_int),
+            "alpha": (True, None, _number),
+            "signs": (True, None, _signs),
+            "m": (False, 1, _pos_int),
+            "degree": (False, 8, _pos_int),
+            "samples": (False, 1024, _pos_int),
+            "trials": (False, 20, _pos_int),
+            "tolerance": (False, 1e-9, _positive),
+            "seed": (False, 0, _nonneg_int),
+        },
+    ),
 }
 
 
@@ -315,7 +312,7 @@ def run_pipeline(cfg: RunConfig) -> Report:
     report = Report(config=cfg.echo())
     start = time.perf_counter()
     try:
-        _RUNNERS[cfg.mode](cfg, report)
+        _MODES[cfg.mode][0](cfg, report)
     except Exception as exc:  # noqa: BLE001 - contract: never crash
         report.error = f"{type(exc).__name__}: {exc}"
     report.timing_seconds = time.perf_counter() - start
@@ -323,7 +320,7 @@ def run_pipeline(cfg: RunConfig) -> Report:
 
 
 def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> str:
-    """Render the report; JSON output is byte-stable for a fixed config and seed."""
+    """Render the report; JSON output is byte-stable for a fixed config."""
     if fmt == "json":
         rendered = json.dumps(report.to_json_doc(), sort_keys=True, indent=2) + "\n"
     elif fmt == "text":
@@ -349,9 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--genus", type=int, required=True)
     group.add_argument("--boundary", type=int, required=True)
     group.add_argument("--double", action="store_true")
-    for cmd_parser in (group,):
-        cmd_parser.add_argument("--format", choices=("json", "text"), default="json")
-        cmd_parser.add_argument("--out", default=None)
+    group.add_argument("--format", choices=("json", "text"), default="json")
+    group.add_argument("--out", default=None)
 
     for name, extra in (
         ("induce", ()),
@@ -369,24 +365,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "group":
-        config = {
-            "mode": "group",
-            "s": args.genus,
-            "k": args.boundary,
-            "double": args.double,
-        }
-        text = json.dumps(config)
-    else:
-        with open(args.config, "r", encoding="utf-8") as handle:
-            raw = json.load(handle, object_pairs_hook=_reject_duplicates)
-        for flag in ("samples", "degree", "seed"):
-            value = getattr(args, flag, None)
-            if value is not None:
-                raw[flag] = value
-        text = json.dumps(raw)
     try:
-        cfg = parse_config(text, out=args.out)
+        if args.command == "group":
+            raw = {"mode": "group", "s": args.genus, "k": args.boundary, "double": args.double}
+        else:
+            with open(args.config, "r", encoding="utf-8") as handle:
+                raw = json.load(handle, object_pairs_hook=_config_object)
+            for flag in ("samples", "degree", "seed"):
+                value = getattr(args, flag, None)
+                if value is not None:
+                    raw[flag] = value
+        cfg = parse_config(json.dumps(raw))
         report = run_pipeline(cfg)
         rendered = emit_report(report, fmt=args.format, path=args.out)
     except OSError as exc:

@@ -22,7 +22,6 @@ from .groups import (
 )
 
 __all__ = [
-    "SheetPermutation",
     "CoveringAction",
     "Transversal",
     "SubgroupPresentation",
@@ -41,16 +40,6 @@ __all__ = [
     "covering_to_json",
     "covering_from_json",
 ]
-
-
-@dataclass(frozen=True)
-class SheetPermutation:
-    """Bijection of the sheets {1..n}; ``images[i-1]`` is the image of sheet i."""
-
-    images: tuple[int, ...]
-
-    def __call__(self, sheet: int) -> int:
-        return self.images[sheet - 1]
 
 
 @dataclass(frozen=True)
@@ -147,10 +136,8 @@ def build_covering(
 
     for relator in presentation.relators:
         image = sigma(cov, relator)
-        if image.images != tuple(range(1, n + 1)):
-            raise ValueError(
-                f"not a covering of this surface: relator {relator} acts as {image.images}"
-            )
+        if image != tuple(range(1, n + 1)):
+            raise ValueError(f"not a covering of this surface: relator {relator} acts as {image}")
     return cov
 
 
@@ -178,10 +165,10 @@ def coset_of(cov: CoveringAction, w: Word) -> int:
     return _apply(cov, 1, w)
 
 
-def sigma(cov: CoveringAction, w: Word) -> SheetPermutation:
-    """Sheet permutation of ``w``: sheet i goes to ``i . w``."""
+def sigma(cov: CoveringAction, w: Word) -> tuple[int, ...]:
+    """Sheet permutation of ``w``: entry ``i-1`` is the sheet ``i . w``."""
     _check_word(cov, w)
-    return SheetPermutation(tuple(_apply(cov, i, w) for i in range(1, cov.n + 1)))
+    return tuple(_apply(cov, i, w) for i in range(1, cov.n + 1))
 
 
 @dataclass(frozen=True, eq=False)

@@ -162,7 +162,7 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     checks = list(verify_symmetry_conditions(chi2, G2, J2_diag, p).checks)
     for comp, (a, b) in enumerate(zip(J2_diag, J2_pair)):
         checks.append(
-            Check(f"signature-route-equality[{comp}]", float(np.max(np.abs(a - b))), TOL_EXACT)
+            Check(f"signature-route-equality[{comp}]", np.max(np.abs(a - b)), TOL_EXACT)
         )
     return CyclicPipeline(
         presentation=p,

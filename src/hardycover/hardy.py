@@ -45,13 +45,11 @@ class AnnulusCovering:
 
     The map is n-to-1 with nonvanishing derivative, sends boundary circles to
     boundary circles, and commutes with the mirror inversion of each annulus.
-    ``branch_base`` is the angle from which all root branches are continued.
     """
 
     rho1: float
     n: int
     rho2: float
-    branch_base: float = 0.0
 
 
 def make_annulus_cover(rho1: float, n: int) -> AnnulusCovering:

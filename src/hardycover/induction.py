@@ -18,6 +18,7 @@ build time rather than trusted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -41,7 +42,6 @@ from .groups import (
 
 __all__ = [
     "TOL_EXACT",
-    "TOL_ACCUMULATED",
     "Check",
     "CheckReport",
     "MatrixRep",
@@ -49,7 +49,6 @@ __all__ = [
     "InducedRep",
     "SignatureData",
     "ExtensionError",
-    "evaluate_rep",
     "check_representation",
     "extend_to_double",
     "induce_representation",
@@ -63,10 +62,8 @@ __all__ = [
     "matrix_from_json",
 ]
 
-# Identities that hold by construction are checked to 1e-12; long random
-# products accumulate rounding and get 1e-10.
+# Identities that hold by construction are checked to 1e-12.
 TOL_EXACT = 1e-12
-TOL_ACCUMULATED = 1e-10
 
 
 def _maxabs(a: np.ndarray) -> float:
@@ -79,13 +76,27 @@ def unitarity_residual(u: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class Check:
+    """A named residual and the tolerance it must stay below, both stored as floats."""
+
     name: str
     residual: float
     tolerance: float
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "residual", float(self.residual))
+        object.__setattr__(self, "tolerance", float(self.tolerance))
+
     @property
     def passed(self) -> bool:
         return self.residual < self.tolerance
+
+    def to_json(self) -> dict:
+        return {
+            "name": self.name,
+            "residual": self.residual,
+            "tolerance": self.tolerance,
+            "passed": self.passed,
+        }
 
 
 @dataclass(frozen=True)
@@ -100,28 +111,30 @@ class CheckReport:
         return tuple(c for c in self.checks if not c.passed)
 
     def to_json(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "residual": c.residual,
-                    "tolerance": c.tolerance,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
+        return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
 def _as_matrices(images: Mapping[str, np.ndarray], m: int) -> dict[str, np.ndarray]:
+    """Complex images, set read-only so that a representation's kept check report stays valid."""
     out = {}
     for label, mat in images.items():
         arr = np.asarray(mat, dtype=complex)
         if arr.shape != (m, m):
             raise ValueError(f"image of {label!r} has shape {arr.shape}, expected {(m, m)}")
+        arr.setflags(write=False)
         out[label] = arr
     return out
+
+
+def _residual_report(rep, alphabet: Sequence[str], relators: Sequence[Word], dim: int) -> CheckReport:
+    checks = [
+        Check(f"unitarity[{label}]", unitarity_residual(rep.images[label]), TOL_EXACT)
+        for label in alphabet
+    ]
+    eye = np.eye(dim)
+    for idx, relator in enumerate(relators):
+        checks.append(Check(f"relator[{idx}]", _maxabs(rep.evaluate(relator) - eye), TOL_EXACT))
+    return CheckReport(tuple(checks))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,6 +155,11 @@ class MatrixRep:
         if w.alphabet != self.presentation.alphabet:
             raise ValueError("word not over this representation's generators")
         return _product(self.images, self.presentation.alphabet, w, self.m)
+
+    @cached_property
+    def _check_report(self) -> CheckReport:
+        p = self.presentation
+        return _residual_report(self, p.alphabet, p.relators, self.m)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,6 +187,14 @@ class SubgroupRep:
         rewritten = schreier_rewrite(self.covering, self.transversal, w)
         return _product(self.images, self.transversal.alphabet, rewritten, self.m)
 
+    @cached_property
+    def _relators(self) -> tuple[Word, ...]:
+        return subgroup_relators(self.covering, self.transversal)
+
+    @cached_property
+    def _check_report(self) -> CheckReport:
+        return _residual_report(self, self.transversal.alphabet, self._relators, self.m)
+
 
 @dataclass(frozen=True, eq=False)
 class InducedRep:
@@ -194,15 +220,15 @@ class InducedRep:
             raise ValueError("word not over this representation's generators")
         return _product(self.images, self.covering.presentation.alphabet, w, self.dimension)
 
+    @cached_property
+    def _check_report(self) -> CheckReport:
+        p = self.covering.presentation
+        return _residual_report(self, p.alphabet, p.relators, self.dimension)
+
     def block_structure(self, label: str) -> tuple[tuple[int, int], ...]:
-        """Positions (block row, block column) of the nonzero blocks of a generator image."""
-        mat, m = self.images[label], self.m
-        out = []
-        for k in range(self.n):
-            for j in range(self.n):
-                if _maxabs(mat[k * m : (k + 1) * m, j * m : (j + 1) * m]) > 0.0:
-                    out.append((k + 1, j + 1))
-        return tuple(out)
+        """Positions ``(k, sigma_g(k))``, k = 1..n, of the nonzero blocks of a generator image."""
+        perm = self.covering.perms[self.covering.presentation.alphabet.index(label)]
+        return tuple(enumerate(perm, start=1))
 
 
 def _product(
@@ -215,35 +241,15 @@ def _product(
     return result
 
 
-def evaluate_rep(rep: MatrixRep | SubgroupRep | InducedRep, w: Word) -> np.ndarray:
-    """Image of a word: generator images multiplied in order, inverse letters as adjoints."""
-    return rep.evaluate(w)
-
-
 def check_representation(rep: MatrixRep | SubgroupRep | InducedRep) -> CheckReport:
     """Unitarity residual per generator plus the relator residual(s); never raises.
 
     For a subgroup representation the relators are the rewritten conjugates
     of the base relators, which certify that the images are well defined.
+    The report is computed once per representation and kept on it; the
+    images are read-only, so it cannot go stale.
     """
-    checks: list[Check] = []
-    if isinstance(rep, SubgroupRep):
-        alphabet = rep.transversal.alphabet
-        relators = subgroup_relators(rep.covering, rep.transversal)
-        dim = rep.m
-    else:
-        pres = rep.presentation if isinstance(rep, MatrixRep) else rep.covering.presentation
-        alphabet = pres.alphabet
-        relators = pres.relators
-        dim = rep.m if isinstance(rep, MatrixRep) else rep.dimension
-    for label in alphabet:
-        checks.append(Check(f"unitarity[{label}]", unitarity_residual(rep.images[label]), TOL_EXACT))
-    eye = np.eye(dim)
-    for idx, relator in enumerate(relators):
-        checks.append(
-            Check(f"relator[{idx}]", _maxabs(rep.evaluate(relator) - eye), TOL_EXACT)
-        )
-    return CheckReport(tuple(checks))
+    return rep._check_report
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,17 +358,13 @@ def induce_representation(
         raise ValueError("subgroup representation belongs to a different covering")
     consistency = check_representation(chi1)
     if not consistency.passed:
-        relators = subgroup_relators(cov, trans)
+        failures = []
         for check in consistency.failing():
-            if check.name.startswith("relator["):
-                idx = int(check.name[8:-1])
-                raise ValueError(
-                    f"subgroup representation inconsistent: rewritten relator "
-                    f"{relators[idx]} has residual {check.residual:.3e}"
-                )
-        raise ValueError(
-            f"subgroup representation inconsistent: {consistency.failing()[0].name}"
-        )
+            what = check.name
+            if what.startswith("relator["):
+                what = f"rewritten relator {chi1._relators[int(what[8:-1])]}"
+            failures.append(f"{what} has residual {check.residual:.3e}")
+        raise ValueError("subgroup representation inconsistent: " + "; ".join(failures))
 
     n, m = cov.n, chi1.m
     alphabet = cov.presentation.alphabet

@@ -56,14 +56,54 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="JSON object"):
             parse_config("[1, 2]")
 
+    @pytest.mark.parametrize(
+        "mode_fields, field",
+        [
+            ({"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]}, "tolerance"),
+            ({"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]}, "seed"),
+            ({"mode": "induce", "s": 0, "k": 2, "covering": {}, "chi1": {}}, "tolerance"),
+            ({"mode": "induce", "s": 0, "k": 2, "covering": {}, "chi1": {}}, "seed"),
+            ({"mode": "group", "s": 0, "k": 2}, "seed"),
+        ],
+    )
+    def test_fields_without_effect_rejected(self, mode_fields, field):
+        with pytest.raises(ValueError, match=f"unknown field.*{field}"):
+            parse_config(json.dumps({**mode_fields, field: 1e-30 if field == "tolerance" else 1}))
+
+    def test_bool_for_number_rejected(self):
+        verify = {"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]}
+        for field, value in (("n", True), ("m", True), ("alpha", False), ("signs", [True, -1])):
+            with pytest.raises(ValueError, match=f"field {field!r}"):
+                parse_config(json.dumps({**verify, field: value}))
+        with pytest.raises(ValueError, match="field 'seed'"):
+            parse_config(json.dumps(isometry_config(seed=True)))
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_number_rejected(self, constant, tmp_path, capsys):
+        text = f'{{"mode": "isometry", "rho1": 0.6, "n": 3, "alpha": {constant}, "signs": [1, -1]}}'
+        with pytest.raises(ValueError, match="field 'alpha'"):
+            parse_config(text)
+        nested = f'{{"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, {constant}]}}'
+        with pytest.raises(ValueError, match="field 'signs'"):
+            parse_config(nested)
+        config = tmp_path / "nan.json"
+        config.write_text(text)
+        assert main(["isometry", "--config", str(config)]) == 2
+        assert "alpha" in capsys.readouterr().err
+
+    def test_underflowing_radius_rejected(self):
+        with pytest.raises(ValueError, match="field 'rho1'.*underflows"):
+            parse_config(json.dumps(isometry_config(rho1=0.01, n=200)))
+        parse_config(json.dumps(isometry_config(rho1=0.01, n=150)))
+
 
 class TestVerifyMode:
     def test_torus_fixture_all_pass(self):
         cfg = parse_config('{"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]}')
         report = run_pipeline(cfg)
         assert report.passed
-        assert all(c["passed"] for c in report.checks)
-        names = {c["name"] for c in report.checks}
+        assert all(c.passed for c in report.checks)
+        names = {c.name for c in report.checks}
         assert any(name.startswith("pairing-symmetry") for name in names)
         assert any(name.startswith("signature-route-equality") for name in names)
 
@@ -98,7 +138,20 @@ class TestInduceMode:
     def test_inconsistent_chi1_names_relator(self):
         report = run_pipeline(parse_config(json.dumps(self.torus_config(u2_phase=0.5))))
         assert not report.passed
-        assert "B1@2 B1@1^-1" in report.error
+        assert "B1@2 B1@1^-1 has residual" in report.error
+        assert [c.name for c in report.checks if not c.passed] == ["chi1:relator[0]", "chi1:relator[1]"]
+
+    def test_chi1_relators_rewritten_once(self, monkeypatch):
+        from hardycover import induction
+
+        calls = []
+        original = induction.subgroup_relators
+        monkeypatch.setattr(
+            induction, "subgroup_relators", lambda *args: calls.append(1) or original(*args)
+        )
+        report = run_pipeline(parse_config(json.dumps(self.torus_config())))
+        assert report.passed
+        assert len(calls) == 1
 
     def test_invalid_covering_reported_not_raised(self):
         cfg_doc = self.torus_config()
@@ -125,7 +178,7 @@ class TestIsometryMode:
     def test_quick_run_passes(self):
         report = run_pipeline(self.quick())
         assert report.passed
-        names = {c["name"] for c in report.checks}
+        names = {c.name for c in report.checks}
         assert {
             "closed-form[S1]",
             "closed-form[S2]",

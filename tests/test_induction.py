@@ -17,7 +17,6 @@ from hardycover import (
     check_representation,
     compose_coverings,
     double_group,
-    evaluate_rep,
     extend_to_double,
     identity_covering,
     induce_representation,
@@ -77,7 +76,7 @@ class TestEvaluate:
         rng = np.random.default_rng(3)
         rep = commuting_torus_rep(rng, 2)
         with pytest.raises(ValueError):
-            evaluate_rep(rep, surface_group(0, 2).gen("A0"))
+            rep.evaluate(surface_group(0, 2).gen("A0"))
 
 
 class TestCheckRepresentation:
@@ -109,6 +108,12 @@ class TestCheckRepresentation:
         report = check_representation(chi1)
         assert not report.passed
         assert any(c.name.startswith("relator") for c in report.failing())
+
+    def test_report_computed_once_and_images_read_only(self):
+        rep = commuting_torus_rep(np.random.default_rng(7), 2)
+        assert check_representation(rep) is check_representation(rep)
+        with pytest.raises(ValueError, match="read-only"):
+            rep.images["A1"][0, 0] = 2.0
 
     def test_report_serializes(self):
         report = check_representation(commuting_torus_rep(np.random.default_rng(6), 1))
@@ -268,10 +273,20 @@ class TestInduceRepresentation:
         chi2 = induce_representation(cov, trans, cyclic_subgroup_rep(cov, trans, t_img, u_img))
         from hardycover import sigma
 
+        m, n = chi2.m, chi2.n
         for label in ("A1", "B1"):
             structure = chi2.block_structure(label)
             perm = sigma(cov, TORUS.gen(label))
-            assert structure == tuple((k, perm(k)) for k in range(1, 6))
+            assert structure == tuple((k, perm[k - 1]) for k in range(1, 6))
+            # the nonzero blocks of the dense image are exactly the reported ones
+            mat = chi2.images[label]
+            nonzero = tuple(
+                (k + 1, j + 1)
+                for k in range(n)
+                for j in range(n)
+                if np.any(mat[k * m : (k + 1) * m, j * m : (j + 1) * m])
+            )
+            assert structure == nonzero
             # rows and columns each hit exactly once
             assert sorted(k for k, _ in structure) == list(range(1, 6))
             assert sorted(j for _, j in structure) == list(range(1, 6))
