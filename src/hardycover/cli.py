@@ -54,6 +54,7 @@ _pos_int = lambda v: _int(v) and v > 0
 _positive = lambda v: _number(v) and v > 0
 _flag = lambda v: isinstance(v, bool)
 _object = lambda v: isinstance(v, dict)
+_pair = lambda v: isinstance(v, list) and len(v) == 2 and all(_number(x) for x in v)
 _signs = lambda v: isinstance(v, list) and len(v) == 2 and all(_int(x) and x in (1, -1) for x in v)
 
 
@@ -87,6 +88,69 @@ def _config_object(pairs: list[tuple[str, Any]]) -> dict:
     return seen
 
 
+def _fields(raw: dict, schema: dict, where: str, prefix: str = "") -> dict:
+    """Check ``raw`` against a field table and fill defaults; an error names ``prefix + field``."""
+    unknown = sorted(prefix + name for name in set(raw) - set(schema))
+    if unknown:
+        raise ValueError(f"unknown field(s) for {where}: {unknown}")
+    params: dict[str, Any] = {}
+    for name, (required, default, validator) in schema.items():
+        if name in raw:
+            value = raw[name]
+        elif required:
+            raise ValueError(f"missing required field {prefix + name!r} for {where}")
+        else:
+            value = default
+        if not validator(value):
+            raise ValueError(f"invalid value for field {prefix + name!r}: {value!r}")
+        params[name] = value
+    return params
+
+
+def _check_isometry(p: dict) -> None:
+    rho1, n, degree = p["rho1"], p["n"], p["degree"]
+    # the covered annulus has inner radius rho1**n, which must be a normal float
+    if rho1**n < sys.float_info.min:
+        raise ValueError(f"invalid value for field 'rho1': {rho1!r} ** n={n} underflows")
+    # The inner-circle pushforward samples have size about rho1**-e, with
+    # e = degree + (n - 1)/2 - alpha/(2 pi).  Each is a sum of 2*degree + 1
+    # terms with coefficients of standard Gaussian size (bounded here by 10),
+    # and the pairing sums samples * m of their squares.
+    exponent = degree + (n - 1) / 2 - p["alpha"] / (2.0 * math.pi)
+    log_size = -exponent * math.log(rho1) + math.log(10 * (2 * degree + 1))
+    if 2 * log_size + math.log(p["samples"] * p["m"]) > math.log(sys.float_info.max):
+        raise ValueError(
+            f"invalid value for field 'rho1': {rho1!r} with n={n}, degree={degree} gives "
+            f"inner-circle samples of size about 1e{log_size / math.log(10):.0f}, "
+            "whose pairing overflows"
+        )
+
+
+_COVERING_FIELDS = {"n": (True, None, _pos_int), "perms": (True, None, _object)}
+_CHI1_FIELDS = {"m": (True, None, _pos_int), "images": (True, None, _object)}
+
+
+def _check_induce(p: dict) -> None:
+    """The nested ``covering`` and ``chi1`` documents, each bad value named by its path."""
+    covering = _fields(p["covering"], _COVERING_FIELDS, "'covering'", "covering.")
+    for gen, images in covering["perms"].items():
+        if not (isinstance(images, list) and all(_int(v) for v in images)):
+            raise ValueError(
+                f"invalid value for field 'covering.perms.{gen}': {images!r} is not a list of ints"
+            )
+    chi1 = _fields(p["chi1"], _CHI1_FIELDS, "'chi1'", "chi1.")
+    m = chi1["m"]
+    for label, mat in chi1["images"].items():
+        square = isinstance(mat, list) and len(mat) == m and all(
+            isinstance(row, list) and len(row) == m and all(_pair(x) for x in row) for row in mat
+        )
+        if not square:
+            raise ValueError(
+                f"invalid value for field 'chi1.images.{label}': {mat!r} is not "
+                f"an {m}x{m} list of [re, im] pairs"
+            )
+
+
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a JSON configuration, filling mode defaults.
 
@@ -98,26 +162,11 @@ def parse_config(text: str) -> RunConfig:
     mode = raw.pop("mode", None)
     if not isinstance(mode, str) or mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {list(_MODES)}")
-    schema = _MODES[mode][1]
-    unknown = sorted(set(raw) - set(schema))
-    if unknown:
-        raise ValueError(f"unknown field(s) for mode {mode!r}: {unknown}")
-    params: dict[str, Any] = {}
-    for name, (required, default, validator) in schema.items():
-        if name in raw:
-            value = raw[name]
-        elif required:
-            raise ValueError(f"missing required field {name!r} for mode {mode!r}")
-        else:
-            value = default
-        if not validator(value):
-            raise ValueError(f"invalid value for field {name!r}: {value!r}")
-        params[name] = value
-    # the covered annulus has inner radius rho1**n, which must be a normal float
-    if mode == "isometry" and params["rho1"] ** params["n"] < sys.float_info.min:
-        raise ValueError(
-            f"invalid value for field 'rho1': {params['rho1']!r} ** n={params['n']} underflows"
-        )
+    params = _fields(raw, _MODES[mode][1], f"mode {mode!r}")
+    if mode == "isometry":
+        _check_isometry(params)
+    elif mode == "induce":
+        _check_induce(params)
     return RunConfig(mode=mode, params=params)
 
 
@@ -184,7 +233,7 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
     trans = schreier_transversal(cov)
     chi1_doc = p["chi1"]
     images = {lbl: matrix_from_json(mat) for lbl, mat in chi1_doc["images"].items()}
-    chi1 = SubgroupRep(covering=cov, transversal=trans, m=int(chi1_doc["m"]), images=images)
+    chi1 = SubgroupRep(covering=cov, transversal=trans, m=chi1_doc["m"], images=images)
 
     # the chi1 checks are reported even when induce_representation refuses chi1
     report.checks += _prefixed(check_representation(chi1), "chi1:")
@@ -234,18 +283,18 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
         (random_section(rng, m, degree, c), random_section(rng, m, degree, c))
         for _ in range(p["trials"])
     ]
-    residuals = [
-        verify_isometry(cov, f, h, alpha, sig, samples) for f, h in pairs
-    ]
+    # doublings from 64 up to the configured count, which ends the table
+    counts = [min(64, samples)]
+    while 2 * counts[-1] < samples:
+        counts.append(2 * counts[-1])
+    if counts[-1] != samples:
+        counts.append(samples)
+    rows = verify_isometry(cov, pairs, alpha, sig, counts)
+    residuals = rows[-1].tolist()
     report.extras["per_trial_residuals"] = residuals
     report.checks.append(Check("isometry-residual[max]", max(residuals), tolerance))
 
-    table = []
-    n_samples = min(64, samples)
-    while n_samples <= samples:
-        worst = max(verify_isometry(cov, f, h, alpha, sig, n_samples) for f, h in pairs)
-        table.append([n_samples, worst])
-        n_samples *= 2
+    table = [[n_samples, float(row.max())] for n_samples, row in zip(counts, rows)]
     report.extras["convergence"] = table
     # "decreasing within 2x noise": each doubling may exceed twice the previous
     # residual only below the acceptance tolerance, where values are converged noise

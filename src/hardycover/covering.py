@@ -10,6 +10,7 @@ anti-homomorphism: ``sigma(w2 * w1) = sigma(w1) o sigma(w2)``.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -203,10 +204,10 @@ def schreier_transversal(cov: CoveringAction) -> Transversal:
     reps: list[Word | None] = [None] * cov.n
     reps[0] = Word((), alphabet)
     tree_edges: set[tuple[int, int]] = set()
-    queue = [1]
+    queue = deque([1])
     seen = {1}
     while queue:
-        i = queue.pop(0)
+        i = queue.popleft()
         for gi in range(len(alphabet)):
             j = cov.perms[gi][i - 1]
             if j not in seen:

@@ -12,12 +12,18 @@ Conventions, fixed once for the whole module:
   angle 0, so the only branch jump sits across ``theta = 2 pi``.  Inner
   products pair identical branch factors, which makes them branch invariant;
 * boundary integrals are uniform trapezoid sums in the angle, with the
-  ``|dz| = r d theta`` density included.
+  ``|dz| = r d theta`` density included;
+* on a uniform grid ``theta_j = 2 pi j / N`` the Laurent part is one inverse
+  FFT of length ``N``: ``a_d r^d`` sits at index ``d mod N`` and the result is
+  multiplied by ``N``.  ``N >= 2 degree + 1`` keeps the indices distinct.  The
+  branch factors ``z^c`` and ``1 / sqrt(F')`` are evaluated by continuity in
+  the literal angle ``theta_j``, as everywhere else.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -127,7 +133,8 @@ def section_values(spec: SectionSpec, radius: float, angles: np.ndarray) -> np.n
     """Section values at ``radius * e^{i angle}``, the multiplier continued in the angle.
 
     Angles are taken literally (not reduced mod 2 pi), which is what realizes
-    branch-by-continuity.
+    branch-by-continuity.  This direct sum serves arbitrary angles; the
+    samplers on uniform grids use the inverse FFT of ``_uniform_values``.
     """
     angles = np.asarray(angles, dtype=float)
     degrees = np.arange(-spec.degree, spec.degree + 1)
@@ -145,17 +152,34 @@ def _component_radius(component: int, rho: float) -> float:
     raise ValueError(f"annulus has boundary components 0 and 1, got {component}")
 
 
+def _uniform_values(
+    spec: SectionSpec, radius: float, n_points: int, exponent: float
+) -> np.ndarray:
+    """Laurent part times ``z^exponent`` at the angles ``2 pi j / n_points``.
+
+    The Laurent part is one inverse FFT.  With ``exponent = spec.c`` this is
+    ``section_values`` on the same angles up to rounding, provided
+    ``n_points >= 2 * spec.degree + 1``.
+    """
+    degrees = np.arange(-spec.degree, spec.degree + 1)
+    spectrum = np.zeros((n_points, spec.m), dtype=complex)
+    spectrum[degrees % n_points] = spec.coeffs * (radius ** degrees.astype(float))[:, None]
+    laurent = np.fft.ifft(spectrum, axis=0) * n_points
+    angles = 2.0 * np.pi * np.arange(n_points) / n_points
+    multiplier = np.exp(exponent * (np.log(radius) + 1j * angles))
+    return multiplier[:, None] * laurent
+
+
 def sample_section(
     spec: SectionSpec, component: int, n_samples: int, rho: float
 ) -> BoundarySection:
     """Boundary samples of a section on one circle of the annulus A(rho)."""
     _check_sample_count(n_samples, spec.degree)
     radius = _component_radius(component, rho)
-    angles = 2.0 * np.pi * np.arange(n_samples) / n_samples
     return BoundarySection(
         component=component,
         radius=radius,
-        samples=section_values(spec, radius, angles),
+        samples=_uniform_values(spec, radius, n_samples, spec.c),
         multiplier=spec.c,
     )
 
@@ -174,25 +198,26 @@ def pushforward_section(
     the root of ``z_k`` and the root of the derivative ``F' = n z^{n-1}``
     continued in the angle.  The blocks are stacked in preimage order, giving
     a section with values in C^{n m}.
+
+    The preimage of ``theta_j = 2 pi j / N`` on sheet ``k`` has angle
+    ``2 pi (j + k N) / (n N)``, so all n blocks come from one uniform grid of
+    ``n N`` angles upstairs.  There ``z^c / sqrt(F')`` is evaluated as
+    ``z^(c - (n-1)/2) / sqrt(n)``, continued in the angle like each factor.
     """
     if branch_sign not in (-1, 1):
         raise ValueError("branch sign must be +1 or -1")
     _check_sample_count(n_samples, spec.degree)
     r2 = _component_radius(component, cov.rho2)
     r1 = _component_radius(component, cov.rho1)
-    theta = 2.0 * np.pi * np.arange(n_samples) / n_samples
-    blocks = []
-    for k in range(cov.n):
-        phi = (theta + 2.0 * np.pi * k) / cov.n
-        upstairs = section_values(spec, r1, phi)
-        root_deriv = branch_sign * np.sqrt(cov.n) * np.exp(
-            0.5 * (cov.n - 1) * (np.log(r1) + 1j * phi)
-        )
-        blocks.append(upstairs / root_deriv[:, None])
+    exponent = spec.c - 0.5 * (cov.n - 1)
+    upstairs = _uniform_values(spec, r1, cov.n * n_samples, exponent)
+    upstairs /= branch_sign * np.sqrt(cov.n)
+    # row k N + j is block k at theta_j: (n, N, m) -> (N, n m)
+    blocks = upstairs.reshape(cov.n, n_samples, spec.m).transpose(1, 0, 2)
     return BoundarySection(
         component=component,
         radius=r2,
-        samples=np.concatenate(blocks, axis=1),
+        samples=blocks.reshape(n_samples, cov.n * spec.m),
         multiplier=spec.c,
         branch_sign=branch_sign,
     )
@@ -242,14 +267,13 @@ def hardy_bound_check(
     if r_values is None:
         r_values = tuple(1.0 - (1.0 - rho) * 0.5 ** j for j in range(1, 9))
     _check_sample_count(n_samples, spec.degree)
-    angles = 2.0 * np.pi * np.arange(n_samples) / n_samples
     sup = 0.0
     for r in r_values:
         if not rho < r < 1.0:
             raise ValueError(f"approximating radius {r} outside ({rho}, 1)")
         total = 0.0
         for radius in (r, rho / r):
-            vals = section_values(spec, radius, angles)
+            vals = _uniform_values(spec, radius, n_samples, spec.c)
             norms = np.sum(np.abs(vals) ** 2, axis=1)
             total += norms.sum() * (2.0 * np.pi * radius / n_samples)
         sup = max(sup, total)
@@ -258,42 +282,65 @@ def hardy_bound_check(
 
 def verify_isometry(
     cov: AnnulusCovering,
-    spec_f: SectionSpec,
-    spec_h: SectionSpec,
+    pairs: Sequence[tuple[SectionSpec, SectionSpec]],
     alpha: float,
     sig: SignatureData,
-    n_samples: int,
-) -> float:
-    """Absolute gap between the covered-side and base-side indefinite inner products.
+    sample_counts: Sequence[int],
+) -> np.ndarray:
+    """Absolute gaps between the covered-side and base-side indefinite inner products.
 
-    The base side integrates over the two circles of A(rho1) with the given
-    signature matrices; the covered side integrates the pushforwards over the
-    two circles of A(rho1^n) with the transported block-diagonal signature
-    matrices produced by the induction pipeline.
+    Entry ``[i, t]`` is the gap for pair ``t = (f, h)`` sampled at
+    ``sample_counts[i]``.  The base side integrates over the two circles of
+    A(rho1) with the given signature matrices; the covered side integrates
+    the pushforwards over the two circles of A(rho1^n) with the transported
+    block-diagonal signature matrices produced by the induction pipeline,
+    which is built once for all pairs.
+
+    Each pair is sampled once, at the largest count ``N_max``, and dropped
+    before the next pair.  A smaller count ``N`` reads every ``N_max / N``-th
+    sample: its angles ``2 pi j / N`` are exactly those of a direct N-point
+    sampling.
     """
-    if spec_f.m != spec_h.m or spec_f.m != sig.m:
-        raise ValueError(
-            f"rank mismatch: sections of rank {spec_f.m}/{spec_h.m}, signature rank {sig.m}"
-        )
+    if not sample_counts:
+        raise ValueError("need at least one sample count")
     c = alpha / (2.0 * np.pi)
-    for name, spec in (("f", spec_f), ("h", spec_h)):
-        if abs(spec.c - c) >= 1e-12:
+    for t, (spec_f, spec_h) in enumerate(pairs):
+        if spec_f.m != spec_h.m or spec_f.m != sig.m:
             raise ValueError(
-                f"section {name} has multiplier exponent {spec.c}, "
-                f"incompatible with boundary phase {alpha}"
+                f"rank mismatch in pair {t}: sections of rank {spec_f.m}/{spec_h.m}, "
+                f"signature rank {sig.m}"
             )
+        for name, spec in (("f", spec_f), ("h", spec_h)):
+            if abs(spec.c - c) >= 1e-12:
+                raise ValueError(
+                    f"section {name} of pair {t} has multiplier exponent {spec.c}, "
+                    f"incompatible with boundary phase {alpha}"
+                )
+            for n_samples in sample_counts:
+                _check_sample_count(n_samples, spec.degree)
 
     pipeline = annulus_pipeline(cov.n, alpha, sig)
     if not pipeline.report.passed:
         failing = ", ".join(ch.name for ch in pipeline.report.failing())
         raise ValueError(f"incompatible signature data: {failing}")
 
-    f1 = tuple(sample_section(spec_f, comp, n_samples, cov.rho1) for comp in (0, 1))
-    h1 = tuple(sample_section(spec_h, comp, n_samples, cov.rho1) for comp in (0, 1))
-    base = indefinite_inner_product(f1, h1, sig.J_list)
+    n_max = max(sample_counts)
+    residuals = np.empty((len(sample_counts), len(pairs)))
+    for t, (spec_f, spec_h) in enumerate(pairs):
+        f1 = tuple(sample_section(spec_f, comp, n_max, cov.rho1) for comp in (0, 1))
+        h1 = tuple(sample_section(spec_h, comp, n_max, cov.rho1) for comp in (0, 1))
+        f2 = tuple(pushforward_section(cov, spec_f, comp, n_max) for comp in (0, 1))
+        h2 = tuple(pushforward_section(cov, spec_h, comp, n_max) for comp in (0, 1))
+        for i, n_samples in enumerate(sample_counts):
+            step = n_max // n_samples
+            base = indefinite_inner_product(_every(f1, step), _every(h1, step), sig.J_list)
+            covered = indefinite_inner_product(
+                _every(f2, step), _every(h2, step), pipeline.J2_diagonal
+            )
+            residuals[i, t] = abs(covered - base)
+    return residuals
 
-    f2 = tuple(pushforward_section(cov, spec_f, comp, n_samples) for comp in (0, 1))
-    h2 = tuple(pushforward_section(cov, spec_h, comp, n_samples) for comp in (0, 1))
-    covered = indefinite_inner_product(f2, h2, pipeline.J2_diagonal)
 
-    return abs(covered - base)
+def _every(sections: tuple[BoundarySection, ...], step: int) -> tuple[BoundarySection, ...]:
+    """The sections read at every ``step``-th sample: a view, no copy."""
+    return tuple(replace(sec, samples=sec.samples[::step]) for sec in sections)

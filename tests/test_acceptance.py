@@ -295,11 +295,8 @@ def test_criterion_5_numerical_isometry():
     rng = np.random.default_rng(0)
     ok = True
 
-    worst = 0.0
-    for _ in range(20):
-        f = random_section(rng, 1, 8, c)
-        h = random_section(rng, 1, 8, c)
-        worst = max(worst, verify_isometry(cov, f, h, ISO_ALPHA, ISO_SIG, 2048))
+    pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(20)]
+    worst = verify_isometry(cov, pairs, ISO_ALPHA, ISO_SIG, [2048]).max()
     ok &= worst < 1e-9
 
     const = SectionSpec(m=1, c=0.0, degree=0, coeffs=np.ones((1, 1), dtype=complex))
@@ -321,10 +318,7 @@ def test_criterion_6_convergence():
     rng = np.random.default_rng(1)
     pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(20)]
     tolerance = 1e-9
-    residuals = [
-        max(verify_isometry(cov, f, h, ISO_ALPHA, ISO_SIG, n) for f, h in pairs)
-        for n in (64, 256, 1024)
-    ]
+    residuals = verify_isometry(cov, pairs, ISO_ALPHA, ISO_SIG, [64, 256, 1024]).max(axis=1)
     ok = all(
         nxt <= max(2.0 * prev, tolerance) for prev, nxt in zip(residuals, residuals[1:])
     )
@@ -365,10 +359,8 @@ def test_criterion_7_degenerate_cases():
     cov1 = make_annulus_cover(ISO_RHO, 1)
     rng = np.random.default_rng(2)
     c = ISO_ALPHA / (2.0 * np.pi)
-    for _ in range(5):
-        f = random_section(rng, 1, 8, c)
-        h = random_section(rng, 1, 8, c)
-        ok &= verify_isometry(cov1, f, h, ISO_ALPHA, ISO_SIG, 1024) == 0.0
+    pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(5)]
+    ok &= bool(np.all(verify_isometry(cov1, pairs, ISO_ALPHA, ISO_SIG, [1024]) == 0.0))
 
     elapsed = time.perf_counter() - start
     report_line(7, "degenerate-cases", ok, elapsed)

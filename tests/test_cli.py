@@ -1,6 +1,8 @@
 """Configuration parsing, pipeline dispatch, report emission, exit codes."""
 
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -94,7 +96,87 @@ class TestParseConfig:
     def test_underflowing_radius_rejected(self):
         with pytest.raises(ValueError, match="field 'rho1'.*underflows"):
             parse_config(json.dumps(isometry_config(rho1=0.01, n=200)))
-        parse_config(json.dumps(isometry_config(rho1=0.01, n=150)))
+        # n=150 does not underflow, but its inner-circle samples overflow in the pairing
+        with pytest.raises(ValueError, match="field 'rho1'.*overflows"):
+            parse_config(json.dumps(isometry_config(rho1=0.01, n=150)))
+
+    def test_overflowing_samples_rejected(self, tmp_path, capsys):
+        doc = isometry_config(rho1=0.01, n=150, degree=8, samples=64)
+        with pytest.raises(ValueError, match="field 'rho1'.*n=150, degree=8.*overflows"):
+            parse_config(json.dumps(doc))
+        config = tmp_path / "overflow.json"
+        config.write_text(json.dumps(doc))
+        assert main(["isometry", "--config", str(config), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert "rho1" in captured.err and captured.out == ""
+        # a smaller sheet count keeps the samples finite
+        parse_config(json.dumps(isometry_config(rho1=0.01, n=100, degree=8, samples=64)))
+
+    def test_every_documented_config_accepted(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        assert len(blocks) == 3
+        for block in blocks:
+            parse_config(block)
+        parse_config(json.dumps(isometry_config(samples=2048, seed=0)))
+
+
+class TestInduceConfig:
+    def one_sheet(self):
+        identity = [[[1.0, 0.0]]]
+        return {
+            "mode": "induce", "s": 0, "k": 2,
+            "covering": {"n": 1, "perms": {"A1": [1], "B1": [1]}},
+            "chi1": {"m": 1, "images": {"A1@1": identity, "B1@1": identity}},
+        }
+
+    def with_value(self, path, value):
+        doc = self.one_sheet()
+        *parents, last = path.split(".")
+        target = doc
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        return json.dumps(doc)
+
+    def test_one_sheet_cover_induces(self):
+        assert run_pipeline(parse_config(json.dumps(self.one_sheet()))).passed
+
+    @pytest.mark.parametrize("m", [True, 1.9, "1", 0])
+    def test_chi1_rank_must_be_positive_int(self, m):
+        with pytest.raises(ValueError, match="field 'chi1.m'"):
+            parse_config(self.with_value("chi1.m", m))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            ("chi1.images", [[[[1.0, 0.0]]]]),
+            ("chi1.images.A1@1", [[1.0, 0.0]]),
+            ("chi1.images.A1@1", [[[1.0, 0.0], [0.0, 0.0]]]),
+            ("chi1.images.A1@1", [[[1.0, 0.0]], [[0.0, 0.0]]]),
+            ("chi1.images.A1@1", [[[1.0, 0.0, 0.0]]]),
+            ("chi1.images.A1@1", [[[True, 0.0]]]),
+            ("chi1.images.A1@1", [[["1", 0.0]]]),
+            ("covering.n", "1"),
+            ("covering.n", True),
+            ("covering.n", 0),
+            ("covering.perms", [[1], [1]]),
+            ("covering.perms.A1", [True]),
+            ("covering.perms.A1", [1.0]),
+            ("covering.perms.A1", 1),
+        ],
+    )
+    def test_bad_nested_value_named_by_path(self, path, value):
+        with pytest.raises(ValueError, match=f"invalid value for field '{re.escape(path)}'"):
+            parse_config(self.with_value(path, value))
+
+    def test_missing_and_unknown_nested_fields_named(self):
+        doc = self.one_sheet()
+        del doc["covering"]["n"]
+        with pytest.raises(ValueError, match="missing required field 'covering.n'"):
+            parse_config(json.dumps(doc))
+        with pytest.raises(ValueError, match=r"unknown field.*'chi1.rank'"):
+            parse_config(self.with_value("chi1.rank", 1))
 
 
 class TestVerifyMode:

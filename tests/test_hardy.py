@@ -44,6 +44,23 @@ def fourier_inner_product(spec_f, spec_h, rho, J_list):
     return complex(total)
 
 
+def relative_gap(values, reference):
+    return np.max(np.abs(values - reference)) / np.max(np.abs(reference))
+
+
+def direct_pushforward(cov, spec, component, n_samples, branch_sign=1):
+    """Pushforward samples summed term by term at each sheet's preimage angles."""
+    r1 = 1.0 if component == 0 else cov.rho1
+    theta = TWO_PI * np.arange(n_samples) / n_samples
+    blocks = []
+    for k in range(cov.n):
+        phi = (theta + TWO_PI * k) / cov.n
+        root_deriv = np.exp(0.5 * (cov.n - 1) * (np.log(r1) + 1j * phi))
+        root_deriv *= branch_sign * np.sqrt(cov.n)
+        blocks.append(section_values(spec, r1, phi) / root_deriv[:, None])
+    return np.concatenate(blocks, axis=1)
+
+
 def constant_section(m=1, value=1.0):
     coeffs = np.zeros((1, m), dtype=complex)
     coeffs[0, 0] = value
@@ -98,6 +115,25 @@ class TestSampling:
         with pytest.raises(ValueError, match="power of two"):
             sample_section(constant_section(), 0, 12, 0.5)
 
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize(
+        "degree, n_samples, m, c, rho",
+        [
+            (0, 2, 1, 0.0, 0.5),
+            (1, 4, 2, 0.25, 0.3),
+            (3, 8, 1, 0.7 / TWO_PI, 0.6),
+            (7, 16, 3, -0.4, 0.8),
+            (15, 32, 1, 0.1, 0.7),
+            (8, 1024, 2, 1.3 / TWO_PI, 0.6),
+        ],
+    )
+    def test_fft_samples_match_direct_sum(self, degree, n_samples, m, c, rho, component):
+        spec = random_section(np.random.default_rng(degree), m, degree, c)
+        sec = sample_section(spec, component, n_samples, rho)
+        radius = 1.0 if component == 0 else rho
+        direct = section_values(spec, radius, TWO_PI * np.arange(n_samples) / n_samples)
+        assert relative_gap(sec.samples, direct) < 1e-13
+
     def test_monodromy_of_continued_values(self):
         spec = random_section(np.random.default_rng(1), 2, 4, 0.35 / TWO_PI)
         theta = TWO_PI * np.arange(32) / 32
@@ -110,9 +146,33 @@ class TestPushforward:
     def test_degree_one_is_identity(self):
         cov = make_annulus_cover(0.6, 1)
         spec = random_section(np.random.default_rng(2), 2, 5, 0.1)
-        direct = sample_section(spec, 1, 64, 0.6)
-        pushed = pushforward_section(cov, spec, 1, 64)
-        assert np.array_equal(pushed.samples, direct.samples)
+        for component in (0, 1):
+            for n_samples in (16, 64, 1024):
+                direct = sample_section(spec, component, n_samples, 0.6)
+                pushed = pushforward_section(cov, spec, component, n_samples)
+                assert np.array_equal(pushed.samples, direct.samples)
+
+    @pytest.mark.parametrize("component", [0, 1])
+    @pytest.mark.parametrize(
+        "n, degree, n_samples, rho, c, branch_sign",
+        [
+            (1, 3, 8, 0.6, 0.0, 1),
+            (2, 1, 4, 0.5, 0.25, -1),
+            (3, 7, 16, 0.6, 0.7 / TWO_PI, 1),
+            (5, 8, 64, 0.8, -0.3, -1),
+            (6, 4, 32, 0.9, 0.45, 1),
+        ],
+    )
+    def test_one_fft_matches_per_sheet_sums(
+        self, n, degree, n_samples, rho, c, branch_sign, component
+    ):
+        # n * n_samples is not a power of two for n = 3, 5, 6
+        cov = make_annulus_cover(rho, n)
+        spec = random_section(np.random.default_rng(n), 2, degree, c)
+        pushed = pushforward_section(cov, spec, component, n_samples, branch_sign=branch_sign)
+        direct = direct_pushforward(cov, spec, component, n_samples, branch_sign)
+        assert pushed.samples.shape == (n_samples, 2 * n)
+        assert relative_gap(pushed.samples, direct) < 1e-13
 
     def test_two_sheets_constant_section(self):
         # preimage angles (theta + 2 pi k)/2; the derivative root is sqrt(2 z_k)
@@ -281,26 +341,20 @@ class TestIsometry:
         cov = make_annulus_cover(0.6, 1)
         alpha = 0.7
         c = alpha / TWO_PI
-        residual = verify_isometry(
-            cov, random_section(rng, 1, 8, c), random_section(rng, 1, 8, c), alpha, self.SIG, 256
-        )
-        assert residual == 0.0
+        pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(3)]
+        residuals = verify_isometry(cov, pairs, alpha, self.SIG, [64, 128, 256])
+        assert residuals.shape == (3, 3)
+        assert np.all(residuals == 0.0)
 
     def test_acceptance_fixture_residuals(self):
         rng = np.random.default_rng(9)
         cov = make_annulus_cover(0.6, 3)
         alpha = 0.7
         c = alpha / TWO_PI
-        for _ in range(5):
-            residual = verify_isometry(
-                cov,
-                random_section(rng, 1, 8, c),
-                random_section(rng, 1, 8, c),
-                alpha,
-                self.SIG,
-                2048,
-            )
-            assert residual < 1e-9
+        pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(5)]
+        residuals = verify_isometry(cov, pairs, alpha, self.SIG, [2048])
+        assert residuals.shape == (1, 5)
+        assert np.all(residuals < 1e-9)
 
     def test_constant_sections_positive_case(self):
         from hardycover import annulus_pipeline
@@ -315,7 +369,7 @@ class TestIsometry:
         expected = TWO_PI * (1.0 + 0.6)
         assert base == pytest.approx(expected, abs=1e-9)
         assert covered == pytest.approx(expected, abs=1e-9)
-        assert verify_isometry(cov, const, const, 0.0, sig, 512) < 1e-9
+        assert verify_isometry(cov, [(const, const)], 0.0, sig, [512])[0, 0] < 1e-9
 
     def test_multiplier_mismatch_rejected(self):
         rng = np.random.default_rng(10)
@@ -323,11 +377,10 @@ class TestIsometry:
         with pytest.raises(ValueError, match="incompatible with boundary phase"):
             verify_isometry(
                 cov,
-                random_section(rng, 1, 4, 0.0),
-                random_section(rng, 1, 4, 0.0),
+                [(random_section(rng, 1, 4, 0.0), random_section(rng, 1, 4, 0.0))],
                 0.7,
                 self.SIG,
-                256,
+                [256],
             )
 
     def test_rank_mismatch_rejected(self):
@@ -336,11 +389,10 @@ class TestIsometry:
         with pytest.raises(ValueError, match="rank mismatch"):
             verify_isometry(
                 cov,
-                random_section(rng, 2, 4, 0.0),
-                random_section(rng, 2, 4, 0.0),
+                [(random_section(rng, 2, 4, 0.0), random_section(rng, 2, 4, 0.0))],
                 0.0,
                 self.SIG,
-                256,
+                [256],
             )
 
     def test_matrix_rank_fixture(self):
@@ -349,10 +401,8 @@ class TestIsometry:
         sig = SignatureData(J_list=(np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])))
         alpha = 1.3
         c = alpha / TWO_PI
-        residual = verify_isometry(
-            cov, random_section(rng, 2, 6, c), random_section(rng, 2, 6, c), alpha, sig, 1024
-        )
-        assert residual < 1e-9
+        pair = (random_section(rng, 2, 6, c), random_section(rng, 2, 6, c))
+        assert verify_isometry(cov, [pair], alpha, sig, [1024])[0, 0] < 1e-9
 
     def test_convergence_through_doublings(self):
         rng = np.random.default_rng(13)
@@ -363,12 +413,69 @@ class TestIsometry:
         pairs = [
             (random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(20)
         ]
-        n_samples, worsts = 64, []
-        while n_samples <= 2048:
-            worsts.append(
-                max(verify_isometry(cov, f, h, alpha, self.SIG, n_samples) for f, h in pairs)
-            )
-            n_samples *= 2
+        worsts = verify_isometry(cov, pairs, alpha, self.SIG, [64, 128, 256, 512, 1024, 2048]).max(
+            axis=1
+        )
         for prev, nxt in zip(worsts, worsts[1:]):
             assert nxt <= max(2.0 * prev, tolerance)
         assert worsts[-1] < tolerance
+
+    def test_strided_levels_match_direct_sampling(self):
+        rng = np.random.default_rng(15)
+        cov = make_annulus_cover(0.6, 3)
+        alpha = 0.7
+        c = alpha / TWO_PI
+        spec = random_section(rng, 1, 8, c)
+        n_max = 1024
+        for comp in (0, 1):
+            fine = sample_section(spec, comp, n_max, cov.rho1).samples
+            pushed = pushforward_section(cov, spec, comp, n_max).samples
+            for n_samples in (32, 64, 256):
+                step = n_max // n_samples
+                direct = sample_section(spec, comp, n_samples, cov.rho1).samples
+                assert relative_gap(fine[::step], direct) < 1e-12
+                direct = pushforward_section(cov, spec, comp, n_samples).samples
+                assert relative_gap(pushed[::step], direct) < 1e-12
+
+        pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(3)]
+        counts = [32, 64, 256, 1024]
+        table = verify_isometry(cov, pairs, alpha, self.SIG, counts)
+        scale = max(abs(fourier_inner_product(f, h, cov.rho1, self.SIG.J_list)) for f, h in pairs)
+        for row, n_samples in zip(table, counts):
+            direct = verify_isometry(cov, pairs, alpha, self.SIG, [n_samples])[0]
+            assert np.max(np.abs(row - direct)) < 1e-12 * scale
+
+    def test_sample_counts_validated_before_work(self, monkeypatch):
+        from hardycover import hardy
+
+        monkeypatch.setattr(hardy, "annulus_pipeline", None)
+        cov = make_annulus_cover(0.6, 3)
+        pair = (constant_section(), constant_section())
+        for counts, match in (
+            ([], "at least one"),
+            ([64, 96], "power of two"),
+            ([1], "undersample"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                verify_isometry(cov, [pair], 0.0, self.SIG, counts)
+
+    def test_one_run_builds_the_pipeline_once(self, monkeypatch):
+        import json
+
+        from hardycover import cli, cyclic, hardy
+
+        calls = []
+        original = cyclic.annulus_pipeline
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        for module in (cli, cyclic, hardy):
+            monkeypatch.setattr(module, "annulus_pipeline", counting)
+        config = {"mode": "isometry", "rho1": 0.6, "n": 3, "alpha": 0.7, "signs": [1, -1],
+                  "samples": 256, "trials": 4}
+        report = cli.run_pipeline(cli.parse_config(json.dumps(config)))
+        assert report.passed
+        assert [row[0] for row in report.extras["convergence"]] == [64, 128, 256]
+        assert len(calls) == 1
