@@ -24,7 +24,6 @@ from .groups import (
 )
 from .covering import (
     CoveringAction,
-    SubgroupPresentation,
     Transversal,
     build_covering,
     compose_coverings,
@@ -36,17 +35,14 @@ from .covering import (
     schreier_rewrite,
     schreier_transversal,
     sigma,
-    subgroup_presentation,
     subgroup_relators,
 )
 from .induction import (
     Check,
     CheckReport,
     ExtensionError,
-    InducedRep,
     MatrixRep,
     SignatureData,
-    SubgroupRep,
     build_G2,
     build_J2_diagonal,
     check_representation,

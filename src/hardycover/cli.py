@@ -35,8 +35,8 @@ from .hardy import (
 from .induction import (
     Check,
     CheckReport,
+    MatrixRep,
     SignatureData,
-    SubgroupRep,
     check_representation,
     induce_representation,
     matrix_from_json,
@@ -233,13 +233,13 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
     trans = schreier_transversal(cov)
     chi1_doc = p["chi1"]
     images = {lbl: matrix_from_json(mat) for lbl, mat in chi1_doc["images"].items()}
-    chi1 = SubgroupRep(covering=cov, transversal=trans, m=chi1_doc["m"], images=images)
+    chi1 = MatrixRep(presentation=trans, m=chi1_doc["m"], images=images)
 
     # the chi1 checks are reported even when induce_representation refuses chi1
     report.checks += _prefixed(check_representation(chi1), "chi1:")
     chi2 = induce_representation(cov, trans, chi1)
     report.checks += _prefixed(check_representation(chi2), "chi2:")
-    report.extras["induced"] = rep_to_json(chi2)
+    report.extras["induced"] = rep_to_json(chi2, cov)
     report.extras["transversal"] = [str(w) for w in trans.reps]
     report.extras["schreier_generators"] = {
         g.label: str(w) for g, w in zip(trans.schreier_generators, trans.defining_words)

@@ -6,12 +6,18 @@ kill every relator.  Sheets are numbered from 1 throughout, sheet 1 being the
 basepoint sheet.  Cosets are right cosets ``H g_i``, sheets carry the right
 action ``i . w``, and the sheet permutation of a word therefore composes as an
 anti-homomorphism: ``sigma(w2 * w1) = sigma(w1) o sigma(w2)``.
+
+The Schreier transversal is also the presentation of the covering subgroup
+(Reidemeister-Schreier): its generators are the Schreier generators and its
+relators the rewritten conjugates of the base relators.  A covering can act
+for it, which is how covering towers are built.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 from .groups import (
@@ -19,13 +25,13 @@ from .groups import (
     Generator,
     GroupPresentation,
     Word,
+    _json_int,
     apply_involution,
 )
 
 __all__ = [
     "CoveringAction",
     "Transversal",
-    "SubgroupPresentation",
     "build_covering",
     "identity_covering",
     "coset_of",
@@ -36,32 +42,10 @@ __all__ = [
     "schreier_rewrite",
     "expand_schreier_word",
     "subgroup_relators",
-    "subgroup_presentation",
     "compose_coverings",
     "covering_to_json",
     "covering_from_json",
 ]
-
-
-@dataclass(frozen=True)
-class SubgroupPresentation:
-    """The covering subgroup on its Schreier generators.
-
-    Each Schreier generator ``X@i`` comes from the non-tree edge (sheet i,
-    base generator X); ``defining_words`` expresses it in the base group and
-    ``relators`` are the rewritten conjugates of the base relators.
-    """
-
-    generators: tuple[Generator, ...]
-    relators: tuple[Word, ...]
-    defining_words: tuple[Word, ...]
-
-    @property
-    def alphabet(self) -> tuple[str, ...]:
-        return tuple(g.label for g in self.generators)
-
-    def identity(self) -> Word:
-        return Word((), self.alphabet)
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +56,7 @@ class CoveringAction:
     values); ``inverse_perms`` caches the inverses.
     """
 
-    presentation: GroupPresentation | DoubledPresentation | SubgroupPresentation
+    presentation: GroupPresentation | DoubledPresentation | Transversal
     n: int
     perms: tuple[tuple[int, ...], ...]
     inverse_perms: tuple[tuple[int, ...], ...]
@@ -86,7 +70,7 @@ def _invert_perm(images: Sequence[int]) -> tuple[int, ...]:
 
 
 def build_covering(
-    presentation: GroupPresentation | DoubledPresentation | SubgroupPresentation,
+    presentation: GroupPresentation | DoubledPresentation | Transversal,
     perms: Mapping[str, Sequence[int]],
 ) -> CoveringAction:
     """Validate and assemble a covering action from per-generator permutations."""
@@ -143,7 +127,7 @@ def build_covering(
 
 
 def identity_covering(
-    presentation: GroupPresentation | DoubledPresentation | SubgroupPresentation,
+    presentation: GroupPresentation | DoubledPresentation | Transversal,
 ) -> CoveringAction:
     return build_covering(presentation, {lbl: (1,) for lbl in presentation.alphabet})
 
@@ -174,13 +158,14 @@ def sigma(cov: CoveringAction, w: Word) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class Transversal:
-    """Schreier transversal of the covering subgroup.
+    """Schreier transversal of the covering subgroup, and the subgroup's presentation.
 
     ``reps[i-1]`` is the spanning-tree word from sheet 1 to sheet i (so
     ``reps[0]`` is the identity); ``schreier_generators`` are one generator
     per non-tree edge, labelled ``X@i`` for the edge (sheet i, generator X),
     with ``defining_words`` the corresponding base-group words
-    ``g_i x g_{i.x}^-1``.
+    ``g_i x g_{i.x}^-1``.  As a presentation it has ``alphabet`` and
+    ``relators``, so coverings and representations can be built on it.
     """
 
     covering: CoveringAction
@@ -189,9 +174,14 @@ class Transversal:
     defining_words: tuple[Word, ...]
     edge_to_generator: Mapping[tuple[int, int], int | None]
 
-    @property
+    @cached_property
     def alphabet(self) -> tuple[str, ...]:
         return tuple(g.label for g in self.schreier_generators)
+
+    @cached_property
+    def relators(self) -> tuple[Word, ...]:
+        """The covering subgroup's relators, rewritten on first use."""
+        return subgroup_relators(self.covering, self)
 
 
 def schreier_transversal(cov: CoveringAction) -> Transversal:
@@ -317,23 +307,15 @@ def subgroup_relators(cov: CoveringAction, trans: Transversal) -> tuple[Word, ..
     return tuple(out)
 
 
-def subgroup_presentation(cov: CoveringAction, trans: Transversal) -> SubgroupPresentation:
-    return SubgroupPresentation(
-        generators=trans.schreier_generators,
-        relators=subgroup_relators(cov, trans),
-        defining_words=trans.defining_words,
-    )
-
-
 def compose_coverings(
     cov: CoveringAction, trans: Transversal, inner: CoveringAction
 ) -> CoveringAction:
     """Covering tower composed into a single action of the base group.
 
-    ``inner`` must act for the subgroup presentation derived from ``(cov,
-    trans)``.  Composite sheet ``(i, a)`` is numbered ``(i-1)*inner.n + a``;
-    a base generator moves ``i`` by the outer action and ``a`` by the inner
-    action of the rewritten subgroup part.
+    ``inner`` must act on the Schreier generators of ``trans``, typically as
+    a covering of ``trans`` itself.  Composite sheet ``(i, a)`` is numbered
+    ``(i-1)*inner.n + a``; a base generator moves ``i`` by the outer action
+    and ``a`` by the inner action of the rewritten subgroup part.
     """
     _check_pair(cov, trans)
     if inner.presentation.alphabet != trans.alphabet:
@@ -356,17 +338,19 @@ def compose_coverings(
 def covering_to_json(cov: CoveringAction) -> dict:
     return {
         "n": cov.n,
-        "perms": {
-            g.label: list(cov.perms[g.index]) for g in cov.presentation.generators
-        },
+        "perms": {lbl: list(row) for lbl, row in zip(cov.presentation.alphabet, cov.perms)},
     }
 
 
 def covering_from_json(
-    presentation: GroupPresentation | DoubledPresentation | SubgroupPresentation,
+    presentation: GroupPresentation | DoubledPresentation | Transversal,
     doc: Mapping,
 ) -> CoveringAction:
+    n = _json_int(doc["n"], "n")
+    for label, images in doc["perms"].items():
+        for value in images:
+            _json_int(value, f"perms.{label}")
     cov = build_covering(presentation, doc["perms"])
-    if cov.n != int(doc["n"]):
+    if cov.n != n:
         raise ValueError(f"declared sheet count {doc['n']} does not match permutations on {cov.n}")
     return cov

@@ -30,10 +30,8 @@ from .induction import (
     TOL_EXACT,
     Check,
     CheckReport,
-    InducedRep,
     MatrixRep,
     SignatureData,
-    SubgroupRep,
     build_G2,
     build_J2_diagonal,
     extend_to_double,
@@ -80,7 +78,7 @@ def annulus_double_rep(m: int, alpha: float, sig: SignatureData) -> MatrixRep:
 
 def boundary_subgroup_rep(
     cov: CoveringAction, trans: Transversal, chi_X1: MatrixRep
-) -> SubgroupRep:
+) -> MatrixRep:
     """Subgroup representation on the Schreier generators of the cyclic cover.
 
     The Schreier generator ``A1@n`` is the core class of the covering torus
@@ -96,11 +94,11 @@ def boundary_subgroup_rep(
             images[g.label] = chi_X1.images["B1"]
         else:
             raise ValueError(f"unexpected Schreier generator {g.label!r} for a cyclic cover")
-    return SubgroupRep(covering=cov, transversal=trans, m=chi_X1.m, images=images)
+    return MatrixRep(presentation=trans, m=chi_X1.m, images=images)
 
 
 def transport_boundary_values(
-    cov: CoveringAction, trans: Transversal, chi1: SubgroupRep, sig: SignatureData
+    cov: CoveringAction, chi1: MatrixRep, sig: SignatureData
 ) -> list[list[np.ndarray]]:
     """Signature values at every sheet lift over each boundary component.
 
@@ -132,8 +130,8 @@ class CyclicPipeline:
     covering: CoveringAction
     transversal: Transversal
     chi_X1: MatrixRep
-    chi1: SubgroupRep
-    chi2: InducedRep
+    chi1: MatrixRep
+    chi2: MatrixRep
     G2: np.ndarray
     J2_diagonal: list[np.ndarray]
     J2_pairing: list[np.ndarray]
@@ -155,8 +153,8 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     chi1 = boundary_subgroup_rep(cov, trans, chi_X1)
     chi2 = induce_representation(cov, trans, chi1)
     G2 = build_G2(cov, trans, chi1, sig.G)
-    assignment = transport_boundary_values(cov, trans, chi1, sig)
-    J2_diag = build_J2_diagonal(cov, trans, assignment)
+    assignment = transport_boundary_values(cov, chi1, sig)
+    J2_diag = build_J2_diagonal(cov, assignment)
     J2_pair = pairing_signature_matrices(chi2, G2, p)
 
     checks = list(verify_symmetry_conditions(chi2, G2, J2_diag, p).checks)

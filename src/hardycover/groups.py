@@ -303,6 +303,13 @@ def mirror_monodromy(p: DoubledPresentation, component: int) -> Word:
     return p.gen(f"B{component}")
 
 
+def _json_int(value, name: str) -> int:
+    """An integer read from a JSON document; bools (a subclass of int) and floats are refused."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"invalid value for field {name!r}: {value!r} is not an integer")
+    return value
+
+
 def word_to_json(w: Word) -> list[list]:
     return [[w.alphabet[g], e] for g, e in w.letters]
 
@@ -310,10 +317,10 @@ def word_to_json(w: Word) -> list[list]:
 def word_from_json(data: Iterable, alphabet: tuple[str, ...]) -> Word:
     lookup = {label: i for i, label in enumerate(alphabet)}
     letters = []
-    for label, exp in data:
+    for i, (label, exp) in enumerate(data):
         if label not in lookup:
             raise ValueError(f"unknown generator {label!r}")
-        letters.append((lookup[label], int(exp)))
+        letters.append((lookup[label], _json_int(exp, f"exponent of letter {i}")))
     return Word(tuple(letters), alphabet)
 
 
@@ -334,7 +341,7 @@ def presentation_to_json(p: GroupPresentation | DoubledPresentation) -> dict:
 
 def presentation_from_json(doc: Mapping) -> GroupPresentation | DoubledPresentation:
     """Rebuild a presentation from its JSON form and check it against (s, k)."""
-    s, k = int(doc["s"]), int(doc["k"])
+    s, k = _json_int(doc["s"], "s"), _json_int(doc["k"], "k")
     rebuilt = double_group(s, k) if "tau" in doc else surface_group(s, k)
     if list(rebuilt.alphabet) != list(doc["generators"]):
         raise ValueError("generator list does not match the (s, k) presentation")

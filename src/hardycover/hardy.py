@@ -107,7 +107,6 @@ class BoundarySection:
     component: int
     radius: float
     samples: np.ndarray
-    multiplier: float
     branch_sign: int = 1
 
     @property
@@ -180,7 +179,6 @@ def sample_section(
         component=component,
         radius=radius,
         samples=_uniform_values(spec, radius, n_samples, spec.c),
-        multiplier=spec.c,
     )
 
 
@@ -218,7 +216,6 @@ def pushforward_section(
         component=component,
         radius=r2,
         samples=blocks.reshape(n_samples, cov.n * spec.m),
-        multiplier=spec.c,
         branch_sign=branch_sign,
     )
 

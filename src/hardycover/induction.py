@@ -1,5 +1,11 @@
 """Unitary matrix representations, extension to the double, and induction.
 
+``MatrixRep`` is the one representation type: one matrix per generator of a
+presentation.  The presentation may be a surface group, its double, or a
+Schreier transversal, which presents the covering subgroup; so the boundary
+representation ``chi_X1``, the subgroup representation ``chi1`` and the
+induced ``chi2`` (of rank ``n m``) are all ``MatrixRep``.
+
 The three constructions here are the block formulas of the covering theory:
 
 * extension of a boundary-compatible representation from the bordered surface
@@ -29,12 +35,12 @@ from .covering import (
     factorize,
     nu_decompose,
     schreier_rewrite,
-    subgroup_relators,
 )
 from .groups import (
     DoubledPresentation,
     GroupPresentation,
     Word,
+    _json_int,
     apply_involution,
     boundary_loop,
     mirror_monodromy,
@@ -45,8 +51,6 @@ __all__ = [
     "Check",
     "CheckReport",
     "MatrixRep",
-    "SubgroupRep",
-    "InducedRep",
     "SignatureData",
     "ExtensionError",
     "check_representation",
@@ -126,22 +130,15 @@ def _as_matrices(images: Mapping[str, np.ndarray], m: int) -> dict[str, np.ndarr
     return out
 
 
-def _residual_report(rep, alphabet: Sequence[str], relators: Sequence[Word], dim: int) -> CheckReport:
-    checks = [
-        Check(f"unitarity[{label}]", unitarity_residual(rep.images[label]), TOL_EXACT)
-        for label in alphabet
-    ]
-    eye = np.eye(dim)
-    for idx, relator in enumerate(relators):
-        checks.append(Check(f"relator[{idx}]", _maxabs(rep.evaluate(relator) - eye), TOL_EXACT))
-    return CheckReport(tuple(checks))
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixRep:
-    """Representation of a presented group by one matrix per generator."""
+    """Representation of a presented group by one matrix per generator.
 
-    presentation: GroupPresentation | DoubledPresentation
+    The presentation is a surface group, its double, or a Schreier
+    transversal (the covering subgroup on its Schreier generators).
+    """
+
+    presentation: GroupPresentation | DoubledPresentation | Transversal
     m: int
     images: dict[str, np.ndarray]
 
@@ -158,77 +155,15 @@ class MatrixRep:
 
     @cached_property
     def _check_report(self) -> CheckReport:
-        p = self.presentation
-        return _residual_report(self, p.alphabet, p.relators, self.m)
-
-
-@dataclass(frozen=True, eq=False)
-class SubgroupRep:
-    """Representation of the covering subgroup on its Schreier generators.
-
-    Evaluates directly on words over the Schreier alphabet, and on ambient
-    words by rewriting them first (they must lie in the subgroup).
-    """
-
-    covering: CoveringAction
-    transversal: Transversal
-    m: int
-    images: dict[str, np.ndarray]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", _as_matrices(self.images, self.m))
-        missing = [lbl for lbl in self.transversal.alphabet if lbl not in self.images]
-        if missing:
-            raise ValueError(f"no image supplied for Schreier generator(s) {missing}")
-
-    def evaluate(self, w: Word) -> np.ndarray:
-        if w.alphabet == self.transversal.alphabet:
-            return _product(self.images, self.transversal.alphabet, w, self.m)
-        rewritten = schreier_rewrite(self.covering, self.transversal, w)
-        return _product(self.images, self.transversal.alphabet, rewritten, self.m)
-
-    @cached_property
-    def _relators(self) -> tuple[Word, ...]:
-        return subgroup_relators(self.covering, self.transversal)
-
-    @cached_property
-    def _check_report(self) -> CheckReport:
-        return _residual_report(self, self.transversal.alphabet, self._relators, self.m)
-
-
-@dataclass(frozen=True, eq=False)
-class InducedRep:
-    """Block-monomial representation induced from a covering subgroup."""
-
-    covering: CoveringAction
-    m: int
-    images: dict[str, np.ndarray]
-
-    @property
-    def n(self) -> int:
-        return self.covering.n
-
-    @property
-    def dimension(self) -> int:
-        return self.n * self.m
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "images", _as_matrices(self.images, self.dimension))
-
-    def evaluate(self, w: Word) -> np.ndarray:
-        if w.alphabet != self.covering.presentation.alphabet:
-            raise ValueError("word not over this representation's generators")
-        return _product(self.images, self.covering.presentation.alphabet, w, self.dimension)
-
-    @cached_property
-    def _check_report(self) -> CheckReport:
-        p = self.covering.presentation
-        return _residual_report(self, p.alphabet, p.relators, self.dimension)
-
-    def block_structure(self, label: str) -> tuple[tuple[int, int], ...]:
-        """Positions ``(k, sigma_g(k))``, k = 1..n, of the nonzero blocks of a generator image."""
-        perm = self.covering.perms[self.covering.presentation.alphabet.index(label)]
-        return tuple(enumerate(perm, start=1))
+        checks = [
+            Check(f"unitarity[{label}]", unitarity_residual(self.images[label]), TOL_EXACT)
+            for label in self.presentation.alphabet
+        ]
+        eye = np.eye(self.m)
+        for idx, relator in enumerate(self.presentation.relators):
+            residual = _maxabs(self.evaluate(relator) - eye)
+            checks.append(Check(f"relator[{idx}]", residual, TOL_EXACT))
+        return CheckReport(tuple(checks))
 
 
 def _product(
@@ -241,11 +176,12 @@ def _product(
     return result
 
 
-def check_representation(rep: MatrixRep | SubgroupRep | InducedRep) -> CheckReport:
+def check_representation(rep: MatrixRep) -> CheckReport:
     """Unitarity residual per generator plus the relator residual(s); never raises.
 
-    For a subgroup representation the relators are the rewritten conjugates
-    of the base relators, which certify that the images are well defined.
+    For a representation of a transversal the relators are the rewritten
+    conjugates of the base relators, which certify that the images are well
+    defined.
     The report is computed once per representation and kept on it; the
     images are read-only, so it cannot go stale.
     """
@@ -346,15 +282,16 @@ def extend_to_double(
 
 
 def induce_representation(
-    cov: CoveringAction, trans: Transversal, chi1: SubgroupRep
-) -> InducedRep:
+    cov: CoveringAction, trans: Transversal, chi1: MatrixRep
+) -> MatrixRep:
     """Induce a representation of the full group from the covering subgroup.
 
-    Block row k of the image of a generator ``g`` has its only nonzero block
-    in column ``sigma_g(k)``, equal to the subgroup value of
-    ``g_k g g_{sigma_g(k)}^-1``.  Refuses inconsistent subgroup data.
+    ``chi1`` represents ``trans``.  Block row k of the image of a generator
+    ``g`` has its only nonzero block in column ``sigma_g(k)``, equal to
+    ``chi1`` of the rewritten ``g_k g g_{sigma_g(k)}^-1``; the result has rank
+    ``n m``.  Refuses inconsistent subgroup data.
     """
-    if chi1.covering is not cov or chi1.transversal is not trans:
+    if chi1.presentation is not trans or trans.covering is not cov:
         raise ValueError("subgroup representation belongs to a different covering")
     consistency = check_representation(chi1)
     if not consistency.passed:
@@ -362,7 +299,7 @@ def induce_representation(
         for check in consistency.failing():
             what = check.name
             if what.startswith("relator["):
-                what = f"rewritten relator {chi1._relators[int(what[8:-1])]}"
+                what = f"rewritten relator {trans.relators[int(what[8:-1])]}"
             failures.append(f"{what} has residual {check.residual:.3e}")
         raise ValueError("subgroup representation inconsistent: " + "; ".join(failures))
 
@@ -374,9 +311,10 @@ def induce_representation(
         big = np.zeros((n * m, n * m), dtype=complex)
         for k in range(1, n + 1):
             h, j = factorize(cov, trans, k, letter)
-            big[(k - 1) * m : k * m, (j - 1) * m : j * m] = chi1.evaluate(h)
+            block = chi1.evaluate(schreier_rewrite(cov, trans, h))
+            big[(k - 1) * m : k * m, (j - 1) * m : j * m] = block
         images[label] = big
-    induced = InducedRep(covering=cov, m=m, images=images)
+    induced = MatrixRep(presentation=cov.presentation, m=n * m, images=images)
 
     verification = check_representation(induced)
     if not verification.passed:
@@ -386,7 +324,7 @@ def induce_representation(
 
 
 def build_G2(
-    cov: CoveringAction, trans: Transversal, chi1: SubgroupRep, G1: np.ndarray
+    cov: CoveringAction, trans: Transversal, chi1: MatrixRep, G1: np.ndarray
 ) -> np.ndarray:
     """Transported pairing matrix: block ``(k, nu(k))`` is ``G1 chi1(h_k)``.
 
@@ -399,14 +337,13 @@ def build_G2(
     G2 = np.zeros((n * m, n * m), dtype=complex)
     for k in range(1, n + 1):
         h_k, nu_k = nu_decompose(cov, trans, k)
-        G2[(k - 1) * m : k * m, (nu_k - 1) * m : nu_k * m] = G1 @ chi1.evaluate(h_k)
+        h_sub = schreier_rewrite(cov, trans, h_k)
+        G2[(k - 1) * m : k * m, (nu_k - 1) * m : nu_k * m] = G1 @ chi1.evaluate(h_sub)
     return G2
 
 
 def build_J2_diagonal(
-    cov: CoveringAction,
-    trans: Transversal,
-    J1_assignment: Sequence[Sequence[np.ndarray]],
+    cov: CoveringAction, J1_assignment: Sequence[Sequence[np.ndarray]]
 ) -> list[np.ndarray]:
     """Per-component block-diagonal signature matrices of the covered surface.
 
@@ -430,7 +367,7 @@ def build_J2_diagonal(
 
 
 def pairing_signature_matrices(
-    chi2: InducedRep, G2: np.ndarray, p: DoubledPresentation
+    chi2: MatrixRep, G2: np.ndarray, p: DoubledPresentation
 ) -> list[np.ndarray]:
     """Signature matrices read off the pairing: ``J_{2,0} = G2``, ``J_{2,i} = chi2(B_i)^* G2``."""
     out = [G2.copy()]
@@ -440,7 +377,7 @@ def pairing_signature_matrices(
 
 
 def verify_symmetry_conditions(
-    chi2: InducedRep,
+    chi2: MatrixRep,
     G2: np.ndarray,
     J2_list: Sequence[np.ndarray],
     p: DoubledPresentation,
@@ -453,7 +390,7 @@ def verify_symmetry_conditions(
     the image.
     """
     checks: list[Check] = []
-    dim = chi2.dimension
+    dim = chi2.m
     checks.append(Check("pairing-selfadjoint", _maxabs(G2 - G2.conj().T), TOL_EXACT))
     for g in p.generators:
         mirrored = chi2.evaluate(apply_involution(p, p.gen(g.label)))
@@ -499,18 +436,31 @@ def matrix_from_json(data: Sequence) -> np.ndarray:
     return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
 
 
-def rep_to_json(rep: MatrixRep | SubgroupRep | InducedRep) -> dict:
-    doc: dict = {"m": rep.m, "images": {lbl: matrix_to_json(mat) for lbl, mat in rep.images.items()}}
-    if isinstance(rep, InducedRep):
-        doc["n"] = rep.n
-        doc["block_structure"] = {
-            lbl: [list(pair) for pair in rep.block_structure(lbl)] for lbl in rep.images
-        }
-    return doc
+def rep_to_json(rep: MatrixRep, covering: CoveringAction | None = None) -> dict:
+    """JSON form of ``rep``; given the covering it was induced along, the block form.
+
+    The block form has the block rank ``m``, the sheet count ``n`` and, per
+    generator, ``block_structure``: the pairs ``[k, sigma_g(k)]``, k = 1..n,
+    of the nonzero blocks, read from the covering's sheet permutations.
+    """
+    images = {lbl: matrix_to_json(mat) for lbl, mat in rep.images.items()}
+    if covering is None:
+        return {"m": rep.m, "images": images}
+    if rep.presentation is not covering.presentation or rep.m % covering.n:
+        raise ValueError("representation was not induced along this covering")
+    return {
+        "m": rep.m // covering.n,
+        "images": images,
+        "n": covering.n,
+        "block_structure": {
+            lbl: [[k, j] for k, j in enumerate(perm, start=1)]
+            for lbl, perm in zip(covering.presentation.alphabet, covering.perms)
+        },
+    }
 
 
 def rep_from_json(
     presentation: GroupPresentation | DoubledPresentation, doc: Mapping
 ) -> MatrixRep:
     images = {lbl: matrix_from_json(mat) for lbl, mat in doc["images"].items()}
-    return MatrixRep(presentation=presentation, m=int(doc["m"]), images=images)
+    return MatrixRep(presentation=presentation, m=_json_int(doc["m"], "m"), images=images)

@@ -18,7 +18,6 @@ import numpy as np
 
 from hardycover import (
     SignatureData,
-    SubgroupRep,
     annulus_pipeline,
     build_covering,
     compose_coverings,
@@ -32,7 +31,6 @@ from hardycover import (
     schreier_rewrite,
     schreier_transversal,
     sigma,
-    subgroup_presentation,
     surface_group,
     verify_isometry,
     build_G2,
@@ -121,7 +119,8 @@ def test_criterion_1_presentations():
 
 def block_monomiality_residual(chi2, cov):
     """Exact max over entries outside the sheet-permutation block pattern."""
-    m, n = chi2.m, cov.n
+    n = cov.n
+    m = chi2.m // n
     worst = 0.0
     for label in cov.presentation.alphabet:
         perm = sigma(cov, cov.presentation.gen(label))
@@ -150,7 +149,7 @@ def test_criterion_2_induced_representations():
                     g.label: (t_img if g.label.startswith("A1@") else u_img)
                     for g in trans.schreier_generators
                 }
-                chi1 = SubgroupRep(covering=cov, transversal=trans, m=m, images=images)
+                chi1 = MatrixRep(presentation=trans, m=m, images=images)
                 chi2 = induce_representation(cov, trans, chi1)
                 dim = n * m
                 eye = eye_cache.setdefault(dim, np.eye(dim))
@@ -212,8 +211,7 @@ def tower_trace_gap(inner_perms, m, seed, n_words=100):
     rng = np.random.default_rng(seed)
     outer = torus_cover(2)
     t_outer = schreier_transversal(outer)
-    sub = subgroup_presentation(outer, t_outer)
-    inner = build_covering(sub, inner_perms)
+    inner = build_covering(t_outer, inner_perms)
     t_inner = schreier_transversal(inner)
 
     a, b = commuting_unitaries(rng, m, 2)
@@ -226,9 +224,8 @@ def tower_trace_gap(inner_perms, m, seed, n_words=100):
             out = out @ (factor if exp > 0 else factor.conj().T)
         return out
 
-    chiK = SubgroupRep(
-        covering=inner,
-        transversal=t_inner,
+    chiK = MatrixRep(
+        presentation=t_inner,
         m=m,
         images={
             g.label: psi_eval(expand_schreier_word(t_outer, w))
@@ -239,7 +236,7 @@ def tower_trace_gap(inner_perms, m, seed, n_words=100):
     two_step = induce_representation(
         outer,
         t_outer,
-        SubgroupRep(covering=outer, transversal=t_outer, m=m * inner.n, images=chiH.images),
+        MatrixRep(presentation=t_outer, m=m * inner.n, images=chiH.images),
     )
 
     comp = compose_coverings(outer, t_outer, inner)
@@ -247,12 +244,13 @@ def tower_trace_gap(inner_perms, m, seed, n_words=100):
     one_step = induce_representation(
         comp,
         t_comp,
-        SubgroupRep(
-            covering=comp,
-            transversal=t_comp,
+        MatrixRep(
+            presentation=t_comp,
             m=m,
             images={
-                g.label: chiK.evaluate(schreier_rewrite(outer, t_outer, w))
+                g.label: chiK.evaluate(
+                    schreier_rewrite(inner, t_inner, schreier_rewrite(outer, t_outer, w))
+                )
                 for g, w in zip(t_comp.schreier_generators, t_comp.defining_words)
             },
         ),
@@ -342,11 +340,11 @@ def test_criterion_7_degenerate_cases():
     chi_X = extend_to_double(chi_S, SignatureData(J_list=(J0,)), sphere)
     cov = identity_covering(sphere)
     trans = schreier_transversal(cov)
-    chi1 = SubgroupRep(covering=cov, transversal=trans, m=2, images={})
+    chi1 = MatrixRep(presentation=trans, m=2, images={})
     chi2 = induce_representation(cov, trans, chi1)
     G2 = build_G2(cov, trans, chi1, J0)
     ok &= np.array_equal(G2, J0)
-    J2 = build_J2_diagonal(cov, trans, [[J0]])
+    J2 = build_J2_diagonal(cov, [[J0]])
     ok &= np.array_equal(J2[0], pairing_signature_matrices(chi2, G2, sphere)[0])
     symmetry = verify_symmetry_conditions(chi2, G2, J2, sphere)
     ok &= symmetry.passed

@@ -224,12 +224,12 @@ class TestInduceMode:
         assert [c.name for c in report.checks if not c.passed] == ["chi1:relator[0]", "chi1:relator[1]"]
 
     def test_chi1_relators_rewritten_once(self, monkeypatch):
-        from hardycover import induction
+        from hardycover import covering
 
         calls = []
-        original = induction.subgroup_relators
+        original = covering.subgroup_relators
         monkeypatch.setattr(
-            induction, "subgroup_relators", lambda *args: calls.append(1) or original(*args)
+            covering, "subgroup_relators", lambda *args: calls.append(1) or original(*args)
         )
         report = run_pipeline(parse_config(json.dumps(self.torus_config())))
         assert report.passed

@@ -4,8 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from hardycover import (
+    Word,
     build_covering,
     compose_coverings,
     coset_of,
@@ -17,8 +19,8 @@ from hardycover import (
     schreier_rewrite,
     schreier_transversal,
     sigma,
-    subgroup_presentation,
     subgroup_relators,
+    surface_group,
 )
 from hardycover.covering import covering_from_json, covering_to_json
 
@@ -227,6 +229,13 @@ class TestSchreierRewrite:
 
 
 class TestSubgroupRelators:
+    def test_transversal_presents_the_subgroup(self, cover3):
+        t = schreier_transversal(cover3)
+        assert t.alphabet is t.alphabet
+        assert t.relators is t.relators
+        assert t.relators == subgroup_relators(cover3, t)
+        assert all(r.alphabet == t.alphabet for r in t.relators)
+
     def test_cyclic_three(self, cover3, trans3):
         rels = [str(r) for r in subgroup_relators(cover3, trans3)]
         assert rels == [
@@ -257,10 +266,7 @@ class TestComposition:
     def test_tower_two_by_three(self):
         outer = torus_cover(2)
         t = schreier_transversal(outer)
-        sub = subgroup_presentation(outer, t)
-        inner = build_covering(
-            sub, {"B1@1": (2, 3, 1), "A1@2": (1, 2, 3), "B1@2": (2, 3, 1)}
-        )
+        inner = build_covering(t, {"B1@1": (2, 3, 1), "A1@2": (1, 2, 3), "B1@2": (2, 3, 1)})
         comp = compose_coverings(outer, t, inner)
         assert comp.n == 6
         assert comp.presentation is TORUS
@@ -284,3 +290,106 @@ class TestCoveringSerialization:
         doc["n"] = 4
         with pytest.raises(ValueError, match="sheet count"):
             covering_from_json(TORUS, doc)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", True), ("n", 3.0), ("n", "3"), ("perms.A1", 2.7), ("perms.B1", True)],
+    )
+    def test_reader_rejects_non_integers(self, cover3, field, value):
+        doc = covering_to_json(cover3)
+        if field == "n":
+            doc["n"] = value
+        else:
+            doc["perms"][field[6:]][1] = value
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            covering_from_json(TORUS, doc)
+
+    def test_covering_of_a_transversal_round_trip(self):
+        outer = torus_cover(2)
+        t = schreier_transversal(outer)
+        inner = build_covering(t, {"B1@1": (2, 1), "A1@2": (1, 2), "B1@2": (2, 1)})
+        doc = json.loads(json.dumps(covering_to_json(inner)))
+        assert doc["perms"] == {"B1@1": [2, 1], "A1@2": [1, 2], "B1@2": [2, 1]}
+        assert covering_from_json(t, doc).perms == inner.perms
+
+
+def _transitive(perms, n):
+    reached, frontier = {1}, [1]
+    while frontier:
+        i = frontier.pop()
+        for row in perms:
+            for j in (row[i - 1], row.index(i) + 1):
+                if j not in reached:
+                    reached.add(j)
+                    frontier.append(j)
+    return len(reached) == n
+
+
+surfaces = st.sampled_from([(0, 2), (0, 3), (1, 1), (1, 2)]).map(lambda sk: surface_group(*sk))
+
+
+@st.composite
+def bordered_coverings(draw, p):
+    """Random transitive covering of a bordered surface group with at most 8 sheets.
+
+    The group is free on every generator but A0, so those permutations are
+    drawn at random and A0, the relator's last letter, undoes the rest of it.
+    """
+    n = draw(st.integers(1, 8))
+    perms = {lbl: draw(st.permutations(range(1, n + 1))) for lbl in p.alphabet[1:]}
+    a0 = [0] * n
+    for i in range(1, n + 1):
+        j = i
+        for gen, exp in p.relator.letters[:-1]:
+            row = perms[p.alphabet[gen]]
+            j = row[j - 1] if exp > 0 else row.index(j) + 1
+        a0[j - 1] = i
+    perms["A0"] = a0
+    assume(_transitive(list(perms.values()), n))
+    return build_covering(p, perms)
+
+
+class TestRandomCoverings:
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_rewrite_round_trips(self, data):
+        p = data.draw(surfaces)
+        cov = data.draw(bordered_coverings(p))
+        t = schreier_transversal(cov)
+        letters = data.draw(
+            st.lists(st.tuples(st.integers(0, len(p.alphabet) - 1), st.sampled_from((1, -1))), max_size=30)
+        )
+        u = Word(tuple(letters), p.alphabet)
+        w = u * t.reps[coset_of(cov, u) - 1].inverse()  # push into the subgroup
+        assert expand_schreier_word(t, schreier_rewrite(cov, t, w)) == w
+        # the subgroup relators are the rewritten conjugates of the base relator
+        for rep, relator in zip(t.reps, t.relators):
+            assert expand_schreier_word(t, relator) == rep * p.relator * rep.inverse()
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_composition_with_a_random_inner_covering(self, data):
+        p = data.draw(surfaces)
+        outer = data.draw(bordered_coverings(p))
+        t = schreier_transversal(outer)
+        # the subgroup acts on the sheets of another covering through the
+        # defining words; its orbit of sheet 1 is a transitive covering of t
+        other = data.draw(bordered_coverings(p))
+        actions = [sigma(other, w) for w in t.defining_words]
+        orbit = [1]
+        for i in orbit:
+            for row in actions:
+                for j in (row[i - 1], row.index(i) + 1):
+                    if j not in orbit:
+                        orbit.append(j)
+        number = {sheet: a for a, sheet in enumerate(orbit, start=1)}
+        inner = build_covering(
+            t, {lbl: [number[row[i - 1]] for i in orbit] for lbl, row in zip(t.alphabet, actions)}
+        )
+        comp = compose_coverings(outer, t, inner)
+        assert comp.presentation is p
+        assert comp.n == outer.n * inner.n
+        # composite sheet (i, a) lies over outer sheet i
+        for row, outer_row in zip(comp.perms, outer.perms):
+            for x, y in enumerate(row, start=1):
+                assert (y - 1) // inner.n + 1 == outer_row[(x - 1) // inner.n]

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from hardycover import (
+    MatrixRep,
     SignatureData,
-    SubgroupRep,
     annulus_pipeline,
     boundary_subgroup_rep,
     check_representation,
@@ -63,7 +63,7 @@ class TestTransport:
         trans = schreier_transversal(cov)
         sig = scalar_signs(1, -1)
         chi1 = boundary_subgroup_rep(cov, trans, annulus_double_rep(1, 0.7, sig))
-        assignment = transport_boundary_values(cov, trans, chi1, sig)
+        assignment = transport_boundary_values(cov, chi1, sig)
         assert len(assignment) == 2
         for comp, values in enumerate(assignment):
             assert len(values) == 3
@@ -78,10 +78,10 @@ class TestTransport:
         sig = SignatureData(J_list=(np.eye(2), np.diag([1.0, -1.0])))
         core = haar_unitary(rng, 2)
         images = {"A1@2": core, "B1@1": np.eye(2), "B1@2": np.eye(2)}
-        chi1 = SubgroupRep(covering=cov, transversal=trans, m=2, images=images)
+        chi1 = MatrixRep(presentation=trans, m=2, images=images)
         assert check_representation(chi1).passed
         with pytest.raises(ValueError, match="transport inconsistency"):
-            transport_boundary_values(cov, trans, chi1, sig)
+            transport_boundary_values(cov, chi1, sig)
 
 
 class TestPipeline:

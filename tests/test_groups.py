@@ -224,3 +224,18 @@ class TestSerialization:
     def test_unknown_generator_rejected(self):
         with pytest.raises(ValueError, match="unknown generator"):
             word_from_json([["C9", 1]], ("A1", "B1"))
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [("s", False), ("s", 1.0), ("k", True), ("k", 2.5), ("k", "2")],
+    )
+    def test_presentation_reader_rejects_non_integers(self, field, value):
+        doc = presentation_to_json(surface_group(1, 2))
+        doc[field] = value
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            presentation_from_json(doc)
+
+    @pytest.mark.parametrize("exponent", [True, False, 1.5, 1.0, "1"])
+    def test_word_reader_rejects_non_integer_exponents(self, exponent):
+        with pytest.raises(ValueError, match="exponent of letter 1"):
+            word_from_json([["A1", 1], ["B1", exponent]], ("A1", "B1"))

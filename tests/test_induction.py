@@ -10,7 +10,6 @@ from hardycover import (
     ExtensionError,
     MatrixRep,
     SignatureData,
-    SubgroupRep,
     build_covering,
     build_G2,
     build_J2_diagonal,
@@ -24,7 +23,6 @@ from hardycover import (
     pairing_signature_matrices,
     schreier_rewrite,
     schreier_transversal,
-    subgroup_presentation,
     surface_group,
     verify_symmetry_conditions,
 )
@@ -51,7 +49,7 @@ def cyclic_subgroup_rep(cov, trans, t_image, u_image):
     images = {}
     for g in trans.schreier_generators:
         images[g.label] = t_image if g.label.startswith("A1@") else u_image
-    return SubgroupRep(covering=cov, transversal=trans, m=np.asarray(t_image).shape[0], images=images)
+    return MatrixRep(presentation=trans, m=np.asarray(t_image).shape[0], images=images)
 
 
 class TestEvaluate:
@@ -104,7 +102,7 @@ class TestCheckRepresentation:
             "B1@2": np.array([[np.exp(0.3j)]]),
             "B1@3": np.array([[1.0 + 0j]]),
         }
-        chi1 = SubgroupRep(covering=cov, transversal=trans, m=1, images=images)
+        chi1 = MatrixRep(presentation=trans, m=1, images=images)
         report = check_representation(chi1)
         assert not report.passed
         assert any(c.name.startswith("relator") for c in report.failing())
@@ -232,12 +230,16 @@ class TestInduceRepresentation:
         cov = identity_covering(TORUS)
         trans = schreier_transversal(cov)
         a, b = commuting_unitaries(rng, 2, 2)
-        chi1 = SubgroupRep(
-            covering=cov, transversal=trans, m=2, images={"A1@1": a, "B1@1": b}
-        )
+        chi1 = MatrixRep(presentation=trans, m=2, images={"A1@1": a, "B1@1": b})
         chi2 = induce_representation(cov, trans, chi1)
         assert np.array_equal(chi2.images["A1"], a)
         assert np.array_equal(chi2.images["B1"], b)
+
+    def test_refuses_representation_of_another_transversal(self):
+        cov = torus_cover(3)
+        chi1 = cyclic_subgroup_rep(cov, schreier_transversal(cov), np.eye(1), np.eye(1))
+        with pytest.raises(ValueError, match="different covering"):
+            induce_representation(cov, schreier_transversal(cov), chi1)
 
     def test_refuses_inconsistent_subgroup_rep(self):
         cov = torus_cover(3)
@@ -248,7 +250,7 @@ class TestInduceRepresentation:
             "B1@2": np.array([[-1.0 + 0j]]),
             "B1@3": np.array([[1.0 + 0j]]),
         }
-        chi1 = SubgroupRep(covering=cov, transversal=trans, m=1, images=images)
+        chi1 = MatrixRep(presentation=trans, m=1, images=images)
         with pytest.raises(ValueError, match=r"rewritten relator B1@2 B1@1\^-1"):
             induce_representation(cov, trans, chi1)
 
@@ -273,9 +275,11 @@ class TestInduceRepresentation:
         chi2 = induce_representation(cov, trans, cyclic_subgroup_rep(cov, trans, t_img, u_img))
         from hardycover import sigma
 
-        m, n = chi2.m, chi2.n
+        n = cov.n
+        m = chi2.m // n
+        doc = rep_to_json(chi2, cov)
         for label in ("A1", "B1"):
-            structure = chi2.block_structure(label)
+            structure = tuple(tuple(pair) for pair in doc["block_structure"][label])
             perm = sigma(cov, TORUS.gen(label))
             assert structure == tuple((k, perm[k - 1]) for k in range(1, 6))
             # the nonzero blocks of the dense image are exactly the reported ones
@@ -348,7 +352,7 @@ class TestPairingTransport:
                 factor = psi[TORUS.alphabet[gen]]
                 mat = mat @ (factor if exp > 0 else factor.conj().T)
             images[g.label] = mat
-        chi1 = SubgroupRep(covering=cov, transversal=trans, m=2, images=images)
+        chi1 = MatrixRep(presentation=trans, m=2, images=images)
         assert check_representation(chi1).passed
 
         G2 = build_G2(cov, trans, chi1, sig.G)
@@ -356,11 +360,12 @@ class TestPairingTransport:
         for k in range(1, cov.n + 1):
             h_k, nu_k = nu_decompose(cov, trans, k)
             block = G2[(k - 1) * m : k * m, (nu_k - 1) * m : nu_k * m]
-            assert np.allclose(block, sig.G @ chi1.evaluate(h_k), atol=1e-13)
+            h_sub = schreier_rewrite(cov, trans, h_k)
+            assert np.allclose(block, sig.G @ chi1.evaluate(h_sub), atol=1e-13)
         # transported pairing stays selfadjoint and intertwines the induction
         chi2 = induce_representation(cov, trans, chi1)
         report = verify_symmetry_conditions(
-            chi2, G2, build_J2_diagonal(cov, trans, [[J] * cov.n for J in sig.J_list]), TORUS
+            chi2, G2, build_J2_diagonal(cov, [[J] * cov.n for J in sig.J_list]), TORUS
         )
         assert report.passed
         assert max(c.residual for c in report.checks) < 1e-12
@@ -373,7 +378,7 @@ class TestPairingTransport:
             chi1 = annulus_boundary_chi1(cov, trans, 0.7, sig)
             chi2 = induce_representation(cov, trans, chi1)
             G2 = build_G2(cov, trans, chi1, sig.G)
-            diagonal = build_J2_diagonal(cov, trans, [[J] * 3 for J in sig.J_list])
+            diagonal = build_J2_diagonal(cov, [[J] * 3 for J in sig.J_list])
             pairing = pairing_signature_matrices(chi2, G2, TORUS)
             assert np.array_equal(diagonal[0], e0 * np.eye(3))
             assert np.array_equal(diagonal[1], e1 * np.eye(3))
@@ -384,7 +389,7 @@ class TestPairingTransport:
         cov = torus_cover(2)
         trans = schreier_transversal(cov)
         with pytest.raises(ValueError, match="not a signature matrix"):
-            build_J2_diagonal(cov, trans, [[np.eye(1) * 2.0] * 2, [np.eye(1)] * 2])
+            build_J2_diagonal(cov, [[np.eye(1) * 2.0] * 2, [np.eye(1)] * 2])
 
 
 class TestSymmetryReport:
@@ -395,7 +400,7 @@ class TestSymmetryReport:
         chi1 = annulus_boundary_chi1(cov, trans, alpha, sig)
         chi2 = induce_representation(cov, trans, chi1)
         G2 = build_G2(cov, trans, chi1, sig.G)
-        J2 = build_J2_diagonal(cov, trans, [[J] * n for J in sig.J_list])
+        J2 = build_J2_diagonal(cov, [[J] * n for J in sig.J_list])
         return chi2, G2, J2
 
     def test_fixture_is_exact(self):
@@ -443,7 +448,7 @@ def restricted_subgroup_rep(cov, trans, psi, m):
             factor = psi[alphabet[gen]]
             mat = mat @ (factor if exp > 0 else factor.conj().T)
         images[g.label] = mat
-    return SubgroupRep(covering=cov, transversal=trans, m=m, images=images)
+    return MatrixRep(presentation=trans, m=m, images=images)
 
 
 class TestInductionInStages:
@@ -451,8 +456,7 @@ class TestInductionInStages:
         rng = np.random.default_rng(17)
         outer = torus_cover(2)
         t_outer = schreier_transversal(outer)
-        sub = subgroup_presentation(outer, t_outer)
-        inner = build_covering(sub, {"B1@1": (2, 1), "A1@2": (1, 2), "B1@2": (2, 1)})
+        inner = build_covering(t_outer, {"B1@1": (2, 1), "A1@2": (1, 2), "B1@2": (2, 1)})
         t_inner = schreier_transversal(inner)
 
         m = 2
@@ -467,22 +471,22 @@ class TestInductionInStages:
                 factor = psi[TORUS.alphabet[gen]]
                 mat = mat @ (factor if exp > 0 else factor.conj().T)
             chiK_images[g.label] = mat
-        chiK = SubgroupRep(covering=inner, transversal=t_inner, m=m, images=chiK_images)
+        chiK = MatrixRep(presentation=t_inner, m=m, images=chiK_images)
 
         chiH = induce_representation(inner, t_inner, chiK)
-        chiH_sub = SubgroupRep(
-            covering=outer, transversal=t_outer, m=m * inner.n, images=chiH.images
-        )
+        chiH_sub = MatrixRep(presentation=t_outer, m=m * inner.n, images=chiH.images)
         two_step = induce_representation(outer, t_outer, chiH_sub)
 
         comp = compose_coverings(outer, t_outer, inner)
         t_comp = schreier_transversal(comp)
         one_images = {
-            g.label: chiK.evaluate(schreier_rewrite(outer, t_outer, w))
+            g.label: chiK.evaluate(
+                schreier_rewrite(inner, t_inner, schreier_rewrite(outer, t_outer, w))
+            )
             for g, w in zip(t_comp.schreier_generators, t_comp.defining_words)
         }
         one_step = induce_representation(
-            comp, t_comp, SubgroupRep(covering=comp, transversal=t_comp, m=m, images=one_images)
+            comp, t_comp, MatrixRep(presentation=t_comp, m=m, images=one_images)
         )
 
         for _ in range(100):
@@ -505,7 +509,21 @@ class TestRepSerialization:
         trans = schreier_transversal(cov)
         chi1 = cyclic_subgroup_rep(cov, trans, np.eye(1), np.eye(1))
         chi2 = induce_representation(cov, trans, chi1)
-        doc = rep_to_json(chi2)
-        assert doc["n"] == 2
+        doc = rep_to_json(chi2, cov)
+        assert doc["m"] == 1 and doc["n"] == 2
         assert doc["block_structure"]["A1"] == [[1, 2], [2, 1]]
         assert doc["block_structure"]["B1"] == [[1, 1], [2, 2]]
+
+    def test_block_form_needs_the_inducing_covering(self):
+        cov = torus_cover(2)
+        trans = schreier_transversal(cov)
+        chi2 = induce_representation(cov, trans, cyclic_subgroup_rep(cov, trans, np.eye(1), np.eye(1)))
+        with pytest.raises(ValueError, match="not induced along"):
+            rep_to_json(chi2, torus_cover(3))
+
+    @pytest.mark.parametrize("m", [1.9, 1.0, True, "1"])
+    def test_reader_rejects_non_integer_rank(self, m):
+        doc = rep_to_json(commuting_torus_rep(np.random.default_rng(19), 1))
+        doc["m"] = m
+        with pytest.raises(ValueError, match="field 'm'"):
+            rep_from_json(TORUS, doc)
