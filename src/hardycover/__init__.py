@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .groups import (
     DoubledPresentation,
-    Generator,
     GroupPresentation,
     InvalidSurfaceError,
     Word,

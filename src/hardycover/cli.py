@@ -242,7 +242,7 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
     report.extras["induced"] = rep_to_json(chi2, cov)
     report.extras["transversal"] = [str(w) for w in trans.reps]
     report.extras["schreier_generators"] = {
-        g.label: str(w) for g, w in zip(trans.schreier_generators, trans.defining_words)
+        lbl: str(w) for lbl, w in zip(trans.alphabet, trans.defining_words)
     }
 
 

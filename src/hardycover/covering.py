@@ -8,9 +8,9 @@ action ``i . w``, and the sheet permutation of a word therefore composes as an
 anti-homomorphism: ``sigma(w2 * w1) = sigma(w1) o sigma(w2)``.
 
 The Schreier transversal is also the presentation of the covering subgroup
-(Reidemeister-Schreier): its generators are the Schreier generators and its
-relators the rewritten conjugates of the base relators.  A covering can act
-for it, which is how covering towers are built.
+(Reidemeister-Schreier): its ``alphabet`` holds the Schreier generators'
+labels ``X@i`` and its relators are the rewritten conjugates of the base
+relators.  A covering can act for it, which is how covering towers are built.
 """
 
 from __future__ import annotations
@@ -22,10 +22,10 @@ from typing import Mapping, Sequence
 
 from .groups import (
     DoubledPresentation,
-    Generator,
     GroupPresentation,
     Word,
-    _json_int,
+    _as_int,
+    _substitute,
     apply_involution,
 )
 
@@ -94,7 +94,7 @@ def build_covering(
             raise ValueError("sheet count must be at least 1")
         rows = []
         for lbl in alphabet:
-            row = tuple(int(v) for v in perms[lbl])
+            row = tuple(_as_int(v, f"perms.{lbl}") for v in perms[lbl])
             if sorted(row) != list(range(1, n + 1)):
                 raise ValueError(f"images for generator {lbl} are not a bijection of 1..{n}")
             rows.append(row)
@@ -161,22 +161,18 @@ class Transversal:
     """Schreier transversal of the covering subgroup, and the subgroup's presentation.
 
     ``reps[i-1]`` is the spanning-tree word from sheet 1 to sheet i (so
-    ``reps[0]`` is the identity); ``schreier_generators`` are one generator
-    per non-tree edge, labelled ``X@i`` for the edge (sheet i, generator X),
-    with ``defining_words`` the corresponding base-group words
-    ``g_i x g_{i.x}^-1``.  As a presentation it has ``alphabet`` and
-    ``relators``, so coverings and representations can be built on it.
+    ``reps[0]`` is the identity); ``alphabet`` has one Schreier generator per
+    non-tree edge, labelled ``X@i`` for the edge (sheet i, generator X), with
+    ``defining_words`` the corresponding base-group words ``g_i x g_{i.x}^-1``.
+    As a presentation it has ``alphabet`` and ``relators``, so coverings and
+    representations can be built on it.
     """
 
     covering: CoveringAction
     reps: tuple[Word, ...]
-    schreier_generators: tuple[Generator, ...]
+    alphabet: tuple[str, ...]
     defining_words: tuple[Word, ...]
     edge_to_generator: Mapping[tuple[int, int], int | None]
-
-    @cached_property
-    def alphabet(self) -> tuple[str, ...]:
-        return tuple(g.label for g in self.schreier_generators)
 
     @cached_property
     def relators(self) -> tuple[Word, ...]:
@@ -207,7 +203,7 @@ def schreier_transversal(cov: CoveringAction) -> Transversal:
                 queue.append(j)
     assert all(r is not None for r in reps), "covering validated transitive"
 
-    gens: list[Generator] = []
+    labels: list[str] = []
     words: list[Word] = []
     edge_map: dict[tuple[int, int], int | None] = {}
     for i in range(1, cov.n + 1):
@@ -217,14 +213,14 @@ def schreier_transversal(cov: CoveringAction) -> Transversal:
                 continue
             j = cov.perms[gi][i - 1]
             word = reps[i - 1] * Word(((gi, 1),), alphabet) * reps[j - 1].inverse()
-            edge_map[(i, gi)] = len(gens)
-            gens.append(Generator(f"{label}@{i}", len(gens)))
+            edge_map[(i, gi)] = len(labels)
+            labels.append(f"{label}@{i}")
             words.append(word)
 
     return Transversal(
         covering=cov,
         reps=tuple(reps),
-        schreier_generators=tuple(gens),
+        alphabet=tuple(labels),
         defining_words=tuple(words),
         edge_to_generator=edge_map,
     )
@@ -289,11 +285,7 @@ def expand_schreier_word(trans: Transversal, w: Word) -> Word:
     """Substitute each Schreier generator by its defining base-group word."""
     if w.alphabet != trans.alphabet:
         raise ValueError("word not over this transversal's Schreier generators")
-    result = Word((), trans.covering.presentation.alphabet)
-    for gen, exp in w.letters:
-        piece = trans.defining_words[gen]
-        result = result * (piece if exp > 0 else piece.inverse())
-    return result
+    return _substitute(w, trans.defining_words, trans.covering.presentation.alphabet)
 
 
 def subgroup_relators(cov: CoveringAction, trans: Transversal) -> tuple[Word, ...]:
@@ -346,10 +338,7 @@ def covering_from_json(
     presentation: GroupPresentation | DoubledPresentation | Transversal,
     doc: Mapping,
 ) -> CoveringAction:
-    n = _json_int(doc["n"], "n")
-    for label, images in doc["perms"].items():
-        for value in images:
-            _json_int(value, f"perms.{label}")
+    n = _as_int(doc["n"], "n")
     cov = build_covering(presentation, doc["perms"])
     if cov.n != n:
         raise ValueError(f"declared sheet count {doc['n']} does not match permutations on {cov.n}")

@@ -87,13 +87,13 @@ def boundary_subgroup_rep(
     """
     n = cov.n
     images: dict[str, np.ndarray] = {}
-    for g in trans.schreier_generators:
-        if g.label == f"A1@{n}":
-            images[g.label] = chi_X1.images["A1"]
-        elif g.label.startswith("B1@"):
-            images[g.label] = chi_X1.images["B1"]
+    for label in trans.alphabet:
+        if label == f"A1@{n}":
+            images[label] = chi_X1.images["A1"]
+        elif label.startswith("B1@"):
+            images[label] = chi_X1.images["B1"]
         else:
-            raise ValueError(f"unexpected Schreier generator {g.label!r} for a cyclic cover")
+            raise ValueError(f"unexpected Schreier generator {label!r} for a cyclic cover")
     return MatrixRep(presentation=trans, m=chi_X1.m, images=images)
 
 
@@ -126,7 +126,6 @@ def transport_boundary_values(
 class CyclicPipeline:
     """Everything the cyclic-cover pipeline produces, plus its verification report."""
 
-    presentation: DoubledPresentation
     covering: CoveringAction
     transversal: Transversal
     chi_X1: MatrixRep
@@ -163,7 +162,6 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
             Check(f"signature-route-equality[{comp}]", np.max(np.abs(a - b)), TOL_EXACT)
         )
     return CyclicPipeline(
-        presentation=p,
         covering=cov,
         transversal=trans,
         chi_X1=chi_X1,

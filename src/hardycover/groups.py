@@ -6,17 +6,19 @@ fundamental group generated by boundary loops ``A0..A{k-1}`` and handle pairs
 surface of genus ``2s + k - 1`` whose fundamental group carries the mirror
 involution ``tau`` acting on generators.  This module is the exact, purely
 combinatorial kernel: words are tuples of signed generator indices, always
-kept freely reduced, and every operation is a pure function.
+kept freely reduced, and every operation is a pure function.  Each
+presentation stores its ``alphabet`` (the generator labels) once, and every
+word over it shares that tuple.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
     "InvalidSurfaceError",
-    "Generator",
     "Word",
     "GroupPresentation",
     "DoubledPresentation",
@@ -39,14 +41,14 @@ class InvalidSurfaceError(ValueError):
 Letter = tuple[int, int]
 
 
-def _free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
-    out: list[Letter] = []
-    for gen, exp in letters:
-        if out and out[-1][0] == gen and out[-1][1] == -exp:
-            out.pop()
-        else:
-            out.append((gen, exp))
-    return tuple(out)
+def _as_int(value, name: str) -> int:
+    """``value`` as an int; bools and non-integers are refused, numpy integers accepted."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"invalid value for field {name!r}: {value!r} is not an integer")
 
 
 @dataclass(frozen=True)
@@ -54,20 +56,28 @@ class Word:
     """Freely reduced word over a fixed generator alphabet.
 
     ``letters`` is a sequence of ``(generator index, +1 or -1)`` pairs; the
-    empty sequence is the identity.  Construction reduces the input, so no
-    unreduced word ever exists.
+    empty sequence is the identity.  Construction checks and reduces the
+    input in one pass, so no unreduced word ever exists.
     """
 
     letters: tuple[Letter, ...]
     alphabet: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        size = len(self.alphabet)
+        out: list[Letter] = []
         for gen, exp in self.letters:
-            if not 0 <= gen < len(self.alphabet):
+            if type(gen) is not int or type(exp) is not int:
+                gen, exp = _as_int(gen, "generator index"), _as_int(exp, "letter exponent")
+            if not 0 <= gen < size:
                 raise ValueError(f"generator index {gen} outside alphabet")
-            if exp not in (-1, 1):
+            if exp != 1 and exp != -1:
                 raise ValueError(f"letter exponent must be +1 or -1, got {exp}")
-        object.__setattr__(self, "letters", _free_reduce(self.letters))
+            if out and out[-1][0] == gen and out[-1][1] == -exp:
+                out.pop()
+            else:
+                out.append((gen, exp))
+        object.__setattr__(self, "letters", tuple(out))
 
     def __mul__(self, other: "Word") -> "Word":
         if self.alphabet != other.alphabet:
@@ -79,10 +89,7 @@ class Word:
 
     def __pow__(self, exponent: int) -> "Word":
         base = self if exponent >= 0 else self.inverse()
-        result = Word((), self.alphabet)
-        for _ in range(abs(exponent)):
-            result = result * base
-        return result
+        return Word(base.letters * abs(exponent), self.alphabet)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -98,12 +105,6 @@ class Word:
         return f"Word({self})"
 
 
-@dataclass(frozen=True)
-class Generator:
-    label: str
-    index: int
-
-
 def _check_surface_params(s: int, k: int) -> None:
     if not (isinstance(s, int) and isinstance(k, int)):
         raise InvalidSurfaceError(f"genus and boundary count must be integers, got ({s!r}, {k!r})")
@@ -116,11 +117,7 @@ def _check_surface_params(s: int, k: int) -> None:
 class _PresentationMixin:
     """Word construction helpers shared by both presentation kinds."""
 
-    generators: tuple[Generator, ...]
-
-    @property
-    def alphabet(self) -> tuple[str, ...]:
-        return tuple(g.label for g in self.generators)
+    alphabet: tuple[str, ...]
 
     @property
     def relators(self) -> tuple[Word, ...]:
@@ -138,10 +135,8 @@ class _PresentationMixin:
 
     def word(self, pairs: Iterable[tuple[str, int]]) -> Word:
         """Build a word from (label, exponent) pairs; exponents may be any integer."""
-        result = self.identity()
-        for label, exponent in pairs:
-            result = result * self.gen(label, exponent)
-        return result
+        letters = tuple(x for label, e in pairs for x in self.gen(label, e).letters)
+        return Word(letters, self.alphabet)
 
 
 @dataclass(frozen=True)
@@ -150,7 +145,7 @@ class GroupPresentation(_PresentationMixin):
 
     s: int
     k: int
-    generators: tuple[Generator, ...]
+    alphabet: tuple[str, ...]
     relator: Word
 
 
@@ -164,7 +159,7 @@ class DoubledPresentation(_PresentationMixin):
 
     s: int
     k: int
-    generators: tuple[Generator, ...]
+    alphabet: tuple[str, ...]
     relator: Word
     tau: tuple[Word, ...]
     genus: int
@@ -185,16 +180,16 @@ def surface_group(s: int, k: int) -> GroupPresentation:
     labels = [f"A{j}" for j in range(k)]
     for i in range(1, s + 1):
         labels += [f"A'{i}", f"B'{i}"]
-    gens = tuple(Generator(lbl, idx) for idx, lbl in enumerate(labels))
-    index = {g.label: g.index for g in gens}
+    alphabet = tuple(labels)
+    index = {lbl: i for i, lbl in enumerate(alphabet)}
 
     letters: list[Letter] = []
     for i in range(1, s + 1):
         letters += _commutator(index[f"A'{i}"], index[f"B'{i}"])
     for j in range(k - 1, -1, -1):
         letters.append((index[f"A{j}"], 1))
-    relator = Word(tuple(letters), tuple(labels))
-    return GroupPresentation(s=s, k=k, generators=gens, relator=relator)
+    relator = Word(tuple(letters), alphabet)
+    return GroupPresentation(s=s, k=k, alphabet=alphabet, relator=relator)
 
 
 def double_group(s: int, k: int) -> DoubledPresentation:
@@ -213,9 +208,8 @@ def double_group(s: int, k: int) -> DoubledPresentation:
         labels += [f"A'{i}", f"B'{i}"]
     for i in range(1, s + 1):
         labels += [f"A''{i}", f"B''{i}"]
-    gens = tuple(Generator(lbl, idx) for idx, lbl in enumerate(labels))
     alphabet = tuple(labels)
-    index = {g.label: g.index for g in gens}
+    index = {lbl: i for i, lbl in enumerate(alphabet)}
 
     letters: list[Letter] = []
     for i in range(s, 0, -1):
@@ -229,8 +223,7 @@ def double_group(s: int, k: int) -> DoubledPresentation:
     relator = Word(tuple(letters), alphabet)
 
     tau_words: list[Word] = []
-    for g in gens:
-        lbl = g.label
+    for gi, lbl in enumerate(alphabet):
         if lbl.startswith("A''"):
             image = [(index["B'" + lbl[3:]], 1)]
         elif lbl.startswith("B''"):
@@ -240,16 +233,16 @@ def double_group(s: int, k: int) -> DoubledPresentation:
         elif lbl.startswith("B'"):
             image = [(index["A''" + lbl[2:]], 1)]
         elif lbl.startswith("B"):
-            image = [(g.index, -1)]
+            image = [(gi, -1)]
         else:  # A_j
             b = index["B" + lbl[1:]]
-            image = [(b, 1), (g.index, 1), (b, -1)]
+            image = [(b, 1), (gi, 1), (b, -1)]
         tau_words.append(Word(tuple(image), alphabet))
 
     return DoubledPresentation(
         s=s,
         k=k,
-        generators=gens,
+        alphabet=alphabet,
         relator=relator,
         tau=tuple(tau_words),
         genus=2 * s + k - 1,
@@ -264,11 +257,13 @@ def apply_involution(p: DoubledPresentation, w: Word) -> Word:
     """
     if w.alphabet != p.alphabet:
         raise ValueError("word not over this presentation's generators")
-    result = p.identity()
-    for gen, exp in w.letters:
-        image = p.tau[gen] if exp > 0 else p.tau[gen].inverse()
-        result = result * image
-    return result
+    return _substitute(w, p.tau, p.alphabet)
+
+
+def _substitute(w: Word, images: Sequence[Word], alphabet: tuple[str, ...]) -> Word:
+    """``w`` with each letter replaced by its image word, inverted for an inverse letter."""
+    pieces = (images[g] if e > 0 else images[g].inverse() for g, e in w.letters)
+    return Word(tuple(x for piece in pieces for x in piece.letters), alphabet)
 
 
 def boundary_loop(p: DoubledPresentation | GroupPresentation, component: int) -> Word:
@@ -303,13 +298,6 @@ def mirror_monodromy(p: DoubledPresentation, component: int) -> Word:
     return p.gen(f"B{component}")
 
 
-def _json_int(value, name: str) -> int:
-    """An integer read from a JSON document; bools (a subclass of int) and floats are refused."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"invalid value for field {name!r}: {value!r} is not an integer")
-    return value
-
-
 def word_to_json(w: Word) -> list[list]:
     return [[w.alphabet[g], e] for g, e in w.letters]
 
@@ -320,7 +308,7 @@ def word_from_json(data: Iterable, alphabet: tuple[str, ...]) -> Word:
     for i, (label, exp) in enumerate(data):
         if label not in lookup:
             raise ValueError(f"unknown generator {label!r}")
-        letters.append((lookup[label], _json_int(exp, f"exponent of letter {i}")))
+        letters.append((lookup[label], _as_int(exp, f"exponent of letter {i}")))
     return Word(tuple(letters), alphabet)
 
 
@@ -332,16 +320,14 @@ def presentation_to_json(p: GroupPresentation | DoubledPresentation) -> dict:
         "relator": word_to_json(p.relator),
     }
     if isinstance(p, DoubledPresentation):
-        doc["tau"] = {
-            g.label: word_to_json(p.tau[g.index]) for g in p.generators
-        }
+        doc["tau"] = {lbl: word_to_json(t) for lbl, t in zip(p.alphabet, p.tau)}
         doc["genus"] = p.genus
     return doc
 
 
 def presentation_from_json(doc: Mapping) -> GroupPresentation | DoubledPresentation:
     """Rebuild a presentation from its JSON form and check it against (s, k)."""
-    s, k = _json_int(doc["s"], "s"), _json_int(doc["k"], "k")
+    s, k = _as_int(doc["s"], "s"), _as_int(doc["k"], "k")
     rebuilt = double_group(s, k) if "tau" in doc else surface_group(s, k)
     if list(rebuilt.alphabet) != list(doc["generators"]):
         raise ValueError("generator list does not match the (s, k) presentation")

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from numbers import Real
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,7 +41,7 @@ from .groups import (
     DoubledPresentation,
     GroupPresentation,
     Word,
-    _json_int,
+    _as_int,
     apply_involution,
     boundary_loop,
     mirror_monodromy,
@@ -270,10 +271,10 @@ def extend_to_double(
     chi_X = MatrixRep(presentation=p, m=chi_S.m, images=images)
 
     checks = list(check_representation(chi_X).checks)
-    for g in p.generators:
-        mirrored = chi_X.evaluate(apply_involution(p, p.gen(g.label)))
-        res = _maxabs(mirrored.conj().T @ G @ chi_X.images[g.label] - G)
-        checks.append(Check(f"pairing-symmetry[{g.label}]", res, TOL_EXACT))
+    for label in p.alphabet:
+        mirrored = chi_X.evaluate(apply_involution(p, p.gen(label)))
+        res = _maxabs(mirrored.conj().T @ G @ chi_X.images[label] - G)
+        checks.append(Check(f"pairing-symmetry[{label}]", res, TOL_EXACT))
     report = CheckReport(tuple(checks))
     if not report.passed:
         names = ", ".join(c.name for c in report.failing())
@@ -392,10 +393,10 @@ def verify_symmetry_conditions(
     checks: list[Check] = []
     dim = chi2.m
     checks.append(Check("pairing-selfadjoint", _maxabs(G2 - G2.conj().T), TOL_EXACT))
-    for g in p.generators:
-        mirrored = chi2.evaluate(apply_involution(p, p.gen(g.label)))
-        res = _maxabs(mirrored.conj().T @ G2 @ chi2.images[g.label] - G2)
-        checks.append(Check(f"pairing-symmetry[{g.label}]", res, TOL_EXACT))
+    for label in p.alphabet:
+        mirrored = chi2.evaluate(apply_involution(p, p.gen(label)))
+        res = _maxabs(mirrored.conj().T @ G2 @ chi2.images[label] - G2)
+        checks.append(Check(f"pairing-symmetry[{label}]", res, TOL_EXACT))
     for comp, J2 in enumerate(J2_list):
         checks.append(
             Check(f"signature-selfadjoint[{comp}]", _maxabs(J2 - J2.conj().T), TOL_EXACT)
@@ -413,14 +414,14 @@ def verify_symmetry_conditions(
         )
     for comp in range(p.k):
         T_base = mirror_monodromy(p, comp)
-        for g in p.generators:
-            R = p.gen(g.label)
+        for label in p.alphabet:
+            R = p.gen(label)
             T_moved = apply_involution(p, R) * T_base * R.inverse()
             lhs = chi2.evaluate(T_moved) @ chi2.evaluate(R)
             rhs = chi2.evaluate(apply_involution(p, R)) @ chi2.evaluate(T_base)
             checks.append(
                 Check(
-                    f"monodromy-transport[{comp},{g.label}]",
+                    f"monodromy-transport[{comp},{label}]",
                     _maxabs(lhs - rhs),
                     TOL_EXACT,
                 )
@@ -432,8 +433,17 @@ def matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, dtype=complex)]
 
 
-def matrix_from_json(data: Sequence) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in data], dtype=complex)
+def matrix_from_json(data: Sequence, name: str = "matrix") -> np.ndarray:
+    """A complex matrix from rows of ``[re, im]`` pairs; any other entry is refused by its path."""
+    real = lambda v: isinstance(v, Real) and not isinstance(v, bool)
+
+    def entry(x, i: int, j: int) -> complex:
+        if isinstance(x, (list, tuple)) and len(x) == 2 and all(map(real, x)):
+            return complex(*x)
+        raise ValueError(f"invalid value for field '{name}[{i}][{j}]': {x!r} is not an [re, im] pair")
+
+    rows = enumerate(data)
+    return np.array([[entry(x, i, j) for j, x in enumerate(row)] for i, row in rows], dtype=complex)
 
 
 def rep_to_json(rep: MatrixRep, covering: CoveringAction | None = None) -> dict:
@@ -462,5 +472,5 @@ def rep_to_json(rep: MatrixRep, covering: CoveringAction | None = None) -> dict:
 def rep_from_json(
     presentation: GroupPresentation | DoubledPresentation, doc: Mapping
 ) -> MatrixRep:
-    images = {lbl: matrix_from_json(mat) for lbl, mat in doc["images"].items()}
-    return MatrixRep(presentation=presentation, m=_json_int(doc["m"], "m"), images=images)
+    images = {lbl: matrix_from_json(mat, f"images.{lbl}") for lbl, mat in doc["images"].items()}
+    return MatrixRep(presentation=presentation, m=_as_int(doc["m"], "m"), images=images)

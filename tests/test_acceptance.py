@@ -99,14 +99,14 @@ def test_criterion_1_presentations():
         for k in range(1, 4):
             surf = surface_group(s, k)
             ok &= list(surf.alphabet) == expected_surface_labels(s, k)
-            ok &= len(surf.generators) == 2 * s + k
+            ok &= len(surf.alphabet) == 2 * s + k
             ok &= [
                 (surf.alphabet[g], e) for g, e in surf.relator.letters
             ] == expected_surface_relator(s, k)
 
             dbl = double_group(s, k)
             ok &= list(dbl.alphabet) == expected_double_labels(s, k)
-            ok &= len(dbl.generators) == 4 * s + 2 * (k - 1)
+            ok &= len(dbl.alphabet) == 4 * s + 2 * (k - 1)
             ok &= [
                 (dbl.alphabet[g], e) for g, e in dbl.relator.letters
             ] == expected_double_relator(s, k)
@@ -146,8 +146,8 @@ def test_criterion_2_induced_representations():
             for _ in range(20):
                 t_img, u_img = commuting_unitaries(rng, m, 2)
                 images = {
-                    g.label: (t_img if g.label.startswith("A1@") else u_img)
-                    for g in trans.schreier_generators
+                    label: (t_img if label.startswith("A1@") else u_img)
+                    for label in trans.alphabet
                 }
                 chi1 = MatrixRep(presentation=trans, m=m, images=images)
                 chi2 = induce_representation(cov, trans, chi1)
@@ -228,8 +228,8 @@ def tower_trace_gap(inner_perms, m, seed, n_words=100):
         presentation=t_inner,
         m=m,
         images={
-            g.label: psi_eval(expand_schreier_word(t_outer, w))
-            for g, w in zip(t_inner.schreier_generators, t_inner.defining_words)
+            label: psi_eval(expand_schreier_word(t_outer, w))
+            for label, w in zip(t_inner.alphabet, t_inner.defining_words)
         },
     )
     chiH = induce_representation(inner, t_inner, chiK)
@@ -248,10 +248,10 @@ def tower_trace_gap(inner_perms, m, seed, n_words=100):
             presentation=t_comp,
             m=m,
             images={
-                g.label: chiK.evaluate(
+                label: chiK.evaluate(
                     schreier_rewrite(inner, t_inner, schreier_rewrite(outer, t_outer, w))
                 )
-                for g, w in zip(t_comp.schreier_generators, t_comp.defining_words)
+                for label, w in zip(t_comp.alphabet, t_comp.defining_words)
             },
         ),
     )
@@ -334,7 +334,7 @@ def test_criterion_7_degenerate_cases():
     # disk and its sphere double, identity covering, exact integer data throughout
     disk = surface_group(0, 1)
     sphere = double_group(0, 1)
-    ok &= len(sphere.generators) == 0 and sphere.genus == 0
+    ok &= len(sphere.alphabet) == 0 and sphere.genus == 0
     J0 = np.diag([1.0, -1.0]).astype(complex)
     chi_S = MatrixRep(presentation=disk, m=2, images={"A0": np.eye(2)})
     chi_X = extend_to_double(chi_S, SignatureData(J_list=(J0,)), sphere)

@@ -74,13 +74,27 @@ class TestBuildCovering:
         with pytest.raises(ValueError, match="different sheet counts"):
             build_covering(TORUS, {"A1": (2, 3, 1), "B1": (1, 2)})
 
+    @pytest.mark.parametrize(
+        "label,images",
+        [("A1", (2.9, 1.2)), ("B1", (True, 2)), ("A1", (2.0, 1.0)), ("B1", ("1", "2"))],
+    )
+    def test_non_integer_images_rejected(self, label, images):
+        perms = {"A1": (2, 1), "B1": (1, 2), label: images}
+        with pytest.raises(ValueError, match=f"field 'perms.{label}'"):
+            build_covering(TORUS, perms)
+
+    def test_numpy_integer_images_accepted(self):
+        cov = build_covering(TORUS, {"A1": np.array([2, 1]), "B1": np.arange(1, 3)})
+        assert cov.perms == ((2, 1), (1, 2))
+        assert all(type(v) is int for row in cov.perms for v in row)
+
 
 class TestTransversal:
     def test_cyclic_reps(self, cover3, trans3):
         assert [str(w) for w in trans3.reps] == ["1", "A1", "A1 A1"]
 
     def test_schreier_generators(self, trans3):
-        table = {g.label: str(w) for g, w in zip(trans3.schreier_generators, trans3.defining_words)}
+        table = {label: str(w) for label, w in zip(trans3.alphabet, trans3.defining_words)}
         assert table == {
             "B1@1": "B1",
             "B1@2": "A1 B1 A1^-1",
@@ -213,6 +227,11 @@ class TestSchreierRewrite:
 
     def test_stabilized_generator(self, cover3, trans3):
         assert str(schreier_rewrite(cover3, trans3, TORUS.gen("B1"))) == "B1@1"
+
+    def test_words_share_the_transversal_alphabet(self, cover3, trans3):
+        rewritten = schreier_rewrite(cover3, trans3, TORUS.gen("A1") ** 3)
+        assert rewritten.alphabet is trans3.alphabet
+        assert expand_schreier_word(trans3, rewritten).alphabet is TORUS.alphabet
 
     def test_rejects_non_subgroup_elements(self, cover3, trans3):
         with pytest.raises(ValueError, match="not a subgroup element"):
@@ -365,6 +384,21 @@ class TestRandomCoverings:
         # the subgroup relators are the rewritten conjugates of the base relator
         for rep, relator in zip(t.reps, t.relators):
             assert expand_schreier_word(t, relator) == rep * p.relator * rep.inverse()
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_expansion_is_the_product_of_defining_words(self, data):
+        p = data.draw(surfaces)
+        t = schreier_transversal(data.draw(bordered_coverings(p)))
+        letters = data.draw(
+            st.lists(st.tuples(st.integers(0, len(t.alphabet) - 1), st.sampled_from((1, -1))), max_size=30)
+        )
+        h = Word(tuple(letters), t.alphabet)
+        product = p.identity()
+        for gen, exp in h.letters:
+            piece = t.defining_words[gen]
+            product = product * (piece if exp > 0 else piece.inverse())
+        assert expand_schreier_word(t, h) == product
 
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())

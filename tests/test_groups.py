@@ -52,7 +52,7 @@ class TestSurfaceGroup:
     @pytest.mark.parametrize("s", range(4))
     @pytest.mark.parametrize("k", range(1, 5))
     def test_generator_count(self, s, k):
-        assert len(surface_group(s, k).generators) == 2 * s + k
+        assert len(surface_group(s, k).alphabet) == 2 * s + k
 
 
 class TestDoubleGroup:
@@ -82,7 +82,7 @@ class TestDoubleGroup:
     def test_genus_and_relator_length(self, s, k):
         p = double_group(s, k)
         assert p.genus == 2 * s + k - 1
-        assert len(p.generators) == 4 * s + 2 * (k - 1)
+        assert len(p.alphabet) == 4 * s + 2 * (k - 1)
         assert len(p.relator) == 8 * s + 4 * (k - 1)
 
 
@@ -113,6 +113,30 @@ class TestWordOps:
         with pytest.raises(ValueError):
             Word(((0, 2),), ("A1", "B1"))
 
+    @pytest.mark.parametrize(
+        "letters",
+        [((0, True), (1, 1.0)), ((0, 1.0),), ((False, 1),), ((0.0, 1),), ((0, "1"),)],
+    )
+    def test_bool_and_non_integer_letters_rejected(self, letters):
+        with pytest.raises(ValueError, match="is not an integer"):
+            Word(letters, ("A1", "B1"))
+
+    def test_numpy_integer_letters_become_ints(self):
+        w = Word(((np.int64(1), np.int32(-1)), (0, 1)), ("A1", "B1"))
+        assert w.letters == ((1, -1), (0, 1))
+        assert all(type(x) is int for letter in w.letters for x in letter)
+        assert json.dumps(word_to_json(w)) == '[["B1", -1], ["A1", 1]]'
+
+    def test_words_share_the_presentation_alphabet(self):
+        p = double_group(1, 2)
+        assert p.gen("A1").alphabet is p.alphabet
+        assert p.gen("B'1", -3).alphabet is p.alphabet
+        assert p.word([("A1", 2), ("B1", -1)]).alphabet is p.alphabet
+        assert apply_involution(p, p.gen("A1")).alphabet is p.alphabet
+        assert p.relator.alphabet is p.alphabet
+        q = surface_group(1, 2)
+        assert q.identity().alphabet is q.alphabet
+
 
 letters_strategy = st.lists(
     st.tuples(st.integers(0, 3), st.sampled_from((1, -1))), max_size=40
@@ -132,6 +156,43 @@ def test_reduction_idempotent(letters):
 def test_multiplication_associative(l1, l2, l3):
     w1, w2, w3 = (Word(ls, ALPHABET) for ls in (l1, l2, l3))
     assert (w1 * w2) * w3 == w1 * (w2 * w3)
+
+
+def _repeated(w, k):
+    """``w ** k`` the slow way, one multiplication per factor."""
+    out = Word((), w.alphabet)
+    for _ in range(abs(k)):
+        out = out * (w if k >= 0 else w.inverse())
+    return out
+
+
+@given(letters_strategy, letters_strategy, st.integers(-4, 4))
+def test_power_is_the_repeated_product(u_letters, c_letters, k):
+    u, c = Word(u_letters, ALPHABET), Word(c_letters, ALPHABET)
+    # the copies of u c u^-1 cancel at every seam
+    for w in (c, u * c * u.inverse()):
+        assert w ** k == _repeated(w, k)
+
+
+DOUBLE = double_group(1, 2)
+pairs_strategy = st.lists(st.tuples(st.sampled_from(DOUBLE.alphabet), st.integers(-3, 3)), max_size=12)
+
+
+@given(pairs_strategy)
+def test_word_is_the_product_of_generator_powers(pairs):
+    product = DOUBLE.identity()
+    for label, exponent in pairs:
+        product = product * _repeated(DOUBLE.gen(label), exponent)
+    assert DOUBLE.word(pairs) == product
+
+
+@given(pairs_strategy)
+def test_involution_is_the_product_of_tau_images(pairs):
+    w = DOUBLE.word(pairs)
+    product = DOUBLE.identity()
+    for gen, exp in w.letters:
+        product = product * (DOUBLE.tau[gen] if exp > 0 else DOUBLE.tau[gen].inverse())
+    assert apply_involution(DOUBLE, w) == product
 
 
 @given(letters_strategy)
@@ -156,8 +217,8 @@ class TestInvolution:
     @pytest.mark.parametrize("s,k", [(0, 2), (1, 1), (1, 2), (2, 3)])
     def test_involutive_on_generators(self, s, k):
         p = double_group(s, k)
-        for g in p.generators:
-            w = p.gen(g.label)
+        for label in p.alphabet:
+            w = p.gen(label)
             assert apply_involution(p, apply_involution(p, w)) == w
 
     def test_involutive_on_random_words(self):

@@ -1,6 +1,7 @@
 """Matrix representations: extension to the double, induction, pairing transport."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -47,8 +48,8 @@ def commuting_torus_rep(rng, m):
 def cyclic_subgroup_rep(cov, trans, t_image, u_image):
     """Valid subgroup data on a cyclic cover: all crossing loops equal, core commuting."""
     images = {}
-    for g in trans.schreier_generators:
-        images[g.label] = t_image if g.label.startswith("A1@") else u_image
+    for label in trans.alphabet:
+        images[label] = t_image if label.startswith("A1@") else u_image
     return MatrixRep(presentation=trans, m=np.asarray(t_image).shape[0], images=images)
 
 
@@ -346,12 +347,12 @@ class TestPairingTransport:
             "B1": sig.G @ sig.J_list[1],
         }
         images = {}
-        for g, w in zip(trans.schreier_generators, trans.defining_words):
+        for label, w in zip(trans.alphabet, trans.defining_words):
             mat = np.eye(2, dtype=complex)
             for gen, exp in w.letters:
                 factor = psi[TORUS.alphabet[gen]]
                 mat = mat @ (factor if exp > 0 else factor.conj().T)
-            images[g.label] = mat
+            images[label] = mat
         chi1 = MatrixRep(presentation=trans, m=2, images=images)
         assert check_representation(chi1).passed
 
@@ -442,12 +443,12 @@ def restricted_subgroup_rep(cov, trans, psi, m):
     """Restriction of a representation of the base group to the covering subgroup."""
     alphabet = cov.presentation.alphabet
     images = {}
-    for g, w in zip(trans.schreier_generators, trans.defining_words):
+    for label, w in zip(trans.alphabet, trans.defining_words):
         mat = np.eye(m, dtype=complex)
         for gen, exp in w.letters:
             factor = psi[alphabet[gen]]
             mat = mat @ (factor if exp > 0 else factor.conj().T)
-        images[g.label] = mat
+        images[label] = mat
     return MatrixRep(presentation=trans, m=m, images=images)
 
 
@@ -464,13 +465,13 @@ class TestInductionInStages:
         psi = {"A1": a, "B1": b}
         # chi on the smallest subgroup, via double expansion of its generators
         chiK_images = {}
-        for g, w in zip(t_inner.schreier_generators, t_inner.defining_words):
+        for label, w in zip(t_inner.alphabet, t_inner.defining_words):
             ambient = expand_schreier_word(t_outer, w)
             mat = np.eye(m, dtype=complex)
             for gen, exp in ambient.letters:
                 factor = psi[TORUS.alphabet[gen]]
                 mat = mat @ (factor if exp > 0 else factor.conj().T)
-            chiK_images[g.label] = mat
+            chiK_images[label] = mat
         chiK = MatrixRep(presentation=t_inner, m=m, images=chiK_images)
 
         chiH = induce_representation(inner, t_inner, chiK)
@@ -480,10 +481,10 @@ class TestInductionInStages:
         comp = compose_coverings(outer, t_outer, inner)
         t_comp = schreier_transversal(comp)
         one_images = {
-            g.label: chiK.evaluate(
+            label: chiK.evaluate(
                 schreier_rewrite(inner, t_inner, schreier_rewrite(outer, t_outer, w))
             )
-            for g, w in zip(t_comp.schreier_generators, t_comp.defining_words)
+            for label, w in zip(t_comp.alphabet, t_comp.defining_words)
         }
         one_step = induce_representation(
             comp, t_comp, MatrixRep(presentation=t_comp, m=m, images=one_images)
@@ -527,3 +528,15 @@ class TestRepSerialization:
         doc["m"] = m
         with pytest.raises(ValueError, match="field 'm'"):
             rep_from_json(TORUS, doc)
+
+    @pytest.mark.parametrize(
+        "entry", [[True, False], [1.0, True], ["1", 0.0], [1.0], [1.0, 0.0, 0.0], 1.0, None]
+    )
+    def test_reader_rejects_entries_that_are_not_number_pairs(self, entry):
+        doc = {"m": 1, "images": {"A1": [[[1.0, 0.0]]], "B1": [[entry]]}}
+        with pytest.raises(ValueError, match=re.escape("field 'images.B1[0][0]'")):
+            rep_from_json(TORUS, doc)
+
+    def test_reader_accepts_integer_parts(self):
+        rep = rep_from_json(TORUS, {"m": 1, "images": {"A1": [[[0, 1]]], "B1": [[[-1, 0]]]}})
+        assert rep.images["A1"][0, 0] == 1j and rep.images["B1"][0, 0] == -1
