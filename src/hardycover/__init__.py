@@ -28,11 +28,10 @@ from .covering import (
     compose_coverings,
     coset_of,
     expand_schreier_word,
-    factorize,
     identity_covering,
-    nu_decompose,
     schreier_rewrite,
     schreier_transversal,
+    schreier_walk,
     sigma,
     subgroup_relators,
 )
@@ -61,7 +60,6 @@ from .hardy import (
     AnnulusCovering,
     BoundarySection,
     SectionSpec,
-    hardy_bound_check,
     indefinite_inner_product,
     make_annulus_cover,
     pushforward_section,

@@ -11,6 +11,11 @@ The Schreier transversal is also the presentation of the covering subgroup
 (Reidemeister-Schreier): its ``alphabet`` holds the Schreier generators'
 labels ``X@i`` and its relators are the rewritten conjugates of the base
 relators.  A covering can act for it, which is how covering towers are built.
+
+Rewriting is one walk over the sheet graph: by definition ``g_k x g_{k.x}^-1``
+is the Schreier generator ``x@k``, or the identity on a tree edge, so ``w``
+walked from sheet k emits the rewrite of ``g_k w g_j^-1``, j being where the
+walk ends.  No tree word ``g_k`` is built unless it is read.
 """
 
 from __future__ import annotations
@@ -23,10 +28,10 @@ from typing import Mapping, Sequence
 from .groups import (
     DoubledPresentation,
     GroupPresentation,
+    Letter,
     Word,
     _as_int,
     _substitute,
-    apply_involution,
 )
 
 __all__ = [
@@ -36,9 +41,8 @@ __all__ = [
     "identity_covering",
     "coset_of",
     "sigma",
-    "factorize",
     "schreier_transversal",
-    "nu_decompose",
+    "schreier_walk",
     "schreier_rewrite",
     "expand_schreier_word",
     "subgroup_relators",
@@ -160,19 +164,39 @@ def sigma(cov: CoveringAction, w: Word) -> tuple[int, ...]:
 class Transversal:
     """Schreier transversal of the covering subgroup, and the subgroup's presentation.
 
-    ``reps[i-1]`` is the spanning-tree word from sheet 1 to sheet i (so
-    ``reps[0]`` is the identity); ``alphabet`` has one Schreier generator per
-    non-tree edge, labelled ``X@i`` for the edge (sheet i, generator X), with
-    ``defining_words`` the corresponding base-group words ``g_i x g_{i.x}^-1``.
-    As a presentation it has ``alphabet`` and ``relators``, so coverings and
-    representations can be built on it.
+    ``tree_edges`` holds one parent edge ``(i, gi)`` per sheet past sheet 1,
+    in breadth-first discovery order.  ``alphabet`` has one Schreier generator
+    per non-tree edge, labelled ``X@i`` for the edge (sheet i, generator X);
+    ``edge_to_generator`` maps each edge to its index, or to ``None`` on a
+    tree edge.  The tree words ``reps`` and ``defining_words`` are built on
+    first use.  As a presentation it has ``alphabet`` and ``relators``, so
+    coverings and representations can be built on it.
     """
 
     covering: CoveringAction
-    reps: tuple[Word, ...]
+    tree_edges: tuple[tuple[int, int], ...]
     alphabet: tuple[str, ...]
-    defining_words: tuple[Word, ...]
     edge_to_generator: Mapping[tuple[int, int], int | None]
+
+    @cached_property
+    def reps(self) -> tuple[Word, ...]:
+        """``reps[i-1]``, the tree word ``g_i`` from sheet 1 to sheet i."""
+        cov = self.covering
+        letters: list[tuple[Letter, ...]] = [()] * cov.n
+        for i, gi in self.tree_edges:
+            letters[cov.perms[gi][i - 1] - 1] = letters[i - 1] + ((gi, 1),)
+        return tuple(Word(w, cov.presentation.alphabet) for w in letters)
+
+    @cached_property
+    def defining_words(self) -> tuple[Word, ...]:
+        """Base-group word ``g_i x g_{i.x}^-1`` of every Schreier generator ``x@i``."""
+        cov, reps = self.covering, self.reps
+        words = []
+        for (i, gi), sg in self.edge_to_generator.items():
+            if sg is not None:
+                back = reps[cov.perms[gi][i - 1] - 1].inverse()
+                words.append(Word(reps[i - 1].letters + ((gi, 1),) + back.letters, back.alphabet))
+        return tuple(words)
 
     @cached_property
     def relators(self) -> tuple[Word, ...]:
@@ -183,13 +207,11 @@ class Transversal:
 def schreier_transversal(cov: CoveringAction) -> Transversal:
     """Breadth-first Schreier transversal in sheet order, generators in presentation order.
 
-    Tree words use positive generator letters only, which for permutation
-    actions always span the sheets.
+    Tree edges follow positive generator letters only, which for permutation
+    actions always span the sheets.  No word is built here.
     """
     alphabet = cov.presentation.alphabet
-    reps: list[Word | None] = [None] * cov.n
-    reps[0] = Word((), alphabet)
-    tree_edges: set[tuple[int, int]] = set()
+    tree: list[tuple[int, int]] = []
     queue = deque([1])
     seen = {1}
     while queue:
@@ -198,30 +220,25 @@ def schreier_transversal(cov: CoveringAction) -> Transversal:
             j = cov.perms[gi][i - 1]
             if j not in seen:
                 seen.add(j)
-                tree_edges.add((i, gi))
-                reps[j - 1] = reps[i - 1] * Word(((gi, 1),), alphabet)
+                tree.append((i, gi))
                 queue.append(j)
-    assert all(r is not None for r in reps), "covering validated transitive"
+    assert len(seen) == cov.n, "covering validated transitive"
 
+    tree_edges = set(tree)
     labels: list[str] = []
-    words: list[Word] = []
     edge_map: dict[tuple[int, int], int | None] = {}
     for i in range(1, cov.n + 1):
         for gi, label in enumerate(alphabet):
             if (i, gi) in tree_edges:
                 edge_map[(i, gi)] = None
-                continue
-            j = cov.perms[gi][i - 1]
-            word = reps[i - 1] * Word(((gi, 1),), alphabet) * reps[j - 1].inverse()
-            edge_map[(i, gi)] = len(labels)
-            labels.append(f"{label}@{i}")
-            words.append(word)
+            else:
+                edge_map[(i, gi)] = len(labels)
+                labels.append(f"{label}@{i}")
 
     return Transversal(
         covering=cov,
-        reps=tuple(reps),
+        tree_edges=tuple(tree),
         alphabet=tuple(labels),
-        defining_words=tuple(words),
         edge_to_generator=edge_map,
     )
 
@@ -231,42 +248,20 @@ def _check_pair(cov: CoveringAction, trans: Transversal) -> None:
         raise ValueError("transversal was built from a different covering")
 
 
-def factorize(cov: CoveringAction, trans: Transversal, k: int, g: Word) -> tuple[Word, int]:
-    """Split ``g_k g`` as ``h g_j`` with ``h`` in the subgroup and ``j = sigma_g(k)``."""
-    _check_pair(cov, trans)
-    _check_word(cov, g)
-    if not 1 <= k <= cov.n:
-        raise ValueError(f"sheet {k} outside 1..{cov.n}")
-    j = _apply(cov, k, g)
-    h = trans.reps[k - 1] * g * trans.reps[j - 1].inverse()
-    return h, j
+def schreier_walk(
+    cov: CoveringAction, trans: Transversal, start: int, w: Word
+) -> tuple[Word, int]:
+    """Walk ``w`` from sheet ``start``: the rewrite of ``g_start w g_end^-1``, and ``end``.
 
-
-def nu_decompose(cov: CoveringAction, trans: Transversal, k: int) -> tuple[Word, int]:
-    """Split the involution image of ``g_k`` as ``h_k g_{nu(k)}``."""
-    _check_pair(cov, trans)
-    if not isinstance(cov.presentation, DoubledPresentation):
-        raise ValueError("involution decomposition needs a doubled presentation")
-    if not 1 <= k <= cov.n:
-        raise ValueError(f"sheet {k} outside 1..{cov.n}")
-    mirrored = apply_involution(cov.presentation, trans.reps[k - 1])
-    nu_k = _apply(cov, 1, mirrored)
-    h = mirrored * trans.reps[nu_k - 1].inverse()
-    return h, nu_k
-
-
-def schreier_rewrite(cov: CoveringAction, trans: Transversal, w: Word) -> Word:
-    """Rewrite a subgroup element into the Schreier generators.
-
-    Scans ``w`` letter by letter tracking the current sheet and emits the
-    Schreier generator (or its inverse) of every non-tree edge traversed.
+    Each non-tree edge traversed emits its Schreier generator (inverted when
+    crossed backwards); tree edges emit nothing.
     """
     _check_pair(cov, trans)
     _check_word(cov, w)
-    if _apply(cov, 1, w) != 1:
-        raise ValueError(f"not a subgroup element: {w} lands on sheet {_apply(cov, 1, w)}")
-    out: list[tuple[int, int]] = []
-    sheet = 1
+    if not 1 <= start <= cov.n:
+        raise ValueError(f"sheet {start} outside 1..{cov.n}")
+    out: list[Letter] = []
+    sheet = start
     for gen, exp in w.letters:
         if exp > 0:
             sg = trans.edge_to_generator[(sheet, gen)]
@@ -278,7 +273,15 @@ def schreier_rewrite(cov: CoveringAction, trans: Transversal, w: Word) -> Word:
             sg = trans.edge_to_generator[(sheet, gen)]
             if sg is not None:
                 out.append((sg, -1))
-    return Word(tuple(out), trans.alphabet)
+    return Word(tuple(out), trans.alphabet), sheet
+
+
+def schreier_rewrite(cov: CoveringAction, trans: Transversal, w: Word) -> Word:
+    """Rewrite a subgroup element into the Schreier generators: ``w`` walked from sheet 1."""
+    rewritten, end = schreier_walk(cov, trans, 1, w)
+    if end != 1:
+        raise ValueError(f"not a subgroup element: {w} lands on sheet {end}")
+    return rewritten
 
 
 def expand_schreier_word(trans: Transversal, w: Word) -> Word:
@@ -289,14 +292,13 @@ def expand_schreier_word(trans: Transversal, w: Word) -> Word:
 
 
 def subgroup_relators(cov: CoveringAction, trans: Transversal) -> tuple[Word, ...]:
-    """Rewritten conjugates ``g_i R g_i^-1`` of every base relator, one per sheet."""
+    """Rewritten conjugates ``g_i R g_i^-1`` of every base relator: ``R`` walked from sheet i."""
     _check_pair(cov, trans)
-    out = []
-    for relator in cov.presentation.relators:
-        for i in range(1, cov.n + 1):
-            conj = trans.reps[i - 1] * relator * trans.reps[i - 1].inverse()
-            out.append(schreier_rewrite(cov, trans, conj))
-    return tuple(out)
+    return tuple(
+        schreier_walk(cov, trans, i, relator)[0]
+        for relator in cov.presentation.relators
+        for i in range(1, cov.n + 1)
+    )
 
 
 def compose_coverings(
@@ -306,23 +308,21 @@ def compose_coverings(
 
     ``inner`` must act on the Schreier generators of ``trans``, typically as
     a covering of ``trans`` itself.  Composite sheet ``(i, a)`` is numbered
-    ``(i-1)*inner.n + a``; a base generator moves ``i`` by the outer action
-    and ``a`` by the inner action of the rewritten subgroup part.
+    ``(i-1)*inner.n + a``; a base generator ``x`` moves ``i`` by the outer
+    action and ``a`` by the inner action of ``x@i``, or not at all on a tree
+    edge.
     """
     _check_pair(cov, trans)
     if inner.presentation.alphabet != trans.alphabet:
         raise ValueError("inner covering does not act on the Schreier generators of the outer one")
-    alphabet = cov.presentation.alphabet
+    unmoved = tuple(range(1, inner.n + 1))
     perms: dict[str, list[int]] = {}
-    for gi, label in enumerate(alphabet):
+    for gi, label in enumerate(cov.presentation.alphabet):
         images = []
-        letter = Word(((gi, 1),), alphabet)
         for i in range(1, cov.n + 1):
-            h, j = factorize(cov, trans, i, letter)
-            h_sub = schreier_rewrite(cov, trans, h)
-            for a in range(1, inner.n + 1):
-                b = _apply(inner, a, h_sub)
-                images.append((j - 1) * inner.n + b)
+            offset = (cov.perms[gi][i - 1] - 1) * inner.n
+            sg = trans.edge_to_generator[(i, gi)]
+            images += [offset + b for b in (unmoved if sg is None else inner.perms[sg])]
         perms[label] = images
     return build_covering(cov.presentation, perms)
 

@@ -105,13 +105,16 @@ class Word:
         return f"Word({self})"
 
 
-def _check_surface_params(s: int, k: int) -> None:
-    if not (isinstance(s, int) and isinstance(k, int)):
-        raise InvalidSurfaceError(f"genus and boundary count must be integers, got ({s!r}, {k!r})")
+def _check_surface_params(s: int, k: int) -> tuple[int, int]:
+    try:
+        s, k = _as_int(s, "s"), _as_int(k, "k")
+    except ValueError as exc:
+        raise InvalidSurfaceError(str(exc)) from None
     if s < 0 or k < 1:
         raise InvalidSurfaceError(
             f"no bordered surface with genus {s} and {k} boundary components"
         )
+    return s, k
 
 
 class _PresentationMixin:
@@ -176,7 +179,7 @@ def surface_group(s: int, k: int) -> GroupPresentation:
     pairs ``A'1, B'1, ..., A's, B's``; the single relator is the product of
     handle commutators followed by ``A{k-1} ... A1 A0``.
     """
-    _check_surface_params(s, k)
+    s, k = _check_surface_params(s, k)
     labels = [f"A{j}" for j in range(k)]
     for i in range(1, s + 1):
         labels += [f"A'{i}", f"B'{i}"]
@@ -200,7 +203,7 @@ def double_group(s: int, k: int) -> DoubledPresentation:
     The involution acts by ``B_j -> B_j^-1``, ``A_j -> B_j A_j B_j^-1`` and
     swaps primed handles with double-primed ones.
     """
-    _check_surface_params(s, k)
+    s, k = _check_surface_params(s, k)
     labels: list[str] = []
     for j in range(1, k):
         labels += [f"A{j}", f"B{j}"]

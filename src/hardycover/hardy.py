@@ -40,7 +40,6 @@ __all__ = [
     "sample_section",
     "pushforward_section",
     "indefinite_inner_product",
-    "hardy_bound_check",
     "verify_isometry",
 ]
 
@@ -247,34 +246,6 @@ def indefinite_inner_product(
         integrand = np.einsum("nd,de,ne->n", g.samples.conj(), J, f.samples)
         total += integrand.sum() * (2.0 * np.pi * f.radius / f.n_samples)
     return complex(total)
-
-
-def hardy_bound_check(
-    spec: SectionSpec,
-    rho: float,
-    r_values: tuple[float, ...] | None = None,
-    n_samples: int = 256,
-) -> float:
-    """Sup over approximating curve pairs of the boundary-norm integral.
-
-    For each ``r`` the curves are ``|z| = r`` and ``|z| = rho / r``, which
-    approach the two boundary circles together as ``r`` tends to 1.  Truncated
-    Laurent sections always give a finite sup; the value is diagnostic.
-    """
-    if r_values is None:
-        r_values = tuple(1.0 - (1.0 - rho) * 0.5 ** j for j in range(1, 9))
-    _check_sample_count(n_samples, spec.degree)
-    sup = 0.0
-    for r in r_values:
-        if not rho < r < 1.0:
-            raise ValueError(f"approximating radius {r} outside ({rho}, 1)")
-        total = 0.0
-        for radius in (r, rho / r):
-            vals = _uniform_values(spec, radius, n_samples, spec.c)
-            norms = np.sum(np.abs(vals) ** 2, axis=1)
-            total += norms.sum() * (2.0 * np.pi * radius / n_samples)
-        sup = max(sup, total)
-    return sup
 
 
 def verify_isometry(

@@ -12,10 +12,12 @@ The three constructions here are the block formulas of the covering theory:
   to its double, with ``chi(B_j) = G J_j`` and mirrored handles conjugated by
   the pairing matrix ``G``;
 * the induced representation of the full group from a representation of the
-  covering subgroup, with block ``(k, sigma_g(k))`` equal to the subgroup
-  value of ``g_k g g_{sigma_g(k)}^-1``;
+  covering subgroup: block ``(k, k.x)`` of the image of a generator ``x`` is
+  ``chi1(x@k)``, or ``I`` on a tree edge of the transversal;
 * the transported pairing matrix ``G2`` with block ``(k, nu(k))`` equal to
-  ``G1 chi1(h_k)``, and the per-component block-diagonal signature matrices.
+  ``G1 chi1(h_k)``: along a tree edge ``i -x-> j``, ``h_j`` is ``h_i`` times
+  ``tau(x)`` walked from sheet ``nu(i)``, and ``nu(j)`` is where that walk
+  ends; and the per-component block-diagonal signature matrices.
 
 All identities asserted by these constructions are re-verified numerically at
 build time rather than trusted.
@@ -30,13 +32,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .covering import (
-    CoveringAction,
-    Transversal,
-    factorize,
-    nu_decompose,
-    schreier_rewrite,
-)
+from .covering import CoveringAction, Transversal, schreier_walk
 from .groups import (
     DoubledPresentation,
     GroupPresentation,
@@ -288,9 +284,9 @@ def induce_representation(
     """Induce a representation of the full group from the covering subgroup.
 
     ``chi1`` represents ``trans``.  Block row k of the image of a generator
-    ``g`` has its only nonzero block in column ``sigma_g(k)``, equal to
-    ``chi1`` of the rewritten ``g_k g g_{sigma_g(k)}^-1``; the result has rank
-    ``n m``.  Refuses inconsistent subgroup data.
+    ``x`` has its only nonzero block in column ``k.x``: ``chi1(x@k)``, the
+    Schreier generator of the edge, or ``I`` on a tree edge.  The result has
+    rank ``n m``.  Refuses inconsistent subgroup data.
     """
     if chi1.presentation is not trans or trans.covering is not cov:
         raise ValueError("subgroup representation belongs to a different covering")
@@ -305,14 +301,14 @@ def induce_representation(
         raise ValueError("subgroup representation inconsistent: " + "; ".join(failures))
 
     n, m = cov.n, chi1.m
-    alphabet = cov.presentation.alphabet
+    eye = np.eye(m, dtype=complex)
     images: dict[str, np.ndarray] = {}
-    for gi, label in enumerate(alphabet):
-        letter = Word(((gi, 1),), alphabet)
+    for gi, label in enumerate(cov.presentation.alphabet):
         big = np.zeros((n * m, n * m), dtype=complex)
         for k in range(1, n + 1):
-            h, j = factorize(cov, trans, k, letter)
-            block = chi1.evaluate(schreier_rewrite(cov, trans, h))
+            j = cov.perms[gi][k - 1]
+            sg = trans.edge_to_generator[(k, gi)]
+            block = eye if sg is None else chi1.images[trans.alphabet[sg]]
             big[(k - 1) * m : k * m, (j - 1) * m : j * m] = block
         images[label] = big
     induced = MatrixRep(presentation=cov.presentation, m=n * m, images=images)
@@ -329,17 +325,30 @@ def build_G2(
 ) -> np.ndarray:
     """Transported pairing matrix: block ``(k, nu(k))`` is ``G1 chi1(h_k)``.
 
-    Constant unitary selfadjoint ``G1`` only (the unitary flat regime).
+    ``tau(g_k) = h_k g_{nu(k)}``.  From ``h_1 = 1``, ``nu(1) = 1``, a tree edge
+    ``i -x-> j`` gives ``h_j = h_i w``, ``w`` being ``tau(x)`` walked from sheet
+    ``nu(i)``, and ``nu(j)`` is where that walk ends.  The product is taken
+    on words, so rounding does not build up along the tree.  Constant unitary
+    selfadjoint ``G1`` only (the unitary flat regime).
     """
+    if trans.covering is not cov:
+        raise ValueError("transversal was built from a different covering")
+    p = cov.presentation
+    if not isinstance(p, DoubledPresentation):
+        raise ValueError("involution decomposition needs a doubled presentation")
     G1 = np.asarray(G1, dtype=complex)
     if G1.shape != (chi1.m, chi1.m):
         raise ValueError(f"G1 has shape {G1.shape}, expected {(chi1.m, chi1.m)}")
     n, m = cov.n, chi1.m
+    h = [Word((), trans.alphabet)] * n
+    nu = [1] * n
+    for i, gi in trans.tree_edges:
+        j = cov.perms[gi][i - 1]
+        w, nu[j - 1] = schreier_walk(cov, trans, nu[i - 1], p.tau[gi])
+        h[j - 1] = Word(h[i - 1].letters + w.letters, trans.alphabet)
     G2 = np.zeros((n * m, n * m), dtype=complex)
     for k in range(1, n + 1):
-        h_k, nu_k = nu_decompose(cov, trans, k)
-        h_sub = schreier_rewrite(cov, trans, h_k)
-        G2[(k - 1) * m : k * m, (nu_k - 1) * m : nu_k * m] = G1 @ chi1.evaluate(h_sub)
+        G2[(k - 1) * m : k * m, (nu[k - 1] - 1) * m : nu[k - 1] * m] = G1 @ chi1.evaluate(h[k - 1])
     return G2
 
 

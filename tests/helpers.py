@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from hardycover import Word
+from hardycover import Word, apply_involution, build_covering, coset_of, sigma
 
 
 def haar_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -39,3 +39,47 @@ def random_word(rng: np.random.Generator, alphabet: tuple[str, ...], length: int
         for _ in range(length)
     )
     return Word(letters, tuple(alphabet))
+
+
+def reference_factorize(cov, trans, k: int, g: Word) -> tuple[Word, int]:
+    """``g_k g = h g_j`` from the tree words: ``h = reps[k] g reps[j]^-1``, ``j = k.g``."""
+    j = coset_of(cov, trans.reps[k - 1] * g)
+    return trans.reps[k - 1] * g * trans.reps[j - 1].inverse(), j
+
+
+def reference_nu_decompose(cov, trans, k: int) -> tuple[Word, int]:
+    """``tau(g_k) = h_k g_nu`` from the tree words: ``h_k = tau(reps[k]) reps[nu]^-1``."""
+    mirrored = apply_involution(cov.presentation, trans.reps[k - 1])
+    nu = coset_of(cov, mirrored)
+    return mirrored * trans.reps[nu - 1].inverse(), nu
+
+
+def is_transitive(perms, n: int) -> bool:
+    reached, frontier = {1}, [1]
+    while frontier:
+        i = frontier.pop()
+        for row in perms:
+            for j in (row[i - 1], row.index(i) + 1):
+                if j not in reached:
+                    reached.add(j)
+                    frontier.append(j)
+    return len(reached) == n
+
+
+def subgroup_orbit_cover(trans, other):
+    """Covering of ``trans`` on the orbit of sheet 1 of ``other`` under the subgroup.
+
+    The subgroup acts on the sheets of ``other``, a covering of the same base
+    group, through the defining words; the orbit of sheet 1 is transitive.
+    """
+    actions = [sigma(other, w) for w in trans.defining_words]
+    orbit = [1]
+    for i in orbit:
+        for row in actions:
+            for j in (row[i - 1], row.index(i) + 1):
+                if j not in orbit:
+                    orbit.append(j)
+    number = {sheet: a for a, sheet in enumerate(orbit, start=1)}
+    return build_covering(
+        trans, {lbl: [number[row[i - 1]] for i in orbit] for lbl, row in zip(trans.alphabet, actions)}
+    )

@@ -282,6 +282,22 @@ class TestEmission:
         assert doc["passed"] is True
         assert "hardycover" in doc["versions"]
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"mode": "verify", "n": 128, "m": 1, "alpha": 0.7, "signs": [1, -1]},
+            {"mode": "verify", "n": 32, "m": 8, "alpha": 0.7, "signs": [1, -1]},
+            TestInduceConfig().one_sheet(),
+            TestInduceMode().torus_config(),
+        ],
+        ids=["verify-n128-m1", "verify-n32-m8", "induce-one-sheet", "induce-torus-3"],
+    )
+    def test_json_byte_stable_in_verify_and_induce(self, config):
+        cfg = parse_config(json.dumps(config))
+        first = emit_report(run_pipeline(cfg), fmt="json")
+        assert json.loads(first)["passed"] is True
+        assert emit_report(run_pipeline(cfg), fmt="json") == first
+
     def test_seed_changes_document(self):
         cfg0 = parse_config(json.dumps(isometry_config(samples=128, trials=2, seed=0)))
         cfg1 = parse_config(json.dumps(isometry_config(samples=128, trials=2, seed=1)))

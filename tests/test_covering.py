@@ -7,24 +7,31 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from hardycover import (
+    MatrixRep,
     Word,
     build_covering,
+    build_G2,
     compose_coverings,
     coset_of,
     double_group,
     expand_schreier_word,
-    factorize,
     identity_covering,
-    nu_decompose,
     schreier_rewrite,
     schreier_transversal,
+    schreier_walk,
     sigma,
     subgroup_relators,
     surface_group,
 )
 from hardycover.covering import covering_from_json, covering_to_json
 
-from helpers import random_word
+from helpers import (
+    is_transitive,
+    random_word,
+    reference_factorize,
+    reference_nu_decompose,
+    subgroup_orbit_cover,
+)
 
 TORUS = double_group(0, 2)
 
@@ -90,8 +97,12 @@ class TestBuildCovering:
 
 
 class TestTransversal:
-    def test_cyclic_reps(self, cover3, trans3):
-        assert [str(w) for w in trans3.reps] == ["1", "A1", "A1 A1"]
+    def test_cyclic_reps(self, cover3):
+        t = schreier_transversal(cover3)
+        assert t.tree_edges == ((1, 0), (2, 0))
+        # tree words are built from the parent edges when first read
+        assert "reps" not in vars(t) and "defining_words" not in vars(t)
+        assert [str(w) for w in t.reps] == ["1", "A1", "A1 A1"]
 
     def test_schreier_generators(self, trans3):
         table = {label: str(w) for label, w in zip(trans3.alphabet, trans3.defining_words)}
@@ -154,17 +165,23 @@ class TestCosetAction:
 
 
 class TestFactorize:
+    """The walk from sheet k against the tree-word split ``g_k g = h g_j``."""
+
     def test_wraparound(self, cover3, trans3):
-        h, j = factorize(cover3, trans3, 3, TORUS.gen("A1"))
+        h, j = reference_factorize(cover3, trans3, 3, TORUS.gen("A1"))
         assert str(h) == "A1 A1 A1"
         assert j == 1
+        walked, end = schreier_walk(cover3, trans3, 3, TORUS.gen("A1"))
+        assert str(walked) == "A1@3" and end == 1
 
     def test_identity(self, cover3, trans3):
-        h, j = factorize(cover3, trans3, 1, TORUS.identity())
+        h, j = reference_factorize(cover3, trans3, 1, TORUS.identity())
         assert len(h) == 0 and j == 1
+        walked, end = schreier_walk(cover3, trans3, 2, TORUS.identity())
+        assert len(walked) == 0 and end == 2
 
     def test_stabilized(self, cover3, trans3):
-        h, j = factorize(cover3, trans3, 1, TORUS.gen("B1"))
+        h, j = reference_factorize(cover3, trans3, 1, TORUS.gen("B1"))
         assert str(h) == "B1" and j == 1
 
     def test_round_trip_identity(self, cover3, trans3):
@@ -172,27 +189,31 @@ class TestFactorize:
         for _ in range(100):
             g = random_word(rng, TORUS.alphabet, int(rng.integers(0, 15)))
             for k in range(1, 4):
-                h, j = factorize(cover3, trans3, k, g)
+                h, j = reference_factorize(cover3, trans3, k, g)
                 assert trans3.reps[k - 1] * g == h * trans3.reps[j - 1]
                 assert coset_of(cover3, h) == 1
+                rewritten = schreier_rewrite(cover3, trans3, h)
+                assert schreier_walk(cover3, trans3, k, g) == (rewritten, j)
 
     def test_sheet_out_of_range(self, cover3, trans3):
         with pytest.raises(ValueError, match="sheet"):
-            factorize(cover3, trans3, 4, TORUS.gen("A1"))
+            schreier_walk(cover3, trans3, 4, TORUS.gen("A1"))
 
 
 class TestNuDecompose:
+    """The tree-word split ``tau(g_k) = h_k g_nu(k)`` that ``build_G2`` walks."""
+
     def test_basepoint_sheet(self, cover3, trans3):
-        h, nu = nu_decompose(cover3, trans3, 1)
+        h, nu = reference_nu_decompose(cover3, trans3, 1)
         assert len(h) == 0 and nu == 1
 
     def test_sheet_two(self, cover3, trans3):
-        h, nu = nu_decompose(cover3, trans3, 2)
+        h, nu = reference_nu_decompose(cover3, trans3, 2)
         assert nu == 2
         assert str(h) == "B1 A1 B1^-1 A1^-1"
 
     def test_sheet_three(self, cover3, trans3):
-        h, nu = nu_decompose(cover3, trans3, 3)
+        h, nu = reference_nu_decompose(cover3, trans3, 3)
         assert nu == 3
         assert str(h) == "B1 A1 A1 B1^-1 A1^-1 A1^-1"
 
@@ -202,19 +223,18 @@ class TestNuDecompose:
         t = schreier_transversal(cov)
         images = []
         for k in range(1, n + 1):
-            h, nu = nu_decompose(cov, t, k)
+            h, nu = reference_nu_decompose(cov, t, k)
             images.append(nu)
             assert coset_of(cov, h) == 1
         assert sorted(images) == list(range(1, n + 1))
 
     def test_needs_involution(self):
-        from hardycover import surface_group
-
         p = surface_group(0, 2)
         cov = identity_covering(p)
         t = schreier_transversal(cov)
+        chi1 = MatrixRep(presentation=t, m=1, images={label: np.eye(1) for label in t.alphabet})
         with pytest.raises(ValueError, match="doubled"):
-            nu_decompose(cov, t, 1)
+            build_G2(cov, t, chi1, np.eye(1))
 
 
 class TestSchreierRewrite:
@@ -332,18 +352,6 @@ class TestCoveringSerialization:
         assert covering_from_json(t, doc).perms == inner.perms
 
 
-def _transitive(perms, n):
-    reached, frontier = {1}, [1]
-    while frontier:
-        i = frontier.pop()
-        for row in perms:
-            for j in (row[i - 1], row.index(i) + 1):
-                if j not in reached:
-                    reached.add(j)
-                    frontier.append(j)
-    return len(reached) == n
-
-
 surfaces = st.sampled_from([(0, 2), (0, 3), (1, 1), (1, 2)]).map(lambda sk: surface_group(*sk))
 
 
@@ -364,7 +372,7 @@ def bordered_coverings(draw, p):
             j = row[j - 1] if exp > 0 else row.index(j) + 1
         a0[j - 1] = i
     perms["A0"] = a0
-    assume(_transitive(list(perms.values()), n))
+    assume(is_transitive(list(perms.values()), n))
     return build_covering(p, perms)
 
 
@@ -406,20 +414,7 @@ class TestRandomCoverings:
         p = data.draw(surfaces)
         outer = data.draw(bordered_coverings(p))
         t = schreier_transversal(outer)
-        # the subgroup acts on the sheets of another covering through the
-        # defining words; its orbit of sheet 1 is a transitive covering of t
-        other = data.draw(bordered_coverings(p))
-        actions = [sigma(other, w) for w in t.defining_words]
-        orbit = [1]
-        for i in orbit:
-            for row in actions:
-                for j in (row[i - 1], row.index(i) + 1):
-                    if j not in orbit:
-                        orbit.append(j)
-        number = {sheet: a for a, sheet in enumerate(orbit, start=1)}
-        inner = build_covering(
-            t, {lbl: [number[row[i - 1]] for i in orbit] for lbl, row in zip(t.alphabet, actions)}
-        )
+        inner = subgroup_orbit_cover(t, data.draw(bordered_coverings(p)))
         comp = compose_coverings(outer, t, inner)
         assert comp.presentation is p
         assert comp.n == outer.n * inner.n

@@ -6,6 +6,7 @@ import pytest
 from hardycover import (
     MatrixRep,
     SignatureData,
+    Word,
     annulus_pipeline,
     boundary_subgroup_rep,
     check_representation,
@@ -118,3 +119,25 @@ class TestPipeline:
     def test_report_residuals_near_machine_zero(self):
         pipe = annulus_pipeline(3, 0.7, scalar_signs(1, -1))
         assert max(c.residual for c in pipe.report.checks) < 1e-13
+
+    def test_word_letters_grow_linearly_in_the_sheet_count(self, monkeypatch):
+        # the word work of one pipeline run, counted as the letters handed to
+        # Word(...); quadratic growth would give a ratio near 4
+        letters = []
+        reduce_letters = Word.__post_init__
+
+        def counting(word):
+            letters.append(len(word.letters))
+            reduce_letters(word)
+
+        monkeypatch.setattr(Word, "__post_init__", counting)
+        counts = {}
+        for n in (256, 512):
+            letters.clear()
+            pipe = annulus_pipeline(n, 0.7, scalar_signs(1, -1))
+            assert pipe.report.passed
+            # the tree words are never built on this path
+            assert "reps" not in vars(pipe.transversal)
+            assert "defining_words" not in vars(pipe.transversal)
+            counts[n] = sum(letters)
+        assert counts[512] <= 2.2 * counts[256]

@@ -42,12 +42,26 @@ class TestSurfaceGroup:
         assert p.alphabet == ("A0",)
         assert lbls(p, p.relator) == [("A0", 1)]
 
-    @pytest.mark.parametrize("s,k", [(0, 0), (-1, 1), (2, 0)])
+    @pytest.mark.parametrize(
+        "s,k", [(0, 0), (-1, 1), (2, 0), (True, 2), (0, True), (1.0, 2), (0, "2")]
+    )
     def test_invalid_parameters(self, s, k):
         with pytest.raises(InvalidSurfaceError):
             surface_group(s, k)
         with pytest.raises(InvalidSurfaceError):
             double_group(s, k)
+
+    @pytest.mark.parametrize("s,k,field", [(True, 2, "s"), (0, True, "k"), (1.0, 2, "s")])
+    def test_non_integer_parameters_named(self, s, k, field):
+        for build in (surface_group, double_group):
+            with pytest.raises(InvalidSurfaceError, match=f"field '{field}'"):
+                build(s, k)
+
+    def test_numpy_integer_parameters_accepted(self):
+        p = surface_group(np.int64(1), np.int64(2))
+        assert p == surface_group(1, 2)
+        assert type(p.s) is int and type(p.k) is int
+        assert double_group(np.int64(1), 2) == double_group(1, 2)
 
     @pytest.mark.parametrize("s", range(4))
     @pytest.mark.parametrize("k", range(1, 5))

@@ -15,7 +15,6 @@ import pytest
 from hardycover import (
     SectionSpec,
     SignatureData,
-    hardy_bound_check,
     indefinite_inner_product,
     make_annulus_cover,
     pushforward_section,
@@ -309,28 +308,6 @@ class TestBranchIndependence:
             h = tuple(pushforward_section(cov, spec_h, comp, 128, branch_sign=sign) for comp in (0, 1))
             values.append(indefinite_inner_product(f, h, J2))
         assert abs(values[0] - values[1]) < 1e-12 * (1.0 + abs(values[0]))
-
-
-class TestHardyBound:
-    def test_constant_section(self):
-        rho = 0.5
-        value = hardy_bound_check(constant_section(), rho, r_values=(0.9,))
-        assert value == pytest.approx(TWO_PI * (0.9 + rho / 0.9), abs=1e-10)
-
-    def test_boundary_divergent_coefficients_flagged(self):
-        degree = 20
-        coeffs = (2.0 ** np.abs(np.arange(-degree, degree + 1, dtype=float)))[:, None]
-        spec = SectionSpec(m=1, c=0.0, degree=degree, coeffs=coeffs.astype(complex))
-        value = hardy_bound_check(spec, 0.5)
-        assert value > 1e10
-
-    def test_zero_section(self):
-        zero = SectionSpec(m=1, c=0.0, degree=0, coeffs=np.zeros((1, 1), dtype=complex))
-        assert hardy_bound_check(zero, 0.5) == 0.0
-
-    def test_radius_outside_range_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            hardy_bound_check(constant_section(), 0.5, r_values=(0.4,))
 
 
 class TestIsometry:

@@ -6,6 +6,7 @@ import re
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import assume, given, settings, strategies as st
 
 from hardycover import (
     ExtensionError,
@@ -20,17 +21,27 @@ from hardycover import (
     extend_to_double,
     identity_covering,
     induce_representation,
-    nu_decompose,
     pairing_signature_matrices,
     schreier_rewrite,
     schreier_transversal,
+    sigma,
+    subgroup_relators,
     surface_group,
     verify_symmetry_conditions,
 )
 from hardycover.covering import expand_schreier_word
 from hardycover.induction import rep_from_json, rep_to_json, unitarity_residual
 
-from helpers import commuting_unitaries, haar_unitary, random_word
+from helpers import (
+    commuting_unitaries,
+    haar_unitary,
+    is_transitive,
+    random_signature_matrix,
+    random_word,
+    reference_factorize,
+    reference_nu_decompose,
+    subgroup_orbit_cover,
+)
 
 TORUS = double_group(0, 2)
 
@@ -274,8 +285,6 @@ class TestInduceRepresentation:
         trans = schreier_transversal(cov)
         t_img, u_img = commuting_unitaries(rng, 2, 2)
         chi2 = induce_representation(cov, trans, cyclic_subgroup_rep(cov, trans, t_img, u_img))
-        from hardycover import sigma
-
         n = cov.n
         m = chi2.m // n
         doc = rep_to_json(chi2, cov)
@@ -346,20 +355,13 @@ class TestPairingTransport:
             "A1": diag(np.exp(1j * rng.uniform(0, 2 * np.pi, 2))),
             "B1": sig.G @ sig.J_list[1],
         }
-        images = {}
-        for label, w in zip(trans.alphabet, trans.defining_words):
-            mat = np.eye(2, dtype=complex)
-            for gen, exp in w.letters:
-                factor = psi[TORUS.alphabet[gen]]
-                mat = mat @ (factor if exp > 0 else factor.conj().T)
-            images[label] = mat
-        chi1 = MatrixRep(presentation=trans, m=2, images=images)
+        chi1 = restricted_subgroup_rep(cov, trans, psi, 2)
         assert check_representation(chi1).passed
 
         G2 = build_G2(cov, trans, chi1, sig.G)
         m = 2
         for k in range(1, cov.n + 1):
-            h_k, nu_k = nu_decompose(cov, trans, k)
+            h_k, nu_k = reference_nu_decompose(cov, trans, k)
             block = G2[(k - 1) * m : k * m, (nu_k - 1) * m : nu_k * m]
             h_sub = schreier_rewrite(cov, trans, h_k)
             assert np.allclose(block, sig.G @ chi1.evaluate(h_sub), atol=1e-13)
@@ -450,6 +452,97 @@ def restricted_subgroup_rep(cov, trans, psi, m):
             mat = mat @ (factor if exp > 0 else factor.conj().T)
         images[label] = mat
     return MatrixRep(presentation=trans, m=m, images=images)
+
+
+# the double of the genus-1 surface with 2 boundary circles
+GENUS_THREE = double_group(1, 2)
+
+
+@st.composite
+def genus_three_coverings(draw):
+    """Random transitive covering of ``GENUS_THREE`` with at most 8 sheets.
+
+    The relator is ``[A''1, B''1] [A'1, B'1] [A1, B1]``.  The handles get
+    swapped images (``A''1, B''1, A'1, B'1`` act by ``x, y, y, x``), so the
+    first two commutators cancel, and ``B1`` acts by a power of ``A1``.
+    """
+    n = draw(st.integers(1, 8))
+    x, y, z = (draw(st.permutations(range(1, n + 1))) for _ in range(3))
+    b = list(range(1, n + 1))
+    for _ in range(draw(st.integers(0, 3))):
+        b = [z[i - 1] for i in b]
+    perms = {"A1": z, "B1": b, "A'1": y, "B'1": x, "A''1": x, "B''1": y}
+    assume(is_transitive(list(perms.values()), n))
+    return build_covering(GENUS_THREE, perms)
+
+
+def genus_three_rep(rng, m):
+    """Unitary representation of ``GENUS_THREE`` with the same handle pattern as the coverings."""
+    x, y = haar_unitary(rng, m), haar_unitary(rng, m)
+    a, b = commuting_unitaries(rng, m, 2)
+    return {"A1": a, "B1": b, "A'1": y, "B'1": x, "A''1": x, "B''1": y}
+
+
+def assert_walks_match_tree_words(cov, psi, G1, other):
+    """Every walk-built product equals its definition through the transversal's tree words.
+
+    The blocks of ``induce_representation`` and of ``build_G2`` (whose block
+    columns give ``nu``), ``subgroup_relators`` and ``compose_coverings``
+    (with the inner covering read off ``other``) must all match exactly.
+    """
+    p, n, m = cov.presentation, cov.n, G1.shape[0]
+    trans = schreier_transversal(cov)
+    chi1 = restricted_subgroup_rep(cov, trans, psi, m)
+    block = lambda mat, k, j: mat[(k - 1) * m : k * m, (j - 1) * m : j * m]
+
+    chi2 = induce_representation(cov, trans, chi1)
+    for label in p.alphabet:
+        expected = np.zeros((n * m, n * m), dtype=complex)
+        for k in range(1, n + 1):
+            h, j = reference_factorize(cov, trans, k, p.gen(label))
+            block(expected, k, j)[...] = chi1.evaluate(schreier_rewrite(cov, trans, h))
+        assert np.array_equal(chi2.images[label], expected)
+
+    expected = np.zeros((n * m, n * m), dtype=complex)
+    for k in range(1, n + 1):
+        h_k, nu_k = reference_nu_decompose(cov, trans, k)
+        block(expected, k, nu_k)[...] = G1 @ chi1.evaluate(schreier_rewrite(cov, trans, h_k))
+    assert np.array_equal(build_G2(cov, trans, chi1, G1), expected)
+
+    conjugates = [rep * r * rep.inverse() for r in p.relators for rep in trans.reps]
+    rewritten = tuple(schreier_rewrite(cov, trans, w) for w in conjugates)
+    assert subgroup_relators(cov, trans) == rewritten
+
+    inner = subgroup_orbit_cover(trans, other)
+    perms = []
+    for label in p.alphabet:
+        images = []
+        for i in range(1, n + 1):
+            h, j = reference_factorize(cov, trans, i, p.gen(label))
+            inner_action = sigma(inner, schreier_rewrite(cov, trans, h))
+            images += [(j - 1) * inner.n + b for b in inner_action]
+        perms.append(tuple(images))
+    assert compose_coverings(cov, trans, inner).perms == tuple(perms)
+
+
+class TestWalkAgainstTreeWords:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 64])
+    def test_cyclic_covers(self, n):
+        rng = np.random.default_rng(n)
+        a, b = commuting_unitaries(rng, 2, 2)
+        crossing = build_covering(TORUS, {"A1": (1, 2), "B1": (2, 1)})
+        assert_walks_match_tree_words(
+            torus_cover(n), {"A1": a, "B1": b}, random_signature_matrix(rng, 2), crossing
+        )
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_covers_of_a_genus_three_double(self, data):
+        cov, other = data.draw(genus_three_coverings()), data.draw(genus_three_coverings())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = data.draw(st.integers(1, 2))
+        psi, G1 = genus_three_rep(rng, m), random_signature_matrix(rng, m)
+        assert_walks_match_tree_words(cov, psi, G1, other)
 
 
 class TestInductionInStages:
