@@ -36,6 +36,7 @@ from .covering import (
     subgroup_relators,
 )
 from .induction import (
+    BlockMonomial,
     Check,
     CheckReport,
     ExtensionError,

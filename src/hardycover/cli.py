@@ -15,7 +15,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -128,18 +128,26 @@ def _check_isometry(p: dict) -> None:
 
 _COVERING_FIELDS = {"n": (True, None, _pos_int), "perms": (True, None, _object)}
 _CHI1_FIELDS = {"m": (True, None, _pos_int), "images": (True, None, _object)}
+# induce exports each image as a dense (n m)^2 matrix: 2**20 entries are ~70 MB of JSON
+DENSE_EXPORT_ENTRIES = 2**20
 
 
 def _check_induce(p: dict) -> None:
     """The nested ``covering`` and ``chi1`` documents, each bad value named by its path."""
     covering = _fields(p["covering"], _COVERING_FIELDS, "'covering'", "covering.")
+    chi1 = _fields(p["chi1"], _CHI1_FIELDS, "'chi1'", "chi1.")
+    n, m, count = covering["n"], chi1["m"], len(covering["perms"])
+    if count * (n * m) ** 2 > DENSE_EXPORT_ENTRIES:
+        raise ValueError(
+            f"invalid values for fields 'covering.n' and 'chi1.m': n={n}, m={m} gives a dense "
+            f"export of {count} images with {count * (n * m) ** 2} entries, over the "
+            f"budget of {DENSE_EXPORT_ENTRIES}"
+        )
     for gen, images in covering["perms"].items():
         if not (isinstance(images, list) and all(_int(v) for v in images)):
             raise ValueError(
                 f"invalid value for field 'covering.perms.{gen}': {images!r} is not a list of ints"
             )
-    chi1 = _fields(p["chi1"], _CHI1_FIELDS, "'chi1'", "chi1.")
-    m = chi1["m"]
     for label, mat in chi1["images"].items():
         square = isinstance(mat, list) and len(mat) == m and all(
             isinstance(row, list) and len(row) == m and all(_pair(x) for x in row) for row in mat
@@ -217,7 +225,7 @@ class Report:
 
 
 def _prefixed(check_report: CheckReport, prefix: str) -> list[Check]:
-    return [Check(prefix + c.name, c.residual, c.tolerance) for c in check_report.checks]
+    return [replace(c, name=prefix + c.name) for c in check_report.checks]
 
 
 def _run_group(cfg: RunConfig, report: Report) -> None:

@@ -10,7 +10,8 @@ the subgroup representation on the Schreier generators (the core class of the
 covering torus is the n-th power of the base core class, so it carries
 ``e^{-i alpha}``; the crossing class carries ``G J_1``), and the transported
 signature matrices come out block-diagonal with the base values repeated on
-every sheet.
+every sheet.  ``chi2``, ``G2`` and both routes' ``J2`` are stored as
+block-monomials over the ``n`` sheets, so no ``nm x nm`` array is formed.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .covering import (
 from .groups import DoubledPresentation, double_group, surface_group
 from .induction import (
     TOL_EXACT,
+    BlockMonomial,
     Check,
     CheckReport,
     MatrixRep,
@@ -111,8 +113,8 @@ def transport_boundary_values(
     core = chi1.images[f"A1@{n}"]
     out: list[list[np.ndarray]] = []
     for comp, J in enumerate(sig.J_list):
-        transported = core @ J @ core.conj().T
-        residual = float(np.max(np.abs(transported - J)))
+        J_bm = BlockMonomial.of(J)
+        residual = (core @ J_bm @ core.adjoint()).compare(J_bm)[0]
         if residual >= TOL_EXACT:
             raise ValueError(
                 f"transport inconsistency on component {comp}: the stabilizer moves the "
@@ -131,9 +133,9 @@ class CyclicPipeline:
     chi_X1: MatrixRep
     chi1: MatrixRep
     chi2: MatrixRep
-    G2: np.ndarray
-    J2_diagonal: list[np.ndarray]
-    J2_pairing: list[np.ndarray]
+    G2: BlockMonomial
+    J2_diagonal: list[BlockMonomial]
+    J2_pairing: list[BlockMonomial]
     report: CheckReport
 
 
@@ -158,9 +160,7 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
 
     checks = list(verify_symmetry_conditions(chi2, G2, J2_diag, p).checks)
     for comp, (a, b) in enumerate(zip(J2_diag, J2_pair)):
-        checks.append(
-            Check(f"signature-route-equality[{comp}]", np.max(np.abs(a - b)), TOL_EXACT)
-        )
+        checks.append(Check.exact(f"signature-route-equality[{comp}]", a.compare(b)))
     return CyclicPipeline(
         covering=cov,
         transversal=trans,

@@ -80,7 +80,8 @@ class Word:
         object.__setattr__(self, "letters", tuple(out))
 
     def __mul__(self, other: "Word") -> "Word":
-        if self.alphabet != other.alphabet:
+        # words over one presentation share its alphabet tuple
+        if self.alphabet is not other.alphabet and self.alphabet != other.alphabet:
             raise ValueError("words over mismatched generator sets")
         return Word(self.letters + other.letters, self.alphabet)
 

@@ -27,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .induction import SignatureData
+from .induction import BlockMonomial, SignatureData
 from .cyclic import annulus_pipeline
 
 __all__ = [
@@ -222,28 +222,32 @@ def pushforward_section(
 def indefinite_inner_product(
     f_sections: tuple[BoundarySection, ...],
     g_sections: tuple[BoundarySection, ...],
-    J_list: tuple[np.ndarray, ...] | list[np.ndarray],
+    J_list: Sequence[BlockMonomial | np.ndarray],
 ) -> complex:
     """Sum over boundary components of the weighted boundary pairing of f against g.
 
     Each component contributes the trapezoid sum of ``g(theta)^* J f(theta)``
     times the ``|dz| = r d theta`` density.  The first argument varies in the
-    sesquilinear form's linear slot.
+    sesquilinear form's linear slot.  A weight over ``n`` sheets acts on the
+    samples as ``(N, n, m)`` blocks; a square array is the one-sheet case.
     """
     if not (len(f_sections) == len(g_sections) == len(J_list)):
         raise ValueError("need one section pair and one weight per boundary component")
     total = 0.0 + 0.0j
     for f, g, J in zip(f_sections, g_sections, J_list):
-        J = np.asarray(J, dtype=complex)
+        J = BlockMonomial.of(J)
         if f.n_samples != g.n_samples:
             raise ValueError("sections sampled at different resolutions")
         if f.component != g.component or f.radius != g.radius:
             raise ValueError("sections sampled on different circles")
-        if J.shape != (f.dim, f.dim) or g.dim != f.dim:
+        if J.n * J.m != f.dim or g.dim != f.dim:
             raise ValueError(
-                f"dimension mismatch: sections in C^{f.dim}/C^{g.dim}, weight {J.shape}"
+                f"dimension mismatch: sections in C^{f.dim}/C^{g.dim}, weight of rank {J.n * J.m}"
             )
-        integrand = np.einsum("nd,de,ne->n", g.samples.conj(), J, f.samples)
+        shape = (f.n_samples, J.n, J.m)
+        f_blocks = f.samples.reshape(shape)  # block k of J f is blocks[k] f_blocks[perm[k]]
+        f_blocks = f_blocks[:, J.perm] if J.n > 1 else f_blocks
+        integrand = np.einsum("Nkd,kde,Nke->N", g.samples.reshape(shape).conj(), J.blocks, f_blocks)
         total += integrand.sum() * (2.0 * np.pi * f.radius / f.n_samples)
     return complex(total)
 
@@ -293,6 +297,7 @@ def verify_isometry(
         raise ValueError(f"incompatible signature data: {failing}")
 
     n_max = max(sample_counts)
+    base_J = [BlockMonomial.of(J) for J in sig.J_list]
     residuals = np.empty((len(sample_counts), len(pairs)))
     for t, (spec_f, spec_h) in enumerate(pairs):
         f1 = tuple(sample_section(spec_f, comp, n_max, cov.rho1) for comp in (0, 1))
@@ -301,7 +306,7 @@ def verify_isometry(
         h2 = tuple(pushforward_section(cov, spec_h, comp, n_max) for comp in (0, 1))
         for i, n_samples in enumerate(sample_counts):
             step = n_max // n_samples
-            base = indefinite_inner_product(_every(f1, step), _every(h1, step), sig.J_list)
+            base = indefinite_inner_product(_every(f1, step), _every(h1, step), base_J)
             covered = indefinite_inner_product(
                 _every(f2, step), _every(h2, step), pipeline.J2_diagonal
             )

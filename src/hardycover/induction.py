@@ -6,6 +6,11 @@ Schreier transversal, which presents the covering subgroup; so the boundary
 representation ``chi_X1``, the subgroup representation ``chi1`` and the
 induced ``chi2`` (of rank ``n m``) are all ``MatrixRep``.
 
+Every matrix is a ``BlockMonomial``: a sheet permutation plus one ``m x m``
+block per sheet; an ordinary matrix is the case ``n = 1``.  By the block
+formulas below, a product costs one batched ``m x m`` product per sheet, and
+no ``nm x nm`` array is formed except by ``dense``, for export.
+
 The three constructions here are the block formulas of the covering theory:
 
 * extension of a boundary-compatible representation from the bordered surface
@@ -20,13 +25,15 @@ The three constructions here are the block formulas of the covering theory:
   ends; and the per-component block-diagonal signature matrices.
 
 All identities asserted by these constructions are re-verified numerically at
-build time rather than trusted.
+build time rather than trusted, blockwise: a block off the sheet pattern still
+counts, and a check records the block where its largest residual sits.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -45,6 +52,7 @@ from .groups import (
 
 __all__ = [
     "TOL_EXACT",
+    "BlockMonomial",
     "Check",
     "CheckReport",
     "MatrixRep",
@@ -67,25 +75,128 @@ __all__ = [
 TOL_EXACT = 1e-12
 
 
-def _maxabs(a: np.ndarray) -> float:
-    return float(np.max(np.abs(a))) if a.size else 0.0
+@dataclass(frozen=True, eq=False)
+class BlockMonomial:
+    """An ``nm x nm`` matrix whose block row ``k`` holds ``blocks[k]`` in block column ``perm[k]``.
+
+    Sheets count from 0 and both arrays are read-only.  ``perm`` is a
+    permutation for representations and ``J2``, and for ``G2`` when the
+    covering subgroup is invariant under the involution; ``adjoint`` needs one.
+    """
+
+    perm: np.ndarray
+    blocks: np.ndarray
+
+    def __post_init__(self) -> None:
+        perm, blocks = np.asarray(self.perm, dtype=np.intp), np.asarray(self.blocks, dtype=complex)
+        n = len(perm)
+        if perm.ndim != 1 or blocks.ndim != 3 or blocks.shape[:2] != (n, blocks.shape[2]):
+            raise ValueError(f"blocks of shape {blocks.shape} do not fit {perm.shape} sheets")
+        if n and not 0 <= perm.min() <= perm.max() < n:
+            raise ValueError(f"block columns {perm.tolist()} outside the {n} sheets")
+        _freeze(self, perm, blocks)
+
+    @classmethod
+    def of(cls, matrix: "BlockMonomial | np.ndarray") -> "BlockMonomial":
+        """``matrix`` itself if block-monomial, else a square matrix as the one-sheet case."""
+        if isinstance(matrix, cls):
+            return matrix
+        return cls(np.zeros(1, dtype=np.intp), np.array(matrix, dtype=complex)[None])
+
+    @classmethod
+    def identity(cls, n: int, m: int) -> "BlockMonomial":
+        return cls(np.arange(n), np.broadcast_to(np.eye(m, dtype=complex), (n, m, m)))
+
+    n = property(lambda self: self.blocks.shape[0])
+    m = property(lambda self: self.blocks.shape[1])
+
+    def __matmul__(self, other: "BlockMonomial") -> "BlockMonomial":
+        """Row k is ``blocks[k] @ other.blocks[perm[k]]``, in column ``other.perm[perm[k]]``."""
+        if self.blocks.shape != other.blocks.shape:
+            raise ValueError(f"block shapes {self.blocks.shape} and {other.blocks.shape} differ")
+        return _trusted(other.perm[self.perm], self.blocks @ other.blocks[self.perm])
+
+    def adjoint(self) -> "BlockMonomial":
+        inverse = np.full(self.n, -1)
+        inverse[self.perm] = np.arange(self.n)
+        if inverse.min() < 0:
+            raise ValueError("the adjoint is block-monomial only for a sheet permutation")
+        return _trusted(inverse, self.blocks[inverse].conj().swapaxes(1, 2))
+
+    def compare(self, other: "BlockMonomial") -> tuple[float, tuple[int, int]]:
+        """Max-abs entry of ``self - other`` and the block ``(row, column)`` it sits in, from 1.
+
+        Where the permutations disagree on a row both blocks are residual.
+        """
+        if self.blocks.shape != other.blocks.shape:
+            raise ValueError(f"block shapes {self.blocks.shape} and {other.blocks.shape} differ")
+        same = self.perm == other.perm
+        mine = self.blocks - np.where(same[:, None, None], other.blocks, 0)
+        mine = np.abs(mine).max(axis=(1, 2), initial=0.0)
+        theirs = np.where(same, 0.0, np.abs(other.blocks).max(axis=(1, 2), initial=0.0))
+        k = int(np.maximum(mine, theirs).argmax())
+        column = self.perm[k] if mine[k] >= theirs[k] else other.perm[k]
+        return float(max(mine[k], theirs[k])), (k + 1, int(column) + 1)
+
+    def compare_adjoint(self) -> tuple[float, tuple[int, int]]:
+        """``compare(self.adjoint())``, also where ``perm`` is not a permutation.
+
+        Block ``(k, perm[k])`` of ``self - self^*`` is ``blocks[k] -
+        blocks[perm[k]]^*`` if ``perm[perm[k]] = k``, else ``blocks[k]``; the
+        only other nonzero blocks are the adjoints of the latter.
+        """
+        p = self.perm
+        paired = (p[p] == np.arange(self.n))[:, None, None]
+        return self.compare(_trusted(p, np.where(paired, self.blocks[p].conj().swapaxes(1, 2), 0)))
+
+    def dense(self) -> np.ndarray:
+        """The ``nm x nm`` matrix, for export."""
+        n, m = self.n, self.m
+        out = np.zeros((n, m, n, m), dtype=complex)
+        out[np.arange(n), :, self.perm, :] = self.blocks
+        return out.reshape(n * m, n * m)
 
 
-def unitarity_residual(u: np.ndarray) -> float:
-    return _maxabs(u @ u.conj().T - np.eye(u.shape[0]))
+def _freeze(out: BlockMonomial, perm: np.ndarray, blocks: np.ndarray) -> BlockMonomial:
+    perm.setflags(write=False)
+    blocks.setflags(write=False)
+    object.__setattr__(out, "perm", perm)
+    object.__setattr__(out, "blocks", blocks)
+    return out
+
+
+def _trusted(perm: np.ndarray, blocks: np.ndarray) -> BlockMonomial:
+    """The result of an operation on valid block-monomials, which needs no check."""
+    return _freeze(object.__new__(BlockMonomial), perm, blocks)
+
+
+def unitarity_residual(u: BlockMonomial | np.ndarray) -> float:
+    u = BlockMonomial.of(u)
+    return (u @ u.adjoint()).compare(BlockMonomial.identity(u.n, u.m))[0]
 
 
 @dataclass(frozen=True)
 class Check:
-    """A named residual and the tolerance it must stay below, both stored as floats."""
+    """A named residual and the tolerance it must stay below, both stored as floats.
+
+    ``block`` is the sheet block ``(row, column)`` of the largest residual
+    where there is one; it is kept out of the JSON form.
+    """
 
     name: str
     residual: float
     tolerance: float
+    block: tuple[int, int] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "residual", float(self.residual))
         object.__setattr__(self, "tolerance", float(self.tolerance))
+
+    @classmethod
+    def exact(cls, name: str, comparison: tuple[float, tuple[int, int]]) -> "Check":
+        """A ``TOL_EXACT`` check of a ``BlockMonomial.compare`` result."""
+        residual, block = comparison
+        return cls(name, residual, TOL_EXACT, block)
 
     @property
     def passed(self) -> bool:
@@ -115,62 +226,60 @@ class CheckReport:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
-def _as_matrices(images: Mapping[str, np.ndarray], m: int) -> dict[str, np.ndarray]:
-    """Complex images, set read-only so that a representation's kept check report stays valid."""
-    out = {}
-    for label, mat in images.items():
-        arr = np.asarray(mat, dtype=complex)
-        if arr.shape != (m, m):
-            raise ValueError(f"image of {label!r} has shape {arr.shape}, expected {(m, m)}")
-        arr.setflags(write=False)
-        out[label] = arr
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class MatrixRep:
     """Representation of a presented group by one matrix per generator.
 
     The presentation is a surface group, its double, or a Schreier
-    transversal (the covering subgroup on its Schreier generators).
+    transversal (the covering subgroup on its Schreier generators).  Images
+    are given as ``m x m`` arrays or as block-monomials of total rank ``m``,
+    and are stored as block-monomials that all share one block shape.
     """
 
     presentation: GroupPresentation | DoubledPresentation | Transversal
     m: int
-    images: dict[str, np.ndarray]
+    images: dict[str, BlockMonomial]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "images", _as_matrices(self.images, self.m))
+        images = {label: BlockMonomial.of(mat) for label, mat in self.images.items()}
+        shapes = {label: img.blocks.shape for label, img in images.items()}
+        if len(set(shapes.values())) > 1 or any(n * m != self.m for n, m, _ in shapes.values()):
+            raise ValueError(f"image blocks {shapes} are not one block shape of rank {self.m}")
+        object.__setattr__(self, "images", images)
         missing = [lbl for lbl in self.presentation.alphabet if lbl not in self.images]
         if missing:
             raise ValueError(f"no image supplied for generator(s) {missing}")
 
-    def evaluate(self, w: Word) -> np.ndarray:
-        if w.alphabet != self.presentation.alphabet:
+    @cached_property
+    def identity(self) -> BlockMonomial:
+        n, m, _ = next(iter(self.images.values())).blocks.shape if self.images else (1, self.m, 0)
+        return BlockMonomial.identity(n, m)
+
+    @cached_property
+    def _factors(self) -> dict[int, tuple[BlockMonomial, ...]]:
+        """The images in alphabet order under exponent +1, their adjoints under -1."""
+        images = tuple(self.images[label] for label in self.presentation.alphabet)
+        return {1: images, -1: tuple(u.adjoint() for u in images)}
+
+    def evaluate(self, w: Word) -> BlockMonomial:
+        alphabet = self.presentation.alphabet
+        if w.alphabet is not alphabet and w.alphabet != alphabet:
             raise ValueError("word not over this representation's generators")
-        return _product(self.images, self.presentation.alphabet, w, self.m)
+        factors = self._factors
+        images = [factors[exp][gen] for gen, exp in w.letters]
+        return reduce(operator.matmul, images) if images else self.identity
 
     @cached_property
     def _check_report(self) -> CheckReport:
+        factors = zip(self.presentation.alphabet, self._factors[1], self._factors[-1])
         checks = [
-            Check(f"unitarity[{label}]", unitarity_residual(self.images[label]), TOL_EXACT)
-            for label in self.presentation.alphabet
+            Check.exact(f"unitarity[{label}]", (u @ u_star).compare(self.identity))
+            for label, u, u_star in factors
         ]
-        eye = np.eye(self.m)
         for idx, relator in enumerate(self.presentation.relators):
-            residual = _maxabs(self.evaluate(relator) - eye)
-            checks.append(Check(f"relator[{idx}]", residual, TOL_EXACT))
+            residual = self.evaluate(relator).compare(self.identity)
+            checks.append(Check.exact(f"relator[{idx}]", residual))
         return CheckReport(tuple(checks))
-
-
-def _product(
-    images: Mapping[str, np.ndarray], alphabet: Sequence[str], w: Word, m: int
-) -> np.ndarray:
-    result = np.eye(m, dtype=complex)
-    for gen, exp in w.letters:
-        mat = images[alphabet[gen]]
-        result = result @ (mat if exp > 0 else mat.conj().T)
-    return result
 
 
 def check_representation(rep: MatrixRep) -> CheckReport:
@@ -203,7 +312,7 @@ class SignatureData:
         for i, J in enumerate(mats):
             if J.shape != (m, m):
                 raise ValueError(f"J_{i} has shape {J.shape}, expected {(m, m)}")
-            if _maxabs(J - J.conj().T) >= TOL_EXACT:
+            if BlockMonomial.of(J).compare_adjoint()[0] >= TOL_EXACT:
                 raise ValueError(f"J_{i} is not selfadjoint")
             if unitarity_residual(J) >= TOL_EXACT:
                 raise ValueError(f"J_{i} is not unitary")
@@ -246,19 +355,20 @@ def extend_to_double(
         raise ValueError(f"signature rank {sig.m} does not match representation rank {chi_S.m}")
     if len(sig.J_list) != surf.k:
         raise ValueError(f"need {surf.k} signature matrices, got {len(sig.J_list)}")
+    J = [BlockMonomial.of(J_i) for J_i in sig.J_list]
     for i in range(surf.k):
         a = chi_S.images[f"A{i}"]
-        res = _maxabs(a.conj().T @ sig.J_list[i] @ a - sig.J_list[i])
+        res = (a.adjoint() @ J[i] @ a).compare(J[i])[0]
         if res >= TOL_EXACT:
             raise ValueError(
                 f"signature data incompatible with chi(A{i}): residual {res:.3e}"
             )
 
-    G = sig.G
-    images: dict[str, np.ndarray] = {}
+    G = J[0]
+    images: dict[str, BlockMonomial] = {}
     for j in range(1, surf.k):
         images[f"A{j}"] = chi_S.images[f"A{j}"]
-        images[f"B{j}"] = G @ sig.J_list[j]
+        images[f"B{j}"] = G @ J[j]
     for i in range(1, surf.s + 1):
         images[f"A'{i}"] = chi_S.images[f"A'{i}"]
         images[f"B'{i}"] = chi_S.images[f"B'{i}"]
@@ -269,8 +379,8 @@ def extend_to_double(
     checks = list(check_representation(chi_X).checks)
     for label in p.alphabet:
         mirrored = chi_X.evaluate(apply_involution(p, p.gen(label)))
-        res = _maxabs(mirrored.conj().T @ G @ chi_X.images[label] - G)
-        checks.append(Check(f"pairing-symmetry[{label}]", res, TOL_EXACT))
+        lhs = mirrored.adjoint() @ G @ chi_X.images[label]
+        checks.append(Check.exact(f"pairing-symmetry[{label}]", lhs.compare(G)))
     report = CheckReport(tuple(checks))
     if not report.passed:
         names = ", ".join(c.name for c in report.failing())
@@ -286,7 +396,10 @@ def induce_representation(
     ``chi1`` represents ``trans``.  Block row k of the image of a generator
     ``x`` has its only nonzero block in column ``k.x``: ``chi1(x@k)``, the
     Schreier generator of the edge, or ``I`` on a tree edge.  The result has
-    rank ``n m``.  Refuses inconsistent subgroup data.
+    rank ``n m``; images of ``chi1`` over ``n1`` sheets give images over ``n
+    n1`` sheets, ``(k, a)`` numbered ``(k - 1) n1 + a``.  Refuses inconsistent
+    subgroup data, and names the worst check, block and residual of a result
+    that fails verification.
     """
     if chi1.presentation is not trans or trans.covering is not cov:
         raise ValueError("subgroup representation belongs to a different covering")
@@ -300,29 +413,34 @@ def induce_representation(
             failures.append(f"{what} has residual {check.residual:.3e}")
         raise ValueError("subgroup representation inconsistent: " + "; ".join(failures))
 
-    n, m = cov.n, chi1.m
-    eye = np.eye(m, dtype=complex)
-    images: dict[str, np.ndarray] = {}
+    # the Schreier generators' images, then the identity for the tree edges
+    sub = [chi1.images[label] for label in trans.alphabet] + [chi1.identity]
+    sub_perms = np.stack([u.perm for u in sub])
+    sub_blocks = np.stack([u.blocks for u in sub])
+    n1, m1 = chi1.identity.n, chi1.identity.m
+    tree = len(trans.alphabet)
+    images: dict[str, BlockMonomial] = {}
     for gi, label in enumerate(cov.presentation.alphabet):
-        big = np.zeros((n * m, n * m), dtype=complex)
-        for k in range(1, n + 1):
-            j = cov.perms[gi][k - 1]
-            sg = trans.edge_to_generator[(k, gi)]
-            block = eye if sg is None else chi1.images[trans.alphabet[sg]]
-            big[(k - 1) * m : k * m, (j - 1) * m : j * m] = block
-        images[label] = big
-    induced = MatrixRep(presentation=cov.presentation, m=n * m, images=images)
+        which = [trans.edge_to_generator[(k, gi)] for k in range(1, cov.n + 1)]
+        which = np.array([tree if sg is None else sg for sg in which])
+        target = np.asarray(cov.perms[gi]) - 1
+        perm = (target[:, None] * n1 + sub_perms[which]).reshape(-1)
+        images[label] = BlockMonomial(perm, sub_blocks[which].reshape(-1, m1, m1))
+    induced = MatrixRep(presentation=cov.presentation, m=cov.n * chi1.m, images=images)
 
     verification = check_representation(induced)
     if not verification.passed:
         worst = max(verification.failing(), key=lambda c: c.residual)
-        raise ValueError(f"induced representation failed verification: {worst.name}")
+        raise ValueError(
+            f"induced representation failed verification: {worst.name} at block "
+            f"{worst.block}: {worst.residual:.1e} vs {worst.tolerance:g}"
+        )
     return induced
 
 
 def build_G2(
     cov: CoveringAction, trans: Transversal, chi1: MatrixRep, G1: np.ndarray
-) -> np.ndarray:
+) -> BlockMonomial:
     """Transported pairing matrix: block ``(k, nu(k))`` is ``G1 chi1(h_k)``.
 
     ``tau(g_k) = h_k g_{nu(k)}``.  From ``h_1 = 1``, ``nu(1) = 1``, a tree edge
@@ -339,22 +457,20 @@ def build_G2(
     G1 = np.asarray(G1, dtype=complex)
     if G1.shape != (chi1.m, chi1.m):
         raise ValueError(f"G1 has shape {G1.shape}, expected {(chi1.m, chi1.m)}")
-    n, m = cov.n, chi1.m
+    n = cov.n
     h = [Word((), trans.alphabet)] * n
     nu = [1] * n
     for i, gi in trans.tree_edges:
         j = cov.perms[gi][i - 1]
         w, nu[j - 1] = schreier_walk(cov, trans, nu[i - 1], p.tau[gi])
         h[j - 1] = Word(h[i - 1].letters + w.letters, trans.alphabet)
-    G2 = np.zeros((n * m, n * m), dtype=complex)
-    for k in range(1, n + 1):
-        G2[(k - 1) * m : k * m, (nu[k - 1] - 1) * m : nu[k - 1] * m] = G1 @ chi1.evaluate(h[k - 1])
-    return G2
+    h_images = np.concatenate([chi1.evaluate(word).blocks for word in h])
+    return BlockMonomial(np.array(nu) - 1, G1 @ h_images)
 
 
 def build_J2_diagonal(
     cov: CoveringAction, J1_assignment: Sequence[Sequence[np.ndarray]]
-) -> list[np.ndarray]:
+) -> list[BlockMonomial]:
     """Per-component block-diagonal signature matrices of the covered surface.
 
     ``J1_assignment[component][k-1]`` is the signature value at the lift by
@@ -365,31 +481,26 @@ def build_J2_diagonal(
     for comp, values in enumerate(J1_assignment):
         if len(values) != n:
             raise ValueError(f"component {comp}: need one value per sheet ({n}), got {len(values)}")
-        mats = [np.asarray(v, dtype=complex) for v in values]
-        m = mats[0].shape[0]
-        J2 = np.zeros((n * m, n * m), dtype=complex)
-        for k, J in enumerate(mats):
-            if _maxabs(J - J.conj().T) >= TOL_EXACT or unitarity_residual(J) >= TOL_EXACT:
-                raise ValueError(f"component {comp}, sheet {k + 1}: not a signature matrix")
-            J2[k * m : (k + 1) * m, k * m : (k + 1) * m] = J
+        J2 = BlockMonomial(np.arange(n), np.array(values, dtype=complex))
+        eye = BlockMonomial.identity(n, J2.m)
+        for residual, (k, _) in (J2.compare_adjoint(), (J2 @ J2.adjoint()).compare(eye)):
+            if residual >= TOL_EXACT:
+                raise ValueError(f"component {comp}, sheet {k}: not a signature matrix")
         out.append(J2)
     return out
 
 
 def pairing_signature_matrices(
-    chi2: MatrixRep, G2: np.ndarray, p: DoubledPresentation
-) -> list[np.ndarray]:
+    chi2: MatrixRep, G2: BlockMonomial, p: DoubledPresentation
+) -> list[BlockMonomial]:
     """Signature matrices read off the pairing: ``J_{2,0} = G2``, ``J_{2,i} = chi2(B_i)^* G2``."""
-    out = [G2.copy()]
-    for i in range(1, p.k):
-        out.append(chi2.images[f"B{i}"].conj().T @ G2)
-    return out
+    return [G2] + [chi2.images[f"B{i}"].adjoint() @ G2 for i in range(1, p.k)]
 
 
 def verify_symmetry_conditions(
     chi2: MatrixRep,
-    G2: np.ndarray,
-    J2_list: Sequence[np.ndarray],
+    G2: BlockMonomial,
+    J2_list: Sequence[BlockMonomial],
     p: DoubledPresentation,
 ) -> CheckReport:
     """Residual report for all symmetry conditions of the transported data.
@@ -397,29 +508,20 @@ def verify_symmetry_conditions(
     Checks that G2 is selfadjoint and intertwines ``chi2`` with its mirror,
     that each per-component J is a signature matrix invariant under the
     boundary loop, and that the mirror-monodromy transport identity holds in
-    the image.
+    the image.  Every check runs blockwise.
     """
-    checks: list[Check] = []
-    dim = chi2.m
-    checks.append(Check("pairing-selfadjoint", _maxabs(G2 - G2.conj().T), TOL_EXACT))
+    checks = [Check.exact("pairing-selfadjoint", G2.compare_adjoint())]
     for label in p.alphabet:
         mirrored = chi2.evaluate(apply_involution(p, p.gen(label)))
-        res = _maxabs(mirrored.conj().T @ G2 @ chi2.images[label] - G2)
-        checks.append(Check(f"pairing-symmetry[{label}]", res, TOL_EXACT))
+        lhs = mirrored.adjoint() @ G2 @ chi2.images[label]
+        checks.append(Check.exact(f"pairing-symmetry[{label}]", lhs.compare(G2)))
     for comp, J2 in enumerate(J2_list):
-        checks.append(
-            Check(f"signature-selfadjoint[{comp}]", _maxabs(J2 - J2.conj().T), TOL_EXACT)
-        )
-        checks.append(
-            Check(f"signature-involution[{comp}]", _maxabs(J2 @ J2 - np.eye(dim)), TOL_EXACT)
-        )
+        checks.append(Check.exact(f"signature-selfadjoint[{comp}]", J2.compare_adjoint()))
+        involution = (J2 @ J2).compare(chi2.identity)
+        checks.append(Check.exact(f"signature-involution[{comp}]", involution))
         loop = chi2.evaluate(boundary_loop(p, comp))
         checks.append(
-            Check(
-                f"boundary-compatibility[{comp}]",
-                _maxabs(loop.conj().T @ J2 @ loop - J2),
-                TOL_EXACT,
-            )
+            Check.exact(f"boundary-compatibility[{comp}]", (loop.adjoint() @ J2 @ loop).compare(J2))
         )
     for comp in range(p.k):
         T_base = mirror_monodromy(p, comp)
@@ -428,13 +530,7 @@ def verify_symmetry_conditions(
             T_moved = apply_involution(p, R) * T_base * R.inverse()
             lhs = chi2.evaluate(T_moved) @ chi2.evaluate(R)
             rhs = chi2.evaluate(apply_involution(p, R)) @ chi2.evaluate(T_base)
-            checks.append(
-                Check(
-                    f"monodromy-transport[{comp},{label}]",
-                    _maxabs(lhs - rhs),
-                    TOL_EXACT,
-                )
-            )
+            checks.append(Check.exact(f"monodromy-transport[{comp},{label}]", lhs.compare(rhs)))
     return CheckReport(tuple(checks))
 
 
@@ -458,11 +554,12 @@ def matrix_from_json(data: Sequence, name: str = "matrix") -> np.ndarray:
 def rep_to_json(rep: MatrixRep, covering: CoveringAction | None = None) -> dict:
     """JSON form of ``rep``; given the covering it was induced along, the block form.
 
-    The block form has the block rank ``m``, the sheet count ``n`` and, per
-    generator, ``block_structure``: the pairs ``[k, sigma_g(k)]``, k = 1..n,
-    of the nonzero blocks, read from the covering's sheet permutations.
+    Images are written as dense matrices.  The block form has the block rank
+    ``m``, the sheet count ``n`` and, per generator, ``block_structure``: the
+    pairs ``[k, sigma_g(k)]``, k = 1..n, of the nonzero blocks, read from the
+    covering's sheet permutations.
     """
-    images = {lbl: matrix_to_json(mat) for lbl, mat in rep.images.items()}
+    images = {lbl: matrix_to_json(mat.dense()) for lbl, mat in rep.images.items()}
     if covering is None:
         return {"m": rep.m, "images": images}
     if rep.presentation is not covering.presentation or rep.m % covering.n:

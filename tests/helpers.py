@@ -3,8 +3,18 @@
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import assume, strategies as st
 
-from hardycover import Word, apply_involution, build_covering, coset_of, sigma
+from hardycover import (
+    Word,
+    apply_involution,
+    boundary_loop,
+    build_covering,
+    coset_of,
+    mirror_monodromy,
+    sigma,
+    surface_group,
+)
 
 
 def haar_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -83,3 +93,79 @@ def subgroup_orbit_cover(trans, other):
     return build_covering(
         trans, {lbl: [number[row[i - 1]] for i in orbit] for lbl, row in zip(trans.alphabet, actions)}
     )
+
+
+surfaces = st.sampled_from([(0, 2), (0, 3), (1, 1), (1, 2)]).map(lambda sk: surface_group(*sk))
+
+
+@st.composite
+def bordered_coverings(draw, p):
+    """Random transitive covering of a bordered surface group with at most 8 sheets.
+
+    The group is free on every generator but A0, so those permutations are
+    drawn at random and A0, the relator's last letter, undoes the rest of it.
+    """
+    n = draw(st.integers(1, 8))
+    perms = {lbl: draw(st.permutations(range(1, n + 1))) for lbl in p.alphabet[1:]}
+    a0 = [0] * n
+    for i in range(1, n + 1):
+        j = i
+        for gen, exp in p.relator.letters[:-1]:
+            row = perms[p.alphabet[gen]]
+            j = row[j - 1] if exp > 0 else row.index(j) + 1
+        a0[j - 1] = i
+    perms["A0"] = a0
+    assume(is_transitive(list(perms.values()), n))
+    return build_covering(p, perms)
+
+
+# Dense references: the nm x nm matrices the block-monomial code must agree with.
+
+
+def dense_product(images: dict, alphabet, w: Word, dim: int) -> np.ndarray:
+    """The image of ``w`` as a product of dense matrices, letter by letter."""
+    out = np.eye(dim, dtype=complex)
+    for gen, exp in w.letters:
+        mat = images[alphabet[gen]]
+        out = out @ (mat if exp > 0 else mat.conj().T)
+    return out
+
+
+def dense_induced_images(cov, trans, chi1) -> dict[str, np.ndarray]:
+    """Dense induced images: block ``(k, k.x)`` is ``chi1(x@k)``, or ``I`` on a tree edge."""
+    n, m = cov.n, chi1.m
+    images = {}
+    for gi, label in enumerate(cov.presentation.alphabet):
+        big = np.zeros((n * m, n * m), dtype=complex)
+        for k in range(1, n + 1):
+            j = cov.perms[gi][k - 1]
+            sg = trans.edge_to_generator[(k, gi)]
+            block = np.eye(m) if sg is None else chi1.images[trans.alphabet[sg]].dense()
+            big[(k - 1) * m : k * m, (j - 1) * m : j * m] = block
+        images[label] = big
+    return images
+
+
+def dense_symmetry_residuals(images: dict, G2: np.ndarray, J2_list, p) -> dict[str, float]:
+    """Every residual of ``verify_symmetry_conditions``, computed on dense matrices."""
+    dim = G2.shape[0]
+    maxabs = lambda a: float(np.max(np.abs(a)))
+    chi = lambda w: dense_product(images, p.alphabet, w, dim)
+    out = {"pairing-selfadjoint": maxabs(G2 - G2.conj().T)}
+    for label in p.alphabet:
+        mirrored = chi(apply_involution(p, p.gen(label)))
+        out[f"pairing-symmetry[{label}]"] = maxabs(mirrored.conj().T @ G2 @ images[label] - G2)
+    for comp, J2 in enumerate(J2_list):
+        loop = chi(boundary_loop(p, comp))
+        out[f"signature-selfadjoint[{comp}]"] = maxabs(J2 - J2.conj().T)
+        out[f"signature-involution[{comp}]"] = maxabs(J2 @ J2 - np.eye(dim))
+        out[f"boundary-compatibility[{comp}]"] = maxabs(loop.conj().T @ J2 @ loop - J2)
+    for comp in range(p.k):
+        T_base = mirror_monodromy(p, comp)
+        for label in p.alphabet:
+            R = p.gen(label)
+            T_moved = apply_involution(p, R) * T_base * R.inverse()
+            lhs = chi(T_moved) @ chi(R)
+            rhs = chi(apply_involution(p, R)) @ chi(T_base)
+            out[f"monodromy-transport[{comp},{label}]"] = maxabs(lhs - rhs)
+    return out

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hardycover.cli import Report, emit_report, main, parse_config, run_pipeline
+from hardycover.cli import DENSE_EXPORT_ENTRIES, Report, emit_report, main, parse_config, run_pipeline
 from hardycover.induction import matrix_to_json
 
 
@@ -170,6 +170,19 @@ class TestInduceConfig:
         with pytest.raises(ValueError, match=f"invalid value for field '{re.escape(path)}'"):
             parse_config(self.with_value(path, value))
 
+    @pytest.mark.parametrize("n, m, accepted", [(362, 2, True), (725, 1, False), (363, 2, False)])
+    def test_dense_export_budget(self, n, m, accepted):
+        # two images of rank n m: 2 * 724**2 entries fit in DENSE_EXPORT_ENTRIES = 2**20, 2 * 725**2 do not
+        doc = self.one_sheet()
+        doc["covering"] = {"n": n, "perms": {"A1": list(range(1, n + 1)), "B1": list(range(1, n + 1))}}
+        doc["chi1"] = {"m": m, "images": {}}
+        assert (2 * (n * m) ** 2 <= DENSE_EXPORT_ENTRIES) is accepted
+        if accepted:
+            parse_config(json.dumps(doc))
+        else:
+            with pytest.raises(ValueError, match="fields 'covering.n' and 'chi1.m'"):
+                parse_config(json.dumps(doc))
+
     def test_missing_and_unknown_nested_fields_named(self):
         doc = self.one_sheet()
         del doc["covering"]["n"]
@@ -272,6 +285,25 @@ class TestIsometryMode:
         assert [row[0] for row in report.extras["convergence"]] == [64, 128, 256]
 
 
+def dense_induced_export(config):
+    """The dense induced images of an ``induce`` config, block by block from chi1.
+
+    Block ``(k, perm[k])`` of generator ``X`` is chi1's image of ``X@k``; an
+    edge without a Schreier generator is a tree edge and carries ``I``.
+    """
+    n, m = config["covering"]["n"], config["chi1"]["m"]
+    chi1 = config["chi1"]["images"]
+    out = {}
+    for label, perm in config["covering"]["perms"].items():
+        dense = np.zeros((n * m, n * m), dtype=complex)
+        for k, j in enumerate(perm, start=1):
+            pairs = chi1.get(f"{label}@{k}")
+            block = np.eye(m) if pairs is None else np.array([[complex(*x) for x in row] for row in pairs])
+            dense[(k - 1) * m : k * m, (j - 1) * m : j * m] = block
+        out[label] = matrix_to_json(dense)
+    return out
+
+
 class TestEmission:
     def test_json_byte_stable(self):
         cfg = parse_config(json.dumps(isometry_config(samples=128, trials=2)))
@@ -297,6 +329,10 @@ class TestEmission:
         first = emit_report(run_pipeline(cfg), fmt="json")
         assert json.loads(first)["passed"] is True
         assert emit_report(run_pipeline(cfg), fmt="json") == first
+        if config["mode"] == "induce":
+            exported = json.loads(first)["extras"]["induced"]["images"]
+            assert exported == dense_induced_export(config)
+
 
     def test_seed_changes_document(self):
         cfg0 = parse_config(json.dumps(isometry_config(samples=128, trials=2, seed=0)))

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hardycover import (
     MatrixRep,
@@ -26,11 +26,12 @@ from hardycover import (
 from hardycover.covering import covering_from_json, covering_to_json
 
 from helpers import (
-    is_transitive,
+    bordered_coverings,
     random_word,
     reference_factorize,
     reference_nu_decompose,
     subgroup_orbit_cover,
+    surfaces,
 )
 
 TORUS = double_group(0, 2)
@@ -350,30 +351,6 @@ class TestCoveringSerialization:
         doc = json.loads(json.dumps(covering_to_json(inner)))
         assert doc["perms"] == {"B1@1": [2, 1], "A1@2": [1, 2], "B1@2": [2, 1]}
         assert covering_from_json(t, doc).perms == inner.perms
-
-
-surfaces = st.sampled_from([(0, 2), (0, 3), (1, 1), (1, 2)]).map(lambda sk: surface_group(*sk))
-
-
-@st.composite
-def bordered_coverings(draw, p):
-    """Random transitive covering of a bordered surface group with at most 8 sheets.
-
-    The group is free on every generator but A0, so those permutations are
-    drawn at random and A0, the relator's last letter, undoes the rest of it.
-    """
-    n = draw(st.integers(1, 8))
-    perms = {lbl: draw(st.permutations(range(1, n + 1))) for lbl in p.alphabet[1:]}
-    a0 = [0] * n
-    for i in range(1, n + 1):
-        j = i
-        for gen, exp in p.relator.letters[:-1]:
-            row = perms[p.alphabet[gen]]
-            j = row[j - 1] if exp > 0 else row.index(j) + 1
-        a0[j - 1] = i
-    perms["A0"] = a0
-    assume(is_transitive(list(perms.values()), n))
-    return build_covering(p, perms)
 
 
 class TestRandomCoverings:

@@ -39,22 +39,22 @@ class TestCyclicCover:
 class TestBoundaryRep:
     def test_surface_rep_phases(self):
         rep = annulus_surface_rep(1, 0.7)
-        assert rep.images["A0"][0, 0] == pytest.approx(np.exp(0.7j))
-        assert rep.images["A1"][0, 0] == pytest.approx(np.exp(-0.7j))
+        assert rep.images["A0"].dense()[0, 0] == pytest.approx(np.exp(0.7j))
+        assert rep.images["A1"].dense()[0, 0] == pytest.approx(np.exp(-0.7j))
         assert check_representation(rep).passed
 
     def test_double_rep_crossing(self):
         chi_X = annulus_double_rep(1, 0.7, scalar_signs(1, -1))
-        assert chi_X.images["B1"][0, 0] == pytest.approx(-1.0)
+        assert chi_X.images["B1"].dense()[0, 0] == pytest.approx(-1.0)
 
     def test_schreier_images(self):
         cov = cyclic_cover(3)
         trans = schreier_transversal(cov)
         sig = scalar_signs(-1, -1)
         chi1 = boundary_subgroup_rep(cov, trans, annulus_double_rep(1, 0.4, sig))
-        assert chi1.images["A1@3"][0, 0] == pytest.approx(np.exp(-0.4j))
+        assert chi1.images["A1@3"].dense()[0, 0] == pytest.approx(np.exp(-0.4j))
         for label in ("B1@1", "B1@2", "B1@3"):
-            assert chi1.images[label][0, 0] == pytest.approx(1.0)  # (-1) * (-1)
+            assert chi1.images[label].dense()[0, 0] == pytest.approx(1.0)  # (-1) * (-1)
         assert check_representation(chi1).passed
 
 
@@ -92,11 +92,11 @@ class TestPipeline:
         pipe = annulus_pipeline(n, 0.7, scalar_signs(*signs))
         assert pipe.report.passed
         e0, e1 = signs
-        assert np.array_equal(pipe.G2, e0 * np.eye(n, dtype=complex))
-        assert np.array_equal(pipe.J2_diagonal[0], e0 * np.eye(n, dtype=complex))
-        assert np.array_equal(pipe.J2_diagonal[1], e1 * np.eye(n, dtype=complex))
-        assert np.array_equal(pipe.J2_diagonal[0], pipe.J2_pairing[0])
-        assert np.array_equal(pipe.J2_diagonal[1], pipe.J2_pairing[1])
+        assert np.array_equal(pipe.G2.dense(), e0 * np.eye(n, dtype=complex))
+        assert np.array_equal(pipe.J2_diagonal[0].dense(), e0 * np.eye(n, dtype=complex))
+        assert np.array_equal(pipe.J2_diagonal[1].dense(), e1 * np.eye(n, dtype=complex))
+        assert np.array_equal(pipe.J2_diagonal[0].dense(), pipe.J2_pairing[0].dense())
+        assert np.array_equal(pipe.J2_diagonal[1].dense(), pipe.J2_pairing[1].dense())
 
     def test_matrix_valued_family_passes(self):
         rng = np.random.default_rng(4)
@@ -113,7 +113,7 @@ class TestPipeline:
             assert pipe.report.passed
             for comp in (0, 1):
                 for k in range(3):
-                    block = pipe.J2_diagonal[comp][2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
+                    block = pipe.J2_diagonal[comp].dense()[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
                     assert np.array_equal(block, sig.J_list[comp])
 
     def test_report_residuals_near_machine_zero(self):

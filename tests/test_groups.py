@@ -116,6 +116,16 @@ class TestWordOps:
         with pytest.raises(ValueError, match="mismatch"):
             surface_group(0, 2).gen("A1") * double_group(0, 2).gen("A1")
 
+    def test_equal_alphabets_in_distinct_tuples_multiply(self):
+        p = double_group(0, 2)
+        copy = tuple(list(p.alphabet))
+        assert copy == p.alphabet and copy is not p.alphabet
+        w = Word(((1, 1),), copy)
+        assert (p.gen("A1") * w).letters == ((0, 1), (1, 1))
+        assert (w * p.gen("A1")).letters == ((1, 1), (0, 1))
+        with pytest.raises(ValueError, match="mismatch"):
+            w * Word(((0, 1),), ("A1", "C1"))
+
     def test_power(self):
         p = double_group(0, 2)
         assert lbls(p, p.gen("A1") ** 3) == [("A1", 1)] * 3

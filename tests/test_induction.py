@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 from hardycover import (
+    BlockMonomial,
     ExtensionError,
     MatrixRep,
     SignatureData,
+    Word,
+    annulus_pipeline,
     build_covering,
     build_G2,
     build_J2_diagonal,
@@ -30,10 +34,15 @@ from hardycover import (
     verify_symmetry_conditions,
 )
 from hardycover.covering import expand_schreier_word
+from hardycover import induction
 from hardycover.induction import rep_from_json, rep_to_json, unitarity_residual
 
 from helpers import (
+    bordered_coverings,
     commuting_unitaries,
+    dense_induced_images,
+    dense_product,
+    dense_symmetry_residuals,
     haar_unitary,
     is_transitive,
     random_signature_matrix,
@@ -41,6 +50,7 @@ from helpers import (
     reference_factorize,
     reference_nu_decompose,
     subgroup_orbit_cover,
+    surfaces,
 )
 
 TORUS = double_group(0, 2)
@@ -68,19 +78,19 @@ class TestEvaluate:
     def test_empty_word(self):
         rng = np.random.default_rng(0)
         rep = commuting_torus_rep(rng, 2)
-        assert np.array_equal(rep.evaluate(TORUS.identity()), np.eye(2))
+        assert np.array_equal(rep.evaluate(TORUS.identity()).dense(), np.eye(2))
 
     def test_conjugation(self):
         rng = np.random.default_rng(1)
         u, v = haar_unitary(rng, 3), haar_unitary(rng, 3)
         rep = MatrixRep(presentation=TORUS, m=3, images={"A1": u, "B1": v})
         w = TORUS.word([("A1", 1), ("B1", 1), ("A1", -1)])
-        assert np.allclose(rep.evaluate(w), u @ v @ u.conj().T, atol=1e-14)
+        assert np.allclose(rep.evaluate(w).dense(), u @ v @ u.conj().T, atol=1e-14)
 
     def test_relator_of_commuting_rep(self):
         rng = np.random.default_rng(2)
         rep = commuting_torus_rep(rng, 2)
-        assert np.max(np.abs(rep.evaluate(TORUS.relator) - np.eye(2))) < 1e-12
+        assert np.max(np.abs(rep.evaluate(TORUS.relator).dense() - np.eye(2))) < 1e-12
 
     def test_unknown_generators(self):
         rng = np.random.default_rng(3)
@@ -123,7 +133,7 @@ class TestCheckRepresentation:
         rep = commuting_torus_rep(np.random.default_rng(7), 2)
         assert check_representation(rep) is check_representation(rep)
         with pytest.raises(ValueError, match="read-only"):
-            rep.images["A1"][0, 0] = 2.0
+            rep.images["A1"].blocks[0, 0, 0] = 2.0
 
     def test_report_serializes(self):
         report = check_representation(commuting_torus_rep(np.random.default_rng(6), 1))
@@ -147,7 +157,7 @@ class TestExtendToDouble:
     def test_scalar_crossing_image(self, e0, e1):
         sig = SignatureData(J_list=(e0 * np.eye(1), e1 * np.eye(1)))
         chi_X = extend_to_double(scalar_annulus_rep(0.7), sig, TORUS)
-        assert chi_X.images["B1"][0, 0] == pytest.approx(e0 * e1)
+        assert chi_X.images["B1"].dense()[0, 0] == pytest.approx(e0 * e1)
 
     def test_positive_definite_crossing_is_identity(self):
         rng = np.random.default_rng(7)
@@ -158,7 +168,7 @@ class TestExtendToDouble:
         )
         sig = SignatureData(J_list=(np.eye(m), np.eye(m)))
         chi_X = extend_to_double(chi_S, sig, TORUS)
-        assert np.allclose(chi_X.images["B1"], np.eye(m), atol=1e-14)
+        assert np.allclose(chi_X.images["B1"].dense(), np.eye(m), atol=1e-14)
 
     def test_restriction_returns_original(self):
         rng = np.random.default_rng(8)
@@ -178,7 +188,7 @@ class TestExtendToDouble:
         sig = SignatureData(J_list=(np.eye(m), np.eye(m)))
         chi_X = extend_to_double(chi_S, sig, double_group(1, 2))
         for label in ("A1", "A'1", "B'1"):
-            assert np.array_equal(chi_X.images[label], chi_S.images[label])
+            assert np.array_equal(chi_X.images[label].dense(), chi_S.images[label].dense())
 
     def test_random_handle_data_verifies(self):
         # chi(A0) is forced by the relator; the signature must commute with it
@@ -195,7 +205,7 @@ class TestExtendToDouble:
             report = check_representation(chi_X)
             assert report.passed
             assert np.allclose(
-                chi_X.images["A''1"], sig.G @ v @ sig.G, atol=1e-14
+                chi_X.images["A''1"].dense(), sig.G @ v @ sig.G, atol=1e-14
             )
 
     def test_incompatible_signature_rejected(self):
@@ -234,8 +244,8 @@ class TestInduceRepresentation:
         expected_a = np.array(
             [[0, 1, 0], [0, 0, 1], [t_phase, 0, 0]], dtype=complex
         )
-        assert np.allclose(chi2.images["A1"], expected_a, atol=1e-14)
-        assert np.allclose(chi2.images["B1"], u_phase * np.eye(3), atol=1e-14)
+        assert np.allclose(chi2.images["A1"].dense(), expected_a, atol=1e-14)
+        assert np.allclose(chi2.images["B1"].dense(), u_phase * np.eye(3), atol=1e-14)
 
     def test_identity_cover_reproduces_subgroup_rep(self):
         rng = np.random.default_rng(12)
@@ -244,8 +254,8 @@ class TestInduceRepresentation:
         a, b = commuting_unitaries(rng, 2, 2)
         chi1 = MatrixRep(presentation=trans, m=2, images={"A1@1": a, "B1@1": b})
         chi2 = induce_representation(cov, trans, chi1)
-        assert np.array_equal(chi2.images["A1"], a)
-        assert np.array_equal(chi2.images["B1"], b)
+        assert np.array_equal(chi2.images["A1"].dense(), a)
+        assert np.array_equal(chi2.images["B1"].dense(), b)
 
     def test_refuses_representation_of_another_transversal(self):
         cov = torus_cover(3)
@@ -265,6 +275,28 @@ class TestInduceRepresentation:
         chi1 = MatrixRep(presentation=trans, m=1, images=images)
         with pytest.raises(ValueError, match=r"rewritten relator B1@2 B1@1\^-1"):
             induce_representation(cov, trans, chi1)
+
+    def test_failed_verification_names_check_block_and_residual(self, monkeypatch):
+        # a consistent chi1's report wrapped around one corrupted block: the
+        # image of B1@3 is scaled off the unit circle, which the induced
+        # representation's unitarity check sees in block (3, 3) of chi2(B1)
+        cov = torus_cover(4)
+        trans = schreier_transversal(cov)
+        t_img, u_img = np.array([[np.exp(0.4j)]]), np.array([[np.exp(1.1j)]])
+        good = cyclic_subgroup_rep(cov, trans, t_img, u_img)
+        images = dict(good.images, **{"B1@3": (1 + 1e-6) * u_img})
+        bad = MatrixRep(presentation=trans, m=1, images=images)
+        assert not check_representation(bad).passed
+        real = induction.check_representation
+        monkeypatch.setattr(
+            induction,
+            "check_representation",
+            lambda rep: check_representation(good) if rep is bad else real(rep),
+        )
+        with pytest.raises(
+            ValueError, match=re.escape("unitarity[B1] at block (3, 3): 2.0e-06 vs 1e-12")
+        ):
+            induce_representation(cov, trans, bad)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("m", [1, 2])
@@ -293,7 +325,7 @@ class TestInduceRepresentation:
             perm = sigma(cov, TORUS.gen(label))
             assert structure == tuple((k, perm[k - 1]) for k in range(1, 6))
             # the nonzero blocks of the dense image are exactly the reported ones
-            mat = chi2.images[label]
+            mat = chi2.images[label].dense()
             nonzero = tuple(
                 (k + 1, j + 1)
                 for k in range(n)
@@ -314,8 +346,8 @@ class TestInduceRepresentation:
         for _ in range(500):
             w1 = random_word(rng, TORUS.alphabet, int(rng.integers(0, 10)))
             w2 = random_word(rng, TORUS.alphabet, int(rng.integers(0, 10)))
-            lhs = chi2.evaluate(w1 * w2)
-            rhs = chi2.evaluate(w1) @ chi2.evaluate(w2)
+            lhs = chi2.evaluate(w1 * w2).dense()
+            rhs = chi2.evaluate(w1).dense() @ chi2.evaluate(w2).dense()
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -333,7 +365,7 @@ class TestPairingTransport:
         sig = SignatureData(J_list=(np.eye(1), -np.eye(1)))
         chi1 = annulus_boundary_chi1(cov, trans, 0.7, sig)
         G2 = build_G2(cov, trans, chi1, sig.G)
-        assert np.array_equal(G2, np.eye(3, dtype=complex))
+        assert np.array_equal(G2.dense(), np.eye(3, dtype=complex))
 
     def test_identity_cover_pairing(self):
         cov = identity_covering(TORUS)
@@ -341,7 +373,7 @@ class TestPairingTransport:
         sig = SignatureData(J_list=(np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])))
         chi1 = annulus_boundary_chi1(cov, trans, 0.3, sig)
         G2 = build_G2(cov, trans, chi1, sig.G)
-        assert np.array_equal(G2, sig.G)
+        assert np.array_equal(G2.dense(), sig.G)
 
     def test_pairing_block_columns_follow_nu(self):
         # crossing-cycle cover: nontrivial subgroup parts h_k exercise the blocks
@@ -362,9 +394,9 @@ class TestPairingTransport:
         m = 2
         for k in range(1, cov.n + 1):
             h_k, nu_k = reference_nu_decompose(cov, trans, k)
-            block = G2[(k - 1) * m : k * m, (nu_k - 1) * m : nu_k * m]
+            block = G2.dense()[(k - 1) * m : k * m, (nu_k - 1) * m : nu_k * m]
             h_sub = schreier_rewrite(cov, trans, h_k)
-            assert np.allclose(block, sig.G @ chi1.evaluate(h_sub), atol=1e-13)
+            assert np.allclose(block, sig.G @ chi1.evaluate(h_sub).dense(), atol=1e-13)
         # transported pairing stays selfadjoint and intertwines the induction
         chi2 = induce_representation(cov, trans, chi1)
         report = verify_symmetry_conditions(
@@ -383,10 +415,10 @@ class TestPairingTransport:
             G2 = build_G2(cov, trans, chi1, sig.G)
             diagonal = build_J2_diagonal(cov, [[J] * 3 for J in sig.J_list])
             pairing = pairing_signature_matrices(chi2, G2, TORUS)
-            assert np.array_equal(diagonal[0], e0 * np.eye(3))
-            assert np.array_equal(diagonal[1], e1 * np.eye(3))
-            assert np.array_equal(diagonal[0], pairing[0])
-            assert np.array_equal(diagonal[1], pairing[1])
+            assert np.array_equal(diagonal[0].dense(), e0 * np.eye(3))
+            assert np.array_equal(diagonal[1].dense(), e1 * np.eye(3))
+            assert np.array_equal(diagonal[0].dense(), pairing[0].dense())
+            assert np.array_equal(diagonal[1].dense(), pairing[1].dense())
 
     def test_diagonal_rejects_non_signature_values(self):
         cov = torus_cover(2)
@@ -414,8 +446,9 @@ class TestSymmetryReport:
 
     def test_perturbation_detected(self):
         chi2, G2, J2 = self.fixture()
-        G2 = G2.copy()
-        G2[0, 0] += 1e-3
+        blocks = G2.blocks.copy()
+        blocks[0, 0, 0] += 1e-3  # entry (0, 0): G2 is diagonal here
+        G2 = BlockMonomial(G2.perm, blocks)
         report = verify_symmetry_conditions(chi2, G2, J2, TORUS)
         assert not report.passed
         residuals = {c.name: c.residual for c in report.checks}
@@ -500,14 +533,14 @@ def assert_walks_match_tree_words(cov, psi, G1, other):
         expected = np.zeros((n * m, n * m), dtype=complex)
         for k in range(1, n + 1):
             h, j = reference_factorize(cov, trans, k, p.gen(label))
-            block(expected, k, j)[...] = chi1.evaluate(schreier_rewrite(cov, trans, h))
-        assert np.array_equal(chi2.images[label], expected)
+            block(expected, k, j)[...] = chi1.evaluate(schreier_rewrite(cov, trans, h)).dense()
+        assert np.array_equal(chi2.images[label].dense(), expected)
 
     expected = np.zeros((n * m, n * m), dtype=complex)
     for k in range(1, n + 1):
         h_k, nu_k = reference_nu_decompose(cov, trans, k)
-        block(expected, k, nu_k)[...] = G1 @ chi1.evaluate(schreier_rewrite(cov, trans, h_k))
-    assert np.array_equal(build_G2(cov, trans, chi1, G1), expected)
+        block(expected, k, nu_k)[...] = G1 @ chi1.evaluate(schreier_rewrite(cov, trans, h_k)).dense()
+    assert np.array_equal(build_G2(cov, trans, chi1, G1).dense(), expected)
 
     conjugates = [rep * r * rep.inverse() for r in p.relators for rep in trans.reps]
     rewritten = tuple(schreier_rewrite(cov, trans, w) for w in conjugates)
@@ -585,7 +618,7 @@ class TestInductionInStages:
 
         for _ in range(100):
             w = random_word(rng, TORUS.alphabet, int(rng.integers(0, 30)))
-            diff = abs(np.trace(one_step.evaluate(w)) - np.trace(two_step.evaluate(w)))
+            diff = abs(np.trace(one_step.evaluate(w).dense()) - np.trace(two_step.evaluate(w).dense()))
             assert diff < 1e-10
 
 
@@ -596,7 +629,7 @@ class TestRepSerialization:
         doc = json.loads(json.dumps(rep_to_json(rep)))
         rebuilt = rep_from_json(TORUS, doc)
         for label in ("A1", "B1"):
-            assert np.allclose(rebuilt.images[label], rep.images[label], atol=0)
+            assert np.allclose(rebuilt.images[label].dense(), rep.images[label].dense(), atol=0)
 
     def test_induced_rep_exports_blocks(self):
         cov = torus_cover(2)
@@ -632,4 +665,147 @@ class TestRepSerialization:
 
     def test_reader_accepts_integer_parts(self):
         rep = rep_from_json(TORUS, {"m": 1, "images": {"A1": [[[0, 1]]], "B1": [[[-1, 0]]]}})
-        assert rep.images["A1"][0, 0] == 1j and rep.images["B1"][0, 0] == -1
+        assert rep.images["A1"].dense()[0, 0] == 1j and rep.images["B1"].dense()[0, 0] == -1
+
+
+@st.composite
+def block_monomials(draw, n, m, bijective=True):
+    """A block-monomial over ``n`` sheets with random complex blocks; ``perm`` a
+    permutation, or with ``bijective=False`` any map of the sheets."""
+    if bijective:
+        perm = draw(st.permutations(range(n)))
+    else:
+        perm = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    blocks = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+    return BlockMonomial(perm, blocks)
+
+
+def dense_maxabs(a):
+    return float(np.max(np.abs(a)))
+
+
+class TestBlockMonomial:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_algebra_matches_dense_reference(self, data):
+        n, m = data.draw(st.integers(1, 6)), data.draw(st.integers(1, 3))
+        a = data.draw(block_monomials(n, m, data.draw(st.booleans())))
+        b = data.draw(block_monomials(n, m, data.draw(st.booleans())))
+        A, B = a.dense(), b.dense()
+        assert dense_maxabs((a @ b).dense() - A @ B) < 1e-13
+        residual, (k, j) = a.compare(b)
+        assert abs(residual - dense_maxabs(A - B)) < 1e-13
+        block = (A - B)[(k - 1) * m : k * m, (j - 1) * m : j * m]
+        assert abs(dense_maxabs(block) - residual) < 1e-13
+        residual, (k, j) = a.compare_adjoint()
+        assert abs(residual - dense_maxabs(A - A.conj().T)) < 1e-13
+        block = (A - A.conj().T)[(k - 1) * m : k * m, (j - 1) * m : j * m]
+        assert abs(dense_maxabs(block) - residual) < 1e-13
+        if sorted(a.perm) == list(range(n)):
+            assert np.array_equal(a.adjoint().dense(), A.conj().T)
+        else:
+            with pytest.raises(ValueError, match="sheet permutation"):
+                a.adjoint()
+
+    def test_one_sheet_and_identity(self):
+        rng = np.random.default_rng(20)
+        u = haar_unitary(rng, 3)
+        assert np.array_equal(BlockMonomial.of(u).dense(), u)
+        assert np.array_equal(BlockMonomial.identity(4, 2).dense(), np.eye(8))
+        assert unitarity_residual(u) < 1e-14
+
+    @pytest.mark.parametrize(
+        "perm, shape", [((0, 2), (2, 1, 1)), ((0, -1), (2, 1, 1)), ((0, 1), (3, 1, 1)), ((0,), (1, 2, 3))]
+    )
+    def test_rejects_bad_columns_and_shapes(self, perm, shape):
+        with pytest.raises(ValueError):
+            BlockMonomial(perm, np.zeros(shape))
+
+    def test_off_pattern_block_is_a_residual(self):
+        # chi2(A1) against a copy with one block moved to another column
+        cov = torus_cover(5)
+        trans = schreier_transversal(cov)
+        t_img, u_img = commuting_unitaries(np.random.default_rng(21), 2, 2)
+        a = induce_representation(cov, trans, cyclic_subgroup_rep(cov, trans, t_img, u_img)).images["A1"]
+        moved = a.perm.copy()
+        moved[2] = a.perm[0]
+        b = BlockMonomial(moved, a.blocks)
+        residual, block = a.compare(b)
+        assert residual == dense_maxabs(a.dense() - b.dense())
+        assert residual == dense_maxabs(a.blocks[2])
+        assert block in ((3, a.perm[2] + 1), (3, a.perm[0] + 1))
+
+    def test_moved_nu_entry_fails_the_symmetry_report(self):
+        chi2, G2, J2 = TestSymmetryReport().fixture(n=4)
+        assert verify_symmetry_conditions(chi2, G2, J2, TORUS).passed
+        nu = G2.perm.copy()
+        nu[1] = G2.perm[2]
+        moved = BlockMonomial(nu, G2.blocks)
+        report = verify_symmetry_conditions(chi2, moved, J2, TORUS)
+        residuals = {c.name: c.residual for c in report.checks}
+        assert residuals["pairing-selfadjoint"] == 1.0
+        assert residuals["pairing-symmetry[A1]"] == 1.0
+        images = {label: img.dense() for label, img in chi2.images.items()}
+        reference = dense_symmetry_residuals(images, moved.dense(), [J.dense() for J in J2], TORUS)
+        assert residuals == pytest.approx(reference, abs=1e-13)
+
+    def test_no_dense_image_in_a_large_pipeline(self):
+        # one dense 2048 x 2048 complex image would take 64 MiB
+        tracemalloc.start()
+        try:
+            pipe = annulus_pipeline(2048, 0.7, SignatureData(J_list=(np.eye(1), -np.eye(1))))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pipe.report.passed
+        assert peak < 32 * 2**20
+
+
+def random_surface_rep(rng, p, m):
+    """Unitary representation of a bordered surface group: free on all but A0."""
+    images = {label: haar_unitary(rng, m) for label in p.alphabet[1:]}
+    rest = dense_product(images, p.alphabet, Word(p.relator.letters[:-1], p.alphabet), m)
+    images["A0"] = rest.conj().T
+    return images
+
+
+class TestAgainstDenseReference:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_induced_words_on_random_coverings(self, data):
+        p = data.draw(surfaces)
+        cov = data.draw(bordered_coverings(p))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = data.draw(st.integers(1, 2))
+        trans = schreier_transversal(cov)
+        chi1 = restricted_subgroup_rep(cov, trans, random_surface_rep(rng, p, m), m)
+        chi2 = induce_representation(cov, trans, chi1)
+        reference = dense_induced_images(cov, trans, chi1)
+        for label in p.alphabet:
+            assert np.array_equal(chi2.images[label].dense(), reference[label])
+        for _ in range(10):
+            w = random_word(rng, p.alphabet, int(rng.integers(0, 12)))
+            expected = dense_product(reference, p.alphabet, w, cov.n * m)
+            assert dense_maxabs(chi2.evaluate(w).dense() - expected) < 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_symmetry_residuals_on_random_double_coverings(self, data):
+        # most draws are not symmetric, so most residuals are far from zero
+        cov = data.draw(genus_three_coverings())
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = data.draw(st.integers(1, 2))
+        trans = schreier_transversal(cov)
+        chi1 = restricted_subgroup_rep(cov, trans, genus_three_rep(rng, m), m)
+        chi2 = induce_representation(cov, trans, chi1)
+        G2 = build_G2(cov, trans, chi1, random_signature_matrix(rng, m))
+        J2 = build_J2_diagonal(
+            cov, [[random_signature_matrix(rng, m) for _ in range(cov.n)] for _ in range(GENUS_THREE.k)]
+        )
+        report = verify_symmetry_conditions(chi2, G2, J2, GENUS_THREE)
+        images = {label: img.dense() for label, img in chi2.images.items()}
+        reference = dense_symmetry_residuals(images, G2.dense(), [J.dense() for J in J2], GENUS_THREE)
+        assert [c.name for c in report.checks] == list(reference)
+        for check in report.checks:
+            assert abs(check.residual - reference[check.name]) < 1e-13
