@@ -16,6 +16,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field, replace
+from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
 import numpy as np
@@ -33,6 +34,7 @@ from .hardy import (
     verify_isometry,
 )
 from .induction import (
+    BlockMonomial,
     Check,
     CheckReport,
     MatrixRep,
@@ -193,7 +195,7 @@ class Report:
         return self.error is None and all(c.passed for c in self.checks)
 
     def to_json_doc(self) -> dict:
-        # timing is deliberately left out so the document is run-stable
+        """The run-stable document (no timing); a ``BlockMonomial`` stands for its dense matrix."""
         return {
             "config": self.config,
             "checks": [c.to_json() for c in self.checks],
@@ -207,9 +209,12 @@ class Report:
         lines = [f"mode: {self.config.get('mode')}   passed: {self.passed}"]
         for c in self.checks:
             status = "ok  " if c.passed else "FAIL"
-            lines.append(
-                f"  [{status}] {c.name}: residual {c.residual:.3e} (tolerance {c.tolerance:.1e})"
-            )
+            line = f"  [{status}] {c.name}: residual {c.residual:.3e} (tolerance {c.tolerance:.1e})"
+            if c.block:
+                line += f" at block {c.block}"
+            if not c.passed:
+                line += f", {c.residual / c.tolerance:.3g} times its tolerance"
+            lines.append(line)
         if self.error:
             lines.append(f"  error: {self.error}")
         for key, value in self.extras.items():
@@ -247,7 +252,7 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
     report.checks += _prefixed(check_representation(chi1), "chi1:")
     chi2 = induce_representation(cov, trans, chi1)
     report.checks += _prefixed(check_representation(chi2), "chi2:")
-    report.extras["induced"] = rep_to_json(chi2, cov)
+    report.extras["induced"] = rep_to_json(chi2, cov, dense=False)
     report.extras["transversal"] = [str(w) for w in trans.reps]
     report.extras["schreier_generators"] = {
         lbl: str(w) for lbl, w in zip(trans.alphabet, trans.defining_words)
@@ -376,10 +381,66 @@ def run_pipeline(cfg: RunConfig) -> Report:
     return report
 
 
+def _dense_json(mat: BlockMonomial, indent: str, out: list[str]) -> None:
+    """Append ``mat.dense()`` as ``_json`` writes its ``matrix_to_json`` lists.
+
+    Off the blocks every entry is one constant ``+0.0, +0.0`` pair; one call
+    of the C encoder converts the block entries.
+    """
+    n, m = mat.n, mat.m
+    row, entry, part = (indent + "  " * depth for depth in (1, 2, 3))
+    pair = lambda re, im: f"[\n{part}{re},\n{part}{im}\n{entry}]"
+    zero, sep = pair("0.0", "0.0"), ",\n" + entry
+    values = np.stack([mat.blocks.real, mat.blocks.imag], -1).ravel().tolist()
+    parts = json.dumps(values)[1:-1].split(", ")
+    entries = [pair(re, im) for re, im in zip(parts[::2], parts[1::2])]
+    opener = "[\n" + row
+    for k, column in enumerate(mat.perm.tolist()):
+        before, after = (zero + sep) * (column * m), (sep + zero) * ((n - 1 - column) * m)
+        for r in range(k * m * m, (k + 1) * m * m, m):
+            out.append(f"{opener}[\n{entry}{before}{sep.join(entries[r:r + m])}{after}\n{row}]")
+            opener = ",\n" + row
+    out.append(f"\n{indent}]")
+
+
+def _json(value: Any, indent: str, out: list[str]) -> None:
+    """Append ``json.dumps(value, sort_keys=True, indent=2)`` of a string-keyed document.
+
+    ``json`` also writes a str by ``encode_basestring_ascii`` and an int or a
+    finite float as its ``repr``.
+    """
+    if isinstance(value, BlockMonomial):
+        return _dense_json(value, indent, out)
+    if isinstance(value, str):
+        return out.append(encode_basestring_ascii(value))
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return out.append(repr(value))
+    if isinstance(value, bool):
+        return out.append("true" if value else "false")
+    if not (value and isinstance(value, (dict, list, tuple))):
+        return out.append(json.dumps(value))
+    inner = indent + "  "
+    if isinstance(value, dict):
+        for i, key in enumerate(sorted(value)):
+            out.append(f"{',' if i else '{'}\n{inner}{encode_basestring_ascii(key)}: ")
+            _json(value[key], inner, out)
+        return out.append(f"\n{indent}}}")
+    for i, item in enumerate(value):
+        out.append(f"{',' if i else '['}\n{inner}")
+        _json(item, inner, out)
+    out.append(f"\n{indent}]")
+
+
 def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> str:
-    """Render the report; JSON output is byte-stable for a fixed config."""
+    """Render the report; JSON output is byte-stable for a fixed config.
+
+    JSON images are written from the block-monomials, byte-identical to
+    ``json.dumps(doc, sort_keys=True, indent=2)`` of their ``matrix_to_json`` lists.
+    """
     if fmt == "json":
-        rendered = json.dumps(report.to_json_doc(), sort_keys=True, indent=2) + "\n"
+        chunks: list[str] = []
+        _json(report.to_json_doc(), "", chunks)
+        rendered = "".join(chunks) + "\n"
     elif fmt == "text":
         rendered = report.to_text() + "\n"
     else:

@@ -447,7 +447,10 @@ def build_G2(
     ``i -x-> j`` gives ``h_j = h_i w``, ``w`` being ``tau(x)`` walked from sheet
     ``nu(i)``, and ``nu(j)`` is where that walk ends.  The product is taken
     on words, so rounding does not build up along the tree.  Constant unitary
-    selfadjoint ``G1`` only (the unitary flat regime).
+    selfadjoint ``G1`` only (the unitary flat regime).  ``nu`` is a
+    permutation only if the covering subgroup is invariant under the
+    involution; otherwise the pairing has no meaning, and its
+    ``pairing-selfadjoint`` check fails at a block where ``nu(nu(k)) != k``.
     """
     if trans.covering is not cov:
         raise ValueError("transversal was built from a different covering")
@@ -551,15 +554,16 @@ def matrix_from_json(data: Sequence, name: str = "matrix") -> np.ndarray:
     return np.array([[entry(x, i, j) for j, x in enumerate(row)] for i, row in rows], dtype=complex)
 
 
-def rep_to_json(rep: MatrixRep, covering: CoveringAction | None = None) -> dict:
+def rep_to_json(rep: MatrixRep, covering: CoveringAction | None = None, dense: bool = True) -> dict:
     """JSON form of ``rep``; given the covering it was induced along, the block form.
 
-    Images are written as dense matrices.  The block form has the block rank
-    ``m``, the sheet count ``n`` and, per generator, ``block_structure``: the
-    pairs ``[k, sigma_g(k)]``, k = 1..n, of the nonzero blocks, read from the
-    covering's sheet permutations.
+    Images are written as dense matrices (with ``dense=False``, left as
+    block-monomials).  The block form has the block rank ``m``, the sheet
+    count ``n`` and, per generator, ``block_structure``: the pairs ``[k,
+    sigma_g(k)]``, k = 1..n, of the nonzero blocks, read from the covering's
+    sheet permutations.
     """
-    images = {lbl: matrix_to_json(mat.dense()) for lbl, mat in rep.images.items()}
+    images = {lbl: matrix_to_json(mat.dense()) if dense else mat for lbl, mat in rep.images.items()}
     if covering is None:
         return {"m": rep.m, "images": images}
     if rep.presentation is not covering.presentation or rep.m % covering.n:

@@ -12,9 +12,11 @@ from hardycover import (
     build_covering,
     coset_of,
     mirror_monodromy,
+    schreier_transversal,
     sigma,
     surface_group,
 )
+from hardycover.induction import matrix_to_json
 
 
 def haar_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -106,7 +108,13 @@ def bordered_coverings(draw, p):
     drawn at random and A0, the relator's last letter, undoes the rest of it.
     """
     n = draw(st.integers(1, 8))
-    perms = {lbl: draw(st.permutations(range(1, n + 1))) for lbl in p.alphabet[1:]}
+    perms = close_relator(p, {lbl: draw(st.permutations(range(1, n + 1))) for lbl in p.alphabet[1:]}, n)
+    assume(is_transitive(list(perms.values()), n))
+    return build_covering(p, perms)
+
+
+def close_relator(p, perms: dict, n: int) -> dict:
+    """``perms`` on ``n`` sheets with ``A0``, the relator's last letter, acting so that the relator acts trivially."""
     a0 = [0] * n
     for i in range(1, n + 1):
         j = i
@@ -114,9 +122,37 @@ def bordered_coverings(draw, p):
             row = perms[p.alphabet[gen]]
             j = row[j - 1] if exp > 0 else row.index(j) + 1
         a0[j - 1] = i
-    perms["A0"] = a0
-    assume(is_transitive(list(perms.values()), n))
-    return build_covering(p, perms)
+    return {**perms, "A0": a0}
+
+
+def random_induce_config(seed: int, n: int = 64, m: int = 2) -> dict:
+    """``induce`` config of a random transitive ``n``-sheet cover of the genus-1 surface with 2 boundary circles.
+
+    ``chi1`` is the restriction of a random unitary representation ``rho`` of
+    the surface group to the covering subgroup, so every check passes.
+    """
+    rng = np.random.default_rng(seed)
+    p = surface_group(1, 2)
+    while True:
+        perms = {lbl: (rng.permutation(n) + 1).tolist() for lbl in p.alphabet[1:]}
+        perms = close_relator(p, perms, n)
+        if is_transitive(list(perms.values()), n):
+            break
+    rho = {lbl: haar_unitary(rng, m) for lbl in p.alphabet[1:]}
+    rho["A0"] = dense_product(rho, p.alphabet, Word(p.relator.letters[:-1], p.alphabet), m).conj().T
+    trans = schreier_transversal(build_covering(p, perms))
+    images = {
+        lbl: matrix_to_json(dense_product(rho, p.alphabet, w, m))
+        for lbl, w in zip(trans.alphabet, trans.defining_words)
+    }
+    return {
+        "mode": "induce",
+        "s": 1,
+        "k": 2,
+        "double": False,
+        "covering": {"n": n, "perms": perms},
+        "chi1": {"m": m, "images": images},
+    }
 
 
 # Dense references: the nm x nm matrices the block-monomial code must agree with.

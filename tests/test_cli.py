@@ -6,9 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hardycover import (
+    MatrixRep,
+    double_group,
+    induce_representation,
+    schreier_transversal,
+    surface_group,
+)
+from hardycover.covering import covering_from_json
 from hardycover.cli import DENSE_EXPORT_ENTRIES, Report, emit_report, main, parse_config, run_pipeline
-from hardycover.induction import matrix_to_json
+from hardycover.induction import BlockMonomial, Check, matrix_from_json, matrix_to_json, rep_to_json
+
+from helpers import random_induce_config
 
 
 def isometry_config(**overrides):
@@ -358,6 +369,90 @@ class TestEmission:
         assert json.loads(out.read_text())["passed"] is True
 
 
+def dense_dumps(report):
+    """The JSON report as ``json.dumps`` writes it with every image as its ``matrix_to_json`` lists."""
+    dense = lambda mat: matrix_to_json(mat.dense())
+    return json.dumps(report.to_json_doc(), sort_keys=True, indent=2, default=dense) + "\n"
+
+
+def induced_along(config):
+    """chi2 and the covering of an ``induce`` config, built as the pipeline builds them."""
+    presentation = (double_group if config.get("double", True) else surface_group)(config["s"], config["k"])
+    cov = covering_from_json(presentation, config["covering"])
+    trans = schreier_transversal(cov)
+    images = {lbl: matrix_from_json(mat) for lbl, mat in config["chi1"]["images"].items()}
+    chi1 = MatrixRep(presentation=trans, m=config["chi1"]["m"], images=images)
+    return induce_representation(cov, trans, chi1), cov
+
+
+# +0.0 and -0.0, the smallest subnormal, values printed with an exponent, and integer values
+REPORTED_FLOATS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e16, 1e-5, 0.1, -0.1, 3.0, -2.0]) | st.floats(
+    allow_nan=False, allow_infinity=False
+)
+JSON_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonWriter:
+    """The JSON report is ``json.dumps(doc, sort_keys=True, indent=2)`` of the dense document, byte for byte."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            TestInduceConfig().one_sheet(),
+            TestInduceMode().torus_config(),
+            random_induce_config(seed=5),
+            TestInduceMode().torus_config(u2_phase=0.5),
+            {"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]},
+            isometry_config(samples=128, trials=2),
+        ],
+        ids=["induce-one-sheet", "induce-torus-3", "induce-64-sheets", "induce-failing", "verify", "isometry"],
+    )
+    def test_report_is_dumps_of_the_dense_document(self, config):
+        report = run_pipeline(parse_config(json.dumps(config)))
+        text = emit_report(report, fmt="json")
+        assert text == dense_dumps(report)
+        if report.passed and config["mode"] == "induce":
+            chi2, cov = induced_along(config)
+            expected = json.loads(json.dumps(rep_to_json(chi2, cov)))
+            assert json.loads(text)["extras"]["induced"] == expected
+        elif config["mode"] == "induce":
+            assert "induced" not in report.extras
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn_block_monomials(self, data):
+        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        perm = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+        parts = data.draw(st.lists(REPORTED_FLOATS, min_size=2 * n * m * m, max_size=2 * n * m * m))
+        mat = BlockMonomial(np.array(perm), np.array(parts).view(complex).reshape(n, m, m))
+        # -0.0 survives in the complex blocks, in either part
+        assert np.signbit(mat.blocks.view(float)).ravel().tolist() == np.signbit(parts).tolist()
+        report = Report(config={"mode": "induce"}, extras={"images": {"X": mat, "nested": [[mat]]}})
+        assert emit_report(report, fmt="json") == dense_dumps(report)
+
+    @settings(max_examples=60, deadline=None)
+    @given(doc=JSON_DOCUMENTS)
+    def test_drawn_documents(self, doc):
+        report = Report(config={"mode": "group"}, extras={"drawn": doc})
+        assert emit_report(report, fmt="json") == dense_dumps(report)
+
+    def test_text_names_block_and_excess_of_a_failing_check(self):
+        moved = BlockMonomial(np.array([0, 2, 1]), np.ones((3, 1, 1)))
+        check = Check.exact("relator[0]", BlockMonomial.identity(3, 1).compare(moved))
+        report = Report(config={"mode": "induce"}, checks=[check, Check("unitarity", 0.0, 1e-12, (1, 1))])
+        lines = emit_report(report, fmt="text").splitlines()
+        assert lines[1] == (
+            "  [FAIL] relator[0]: residual 1.000e+00 (tolerance 1.0e-12) at block (2, 2), "
+            "1e+12 times its tolerance"
+        )
+        assert lines[2] == "  [ok  ] unitarity: residual 0.000e+00 (tolerance 1.0e-12) at block (1, 1)"
+        assert "block" not in emit_report(report, fmt="json")
+
+
 class TestMain:
     def test_group_subcommand(self, capsys):
         code = main(["group", "--genus", "0", "--boundary", "2", "--double"])
@@ -389,6 +484,16 @@ class TestMain:
         config = tmp_path / "bogus.json"
         config.write_text('{"mode": "bogus"}')
         assert main(["verify", "--config", str(config)]) == 2
+
+    def test_induce_report_file_is_the_emitted_text(self, tmp_path):
+        text = json.dumps(random_induce_config(seed=5))
+        config = tmp_path / "induce.json"
+        config.write_text(text)
+        out = tmp_path / "induced.json"
+        code = main(["induce", "--config", str(config), "--format", "json", "--out", str(out)])
+        assert code == 0
+        expected = emit_report(run_pipeline(parse_config(text)), fmt="json")
+        assert out.read_bytes() == expected.encode("utf-8")
 
     def test_unwritable_path_exits_one(self, tmp_path, capsys):
         config = tmp_path / "v.json"

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from hardycover import (
     BlockMonomial,
+    Check,
     ExtensionError,
     MatrixRep,
     SignatureData,
@@ -419,6 +420,21 @@ class TestPairingTransport:
             assert np.array_equal(diagonal[1].dense(), e1 * np.eye(3))
             assert np.array_equal(diagonal[0].dense(), pairing[0].dense())
             assert np.array_equal(diagonal[1].dense(), pairing[1].dense())
+
+    def test_pairing_off_an_involution_invariant_subgroup_fails(self):
+        # this cover's subgroup is not invariant under the involution: nu = (1, 2, 2, 2)
+        identity, swap = (1, 2, 3, 4), (1, 2, 4, 3)
+        perms = {"A1": (2, 3, 1, 4), "B1": (3, 1, 2, 4), "A'1": swap, "B'1": identity}
+        cov = build_covering(GENUS_THREE, {**perms, "A''1": identity, "B''1": swap})
+        trans = schreier_transversal(cov)
+        rng = np.random.default_rng(19)
+        chi1 = restricted_subgroup_rep(cov, trans, genus_three_rep(rng, 2), 2)
+        assert check_representation(chi1).passed
+        G2 = build_G2(cov, trans, chi1, random_signature_matrix(rng, 2))
+        assert G2.perm.tolist() == [0, 1, 1, 1]
+        check = Check.exact("pairing-selfadjoint", G2.compare_adjoint())
+        assert not check.passed
+        assert check.block in ((3, 2), (4, 2))
 
     def test_diagonal_rejects_non_signature_values(self):
         cov = torus_cover(2)
