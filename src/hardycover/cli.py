@@ -109,8 +109,18 @@ def _fields(raw: dict, schema: dict, where: str, prefix: str = "") -> dict:
     return params
 
 
+# isometry samples each section at n * samples angles upstairs, m values each (16 B per entry)
+ISOMETRY_GRID_ENTRIES = 2**20
+
+
 def _check_isometry(p: dict) -> None:
-    rho1, n, degree = p["rho1"], p["n"], p["degree"]
+    rho1, n, degree, samples, m = p["rho1"], p["n"], p["degree"], p["samples"], p["m"]
+    if n * samples * m > ISOMETRY_GRID_ENTRIES:
+        raise ValueError(
+            f"invalid values for fields 'n', 'samples' and 'm': n={n}, samples={samples}, m={m} "
+            f"give {n * samples * m} entries per section upstairs, over the budget of "
+            f"{ISOMETRY_GRID_ENTRIES}"
+        )
     # the covered annulus has inner radius rho1**n, which must be a normal float
     if rho1**n < sys.float_info.min:
         raise ValueError(f"invalid value for field 'rho1': {rho1!r} ** n={n} underflows")
@@ -120,7 +130,7 @@ def _check_isometry(p: dict) -> None:
     # and the pairing sums samples * m of their squares.
     exponent = degree + (n - 1) / 2 - p["alpha"] / (2.0 * math.pi)
     log_size = -exponent * math.log(rho1) + math.log(10 * (2 * degree + 1))
-    if 2 * log_size + math.log(p["samples"] * p["m"]) > math.log(sys.float_info.max):
+    if 2 * log_size + math.log(samples * m) > math.log(sys.float_info.max):
         raise ValueError(
             f"invalid value for field 'rho1': {rho1!r} with n={n}, degree={degree} gives "
             f"inner-circle samples of size about 1e{log_size / math.log(10):.0f}, "

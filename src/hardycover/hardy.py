@@ -13,16 +13,21 @@ Conventions, fixed once for the whole module:
   products pair identical branch factors, which makes them branch invariant;
 * boundary integrals are uniform trapezoid sums in the angle, with the
   ``|dz| = r d theta`` density included;
-* on a uniform grid ``theta_j = 2 pi j / N`` the Laurent part is one inverse
+* on a uniform grid ``theta_j = 2 pi j / N`` the Laurent part is an inverse
   FFT of length ``N``: ``a_d r^d`` sits at index ``d mod N`` and the result is
   multiplied by ``N``.  ``N >= 2 degree + 1`` keeps the indices distinct.  The
   branch factors ``z^c`` and ``1 / sqrt(F')`` are evaluated by continuity in
   the literal angle ``theta_j``, as everywhere else.
+
+One sampler serves every uniform grid, with one FFT call for the columns of
+one section or of a whole chunk of isometry trials; one formula gives the
+pairing integrand ``g^* J f`` to ``indefinite_inner_product`` and
+``verify_isometry`` alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -42,6 +47,9 @@ __all__ = [
     "indefinite_inner_product",
     "verify_isometry",
 ]
+
+# entries of one sampled grid in verify_isometry (16 bytes each): bounds a chunk of trials
+GRID_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -151,21 +159,24 @@ def _component_radius(component: int, rho: float) -> float:
 
 
 def _uniform_values(
-    spec: SectionSpec, radius: float, n_points: int, exponent: float
+    coeffs: np.ndarray, radius: float, n_points: int, exponent: float
 ) -> np.ndarray:
-    """Laurent part times ``z^exponent`` at the angles ``2 pi j / n_points``.
+    """Laurent parts times ``z^exponent`` at the angles ``2 pi j / n_points``, one row per column.
 
-    The Laurent part is one inverse FFT.  With ``exponent = spec.c`` this is
-    ``section_values`` on the same angles up to rounding, provided
-    ``n_points >= 2 * spec.degree + 1``.
+    Entry ``j`` of a ``coeffs`` row of width ``2 degree + 1`` is the
+    coefficient of ``z^(j - degree)``.  One inverse FFT transforms every row,
+    then the grid's branch multiplier is applied in place.  With ``exponent =
+    spec.c`` a row is ``section_values`` on the same angles up to rounding,
+    provided ``n_points >= 2 * degree + 1``.
     """
-    degrees = np.arange(-spec.degree, spec.degree + 1)
-    spectrum = np.zeros((n_points, spec.m), dtype=complex)
-    spectrum[degrees % n_points] = spec.coeffs * (radius ** degrees.astype(float))[:, None]
-    laurent = np.fft.ifft(spectrum, axis=0) * n_points
+    degrees = np.arange(coeffs.shape[1]) - coeffs.shape[1] // 2
+    spectrum = np.zeros((coeffs.shape[0], n_points), dtype=complex)
+    spectrum[:, degrees % n_points] = coeffs * radius ** degrees.astype(float)
+    values = np.fft.ifft(spectrum, axis=-1, out=spectrum)
+    values *= n_points
     angles = 2.0 * np.pi * np.arange(n_points) / n_points
-    multiplier = np.exp(exponent * (np.log(radius) + 1j * angles))
-    return multiplier[:, None] * laurent
+    # multiplier first: numpy rounds a complex product by its operand order
+    return np.multiply(np.exp(exponent * (np.log(radius) + 1j * angles)), values, out=values)
 
 
 def sample_section(
@@ -177,7 +188,7 @@ def sample_section(
     return BoundarySection(
         component=component,
         radius=radius,
-        samples=_uniform_values(spec, radius, n_samples, spec.c),
+        samples=_uniform_values(spec.coeffs.T, radius, n_samples, spec.c).T,
     )
 
 
@@ -207,10 +218,10 @@ def pushforward_section(
     r2 = _component_radius(component, cov.rho2)
     r1 = _component_radius(component, cov.rho1)
     exponent = spec.c - 0.5 * (cov.n - 1)
-    upstairs = _uniform_values(spec, r1, cov.n * n_samples, exponent)
+    upstairs = _uniform_values(spec.coeffs.T, r1, cov.n * n_samples, exponent)
     upstairs /= branch_sign * np.sqrt(cov.n)
-    # row k N + j is block k at theta_j: (n, N, m) -> (N, n m)
-    blocks = upstairs.reshape(cov.n, n_samples, spec.m).transpose(1, 0, 2)
+    # column k N + j of row d is entry d of block k at theta_j: (m, n, N) -> (N, n m)
+    blocks = upstairs.reshape(spec.m, cov.n, n_samples).transpose(2, 1, 0)
     return BoundarySection(
         component=component,
         radius=r2,
@@ -245,11 +256,21 @@ def indefinite_inner_product(
                 f"dimension mismatch: sections in C^{f.dim}/C^{g.dim}, weight of rank {J.n * J.m}"
             )
         shape = (f.n_samples, J.n, J.m)
-        f_blocks = f.samples.reshape(shape)  # block k of J f is blocks[k] f_blocks[perm[k]]
-        f_blocks = f_blocks[:, J.perm] if J.n > 1 else f_blocks
-        integrand = np.einsum("Nkd,kde,Nke->N", g.samples.reshape(shape).conj(), J.blocks, f_blocks)
+        integrand = _integrand(f.samples.reshape(shape), g.samples.reshape(shape).conj(), J)
         total += integrand.sum() * (2.0 * np.pi * f.radius / f.n_samples)
     return complex(total)
+
+
+def _integrand(f: np.ndarray, g_conj: np.ndarray, J: BlockMonomial) -> np.ndarray:
+    """``g^* J f`` per sample of ``(..., n, m)`` blocks, given ``f`` and the conjugate of ``g``.
+
+    Block k of ``J f`` is ``blocks[k] f[perm[k]]``.  Callers that own ``g``
+    conjugate it in place, and a sheet-diagonal weight gathers nothing, so a
+    sampled grid is not copied.
+    """
+    if (J.perm != np.arange(J.n)).any():
+        f = f[..., J.perm, :]
+    return np.einsum("...kd,kde,...ke->...", g_conj, J.blocks, f)
 
 
 def verify_isometry(
@@ -268,10 +289,14 @@ def verify_isometry(
     block-diagonal signature matrices produced by the induction pipeline,
     which is built once for all pairs.
 
-    Each pair is sampled once, at the largest count ``N_max``, and dropped
-    before the next pair.  A smaller count ``N`` reads every ``N_max / N``-th
-    sample: its angles ``2 pi j / N`` are exactly those of a direct N-point
-    sampling.
+    Trials are sampled in chunks at the largest count ``N_max``, degrees
+    zero-padded to the chunk's largest: per circle, one inverse FFT samples
+    every f and h of a chunk on A(rho1), and one on the ``n N_max`` preimage
+    angles upstairs.  A chunk keeps each grid within ``GRID_ENTRIES`` entries
+    (or is one trial), so memory does not grow with the trial count.  The
+    integrand is formed once per grid; a smaller count ``N`` sums every
+    ``N_max / N``-th sample, whose angles are exactly those of an N-point
+    grid.  Sections are sampled with exponent ``alpha / (2 pi)``.
     """
     if not sample_counts:
         raise ValueError("need at least one sample count")
@@ -293,27 +318,34 @@ def verify_isometry(
 
     pipeline = annulus_pipeline(cov.n, alpha, sig)
     if not pipeline.report.passed:
-        failing = ", ".join(ch.name for ch in pipeline.report.failing())
-        raise ValueError(f"incompatible signature data: {failing}")
+        raise ValueError(f"incompatible signature data: {pipeline.report.worst()}")
 
-    n_max = max(sample_counts)
-    base_J = [BlockMonomial.of(J) for J in sig.J_list]
+    n_max, m = max(sample_counts), sig.m
+    sides = (  # weights, sheets, exponent and pairing radii of the base, then covered side
+        ([BlockMonomial.of(J) for J in sig.J_list], 1, c, (1.0, cov.rho1)),
+        (pipeline.J2_diagonal, cov.n, c - 0.5 * (cov.n - 1), (1.0, cov.rho2)),
+    )
+    chunk = max(1, GRID_ENTRIES // (2 * m * cov.n * n_max))
     residuals = np.empty((len(sample_counts), len(pairs)))
-    for t, (spec_f, spec_h) in enumerate(pairs):
-        f1 = tuple(sample_section(spec_f, comp, n_max, cov.rho1) for comp in (0, 1))
-        h1 = tuple(sample_section(spec_h, comp, n_max, cov.rho1) for comp in (0, 1))
-        f2 = tuple(pushforward_section(cov, spec_f, comp, n_max) for comp in (0, 1))
-        h2 = tuple(pushforward_section(cov, spec_h, comp, n_max) for comp in (0, 1))
-        for i, n_samples in enumerate(sample_counts):
-            step = n_max // n_samples
-            base = indefinite_inner_product(_every(f1, step), _every(h1, step), base_J)
-            covered = indefinite_inner_product(
-                _every(f2, step), _every(h2, step), pipeline.J2_diagonal
-            )
-            residuals[i, t] = abs(covered - base)
+    for start in range(0, len(pairs), chunk):
+        batch = pairs[start : start + chunk]
+        degree = max(spec.degree for pair in batch for spec in pair)
+        coeffs = np.zeros((2, len(batch), m, 2 * degree + 1), dtype=complex)
+        for t, pair in enumerate(batch):
+            for side, spec in enumerate(pair):
+                coeffs[side, t, :, degree - spec.degree : degree + spec.degree + 1] = spec.coeffs.T
+        coeffs = coeffs.reshape(-1, 2 * degree + 1)  # row (f or h, trial, d)
+        totals = np.zeros((2, len(sample_counts), len(batch)), dtype=complex)
+        for total, (weights, sheets, exponent, radii) in zip(totals, sides):
+            for comp, r1 in enumerate((1.0, cov.rho1)):
+                values = _uniform_values(coeffs, r1, sheets * n_max, exponent)
+                values /= np.sqrt(sheets)  # the pushforward's 1 / sqrt(F') carries 1 / sqrt(n)
+                # row (f or h, trial, d), column k N + j: entry d of sheet k at theta_j
+                f, h = values.reshape(2, len(batch), m, sheets, n_max).transpose(0, 1, 4, 3, 2)
+                integrand = _integrand(f, np.conjugate(h, out=h), weights[comp])
+                del values, f, h  # one grid at a time
+                for i, n_samples in enumerate(sample_counts):
+                    weight = 2.0 * np.pi * radii[comp] / n_samples
+                    total[i] += integrand[:, :: n_max // n_samples].sum(axis=1) * weight
+        residuals[:, start : start + len(batch)] = np.abs(totals[1] - totals[0])
     return residuals
-
-
-def _every(sections: tuple[BoundarySection, ...], step: int) -> tuple[BoundarySection, ...]:
-    """The sections read at every ``step``-th sample: a view, no copy."""
-    return tuple(replace(sec, samples=sec.samples[::step]) for sec in sections)

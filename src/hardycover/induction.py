@@ -222,6 +222,11 @@ class CheckReport:
     def failing(self) -> tuple[Check, ...]:
         return tuple(c for c in self.checks if not c.passed)
 
+    def worst(self) -> str:
+        """The failing check of largest residual: its name, block, residual and tolerance."""
+        c = max(self.failing(), key=lambda c: c.residual)
+        return f"{c.name} at block {c.block}: {c.residual:.1e} vs {c.tolerance:g}"
+
     def to_json(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
@@ -430,11 +435,7 @@ def induce_representation(
 
     verification = check_representation(induced)
     if not verification.passed:
-        worst = max(verification.failing(), key=lambda c: c.residual)
-        raise ValueError(
-            f"induced representation failed verification: {worst.name} at block "
-            f"{worst.block}: {worst.residual:.1e} vs {worst.tolerance:g}"
-        )
+        raise ValueError(f"induced representation failed verification: {verification.worst()}")
     return induced
 
 

@@ -16,7 +16,15 @@ from hardycover import (
     surface_group,
 )
 from hardycover.covering import covering_from_json
-from hardycover.cli import DENSE_EXPORT_ENTRIES, Report, emit_report, main, parse_config, run_pipeline
+from hardycover.cli import (
+    DENSE_EXPORT_ENTRIES,
+    ISOMETRY_GRID_ENTRIES,
+    Report,
+    emit_report,
+    main,
+    parse_config,
+    run_pipeline,
+)
 from hardycover.induction import BlockMonomial, Check, matrix_from_json, matrix_to_json, rep_to_json
 
 from helpers import random_induce_config
@@ -122,6 +130,20 @@ class TestParseConfig:
         assert "rho1" in captured.err and captured.out == ""
         # a smaller sheet count keeps the samples finite
         parse_config(json.dumps(isometry_config(rho1=0.01, n=100, degree=8, samples=64)))
+
+    @pytest.mark.parametrize(
+        "n, samples, m, accepted",
+        [(4, 2**18, 1, True), (1, 2**20, 1, True), (1, 2**20 + 1, 1, False), (3, 2**18, 2, False)],
+    )
+    def test_isometry_grid_budget(self, n, samples, m, accepted):
+        # parse_config only: a refused size must not allocate anything
+        doc = isometry_config(n=n, samples=samples, m=m)
+        assert (n * samples * m <= ISOMETRY_GRID_ENTRIES) is accepted
+        if accepted:
+            parse_config(json.dumps(doc))
+        else:
+            with pytest.raises(ValueError, match="fields 'n', 'samples' and 'm'.*budget"):
+                parse_config(json.dumps(doc))
 
     def test_every_documented_config_accepted(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -9,12 +9,20 @@ so every quadrature value can be checked against a formula that never touches
 the sampling code.
 """
 
+import dataclasses
+import math
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hardycover import (
+    BoundarySection,
     SectionSpec,
     SignatureData,
+    annulus_pipeline,
     indefinite_inner_product,
     make_annulus_cover,
     pushforward_section,
@@ -23,6 +31,10 @@ from hardycover import (
     section_values,
     verify_isometry,
 )
+from hardycover import hardy
+from hardycover.induction import BlockMonomial
+
+from helpers import random_signature_matrix
 
 TWO_PI = 2.0 * np.pi
 
@@ -257,6 +269,20 @@ class TestInnerProduct:
         z = tuple(sample_section(zero, comp, 64, rho) for comp in (0, 1))
         assert indefinite_inner_product(z, z, J_list) == 0.0
 
+    def test_sheet_permuting_weight_matches_dense(self):
+        # block k of J f is blocks[k] f[perm[k]]: the same sum as with the dense nm x nm weight
+        rng = np.random.default_rng(16)
+        n, m, n_samples = 3, 2, 16
+        blocks = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
+        J = BlockMonomial(np.array([2, 0, 1]), blocks)
+        shape = (n_samples, n * m)
+        f, g = (
+            BoundarySection(0, 1.0, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in range(2)
+        )
+        dense = np.einsum("Ni,ij,Nj->", g.samples.conj(), J.dense(), f.samples) * TWO_PI / n_samples
+        assert abs(indefinite_inner_product((f,), (g,), (J,)) - dense) < 1e-12 * abs(dense)
+
     def test_dimension_mismatch(self):
         rho = 0.5
         secs = tuple(sample_section(constant_section(), c, 64, rho) for c in (0, 1))
@@ -456,3 +482,150 @@ class TestIsometry:
         assert report.passed
         assert [row[0] for row in report.extras["convergence"]] == [64, 128, 256]
         assert len(calls) == 1
+
+
+def per_pair_gaps(cov, pairs, sig, counts, J2):
+    """The isometry gaps one pair and one sample count at a time, from the public API."""
+    gaps = np.empty((len(counts), len(pairs)))
+    for t, (spec_f, spec_h) in enumerate(pairs):
+        for i, n_samples in enumerate(counts):
+            f1, h1 = (
+                tuple(sample_section(spec, comp, n_samples, cov.rho1) for comp in (0, 1))
+                for spec in (spec_f, spec_h)
+            )
+            f2, h2 = (
+                tuple(pushforward_section(cov, spec, comp, n_samples) for comp in (0, 1))
+                for spec in (spec_f, spec_h)
+            )
+            base = indefinite_inner_product(f1, h1, sig.J_list)
+            gaps[i, t] = abs(indefinite_inner_product(f2, h2, J2) - base)
+    return gaps
+
+
+def pairing_scale(pairs, rho):
+    """Largest ``|f| |h|`` over the pairs in the positive pairing, which bounds ``|<f, h>_J|``."""
+    norm = lambda spec: math.sqrt(
+        fourier_inner_product(spec, spec, rho, (np.eye(spec.m), np.eye(spec.m))).real
+    )
+    return max(norm(f) * norm(h) for f, h in pairs)
+
+
+def counted_ifft():
+    """Patch of ``np.fft.ifft`` that still transforms; ``.call_count`` counts the calls."""
+    return mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft)
+
+
+def off_isometry_weights(J2):
+    """Covered-side weights that break the isometry: sheets shifted by one, inner circle negated."""
+    return [BlockMonomial(np.roll(J.perm, 1), (1 - 2 * comp) * J.blocks) for comp, J in enumerate(J2)]
+
+
+class TestBatchedIsometry:
+    """verify_isometry samples chunks of trials together; the per-pair path is the oracle.
+
+    True gaps are rounding noise, far below the comparison's tolerance, so
+    each case also runs with covered-side weights that break the isometry:
+    its gaps are of the pairings' size and expose any sampling difference.
+    """
+
+    ALPHA = 0.7
+    C = ALPHA / TWO_PI
+    SIG = SignatureData(J_list=(np.eye(1), -np.eye(1)))
+
+    def pairs(self, rng, degrees, m=1):
+        return [
+            (random_section(rng, m, df, self.C), random_section(rng, m, dh, self.C))
+            for df, dh in degrees
+        ]
+
+    def compare(self, cov, pairs, counts, sig=SIG, chunks=None):
+        """Batched against per-pair gaps, true and off-isometry; returns the true gaps."""
+        pipeline = annulus_pipeline(cov.n, self.ALPHA, sig)
+        assert pipeline.report.passed
+        scale = pairing_scale(pairs, cov.rho1)
+        for skew in (False, True):
+            if skew:
+                weights = off_isometry_weights(pipeline.J2_diagonal)
+                pipeline = dataclasses.replace(pipeline, J2_diagonal=weights)
+            built = mock.patch.object(hardy, "annulus_pipeline", lambda *args: pipeline)
+            with built, counted_ifft() as ifft:
+                batched = verify_isometry(cov, pairs, self.ALPHA, sig, counts)
+            reference = per_pair_gaps(cov, pairs, sig, counts, pipeline.J2_diagonal)
+            assert batched.shape == (len(counts), len(pairs))
+            assert np.max(np.abs(batched - reference)) < 1e-12 * scale
+            if chunks is not None:
+                assert ifft.call_count == 4 * chunks
+            if skew:
+                assert reference.max() > 1e-3 * scale
+            else:
+                gaps = batched
+        return gaps
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 5]),
+        m=st.sampled_from([1, 2]),
+        counts=st.lists(st.sampled_from([16, 32, 64, 128]), min_size=1, max_size=4, unique=True),
+        per_chunk=st.integers(1, 3),
+        spare=st.integers(0, 1),
+        extra=st.integers(-1, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_pair_reference(self, n, m, counts, per_chunk, spare, extra, seed):
+        rng = np.random.default_rng(seed)
+        # non-diagonal for m = 2: a random eigenbasis per circle
+        sig = SignatureData(J_list=tuple(random_signature_matrix(rng, m) for _ in range(2)))
+        cov = make_annulus_cover(0.6, n)
+        # grids of per_chunk trials fit, with up to one trial's worth of room to spare
+        one_trial = 2 * m * n * max(counts)
+        entries = per_chunk * one_trial + spare * (one_trial - 1)
+        trials = max(1, per_chunk * int(rng.integers(1, 3)) + extra)
+        degree_cap = min(6, (min(counts) - 2) // 2)
+        pairs = self.pairs(rng, rng.integers(0, degree_cap + 1, size=(trials, 2)), m)
+        with mock.patch.object(hardy, "GRID_ENTRIES", entries):
+            gaps = self.compare(cov, pairs, counts, sig, chunks=math.ceil(trials / per_chunk))
+        if n == 1:
+            assert np.all(gaps == 0.0)
+
+    def test_mixed_degrees_padded(self):
+        rng = np.random.default_rng(20)
+        pairs = self.pairs(rng, [(2, 5), (8, 8), (0, 3), (7, 1)])
+        self.compare(make_annulus_cover(0.6, 3), pairs, [32, 256], chunks=1)
+
+    def test_empty_pair_list(self):
+        cov = make_annulus_cover(0.6, 3)
+        with counted_ifft() as ifft:
+            gaps = verify_isometry(cov, [], self.ALPHA, self.SIG, [64, 128, 256])
+        assert gaps.shape == (3, 0) and ifft.call_count == 0
+
+    def test_trial_count_off_the_chunk_size(self):
+        # n = 3, N_max = 1024, m = 1: five trials per 2**15-entry grid, so 7 trials take 2 chunks
+        assert hardy.GRID_ENTRIES // (2 * 3 * 1024) == 5
+        pairs = self.pairs(np.random.default_rng(21), [(8, 8)] * 7)
+        self.compare(make_annulus_cover(0.6, 3), pairs, [64, 1024], chunks=2)
+
+    def test_memory_bounded_on_the_readme_config(self):
+        # n = 3, degree 8, counts 64 ... 1024, 20 trials: every grid stays within GRID_ENTRIES
+        cov = make_annulus_cover(0.6, 3)
+        pairs = self.pairs(np.random.default_rng(0), [(8, 8)] * 20)
+        tracemalloc.start()
+        try:
+            verify_isometry(cov, pairs, self.ALPHA, self.SIG, [64, 128, 256, 512, 1024])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
+    def test_refusal_names_worst_check_and_block(self):
+        # selfadjoint and unitary to 1e-12, but the transported symmetry conditions miss it
+        sig = SignatureData(J_list=(np.array([[-1.0 - 4e-13]]), -np.eye(1)))
+        report = annulus_pipeline(2, 0.0, sig).report
+        worst = max(report.failing(), key=lambda c: c.residual)
+        pair = (constant_section(), constant_section())
+        with pytest.raises(ValueError) as err:
+            verify_isometry(make_annulus_cover(0.6, 2), [pair], 0.0, sig, [64])
+        assert str(err.value) == (
+            f"incompatible signature data: {worst.name} at block {worst.block}: "
+            f"{worst.residual:.1e} vs 1e-12"
+        )
+        assert worst.block is not None and worst.residual > worst.tolerance
