@@ -9,7 +9,12 @@ induced ``chi2`` (of rank ``n m``) are all ``MatrixRep``.
 Every matrix is a ``BlockMonomial``: a sheet permutation plus one ``m x m``
 block per sheet; an ordinary matrix is the case ``n = 1``.  By the block
 formulas below, a product costs one batched ``m x m`` product per sheet, and
-no ``nm x nm`` array is formed except by ``dense``, for export.
+no ``nm x nm`` array is formed except by ``dense``, for export.  A
+representation stacks its images and their adjoints in one table, and
+evaluates a batch of words together: each letter position costs one gather
+and one batched product for every word still running, so its checks take
+as many array operations as the longest relator has letters, not one
+product per letter of every relator.
 
 The three constructions here are the block formulas of the covering theory:
 
@@ -31,9 +36,9 @@ counts, and a check records the block where its largest residual sits.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
+from itertools import zip_longest
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -80,8 +85,9 @@ class BlockMonomial:
     """An ``nm x nm`` matrix whose block row ``k`` holds ``blocks[k]`` in block column ``perm[k]``.
 
     Sheets count from 0 and both arrays are read-only.  ``perm`` is a
-    permutation for representations and ``J2``, and for ``G2`` when the
-    covering subgroup is invariant under the involution; ``adjoint`` needs one.
+    permutation for the images of a ``MatrixRep`` (which refuses any other)
+    and ``J2``, and for ``G2`` when the covering subgroup is invariant under
+    the involution; ``adjoint`` needs one.
     """
 
     perm: np.ndarray
@@ -238,53 +244,166 @@ class MatrixRep:
     The presentation is a surface group, its double, or a Schreier
     transversal (the covering subgroup on its Schreier generators).  Images
     are given as ``m x m`` arrays or as block-monomials of total rank ``m``,
-    and are stored as block-monomials that all share one block shape.
+    all of one block shape; each must permute the sheets.  They are stored
+    in one read-only table of ``2G + 1`` entries, sheet maps ``(2G + 1, n)``
+    and blocks ``(2G + 1, n, m, m)``: the identity, the images in alphabet
+    order, then their adjoints.  ``images`` maps each generator to a view
+    into that table.
     """
 
     presentation: GroupPresentation | DoubledPresentation | Transversal
     m: int
-    images: dict[str, BlockMonomial]
+    images: Mapping[str, BlockMonomial]
 
     def __post_init__(self) -> None:
-        images = {label: BlockMonomial.of(mat) for label, mat in self.images.items()}
-        shapes = {label: img.blocks.shape for label, img in images.items()}
-        if len(set(shapes.values())) > 1 or any(n * m != self.m for n, m, _ in shapes.values()):
-            raise ValueError(f"image blocks {shapes} are not one block shape of rank {self.m}")
-        object.__setattr__(self, "images", images)
-        missing = [lbl for lbl in self.presentation.alphabet if lbl not in self.images]
+        alphabet = self.presentation.alphabet
+        missing = [lbl for lbl in alphabet if lbl not in self.images]
         if missing:
             raise ValueError(f"no image supplied for generator(s) {missing}")
+        images = [BlockMonomial.of(self.images[lbl]) for lbl in alphabet]
+        n, m, _ = images[0].blocks.shape if images else (1, self.m, 0)
+        if n * m != self.m or any(img.blocks.shape != (n, m, m) for img in images):
+            shapes = {lbl: img.blocks.shape for lbl, img in zip(alphabet, images)}
+            raise ValueError(f"image blocks {shapes} are not one block shape of rank {self.m}")
+        perms = np.array([img.perm for img in images], dtype=np.intp).reshape(-1, n)
+        blocks = np.array([img.blocks for img in images], dtype=complex).reshape(-1, n, m, m)
+        g, (inverse, adjoints) = len(images), _adjoint(perms, blocks)
+        if inverse.min(initial=0) < 0:  # a sheet no block column reaches
+            bad = (inverse < 0).any(axis=1).argmax()
+            repeated = np.flatnonzero(np.bincount(perms[bad], minlength=n) > 1) + 1
+            raise ValueError(
+                f"image of {alphabet[bad]} is not a sheet permutation: "
+                f"block columns {repeated.tolist()} repeat"
+            )
+        table = (np.concatenate([np.arange(n)[None], perms, inverse]),
+                 np.empty((2 * g + 1, n, m, m), dtype=complex))
+        table[1][0], table[1][1 : g + 1], table[1][g + 1 :] = np.eye(m), blocks, adjoints
+        for array in table:
+            array.setflags(write=False)
+        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "images", _TableImages(alphabet, table))
 
     @cached_property
     def identity(self) -> BlockMonomial:
-        n, m, _ = next(iter(self.images.values())).blocks.shape if self.images else (1, self.m, 0)
-        return BlockMonomial.identity(n, m)
-
-    @cached_property
-    def _factors(self) -> dict[int, tuple[BlockMonomial, ...]]:
-        """The images in alphabet order under exponent +1, their adjoints under -1."""
-        images = tuple(self.images[label] for label in self.presentation.alphabet)
-        return {1: images, -1: tuple(u.adjoint() for u in images)}
+        return _trusted(self._table[0][0], self._table[1][0])
 
     def evaluate(self, w: Word) -> BlockMonomial:
+        """The image of ``w``: the one-word case of ``evaluate_many``."""
+        perms, blocks = self.evaluate_many([w])
+        return _trusted(perms[0], blocks[0])
+
+    def evaluate_many(self, words: Sequence[Word]) -> tuple[np.ndarray, np.ndarray]:
+        """The images of ``words``: sheet maps ``(W, n)`` and blocks ``(W, n, m, m)``.
+
+        Each image is the product of its letters' images and adjoints, taken
+        left to right as one ``BlockMonomial`` product per letter would take
+        it; all words share one pass over the letter positions of the longest.
+        """
+        return self._fold(self._rows(words))
+
+    def _rows(self, words: Sequence[Word]) -> list[list[int]]:
+        """Each word as the table entries of its letters."""
         alphabet = self.presentation.alphabet
-        if w.alphabet is not alphabet and w.alphabet != alphabet:
+        if any(w.alphabet is not alphabet and w.alphabet != alphabet for w in words):
             raise ValueError("word not over this representation's generators")
-        factors = self._factors
-        images = [factors[exp][gen] for gen, exp in w.letters]
-        return reduce(operator.matmul, images) if images else self.identity
+        g = len(alphabet)
+        return [[gen + 1 if exp > 0 else gen + 1 + g for gen, exp in w.letters] for w in words]
+
+    def _fold(self, rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+        """The left fold of the table entries each row names; an empty row gives the identity.
+
+        Rows run sorted by length, longest first, so the rows still running
+        at a letter position are a prefix of the stack, and each position
+        costs one ``_product`` however many rows there are.  No row is
+        padded with identity factors: each image is the product of its own
+        letters, in their order.
+        """
+        order = sorted(range(len(rows)), key=lambda i: len(rows[i]), reverse=True)
+        # position-major; an ended row reads 0 past the running prefix, an empty one the identity
+        codes = list(zip_longest(*(rows[i] for i in order), fillvalue=0)) or [[0] * len(rows)]
+        codes = np.array(codes, dtype=np.intp)
+        perms, blocks = self._table[0][codes[0]], self._table[1][codes[0]]
+        for position in codes[1:]:
+            a = np.count_nonzero(position)
+            perms[:a], blocks[:a] = _product(perms[:a], blocks[:a], position[:a], self._table)
+        if order != sorted(order):  # back to the given order
+            unsort = sorted(range(len(rows)), key=order.__getitem__)
+            perms, blocks = perms[unsort], blocks[unsort]
+        return perms, blocks
 
     @cached_property
     def _check_report(self) -> CheckReport:
-        factors = zip(self.presentation.alphabet, self._factors[1], self._factors[-1])
-        checks = [
-            Check.exact(f"unitarity[{label}]", (u @ u_star).compare(self.identity))
-            for label, u, u_star in factors
-        ]
-        for idx, relator in enumerate(self.presentation.relators):
-            residual = self.evaluate(relator).compare(self.identity)
-            checks.append(Check.exact(f"relator[{idx}]", residual))
-        return CheckReport(tuple(checks))
+        alphabet, relators = self.presentation.alphabet, self.presentation.relators
+        # chi(x) chi(x)^*, an image then its adjoint, for each generator, and the relators: one fold
+        rows = [(i, i + len(alphabet)) for i in range(1, len(alphabet) + 1)] + self._rows(relators)
+        names = [f"unitarity[{label}]" for label in alphabet]
+        names += [f"relator[{idx}]" for idx in range(len(relators))]
+        return CheckReport(_checks(names, *self._fold(rows), self._table[0][0], self._table[1][0]))
+
+
+class _TableImages(Mapping):
+    """A representation's images by generator label: views into its table, made on first use."""
+
+    def __init__(self, alphabet: Sequence[str], table: tuple[np.ndarray, np.ndarray]):
+        self._rows = {label: i for i, label in enumerate(alphabet, start=1)}
+        self._table, self._made = table, {}
+
+    def __getitem__(self, label: str) -> BlockMonomial:
+        if label not in self._made:
+            i = self._rows[label]
+            self._made[label] = _trusted(self._table[0][i], self._table[1][i])
+        return self._made[label]
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+
+def _product(perms: np.ndarray, blocks: np.ndarray, rows, table) -> tuple[np.ndarray, np.ndarray]:
+    """``BlockMonomial.__matmul__`` over a stack: entry ``w`` times entry ``rows[w]`` of ``table``.
+
+    A stack is a pair of sheet maps ``(W, n)`` and blocks ``(W, n, m, m)``,
+    as is ``table``.  One flat gather of the table's blocks at the sheet maps
+    and one batched product.
+    """
+    n, m = table[0].shape[1], table[1].shape[-1]
+    flat = np.asarray(rows)[:, None] * n + perms
+    return table[0].reshape(-1)[flat], blocks @ table[1].reshape(-1, m, m)[flat]
+
+
+def _adjoint(perms: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``BlockMonomial.adjoint`` over a stack of sheet maps; -1 marks a sheet no map reaches."""
+    rows, inverse = np.arange(len(perms))[:, None], np.full(perms.shape, -1)
+    inverse[rows, perms] = np.arange(perms.shape[1])
+    return inverse, blocks[rows, inverse].conj().swapaxes(2, 3)
+
+
+def _checks(names: Sequence[str], perms, blocks, other_perms, other_blocks) -> tuple[Check, ...]:
+    """A ``TOL_EXACT`` check per stack entry, of its ``BlockMonomial.compare`` with ``other``.
+
+    ``other`` is one block-monomial or a stack of them.
+    """
+    same = perms == other_perms
+    mine = np.abs(blocks - np.where(same[..., None, None], other_blocks, 0))
+    mine = mine.max(axis=(2, 3), initial=0.0)
+    theirs = np.where(same, 0.0, np.abs(other_blocks).max(axis=(-2, -1), initial=0.0))
+    worst, w = np.maximum(mine, theirs), np.arange(len(perms))
+    k = worst.argmax(axis=1)
+    other_column = np.where(same, perms, other_perms)[w, k]
+    column = np.where(mine[w, k] >= theirs[w, k], perms[w, k], other_column)
+    found = zip(names, worst[w, k].tolist(), (k + 1).tolist(), (column + 1).tolist())
+    return tuple(Check(name, residual, TOL_EXACT, (row, col)) for name, residual, row, col in found)
+
+
+def _pairing_symmetry(rep: MatrixRep, perms, blocks, G: BlockMonomial) -> tuple[Check, ...]:
+    """``pairing-symmetry[x]``, ``chi(tau x)^* G chi(x)`` against ``G``, from the ``chi(tau x)``."""
+    gens = np.arange(len(perms))
+    lhs = _product(*_adjoint(perms, blocks), gens * 0, (G.perm[None], G.blocks[None]))
+    lhs = _product(*lhs, gens + 1, rep._table)
+    names = [f"pairing-symmetry[{label}]" for label in rep.presentation.alphabet]
+    return _checks(names, *lhs, G.perm, G.blocks)
 
 
 def check_representation(rep: MatrixRep) -> CheckReport:
@@ -292,7 +411,9 @@ def check_representation(rep: MatrixRep) -> CheckReport:
 
     For a representation of a transversal the relators are the rewritten
     conjugates of the base relators, which certify that the images are well
-    defined.
+    defined.  ``chi(x) chi(x)^*`` of every generator and the image of every
+    relator come from one stacked fold of the table, and each check reads
+    its residual and block from the stacked comparison with the identity.
     The report is computed once per representation and kept on it; the
     images are read-only, so it cannot go stale.
     """
@@ -381,15 +502,11 @@ def extend_to_double(
         images[f"B''{i}"] = G @ chi_S.images[f"A'{i}"] @ G
     chi_X = MatrixRep(presentation=p, m=chi_S.m, images=images)
 
-    checks = list(check_representation(chi_X).checks)
-    for label in p.alphabet:
-        mirrored = chi_X.evaluate(apply_involution(p, p.gen(label)))
-        lhs = mirrored.adjoint() @ G @ chi_X.images[label]
-        checks.append(Check.exact(f"pairing-symmetry[{label}]", lhs.compare(G)))
-    report = CheckReport(tuple(checks))
+    mirrored = chi_X.evaluate_many([apply_involution(p, p.gen(label)) for label in p.alphabet])
+    report = check_representation(chi_X).checks + _pairing_symmetry(chi_X, *mirrored, G)
+    report = CheckReport(report)
     if not report.passed:
-        names = ", ".join(c.name for c in report.failing())
-        raise ExtensionError(f"extension inconsistent: {names}", report)
+        raise ExtensionError(f"extension inconsistent: {report.worst()}", report)
     return chi_X
 
 
@@ -418,19 +535,17 @@ def induce_representation(
             failures.append(f"{what} has residual {check.residual:.3e}")
         raise ValueError("subgroup representation inconsistent: " + "; ".join(failures))
 
-    # the Schreier generators' images, then the identity for the tree edges
-    sub = [chi1.images[label] for label in trans.alphabet] + [chi1.identity]
-    sub_perms = np.stack([u.perm for u in sub])
-    sub_blocks = np.stack([u.blocks for u in sub])
-    n1, m1 = chi1.identity.n, chi1.identity.m
-    tree = len(trans.alphabet)
-    images: dict[str, BlockMonomial] = {}
-    for gi, label in enumerate(cov.presentation.alphabet):
-        which = [trans.edge_to_generator[(k, gi)] for k in range(1, cov.n + 1)]
-        which = np.array([tree if sg is None else sg for sg in which])
-        target = np.asarray(cov.perms[gi]) - 1
-        perm = (target[:, None] * n1 + sub_perms[which]).reshape(-1)
-        images[label] = BlockMonomial(perm, sub_blocks[which].reshape(-1, m1, m1))
+    # chi1's table entry per edge: its Schreier generator's image, or the identity (0) on tree edges
+    sub_perms, sub_blocks = chi1._table
+    _, n1, m1, _ = sub_blocks.shape
+    edges = trans.edge_to_generator
+    which = [[edges[k, g] for k in range(1, cov.n + 1)] for g in range(len(cov.perms))]
+    which = np.array([[0 if sg is None else sg + 1 for sg in row] for row in which], dtype=np.intp)
+    which = which.reshape(-1, cov.n)
+    target = np.array(cov.perms, dtype=np.intp).reshape(-1, cov.n) - 1
+    perms = (target[:, :, None] * n1 + sub_perms[which]).reshape(-1, cov.n * n1)
+    blocks = sub_blocks[which].reshape(-1, cov.n * n1, m1, m1)
+    images = dict(zip(cov.presentation.alphabet, map(_trusted, perms, blocks)))
     induced = MatrixRep(presentation=cov.presentation, m=cov.n * chi1.m, images=images)
 
     verification = check_representation(induced)
@@ -468,8 +583,8 @@ def build_G2(
         j = cov.perms[gi][i - 1]
         w, nu[j - 1] = schreier_walk(cov, trans, nu[i - 1], p.tau[gi])
         h[j - 1] = Word(h[i - 1].letters + w.letters, trans.alphabet)
-    h_images = np.concatenate([chi1.evaluate(word).blocks for word in h])
-    return BlockMonomial(np.array(nu) - 1, G1 @ h_images)
+    h_blocks = chi1.evaluate_many(h)[1]
+    return BlockMonomial(np.array(nu) - 1, G1 @ h_blocks.reshape(-1, *h_blocks.shape[2:]))
 
 
 def build_J2_diagonal(
@@ -514,28 +629,30 @@ def verify_symmetry_conditions(
     boundary loop, and that the mirror-monodromy transport identity holds in
     the image.  Every check runs blockwise.
     """
+    # one call evaluates every word: mirrored generators, boundary loops, mirror monodromies, moved
+    gens = [p.gen(label) for label in p.alphabet]
+    mirrored = [apply_involution(p, R) for R in gens]
+    loops = [boundary_loop(p, comp) for comp in range(len(J2_list))]
+    T_base = [mirror_monodromy(p, comp) for comp in range(p.k)]
+    moved = [tau_R * T * R.inverse() for T in T_base for R, tau_R in zip(gens, mirrored)]
+    perms, blocks = chi2.evaluate_many(mirrored + loops + T_base + moved)
+    g, k = len(gens), len(loops)
+
     checks = [Check.exact("pairing-selfadjoint", G2.compare_adjoint())]
-    for label in p.alphabet:
-        mirrored = chi2.evaluate(apply_involution(p, p.gen(label)))
-        lhs = mirrored.adjoint() @ G2 @ chi2.images[label]
-        checks.append(Check.exact(f"pairing-symmetry[{label}]", lhs.compare(G2)))
-    for comp, J2 in enumerate(J2_list):
+    checks += _pairing_symmetry(chi2, perms[:g], blocks[:g], G2)
+    for comp, (J2, loop) in enumerate(zip(J2_list, map(_trusted, perms[g:], blocks[g:]))):
         checks.append(Check.exact(f"signature-selfadjoint[{comp}]", J2.compare_adjoint()))
         involution = (J2 @ J2).compare(chi2.identity)
         checks.append(Check.exact(f"signature-involution[{comp}]", involution))
-        loop = chi2.evaluate(boundary_loop(p, comp))
-        checks.append(
-            Check.exact(f"boundary-compatibility[{comp}]", (loop.adjoint() @ J2 @ loop).compare(J2))
-        )
-    for comp in range(p.k):
-        T_base = mirror_monodromy(p, comp)
-        for label in p.alphabet:
-            R = p.gen(label)
-            T_moved = apply_involution(p, R) * T_base * R.inverse()
-            lhs = chi2.evaluate(T_moved) @ chi2.evaluate(R)
-            rhs = chi2.evaluate(apply_involution(p, R)) @ chi2.evaluate(T_base)
-            checks.append(Check.exact(f"monodromy-transport[{comp},{label}]", lhs.compare(rhs)))
-    return CheckReport(tuple(checks))
+        boundary = (loop.adjoint() @ J2 @ loop).compare(J2)
+        checks.append(Check.exact(f"boundary-compatibility[{comp}]", boundary))
+    # chi(T_moved) chi(R) against chi(tau R) chi(T), for each component's T and generator R
+    comps, gen_index = np.divmod(np.arange(p.k * g), g)
+    T = perms[g + k : g + k + p.k], blocks[g + k : g + k + p.k]
+    lhs = _product(perms[g + k + p.k :], blocks[g + k + p.k :], gen_index + 1, chi2._table)
+    rhs = _product(perms[gen_index], blocks[gen_index], comps, T)
+    names = [f"monodromy-transport[{comp},{label}]" for comp in range(p.k) for label in p.alphabet]
+    return CheckReport(tuple(checks) + _checks(names, *lhs, *rhs))
 
 
 def matrix_to_json(mat: np.ndarray) -> list:

@@ -1,6 +1,8 @@
 """Matrix representations: extension to the double, induction, pairing transport."""
 
+import functools
 import json
+import operator
 import re
 import tracemalloc
 
@@ -12,16 +14,19 @@ from hypothesis import assume, given, settings, strategies as st
 from hardycover import (
     BlockMonomial,
     Check,
+    CheckReport,
     ExtensionError,
     MatrixRep,
     SignatureData,
     Word,
     annulus_pipeline,
+    boundary_subgroup_rep,
     build_covering,
     build_G2,
     build_J2_diagonal,
     check_representation,
     compose_coverings,
+    cyclic_cover,
     double_group,
     extend_to_double,
     identity_covering,
@@ -35,6 +40,7 @@ from hardycover import (
     verify_symmetry_conditions,
 )
 from hardycover.covering import expand_schreier_word
+from hardycover.cyclic import annulus_double_rep
 from hardycover import induction
 from hardycover.induction import rep_from_json, rep_to_json, unitarity_residual
 
@@ -136,6 +142,29 @@ class TestCheckRepresentation:
         with pytest.raises(ValueError, match="read-only"):
             rep.images["A1"].blocks[0, 0, 0] = 2.0
 
+    def test_refuses_an_image_that_is_no_sheet_permutation(self):
+        # block columns 1, 1: the image has no adjoint, so no check could run on it
+        p, eye = surface_group(0, 2), BlockMonomial.identity
+        images = {"A0": BlockMonomial([0, 0], np.ones((2, 1, 1))), "A1": eye(2, 1)}
+        message = "image of A0 is not a sheet permutation: block columns [1] repeat"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MatrixRep(presentation=p, m=2, images=images)
+        images = {"A0": eye(3, 1), "A1": BlockMonomial([2, 0, 2], np.ones((3, 1, 1)))}
+        message = "image of A1 is not a sheet permutation: block columns [3] repeat"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            MatrixRep(presentation=p, m=3, images=images)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_never_raises_on_a_constructed_rep(self, data):
+        n, m = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 2))
+        p = data.draw(surfaces)
+        images = {label: data.draw(block_monomials(n, m)) for label in p.alphabet}
+        report = check_representation(MatrixRep(presentation=p, m=n * m, images=images))
+        assert isinstance(report, CheckReport)
+        names = [f"unitarity[{x}]" for x in p.alphabet] + ["relator[0]"]
+        assert [c.name for c in report.checks] == names
+
     def test_report_serializes(self):
         report = check_representation(commuting_torus_rep(np.random.default_rng(6), 1))
         doc = report.to_json()
@@ -233,6 +262,9 @@ class TestExtendToDouble:
         with pytest.raises(ExtensionError, match="extension inconsistent") as err:
             extend_to_double(chi_S, sig, double_group(1, 1))
         assert not err.value.report.passed
+        # the message names the worst check, its block and its residual against the tolerance
+        assert re.search(r"relator\[0\] at block \(1, 1\): 1\.3e\+00 vs 1e-12$", str(err.value))
+        assert str(err.value) == f"extension inconsistent: {err.value.report.worst()}"
 
 
 class TestInduceRepresentation:
@@ -825,3 +857,154 @@ class TestAgainstDenseReference:
         assert [c.name for c in report.checks] == list(reference)
         for check in report.checks:
             assert abs(check.residual - reference[check.name]) < 1e-13
+
+
+def left_fold(rep, w):
+    """The image of ``w``: a left fold of ``BlockMonomial`` products of images and adjoints."""
+    images = [rep.images[rep.presentation.alphabet[gen]] for gen, _ in w.letters]
+    factors = [u if exp > 0 else u.adjoint() for u, (_, exp) in zip(images, w.letters)]
+    if not factors:
+        return BlockMonomial.identity(*rep.images[rep.presentation.alphabet[0]].blocks.shape[:2])
+    return functools.reduce(operator.matmul, factors)
+
+
+def report_by_compare(rep):
+    """Each check of ``check_representation``, from its own product and ``compare``."""
+    alphabet, relators = rep.presentation.alphabet, rep.presentation.relators
+    eye = BlockMonomial.identity(*rep.images[alphabet[0]].blocks.shape[:2])
+    out = [(f"unitarity[{x}]", *(u @ u.adjoint()).compare(eye)) for x, u in rep.images.items()]
+    return out + [(f"relator[{i}]", *left_fold(rep, r).compare(eye)) for i, r in enumerate(relators)]
+
+
+class TestStackedEvaluation:
+    """``evaluate_many`` and the check report, against one ``BlockMonomial`` product per letter."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_left_fold_on_random_coverings(self, data):
+        p = data.draw(surfaces)
+        cov = data.draw(bordered_coverings(p))
+        m = data.draw(st.integers(1, 3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        shape = (cov.n, m, m)
+        # the covering's sheet maps, or any permutations: then a relator's image can be off the
+        # identity's sheet pattern, which its check must report in the right block
+        perms = [np.array(row) - 1 for row in cov.perms]
+        if data.draw(st.booleans()):
+            perms = [rng.permutation(cov.n) for _ in perms]
+        noise = lambda: rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        images = {label: BlockMonomial(perm, noise()) for label, perm in zip(p.alphabet, perms)}
+        rep = MatrixRep(presentation=p, m=cov.n * m, images=images)
+        letter = st.tuples(st.integers(0, len(p.alphabet) - 1), st.sampled_from((1, -1)))
+        batch = data.draw(st.lists(st.lists(letter, max_size=9), max_size=12))
+        words = [Word(tuple(letters), p.alphabet) for letters in batch] + [p.identity(), p.relator]
+        perms, blocks = rep.evaluate_many(words)
+        assert perms.shape == (len(words), cov.n) and blocks.shape == (len(words), *shape)
+        for w, perm, block in zip(words, perms, blocks):
+            expected = left_fold(rep, w)
+            assert np.array_equal(perm, expected.perm) and np.array_equal(block, expected.blocks)
+            single = rep.evaluate(w)
+            assert np.array_equal(single.perm, perm) and np.array_equal(single.blocks, block)
+        # residuals and blocks bitwise equal to one compare per check
+        checks = [(c.name, c.residual, c.block) for c in check_representation(rep).checks]
+        assert checks == report_by_compare(rep)
+
+    def test_refuses_words_over_another_alphabet(self):
+        rep = commuting_torus_rep(np.random.default_rng(3), 2)
+        with pytest.raises(ValueError, match="not over this representation"):
+            rep.evaluate_many([TORUS.gen("A1"), surface_group(0, 2).gen("A0")])
+
+    def test_images_are_views_into_one_table(self):
+        rep = commuting_torus_rep(np.random.default_rng(8), 2)
+        perms, blocks = rep._table
+        assert list(rep.images) == list(TORUS.alphabet)
+        for label in TORUS.alphabet:
+            assert rep.images[label].blocks.base is blocks
+            assert np.shares_memory(rep.images[label].perm, perms)
+        assert blocks.shape == (5, 1, 2, 2) and not blocks.flags.writeable
+
+    def test_perturbed_schreier_generator_fails_exactly_its_relators(self):
+        # an induced 4-sheet representation of the torus, restricted to a 3-sheet cover's subgroup
+        rng = np.random.default_rng(30)
+        outer, inner = torus_cover(3), torus_cover(4)
+        t_outer, t_inner = schreier_transversal(outer), schreier_transversal(inner)
+        t_img, u_img = commuting_unitaries(rng, 2, 2)
+        chiK = cyclic_subgroup_rep(inner, t_inner, t_img, u_img)
+        chiH = induce_representation(inner, t_inner, chiK)
+        restricted = {x: chiH.evaluate(w) for x, w in zip(t_outer.alphabet, t_outer.defining_words)}
+        chi1 = MatrixRep(presentation=t_outer, m=8, images=restricted)
+        assert check_representation(chi1).passed
+        label, sheet = "B1@1", 2  # the perturbed block, sheets from 0
+        which = t_outer.alphabet.index(label)
+        relators = t_outer.relators
+        containing = [i for i, r in enumerate(relators) if any(g == which for g, _ in r.letters)]
+        assert 0 < len(containing) < len(relators)
+        blocks = chi1.images[label].blocks.copy()
+        blocks[sheet] *= np.exp(1e-9j)  # still unitary
+        images = dict(chi1.images, **{label: BlockMonomial(chi1.images[label].perm, blocks)})
+        report = check_representation(MatrixRep(presentation=t_outer, m=8, images=images))
+        assert [c.name for c in report.failing()] == [f"relator[{i}]" for i in containing]
+        for i, check in zip(containing, report.failing()):
+            rows = rows_through(chi1, relators[i], which, sheet)
+            assert 1e-10 < check.residual < 1e-8 and check.block in {(r + 1, r + 1) for r in rows}
+        assert {c.block for c in report.failing()} == {(3, 3), (4, 4)}
+
+    def test_non_unitary_block_fails_unitarity_at_its_sheet(self):
+        cov = torus_cover(5)
+        trans = schreier_transversal(cov)
+        t_img, u_img = commuting_unitaries(np.random.default_rng(31), 2, 2)
+        chi2 = induce_representation(cov, trans, cyclic_subgroup_rep(cov, trans, t_img, u_img))
+        for k in range(5):
+            blocks = chi2.images["A1"].blocks.copy()
+            blocks[k] *= 1 + 1e-6
+            images = dict(chi2.images, A1=BlockMonomial(chi2.images["A1"].perm, blocks))
+            report = check_representation(MatrixRep(presentation=TORUS, m=10, images=images))
+            failing = {c.name: c for c in report.failing()}
+            assert "unitarity[A1]" in failing and "unitarity[B1]" not in failing
+            assert failing["unitarity[A1]"].block == (k + 1, k + 1)
+
+    def test_checks_make_no_block_products_and_one_evaluation(self, monkeypatch):
+        sig = SignatureData(J_list=(np.eye(1), -np.eye(1)))
+        cov = cyclic_cover(256)
+        trans = schreier_transversal(cov)
+        chi1 = boundary_subgroup_rep(cov, trans, annulus_double_rep(1, 0.7, sig))
+        chi2 = induce_representation(cov, trans, chi1)
+        J2 = build_J2_diagonal(cov, [[J] * cov.n for J in sig.J_list])
+        calls = {"products": 0, "evaluations": 0}
+
+        def counting(name, method):
+            def counted(*args):
+                calls[name] += 1
+                return method(*args)
+            return counted
+
+        matmul, evaluate_many = BlockMonomial.__matmul__, MatrixRep.evaluate_many
+        monkeypatch.setattr(BlockMonomial, "__matmul__", counting("products", matmul))
+        monkeypatch.setattr(MatrixRep, "evaluate_many", counting("evaluations", evaluate_many))
+        fresh = MatrixRep(presentation=trans, m=1, images=chi1.images)
+        report = check_representation(fresh)
+        assert report.passed and len(report.checks) == 2 * 256 + 1
+        assert calls == {"products": 0, "evaluations": 0}
+        G2 = build_G2(cov, trans, chi1, sig.G)
+        assert calls["evaluations"] == 1
+        calls["evaluations"] = 0
+        assert verify_symmetry_conditions(chi2, G2, J2, TORUS).passed
+        assert calls["evaluations"] == 1
+
+
+def rows_through(rep, w, gen, sheet):
+    """The block rows of ``rep(w)`` whose walk uses block ``sheet`` of the image of ``gen``."""
+    rows = []
+    for start in range(rep.identity.n):
+        k = start
+        for g, exp in w.letters:
+            perm = rep.images[rep.presentation.alphabet[g]].perm
+            if exp > 0:
+                hit, k = k == sheet, int(perm[k])
+            else:  # the adjoint's block k is the adjoint of the image's block perm^-1(k)
+                k = int(np.flatnonzero(perm == k)[0])
+                hit = k == sheet
+            if g == gen and hit:
+                rows.append(start)
+                break
+    return rows
