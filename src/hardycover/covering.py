@@ -3,8 +3,9 @@
 An n-sheeted unramified covering is encoded by one permutation of the sheets
 ``{1..n}`` per generator of the base group; the action must be transitive and
 kill every relator.  Sheets are numbered from 1 throughout, sheet 1 being the
-basepoint sheet.  Cosets are right cosets ``H g_i``, sheets carry the right
-action ``i . w``, and the sheet permutation of a word therefore composes as an
+basepoint sheet; the arrays of a covering and a transversal count them
+from 0.  Cosets are right cosets ``H g_i``, sheets carry the right action
+``i . w``, and the sheet permutation of a word therefore composes as an
 anti-homomorphism: ``sigma(w2 * w1) = sigma(w1) o sigma(w2)``.
 
 The Schreier transversal is also the presentation of the covering subgroup
@@ -15,20 +16,23 @@ relators.  A covering can act for it, which is how covering towers are built.
 Rewriting is one walk over the sheet graph: by definition ``g_k x g_{k.x}^-1``
 is the Schreier generator ``x@k``, or the identity on a tree edge, so ``w``
 walked from sheet k emits the rewrite of ``g_k w g_j^-1``, j being where the
-walk ends.  No tree word ``g_k`` is built unless it is read.
+walk ends.  One kernel walks a word from many sheets at once, one gather
+per letter, into rows of signed codes ``+-(s+1)`` for Schreier generator
+``s``; no tree word ``g_k``, nor the ``Word`` of a rewrite, is built unless
+it is read.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .groups import (
     DoubledPresentation,
     GroupPresentation,
-    Letter,
     Word,
     _as_int,
     _substitute,
@@ -56,21 +60,32 @@ __all__ = [
 class CoveringAction:
     """Transitive sheet action of a presented group, one permutation per generator.
 
-    ``perms[g][i-1]`` is the image of sheet i under generator ``g`` (1-based
-    values); ``inverse_perms`` caches the inverses.
+    ``moves`` is the read-only ``(2G, n)`` table, counted from 0, of where
+    each letter moves each sheet: ``forward``, the generators, then their
+    inverses.  ``perms[g][i-1]``, 1-based, is made on first read.
     """
 
     presentation: GroupPresentation | DoubledPresentation | Transversal
     n: int
-    perms: tuple[tuple[int, ...], ...]
-    inverse_perms: tuple[tuple[int, ...], ...]
+    moves: np.ndarray
 
+    forward = property(lambda self: self.moves[: len(self.moves) // 2])
 
-def _invert_perm(images: Sequence[int]) -> tuple[int, ...]:
-    out = [0] * len(images)
-    for i, j in enumerate(images):
-        out[j - 1] = i + 1
-    return tuple(out)
+    @cached_property
+    def perms(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, (self.forward + 1).tolist()))
+
+    @cached_property
+    def _tree(self) -> list[tuple[int, int]]:
+        """Breadth-first parent edges ``(i, gi)`` from sheet 1, along positive letters only."""
+        rows, seen, queue, tree = self.forward.tolist(), [True] + [False] * (self.n - 1), [0], []
+        for i in queue:
+            for gi, row in enumerate(rows):
+                if not seen[row[i]]:
+                    seen[row[i]] = True
+                    tree.append((i + 1, gi))
+                    queue.append(row[i])
+        return tree
 
 
 def build_covering(
@@ -87,45 +102,32 @@ def build_covering(
         raise ValueError(f"permutation supplied for unknown generator(s) {unknown}")
 
     sizes = {len(perms[lbl]) for lbl in alphabet}
-    if len(alphabet) == 0:
-        n = 1
-        table: tuple[tuple[int, ...], ...] = ()
-    else:
-        if len(sizes) != 1:
-            raise ValueError(f"permutations act on different sheet counts {sorted(sizes)}")
-        n = sizes.pop()
-        if n < 1:
-            raise ValueError("sheet count must be at least 1")
-        rows = []
-        for lbl in alphabet:
-            row = tuple(_as_int(v, f"perms.{lbl}") for v in perms[lbl])
-            if sorted(row) != list(range(1, n + 1)):
-                raise ValueError(f"images for generator {lbl} are not a bijection of 1..{n}")
-            rows.append(row)
-        table = tuple(rows)
+    if len(sizes) > 1:
+        raise ValueError(f"permutations act on different sheet counts {sorted(sizes)}")
+    n = sizes.pop() if sizes else 1
+    if n < 1:
+        raise ValueError("sheet count must be at least 1")
+    rows = [[v if type(v) is int else _as_int(v, f"perms.{lbl}") for v in perms[lbl]] for lbl in alphabet]
+    for lbl, row in zip(alphabet, rows):
+        if sorted(row) != list(range(1, n + 1)):
+            raise ValueError(f"images for generator {lbl} are not a bijection of 1..{n}")
+    g = len(rows)
+    moves = np.zeros((2 * g, n), dtype=np.intp)
+    moves[:g] = np.array(rows, dtype=np.intp).reshape(-1, n) - 1
+    moves[np.arange(g, 2 * g)[:, None], moves[:g]] = np.arange(n)  # the inverses
+    moves.setflags(write=False)
+    cov = CoveringAction(presentation=presentation, n=n, moves=moves)
 
-    cov = CoveringAction(
-        presentation=presentation,
-        n=n,
-        perms=table,
-        inverse_perms=tuple(_invert_perm(row) for row in table),
-    )
+    if len(cov._tree) != n - 1:
+        reached = {1} | {cov.perms[gi][i - 1] for i, gi in cov._tree}
+        unreachable = [k for k in range(1, n + 1) if k not in reached]
+        raise ValueError(f"disconnected cover: sheets {unreachable} unreachable")
 
-    reached = {1}
-    frontier = [1]
-    while frontier:
-        i = frontier.pop()
-        for gi in range(len(table)):
-            for j in (cov.perms[gi][i - 1], cov.inverse_perms[gi][i - 1]):
-                if j not in reached:
-                    reached.add(j)
-                    frontier.append(j)
-    if len(reached) != n:
-        raise ValueError(f"disconnected cover: sheets {sorted(set(range(1, n + 1)) - reached)} unreachable")
-
+    every = np.arange(n)
     for relator in presentation.relators:
-        image = sigma(cov, relator)
-        if image != tuple(range(1, n + 1)):
+        ends = _walk(cov.moves, relator, every)[2]
+        if (ends != every).any():
+            image = tuple((ends + 1).tolist())
             raise ValueError(f"not a covering of this surface: relator {relator} acts as {image}")
     return cov
 
@@ -136,11 +138,30 @@ def identity_covering(
     return build_covering(presentation, {lbl: (1,) for lbl in presentation.alphabet})
 
 
-def _apply(cov: CoveringAction, sheet: int, w: Word) -> int:
+def _walk(steps: np.ndarray, w: Word, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``w`` walked from each of ``starts`` at once: code rows, zero past their lengths; end sheets.
+
+    ``steps[c, k]`` is where letter ``c`` (generator ``c``, or ``c - G``
+    inverted) moves sheet ``k``, for a transversal with the code it emits
+    there (0 on a tree edge).  A reduced word emits a reduced row, each its
+    ``Word``'s letters: a code next to its inverse would need a closed walk
+    of tree edges between them, which backtracks.
+    """
+    g, sheets, r = len(steps) // 2, starts, np.arange(len(starts))
+    rows = np.zeros((len(starts), len(w.letters)), dtype=np.intp)
+    lengths = np.zeros(len(starts), dtype=np.intp)
     for gen, exp in w.letters:
-        row = cov.perms[gen] if exp > 0 else cov.inverse_perms[gen]
-        sheet = row[sheet - 1]
-    return sheet
+        sheets = steps[gen if exp > 0 else gen + g, sheets]
+        if sheets.ndim == 2:  # a transversal's step: the sheet and the code
+            sheets, code = sheets[:, 0], sheets[:, 1]
+            rows[r, lengths] = code  # a tree edge's 0 is overwritten by the next code
+            lengths += code != 0
+    return rows[:, : lengths.max(initial=0)], lengths, sheets
+
+
+def _word(row: np.ndarray, alphabet: tuple[str, ...]) -> Word:
+    """The ``Word`` of a zero-padded row of signed codes."""
+    return Word(tuple((abs(c) - 1, 1 if c > 0 else -1) for c in row.tolist() if c), alphabet)
 
 
 def _check_word(cov: CoveringAction, w: Word) -> None:
@@ -151,13 +172,32 @@ def _check_word(cov: CoveringAction, w: Word) -> None:
 def coset_of(cov: CoveringAction, w: Word) -> int:
     """Sheet reached from the basepoint sheet 1 under the right action of ``w``."""
     _check_word(cov, w)
-    return _apply(cov, 1, w)
+    return int(_walk(cov.moves, w, np.zeros(1, dtype=np.intp))[2][0]) + 1
 
 
 def sigma(cov: CoveringAction, w: Word) -> tuple[int, ...]:
     """Sheet permutation of ``w``: entry ``i-1`` is the sheet ``i . w``."""
     _check_word(cov, w)
-    return tuple(_apply(cov, i, w) for i in range(1, cov.n + 1))
+    return tuple((_walk(cov.moves, w, np.arange(cov.n))[2] + 1).tolist())
+
+
+class _EdgeMap(Mapping):
+    """``(sheet from 1, generator)`` to Schreier generator, None on a tree edge: a view of the edges."""
+
+    def __init__(self, edges: np.ndarray):
+        self._edges = edges
+
+    def __getitem__(self, edge: tuple[int, int]) -> int | None:
+        i, gi = edge
+        if not (1 <= i <= self._edges.shape[1] and 0 <= gi < len(self._edges)):
+            raise KeyError(edge)
+        return None if (sg := int(self._edges[gi, i - 1])) < 0 else sg
+
+    def __iter__(self):
+        return ((i, gi) for i in range(1, self._edges.shape[1] + 1) for gi in range(len(self._edges)))
+
+    def __len__(self) -> int:
+        return self._edges.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,81 +206,82 @@ class Transversal:
 
     ``tree_edges`` holds one parent edge ``(i, gi)`` per sheet past sheet 1,
     in breadth-first discovery order.  ``alphabet`` has one Schreier generator
-    per non-tree edge, labelled ``X@i`` for the edge (sheet i, generator X);
-    ``edge_to_generator`` maps each edge to its index, or to ``None`` on a
-    tree edge.  The tree words ``reps`` and ``defining_words`` are built on
-    first use.  As a presentation it has ``alphabet`` and ``relators``, so
-    coverings and representations can be built on it.
+    per non-tree edge, labelled ``X@i`` for the edge (sheet i, generator X),
+    in sheet order; the read-only ``(G, n)`` array ``edges[gi, i-1]`` holds
+    its index, or -1 on a tree edge, and ``edge_to_generator`` is a mapping
+    view of it.  As a presentation it has ``alphabet`` and ``relators``, so
+    coverings and representations can be built on it.  The relators are
+    rewritten once, into ``relator_rows``; their ``Word`` form, the tree
+    words ``reps`` and the ``defining_words`` are built on first read.
     """
 
     covering: CoveringAction
     tree_edges: tuple[tuple[int, int], ...]
     alphabet: tuple[str, ...]
-    edge_to_generator: Mapping[tuple[int, int], int | None]
+    edges: np.ndarray
+
+    edge_to_generator = property(lambda self: _EdgeMap(self.edges))
 
     @cached_property
     def reps(self) -> tuple[Word, ...]:
         """``reps[i-1]``, the tree word ``g_i`` from sheet 1 to sheet i."""
         cov = self.covering
-        letters: list[tuple[Letter, ...]] = [()] * cov.n
+        letters: list[tuple[tuple[int, int], ...]] = [()] * cov.n
         for i, gi in self.tree_edges:
-            letters[cov.perms[gi][i - 1] - 1] = letters[i - 1] + ((gi, 1),)
+            letters[cov.forward[gi, i - 1]] = letters[i - 1] + ((gi, 1),)
         return tuple(Word(w, cov.presentation.alphabet) for w in letters)
 
     @cached_property
     def defining_words(self) -> tuple[Word, ...]:
         """Base-group word ``g_i x g_{i.x}^-1`` of every Schreier generator ``x@i``."""
-        cov, reps = self.covering, self.reps
+        forward, reps = self.covering.forward.tolist(), self.reps
         words = []
-        for (i, gi), sg in self.edge_to_generator.items():
-            if sg is not None:
-                back = reps[cov.perms[gi][i - 1] - 1].inverse()
-                words.append(Word(reps[i - 1].letters + ((gi, 1),) + back.letters, back.alphabet))
+        for i, gi in zip(*(index.tolist() for index in np.nonzero(self.edges.T >= 0))):
+            back = reps[forward[gi][i]].inverse()
+            words.append(Word(reps[i].letters + ((gi, 1),) + back.letters, back.alphabet))
         return tuple(words)
 
     @cached_property
+    def relator_rows(self) -> np.ndarray:
+        """The covering subgroup's relators as zero-padded rows of signed codes, rewritten on first use."""
+        return _rewrite_relators(self)
+
+    @cached_property
     def relators(self) -> tuple[Word, ...]:
-        """The covering subgroup's relators, rewritten on first use."""
+        """The covering subgroup's relators as words, built from ``relator_rows`` on first use."""
         return subgroup_relators(self.covering, self)
+
+    @cached_property
+    def _steps(self) -> np.ndarray:
+        """The covering's walk table, each step emitting the signed code of the edge it crosses."""
+        cov, codes = self.covering, self.edges + 1  # edge (k, g) crossed forwards, from k
+        steps = np.zeros((*cov.moves.shape, 2), dtype=np.intp)
+        steps[..., 0], steps[: len(codes), :, 1] = cov.moves, codes
+        steps[len(codes) :, :, 1][np.arange(len(codes))[:, None], cov.forward] = -codes  # backwards
+        return steps
+
+    def walk_sheets(self, w: Word) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``w`` walked from every sheet: row k rewrites ``g_{k+1} w g_j^-1``; lengths; sheets j, from 0."""
+        return _walk(self._steps, w, np.arange(self.covering.n))
 
 
 def schreier_transversal(cov: CoveringAction) -> Transversal:
     """Breadth-first Schreier transversal in sheet order, generators in presentation order.
 
     Tree edges follow positive generator letters only, which for permutation
-    actions always span the sheets.  No word is built here.
+    actions always span the sheets; they are the search ``build_covering``
+    ran to find the cover connected.  No word is built here.
     """
-    alphabet = cov.presentation.alphabet
-    tree: list[tuple[int, int]] = []
-    queue = deque([1])
-    seen = {1}
-    while queue:
-        i = queue.popleft()
-        for gi in range(len(alphabet)):
-            j = cov.perms[gi][i - 1]
-            if j not in seen:
-                seen.add(j)
-                tree.append((i, gi))
-                queue.append(j)
-    assert len(seen) == cov.n, "covering validated transitive"
-
-    tree_edges = set(tree)
-    labels: list[str] = []
-    edge_map: dict[tuple[int, int], int | None] = {}
-    for i in range(1, cov.n + 1):
-        for gi, label in enumerate(alphabet):
-            if (i, gi) in tree_edges:
-                edge_map[(i, gi)] = None
-            else:
-                edge_map[(i, gi)] = len(labels)
-                labels.append(f"{label}@{i}")
-
-    return Transversal(
-        covering=cov,
-        tree_edges=tuple(tree),
-        alphabet=tuple(labels),
-        edge_to_generator=edge_map,
-    )
+    alphabet, tree = cov.presentation.alphabet, cov._tree
+    g = len(alphabet)
+    on_tree = {(i - 1) * g + gi for i, gi in tree}
+    free = [e for e in range(cov.n * g) if e not in on_tree]  # sheet-major, the order of the labels
+    edges = np.full(cov.n * g, -1, dtype=np.intp)
+    edges[free] = np.arange(len(free))
+    edges = edges.reshape(cov.n, g).T.copy()
+    edges.setflags(write=False)
+    labels = [f"{alphabet[e % g]}@{e // g + 1}" for e in free]
+    return Transversal(covering=cov, tree_edges=tuple(tree), alphabet=tuple(labels), edges=edges)
 
 
 def _check_pair(cov: CoveringAction, trans: Transversal) -> None:
@@ -254,26 +295,15 @@ def schreier_walk(
     """Walk ``w`` from sheet ``start``: the rewrite of ``g_start w g_end^-1``, and ``end``.
 
     Each non-tree edge traversed emits its Schreier generator (inverted when
-    crossed backwards); tree edges emit nothing.
+    crossed backwards); tree edges emit nothing.  The one-sheet case of the
+    walk from every sheet.
     """
     _check_pair(cov, trans)
     _check_word(cov, w)
     if not 1 <= start <= cov.n:
         raise ValueError(f"sheet {start} outside 1..{cov.n}")
-    out: list[Letter] = []
-    sheet = start
-    for gen, exp in w.letters:
-        if exp > 0:
-            sg = trans.edge_to_generator[(sheet, gen)]
-            if sg is not None:
-                out.append((sg, 1))
-            sheet = cov.perms[gen][sheet - 1]
-        else:
-            sheet = cov.inverse_perms[gen][sheet - 1]
-            sg = trans.edge_to_generator[(sheet, gen)]
-            if sg is not None:
-                out.append((sg, -1))
-    return Word(tuple(out), trans.alphabet), sheet
+    rows, _, ends = _walk(trans._steps, w, np.array([start - 1]))
+    return _word(rows[0], trans.alphabet), int(ends[0]) + 1
 
 
 def schreier_rewrite(cov: CoveringAction, trans: Transversal, w: Word) -> Word:
@@ -291,14 +321,20 @@ def expand_schreier_word(trans: Transversal, w: Word) -> Word:
     return _substitute(w, trans.defining_words, trans.covering.presentation.alphabet)
 
 
+def _rewrite_relators(trans: Transversal) -> np.ndarray:
+    """Every base relator walked from every sheet, relator-major, as one zero-padded array."""
+    walks = [trans.walk_sheets(relator)[0] for relator in trans.covering.presentation.relators]
+    width = max(walk.shape[1] for walk in walks)
+    pad = lambda walk: np.pad(walk, ((0, 0), (0, width - walk.shape[1]))) if walk.shape[1] < width else walk
+    rows = np.concatenate([pad(walk) for walk in walks])
+    rows.setflags(write=False)
+    return rows
+
+
 def subgroup_relators(cov: CoveringAction, trans: Transversal) -> tuple[Word, ...]:
     """Rewritten conjugates ``g_i R g_i^-1`` of every base relator: ``R`` walked from sheet i."""
     _check_pair(cov, trans)
-    return tuple(
-        schreier_walk(cov, trans, i, relator)[0]
-        for relator in cov.presentation.relators
-        for i in range(1, cov.n + 1)
-    )
+    return tuple(_word(row, trans.alphabet) for row in trans.relator_rows)
 
 
 def compose_coverings(
@@ -315,15 +351,9 @@ def compose_coverings(
     _check_pair(cov, trans)
     if inner.presentation.alphabet != trans.alphabet:
         raise ValueError("inner covering does not act on the Schreier generators of the outer one")
-    unmoved = tuple(range(1, inner.n + 1))
-    perms: dict[str, list[int]] = {}
-    for gi, label in enumerate(cov.presentation.alphabet):
-        images = []
-        for i in range(1, cov.n + 1):
-            offset = (cov.perms[gi][i - 1] - 1) * inner.n
-            sg = trans.edge_to_generator[(i, gi)]
-            images += [offset + b for b in (unmoved if sg is None else inner.perms[sg])]
-        perms[label] = images
+    inner_moves = np.concatenate([np.arange(inner.n)[None], inner.forward])  # row 0: unmoved
+    images = cov.forward[:, :, None] * inner.n + inner_moves[trans.edges + 1] + 1
+    perms = {label: row.reshape(-1).tolist() for label, row in zip(cov.presentation.alphabet, images)}
     return build_covering(cov.presentation, perms)
 
 

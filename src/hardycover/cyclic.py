@@ -85,18 +85,17 @@ def boundary_subgroup_rep(
 
     The Schreier generator ``A1@n`` is the core class of the covering torus
     and receives ``chi_X1(A1)``; every ``B1@i`` is the crossing class and
-    receives ``chi_X1(B1)``.
+    receives ``chi_X1(B1)``: the row of its base letter in ``chi_X1``'s table.
     """
-    n = cov.n
-    images: dict[str, np.ndarray] = {}
-    for label in trans.alphabet:
-        if label == f"A1@{n}":
-            images[label] = chi_X1.images["A1"]
-        elif label.startswith("B1@"):
-            images[label] = chi_X1.images["B1"]
-        else:
-            raise ValueError(f"unexpected Schreier generator {label!r} for a cyclic cover")
-    return MatrixRep(presentation=trans, m=chi_X1.m, images=images)
+    stray = trans.edges[0, :-1]  # A1 leaves the tree at sheet n only
+    if cov.presentation.alphabet != ("A1", "B1") or stray.max(initial=-1) >= 0:
+        label = trans.alphabet[stray[stray >= 0].min(initial=0)]
+        raise ValueError(f"unexpected Schreier generator {label!r} for a cyclic cover")
+    if chi_X1.presentation.alphabet != ("A1", "B1"):
+        raise ValueError(f"chi_X1 represents {chi_X1.presentation.alphabet}, not the annulus double")
+    base = np.nonzero(trans.edges.T >= 0)[1]  # each Schreier generator's base letter
+    perms, blocks = chi_X1._table
+    return MatrixRep._stacked(trans, perms[base + 1], blocks[base + 1])
 
 
 def transport_boundary_values(

@@ -44,7 +44,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .covering import CoveringAction, Transversal, schreier_walk
+from .covering import CoveringAction, Transversal
 from .groups import (
     DoubledPresentation,
     GroupPresentation,
@@ -221,6 +221,9 @@ class Check:
 class CheckReport:
     checks: tuple[Check, ...]
 
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CheckReport) and self.checks == other.checks
+
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
@@ -237,6 +240,27 @@ class CheckReport:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
 
+class _StackedReport(CheckReport):
+    """The report of one stacked comparison, at ``TOL_EXACT``: names, residuals and blocks as arrays.
+
+    ``passed`` reads the residuals; ``checks`` makes the ``Check`` objects on
+    first read, and through it ``failing`` and ``worst``.
+    """
+
+    def __init__(self, names: list[str], residuals, rows, columns):
+        object.__setattr__(self, "_arrays", (names, residuals, rows, columns))
+
+    @cached_property
+    def checks(self) -> tuple[Check, ...]:
+        names, *arrays = self._arrays
+        found = zip(names, *(a.tolist() for a in arrays))
+        return tuple(Check(name, residual, TOL_EXACT, (row, col)) for name, residual, row, col in found)
+
+    @property
+    def passed(self) -> bool:
+        return bool(self._arrays[1].max(initial=0.0) < TOL_EXACT)  # NaN fails
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixRep:
     """Representation of a presented group by one matrix per generator.
@@ -247,8 +271,9 @@ class MatrixRep:
     all of one block shape; each must permute the sheets.  They are stored
     in one read-only table of ``2G + 1`` entries, sheet maps ``(2G + 1, n)``
     and blocks ``(2G + 1, n, m, m)``: the identity, the images in alphabet
-    order, then their adjoints.  ``images`` maps each generator to a view
-    into that table.
+    order, then their adjoints in reverse order, so that entry ``x + 1``
+    holds generator ``x`` and entry ``-(x + 1)`` its adjoint.  ``images``
+    maps each generator to a view into that table.
     """
 
     presentation: GroupPresentation | DoubledPresentation | Transversal
@@ -267,7 +292,13 @@ class MatrixRep:
             raise ValueError(f"image blocks {shapes} are not one block shape of rank {self.m}")
         perms = np.array([img.perm for img in images], dtype=np.intp).reshape(-1, n)
         blocks = np.array([img.blocks for img in images], dtype=complex).reshape(-1, n, m, m)
-        g, (inverse, adjoints) = len(images), _adjoint(perms, blocks)
+        vars(self).update(vars(MatrixRep._stacked(self.presentation, perms, blocks)))
+
+    @classmethod
+    def _stacked(cls, presentation, perms: np.ndarray, blocks: np.ndarray) -> "MatrixRep":
+        """The representation of the images stacked in alphabet order, ``(G, n)`` maps and blocks."""
+        (g, n, m, _), alphabet = blocks.shape, presentation.alphabet
+        inverse, adjoints = _adjoint(perms, blocks)
         if inverse.min(initial=0) < 0:  # a sheet no block column reaches
             bad = (inverse < 0).any(axis=1).argmax()
             repeated = np.flatnonzero(np.bincount(perms[bad], minlength=n) > 1) + 1
@@ -275,13 +306,15 @@ class MatrixRep:
                 f"image of {alphabet[bad]} is not a sheet permutation: "
                 f"block columns {repeated.tolist()} repeat"
             )
-        table = (np.concatenate([np.arange(n)[None], perms, inverse]),
+        table = (np.concatenate([np.arange(n)[None], perms, inverse[::-1]]),
                  np.empty((2 * g + 1, n, m, m), dtype=complex))
-        table[1][0], table[1][1 : g + 1], table[1][g + 1 :] = np.eye(m), blocks, adjoints
+        table[1][0], table[1][1 : g + 1], table[1][g + 1 :] = np.eye(m), blocks, adjoints[::-1]
         for array in table:
             array.setflags(write=False)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "images", _TableImages(alphabet, table))
+        rep = object.__new__(cls)
+        images = _TableImages(alphabet, table)
+        vars(rep).update(presentation=presentation, m=n * m, _table=table, images=images)
+        return rep
 
     @cached_property
     def identity(self) -> BlockMonomial:
@@ -301,44 +334,43 @@ class MatrixRep:
         """
         return self._fold(self._rows(words))
 
-    def _rows(self, words: Sequence[Word]) -> list[list[int]]:
-        """Each word as the table entries of its letters."""
+    def _rows(self, words: Sequence[Word]) -> np.ndarray:
+        """Each word as a row of signed codes, zero past its end: ``+-(x+1)`` for generator ``x``."""
         alphabet = self.presentation.alphabet
         if any(w.alphabet is not alphabet and w.alphabet != alphabet for w in words):
             raise ValueError("word not over this representation's generators")
-        g = len(alphabet)
-        return [[gen + 1 if exp > 0 else gen + 1 + g for gen, exp in w.letters] for w in words]
+        return _code_rows([[gen + 1 if exp > 0 else -gen - 1 for gen, exp in w.letters] for w in words])
 
-    def _fold(self, rows: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-        """The left fold of the table entries each row names; an empty row gives the identity.
+    def _fold(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The left fold of each row of signed codes, zero past its end; an empty row gives the identity.
 
-        Rows run sorted by length, longest first, so the rows still running
-        at a letter position are a prefix of the stack, and each position
-        costs one ``_product`` however many rows there are.  No row is
-        padded with identity factors: each image is the product of its own
-        letters, in their order.
+        A letter's signed code is its entry in the table.  Rows run sorted by
+        length, longest first, so the rows still running at a letter position
+        are a prefix of the stack, and each position costs one ``_product``
+        however many rows there are.  No row is padded with identity factors:
+        each image is the product of its own letters, in their order.
         """
-        order = sorted(range(len(rows)), key=lambda i: len(rows[i]), reverse=True)
+        order = np.argsort(-np.count_nonzero(rows, axis=1), kind="stable")
         # position-major; an ended row reads 0 past the running prefix, an empty one the identity
-        codes = list(zip_longest(*(rows[i] for i in order), fillvalue=0)) or [[0] * len(rows)]
-        codes = np.array(codes, dtype=np.intp)
+        codes = rows[order].T if rows.shape[1] else np.zeros((1, len(rows)), dtype=np.intp)
         perms, blocks = self._table[0][codes[0]], self._table[1][codes[0]]
         for position in codes[1:]:
             a = np.count_nonzero(position)
             perms[:a], blocks[:a] = _product(perms[:a], blocks[:a], position[:a], self._table)
-        if order != sorted(order):  # back to the given order
-            unsort = sorted(range(len(rows)), key=order.__getitem__)
-            perms, blocks = perms[unsort], blocks[unsort]
-        return perms, blocks
+        back = np.argsort(order)  # to the given order
+        return perms[back], blocks[back]
 
     @cached_property
     def _check_report(self) -> CheckReport:
-        alphabet, relators = self.presentation.alphabet, self.presentation.relators
-        # chi(x) chi(x)^*, an image then its adjoint, for each generator, and the relators: one fold
-        rows = [(i, i + len(alphabet)) for i in range(1, len(alphabet) + 1)] + self._rows(relators)
-        names = [f"unitarity[{label}]" for label in alphabet]
-        names += [f"relator[{idx}]" for idx in range(len(relators))]
-        return CheckReport(_checks(names, *self._fold(rows), self._table[0][0], self._table[1][0]))
+        p, g = self.presentation, len(self.presentation.alphabet)
+        # chi(x) chi(x)^*, an image then its adjoint, for each generator, and the relators: one fold;
+        # a transversal's relators are the code rows it rewrote them into, with no Word between
+        relators = p.relator_rows if isinstance(p, Transversal) else self._rows(p.relators)
+        rows = np.zeros((g + len(relators), max(relators.shape[1], 2)), dtype=np.intp)
+        rows[:g, :2], rows[g:, : relators.shape[1]] = np.arange(1, g + 1)[:, None] * [1, -1], relators
+        names = [f"unitarity[{label}]" for label in p.alphabet]
+        names += [f"relator[{i}]" for i in range(len(relators))]
+        return _checks(names, *self._fold(rows), self._table[0][0], self._table[1][0])
 
 
 class _TableImages(Mapping):
@@ -373,6 +405,12 @@ def _product(perms: np.ndarray, blocks: np.ndarray, rows, table) -> tuple[np.nda
     return table[0].reshape(-1)[flat], blocks @ table[1].reshape(-1, m, m)[flat]
 
 
+def _code_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
+    """Rows of signed codes as one array, zero past each row's end."""
+    codes = np.array(list(zip_longest(*rows, fillvalue=0)), dtype=np.intp).T
+    return codes if codes.ndim == 2 else np.zeros((len(rows), 0), dtype=np.intp)
+
+
 def _adjoint(perms: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``BlockMonomial.adjoint`` over a stack of sheet maps; -1 marks a sheet no map reaches."""
     rows, inverse = np.arange(len(perms))[:, None], np.full(perms.shape, -1)
@@ -380,10 +418,11 @@ def _adjoint(perms: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndar
     return inverse, blocks[rows, inverse].conj().swapaxes(2, 3)
 
 
-def _checks(names: Sequence[str], perms, blocks, other_perms, other_blocks) -> tuple[Check, ...]:
+def _checks(names: Sequence[str], perms, blocks, other_perms, other_blocks) -> CheckReport:
     """A ``TOL_EXACT`` check per stack entry, of its ``BlockMonomial.compare`` with ``other``.
 
-    ``other`` is one block-monomial or a stack of them.
+    ``other`` is one block-monomial or a stack of them.  The report keeps the
+    checks as arrays until they are read.
     """
     same = perms == other_perms
     mine = np.abs(blocks - np.where(same[..., None, None], other_blocks, 0))
@@ -393,11 +432,10 @@ def _checks(names: Sequence[str], perms, blocks, other_perms, other_blocks) -> t
     k = worst.argmax(axis=1)
     other_column = np.where(same, perms, other_perms)[w, k]
     column = np.where(mine[w, k] >= theirs[w, k], perms[w, k], other_column)
-    found = zip(names, worst[w, k].tolist(), (k + 1).tolist(), (column + 1).tolist())
-    return tuple(Check(name, residual, TOL_EXACT, (row, col)) for name, residual, row, col in found)
+    return _StackedReport(names, worst[w, k], k + 1, column + 1)
 
 
-def _pairing_symmetry(rep: MatrixRep, perms, blocks, G: BlockMonomial) -> tuple[Check, ...]:
+def _pairing_symmetry(rep: MatrixRep, perms, blocks, G: BlockMonomial) -> CheckReport:
     """``pairing-symmetry[x]``, ``chi(tau x)^* G chi(x)`` against ``G``, from the ``chi(tau x)``."""
     gens = np.arange(len(perms))
     lhs = _product(*_adjoint(perms, blocks), gens * 0, (G.perm[None], G.blocks[None]))
@@ -503,9 +541,9 @@ def extend_to_double(
     chi_X = MatrixRep(presentation=p, m=chi_S.m, images=images)
 
     mirrored = chi_X.evaluate_many([apply_involution(p, p.gen(label)) for label in p.alphabet])
-    report = check_representation(chi_X).checks + _pairing_symmetry(chi_X, *mirrored, G)
-    report = CheckReport(report)
-    if not report.passed:
+    reports = check_representation(chi_X), _pairing_symmetry(chi_X, *mirrored, G)
+    if not all(report.passed for report in reports):
+        report = CheckReport(reports[0].checks + reports[1].checks)
         raise ExtensionError(f"extension inconsistent: {report.worst()}", report)
     return chi_X
 
@@ -538,15 +576,10 @@ def induce_representation(
     # chi1's table entry per edge: its Schreier generator's image, or the identity (0) on tree edges
     sub_perms, sub_blocks = chi1._table
     _, n1, m1, _ = sub_blocks.shape
-    edges = trans.edge_to_generator
-    which = [[edges[k, g] for k in range(1, cov.n + 1)] for g in range(len(cov.perms))]
-    which = np.array([[0 if sg is None else sg + 1 for sg in row] for row in which], dtype=np.intp)
-    which = which.reshape(-1, cov.n)
-    target = np.array(cov.perms, dtype=np.intp).reshape(-1, cov.n) - 1
-    perms = (target[:, :, None] * n1 + sub_perms[which]).reshape(-1, cov.n * n1)
+    which = trans.edges + 1
+    perms = (cov.forward[:, :, None] * n1 + sub_perms[which]).reshape(-1, cov.n * n1)
     blocks = sub_blocks[which].reshape(-1, cov.n * n1, m1, m1)
-    images = dict(zip(cov.presentation.alphabet, map(_trusted, perms, blocks)))
-    induced = MatrixRep(presentation=cov.presentation, m=cov.n * chi1.m, images=images)
+    induced = MatrixRep._stacked(cov.presentation, perms, blocks)
 
     verification = check_representation(induced)
     if not verification.passed:
@@ -562,29 +595,38 @@ def build_G2(
     ``tau(g_k) = h_k g_{nu(k)}``.  From ``h_1 = 1``, ``nu(1) = 1``, a tree edge
     ``i -x-> j`` gives ``h_j = h_i w``, ``w`` being ``tau(x)`` walked from sheet
     ``nu(i)``, and ``nu(j)`` is where that walk ends.  The product is taken
-    on words, so rounding does not build up along the tree.  Constant unitary
-    selfadjoint ``G1`` only (the unitary flat regime).  ``nu`` is a
-    permutation only if the covering subgroup is invariant under the
-    involution; otherwise the pairing has no meaning, and its
-    ``pairing-selfadjoint`` check fails at a block where ``nu(nu(k)) != k``.
+    on words, each ``tau(x)`` walked from every sheet once and joined to
+    ``h_i`` as ``Word`` joins, so rounding does not build up along the tree.
+    Constant unitary selfadjoint ``G1`` only (the unitary flat regime).
+    ``nu`` is an involution exactly when the covering subgroup is invariant
+    under the involution; otherwise the pairing has no meaning, and it is
+    refused, naming the sheets where ``nu(nu(k)) != k``.
     """
-    if trans.covering is not cov:
-        raise ValueError("transversal was built from a different covering")
+    if chi1.presentation is not trans or trans.covering is not cov:
+        raise ValueError("subgroup representation belongs to a different covering")
     p = cov.presentation
     if not isinstance(p, DoubledPresentation):
         raise ValueError("involution decomposition needs a doubled presentation")
     G1 = np.asarray(G1, dtype=complex)
     if G1.shape != (chi1.m, chi1.m):
         raise ValueError(f"G1 has shape {G1.shape}, expected {(chi1.m, chi1.m)}")
-    n = cov.n
-    h = [Word((), trans.alphabet)] * n
-    nu = [1] * n
+    # per generator on the tree: the code rows of tau(x) from every sheet, their lengths, the end sheets
+    on_tree = {gi for _, gi in trans.tree_edges}
+    walks = {gi: [a.tolist() for a in trans.walk_sheets(p.tau[gi])] for gi in on_tree}
+    forward, h, nu = cov.forward.tolist(), [[]] * cov.n, [0] * cov.n
     for i, gi in trans.tree_edges:
-        j = cov.perms[gi][i - 1]
-        w, nu[j - 1] = schreier_walk(cov, trans, nu[i - 1], p.tau[gi])
-        h[j - 1] = Word(h[i - 1].letters + w.letters, trans.alphabet)
-    h_blocks = chi1.evaluate_many(h)[1]
-    return BlockMonomial(np.array(nu) - 1, G1 @ h_blocks.reshape(-1, *h_blocks.shape[2:]))
+        (rows, lengths, ends), k, c = walks[gi], nu[i - 1], 0
+        head, w = h[i - 1], rows[k][: lengths[k]]
+        while c < min(len(head), len(w)) and head[-1 - c] == -w[c]:
+            c += 1
+        j = forward[gi][i - 1]
+        h[j], nu[j] = head[: len(head) - c] + w[c:], ends[k]
+    unpaired = [k + 1 for k in range(cov.n) if nu[nu[k]] != k]
+    if unpaired:
+        message = "covering subgroup is not invariant under the involution: nu(nu(k)) != k on sheets"
+        raise ValueError(f"{message} {unpaired}")
+    h_blocks = chi1._fold(_code_rows(h))[1]
+    return BlockMonomial(nu, G1 @ h_blocks.reshape(-1, *h_blocks.shape[2:]))
 
 
 def build_J2_diagonal(
@@ -639,7 +681,7 @@ def verify_symmetry_conditions(
     g, k = len(gens), len(loops)
 
     checks = [Check.exact("pairing-selfadjoint", G2.compare_adjoint())]
-    checks += _pairing_symmetry(chi2, perms[:g], blocks[:g], G2)
+    checks += _pairing_symmetry(chi2, perms[:g], blocks[:g], G2).checks
     for comp, (J2, loop) in enumerate(zip(J2_list, map(_trusted, perms[g:], blocks[g:]))):
         checks.append(Check.exact(f"signature-selfadjoint[{comp}]", J2.compare_adjoint()))
         involution = (J2 @ J2).compare(chi2.identity)
@@ -652,7 +694,7 @@ def verify_symmetry_conditions(
     lhs = _product(perms[g + k + p.k :], blocks[g + k + p.k :], gen_index + 1, chi2._table)
     rhs = _product(perms[gen_index], blocks[gen_index], comps, T)
     names = [f"monodromy-transport[{comp},{label}]" for comp in range(p.k) for label in p.alphabet]
-    return CheckReport(tuple(checks) + _checks(names, *lhs, *rhs))
+    return CheckReport(checks + list(_checks(names, *lhs, *rhs).checks))
 
 
 def matrix_to_json(mat: np.ndarray) -> list:

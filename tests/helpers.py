@@ -11,6 +11,7 @@ from hardycover import (
     boundary_loop,
     build_covering,
     coset_of,
+    double_group,
     mirror_monodromy,
     schreier_transversal,
     sigma,
@@ -57,6 +58,20 @@ def reference_factorize(cov, trans, k: int, g: Word) -> tuple[Word, int]:
     """``g_k g = h g_j`` from the tree words: ``h = reps[k] g reps[j]^-1``, ``j = k.g``."""
     j = coset_of(cov, trans.reps[k - 1] * g)
     return trans.reps[k - 1] * g * trans.reps[j - 1].inverse(), j
+
+
+def reference_walk(cov, trans, start, w):
+    """``w`` walked from one sheet, letter by letter through ``edge_to_generator``, as a ``Word``."""
+    letters, sheet = [], start
+    for gen, exp in w.letters:
+        if exp > 0:
+            sg, sheet = trans.edge_to_generator[sheet, gen], cov.perms[gen][sheet - 1]
+        else:
+            sheet = cov.perms[gen].index(sheet) + 1
+            sg = trans.edge_to_generator[sheet, gen]
+        if sg is not None:
+            letters.append((sg, exp))
+    return Word(tuple(letters), trans.alphabet), sheet
 
 
 def reference_nu_decompose(cov, trans, k: int) -> tuple[Word, int]:
@@ -111,6 +126,28 @@ def bordered_coverings(draw, p):
     perms = close_relator(p, {lbl: draw(st.permutations(range(1, n + 1))) for lbl in p.alphabet[1:]}, n)
     assume(is_transitive(list(perms.values()), n))
     return build_covering(p, perms)
+
+
+# the double of the genus-1 surface with 2 boundary circles
+GENUS_THREE = double_group(1, 2)
+
+
+@st.composite
+def genus_three_coverings(draw):
+    """Random transitive covering of ``GENUS_THREE`` with at most 8 sheets.
+
+    The relator is ``[A''1, B''1] [A'1, B'1] [A1, B1]``.  The handles get
+    swapped images (``A''1, B''1, A'1, B'1`` act by ``x, y, y, x``), so the
+    first two commutators cancel, and ``B1`` acts by a power of ``A1``.
+    """
+    n = draw(st.integers(1, 8))
+    x, y, z = (draw(st.permutations(range(1, n + 1))) for _ in range(3))
+    b = list(range(1, n + 1))
+    for _ in range(draw(st.integers(0, 3))):
+        b = [z[i - 1] for i in b]
+    perms = {"A1": z, "B1": b, "A'1": y, "B'1": x, "A''1": x, "B''1": y}
+    assume(is_transitive(list(perms.values()), n))
+    return build_covering(GENUS_THREE, perms)
 
 
 def close_relator(p, perms: dict, n: int) -> dict:

@@ -272,10 +272,11 @@ class TestInduceMode:
     def test_chi1_relators_rewritten_once(self, monkeypatch):
         from hardycover import covering
 
+        # the rewriting entry point, behind Transversal.relator_rows and subgroup_relators
         calls = []
-        original = covering.subgroup_relators
+        original = covering._rewrite_relators
         monkeypatch.setattr(
-            covering, "subgroup_relators", lambda *args: calls.append(1) or original(*args)
+            covering, "_rewrite_relators", lambda *args: calls.append(1) or original(*args)
         )
         report = run_pipeline(parse_config(json.dumps(self.torus_config())))
         assert report.passed

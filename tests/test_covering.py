@@ -27,7 +27,9 @@ from hardycover.covering import covering_from_json, covering_to_json
 
 from helpers import (
     bordered_coverings,
+    genus_three_coverings,
     random_word,
+    reference_walk,
     reference_factorize,
     reference_nu_decompose,
     subgroup_orbit_cover,
@@ -399,3 +401,55 @@ class TestRandomCoverings:
         for row, outer_row in zip(comp.perms, outer.perms):
             for x, y in enumerate(row, start=1):
                 assert (y - 1) // inner.n + 1 == outer_row[(x - 1) // inner.n]
+
+
+def codes_of(words, width):
+    """Words as zero-padded rows of signed codes ``+-(x + 1)``."""
+    rows = np.zeros((len(words), width), dtype=np.intp)
+    for row, w in zip(rows, words):
+        row[: len(w)] = [(gen + 1) * exp for gen, exp in w.letters]
+    return rows
+
+
+covered_surfaces = st.one_of(surfaces.flatmap(bordered_coverings), genus_three_coverings())
+
+
+class TestSheetWalk:
+    """The walk from every sheet at once against a walk from each sheet on its own."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_a_per_sheet_walk(self, data):
+        cov = data.draw(covered_surfaces)
+        p, t = cov.presentation, schreier_transversal(cov)
+        letter = st.tuples(st.integers(0, len(p.alphabet) - 1), st.sampled_from((1, -1)))
+        u, v = (Word(tuple(data.draw(st.lists(letter, max_size=12))), p.alphabet) for _ in "uv")
+        # u v u^-1 crosses u's edges and crosses them back; the empty word is drawn too
+        for w in (u, u * v * u.inverse(), p.identity(), p.relator):
+            rows, lengths, ends = t.walk_sheets(w)
+            reference = [reference_walk(cov, t, k, w) for k in range(1, cov.n + 1)]
+            assert np.array_equal(rows, codes_of([h for h, _ in reference], rows.shape[1]))
+            assert lengths.tolist() == [len(h) for h, _ in reference]
+            assert (ends + 1).tolist() == [end for _, end in reference] == list(sigma(cov, w))
+            for k in range(1, cov.n + 1):
+                assert schreier_walk(cov, t, k, w) == reference[k - 1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_relator_rows_match_the_rewritten_conjugates(self, data):
+        cov = data.draw(covered_surfaces)
+        t = schreier_transversal(cov)
+        conjugates = [rep * r * rep.inverse() for r in cov.presentation.relators for rep in t.reps]
+        walks = [reference_walk(cov, t, 1, w) for w in conjugates]
+        assert all(end == 1 for _, end in walks)
+        oracle = [h for h, _ in walks]
+        assert np.array_equal(t.relator_rows, codes_of(oracle, t.relator_rows.shape[1]))
+        assert subgroup_relators(cov, t) == tuple(oracle) == t.relators
+
+    def test_edge_map_is_a_view_of_the_edge_array(self, cover3, trans3):
+        edges = trans3.edge_to_generator
+        assert not trans3.edges.flags.writeable
+        assert len(edges) == 6 and list(edges) == [(i, g) for i in (1, 2, 3) for g in (0, 1)]
+        assert dict(edges) == {(1, 0): None, (1, 1): 0, (2, 0): None, (2, 1): 1, (3, 0): 2, (3, 1): 3}
+        for bad in ((0, 0), (4, 0), (1, 2), (1, -1)):
+            assert bad not in edges

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from hardycover import (
+    Check,
+    CheckReport,
     MatrixRep,
     SignatureData,
     Word,
@@ -57,6 +59,12 @@ class TestBoundaryRep:
             assert chi1.images[label].dense()[0, 0] == pytest.approx(1.0)  # (-1) * (-1)
         assert check_representation(chi1).passed
 
+
+    def test_refuses_a_representation_of_another_presentation(self):
+        # images are read by generator position, so chi_X1 must be over (A1, B1)
+        cov = cyclic_cover(3)
+        with pytest.raises(ValueError, match="not the annulus double"):
+            boundary_subgroup_rep(cov, schreier_transversal(cov), annulus_surface_rep(1, 0.4))
 
 class TestTransport:
     def test_all_sheets_carry_base_values(self):
@@ -121,23 +129,89 @@ class TestPipeline:
         assert max(c.residual for c in pipe.report.checks) < 1e-13
 
     def test_word_letters_grow_linearly_in_the_sheet_count(self, monkeypatch):
-        # the word work of one pipeline run, counted as the letters handed to
-        # Word(...); quadratic growth would give a ratio near 4
-        letters = []
-        reduce_letters = Word.__post_init__
+        # rewriting and the pairing build no Word at all; the walks they make instead
+        # are counted as letters walked times start sheets: quadratic growth would
+        # give a ratio near 4
+        from hardycover import covering, cyclic
+
+        words, walked = [], []
+        reduce_letters, walk = Word.__post_init__, covering._walk
 
         def counting(word):
-            letters.append(len(word.letters))
+            words.append(len(word.letters))
             reduce_letters(word)
 
+        def counting_walk(steps, w, starts):
+            walked.append(len(w.letters) * len(starts))
+            return walk(steps, w, starts)
+
+        def wordless(name, fn):
+            def wrapped(*args):
+                before = len(words)
+                out = fn(*args)
+                assert len(words) == before, f"{name} built a Word"
+                return out
+            return wrapped
+
         monkeypatch.setattr(Word, "__post_init__", counting)
-        counts = {}
+        monkeypatch.setattr(covering, "_walk", counting_walk)
+        monkeypatch.setattr(covering, "_rewrite_relators", wordless("rewriting", covering._rewrite_relators))
+        monkeypatch.setattr(cyclic, "build_G2", wordless("build_G2", cyclic.build_G2))
+        counts, built = {}, {}
         for n in (256, 512):
-            letters.clear()
+            words.clear()
+            walked.clear()
             pipe = annulus_pipeline(n, 0.7, scalar_signs(1, -1))
             assert pipe.report.passed
             # the tree words are never built on this path
             assert "reps" not in vars(pipe.transversal)
             assert "defining_words" not in vars(pipe.transversal)
-            counts[n] = sum(letters)
+            assert "relators" not in vars(pipe.transversal)
+            counts[n], built[n] = sum(walked), len(words)
+        # from every sheet: the relator, by the cover's check and by the rewriting, and tau(A1)
+        assert counts[256] == (4 + 4 + 3) * 256
         assert counts[512] <= 2.2 * counts[256]
+        assert built[512] == built[256]  # the Words of the presentations and symmetry words only
+
+    def test_chi1_checks_are_made_when_read(self, monkeypatch):
+        made = []
+        post_init = Check.__post_init__
+
+        def counting(check):
+            made.append(check.name)
+            post_init(check)
+
+        monkeypatch.setattr(Check, "__post_init__", counting)
+        counts = {}
+        for n in (2, 256):
+            made.clear()
+            pipe = annulus_pipeline(n, 0.7, scalar_signs(1, -1))
+            assert pipe.report.passed
+            counts[n] = len(made)
+        # chi1 has n + 1 generators and n relators; none of its checks was made
+        assert counts[256] == counts[2]
+        assert not any("@" in name for name in made)  # chi1's generators are the X@i
+        made.clear()
+        checks = check_representation(pipe.chi1).checks
+        assert len(made) == len(checks) == 2 * 256 + 1
+        assert check_representation(pipe.chi1).checks is checks
+        # a report kept as arrays is equal, and hashes equal, to the report of its checks
+        assert check_representation(pipe.chi1) == CheckReport(checks) != CheckReport(checks[1:])
+        assert hash(check_representation(pipe.chi1)) == hash(CheckReport(checks))
+
+    def test_lazy_failures_name_the_checks_they_become(self):
+        # a 1e-9 phase on one Schreier generator fails the two relators it appears in
+        pipe = annulus_pipeline(8, 0.7, scalar_signs(1, -1))
+        trans = pipe.transversal
+        images = dict(pipe.chi1.images)
+        images["B1@3"] = images["B1@3"].blocks[0] * np.exp(1e-9j)
+        report = check_representation(MatrixRep(presentation=trans, m=1, images=images))
+        failing, worst = report.failing(), report.worst()
+        materialized = report.checks
+        assert failing == tuple(c for c in materialized if not c.passed)
+        assert [c.name for c in failing] == ["relator[1]", "relator[2]"]
+        assert [str(trans.relators[i]) for i in (1, 2)] == ["B1@3 B1@2^-1", "B1@4 B1@3^-1"]
+        assert [c.block for c in failing] == [(1, 1), (1, 1)]  # chi1 has one sheet
+        top = max(materialized, key=lambda c: c.residual)
+        assert worst == f"{top.name} at block {top.block}: {top.residual:.1e} vs {top.tolerance:g}"
+        assert 1e-10 < top.residual < 1e-8

@@ -9,11 +9,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from hardycover import (
     BlockMonomial,
-    Check,
     CheckReport,
     ExtensionError,
     MatrixRep,
@@ -45,17 +44,19 @@ from hardycover import induction
 from hardycover.induction import rep_from_json, rep_to_json, unitarity_residual
 
 from helpers import (
+    GENUS_THREE,
     bordered_coverings,
     commuting_unitaries,
     dense_induced_images,
     dense_product,
     dense_symmetry_residuals,
+    genus_three_coverings,
     haar_unitary,
-    is_transitive,
     random_signature_matrix,
     random_word,
     reference_factorize,
     reference_nu_decompose,
+    reference_walk,
     subgroup_orbit_cover,
     surfaces,
 )
@@ -462,11 +463,19 @@ class TestPairingTransport:
         rng = np.random.default_rng(19)
         chi1 = restricted_subgroup_rep(cov, trans, genus_three_rep(rng, 2), 2)
         assert check_representation(chi1).passed
-        G2 = build_G2(cov, trans, chi1, random_signature_matrix(rng, 2))
-        assert G2.perm.tolist() == [0, 1, 1, 1]
-        check = Check.exact("pairing-selfadjoint", G2.compare_adjoint())
-        assert not check.passed
-        assert check.block in ((3, 2), (4, 2))
+        assert [reference_nu_decompose(cov, trans, k)[1] for k in range(1, 5)] == [1, 2, 2, 2]
+        message = re.escape("not invariant under the involution: nu(nu(k)) != k on sheets [3, 4]")
+        with pytest.raises(ValueError, match=message):
+            build_G2(cov, trans, chi1, random_signature_matrix(rng, 2))
+
+    def test_refuses_representation_of_another_transversal(self):
+        # chi1 must represent this transversal: its signed codes index chi1's own table
+        cov, sig = torus_cover(4), SignatureData(J_list=(np.eye(1), -np.eye(1)))
+        trans = schreier_transversal(cov)
+        for other_cov in (cov, torus_cover(2)):  # a twin transversal, then a smaller one
+            chi1 = annulus_boundary_chi1(other_cov, schreier_transversal(other_cov), 0.7, sig)
+            with pytest.raises(ValueError, match="different covering"):
+                build_G2(cov, trans, chi1, sig.G)
 
     def test_diagonal_rejects_non_signature_values(self):
         cov = torus_cover(2)
@@ -535,33 +544,23 @@ def restricted_subgroup_rep(cov, trans, psi, m):
     return MatrixRep(presentation=trans, m=m, images=images)
 
 
-# the double of the genus-1 surface with 2 boundary circles
-GENUS_THREE = double_group(1, 2)
-
-
-@st.composite
-def genus_three_coverings(draw):
-    """Random transitive covering of ``GENUS_THREE`` with at most 8 sheets.
-
-    The relator is ``[A''1, B''1] [A'1, B'1] [A1, B1]``.  The handles get
-    swapped images (``A''1, B''1, A'1, B'1`` act by ``x, y, y, x``), so the
-    first two commutators cancel, and ``B1`` acts by a power of ``A1``.
-    """
-    n = draw(st.integers(1, 8))
-    x, y, z = (draw(st.permutations(range(1, n + 1))) for _ in range(3))
-    b = list(range(1, n + 1))
-    for _ in range(draw(st.integers(0, 3))):
-        b = [z[i - 1] for i in b]
-    perms = {"A1": z, "B1": b, "A'1": y, "B'1": x, "A''1": x, "B''1": y}
-    assume(is_transitive(list(perms.values()), n))
-    return build_covering(GENUS_THREE, perms)
-
-
 def genus_three_rep(rng, m):
     """Unitary representation of ``GENUS_THREE`` with the same handle pattern as the coverings."""
     x, y = haar_unitary(rng, m), haar_unitary(rng, m)
     a, b = commuting_unitaries(rng, m, 2)
     return {"A1": a, "B1": b, "A'1": y, "B'1": x, "A''1": x, "B''1": y}
+
+
+def unpaired_sheets(cov, trans):
+    """Sheets k with ``nu(nu(k)) != k``, ``nu`` read off the tree words; none iff the subgroup is invariant."""
+    nu = [reference_nu_decompose(cov, trans, k)[1] for k in range(1, cov.n + 1)]
+    return [k for k in range(1, cov.n + 1) if nu[nu[k - 1] - 1] != k]
+
+
+def assert_pairing_refused(cov, trans, chi1, G1, unpaired):
+    message = f"not invariant under the involution: nu(nu(k)) != k on sheets {unpaired}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_G2(cov, trans, chi1, G1)
 
 
 def assert_walks_match_tree_words(cov, psi, G1, other):
@@ -584,11 +583,16 @@ def assert_walks_match_tree_words(cov, psi, G1, other):
             block(expected, k, j)[...] = chi1.evaluate(schreier_rewrite(cov, trans, h)).dense()
         assert np.array_equal(chi2.images[label].dense(), expected)
 
-    expected = np.zeros((n * m, n * m), dtype=complex)
-    for k in range(1, n + 1):
-        h_k, nu_k = reference_nu_decompose(cov, trans, k)
-        block(expected, k, nu_k)[...] = G1 @ chi1.evaluate(schreier_rewrite(cov, trans, h_k)).dense()
-    assert np.array_equal(build_G2(cov, trans, chi1, G1).dense(), expected)
+    # the pairing exists only on a covering subgroup invariant under the involution
+    unpaired = unpaired_sheets(cov, trans)
+    if unpaired:
+        assert_pairing_refused(cov, trans, chi1, G1, unpaired)
+    else:
+        expected = np.zeros((n * m, n * m), dtype=complex)
+        for k in range(1, n + 1):
+            h_k, nu_k = reference_nu_decompose(cov, trans, k)
+            block(expected, k, nu_k)[...] = G1 @ chi1.evaluate(schreier_rewrite(cov, trans, h_k)).dense()
+        assert np.array_equal(build_G2(cov, trans, chi1, G1).dense(), expected)
 
     conjugates = [rep * r * rep.inverse() for r in p.relators for rep in trans.reps]
     rewritten = tuple(schreier_rewrite(cov, trans, w) for w in conjugates)
@@ -847,7 +851,11 @@ class TestAgainstDenseReference:
         trans = schreier_transversal(cov)
         chi1 = restricted_subgroup_rep(cov, trans, genus_three_rep(rng, m), m)
         chi2 = induce_representation(cov, trans, chi1)
-        G2 = build_G2(cov, trans, chi1, random_signature_matrix(rng, m))
+        G1, unpaired = random_signature_matrix(rng, m), unpaired_sheets(cov, trans)
+        if unpaired:  # no pairing off an involution-invariant covering subgroup
+            assert_pairing_refused(cov, trans, chi1, G1, unpaired)
+            return
+        G2 = build_G2(cov, trans, chi1, G1)
         J2 = build_J2_diagonal(
             cov, [[random_signature_matrix(rng, m) for _ in range(cov.n)] for _ in range(GENUS_THREE.k)]
         )
@@ -868,9 +876,13 @@ def left_fold(rep, w):
     return functools.reduce(operator.matmul, factors)
 
 
-def report_by_compare(rep):
-    """Each check of ``check_representation``, from its own product and ``compare``."""
-    alphabet, relators = rep.presentation.alphabet, rep.presentation.relators
+def report_by_compare(rep, relators=None):
+    """Each check of ``check_representation``, from its own product and ``compare``.
+
+    ``relators`` are the presentation's, or the given words.
+    """
+    alphabet = rep.presentation.alphabet
+    relators = rep.presentation.relators if relators is None else relators
     eye = BlockMonomial.identity(*rep.images[alphabet[0]].blocks.shape[:2])
     out = [(f"unitarity[{x}]", *(u @ u.adjoint()).compare(eye)) for x, u in rep.images.items()]
     return out + [(f"relator[{i}]", *left_fold(rep, r).compare(eye)) for i, r in enumerate(relators)]
@@ -970,7 +982,7 @@ class TestStackedEvaluation:
         chi1 = boundary_subgroup_rep(cov, trans, annulus_double_rep(1, 0.7, sig))
         chi2 = induce_representation(cov, trans, chi1)
         J2 = build_J2_diagonal(cov, [[J] * cov.n for J in sig.J_list])
-        calls = {"products": 0, "evaluations": 0}
+        calls = {"products": 0, "folds": 0}
 
         def counting(name, method):
             def counted(*args):
@@ -978,18 +990,45 @@ class TestStackedEvaluation:
                 return method(*args)
             return counted
 
-        matmul, evaluate_many = BlockMonomial.__matmul__, MatrixRep.evaluate_many
+        # every stacked evaluation, evaluate_many's included, is one MatrixRep._fold
+        matmul, fold = BlockMonomial.__matmul__, MatrixRep._fold
         monkeypatch.setattr(BlockMonomial, "__matmul__", counting("products", matmul))
-        monkeypatch.setattr(MatrixRep, "evaluate_many", counting("evaluations", evaluate_many))
+        monkeypatch.setattr(MatrixRep, "_fold", counting("folds", fold))
         fresh = MatrixRep(presentation=trans, m=1, images=chi1.images)
         report = check_representation(fresh)
         assert report.passed and len(report.checks) == 2 * 256 + 1
-        assert calls == {"products": 0, "evaluations": 0}
+        assert calls == {"products": 0, "folds": 1}
         G2 = build_G2(cov, trans, chi1, sig.G)
-        assert calls["evaluations"] == 1
-        calls["evaluations"] = 0
+        assert calls == {"products": 0, "folds": 2}
         assert verify_symmetry_conditions(chi2, G2, J2, TORUS).passed
-        assert calls["evaluations"] == 1
+        assert calls["folds"] == 3
+
+
+class TestRewritingAgainstWords:
+    """Check reports folded from the relators' code rows, against the rewritten ``Word`` of each relator."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_check_reports_match_a_per_word_oracle(self, data):
+        cov = data.draw(st.one_of(surfaces.flatmap(bordered_coverings), genus_three_coverings()))
+        p, trans = cov.presentation, schreier_transversal(cov)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m = data.draw(st.integers(1, 2))
+        psi = genus_three_rep(rng, m) if p is GENUS_THREE else random_surface_rep(rng, p, m)
+        chi1 = restricted_subgroup_rep(cov, trans, psi, m)
+        # noisy images: every residual far from zero, and no relator check passes
+        noise = {x: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)) for x in trans.alphabet}
+        noisy = MatrixRep(presentation=trans, m=m, images=noise)
+        conjugates = [rep * r * rep.inverse() for r in p.relators for rep in trans.reps]
+        oracle = [reference_walk(cov, trans, 1, w)[0] for w in conjugates]
+        chi2 = induce_representation(cov, trans, chi1)
+        for rep, relators in ((chi1, oracle), (noisy, oracle), (chi2, None)):
+            checks = check_representation(rep).checks
+            expected = report_by_compare(rep, relators)
+            assert [c.name for c in checks] == [name for name, _, _ in expected]
+            assert np.array_equal([c.residual for c in checks], [residual for _, residual, _ in expected])
+            assert np.array_equal([c.block for c in checks], [block for _, _, block in expected])
+        assert "relators" not in vars(trans)  # no Word of a rewritten relator was needed
 
 
 def rows_through(rep, w, gen, sheet):
