@@ -55,7 +55,6 @@ from .cyclic import (
     annulus_pipeline,
     boundary_subgroup_rep,
     cyclic_cover,
-    transport_boundary_values,
 )
 from .hardy import (
     AnnulusCovering,

@@ -26,9 +26,8 @@ from .covering import (
     build_covering,
     schreier_transversal,
 )
-from .groups import DoubledPresentation, double_group, surface_group
+from .groups import DoubledPresentation, _as_int, double_group, surface_group
 from .induction import (
-    TOL_EXACT,
     BlockMonomial,
     Check,
     CheckReport,
@@ -47,7 +46,6 @@ __all__ = [
     "annulus_surface_rep",
     "annulus_double_rep",
     "boundary_subgroup_rep",
-    "transport_boundary_values",
     "CyclicPipeline",
     "annulus_pipeline",
 ]
@@ -55,6 +53,7 @@ __all__ = [
 
 def cyclic_cover(n: int) -> CoveringAction:
     """Degree-n cyclic cover of the annulus double: A1 an n-cycle, B1 the identity."""
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError(f"sheet count must be at least 1, got {n}")
     p = double_group(0, 2)
@@ -98,31 +97,6 @@ def boundary_subgroup_rep(
     return MatrixRep._stacked(trans, perms[base + 1], blocks[base + 1])
 
 
-def transport_boundary_values(
-    cov: CoveringAction, chi1: MatrixRep, sig: SignatureData
-) -> list[list[np.ndarray]]:
-    """Signature values at every sheet lift over each boundary component.
-
-    For the cyclic family all lifts over a component sit on the same
-    preimage circle, whose lift component is stabilized by the covering
-    torus's core class; transporting the base value around that stabilizer
-    must return it unchanged, otherwise no consistent assignment exists.
-    """
-    n = cov.n
-    core = chi1.images[f"A1@{n}"]
-    out: list[list[np.ndarray]] = []
-    for comp, J in enumerate(sig.J_list):
-        J_bm = BlockMonomial.of(J)
-        residual = (core @ J_bm @ core.adjoint()).compare(J_bm)[0]
-        if residual >= TOL_EXACT:
-            raise ValueError(
-                f"transport inconsistency on component {comp}: the stabilizer moves the "
-                f"signature value by {residual:.3e}"
-            )
-        out.append([J.copy() for _ in range(n)])
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class CyclicPipeline:
     """Everything the cyclic-cover pipeline produces, plus its verification report."""
@@ -153,8 +127,7 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     chi1 = boundary_subgroup_rep(cov, trans, chi_X1)
     chi2 = induce_representation(cov, trans, chi1)
     G2 = build_G2(cov, trans, chi1, sig.G)
-    assignment = transport_boundary_values(cov, chi1, sig)
-    J2_diag = build_J2_diagonal(cov, assignment)
+    J2_diag = build_J2_diagonal(cov, sig)
     J2_pair = pairing_signature_matrices(chi2, G2, p)
 
     checks = list(verify_symmetry_conditions(chi2, G2, J2_diag, p).checks)

@@ -32,6 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .groups import _as_int
 from .induction import BlockMonomial, SignatureData
 from .cyclic import annulus_pipeline
 
@@ -68,9 +69,10 @@ class AnnulusCovering:
 def make_annulus_cover(rho1: float, n: int) -> AnnulusCovering:
     if not 0.0 < rho1 < 1.0:
         raise ValueError(f"inner radius must lie in (0, 1), got {rho1}")
+    n = _as_int(n, "n")
     if n < 1:
         raise ValueError(f"sheet count must be at least 1, got {n}")
-    return AnnulusCovering(rho1=float(rho1), n=int(n), rho2=float(rho1) ** n)
+    return AnnulusCovering(rho1=float(rho1), n=n, rho2=float(rho1) ** n)
 
 
 @dataclass(frozen=True, eq=False)

@@ -27,7 +27,8 @@ The three constructions here are the block formulas of the covering theory:
 * the transported pairing matrix ``G2`` with block ``(k, nu(k))`` equal to
   ``G1 chi1(h_k)``: along a tree edge ``i -x-> j``, ``h_j`` is ``h_i`` times
   ``tau(x)`` walked from sheet ``nu(i)``, and ``nu(j)`` is where that walk
-  ends; and the per-component block-diagonal signature matrices.
+  ends; and the per-component block-diagonal signature matrices ``J_2``,
+  each base value of ``J_1`` repeated on every sheet.
 
 All identities asserted by these constructions are re-verified numerically at
 build time rather than trusted, blockwise: a block off the sheet pattern still
@@ -463,23 +464,25 @@ class SignatureData:
     """Signature matrices J_0..J_{k-1}, one per boundary component; G is J_0.
 
     Each J_i must be selfadjoint and unitary (so J_i^2 = I); this is enforced
-    at construction.
+    at construction, the one check of these values.  ``J_list`` holds
+    read-only copies, so a validated value cannot change afterwards.
     """
 
     J_list: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        mats = tuple(np.asarray(J, dtype=complex) for J in self.J_list)
+        mats = tuple(np.array(J, dtype=complex) for J in self.J_list)
         if not mats:
             raise ValueError("at least one signature matrix required")
         m = mats[0].shape[0]
         for i, J in enumerate(mats):
             if J.shape != (m, m):
                 raise ValueError(f"J_{i} has shape {J.shape}, expected {(m, m)}")
-            if BlockMonomial.of(J).compare_adjoint()[0] >= TOL_EXACT:
+            if not BlockMonomial.of(J).compare_adjoint()[0] < TOL_EXACT:  # NaN fails
                 raise ValueError(f"J_{i} is not selfadjoint")
-            if unitarity_residual(J) >= TOL_EXACT:
+            if not unitarity_residual(J) < TOL_EXACT:
                 raise ValueError(f"J_{i} is not unitary")
+            J.setflags(write=False)
         object.__setattr__(self, "J_list", mats)
 
     @property
@@ -629,26 +632,17 @@ def build_G2(
     return BlockMonomial(nu, G1 @ h_blocks.reshape(-1, *h_blocks.shape[2:]))
 
 
-def build_J2_diagonal(
-    cov: CoveringAction, J1_assignment: Sequence[Sequence[np.ndarray]]
-) -> list[BlockMonomial]:
-    """Per-component block-diagonal signature matrices of the covered surface.
+def build_J2_diagonal(cov: CoveringAction, sig: SignatureData) -> list[BlockMonomial]:
+    """Per-component block-diagonal signature matrices ``J_2`` of the covered surface.
 
-    ``J1_assignment[component][k-1]`` is the signature value at the lift by
-    ``g_k`` over that component (the transported base value).
+    ``J_2`` is the direct image of ``J_1``: every lift of a boundary component
+    carries that component's base value, so each ``J_2`` is the base value
+    repeated on all ``n`` sheets, one contiguous block array.  The values were
+    checked by ``SignatureData``; whether the lifts' stabilizers preserve them
+    is the symmetry report's ``boundary-compatibility`` check.
     """
-    n = cov.n
-    out = []
-    for comp, values in enumerate(J1_assignment):
-        if len(values) != n:
-            raise ValueError(f"component {comp}: need one value per sheet ({n}), got {len(values)}")
-        J2 = BlockMonomial(np.arange(n), np.array(values, dtype=complex))
-        eye = BlockMonomial.identity(n, J2.m)
-        for residual, (k, _) in (J2.compare_adjoint(), (J2 @ J2.adjoint()).compare(eye)):
-            if residual >= TOL_EXACT:
-                raise ValueError(f"component {comp}, sheet {k}: not a signature matrix")
-        out.append(J2)
-    return out
+    n, m = cov.n, sig.m
+    return [BlockMonomial(np.arange(n), np.broadcast_to(J, (n, m, m)).copy()) for J in sig.J_list]
 
 
 def pairing_signature_matrices(

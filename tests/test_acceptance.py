@@ -337,14 +337,15 @@ def test_criterion_7_degenerate_cases():
     ok &= len(sphere.alphabet) == 0 and sphere.genus == 0
     J0 = np.diag([1.0, -1.0]).astype(complex)
     chi_S = MatrixRep(presentation=disk, m=2, images={"A0": np.eye(2)})
-    chi_X = extend_to_double(chi_S, SignatureData(J_list=(J0,)), sphere)
+    sig = SignatureData(J_list=(J0,))
+    chi_X = extend_to_double(chi_S, sig, sphere)
     cov = identity_covering(sphere)
     trans = schreier_transversal(cov)
     chi1 = MatrixRep(presentation=trans, m=2, images={})
     chi2 = induce_representation(cov, trans, chi1)
     G2 = build_G2(cov, trans, chi1, J0)
     ok &= np.array_equal(G2.dense(), J0)
-    J2 = build_J2_diagonal(cov, [[J0]])
+    J2 = build_J2_diagonal(cov, sig)
     ok &= np.array_equal(J2[0].dense(), pairing_signature_matrices(chi2, G2, sphere)[0].dense())
     symmetry = verify_symmetry_conditions(chi2, G2, J2, sphere)
     ok &= symmetry.passed

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hardycover import (
+    BlockMonomial,
     Check,
     CheckReport,
     MatrixRep,
@@ -11,10 +12,13 @@ from hardycover import (
     Word,
     annulus_pipeline,
     boundary_subgroup_rep,
+    build_G2,
+    build_J2_diagonal,
     check_representation,
     cyclic_cover,
+    induce_representation,
     schreier_transversal,
-    transport_boundary_values,
+    verify_symmetry_conditions,
 )
 from hardycover.cyclic import annulus_double_rep, annulus_surface_rep
 
@@ -36,6 +40,19 @@ class TestCyclicCover:
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
             cyclic_cover(0)
+
+    @pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "3", None])
+    def test_refuses_non_integer_sheet_counts(self, n):
+        with pytest.raises(ValueError, match="is not an integer"):
+            cyclic_cover(n)
+        with pytest.raises(ValueError, match="is not an integer"):
+            annulus_pipeline(n, 0.7, scalar_signs(1, -1))
+
+    def test_accepts_numpy_integer_sheet_counts(self):
+        cov = cyclic_cover(np.int64(4))
+        assert cov.n == 4 and type(cov.n) is int
+        assert cov.perms == cyclic_cover(4).perms
+        assert annulus_pipeline(np.int32(3), 0.7, scalar_signs(1, -1)).report.passed
 
 
 class TestBoundaryRep:
@@ -69,18 +86,17 @@ class TestBoundaryRep:
 class TestTransport:
     def test_all_sheets_carry_base_values(self):
         cov = cyclic_cover(3)
-        trans = schreier_transversal(cov)
-        sig = scalar_signs(1, -1)
-        chi1 = boundary_subgroup_rep(cov, trans, annulus_double_rep(1, 0.7, sig))
-        assignment = transport_boundary_values(cov, chi1, sig)
-        assert len(assignment) == 2
-        for comp, values in enumerate(assignment):
-            assert len(values) == 3
-            for value in values:
-                assert np.array_equal(value, sig.J_list[comp])
+        sig = SignatureData(J_list=(np.eye(2), np.diag([1.0, -1.0])))
+        J2 = build_J2_diagonal(cov, sig)
+        assert len(J2) == 2
+        for comp, J in enumerate(J2):
+            assert np.array_equal(J.perm, np.arange(3))
+            assert np.array_equal(J.blocks, np.stack([sig.J_list[comp]] * 3))
+            assert not J.blocks.flags.writeable
+            assert J.blocks.flags.c_contiguous  # a copy, not a stride-0 view of the base value
 
     def test_inconsistent_transport_rejected(self):
-        # a core image that moves J_1 cannot define a consistent assignment
+        # a core image that moves J_1 fails the boundary check of the lifted component
         cov = cyclic_cover(2)
         trans = schreier_transversal(cov)
         rng = np.random.default_rng(3)
@@ -89,8 +105,16 @@ class TestTransport:
         images = {"A1@2": core, "B1@1": np.eye(2), "B1@2": np.eye(2)}
         chi1 = MatrixRep(presentation=trans, m=2, images=images)
         assert check_representation(chi1).passed
-        with pytest.raises(ValueError, match="transport inconsistency"):
-            transport_boundary_values(cov, chi1, sig)
+        chi2 = induce_representation(cov, trans, chi1)
+        G2 = build_G2(cov, trans, chi1, sig.G)
+        report = verify_symmetry_conditions(chi2, G2, build_J2_diagonal(cov, sig), cov.presentation)
+        failing = {c.name: c for c in report.failing()}
+        assert "boundary-compatibility[1]" in failing
+        assert "boundary-compatibility[0]" not in failing
+        u, J1 = BlockMonomial.of(core), BlockMonomial.of(sig.J_list[1])
+        moved = (u.adjoint() @ J1 @ u).compare(J1)[0]
+        assert moved > 0.5
+        assert failing["boundary-compatibility[1]"].residual == moved
 
 
 class TestPipeline:

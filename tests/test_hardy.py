@@ -96,6 +96,16 @@ class TestAnnulusCover:
         with pytest.raises(ValueError):
             make_annulus_cover(0.5, 0)
 
+    @pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "3", None])
+    def test_refuses_non_integer_degree(self, n):
+        with pytest.raises(ValueError, match="is not an integer"):
+            make_annulus_cover(0.6, n)
+
+    def test_accepts_numpy_integer_degree(self):
+        cov = make_annulus_cover(0.6, np.int64(3))
+        assert cov.n == 3 and type(cov.n) is int
+        assert cov.rho2 == make_annulus_cover(0.6, 3).rho2
+
 
 class TestSampling:
     def test_constant_section(self):

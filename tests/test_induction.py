@@ -433,9 +433,7 @@ class TestPairingTransport:
             assert np.allclose(block, sig.G @ chi1.evaluate(h_sub).dense(), atol=1e-13)
         # transported pairing stays selfadjoint and intertwines the induction
         chi2 = induce_representation(cov, trans, chi1)
-        report = verify_symmetry_conditions(
-            chi2, G2, build_J2_diagonal(cov, [[J] * cov.n for J in sig.J_list]), TORUS
-        )
+        report = verify_symmetry_conditions(chi2, G2, build_J2_diagonal(cov, sig), TORUS)
         assert report.passed
         assert max(c.residual for c in report.checks) < 1e-12
 
@@ -447,7 +445,7 @@ class TestPairingTransport:
             chi1 = annulus_boundary_chi1(cov, trans, 0.7, sig)
             chi2 = induce_representation(cov, trans, chi1)
             G2 = build_G2(cov, trans, chi1, sig.G)
-            diagonal = build_J2_diagonal(cov, [[J] * 3 for J in sig.J_list])
+            diagonal = build_J2_diagonal(cov, sig)
             pairing = pairing_signature_matrices(chi2, G2, TORUS)
             assert np.array_equal(diagonal[0].dense(), e0 * np.eye(3))
             assert np.array_equal(diagonal[1].dense(), e1 * np.eye(3))
@@ -477,12 +475,6 @@ class TestPairingTransport:
             with pytest.raises(ValueError, match="different covering"):
                 build_G2(cov, trans, chi1, sig.G)
 
-    def test_diagonal_rejects_non_signature_values(self):
-        cov = torus_cover(2)
-        trans = schreier_transversal(cov)
-        with pytest.raises(ValueError, match="not a signature matrix"):
-            build_J2_diagonal(cov, [[np.eye(1) * 2.0] * 2, [np.eye(1)] * 2])
-
 
 class TestSymmetryReport:
     def fixture(self, e0=1.0, e1=-1.0, alpha=0.7, n=3):
@@ -492,7 +484,7 @@ class TestSymmetryReport:
         chi1 = annulus_boundary_chi1(cov, trans, alpha, sig)
         chi2 = induce_representation(cov, trans, chi1)
         G2 = build_G2(cov, trans, chi1, sig.G)
-        J2 = build_J2_diagonal(cov, [[J] * n for J in sig.J_list])
+        J2 = build_J2_diagonal(cov, sig)
         return chi2, G2, J2
 
     def test_fixture_is_exact(self):
@@ -519,12 +511,24 @@ class TestSymmetryReport:
 
 class TestSignatureData:
     def test_rejects_non_selfadjoint(self):
-        with pytest.raises(ValueError, match="selfadjoint"):
-            SignatureData(J_list=(np.array([[0.0, 1.0], [0.0, 0.0]]),))
+        # a NaN or inf entry fails here, so it never reaches the unitarity check
+        for J in ([[0.0, 1.0], [0.0, 0.0]], [[np.nan]], [[1.0, np.nan], [np.nan, -1.0]]):
+            with pytest.raises(ValueError, match="J_0 is not selfadjoint"):
+                SignatureData(J_list=(np.array(J), -np.eye(len(J))))
 
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError, match="unitary"):
             SignatureData(J_list=(np.diag([1.0, 0.5]),))
+
+    def test_keeps_read_only_copies(self):
+        J0, J1 = np.eye(1), -np.eye(1)
+        sig = SignatureData(J_list=(J0, J1))
+        J0[0, 0] = 2.0
+        assert np.array_equal(sig.G, np.eye(1))
+        assert all(not J.flags.writeable for J in sig.J_list)
+        assert J1.flags.writeable  # the caller's array is left as it was
+        with pytest.raises(ValueError, match="read-only"):
+            sig.J_list[1][0, 0] = 1.0
 
     def test_g_is_first(self):
         sig = SignatureData(J_list=(np.diag([1.0, -1.0]), np.eye(2)))
@@ -856,9 +860,11 @@ class TestAgainstDenseReference:
             assert_pairing_refused(cov, trans, chi1, G1, unpaired)
             return
         G2 = build_G2(cov, trans, chi1, G1)
-        J2 = build_J2_diagonal(
-            cov, [[random_signature_matrix(rng, m) for _ in range(cov.n)] for _ in range(GENUS_THREE.k)]
-        )
+        sheets = np.arange(cov.n)
+        J2 = [
+            BlockMonomial(sheets, np.stack([random_signature_matrix(rng, m) for _ in sheets]))
+            for _ in range(GENUS_THREE.k)
+        ]
         report = verify_symmetry_conditions(chi2, G2, J2, GENUS_THREE)
         images = {label: img.dense() for label, img in chi2.images.items()}
         reference = dense_symmetry_residuals(images, G2.dense(), [J.dense() for J in J2], GENUS_THREE)
@@ -981,7 +987,7 @@ class TestStackedEvaluation:
         trans = schreier_transversal(cov)
         chi1 = boundary_subgroup_rep(cov, trans, annulus_double_rep(1, 0.7, sig))
         chi2 = induce_representation(cov, trans, chi1)
-        J2 = build_J2_diagonal(cov, [[J] * cov.n for J in sig.J_list])
+        J2 = build_J2_diagonal(cov, sig)
         calls = {"products": 0, "folds": 0}
 
         def counting(name, method):
