@@ -2,9 +2,11 @@
 
 Subcommands: ``group`` (emit a presentation), ``induce`` (run the induction
 pipeline on an explicit covering), ``verify`` (symmetry suite on the cyclic
-annulus family), ``isometry`` (numerical isometry check).  Reports are
-deterministic given the config (``isometry``, the only mode that draws random
-numbers, takes its ``seed`` from it): the JSON emission is byte-stable, with
+annulus family), ``isometry`` (numerical isometry check).  Configs are
+checked once, at parse, each refusal naming its field; the ``chi1`` images of
+``induce`` are checked and converted as one array.  Reports are deterministic
+given the config (``isometry``, the only mode that draws random numbers,
+takes its ``seed`` from it): the JSON emission is byte-stable, with
 wall-clock timing shown only in the text rendering.
 """
 
@@ -15,7 +17,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
@@ -41,22 +43,22 @@ from .induction import (
     SignatureData,
     check_representation,
     induce_representation,
-    matrix_from_json,
+    matrices_from_json,
     rep_to_json,
 )
 
 __all__ = ["RunConfig", "Report", "parse_config", "run_pipeline", "emit_report", "main"]
 
 # Field validators.  JSON true/false load as bool, a subclass of int, so
-# integer and number fields reject bools explicitly.
+# integer and number fields reject bools explicitly.  A number must be a
+# finite float: NaN, infinities and ints too large for a float are refused.
 _int = lambda v: isinstance(v, int) and not isinstance(v, bool)
-_number = lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+_number = lambda v: (_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
 _nonneg_int = lambda v: _int(v) and v >= 0
 _pos_int = lambda v: _int(v) and v > 0
 _positive = lambda v: _number(v) and v > 0
 _flag = lambda v: isinstance(v, bool)
 _object = lambda v: isinstance(v, dict)
-_pair = lambda v: isinstance(v, list) and len(v) == 2 and all(_number(x) for x in v)
 _signs = lambda v: isinstance(v, list) and len(v) == 2 and all(_int(x) and x in (1, -1) for x in v)
 
 
@@ -64,28 +66,19 @@ _signs = lambda v: isinstance(v, list) and len(v) == 2 and all(_int(x) and x in 
 class RunConfig:
     mode: str
     params: dict[str, Any]
+    # induce: chi1.images as converted at parse, one (G, m, m) array in the config's label order
+    chi1_images: np.ndarray | None = field(default=None, compare=False)
 
     def echo(self) -> dict:
         return {"mode": self.mode, **self.params}
 
 
-def _non_finite(value: Any) -> bool:
-    if isinstance(value, float):
-        return not math.isfinite(value)
-    return isinstance(value, list) and any(_non_finite(v) for v in value)
-
-
 def _config_object(pairs: list[tuple[str, Any]]) -> dict:
-    """JSON object hook: reject duplicate keys and NaN/Infinity, naming the field.
-
-    Nested objects are checked by their own call, so only lists are searched.
-    """
+    """JSON object hook: reject duplicate keys.  NaN and Infinity are refused by the field validators."""
     seen: dict[str, Any] = {}
     for key, value in pairs:
         if key in seen:
             raise ValueError(f"duplicate key {key!r} in configuration")
-        if _non_finite(value):
-            raise ValueError(f"field {key!r} holds a non-finite number")
         seen[key] = value
     return seen
 
@@ -144,8 +137,8 @@ _CHI1_FIELDS = {"m": (True, None, _pos_int), "images": (True, None, _object)}
 DENSE_EXPORT_ENTRIES = 2**20
 
 
-def _check_induce(p: dict) -> None:
-    """The nested ``covering`` and ``chi1`` documents, each bad value named by its path."""
+def _check_induce(p: dict) -> np.ndarray:
+    """Check the nested ``covering`` and ``chi1``, each bad value named by its path; return chi1's images."""
     covering = _fields(p["covering"], _COVERING_FIELDS, "'covering'", "covering.")
     chi1 = _fields(p["chi1"], _CHI1_FIELDS, "'chi1'", "chi1.")
     n, m, count = covering["n"], chi1["m"], len(covering["perms"])
@@ -160,15 +153,8 @@ def _check_induce(p: dict) -> None:
             raise ValueError(
                 f"invalid value for field 'covering.perms.{gen}': {images!r} is not a list of ints"
             )
-    for label, mat in chi1["images"].items():
-        square = isinstance(mat, list) and len(mat) == m and all(
-            isinstance(row, list) and len(row) == m and all(_pair(x) for x in row) for row in mat
-        )
-        if not square:
-            raise ValueError(
-                f"invalid value for field 'chi1.images.{label}': {mat!r} is not "
-                f"an {m}x{m} list of [re, im] pairs"
-            )
+    names = [f"chi1.images.{label}" for label in chi1["images"]]
+    return matrices_from_json(list(chi1["images"].values()), (m, m), names, whole=True)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -185,9 +171,8 @@ def parse_config(text: str) -> RunConfig:
     params = _fields(raw, _MODES[mode][1], f"mode {mode!r}")
     if mode == "isometry":
         _check_isometry(params)
-    elif mode == "induce":
-        _check_induce(params)
-    return RunConfig(mode=mode, params=params)
+    chi1_images = _check_induce(params) if mode == "induce" else None
+    return RunConfig(mode=mode, params=params, chi1_images=chi1_images)
 
 
 @dataclass
@@ -240,7 +225,7 @@ class Report:
 
 
 def _prefixed(check_report: CheckReport, prefix: str) -> list[Check]:
-    return [replace(c, name=prefix + c.name) for c in check_report.checks]
+    return [Check(prefix + c.name, c.residual, c.tolerance, c.block) for c in check_report.checks]
 
 
 def _run_group(cfg: RunConfig, report: Report) -> None:
@@ -254,19 +239,16 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
     presentation = (double_group if p["double"] else surface_group)(p["s"], p["k"])
     cov = covering_from_json(presentation, p["covering"])
     trans = schreier_transversal(cov)
-    chi1_doc = p["chi1"]
-    images = {lbl: matrix_from_json(mat) for lbl, mat in chi1_doc["images"].items()}
-    chi1 = MatrixRep(presentation=trans, m=chi1_doc["m"], images=images)
+    images = dict(zip(p["chi1"]["images"], cfg.chi1_images))
+    chi1 = MatrixRep(presentation=trans, m=p["chi1"]["m"], images=images)
 
     # the chi1 checks are reported even when induce_representation refuses chi1
     report.checks += _prefixed(check_representation(chi1), "chi1:")
     chi2 = induce_representation(cov, trans, chi1)
     report.checks += _prefixed(check_representation(chi2), "chi2:")
     report.extras["induced"] = rep_to_json(chi2, cov, dense=False)
-    report.extras["transversal"] = [str(w) for w in trans.reps]
-    report.extras["schreier_generators"] = {
-        lbl: str(w) for lbl, w in zip(trans.alphabet, trans.defining_words)
-    }
+    report.extras["transversal"], generators = map(list, trans.word_strings)
+    report.extras["schreier_generators"] = dict(zip(trans.alphabet, generators))
 
 
 def _signature_from_params(p: dict) -> SignatureData:
@@ -450,7 +432,8 @@ def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> s
     if fmt == "json":
         chunks: list[str] = []
         _json(report.to_json_doc(), "", chunks)
-        rendered = "".join(chunks) + "\n"
+        chunks.append("\n")
+        rendered = "".join(chunks)
     elif fmt == "text":
         rendered = report.to_text() + "\n"
     else:

@@ -212,7 +212,8 @@ class Transversal:
     view of it.  As a presentation it has ``alphabet`` and ``relators``, so
     coverings and representations can be built on it.  The relators are
     rewritten once, into ``relator_rows``; their ``Word`` form, the tree
-    words ``reps`` and the ``defining_words`` are built on first read.
+    words ``reps`` and the ``defining_words`` are built on first read, and
+    ``word_strings`` writes the latter two with no ``Word`` built.
     """
 
     covering: CoveringAction
@@ -240,6 +241,22 @@ class Transversal:
             back = reps[forward[gi][i]].inverse()
             words.append(Word(reps[i].letters + ((gi, 1),) + back.letters, back.alphabet))
         return tuple(words)
+
+    @cached_property
+    def word_strings(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """``str`` of every word of ``reps`` and of ``defining_words``, joined from tree-word strings.
+
+        ``g_i x g_{i.x}^-1`` needs no free reduction: tree words hold only positive
+        letters, and off the tree ``x`` is not the last letter of ``g_{i.x}``.
+        """
+        forward, labels = self.covering.forward.tolist(), self.covering.presentation.alphabet
+        words, inverses = [""] * self.covering.n, [""] * self.covering.n
+        for i, gi in self.tree_edges:
+            j, x = forward[gi][i - 1], labels[gi]
+            words[j], inverses[j] = f"{words[i - 1]} {x}".lstrip(), f"{x}^-1 {inverses[i - 1]}".rstrip()
+        edges = zip(*(index.tolist() for index in np.nonzero(self.edges.T >= 0)))
+        joined = (" ".join(filter(None, (words[i], labels[gi], inverses[forward[gi][i]]))) for i, gi in edges)
+        return tuple(word or "1" for word in words), tuple(joined)
 
     @cached_property
     def relator_rows(self) -> np.ndarray:

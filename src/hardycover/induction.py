@@ -37,9 +37,11 @@ counts, and a check records the block where its largest residual sits.
 
 from __future__ import annotations
 
+import math
+from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import zip_longest
+from itertools import chain, zip_longest
 from numbers import Real
 from typing import Mapping, Sequence
 
@@ -74,7 +76,7 @@ __all__ = [
     "rep_to_json",
     "rep_from_json",
     "matrix_to_json",
-    "matrix_from_json",
+    "matrices_from_json",
 ]
 
 # Identities that hold by construction are checked to 1e-12.
@@ -85,7 +87,7 @@ TOL_EXACT = 1e-12
 class BlockMonomial:
     """An ``nm x nm`` matrix whose block row ``k`` holds ``blocks[k]`` in block column ``perm[k]``.
 
-    Sheets count from 0 and both arrays are read-only.  ``perm`` is a
+    Sheets count from 0 and both arrays are read-only copies.  ``perm`` is a
     permutation for the images of a ``MatrixRep`` (which refuses any other)
     and ``J2``, and for ``G2`` when the covering subgroup is invariant under
     the involution; ``adjoint`` needs one.
@@ -95,7 +97,7 @@ class BlockMonomial:
     blocks: np.ndarray
 
     def __post_init__(self) -> None:
-        perm, blocks = np.asarray(self.perm, dtype=np.intp), np.asarray(self.blocks, dtype=complex)
+        perm, blocks = np.array(self.perm, dtype=np.intp), np.array(self.blocks, dtype=complex, order="C")
         n = len(perm)
         if perm.ndim != 1 or blocks.ndim != 3 or blocks.shape[:2] != (n, blocks.shape[2]):
             raise ValueError(f"blocks of shape {blocks.shape} do not fit {perm.shape} sheets")
@@ -108,7 +110,7 @@ class BlockMonomial:
         """``matrix`` itself if block-monomial, else a square matrix as the one-sheet case."""
         if isinstance(matrix, cls):
             return matrix
-        return cls(np.zeros(1, dtype=np.intp), np.array(matrix, dtype=complex)[None])
+        return cls(np.zeros(1, dtype=np.intp), np.asarray(matrix, dtype=complex)[None])
 
     @classmethod
     def identity(cls, n: int, m: int) -> "BlockMonomial":
@@ -286,13 +288,18 @@ class MatrixRep:
         missing = [lbl for lbl in alphabet if lbl not in self.images]
         if missing:
             raise ValueError(f"no image supplied for generator(s) {missing}")
-        images = [BlockMonomial.of(self.images[lbl]) for lbl in alphabet]
-        n, m, _ = images[0].blocks.shape if images else (1, self.m, 0)
-        if n * m != self.m or any(img.blocks.shape != (n, m, m) for img in images):
-            shapes = {lbl: img.blocks.shape for lbl, img in zip(alphabet, images)}
-            raise ValueError(f"image blocks {shapes} are not one block shape of rank {self.m}")
-        perms = np.array([img.perm for img in images], dtype=np.intp).reshape(-1, n)
-        blocks = np.array([img.blocks for img in images], dtype=complex).reshape(-1, n, m, m)
+        images, m = [self.images[lbl] for lbl in alphabet], self.m
+        if all(type(img) is np.ndarray and img.shape == (m, m) for img in images):
+            # plain m x m arrays: stacked in one array as one-sheet blocks, with no wrapper per image
+            perms, blocks = np.zeros((len(images), 1), np.intp), np.array(images, complex).reshape(-1, 1, m, m)
+        else:
+            images = [BlockMonomial.of(img) for img in images]
+            n, m, _ = images[0].blocks.shape if images else (1, self.m, 0)
+            if n * m != self.m or any(img.blocks.shape != (n, m, m) for img in images):
+                shapes = {lbl: img.blocks.shape for lbl, img in zip(alphabet, images)}
+                raise ValueError(f"image blocks {shapes} are not one block shape of rank {self.m}")
+            perms = np.array([img.perm for img in images], dtype=np.intp).reshape(-1, n)
+            blocks = np.array([img.blocks for img in images], dtype=complex).reshape(-1, n, m, m)
         vars(self).update(vars(MatrixRep._stacked(self.presentation, perms, blocks)))
 
     @classmethod
@@ -474,6 +481,8 @@ class SignatureData:
         mats = tuple(np.array(J, dtype=complex) for J in self.J_list)
         if not mats:
             raise ValueError("at least one signature matrix required")
+        if mats[0].ndim != 2:
+            raise ValueError(f"J_0 has shape {mats[0].shape}, expected a square matrix")
         m = mats[0].shape[0]
         for i, J in enumerate(mats):
             if J.shape != (m, m):
@@ -642,7 +651,7 @@ def build_J2_diagonal(cov: CoveringAction, sig: SignatureData) -> list[BlockMono
     is the symmetry report's ``boundary-compatibility`` check.
     """
     n, m = cov.n, sig.m
-    return [BlockMonomial(np.arange(n), np.broadcast_to(J, (n, m, m)).copy()) for J in sig.J_list]
+    return [BlockMonomial(np.arange(n), np.broadcast_to(J, (n, m, m))) for J in sig.J_list]
 
 
 def pairing_signature_matrices(
@@ -695,17 +704,43 @@ def matrix_to_json(mat: np.ndarray) -> list:
     return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, dtype=complex)]
 
 
-def matrix_from_json(data: Sequence, name: str = "matrix") -> np.ndarray:
-    """A complex matrix from rows of ``[re, im]`` pairs; any other entry is refused by its path."""
-    real = lambda v: isinstance(v, Real) and not isinstance(v, bool)
+_list_of = lambda value, size: type(value) in (list, tuple) and len(value) == size
 
-    def entry(x, i: int, j: int) -> complex:
-        if isinstance(x, (list, tuple)) and len(x) == 2 and all(map(real, x)):
-            return complex(*x)
-        raise ValueError(f"invalid value for field '{name}[{i}][{j}]': {x!r} is not an [re, im] pair")
 
-    rows = enumerate(data)
-    return np.array([[entry(x, i, j) for j, x in enumerate(row)] for i, row in rows], dtype=complex)
+def matrices_from_json(
+    mats: Sequence, shape: tuple[int, int], names: Sequence[str], whole: bool = False
+) -> np.ndarray:
+    """``mats``, each a ``shape`` list of rows of ``[re, im]`` pairs, as one ``(G, *shape)`` complex array.
+
+    One array step checks and converts them all: each part an int or float (not a bool), finite as a
+    float, read through a float view that keeps signs of zero.  Only if it refuses are the matrices
+    scanned, to name the first entry refused, ``names[g][i][j]``, or with ``whole`` the matrix ``names[g]``.
+    """
+    level, (rows, cols) = mats, shape
+    for size in (rows, cols, 2):  # matrices, then rows, then entries: lists of ``size`` items each
+        if not {*map(type, level)} <= {list, tuple} or {*map(len, level)} - {size}:
+            break
+        level = [*chain.from_iterable(level)]
+    else:
+        if all(issubclass(t, Real) and not issubclass(t, bool) for t in {*map(type, level)}):
+            with suppress(OverflowError):  # from an int too large for a float, named below
+                values = np.array(level, dtype=float)
+                if np.isfinite(values).all():
+                    return values.view(complex).reshape(len(mats), rows, cols)
+    for name, mat in zip(names, mats):
+        matrix = f"invalid value for field '{name}': {mat!r} is not an {rows}x{cols} list of [re, im] pairs"
+        if not (_list_of(mat, rows) and all(_list_of(row, cols) for row in mat)):
+            raise ValueError(matrix)
+        for i, row in enumerate(mat):
+            for j, x in enumerate(row):
+                entry = f"invalid value for field '{name}[{i}][{j}]': {x!r} "
+                if not (_list_of(x, 2) and all(isinstance(v, Real) and not isinstance(v, bool) for v in x)):
+                    raise ValueError(matrix if whole else entry + "is not an [re, im] pair")
+                with suppress(OverflowError):
+                    if all(map(math.isfinite, x)):
+                        continue
+                raise ValueError(entry + "is not finite as a float")
+    raise AssertionError("matrices refused by the array step but not by the scan")
 
 
 def rep_to_json(rep: MatrixRep, covering: CoveringAction | None = None, dense: bool = True) -> dict:
@@ -736,5 +771,6 @@ def rep_to_json(rep: MatrixRep, covering: CoveringAction | None = None, dense: b
 def rep_from_json(
     presentation: GroupPresentation | DoubledPresentation, doc: Mapping
 ) -> MatrixRep:
-    images = {lbl: matrix_from_json(mat, f"images.{lbl}") for lbl, mat in doc["images"].items()}
-    return MatrixRep(presentation=presentation, m=_as_int(doc["m"], "m"), images=images)
+    m, labels = _as_int(doc["m"], "m"), list(doc["images"])
+    images = matrices_from_json(list(doc["images"].values()), (m, m), [f"images.{lbl}" for lbl in labels])
+    return MatrixRep(presentation=presentation, m=m, images=dict(zip(labels, images)))

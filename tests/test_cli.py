@@ -2,6 +2,7 @@
 
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ from hardycover.cli import (
     parse_config,
     run_pipeline,
 )
-from hardycover.induction import BlockMonomial, Check, matrix_from_json, matrix_to_json, rep_to_json
+from hardycover.induction import BlockMonomial, Check, matrix_to_json, rep_to_json
 
 from helpers import random_induce_config
 
@@ -111,6 +112,22 @@ class TestParseConfig:
         config.write_text(text)
         assert main(["isometry", "--config", str(config)]) == 2
         assert "alpha" in capsys.readouterr().err
+
+    def test_oversized_int_for_isometry_alpha_refused(self, tmp_path, capsys):
+        # 10**400 is a valid JSON number but no float: refused at parse, exit 2, no traceback
+        with pytest.raises(ValueError, match="invalid value for field 'alpha'"):
+            parse_config(json.dumps(isometry_config(alpha=10**400)))
+        config = tmp_path / "huge.json"
+        config.write_text(json.dumps(isometry_config(alpha=-(10**400))))
+        assert main(["isometry", "--config", str(config)]) == 2
+        assert "field 'alpha'" in capsys.readouterr().err
+
+    def test_oversized_int_for_verify_alpha_refused(self):
+        with pytest.raises(ValueError, match="invalid value for field 'alpha'"):
+            parse_config(json.dumps({"mode": "verify", "n": 3, "alpha": 10**400, "signs": [1, -1]}))
+        # the largest float and an int of the same value are numbers
+        largest = int(sys.float_info.max)
+        parse_config(json.dumps({"mode": "verify", "n": 3, "alpha": largest, "signs": [1, -1]}))
 
     def test_underflowing_radius_rejected(self):
         with pytest.raises(ValueError, match="field 'rho1'.*underflows"):
@@ -203,6 +220,51 @@ class TestInduceConfig:
         with pytest.raises(ValueError, match=f"invalid value for field '{re.escape(path)}'"):
             parse_config(self.with_value(path, value))
 
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ([[1.0, 0.0]], "': [[1.0, 0.0]] is not an 1x1 list of [re, im] pairs"),
+            ([[[1.0, 0.0], [0.0, 0.0]]], "': [[[1.0, 0.0], [0.0, 0.0]]] is not an 1x1 list of [re, im] pairs"),
+            ([[[1.0, 0.0, 0.0]]], "': [[[1.0, 0.0, 0.0]]] is not an 1x1 list of [re, im] pairs"),
+            ([[[True, 0.0]]], "': [[[True, 0.0]]] is not an 1x1 list of [re, im] pairs"),
+            ([[["1", 0.0]]], "': [[['1', 0.0]]] is not an 1x1 list of [re, im] pairs"),
+            ([[[None, 0.0]]], "': [[[None, 0.0]]] is not an 1x1 list of [re, im] pairs"),
+            ("1", "': '1' is not an 1x1 list of [re, im] pairs"),
+            ([[[float("nan"), 0.0]]], "[0][0]': [nan, 0.0] is not finite as a float"),
+            ([[[0.0, float("-inf")]]], "[0][0]': [0.0, -inf] is not finite as a float"),
+            ([[[1, 10**400]]], f"[0][0]': [1, {10**400}] is not finite as a float"),
+        ],
+        ids=[
+            "pair", "two-entries", "three-parts", "bool", "string", "null", "string-image", "nan", "minus-inf",
+            "huge-int",
+        ],
+    )
+    def test_chi1_image_refusal_names_the_image(self, value, message):
+        # the array step refuses, then the scan names the first image it refuses, in config order;
+        # a layout or type refused names the image as the per-image check did, a value its entry
+        doc = self.one_sheet()
+        doc["chi1"]["images"] = {"B1@1": [[[1.0, 0.0]]], "A1@1": value, "Z@1": value}
+        with pytest.raises(ValueError) as err:
+            parse_config(json.dumps(doc))
+        assert str(err.value) == f"invalid value for field 'chi1.images.A1@1{message}"
+
+    def test_oversized_int_in_chi1_entry_refused(self):
+        with pytest.raises(ValueError, match=re.escape("field 'chi1.images.A1@1[0][0]'")):
+            parse_config(self.with_value("chi1.images.A1@1", [[[10**400, 0]]]))
+        # an int that is a float is accepted, and becomes that float
+        cfg = parse_config(self.with_value("chi1.images.A1@1", [[[2**53 + 1, 0]]]))
+        assert cfg.chi1_images[0, 0, 0] == float(2**53 + 1)
+
+    def test_chi1_images_converted_once_at_parse(self):
+        doc = self.one_sheet()
+        doc["chi1"]["images"] = {"B1@1": [[[-0.0, 1]]], "A1@1": [[[1, -0.0]]]}
+        cfg = parse_config(json.dumps(doc))
+        assert cfg.chi1_images.shape == (2, 1, 1) and cfg.chi1_images.dtype == complex
+        parts = cfg.chi1_images.view(float).ravel()
+        assert parts.tolist() == [-0.0, 1.0, 1.0, -0.0]
+        assert np.signbit(parts).tolist() == [True, False, False, True]
+        assert cfg.echo()["chi1"] == doc["chi1"]  # the echo is the config as given
+
     @pytest.mark.parametrize("n, m, accepted", [(362, 2, True), (725, 1, False), (363, 2, False)])
     def test_dense_export_budget(self, n, m, accepted):
         # two images of rank n m: 2 * 724**2 entries fit in DENSE_EXPORT_ENTRIES = 2**20, 2 * 725**2 do not
@@ -281,6 +343,44 @@ class TestInduceMode:
         report = run_pipeline(parse_config(json.dumps(self.torus_config())))
         assert report.passed
         assert len(calls) == 1
+
+    def test_missing_label_refused_as_before(self):
+        doc = self.torus_config()
+        del doc["chi1"]["images"]["B1@2"]
+        doc["chi1"]["images"]["B1@9"] = [[[1.0, 0.0]]]  # a label outside the alphabet does not stand in
+        report = run_pipeline(parse_config(json.dumps(doc)))
+        assert report.error == "ValueError: no image supplied for generator(s) ['B1@2']"
+        assert report.checks == [] and "induced" not in report.extras
+
+    def test_bulk_path_builds_nothing_per_image(self, monkeypatch):
+        from hardycover import groups, induction
+
+        counts = {"BlockMonomial": 0, "Word": 0}
+
+        def counted(cls):
+            original = cls.__post_init__
+
+            def post_init(self):
+                counts[cls.__name__] += 1
+                original(self)
+
+            monkeypatch.setattr(cls, "__post_init__", post_init)
+
+        counted(induction.BlockMonomial)
+        counted(groups.Word)
+        seen = []
+        for n in (16, 64):
+            config = random_induce_config(seed=5, n=n)
+            cfg = parse_config(json.dumps(config))
+            counts.update(BlockMonomial=0, Word=0)
+            report = run_pipeline(cfg)
+            emit_report(report, fmt="json")
+            assert report.passed
+            seen.append((len(config["chi1"]["images"]), dict(counts)))
+        (small, few), (large, many) = seen
+        assert large >= 190 > small
+        # chi1 is stacked with no BlockMonomial per image, and the extras are written with no Word
+        assert few == many and many["BlockMonomial"] <= 2 and many["Word"] <= 2
 
     def test_invalid_covering_reported_not_raised(self):
         cfg_doc = self.torus_config()
@@ -403,7 +503,11 @@ def induced_along(config):
     presentation = (double_group if config.get("double", True) else surface_group)(config["s"], config["k"])
     cov = covering_from_json(presentation, config["covering"])
     trans = schreier_transversal(cov)
-    images = {lbl: matrix_from_json(mat) for lbl, mat in config["chi1"]["images"].items()}
+    # entry by entry, independent of the one-array converter
+    images = {
+        lbl: np.array([[complex(*x) for x in row] for row in mat])
+        for lbl, mat in config["chi1"]["images"].items()
+    }
     chi1 = MatrixRep(presentation=trans, m=config["chi1"]["m"], images=images)
     return induce_representation(cov, trans, chi1), cov
 
@@ -419,6 +523,22 @@ JSON_DOCUMENTS = st.recursive(
 )
 
 
+def chi1_variant(kind):
+    """The torus-3 ``induce`` config with its chi1 written another way; every check still passes."""
+    config = TestInduceMode().torus_config()
+    images = config["chi1"]["images"]
+    if kind == "int-parts":
+        images.update({"A1@3": [[[0, 1]]], "B1@1": [[[-1, 0]]], "B1@2": [[[-1, 0]]], "B1@3": [[[-1, 0]]]})
+    elif kind == "negative-zero":
+        minus_one = [[[-1.0, -0.0]]]
+        images.update({"A1@3": [[[-0.0, 1.0]]], "B1@1": minus_one, "B1@2": minus_one, "B1@3": [[[-1, -0.0]]]})
+    elif kind == "labels-reordered":
+        config["chi1"]["images"] = dict(sorted(images.items(), reverse=True))
+    elif kind == "label-outside-alphabet":
+        images["Z@7"] = [[[0.5, 0.0]]]
+    return config
+
+
 class TestJsonWriter:
     """The JSON report is ``json.dumps(doc, sort_keys=True, indent=2)`` of the dense document, byte for byte."""
 
@@ -429,10 +549,18 @@ class TestJsonWriter:
             TestInduceMode().torus_config(),
             random_induce_config(seed=5),
             TestInduceMode().torus_config(u2_phase=0.5),
+            chi1_variant("int-parts"),
+            chi1_variant("negative-zero"),
+            chi1_variant("labels-reordered"),
+            chi1_variant("label-outside-alphabet"),
             {"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]},
             isometry_config(samples=128, trials=2),
         ],
-        ids=["induce-one-sheet", "induce-torus-3", "induce-64-sheets", "induce-failing", "verify", "isometry"],
+        ids=[
+            "induce-one-sheet", "induce-torus-3", "induce-64-sheets", "induce-failing", "induce-int-parts",
+            "induce-negative-zero", "induce-labels-reordered", "induce-label-outside-alphabet",
+            "verify", "isometry",
+        ],
     )
     def test_report_is_dumps_of_the_dense_document(self, config):
         report = run_pipeline(parse_config(json.dumps(config)))
@@ -440,8 +568,11 @@ class TestJsonWriter:
         assert text == dense_dumps(report)
         if report.passed and config["mode"] == "induce":
             chi2, cov = induced_along(config)
-            expected = json.loads(json.dumps(rep_to_json(chi2, cov)))
-            assert json.loads(text)["extras"]["induced"] == expected
+            # compared as text, so the sign of every zero counts
+            expected = json.dumps(rep_to_json(chi2, cov), sort_keys=True)
+            assert json.dumps(json.loads(text)["extras"]["induced"], sort_keys=True) == expected
+            echo = json.dumps(json.loads(text)["config"]["chi1"], sort_keys=True)
+            assert echo == json.dumps(config["chi1"], sort_keys=True)
         elif config["mode"] == "induce":
             assert "induced" not in report.extras
 

@@ -446,6 +446,21 @@ class TestSheetWalk:
         assert np.array_equal(t.relator_rows, codes_of(oracle, t.relator_rows.shape[1]))
         assert subgroup_relators(cov, t) == tuple(oracle) == t.relators
 
+    @settings(max_examples=80, deadline=None)
+    @given(cov=covered_surfaces)
+    def test_word_strings_are_the_words_written(self, cov):
+        t = schreier_transversal(cov)
+        assert t.word_strings == (tuple(map(str, t.reps)), tuple(map(str, t.defining_words)))
+
+    def test_word_strings_build_no_word(self, monkeypatch, cover3):
+        t = schreier_transversal(cover3)
+        calls = []
+        original = Word.__post_init__
+        monkeypatch.setattr(Word, "__post_init__", lambda self: calls.append(1) or original(self))
+        strings = t.word_strings
+        assert calls == [] and "defining_words" not in vars(t) and "reps" not in vars(t)
+        assert strings == (("1", "A1", "A1 A1"), ("B1", "A1 B1 A1^-1", "A1 A1 A1", "A1 A1 B1 A1^-1 A1^-1"))
+
     def test_edge_map_is_a_view_of_the_edge_array(self, cover3, trans3):
         edges = trans3.edge_to_generator
         assert not trans3.edges.flags.writeable

@@ -137,6 +137,26 @@ class TestCheckRepresentation:
         assert not report.passed
         assert any(c.name.startswith("relator") for c in report.failing())
 
+    def test_plain_images_stacked_with_no_wrapper(self, monkeypatch):
+        calls = []
+        original = BlockMonomial.__post_init__
+        monkeypatch.setattr(BlockMonomial, "__post_init__", lambda self: calls.append(1) or original(self))
+        u, v = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
+        images = {"A1": u, "B1": v, "X": np.eye(5)}  # a label off the alphabet is ignored
+        rep = MatrixRep(presentation=TORUS, m=2, images=images)
+        assert calls == []
+        # nested lists are still read, each through BlockMonomial.of
+        listed = MatrixRep(presentation=TORUS, m=2, images={"A1": u.tolist(), "B1": v.tolist()})
+        assert len(calls) == 2 and np.array_equal(listed.images["B1"].dense(), v)
+        assert np.array_equal(rep.images["A1"].dense(), u) and np.array_equal(rep.images["B1"].dense(), v)
+        assert u.flags.writeable
+
+    @pytest.mark.parametrize("b_image", [np.eye(3), np.eye(2)[0], np.eye(4)])
+    def test_plain_images_that_do_not_fit_are_refused(self, b_image):
+        # they are not stacked, but go one by one through BlockMonomial.of, which names the shapes
+        with pytest.raises(ValueError, match="not one block shape|do not fit"):
+            MatrixRep(presentation=TORUS, m=2, images={"A1": np.eye(2), "B1": b_image})
+
     def test_report_computed_once_and_images_read_only(self):
         rep = commuting_torus_rep(np.random.default_rng(7), 2)
         assert check_representation(rep) is check_representation(rep)
@@ -530,6 +550,14 @@ class TestSignatureData:
         with pytest.raises(ValueError, match="read-only"):
             sig.J_list[1][0, 0] = 1.0
 
+    @pytest.mark.parametrize("J", [1.0, np.array(1.0), np.array([]).reshape(0)])
+    def test_rejects_a_value_that_is_no_matrix_by_its_shape(self, J):
+        shape = np.shape(J)
+        with pytest.raises(ValueError, match=re.escape(f"J_0 has shape {shape}")):
+            SignatureData(J_list=(J,))
+        with pytest.raises(ValueError, match=re.escape(f"J_1 has shape {shape}")):
+            SignatureData(J_list=(np.eye(1), J))
+
     def test_g_is_first(self):
         sig = SignatureData(J_list=(np.diag([1.0, -1.0]), np.eye(2)))
         assert np.array_equal(sig.G, np.diag([1.0, -1.0]))
@@ -719,6 +747,35 @@ class TestRepSerialization:
         with pytest.raises(ValueError, match=re.escape("field 'images.B1[0][0]'")):
             rep_from_json(TORUS, doc)
 
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_one_array_reading_matches_entry_by_entry(self, data):
+        g, m = data.draw(st.integers(0, 4)), data.draw(st.integers(1, 3))
+        part = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(2**80), 2**80)
+        pair = st.lists(part, min_size=2, max_size=2) | st.tuples(part, part)
+        square = lambda item: st.lists(item, min_size=m, max_size=m)
+        mats = data.draw(st.lists(square(square(pair)), min_size=g, max_size=g))
+        refused = None
+        if g and data.draw(st.booleans()):
+            refused = data.draw(st.integers(0, g - 1))
+            bad = [float("nan"), float("-inf"), 10**400, True, "1", None, [1.0], [1.0, 0.0, 0.0], "row"]
+            bad = data.draw(st.sampled_from(bad))
+            if bad == "row":
+                mats[refused] = mats[refused][1:]
+            else:
+                mats[refused][data.draw(st.integers(0, m - 1))][data.draw(st.integers(0, m - 1))] = bad
+        names = [f"images.M{k}" for k in range(g)]
+        if refused is None:
+            out = induction.matrices_from_json(mats, (m, m), names)
+            expected = np.array([[[complex(*x) for x in row] for row in mat] for mat in mats], dtype=complex)
+            # bit for bit, so -0.0 and every int's rounding count
+            assert out.shape == (g, m, m)
+            assert np.array_equal(out.view(np.int64), expected.reshape(g, m, m).view(np.int64))
+        else:
+            for whole, tail in ((False, r"(\[\d\]\[\d\])?'"), (True, "'")):
+                with pytest.raises(ValueError, match=re.escape(f"field '{names[refused]}") + tail):
+                    induction.matrices_from_json(mats, (m, m), names, whole=whole)
+
     def test_reader_accepts_integer_parts(self):
         rep = rep_from_json(TORUS, {"m": 1, "images": {"A1": [[[0, 1]]], "B1": [[[-1, 0]]]}})
         assert rep.images["A1"].dense()[0, 0] == 1j and rep.images["B1"].dense()[0, 0] == -1
@@ -777,6 +834,16 @@ class TestBlockMonomial:
     def test_rejects_bad_columns_and_shapes(self, perm, shape):
         with pytest.raises(ValueError):
             BlockMonomial(perm, np.zeros(shape))
+
+    def test_keeps_read_only_copies_of_the_callers_arrays(self):
+        perm, blocks = np.arange(2), np.zeros((2, 1, 1), dtype=complex)
+        mat = BlockMonomial(perm, blocks)
+        assert perm.flags.writeable and blocks.flags.writeable
+        blocks[0, 0, 0], perm[0] = 5.0, 1
+        assert mat.blocks[0, 0, 0] == 0 and mat.perm[0] == 0
+        assert not (mat.perm.flags.writeable or mat.blocks.flags.writeable)
+        u = np.eye(2, dtype=complex)
+        assert BlockMonomial.of(u).blocks[0] is not u and u.flags.writeable
 
     def test_off_pattern_block_is_a_residual(self):
         # chi2(A1) against a copy with one block moved to another column
