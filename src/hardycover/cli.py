@@ -3,11 +3,19 @@
 Subcommands: ``group`` (emit a presentation), ``induce`` (run the induction
 pipeline on an explicit covering), ``verify`` (symmetry suite on the cyclic
 annulus family), ``isometry`` (numerical isometry check).  Configs are
-checked once, at parse, each refusal naming its field; the ``chi1`` images of
-``induce`` are checked and converted as one array.  Reports are deterministic
-given the config (``isometry``, the only mode that draws random numbers,
-takes its ``seed`` from it): the JSON emission is byte-stable, with
-wall-clock timing shown only in the text rendering.
+checked once, at parse, each refusal naming its field: values, sampling
+(``isometry`` samples a power of two, at least ``2 degree + 2``) and size
+budgets for every mode; the ``chi1`` images of ``induce`` are checked and
+converted as one array.  Reports are deterministic given the config
+(``isometry``, the only mode that draws random numbers, takes its ``seed``
+from it): the JSON emission is byte-stable, with wall-clock timing shown
+only in the text rendering.
+
+The JSON report is the text of ``json.dumps(doc, sort_keys=True, indent=2)``,
+written by ``_json`` with three bulk paths: images from their block-monomials
+(``_dense_json``), arrays of numbers and dicts of same-shape arrays with one
+``json.dumps`` of all their numbers (``_array_json``), and the check list from
+one ``json.dumps`` of its residuals and tolerances (``_checks_json``).
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
@@ -38,10 +47,10 @@ from .hardy import (
 from .induction import (
     BlockMonomial,
     Check,
-    CheckReport,
     MatrixRep,
     SignatureData,
     check_representation,
+    flatten_levels,
     induce_representation,
     matrices_from_json,
     rep_to_json,
@@ -114,6 +123,14 @@ def _check_isometry(p: dict) -> None:
             f"give {n * samples * m} entries per section upstairs, over the budget of "
             f"{ISOMETRY_GRID_ENTRIES}"
         )
+    # the sections are sampled by FFT on grids that halve down the convergence table
+    if samples & (samples - 1):
+        raise ValueError(f"invalid value for field 'samples': {samples} is not a power of two")
+    if samples < 2 * degree + 2:
+        raise ValueError(
+            f"invalid values for fields 'samples' and 'degree': {samples} samples undersample a "
+            f"degree-{degree} section (need at least {2 * degree + 2})"
+        )
     # the covered annulus has inner radius rho1**n, which must be a normal float
     if rho1**n < sys.float_info.min:
         raise ValueError(f"invalid value for field 'rho1': {rho1!r} ** n={n} underflows")
@@ -131,6 +148,33 @@ def _check_isometry(p: dict) -> None:
         )
 
 
+# verify builds about 1.5 KB per block entry (tracemalloc peak 91 MB at n = 2**16, m = 1)
+VERIFY_BLOCK_ENTRIES = 2**16
+
+
+def _check_verify(p: dict) -> None:
+    n, m = p["n"], p["m"]
+    if n * m * m > VERIFY_BLOCK_ENTRIES:
+        raise ValueError(
+            f"invalid values for fields 'n' and 'm': n={n}, m={m} give {n * m * m} block entries "
+            f"per image, over the budget of {VERIFY_BLOCK_ENTRIES}"
+        )
+
+
+# a presentation of 2s + k generators, doubled, takes about 4.3 KB per generator to build and
+# write (tracemalloc peak 32 MB at s = 4000, k = 1)
+PRESENTATION_GENERATORS = 2**14
+
+
+def _check_generators(p: dict) -> None:
+    s, k = p["s"], p["k"]
+    if 2 * s + k > PRESENTATION_GENERATORS:
+        raise ValueError(
+            f"invalid values for fields 's' and 'k': s={s}, k={k} give {2 * s + k} generators, "
+            f"over the budget of {PRESENTATION_GENERATORS}"
+        )
+
+
 _COVERING_FIELDS = {"n": (True, None, _pos_int), "perms": (True, None, _object)}
 _CHI1_FIELDS = {"m": (True, None, _pos_int), "images": (True, None, _object)}
 # induce exports each image as a dense (n m)^2 matrix: 2**20 entries are ~70 MB of JSON
@@ -139,6 +183,7 @@ DENSE_EXPORT_ENTRIES = 2**20
 
 def _check_induce(p: dict) -> np.ndarray:
     """Check the nested ``covering`` and ``chi1``, each bad value named by its path; return chi1's images."""
+    _check_generators(p)
     covering = _fields(p["covering"], _COVERING_FIELDS, "'covering'", "covering.")
     chi1 = _fields(p["chi1"], _CHI1_FIELDS, "'chi1'", "chi1.")
     n, m, count = covering["n"], chi1["m"], len(covering["perms"])
@@ -168,11 +213,9 @@ def parse_config(text: str) -> RunConfig:
     mode = raw.pop("mode", None)
     if not isinstance(mode, str) or mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {list(_MODES)}")
-    params = _fields(raw, _MODES[mode][1], f"mode {mode!r}")
-    if mode == "isometry":
-        _check_isometry(params)
-    chi1_images = _check_induce(params) if mode == "induce" else None
-    return RunConfig(mode=mode, params=params, chi1_images=chi1_images)
+    _, schema, check = _MODES[mode]
+    params = _fields(raw, schema, f"mode {mode!r}")
+    return RunConfig(mode=mode, params=params, chi1_images=check(params))
 
 
 @dataclass
@@ -191,9 +234,13 @@ class Report:
 
     def to_json_doc(self) -> dict:
         """The run-stable document (no timing); a ``BlockMonomial`` stands for its dense matrix."""
+        return self._document([c.to_json() for c in self.checks])
+
+    def _document(self, checks: list) -> dict:
+        """``to_json_doc`` with ``checks`` standing for the list of ``Check.to_json`` forms."""
         return {
             "config": self.config,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": checks,
             "extras": self.extras,
             "error": self.error,
             "passed": self.passed,
@@ -224,10 +271,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _prefixed(check_report: CheckReport, prefix: str) -> list[Check]:
-    return [Check(prefix + c.name, c.residual, c.tolerance, c.block) for c in check_report.checks]
-
-
 def _run_group(cfg: RunConfig, report: Report) -> None:
     p = cfg.params
     builder = double_group if p["double"] else surface_group
@@ -243,9 +286,9 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
     chi1 = MatrixRep(presentation=trans, m=p["chi1"]["m"], images=images)
 
     # the chi1 checks are reported even when induce_representation refuses chi1
-    report.checks += _prefixed(check_representation(chi1), "chi1:")
+    report.checks += check_representation(chi1).prefixed("chi1:").checks
     chi2 = induce_representation(cov, trans, chi1)
-    report.checks += _prefixed(check_representation(chi2), "chi2:")
+    report.checks += check_representation(chi2).prefixed("chi2:").checks
     report.extras["induced"] = rep_to_json(chi2, cov, dense=False)
     report.extras["transversal"], generators = map(list, trans.word_strings)
     report.extras["schreier_generators"] = dict(zip(trans.alphabet, generators))
@@ -259,7 +302,7 @@ def _signature_from_params(p: dict) -> SignatureData:
 def _run_verify(cfg: RunConfig, report: Report) -> None:
     p = cfg.params
     pipeline = annulus_pipeline(p["n"], float(p["alpha"]), _signature_from_params(p))
-    report.checks += _prefixed(check_representation(pipeline.chi2), "chi2:")
+    report.checks += check_representation(pipeline.chi2).prefixed("chi2:").checks
     report.checks += pipeline.report.checks
 
 
@@ -288,12 +331,13 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
         (random_section(rng, m, degree, c), random_section(rng, m, degree, c))
         for _ in range(p["trials"])
     ]
-    # doublings from 64 up to the configured count, which ends the table
-    counts = [min(64, samples)]
-    while 2 * counts[-1] < samples:
+    # doublings of 64 from the first that samples the degree up to the configured count
+    first = 64
+    while first < 2 * degree + 2:
+        first *= 2
+    counts = [min(first, samples)]
+    while counts[-1] < samples:
         counts.append(2 * counts[-1])
-    if counts[-1] != samples:
-        counts.append(samples)
     rows = verify_isometry(cov, pairs, alpha, sig, counts)
     residuals = rows[-1].tolist()
     report.extras["per_trial_residuals"] = residuals
@@ -314,8 +358,9 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
     report.checks.append(Check("convergence-final", table[-1][1], tolerance))
 
 
-# mode -> (runner, field table); a field table maps name -> (required, default, validator)
-_MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict]] = {
+# mode -> (runner, field table, check of the filled fields, which returns the chi1 images of
+# induce); a field table maps name -> (required, default, validator)
+_MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict, Callable[[dict], Any]]] = {
     "group": (
         _run_group,
         {
@@ -323,6 +368,7 @@ _MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict]] = {
             "k": (True, None, _pos_int),
             "double": (False, False, _flag),
         },
+        _check_generators,
     ),
     "induce": (
         _run_induce,
@@ -333,6 +379,7 @@ _MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict]] = {
             "covering": (True, None, _object),
             "chi1": (True, None, _object),
         },
+        _check_induce,
     ),
     "verify": (
         _run_verify,
@@ -342,6 +389,7 @@ _MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict]] = {
             "signs": (True, None, _signs),
             "m": (False, 1, _pos_int),
         },
+        _check_verify,
     ),
     "isometry": (
         _run_isometry,
@@ -357,6 +405,7 @@ _MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict]] = {
             "tolerance": (False, 1e-9, _positive),
             "seed": (False, 0, _nonneg_int),
         },
+        _check_isometry,
     ),
 }
 
@@ -395,31 +444,109 @@ def _dense_json(mat: BlockMonomial, indent: str, out: list[str]) -> None:
     out.append(f"\n{indent}]")
 
 
+def _array_json(keys: list[str] | None, items: list, indent: str, out: list[str]) -> bool:
+    """Append ``items``, or with ``keys`` the dict of them, if they are one array of ints and floats.
+
+    The array must be rectangular and non-empty with every number at one
+    depth (with ``keys``, at least one list deep in each value); else nothing
+    is appended and the result is False.  One ``json.dumps`` spells every
+    number, and the text between two numbers depends only on how many
+    dimensions roll over there: those separators are made once per depth.
+    """
+    shape, first = [len(items)], items[0]
+    while type(first) in (list, tuple) and first:
+        shape.append(len(first))
+        first = first[0]
+    if type(first) not in (int, float) or keys and len(shape) < 2:  # most other content fails here
+        return False
+    numbers = flatten_levels(items, shape[1:])
+    if numbers is None or not {*map(type, numbers)} <= {int, float}:
+        return False
+    depth = len(shape)  # the container at level 0, every number at level ``depth``
+    at = [indent + "  " * level for level in range(depth + 1)]
+    opening, closing = [f"[\n{a}" for a in at], [f"\n{a}]" for a in at]
+    opens = lambda j: "".join(opening[depth - j + 1 :])  # j lists open, their items at ``depth``
+    closes = lambda j: "".join(closing[depth - j : depth][::-1])  # j lists close after a number
+    # before a number where the last j dimensions roll over: j lists close, a comma, j lists open
+    block: list[str] = []  # the texts before the numbers of one item, all but the first
+    for j, size in enumerate(reversed(shape[1:])):
+        block += ([f"{closes(j)},\n{at[depth - j]}{opens(j)}"] + block) * (size - 1)
+    opened, between = opens(depth - 1), f"{closes(depth - 1)},\n{at[1]}"
+    if keys:
+        heads = [f"{between}{encode_basestring_ascii(key)}: {opened}" for key in keys]
+        heads[0] = f"{{\n{at[1]}{encode_basestring_ascii(keys[0])}: {opened}"
+    else:
+        heads = [f"[\n{at[1]}{opened}"] + [between + opened] * (len(items) - 1)
+    text = [""] * (2 * len(numbers))  # the text before each number, then the number
+    text[::2] = ([""] + block) * len(items)
+    text[:: 2 * len(block) + 2] = heads
+    text[1::2] = json.dumps(numbers)[1:-1].split(", ")
+    out += text
+    out.append(f"{closes(depth - 1)}\n{indent}{'}' if keys else ']'}")
+    return True
+
+
+def _checks_json(checks: list[Check], indent: str, out: list[str]) -> None:
+    """Append the list of ``Check.to_json`` forms of ``checks``, without making them.
+
+    One ``json.dumps`` spells every residual and tolerance, and each check
+    fills one template.
+    """
+    item, field = indent + "  ", indent + "    "
+    template = "{\n" + ",\n".join(f'{field}"{key}": %s' for key in ("name", "passed", "residual", "tolerance"))
+    template += f"\n{item}}}"
+    count = len(checks)
+    numbers = json.dumps([c.residual for c in checks] + [c.tolerance for c in checks])[1:-1].split(", ")
+    filled = (
+        template % (encode_basestring_ascii(c.name), "true" if c.passed else "false", residual, tolerance)
+        for c, residual, tolerance in zip(checks, numbers[:count], numbers[count:])
+    )
+    out.append(f"[\n{item}" + f",\n{item}".join(filled) + f"\n{indent}]")
+
+
+class _CheckList(list):
+    """A report's checks in the document that ``emit_report`` writes: ``_checks_json`` writes them."""
+
+
 def _json(value: Any, indent: str, out: list[str]) -> None:
     """Append ``json.dumps(value, sort_keys=True, indent=2)`` of a string-keyed document.
 
     ``json`` also writes a str by ``encode_basestring_ascii`` and an int or a
-    finite float as its ``repr``.
+    finite float as its ``repr``.  An array of numbers is written whole by
+    ``_array_json``.
     """
-    if isinstance(value, BlockMonomial):
-        return _dense_json(value, indent, out)
-    if isinstance(value, str):
+    kind = type(value)
+    if kind is str:
         return out.append(encode_basestring_ascii(value))
-    if type(value) is int or type(value) is float and math.isfinite(value):
+    if kind is int or kind is float and math.isfinite(value):
         return out.append(repr(value))
-    if isinstance(value, bool):
+    if kind is bool:
         return out.append("true" if value else "false")
+    if kind is BlockMonomial:
+        return _dense_json(value, indent, out)
     if not (value and isinstance(value, (dict, list, tuple))):
         return out.append(json.dumps(value))
+    if kind is _CheckList:
+        return _checks_json(value, indent, out)
     inner = indent + "  "
     if isinstance(value, dict):
-        for i, key in enumerate(sorted(value)):
-            out.append(f"{',' if i else '{'}\n{inner}{encode_basestring_ascii(key)}: ")
+        keys = sorted(value)
+        if _array_json(keys, [value[key] for key in keys], indent, out):
+            return
+        head, sep = "{\n" + inner, ",\n" + inner
+        for key in keys:
+            out.append(f"{head}{encode_basestring_ascii(key)}: ")
             _json(value[key], inner, out)
+            head = sep
         return out.append(f"\n{indent}}}")
-    for i, item in enumerate(value):
-        out.append(f"{',' if i else '['}\n{inner}")
+    # most lists of other content are told by their first item without a call
+    if type(value[0]) in (int, float, list, tuple) and _array_json(None, value, indent, out):
+        return
+    head, sep = "[\n" + inner, ",\n" + inner
+    for item in value:
+        out.append(head)
         _json(item, inner, out)
+        head = sep
     out.append(f"\n{indent}]")
 
 
@@ -431,7 +558,7 @@ def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> s
     """
     if fmt == "json":
         chunks: list[str] = []
-        _json(report.to_json_doc(), "", chunks)
+        _json(report._document(_CheckList(report.checks)), "", chunks)
         chunks.append("\n")
         rendered = "".join(chunks)
     elif fmt == "text":

@@ -242,6 +242,10 @@ class CheckReport:
     def to_json(self) -> dict:
         return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
 
+    def prefixed(self, prefix: str) -> "CheckReport":
+        """The same checks, each name after ``prefix``."""
+        return CheckReport(tuple(Check(prefix + c.name, c.residual, c.tolerance, c.block) for c in self.checks))
+
 
 class _StackedReport(CheckReport):
     """The report of one stacked comparison, at ``TOL_EXACT``: names, residuals and blocks as arrays.
@@ -262,6 +266,11 @@ class _StackedReport(CheckReport):
     @property
     def passed(self) -> bool:
         return bool(self._arrays[1].max(initial=0.0) < TOL_EXACT)  # NaN fails
+
+    def prefixed(self, prefix: str) -> CheckReport:
+        """The same checks, each name after ``prefix``: the arrays are shared, no ``Check`` is made."""
+        names, *arrays = self._arrays
+        return _StackedReport([prefix + name for name in names], *arrays)
 
 
 @dataclass(frozen=True, eq=False)
@@ -707,6 +716,19 @@ def matrix_to_json(mat: np.ndarray) -> list:
 _list_of = lambda value, size: type(value) in (list, tuple) and len(value) == size
 
 
+def flatten_levels(items: Sequence, sizes: Sequence[int]) -> list | None:
+    """The values ``len(sizes)`` levels below ``items``, in order, as one list.
+
+    Each level is checked and flattened as a whole: its items must all be
+    lists or tuples of the level's size, else the result is None.
+    """
+    for size in sizes:
+        if not {*map(type, items)} <= {list, tuple} or {*map(len, items)} - {size}:
+            return None
+        items = [*chain.from_iterable(items)]
+    return items
+
+
 def matrices_from_json(
     mats: Sequence, shape: tuple[int, int], names: Sequence[str], whole: bool = False
 ) -> np.ndarray:
@@ -716,17 +738,13 @@ def matrices_from_json(
     float, read through a float view that keeps signs of zero.  Only if it refuses are the matrices
     scanned, to name the first entry refused, ``names[g][i][j]``, or with ``whole`` the matrix ``names[g]``.
     """
-    level, (rows, cols) = mats, shape
-    for size in (rows, cols, 2):  # matrices, then rows, then entries: lists of ``size`` items each
-        if not {*map(type, level)} <= {list, tuple} or {*map(len, level)} - {size}:
-            break
-        level = [*chain.from_iterable(level)]
-    else:
-        if all(issubclass(t, Real) and not issubclass(t, bool) for t in {*map(type, level)}):
-            with suppress(OverflowError):  # from an int too large for a float, named below
-                values = np.array(level, dtype=float)
-                if np.isfinite(values).all():
-                    return values.view(complex).reshape(len(mats), rows, cols)
+    rows, cols = shape
+    parts = flatten_levels(mats, (rows, cols, 2))  # matrices, then rows, then entries
+    if parts is not None and all(issubclass(t, Real) and not issubclass(t, bool) for t in {*map(type, parts)}):
+        with suppress(OverflowError):  # from an int too large for a float, named below
+            values = np.array(parts, dtype=float)
+            if np.isfinite(values).all():
+                return values.view(complex).reshape(len(mats), rows, cols)
     for name, mat in zip(names, mats):
         matrix = f"invalid value for field '{name}': {mat!r} is not an {rows}x{cols} list of [re, im] pairs"
         if not (_list_of(mat, rows) and all(_list_of(row, cols) for row in mat)):

@@ -1,6 +1,7 @@
 """Configuration parsing, pipeline dispatch, report emission, exit codes."""
 
 import json
+import math
 import re
 import sys
 from pathlib import Path
@@ -17,9 +18,12 @@ from hardycover import (
     surface_group,
 )
 from hardycover.covering import covering_from_json
+from hardycover import cli
 from hardycover.cli import (
     DENSE_EXPORT_ENTRIES,
     ISOMETRY_GRID_ENTRIES,
+    PRESENTATION_GENERATORS,
+    VERIFY_BLOCK_ENTRIES,
     Report,
     emit_report,
     main,
@@ -161,6 +165,47 @@ class TestParseConfig:
         else:
             with pytest.raises(ValueError, match="fields 'n', 'samples' and 'm'.*budget"):
                 parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("samples", [100, 96, 1000, 2**18 - 1])
+    def test_samples_not_a_power_of_two_refused(self, samples, tmp_path, capsys):
+        with pytest.raises(ValueError, match=f"field 'samples': {samples} is not a power of two"):
+            parse_config(json.dumps(isometry_config(samples=samples)))
+        # the command-line override is checked the same way
+        config = tmp_path / "iso.json"
+        config.write_text(json.dumps(isometry_config()))
+        assert main(["isometry", "--config", str(config), "--samples", str(samples)]) == 2
+        assert "'samples'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("degree, samples", [(8, 16), (31, 32), (40, 64), (1, 2)])
+    def test_undersampled_config_refused(self, degree, samples):
+        with pytest.raises(ValueError, match="fields 'samples' and 'degree'.*undersample"):
+            parse_config(json.dumps(isometry_config(degree=degree, samples=samples)))
+        parse_config(json.dumps(isometry_config(degree=degree, samples=2 * samples)))
+
+    @pytest.mark.parametrize(
+        "n, m, accepted",
+        [(2**16, 1, True), (1024, 8, True), (1, 256, True), (2**16 + 1, 1, False), (1025, 8, False), (1, 257, False)],
+    )
+    def test_verify_block_budget(self, n, m, accepted):
+        # parse_config only: a refused size must not allocate anything
+        doc = {"mode": "verify", "n": n, "m": m, "alpha": 0.7, "signs": [1, -1]}
+        assert (n * m * m <= VERIFY_BLOCK_ENTRIES) is accepted
+        if accepted:
+            parse_config(json.dumps(doc))
+        else:
+            with pytest.raises(ValueError, match="fields 'n' and 'm'.*budget"):
+                parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize("mode", ["group", "induce"])
+    @pytest.mark.parametrize("s, k", [(2**13, 1), (0, 2**14 + 1), (10**9, 1), (2**13 - 1, 3)])
+    def test_generator_budget(self, mode, s, k):
+        # parse_config only, refused before the covering or chi1 is looked at
+        doc = {"mode": mode, "s": s, "k": k}
+        if mode == "induce":
+            doc.update(TestInduceConfig().one_sheet(), s=s, k=k)
+        assert 2 * s + k > PRESENTATION_GENERATORS
+        with pytest.raises(ValueError, match="fields 's' and 'k'.*budget"):
+            parse_config(json.dumps(doc))
 
     def test_every_documented_config_accepted(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -418,6 +463,25 @@ class TestIsometryMode:
         assert max(report.extras["per_trial_residuals"]) < 1e-9
         assert [row[0] for row in report.extras["convergence"]] == [64, 128, 256]
 
+    @pytest.mark.parametrize(
+        "degree, samples, counts",
+        [
+            (8, 1024, [64, 128, 256, 512, 1024]),
+            (31, 128, [64, 128]),
+            (8, 32, [32]),
+            (32, 128, [128]),
+            (40, 128, [128]),
+            (63, 512, [128, 256, 512]),
+            (64, 256, [256]),
+        ],
+    )
+    def test_convergence_table_starts_where_sampling_is_valid(self, degree, samples, counts):
+        # rho1 near 1 keeps a high-degree pairing small enough to meet the absolute tolerance
+        report = run_pipeline(self.quick(degree=degree, samples=samples, trials=1, rho1=0.95))
+        assert report.error is None
+        assert [row[0] for row in report.extras["convergence"]] == counts
+        assert counts[0] >= 2 * degree + 2
+
 
 def dense_induced_export(config):
     """The dense induced images of an ``induce`` config, block by block from chi1.
@@ -523,6 +587,35 @@ JSON_DOCUMENTS = st.recursive(
 )
 
 
+# the numbers of an array: reported floats, and ints a float cannot hold
+ARRAY_NUMBERS = REPORTED_FLOATS | st.integers(2**53 + 1, 2**80) | st.integers(-(2**80), -(2**53) - 1)
+ESCAPED_KEYS = ['a"b', "back\\slash", "caf\u00e9", "\u2603", "tab\tnew\nline", "", "A1@3"]
+
+
+ARRAY_SHAPES = st.integers(1, 4).flatmap(lambda depth: st.lists(st.integers(1, 3), min_size=depth, max_size=depth))
+
+
+@st.composite
+def arrays_of(draw, shape):
+    """A nested list (some levels tuples) of numbers of the given shape."""
+    array = draw(st.lists(ARRAY_NUMBERS, min_size=math.prod(shape), max_size=math.prod(shape)))
+    for size in reversed(shape[1:]):
+        kind = draw(st.sampled_from([list, tuple]))
+        array = [kind(array[i : i + size]) for i in range(0, len(array), size)]
+    return array
+
+
+def written_whole(value):
+    """Whether ``_array_json`` takes ``value`` (a non-empty list or dict), and if so, the text it writes."""
+    out = []
+    if isinstance(value, dict):
+        keys = sorted(value)
+        taken = cli._array_json(keys, [value[key] for key in keys], "", out)
+    else:
+        taken = cli._array_json(None, value, "", out)
+    return taken and "".join(out)
+
+
 def chi1_variant(kind):
     """The torus-3 ``induce`` config with its chi1 written another way; every check still passes."""
     config = TestInduceMode().torus_config()
@@ -593,6 +686,109 @@ class TestJsonWriter:
     def test_drawn_documents(self, doc):
         report = Report(config={"mode": "group"}, extras={"drawn": doc})
         assert emit_report(report, fmt="json") == dense_dumps(report)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_drawn_arrays_written_whole(self, data):
+        array = data.draw(arrays_of(data.draw(ARRAY_SHAPES)))
+        assert written_whole(array) == json.dumps(array, sort_keys=True, indent=2)
+        report = Report(config={"mode": "group"}, extras={"array": array, "nested": {"deeper": [array]}})
+        assert emit_report(report, fmt="json") == dense_dumps(report)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_drawn_dicts_of_arrays_written_whole(self, data):
+        shape = data.draw(ARRAY_SHAPES.filter(lambda shape: len(shape) < 4))
+        keys = data.draw(st.lists(st.sampled_from(ESCAPED_KEYS) | st.text(max_size=4), min_size=1, unique=True))
+        arrays = {key: data.draw(arrays_of(shape)) for key in keys}
+        assert written_whole(arrays) == json.dumps(arrays, sort_keys=True, indent=2)
+        report = Report(config={"mode": "group", "images": arrays}, extras={"list": [arrays, arrays]})
+        assert emit_report(report, fmt="json") == dense_dumps(report)
+
+    def test_escaped_keys_written_whole(self):
+        arrays = {key: [[i, -0.0], [float("nan"), 1e16]] for i, key in enumerate(ESCAPED_KEYS)}
+        assert written_whole(arrays) == json.dumps(arrays, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            [[1, 2], [3]],
+            [[[1.0], [2.0]], [[3.0]]],
+            [[], []],
+            [[1], []],
+            [[[]]],
+            [[1, 2], 3],
+            [1, [2]],
+            [True, False],
+            [[1, True]],
+            [1, None],
+            ["1", 2],
+            [["a"]],
+            [{"a": 1}],
+            [[{"a": [1]}]],
+            {"a": 1, "b": 2.0},
+            {"a": []},
+            {"a": [1], "b": []},
+            {"a": [1], "b": [[1]]},
+            {"a": [1, 2], "b": [1]},
+            {"a": [1, 2], "b": 3},
+            {"a": [False]},
+            {"a": ["x"]},
+            {"a": {"b": [1]}},
+        ],
+    )
+    def test_other_content_takes_the_generic_path(self, value):
+        assert written_whole(value) is False
+        report = Report(config={"mode": "group"}, extras={"value": value, "empty": [], "empty_dict": {}})
+        assert emit_report(report, fmt="json") == dense_dumps(report)
+
+    def test_report_arrays_written_whole(self, monkeypatch):
+        written = []
+        original = cli._array_json
+        monkeypatch.setattr(cli, "_array_json", lambda *args: original(*args) and not written.append(args[1]))
+        for config in (TestInduceMode().torus_config(), isometry_config(samples=128, trials=2)):
+            report = run_pipeline(parse_config(json.dumps(config)))
+            assert emit_report(report, fmt="json") == dense_dumps(report)
+        chi1, perms = TestInduceMode().torus_config()["chi1"]["images"], {"A1": [2, 3, 1], "B1": [1, 2, 3]}
+        assert [chi1[key] for key in sorted(chi1)] in written
+        assert [perms[key] for key in sorted(perms)] in written
+        assert [1, -1] in written and report.extras["convergence"] in written
+        assert report.extras["per_trial_residuals"] in written
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        checks=st.lists(
+            st.builds(
+                Check,
+                st.sampled_from(ESCAPED_KEYS) | st.text(),
+                st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]),
+                st.floats(allow_nan=False) | st.sampled_from([1e-12, float("inf")]),
+            ),
+            max_size=5,
+        )
+    )
+    def test_drawn_check_lists(self, checks):
+        report = Report(config={"mode": "group"}, checks=checks)
+        assert emit_report(report, fmt="json") == dense_dumps(report)
+
+    def test_non_finite_residuals_and_escaped_names(self):
+        names = ['relator["0"]', "back\\slash", "caf\u00e9[\u2603]", "%s %d", "a, b"]
+        residuals = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300]
+        checks = [Check(name, residual, 1e-12) for name, residual in zip(names, residuals)]
+        report = Report(config={"mode": "verify"}, checks=checks)
+        text = emit_report(report, fmt="json")
+        assert text == dense_dumps(report)
+        assert '"residual": NaN' in text and '"residual": -Infinity' in text and '"residual": -0.0' in text
+
+    def test_induce_builds_each_reported_check_once(self, monkeypatch):
+        made = []
+        original = Check.__post_init__
+        monkeypatch.setattr(Check, "__post_init__", lambda self: made.append(self.name) or original(self))
+        cfg = parse_config(json.dumps(TestInduceMode().torus_config()))
+        report = run_pipeline(cfg)
+        emit_report(report, fmt="json")
+        assert report.passed and len(report.checks) == 10
+        assert sorted(made) == sorted(c.name for c in report.checks)
 
     def test_text_names_block_and_excess_of_a_failing_check(self):
         moved = BlockMonomial(np.array([0, 2, 1]), np.ones((3, 1, 1)))

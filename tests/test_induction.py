@@ -41,7 +41,7 @@ from hardycover import (
 from hardycover.covering import expand_schreier_word
 from hardycover.cyclic import annulus_double_rep
 from hardycover import induction
-from hardycover.induction import rep_from_json, rep_to_json, unitarity_residual
+from hardycover.induction import Check, rep_from_json, rep_to_json, unitarity_residual
 
 from helpers import (
     GENUS_THREE,
@@ -185,6 +185,21 @@ class TestCheckRepresentation:
         assert isinstance(report, CheckReport)
         names = [f"unitarity[{x}]" for x in p.alphabet] + ["relator[0]"]
         assert [c.name for c in report.checks] == names
+
+    def test_prefixed_shares_the_arrays(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        rep = MatrixRep(presentation=TORUS, m=2, images={"A1": haar_unitary(rng, 2), "B1": haar_unitary(rng, 2)})
+        report = check_representation(rep)
+        made = []
+        original = Check.__post_init__
+        monkeypatch.setattr(Check, "__post_init__", lambda self: made.append(1) or original(self))
+        stacked = report.prefixed("chi1:")
+        assert made == [] and stacked.passed is report.passed is False
+        # the same checks as prefixing each Check of the report
+        expected = CheckReport(report.checks).prefixed("chi1:").checks
+        assert stacked.checks == expected
+        assert [c.name for c in expected] == ["chi1:unitarity[A1]", "chi1:unitarity[B1]", "chi1:relator[0]"]
+        assert stacked.worst().startswith("chi1:relator[0] at block (1, 1)")
 
     def test_report_serializes(self):
         report = check_representation(commuting_torus_rep(np.random.default_rng(6), 1))
