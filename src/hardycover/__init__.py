@@ -8,7 +8,7 @@ layer that verifies the indefinite Hardy-space isometry on the family of
 power maps between annuli.
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .groups import (
     DoubledPresentation,

@@ -36,14 +36,7 @@ from . import __version__
 from .covering import covering_from_json, schreier_transversal
 from .cyclic import annulus_pipeline
 from .groups import double_group, presentation_to_json, surface_group
-from .hardy import (
-    SectionSpec,
-    indefinite_inner_product,
-    make_annulus_cover,
-    random_section,
-    sample_section,
-    verify_isometry,
-)
+from .hardy import make_annulus_cover, random_section, verify_isometry
 from .induction import (
     BlockMonomial,
     Check,
@@ -111,7 +104,8 @@ def _fields(raw: dict, schema: dict, where: str, prefix: str = "") -> dict:
     return params
 
 
-# isometry samples each section at n * samples angles upstairs, m values each (16 B per entry)
+# isometry samples each Cauchy kernel at n * samples angles upstairs, and each of the
+# (2 degree + 1) m Gram basis sections at n N, m values each (16 B per entry)
 ISOMETRY_GRID_ENTRIES = 2**20
 
 
@@ -123,7 +117,13 @@ def _check_isometry(p: dict) -> None:
             f"give {n * samples * m} entries per section upstairs, over the budget of "
             f"{ISOMETRY_GRID_ENTRIES}"
         )
-    # the sections are sampled by FFT on grids that halve down the convergence table
+    basis_entries = (2 * degree + 1) * m * n * (1 << (2 * degree + 1).bit_length()) * m
+    if basis_entries > ISOMETRY_GRID_ENTRIES:
+        raise ValueError(
+            f"invalid values for fields 'degree', 'n' and 'm': degree={degree}, n={n}, m={m} give "
+            f"{basis_entries} entries for the Gram basis upstairs, over the budget of {ISOMETRY_GRID_ENTRIES}"
+        )
+    # the convergence table's counts double up to samples
     if samples & (samples - 1):
         raise ValueError(f"invalid value for field 'samples': {samples} is not a power of two")
     if samples < 2 * degree + 2:
@@ -135,16 +135,19 @@ def _check_isometry(p: dict) -> None:
     if rho1**n < sys.float_info.min:
         raise ValueError(f"invalid value for field 'rho1': {rho1!r} ** n={n} underflows")
     # The inner-circle pushforward samples have size about rho1**-e, with
-    # e = degree + (n - 1)/2 - alpha/(2 pi).  Each is a sum of 2*degree + 1
+    # e = degree + (n - 1)/2 - c, c = alpha/(2 pi).  Each is a sum of 2*degree + 1
     # terms with coefficients of standard Gaussian size (bounded here by 10),
-    # and the pairing sums samples * m of their squares.
-    exponent = degree + (n - 1) / 2 - p["alpha"] / (2.0 * math.pi)
-    log_size = -exponent * math.log(rho1) + math.log(10 * (2 * degree + 1))
-    if 2 * log_size + math.log(samples * m) > math.log(sys.float_info.max):
+    # and the pairing sums samples * m of their squares.  The least Gram scale,
+    # 2 pi rho1**(2c + 2 degree + 1), over 2 pi n bounds the least product.
+    c = p["alpha"] / (2.0 * math.pi)
+    log_most = 2 * (math.log(10 * (2 * degree + 1)) - (degree + (n - 1) / 2 - c) * math.log(rho1))
+    log_most += math.log(samples * m)
+    log_least = (2 * c + 2 * degree + 1) * math.log(rho1) - math.log(n)
+    if log_most > math.log(sys.float_info.max) or log_least < math.log(sys.float_info.min):
         raise ValueError(
-            f"invalid value for field 'rho1': {rho1!r} with n={n}, degree={degree} gives "
-            f"inner-circle samples of size about 1e{log_size / math.log(10):.0f}, "
-            "whose pairing overflows"
+            f"invalid value for field 'rho1': {rho1!r} with n={n}, degree={degree}, alpha={p['alpha']!r} "
+            f"gives inner-circle pairing terms from 1e{log_least / math.log(10):.0f} to "
+            f"1e{log_most / math.log(10):.0f}, so the pairing overflows or underflows"
         )
 
 
@@ -309,50 +312,28 @@ def _run_verify(cfg: RunConfig, report: Report) -> None:
 def _run_isometry(cfg: RunConfig, report: Report) -> None:
     p = cfg.params
     cov = make_annulus_cover(float(p["rho1"]), p["n"])
-    sig = _signature_from_params(p)
-    alpha = float(p["alpha"])
-    c = alpha / (2.0 * np.pi)
-    tolerance = float(p["tolerance"])
-    m, degree, samples = p["m"], p["degree"], p["samples"]
-
-    # quadrature sanity: the constant section against the closed form on each annulus
-    e0, e1 = p["signs"]
-    constant_coeffs = np.zeros((1, m), dtype=complex)
-    constant_coeffs[0, 0] = 1.0
-    constant = SectionSpec(m=m, c=0.0, degree=0, coeffs=constant_coeffs)
-    for tag, rho in (("S1", cov.rho1), ("S2", cov.rho2)):
-        secs = tuple(sample_section(constant, comp, samples, rho) for comp in (0, 1))
-        value = indefinite_inner_product(secs, secs, sig.J_list)
-        expected = 2.0 * np.pi * (e0 + rho * e1)
-        report.checks.append(Check(f"closed-form[{tag}]", abs(value - expected), 1e-10))
-
+    alpha, tolerance, degree, samples = float(p["alpha"]), float(p["tolerance"]), p["degree"], p["samples"]
     rng = np.random.default_rng(p["seed"])
+    c = alpha / (2.0 * np.pi)
     pairs = [
-        (random_section(rng, m, degree, c), random_section(rng, m, degree, c))
+        (random_section(rng, p["m"], degree, c), random_section(rng, p["m"], degree, c))
         for _ in range(p["trials"])
     ]
     # doublings of 64 from the first that samples the degree up to the configured count
-    first = 64
-    while first < 2 * degree + 2:
-        first *= 2
-    counts = [min(first, samples)]
-    while counts[-1] < samples:
-        counts.append(2 * counts[-1])
-    rows = verify_isometry(cov, pairs, alpha, sig, counts)
-    residuals = rows[-1].tolist()
+    counts = [1 << k for k in range(6, samples.bit_length()) if 1 << k >= 2 * degree + 2] or [samples]
+    result = verify_isometry(cov, alpha, _signature_from_params(p), degree, pairs, counts, rng)
+    report.checks += result.pipeline.report.checks
+    for comp, (residual, block) in enumerate(result.gram):
+        report.checks.append(Check(f"isometry-gram[{comp}]", residual, tolerance, block))
+    residuals = result.trials.tolist()
     report.extras["per_trial_residuals"] = residuals
     report.checks.append(Check("isometry-residual[max]", max(residuals), tolerance))
 
-    table = [[n_samples, float(row.max())] for n_samples, row in zip(counts, rows)]
+    table = [[n_samples, residual] for n_samples, residual in zip(counts, result.convergence.tolist())]
     report.extras["convergence"] = table
-    # "decreasing within 2x noise": each doubling may exceed twice the previous
-    # residual only below the acceptance tolerance, where values are converged noise
+    # each doubling must at least halve the kernels' error until it is below the tolerance
     monotone_violation = max(
-        [0.0]
-        + [
-            table[i + 1][1] - max(2.0 * table[i][1], tolerance)
-            for i in range(len(table) - 1)
-        ]
+        [0.0] + [table[i + 1][1] - max(table[i][1] / 2.0, tolerance) for i in range(len(table) - 1)]
     )
     report.checks.append(Check("convergence-monotone", monotone_violation, tolerance))
     report.checks.append(Check("convergence-final", table[-1][1], tolerance))

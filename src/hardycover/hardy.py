@@ -19,22 +19,24 @@ Conventions, fixed once for the whole module:
   branch factors ``z^c`` and ``1 / sqrt(F')`` are evaluated by continuity in
   the literal angle ``theta_j``, as everywhere else.
 
-One sampler serves every uniform grid, with one FFT call for the columns of
-one section or of a whole chunk of isometry trials; one formula gives the
-pairing integrand ``g^* J f`` to ``indefinite_inner_product`` and
-``verify_isometry`` alike.
+One sampler serves every uniform grid, one pushforward all sections, and one
+pairing, ``_gram``, every sum ``g^* J f``.  ``verify_isometry`` checks the
+isometry as an identity of Gram matrices on the Laurent basis, exact on a
+small grid, and its convergence on Cauchy kernels, which are not band-limited.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .groups import _as_int
 from .induction import BlockMonomial, SignatureData
-from .cyclic import annulus_pipeline
+from .cyclic import CyclicPipeline, annulus_pipeline
 
 __all__ = [
     "AnnulusCovering",
@@ -46,11 +48,9 @@ __all__ = [
     "sample_section",
     "pushforward_section",
     "indefinite_inner_product",
+    "IsometryResult",
     "verify_isometry",
 ]
-
-# entries of one sampled grid in verify_isometry (16 bytes each): bounds a chunk of trials
-GRID_ENTRIES = 2**15
 
 
 @dataclass(frozen=True)
@@ -194,6 +194,28 @@ def sample_section(
     )
 
 
+def _cauchy_values(poles: np.ndarray, radius: float, n_points: int, exponent: float) -> np.ndarray:
+    """``z^exponent / (z - pole)`` at the angles ``2 pi j / n_points``, one row per pole, continued in the angle."""
+    log_z = np.log(radius) + 1j * (2.0 * np.pi * np.arange(n_points) / n_points)
+    return np.exp(exponent * log_z) / (np.exp(log_z) - poles[:, None])
+
+
+def _pushforward(cov: AnnulusCovering, component: int, n_samples: int, exponent: float, sample) -> np.ndarray:
+    """Blocks ``f(z_k) / sqrt(F'(z_k))`` over the n preimages of each ``theta_j``, as ``(rows, N, n)``.
+
+    The preimage of ``theta_j = 2 pi j / N`` on sheet ``k`` has angle
+    ``2 pi (j + k N) / (n N)``, so all n blocks come from one uniform grid of
+    ``n N`` angles upstairs.  There ``z^c / sqrt(F')`` is ``z^(c - (n-1)/2) /
+    sqrt(n)``: ``sample(radius, n_points, exponent)`` gives the rows' values
+    times ``z^exponent`` on that grid, called with ``exponent - (n-1)/2``.
+    """
+    r1 = _component_radius(component, cov.rho1)
+    upstairs = sample(r1, cov.n * n_samples, exponent - 0.5 * (cov.n - 1))
+    upstairs /= np.sqrt(cov.n)
+    # column k N + j of a row is its value on sheet k at theta_j
+    return upstairs.reshape(-1, cov.n, n_samples).transpose(0, 2, 1)
+
+
 def pushforward_section(
     cov: AnnulusCovering,
     spec: SectionSpec,
@@ -207,27 +229,18 @@ def pushforward_section(
     blocks ``f(z_k) / sqrt(F'(z_k))`` over the n preimages ``z_k``, with both
     the root of ``z_k`` and the root of the derivative ``F' = n z^{n-1}``
     continued in the angle.  The blocks are stacked in preimage order, giving
-    a section with values in C^{n m}.
-
-    The preimage of ``theta_j = 2 pi j / N`` on sheet ``k`` has angle
-    ``2 pi (j + k N) / (n N)``, so all n blocks come from one uniform grid of
-    ``n N`` angles upstairs.  There ``z^c / sqrt(F')`` is evaluated as
-    ``z^(c - (n-1)/2) / sqrt(n)``, continued in the angle like each factor.
+    a section with values in C^{n m}.  One inverse FFT on the ``n N`` angles
+    upstairs samples every block (see ``_pushforward``).
     """
     if branch_sign not in (-1, 1):
         raise ValueError("branch sign must be +1 or -1")
     _check_sample_count(n_samples, spec.degree)
-    r2 = _component_radius(component, cov.rho2)
-    r1 = _component_radius(component, cov.rho1)
-    exponent = spec.c - 0.5 * (cov.n - 1)
-    upstairs = _uniform_values(spec.coeffs.T, r1, cov.n * n_samples, exponent)
-    upstairs /= branch_sign * np.sqrt(cov.n)
-    # column k N + j of row d is entry d of block k at theta_j: (m, n, N) -> (N, n m)
-    blocks = upstairs.reshape(spec.m, cov.n, n_samples).transpose(2, 1, 0)
+    blocks = _pushforward(cov, component, n_samples, spec.c, partial(_uniform_values, spec.coeffs.T))
+    blocks /= branch_sign
     return BoundarySection(
         component=component,
-        radius=r2,
-        samples=blocks.reshape(n_samples, cov.n * spec.m),
+        radius=_component_radius(component, cov.rho2),
+        samples=blocks.transpose(1, 2, 0).reshape(n_samples, cov.n * spec.m),  # (m, N, n) -> (N, n m)
         branch_sign=branch_sign,
     )
 
@@ -257,52 +270,85 @@ def indefinite_inner_product(
             raise ValueError(
                 f"dimension mismatch: sections in C^{f.dim}/C^{g.dim}, weight of rank {J.n * J.m}"
             )
-        shape = (f.n_samples, J.n, J.m)
-        integrand = _integrand(f.samples.reshape(shape), g.samples.reshape(shape).conj(), J)
-        total += integrand.sum() * (2.0 * np.pi * f.radius / f.n_samples)
+        rows = np.stack([f.samples, g.samples]).reshape(2, f.n_samples, J.n, J.m)
+        total += _gram(rows, J)[1, 0] * (2.0 * np.pi * f.radius / f.n_samples)
     return complex(total)
 
 
-def _integrand(f: np.ndarray, g_conj: np.ndarray, J: BlockMonomial) -> np.ndarray:
-    """``g^* J f`` per sample of ``(..., n, m)`` blocks, given ``f`` and the conjugate of ``g``.
+def _gram(rows: np.ndarray, J: BlockMonomial) -> np.ndarray:
+    """``[g^* J f]`` over pairs of ``rows``, ``g`` the row and ``f`` the column, each ``(..., n, m)`` blocks summed.
 
-    Block k of ``J f`` is ``blocks[k] f[perm[k]]``.  Callers that own ``g``
-    conjugate it in place, and a sheet-diagonal weight gathers nothing, so a
-    sampled grid is not copied.
+    Block k of ``J f`` is ``blocks[k] f[perm[k]]``; a sheet-diagonal weight
+    gathers nothing.  One matrix product sums every pair.
     """
-    if (J.perm != np.arange(J.n)).any():
-        f = f[..., J.perm, :]
-    return np.einsum("...kd,kde,...ke->...", g_conj, J.blocks, f)
+    f = rows if (J.perm == np.arange(J.n)).all() else rows[..., J.perm, :]
+    weighted = np.einsum("kde,...ke->...kd", J.blocks, f).reshape(len(rows), -1)
+    return rows.reshape(len(rows), -1).conj() @ weighted.T
+
+
+def _cauchy_pairing(poles: np.ndarray, radius: float, c: float) -> np.ndarray:
+    """Entry ``(a, b)`` is ``[k_b, k_a]`` for the kernels ``k_p = z^c / (z - p)`` on the circle ``|z| = radius``.
+
+    On the circle ``k_p`` is a geometric series in ``z / p`` for a pole beyond
+    it and in ``p / z`` for a pole inside it, so the pairing is
+    ``2 pi r^(2c+1) / (b conj(a) - r^2)`` for two poles beyond,
+    ``2 pi r^(2c+1) / (r^2 - b conj(a))`` for two inside, and 0 otherwise.
+    """
+    side = np.where(np.abs(poles) > radius, 1.0, -1.0)
+    sign = (side[:, None] + side[None, :]) / 2.0
+    return sign * 2.0 * np.pi * radius ** (2.0 * c + 1.0) / (poles[None, :] * poles.conj()[:, None] - radius**2)
+
+
+@dataclass(frozen=True, eq=False)
+class IsometryResult:
+    """What ``verify_isometry`` measured, each gap relative to the size of its pairing.
+
+    ``gram``: per circle, the largest Gram gap and the degrees ``(d', d)`` of
+    its entry.  ``trials``: each pair's gap.  ``convergence``: the largest
+    Cauchy-kernel gap per sample count.  ``pipeline``: the source of ``J2``,
+    with the report of its symmetry checks.
+    """
+
+    pipeline: CyclicPipeline
+    gram: tuple[tuple[float, tuple[int, int]], ...]
+    trials: np.ndarray
+    convergence: np.ndarray
 
 
 def verify_isometry(
     cov: AnnulusCovering,
-    pairs: Sequence[tuple[SectionSpec, SectionSpec]],
     alpha: float,
     sig: SignatureData,
+    degree: int,
+    pairs: Sequence[tuple[SectionSpec, SectionSpec]],
     sample_counts: Sequence[int],
-) -> np.ndarray:
-    """Absolute gaps between the covered-side and base-side indefinite inner products.
+    rng: np.random.Generator,
+) -> IsometryResult:
+    """The pushforward's isometry on sections ``z^c (sum_{|d| <= degree} a_d z^d)``, ``c = alpha / (2 pi)``.
 
-    Entry ``[i, t]`` is the gap for pair ``t = (f, h)`` sampled at
-    ``sample_counts[i]``.  The base side integrates over the two circles of
-    A(rho1) with the given signature matrices; the covered side integrates
-    the pushforwards over the two circles of A(rho1^n) with the transported
-    block-diagonal signature matrices produced by the induction pipeline,
-    which is built once for all pairs.
+    The pairing is sesquilinear, so the theorem is the equality, per circle,
+    of two Gram matrices on the basis ``z^(c+d) e_j``: the base side's is
+    ``2 pi r^(2c+2d+1) J`` on the blocks ``d = d'``, 0 elsewhere; the covered
+    side pushes the basis forward on ``n N`` angles, N the least power of two
+    from ``2 degree + 2`` (where the trapezoid rule is exact), and pairs it
+    with the pipeline's ``J2_diagonal``.  Gap entry ``(d', d)`` is divided by
+    ``sqrt(s_d' s_d)``, ``s_d = 2 pi r^(2c+2d+1) |J|``, where ``|J| = 1``
+    because ``SignatureData`` admits only unitary ``J``.  A pair with
+    coefficients ``a`` (f) and ``b`` (h) has the gap ``|b^* dG a|`` over
+    ``sqrt(a^* S a b^* S b)``, with ``dG`` and ``S = diag(s)`` summed over
+    both circles.
 
-    Trials are sampled in chunks at the largest count ``N_max``, degrees
-    zero-padded to the chunk's largest: per circle, one inverse FFT samples
-    every f and h of a chunk on A(rho1), and one on the ``n N_max`` preimage
-    angles upstairs.  A chunk keeps each grid within ``GRID_ENTRIES`` entries
-    (or is one trial), so memory does not grow with the trial count.  The
-    integrand is formed once per grid; a smaller count ``N`` sums every
-    ``N_max / N``-th sample, whose angles are exactly those of an N-point
-    grid.  Sections are sampled with exponent ``alpha / (2 pi)``.
+    The convergence table pairs two Cauchy kernels ``z^c v / (z - p)``: one
+    pole beyond ``|z| = 1``, one inside ``|z| = rho1``, each at the ratio
+    ``q = 2^(-53 / (n N_max))`` to the nearer circle, so that the trapezoid
+    error ``2 q^(n N)`` reaches rounding at the largest count.  ``rng`` draws
+    the unit vectors ``v`` and the poles' angles, on rays of every grid so
+    that the error has no phase.
     """
-    if not sample_counts:
-        raise ValueError("need at least one sample count")
     c = alpha / (2.0 * np.pi)
+    degree = _as_int(degree, "degree")
+    if degree < 0:
+        raise ValueError(f"degree must be non-negative, got {degree}")
     for t, (spec_f, spec_h) in enumerate(pairs):
         if spec_f.m != spec_h.m or spec_f.m != sig.m:
             raise ValueError(
@@ -315,39 +361,50 @@ def verify_isometry(
                     f"section {name} of pair {t} has multiplier exponent {spec.c}, "
                     f"incompatible with boundary phase {alpha}"
                 )
-            for n_samples in sample_counts:
-                _check_sample_count(n_samples, spec.degree)
+            if spec.degree > degree:
+                raise ValueError(f"section {name} of pair {t} has degree {spec.degree}, above {degree}")
+    counts = [_as_int(n_samples, "sample count") for n_samples in sample_counts]
+    if min(counts, default=1) < 1:
+        raise ValueError(f"sample counts must be positive, got {counts}")
 
     pipeline = annulus_pipeline(cov.n, alpha, sig)
-    if not pipeline.report.passed:
-        raise ValueError(f"incompatible signature data: {pipeline.report.worst()}")
+    n, m = cov.n, sig.m
+    degrees, n_gram = np.arange(-degree, degree + 1), 1 << (2 * degree + 1).bit_length()
+    basis = partial(_uniform_values, np.eye(2 * degree + 1))
+    # the kernels' poles, at the ratio q to their circles and on a ray 2 pi j / (n gcd) of every grid
+    q, grid = 2.0 ** (-53.0 / (n * max(counts, default=1))), n * math.gcd(*counts)
+    poles = np.exp(2j * np.pi * rng.integers(grid, size=2) / grid) * np.array([1.0 / q, cov.rho1 * q])
+    vectors = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    gram, total_gap, total_scale, convergence = [], 0.0, 0.0, np.zeros(len(counts))
+    for comp, (J, J2) in enumerate(zip(sig.J_list, pipeline.J2_diagonal)):
+        r1, r2 = _component_radius(comp, cov.rho1), _component_radius(comp, cov.rho2)
+        # basis row (d, j) is z^(c+d) e_j: each pushed Laurent row times each e_j
+        pushed = np.einsum("dNk,je->djNke", _pushforward(cov, comp, n_gram, c, basis), np.eye(m))
+        weights = 2.0 * np.pi * r1 ** (2.0 * c + 2.0 * degrees + 1.0)
+        gap = _gram(pushed.reshape(-1, n_gram, n, m), J2) * (2.0 * np.pi * r2 / n_gram)
+        diagonal = np.arange(2 * degree + 1)
+        gap.reshape(-1, m, len(diagonal), m)[diagonal, :, diagonal] -= weights[:, None, None] * J
+        scale = np.repeat(weights, m)
+        relative = np.abs(gap) / np.outer(np.sqrt(scale), np.sqrt(scale))  # s_d s_d' may underflow
+        row, col = np.unravel_index(relative.argmax(), relative.shape)
+        gram.append((float(relative[row, col]), (int(degrees[row // m]), int(degrees[col // m]))))
+        total_gap, total_scale = total_gap + gap, total_scale + scale
 
-    n_max, m = max(sample_counts), sig.m
-    sides = (  # weights, sheets, exponent and pairing radii of the base, then covered side
-        ([BlockMonomial.of(J) for J in sig.J_list], 1, c, (1.0, cov.rho1)),
-        (pipeline.J2_diagonal, cov.n, c - 0.5 * (cov.n - 1), (1.0, cov.rho2)),
-    )
-    chunk = max(1, GRID_ENTRIES // (2 * m * cov.n * n_max))
-    residuals = np.empty((len(sample_counts), len(pairs)))
-    for start in range(0, len(pairs), chunk):
-        batch = pairs[start : start + chunk]
-        degree = max(spec.degree for pair in batch for spec in pair)
-        coeffs = np.zeros((2, len(batch), m, 2 * degree + 1), dtype=complex)
-        for t, pair in enumerate(batch):
-            for side, spec in enumerate(pair):
-                coeffs[side, t, :, degree - spec.degree : degree + spec.degree + 1] = spec.coeffs.T
-        coeffs = coeffs.reshape(-1, 2 * degree + 1)  # row (f or h, trial, d)
-        totals = np.zeros((2, len(sample_counts), len(batch)), dtype=complex)
-        for total, (weights, sheets, exponent, radii) in zip(totals, sides):
-            for comp, r1 in enumerate((1.0, cov.rho1)):
-                values = _uniform_values(coeffs, r1, sheets * n_max, exponent)
-                values /= np.sqrt(sheets)  # the pushforward's 1 / sqrt(F') carries 1 / sqrt(n)
-                # row (f or h, trial, d), column k N + j: entry d of sheet k at theta_j
-                f, h = values.reshape(2, len(batch), m, sheets, n_max).transpose(0, 1, 4, 3, 2)
-                integrand = _integrand(f, np.conjugate(h, out=h), weights[comp])
-                del values, f, h  # one grid at a time
-                for i, n_samples in enumerate(sample_counts):
-                    weight = 2.0 * np.pi * radii[comp] / n_samples
-                    total[i] += integrand[:, :: n_max // n_samples].sum(axis=1) * weight
-        residuals[:, start : start + len(batch)] = np.abs(totals[1] - totals[0])
-    return residuals
+        closed = _cauchy_pairing(poles, r1, c)
+        scale = np.sqrt(closed.diagonal().real)
+        for i, n_samples in enumerate(counts):
+            pushed = _pushforward(cov, comp, n_samples, c, partial(_cauchy_values, poles))
+            gap = _gram(pushed[..., None] * vectors[:, None, None, :], J2) * (2.0 * np.pi * r2 / n_samples)
+            gap -= closed * (vectors.conj() @ J @ vectors.T)
+            convergence[i] = max(convergence[i], (np.abs(gap) / np.outer(scale, scale)).max())
+
+    coeffs = np.zeros((2, len(pairs), 2 * degree + 1, m), dtype=complex)
+    for t, pair in enumerate(pairs):
+        for side, spec in enumerate(pair):
+            coeffs[side, t, degree - spec.degree : degree + spec.degree + 1] = spec.coeffs
+    a, b = coeffs.reshape(2, len(pairs), (2 * degree + 1) * m)
+    gaps = np.abs(np.einsum("ti,ij,tj->t", b.conj(), total_gap, a))
+    norms = np.sqrt(np.abs(a) ** 2 @ total_scale) * np.sqrt(np.abs(b) ** 2 @ total_scale)
+    trials = np.divide(gaps, norms, out=np.zeros_like(gaps), where=norms > 0)
+    return IsometryResult(pipeline=pipeline, gram=tuple(gram), trials=trials, convergence=convergence)

@@ -188,8 +188,9 @@ def unitarity_residual(u: BlockMonomial | np.ndarray) -> float:
 class Check:
     """A named residual and the tolerance it must stay below, both stored as floats.
 
-    ``block`` is the sheet block ``(row, column)`` of the largest residual
-    where there is one; it is kept out of the JSON form.
+    ``block`` is the block ``(row, column)`` of the largest residual where
+    there is one: a sheet block, or for the isometry Gram checks the Laurent
+    degrees ``(d', d)``.  It is kept out of the JSON form.
     """
 
     name: str

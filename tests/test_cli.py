@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from hardycover import (
     MatrixRep,
+    SignatureData,
     double_group,
     induce_representation,
     schreier_transversal,
@@ -165,6 +166,30 @@ class TestParseConfig:
         else:
             with pytest.raises(ValueError, match="fields 'n', 'samples' and 'm'.*budget"):
                 parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "n, degree, m, accepted",
+        [(3, 8, 1, True), (1, 511, 1, True), (1, 512, 1, False), (3, 8, 25, True), (3, 8, 26, False)],
+    )
+    def test_isometry_gram_budget(self, n, degree, m, accepted):
+        # the Gram check pushes (2 degree + 1) m basis sections forward on n N angles, m values
+        # each, N the least power of two from 2 degree + 2
+        doc = isometry_config(n=n, degree=degree, m=m, samples=2048)
+        entries = (2 * degree + 1) * m * n * (1 << (2 * degree + 1).bit_length()) * m
+        assert (entries <= ISOMETRY_GRID_ENTRIES) is accepted
+        if accepted:
+            parse_config(json.dumps(doc))
+        else:
+            with pytest.raises(ValueError, match="fields 'degree', 'n' and 'm'.*budget"):
+                parse_config(json.dumps(doc))
+
+    def test_underflowing_gram_scale_rejected(self):
+        # c = alpha / (2 pi) = 200: the inner circle's Gram scales 2 pi 0.1**(2c + 2 degree + 1) underflow
+        doc = isometry_config(rho1=0.1, alpha=400 * math.pi)
+        with pytest.raises(ValueError, match="field 'rho1'.*alpha=.*underflows"):
+            parse_config(json.dumps(doc))
+        report = run_pipeline(parse_config(json.dumps(isometry_config(rho1=0.1, alpha=200 * math.pi))))
+        assert report.passed
 
     @pytest.mark.parametrize("samples", [100, 96, 1000, 2**18 - 1])
     def test_samples_not_a_power_of_two_refused(self, samples, tmp_path, capsys):
@@ -452,16 +477,57 @@ class TestIsometryMode:
     def test_quick_run_passes(self):
         report = run_pipeline(self.quick())
         assert report.passed
-        names = {c.name for c in report.checks}
-        assert {
-            "closed-form[S1]",
-            "closed-form[S2]",
+        names = [c.name for c in report.checks]
+        assert names[-5:] == [
+            "isometry-gram[0]",
+            "isometry-gram[1]",
             "isometry-residual[max]",
             "convergence-monotone",
             "convergence-final",
-        } <= names
+        ]
+        # the pipeline's own checks come first, as in verify mode
+        assert "signature-route-equality[1]" in names[:-5] and "pairing-symmetry[A1]" in names[:-5]
         assert max(report.extras["per_trial_residuals"]) < 1e-9
         assert [row[0] for row in report.extras["convergence"]] == [64, 128, 256]
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"degree": 20},
+            {"degree": 40, "samples": 128},
+            {"rho1": 0.3},
+            {"rho1": 0.95, "n": 7, "degree": 30},
+        ],
+        ids=["readme", "degree-20", "degree-40-samples-128", "rho1-0.3", "rho1-0.95-n7-degree-30"],
+    )
+    def test_gram_residual_at_rounding_level(self, overrides):
+        # degree 20, degree 40 at 128 samples and rho1 0.3 failed the absolute trial
+        # residuals (1.9e-6, 2.1e3, 8.6e-7) and, at rho1 0.3, convergence-monotone (5.9e-7)
+        report = run_pipeline(parse_config(json.dumps(isometry_config(**overrides))))
+        assert report.passed, report.to_text()
+        checks = {c.name: c for c in report.checks}
+        assert checks["isometry-gram[0]"].residual <= 1e-13
+        assert checks["isometry-gram[1]"].residual <= 1e-13
+        assert checks["isometry-residual[max]"].residual <= 1e-13
+
+    def test_pipeline_checks_show_their_block(self, monkeypatch):
+        # selfadjoint and unitary to 1e-12, but the transported symmetry conditions miss it
+        doc = isometry_config(n=2, alpha=0.0, samples=128, trials=2)
+        cfg = parse_config(json.dumps(doc))
+        sig = SignatureData(J_list=(np.array([[-1.0 - 4e-13]]), -np.eye(1)))
+        monkeypatch.setattr(cli, "_signature_from_params", lambda p: sig)
+        report = run_pipeline(cfg)
+        assert report.error is None and not report.passed
+        failing = [c for c in report.checks if not c.passed]
+        names = [c.name for c in failing]
+        assert "pairing-symmetry[A1]" in names and "signature-route-equality[1]" in names
+        assert all(c.block is not None and c.residual > c.tolerance for c in failing)
+        text = report.to_text()
+        for c in failing:
+            assert f"[FAIL] {c.name}: residual {c.residual:.3e} (tolerance 1.0e-12) at block {c.block}, " in text
+        # the isometry itself still holds to rounding
+        assert all(c.passed for c in report.checks if c.name.startswith(("isometry", "convergence")))
 
     @pytest.mark.parametrize(
         "degree, samples, counts",

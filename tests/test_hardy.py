@@ -346,18 +346,32 @@ class TestBranchIndependence:
         assert abs(values[0] - values[1]) < 1e-12 * (1.0 + abs(values[0]))
 
 
+def readme_counts(samples=1024):
+    return [N for N in (64, 128, 256, 512, 1024, 2048) if N <= samples]
+
+
+def run_isometry(cov, pairs, alpha, sig, degree=8, counts=(64, 128, 256, 512, 1024), seed=0):
+    return verify_isometry(cov, alpha, sig, degree, pairs, list(counts), np.random.default_rng(seed))
+
+
+def gram_residual(result):
+    return max(residual for residual, _ in result.gram)
+
+
 class TestIsometry:
     SIG = SignatureData(J_list=(np.eye(1), -np.eye(1)))
 
-    def test_identity_cover_residual_is_zero(self):
+    def test_identity_cover_residual_at_rounding_level(self):
+        # the base side is closed form, the covered side sampled: they agree to rounding
         rng = np.random.default_rng(8)
         cov = make_annulus_cover(0.6, 1)
         alpha = 0.7
         c = alpha / TWO_PI
         pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(3)]
-        residuals = verify_isometry(cov, pairs, alpha, self.SIG, [64, 128, 256])
-        assert residuals.shape == (3, 3)
-        assert np.all(residuals == 0.0)
+        result = run_isometry(cov, pairs, alpha, self.SIG, counts=[64, 128, 256])
+        assert result.trials.shape == (3,) and result.convergence.shape == (3,)
+        assert gram_residual(result) < 1e-14
+        assert result.trials.max() < 1e-14
 
     def test_acceptance_fixture_residuals(self):
         rng = np.random.default_rng(9)
@@ -365,9 +379,11 @@ class TestIsometry:
         alpha = 0.7
         c = alpha / TWO_PI
         pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(5)]
-        residuals = verify_isometry(cov, pairs, alpha, self.SIG, [2048])
-        assert residuals.shape == (1, 5)
-        assert np.all(residuals < 1e-9)
+        result = run_isometry(cov, pairs, alpha, self.SIG, counts=[2048])
+        assert result.pipeline.report.passed
+        assert gram_residual(result) < 1e-13
+        assert np.all(result.trials < 1e-13)
+        assert result.convergence[0] < 1e-13
 
     def test_constant_sections_positive_case(self):
         from hardycover import annulus_pipeline
@@ -382,30 +398,30 @@ class TestIsometry:
         expected = TWO_PI * (1.0 + 0.6)
         assert base == pytest.approx(expected, abs=1e-9)
         assert covered == pytest.approx(expected, abs=1e-9)
-        assert verify_isometry(cov, [(const, const)], 0.0, sig, [512])[0, 0] < 1e-9
+        assert run_isometry(cov, [(const, const)], 0.0, sig, degree=0, counts=[512]).trials[0] < 1e-14
 
     def test_multiplier_mismatch_rejected(self):
         rng = np.random.default_rng(10)
         cov = make_annulus_cover(0.6, 2)
         with pytest.raises(ValueError, match="incompatible with boundary phase"):
-            verify_isometry(
+            run_isometry(
                 cov,
                 [(random_section(rng, 1, 4, 0.0), random_section(rng, 1, 4, 0.0))],
                 0.7,
                 self.SIG,
-                [256],
+                counts=[256],
             )
 
     def test_rank_mismatch_rejected(self):
         rng = np.random.default_rng(11)
         cov = make_annulus_cover(0.6, 2)
         with pytest.raises(ValueError, match="rank mismatch"):
-            verify_isometry(
+            run_isometry(
                 cov,
                 [(random_section(rng, 2, 4, 0.0), random_section(rng, 2, 4, 0.0))],
                 0.0,
                 self.SIG,
-                [256],
+                counts=[256],
             )
 
     def test_matrix_rank_fixture(self):
@@ -415,29 +431,31 @@ class TestIsometry:
         alpha = 1.3
         c = alpha / TWO_PI
         pair = (random_section(rng, 2, 6, c), random_section(rng, 2, 6, c))
-        assert verify_isometry(cov, [pair], alpha, sig, [1024])[0, 0] < 1e-9
+        result = run_isometry(cov, [pair], alpha, sig, degree=6, counts=[1024])
+        assert gram_residual(result) < 1e-13 and result.trials[0] < 1e-13
+        assert result.convergence[0] < 1e-13
 
-    def test_convergence_through_doublings(self):
-        rng = np.random.default_rng(13)
+    @pytest.mark.parametrize("samples", [64, 1024, 2**16])
+    def test_convergence_through_doublings(self, samples):
+        # the Cauchy kernels' relative error at least halves per doubling until it is below
+        # the tolerance, and at the largest count it is at rounding level
         cov = make_annulus_cover(0.6, 3)
-        alpha = 0.7
-        c = alpha / TWO_PI
         tolerance = 1e-9
-        pairs = [
-            (random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(20)
-        ]
-        worsts = verify_isometry(cov, pairs, alpha, self.SIG, [64, 128, 256, 512, 1024, 2048]).max(
-            axis=1
-        )
-        for prev, nxt in zip(worsts, worsts[1:]):
-            assert nxt <= max(2.0 * prev, tolerance)
-        assert worsts[-1] < tolerance
+        counts = [N for N in (1 << k for k in range(6, 17)) if N <= samples]
+        table = run_isometry(cov, [], 0.7, self.SIG, counts=counts, seed=13).convergence
+        for prev, nxt in zip(table, table[1:]):
+            assert nxt <= max(prev / 2.0, tolerance)
+        assert table[-1] < 1e-12
+        if samples >= 1024:
+            # the error 2 q^P / (1 - q^P), q^P = 2^(-53 N / samples), from 0.22 at samples / 16
+            q_power = 2.0 ** (-53 / 16)
+            assert table[-5] == pytest.approx(2 * q_power / (1 - q_power), rel=1e-6)
+            assert table[-2] > 1e-9
 
     def test_strided_levels_match_direct_sampling(self):
         rng = np.random.default_rng(15)
         cov = make_annulus_cover(0.6, 3)
-        alpha = 0.7
-        c = alpha / TWO_PI
+        c = 0.7 / TWO_PI
         spec = random_section(rng, 1, 8, c)
         n_max = 1024
         for comp in (0, 1):
@@ -450,27 +468,23 @@ class TestIsometry:
                 direct = pushforward_section(cov, spec, comp, n_samples).samples
                 assert relative_gap(pushed[::step], direct) < 1e-12
 
-        pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(3)]
-        counts = [32, 64, 256, 1024]
-        table = verify_isometry(cov, pairs, alpha, self.SIG, counts)
-        scale = max(abs(fourier_inner_product(f, h, cov.rho1, self.SIG.J_list)) for f, h in pairs)
-        for row, n_samples in zip(table, counts):
-            direct = verify_isometry(cov, pairs, alpha, self.SIG, [n_samples])[0]
-            assert np.max(np.abs(row - direct)) < 1e-12 * scale
-
     def test_sample_counts_validated_before_work(self, monkeypatch):
         from hardycover import hardy
 
         monkeypatch.setattr(hardy, "annulus_pipeline", None)
         cov = make_annulus_cover(0.6, 3)
         pair = (constant_section(), constant_section())
-        for counts, match in (
-            ([], "at least one"),
-            ([64, 96], "power of two"),
-            ([1], "undersample"),
+        for degree, counts, match in (
+            (0, [64, 0], "positive"),
+            (0, [64, 2.5], "not an integer"),
+            (-1, [64], "non-negative"),
+            (True, [64], "not an integer"),
         ):
             with pytest.raises(ValueError, match=match):
-                verify_isometry(cov, [pair], 0.0, self.SIG, counts)
+                verify_isometry(cov, 0.0, self.SIG, degree, [pair], counts, np.random.default_rng(0))
+        spec = random_section(np.random.default_rng(0), 1, 3, 0.0)
+        with pytest.raises(ValueError, match="degree 3, above 2"):
+            verify_isometry(cov, 0.0, self.SIG, 2, [(spec, spec)], [64], np.random.default_rng(0))
 
     def test_one_run_builds_the_pipeline_once(self, monkeypatch):
         import json
@@ -493,6 +507,67 @@ class TestIsometry:
         assert [row[0] for row in report.extras["convergence"]] == [64, 128, 256]
         assert len(calls) == 1
 
+    def test_empty_pair_list(self):
+        result = run_isometry(make_annulus_cover(0.6, 3), [], 0.7, self.SIG, counts=[64, 128, 256])
+        assert result.trials.shape == (0,)
+        assert gram_residual(result) < 1e-13
+
+    def test_memory_bounded_on_the_readme_config(self):
+        # n = 3, degree 8, counts 64 ... 1024, 20 trials: the Gram basis is 17 sections on 96
+        # angles and each kernel grid 2 x 3072 entries, whatever the trial count
+        rng = np.random.default_rng(0)
+        c = 0.7 / TWO_PI
+        pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(20)]
+        cov = make_annulus_cover(0.6, 3)
+        tracemalloc.start()
+        try:
+            run_isometry(cov, pairs, 0.7, self.SIG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 5]),
+        m=st.sampled_from([1, 2]),
+        degree=st.integers(0, 6),
+        trials=st.integers(0, 4),
+        skew=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_trial_gaps_match_per_pair_reference(self, n, m, degree, trials, skew, seed):
+        """Each trial's gap is the per-pair public-API gap over the pair's positive norms.
+
+        True gaps are rounding noise, so ``skew`` runs with covered-side weights
+        that break the isometry: its gaps are of the pairings' size.
+        """
+        rng = np.random.default_rng(seed)
+        alpha = float(rng.uniform(-3.0, 3.0))
+        c = alpha / TWO_PI
+        # non-diagonal for m = 2: a random eigenbasis per circle
+        sig = SignatureData(J_list=tuple(random_signature_matrix(rng, m) for _ in range(2)))
+        cov = make_annulus_cover(0.6, n)
+        degrees = rng.integers(0, degree + 1, size=(trials, 2))
+        pairs = [(random_section(rng, m, df, c), random_section(rng, m, dh, c)) for df, dh in degrees]
+        pipeline = annulus_pipeline(n, alpha, sig)
+        assert pipeline.report.passed
+        if skew:
+            pipeline = dataclasses.replace(pipeline, J2_diagonal=off_isometry_weights(pipeline.J2_diagonal))
+        with mock.patch.object(hardy, "annulus_pipeline", lambda *args: pipeline):
+            result = run_isometry(cov, pairs, alpha, sig, degree=degree, counts=[8])
+        assert result.trials.shape == (trials,)
+        if not pairs:
+            return
+        n_gram = 1 << (2 * degree + 1).bit_length()  # the Gram grid: every pair sums the same points
+        norms = [positive_norm(f, cov.rho1) * positive_norm(h, cov.rho1) for f, h in pairs]
+        reference = per_pair_gaps(cov, pairs, sig, [n_gram], pipeline.J2_diagonal)[0] / norms
+        assert np.max(np.abs(result.trials - reference)) < 1e-12
+        if skew:
+            assert reference.max() > 1e-3
+        else:
+            assert reference.max() < 1e-12
+
 
 def per_pair_gaps(cov, pairs, sig, counts, J2):
     """The isometry gaps one pair and one sample count at a time, from the public API."""
@@ -512,17 +587,9 @@ def per_pair_gaps(cov, pairs, sig, counts, J2):
     return gaps
 
 
-def pairing_scale(pairs, rho):
-    """Largest ``|f| |h|`` over the pairs in the positive pairing, which bounds ``|<f, h>_J|``."""
-    norm = lambda spec: math.sqrt(
-        fourier_inner_product(spec, spec, rho, (np.eye(spec.m), np.eye(spec.m))).real
-    )
-    return max(norm(f) * norm(h) for f, h in pairs)
-
-
-def counted_ifft():
-    """Patch of ``np.fft.ifft`` that still transforms; ``.call_count`` counts the calls."""
-    return mock.patch.object(np.fft, "ifft", wraps=np.fft.ifft)
+def positive_norm(spec, rho):
+    """``|f|`` in the positive pairing ``J = I``, which bounds ``|<f, h>_J| <= |f| |h|`` for unitary ``J``."""
+    return math.sqrt(fourier_inner_product(spec, spec, rho, (np.eye(spec.m), np.eye(spec.m))).real)
 
 
 def off_isometry_weights(J2):
@@ -530,112 +597,65 @@ def off_isometry_weights(J2):
     return [BlockMonomial(np.roll(J.perm, 1), (1 - 2 * comp) * J.blocks) for comp, J in enumerate(J2)]
 
 
-class TestBatchedIsometry:
-    """verify_isometry samples chunks of trials together; the per-pair path is the oracle.
+class TestIsometryMutants:
+    """Each pushforward mutant fails ``isometry-gram[1]`` by at least 1e6 times its tolerance.
 
-    True gaps are rounding noise, far below the comparison's tolerance, so
-    each case also runs with covered-side weights that break the isometry:
-    its gaps are of the pairings' size and expose any sampling difference.
+    The mutants wrap ``hardy._pushforward``, which the Gram basis and the
+    Cauchy kernels share.  A branch-sign flip is no mutant here: ``J2`` is
+    sheet-diagonal, so the sign enters ``g^* J2 f`` squared.
     """
 
-    ALPHA = 0.7
-    C = ALPHA / TWO_PI
-    SIG = SignatureData(J_list=(np.eye(1), -np.eye(1)))
+    CONFIG = {"mode": "isometry", "rho1": 0.6, "n": 3, "alpha": 0.7, "signs": [1, -1]}
 
-    def pairs(self, rng, degrees, m=1):
-        return [
-            (random_section(rng, m, df, self.C), random_section(rng, m, dh, self.C))
-            for df, dh in degrees
-        ]
+    def checks(self, **overrides):
+        import json
 
-    def compare(self, cov, pairs, counts, sig=SIG, chunks=None):
-        """Batched against per-pair gaps, true and off-isometry; returns the true gaps."""
-        pipeline = annulus_pipeline(cov.n, self.ALPHA, sig)
-        assert pipeline.report.passed
-        scale = pairing_scale(pairs, cov.rho1)
-        for skew in (False, True):
-            if skew:
-                weights = off_isometry_weights(pipeline.J2_diagonal)
-                pipeline = dataclasses.replace(pipeline, J2_diagonal=weights)
-            built = mock.patch.object(hardy, "annulus_pipeline", lambda *args: pipeline)
-            with built, counted_ifft() as ifft:
-                batched = verify_isometry(cov, pairs, self.ALPHA, sig, counts)
-            reference = per_pair_gaps(cov, pairs, sig, counts, pipeline.J2_diagonal)
-            assert batched.shape == (len(counts), len(pairs))
-            assert np.max(np.abs(batched - reference)) < 1e-12 * scale
-            if chunks is not None:
-                assert ifft.call_count == 4 * chunks
-            if skew:
-                assert reference.max() > 1e-3 * scale
-            else:
-                gaps = batched
-        return gaps
+        from hardycover import cli
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.sampled_from([1, 2, 3, 5]),
-        m=st.sampled_from([1, 2]),
-        counts=st.lists(st.sampled_from([16, 32, 64, 128]), min_size=1, max_size=4, unique=True),
-        per_chunk=st.integers(1, 3),
-        spare=st.integers(0, 1),
-        extra=st.integers(-1, 1),
-        seed=st.integers(0, 2**32 - 1),
+        report = cli.run_pipeline(cli.parse_config(json.dumps({**self.CONFIG, **overrides})))
+        assert report.error is None
+        return {c.name: c for c in report.checks}
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            # z^c / sqrt(F') sampled as z^c / sqrt(n): off by |z|^((n-1)/2) on the inner circle
+            lambda original, cov, comp, N, exponent, sample: original(cov, comp, N, exponent + 0.5 * (cov.n - 1), sample),
+            # 1 / sqrt(F') without its 1 / sqrt(n): every pairing n times too large
+            lambda original, cov, comp, N, exponent, sample: original(cov, comp, N, exponent, sample) * np.sqrt(cov.n),
+            # the preimages sampled on the downstairs circle |z| = rho1**n
+            lambda original, cov, comp, N, exponent, sample: original(
+                dataclasses.replace(cov, rho1=cov.rho2), comp, N, exponent, sample
+            ),
+            # one sheet dropped from the pushforward
+            lambda original, cov, comp, N, exponent, sample: original(cov, comp, N, exponent, sample) * (
+                np.arange(cov.n) < cov.n - 1
+            ),
+        ],
+        ids=["no-derivative-exponent", "no-root-n", "downstairs-radius", "sheet-dropped"],
     )
-    def test_matches_per_pair_reference(self, n, m, counts, per_chunk, spare, extra, seed):
-        rng = np.random.default_rng(seed)
-        # non-diagonal for m = 2: a random eigenbasis per circle
-        sig = SignatureData(J_list=tuple(random_signature_matrix(rng, m) for _ in range(2)))
-        cov = make_annulus_cover(0.6, n)
-        # grids of per_chunk trials fit, with up to one trial's worth of room to spare
-        one_trial = 2 * m * n * max(counts)
-        entries = per_chunk * one_trial + spare * (one_trial - 1)
-        trials = max(1, per_chunk * int(rng.integers(1, 3)) + extra)
-        degree_cap = min(6, (min(counts) - 2) // 2)
-        pairs = self.pairs(rng, rng.integers(0, degree_cap + 1, size=(trials, 2)), m)
-        with mock.patch.object(hardy, "GRID_ENTRIES", entries):
-            gaps = self.compare(cov, pairs, counts, sig, chunks=math.ceil(trials / per_chunk))
-        if n == 1:
-            assert np.all(gaps == 0.0)
+    def test_pushforward_mutant_fails_the_inner_gram(self, monkeypatch, mutant):
+        original = hardy._pushforward
+        monkeypatch.setattr(hardy, "_pushforward", lambda *args: mutant(original, *args))
+        checks = self.checks()
+        gram = checks["isometry-gram[1]"]
+        assert gram.residual >= 1e6 * gram.tolerance
+        assert not checks["isometry-residual[max]"].passed
 
-    def test_mixed_degrees_padded(self):
-        rng = np.random.default_rng(20)
-        pairs = self.pairs(rng, [(2, 5), (8, 8), (0, 3), (7, 1)])
-        self.compare(make_annulus_cover(0.6, 3), pairs, [32, 256], chunks=1)
+    def test_closed_form_mutant_fails_convergence_only(self, monkeypatch):
+        # the kernels' closed form without r^(2c): off by rho1^(2c) = 0.89 on the inner circle
+        original = hardy._cauchy_pairing
+        monkeypatch.setattr(hardy, "_cauchy_pairing", lambda poles, radius, c: original(poles, radius, 0.0))
+        checks = self.checks()
+        assert not checks["convergence-final"].passed and not checks["convergence-monotone"].passed
+        assert checks["isometry-gram[0]"].passed and checks["isometry-gram[1]"].passed
+        assert checks["isometry-residual[max]"].passed
 
-    def test_empty_pair_list(self):
-        cov = make_annulus_cover(0.6, 3)
-        with counted_ifft() as ifft:
-            gaps = verify_isometry(cov, [], self.ALPHA, self.SIG, [64, 128, 256])
-        assert gaps.shape == (3, 0) and ifft.call_count == 0
-
-    def test_trial_count_off_the_chunk_size(self):
-        # n = 3, N_max = 1024, m = 1: five trials per 2**15-entry grid, so 7 trials take 2 chunks
-        assert hardy.GRID_ENTRIES // (2 * 3 * 1024) == 5
-        pairs = self.pairs(np.random.default_rng(21), [(8, 8)] * 7)
-        self.compare(make_annulus_cover(0.6, 3), pairs, [64, 1024], chunks=2)
-
-    def test_memory_bounded_on_the_readme_config(self):
-        # n = 3, degree 8, counts 64 ... 1024, 20 trials: every grid stays within GRID_ENTRIES
-        cov = make_annulus_cover(0.6, 3)
-        pairs = self.pairs(np.random.default_rng(0), [(8, 8)] * 20)
-        tracemalloc.start()
-        try:
-            verify_isometry(cov, pairs, self.ALPHA, self.SIG, [64, 128, 256, 512, 1024])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 2 * 2**20
-
-    def test_refusal_names_worst_check_and_block(self):
-        # selfadjoint and unitary to 1e-12, but the transported symmetry conditions miss it
-        sig = SignatureData(J_list=(np.array([[-1.0 - 4e-13]]), -np.eye(1)))
-        report = annulus_pipeline(2, 0.0, sig).report
-        worst = max(report.failing(), key=lambda c: c.residual)
-        pair = (constant_section(), constant_section())
-        with pytest.raises(ValueError) as err:
-            verify_isometry(make_annulus_cover(0.6, 2), [pair], 0.0, sig, [64])
-        assert str(err.value) == (
-            f"incompatible signature data: {worst.name} at block {worst.block}: "
-            f"{worst.residual:.1e} vs 1e-12"
-        )
-        assert worst.block is not None and worst.residual > worst.tolerance
+    def test_laurent_sampler_mutant_fails_the_gram_only(self, monkeypatch):
+        # the Laurent basis sampled 1e-6 too large: the Gram and the trials see it, the kernels do not
+        original = hardy._uniform_values
+        monkeypatch.setattr(hardy, "_uniform_values", lambda *args: original(*args) * (1.0 + 1e-6))
+        checks = self.checks()
+        assert not checks["isometry-gram[0]"].passed and not checks["isometry-gram[1]"].passed
+        assert not checks["isometry-residual[max]"].passed
+        assert checks["convergence-final"].passed and checks["convergence-monotone"].passed
