@@ -59,6 +59,7 @@ from .cyclic import (
 from .hardy import (
     AnnulusCovering,
     BoundarySection,
+    IsometryResult,
     SectionSpec,
     indefinite_inner_product,
     make_annulus_cover,

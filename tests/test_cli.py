@@ -604,6 +604,10 @@ class TestEmission:
         assert emit_report(run_pipeline(cfg0), fmt="json") != emit_report(
             run_pipeline(cfg1), fmt="json"
         )
+        # the trials' gaps are read from the Gram gap, one per trial
+        cfg3 = parse_config(json.dumps(isometry_config(samples=128, trials=3, seed=0)))
+        doc0, doc3 = (json.loads(emit_report(run_pipeline(cfg), fmt="json")) for cfg in (cfg0, cfg3))
+        assert len(doc0["extras"]["per_trial_residuals"]) == 2 and len(doc3["extras"]["per_trial_residuals"]) == 3
 
     def test_text_rendering(self):
         cfg = parse_config('{"mode": "verify", "n": 2, "alpha": 0.1, "signs": [1, 1]}')
