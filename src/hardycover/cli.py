@@ -26,7 +26,6 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 

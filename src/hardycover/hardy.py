@@ -370,6 +370,7 @@ def verify_isometry(
     pipeline = annulus_pipeline(cov.n, alpha, sig)
     n, m = cov.n, sig.m
     degrees, n_gram = np.arange(-degree, degree + 1), 1 << (2 * degree + 1).bit_length()
+    diagonal = np.arange(len(degrees))
     basis = partial(_uniform_values, np.eye(2 * degree + 1))
     # the kernels' poles, at the ratio q to their circles and on a ray 2 pi j / (n gcd) of every grid
     q, grid = 2.0 ** (-53.0 / (n * max(counts, default=1))), n * math.gcd(*counts)
@@ -383,7 +384,6 @@ def verify_isometry(
         pushed = np.einsum("dNk,je->djNke", _pushforward(cov, comp, n_gram, c, basis), np.eye(m))
         weights = 2.0 * np.pi * r1 ** (2.0 * c + 2.0 * degrees + 1.0)
         gap = _gram(pushed.reshape(-1, n_gram, n, m), J2) * (2.0 * np.pi * r2 / n_gram)
-        diagonal = np.arange(2 * degree + 1)
         gap.reshape(-1, m, len(diagonal), m)[diagonal, :, diagonal] -= weights[:, None, None] * J
         scale = np.repeat(weights, m)
         relative = np.abs(gap) / np.outer(np.sqrt(scale), np.sqrt(scale))  # s_d s_d' may underflow

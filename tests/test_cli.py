@@ -542,7 +542,7 @@ class TestIsometryMode:
         ],
     )
     def test_convergence_table_starts_where_sampling_is_valid(self, degree, samples, counts):
-        # rho1 near 1 keeps a high-degree pairing small enough to meet the absolute tolerance
+        # the rows are the doublings of 64 from the first that samples the degree, up to samples
         report = run_pipeline(self.quick(degree=degree, samples=samples, trials=1, rho1=0.95))
         assert report.error is None
         assert [row[0] for row in report.extras["convergence"]] == counts
