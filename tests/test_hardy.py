@@ -435,22 +435,22 @@ class TestIsometry:
         assert gram_residual(result) < 1e-13 and result.trials[0] < 1e-13
         assert result.convergence[0] < 1e-13
 
-    @pytest.mark.parametrize("samples", [64, 1024, 2**16])
-    def test_convergence_through_doublings(self, samples):
+    def test_convergence_through_doublings(self):
         # the Cauchy kernels' relative error at least halves per doubling until it is below
         # the tolerance, and at the largest count it is at rounding level
         cov = make_annulus_cover(0.6, 3)
         tolerance = 1e-9
-        counts = [N for N in (1 << k for k in range(6, 17)) if N <= samples]
-        table = run_isometry(cov, [], 0.7, self.SIG, counts=counts, seed=13).convergence
-        for prev, nxt in zip(table, table[1:]):
-            assert nxt <= max(prev / 2.0, tolerance)
-        assert table[-1] < 1e-12
-        if samples >= 1024:
-            # the error 2 q^P / (1 - q^P), q^P = 2^(-53 N / samples), from 0.22 at samples / 16
-            q_power = 2.0 ** (-53 / 16)
-            assert table[-5] == pytest.approx(2 * q_power / (1 - q_power), rel=1e-6)
-            assert table[-2] > 1e-9
+        for samples in (64, 1024, 2**16):
+            counts = [N for N in (1 << k for k in range(6, 17)) if N <= samples]
+            table = run_isometry(cov, [], 0.7, self.SIG, counts=counts, seed=13).convergence
+            for prev, nxt in zip(table, table[1:]):
+                assert nxt <= max(prev / 2.0, tolerance)
+            assert table[-1] < 1e-12
+            if samples >= 1024:
+                # the error 2 q^P / (1 - q^P), q^P = 2^(-53 N / samples), from 0.22 at samples / 16
+                q_power = 2.0 ** (-53 / 16)
+                assert table[-5] == pytest.approx(2 * q_power / (1 - q_power), rel=1e-6)
+                assert table[-2] > 1e-9
 
     def test_strided_levels_match_direct_sampling(self):
         rng = np.random.default_rng(15)
@@ -527,47 +527,6 @@ class TestIsometry:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @settings(max_examples=30, deadline=None)
-    @given(
-        n=st.sampled_from([1, 2, 3, 5]),
-        m=st.sampled_from([1, 2]),
-        degree=st.integers(0, 6),
-        trials=st.integers(0, 4),
-        skew=st.booleans(),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_trial_gaps_match_per_pair_reference(self, n, m, degree, trials, skew, seed):
-        """Each trial's gap is the per-pair public-API gap over the pair's positive norms.
-
-        True gaps are rounding noise, so ``skew`` runs with covered-side weights
-        that break the isometry: its gaps are of the pairings' size.
-        """
-        rng = np.random.default_rng(seed)
-        alpha = float(rng.uniform(-3.0, 3.0))
-        c = alpha / TWO_PI
-        # non-diagonal for m = 2: a random eigenbasis per circle
-        sig = SignatureData(J_list=tuple(random_signature_matrix(rng, m) for _ in range(2)))
-        cov = make_annulus_cover(0.6, n)
-        degrees = rng.integers(0, degree + 1, size=(trials, 2))
-        pairs = [(random_section(rng, m, df, c), random_section(rng, m, dh, c)) for df, dh in degrees]
-        pipeline = annulus_pipeline(n, alpha, sig)
-        assert pipeline.report.passed
-        if skew:
-            pipeline = dataclasses.replace(pipeline, J2_diagonal=off_isometry_weights(pipeline.J2_diagonal))
-        with mock.patch.object(hardy, "annulus_pipeline", lambda *args: pipeline):
-            result = run_isometry(cov, pairs, alpha, sig, degree=degree, counts=[8])
-        assert result.trials.shape == (trials,)
-        if not pairs:
-            return
-        n_gram = 1 << (2 * degree + 1).bit_length()  # the Gram grid: every pair sums the same points
-        norms = [positive_norm(f, cov.rho1) * positive_norm(h, cov.rho1) for f, h in pairs]
-        reference = per_pair_gaps(cov, pairs, sig, [n_gram], pipeline.J2_diagonal)[0] / norms
-        assert np.max(np.abs(result.trials - reference)) < 1e-12
-        if skew:
-            assert reference.max() > 1e-3
-        else:
-            assert reference.max() < 1e-12
-
 
 def per_pair_gaps(cov, pairs, sig, counts, J2):
     """The isometry gaps one pair and one sample count at a time, from the public API."""
@@ -595,6 +554,70 @@ def positive_norm(spec, rho):
 def off_isometry_weights(J2):
     """Covered-side weights that break the isometry: sheets shifted by one, inner circle negated."""
     return [BlockMonomial(np.roll(J.perm, 1), (1 - 2 * comp) * J.blocks) for comp, J in enumerate(J2)]
+
+
+class TestBatchedIsometry:
+    """Every trial's gap is read from one Gram gap; the per-pair public-API path is the oracle.
+
+    True gaps are rounding noise, so ``skew`` runs with covered-side weights
+    that break the isometry: its gaps are of the pairings' size.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 5]),
+        m=st.sampled_from([1, 2]),
+        degree=st.integers(0, 6),
+        trials=st.integers(0, 4),
+        skew=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_per_pair_reference(self, n, m, degree, trials, skew, seed):
+        rng = np.random.default_rng(seed)
+        alpha = float(rng.uniform(-3.0, 3.0))
+        c = alpha / TWO_PI
+        # non-diagonal for m = 2: a random eigenbasis per circle
+        sig = SignatureData(J_list=tuple(random_signature_matrix(rng, m) for _ in range(2)))
+        cov = make_annulus_cover(0.6, n)
+        degrees = rng.integers(0, degree + 1, size=(trials, 2))
+        pairs = [(random_section(rng, m, df, c), random_section(rng, m, dh, c)) for df, dh in degrees]
+        compare_trial_gaps(cov, pairs, alpha, sig, degree, skew)
+
+    def test_mixed_degrees_padded(self):
+        # sections of degree below the checked one sit zero-padded in the degree-8 Gram basis
+        rng = np.random.default_rng(20)
+        c = 0.7 / TWO_PI
+        sig = SignatureData(J_list=(np.eye(1), -np.eye(1)))
+        degrees = [(2, 5), (8, 8), (0, 3), (7, 1)]
+        pairs = [(random_section(rng, 1, df, c), random_section(rng, 1, dh, c)) for df, dh in degrees]
+        cov = make_annulus_cover(0.6, 3)
+        for skew in (False, True):
+            compare_trial_gaps(cov, pairs, 0.7, sig, 8, skew)
+
+
+def compare_trial_gaps(cov, pairs, alpha, sig, degree, skew):
+    """Trial gaps against the per-pair gaps over the pairs' positive norms.
+
+    With ``skew`` the covered side pairs with off-isometry weights, whose gaps
+    are of the pairings' size; without it the gaps are rounding noise.
+    """
+    pipeline = annulus_pipeline(cov.n, alpha, sig)
+    assert pipeline.report.passed
+    if skew:
+        pipeline = dataclasses.replace(pipeline, J2_diagonal=off_isometry_weights(pipeline.J2_diagonal))
+    with mock.patch.object(hardy, "annulus_pipeline", lambda *args: pipeline):
+        result = run_isometry(cov, pairs, alpha, sig, degree=degree, counts=[8])
+    assert result.trials.shape == (len(pairs),)
+    if not pairs:
+        return
+    n_gram = 1 << (2 * degree + 1).bit_length()  # the Gram grid: every pair sums the same points
+    norms = [positive_norm(f, cov.rho1) * positive_norm(h, cov.rho1) for f, h in pairs]
+    reference = per_pair_gaps(cov, pairs, sig, [n_gram], pipeline.J2_diagonal)[0] / norms
+    assert np.max(np.abs(result.trials - reference)) < 1e-12
+    if skew:
+        assert reference.max() > 1e-3
+    else:
+        assert reference.max() < 1e-12
 
 
 class TestIsometryMutants:
