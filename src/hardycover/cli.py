@@ -35,7 +35,7 @@ from . import __version__
 from .covering import covering_from_json, schreier_transversal
 from .cyclic import annulus_pipeline
 from .groups import double_group, presentation_to_json, surface_group
-from .hardy import make_annulus_cover, random_section, verify_isometry
+from .hardy import SectionSpec, make_annulus_cover, verify_isometry
 from .induction import (
     BlockMonomial,
     Check,
@@ -313,11 +313,11 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
     cov = make_annulus_cover(float(p["rho1"]), p["n"])
     alpha, tolerance, degree, samples = float(p["alpha"]), float(p["tolerance"]), p["degree"], p["samples"]
     rng = np.random.default_rng(p["seed"])
-    c = alpha / (2.0 * np.pi)
-    pairs = [
-        (random_section(rng, p["m"], degree, c), random_section(rng, p["m"], degree, c))
-        for _ in range(p["trials"])
-    ]
+    c, m = alpha / (2.0 * np.pi), p["m"]
+    # every trial at once, in the stream order of one random_section per section
+    draws = rng.standard_normal((p["trials"], 2, 2, 2 * degree + 1, m))
+    coeffs = draws[:, :, 0] + 1j * draws[:, :, 1]
+    pairs = [(SectionSpec(m, c, degree, f), SectionSpec(m, c, degree, h)) for f, h in coeffs]
     # doublings of 64 from the first that samples the degree up to the configured count
     counts = [1 << k for k in range(6, samples.bit_length()) if 1 << k >= 2 * degree + 2] or [samples]
     result = verify_isometry(cov, alpha, _signature_from_params(p), degree, pairs, counts, rng)

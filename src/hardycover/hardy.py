@@ -80,7 +80,7 @@ class SectionSpec:
     """Truncated Laurent section ``z^c (sum_{|d| <= degree} a_d z^d)`` with values in C^m.
 
     ``coeffs`` has shape ``(2*degree + 1, m)``; row ``j`` is the coefficient
-    of ``z^(j - degree)``.
+    of ``z^(j - degree)``.  ``m`` and ``degree`` are ints; bools are refused.
     """
 
     m: int
@@ -89,6 +89,8 @@ class SectionSpec:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        _as_int(self.m, "m")
+        _as_int(self.degree, "degree")
         arr = np.asarray(self.coeffs, dtype=complex)
         if arr.shape != (2 * self.degree + 1, self.m):
             raise ValueError(
@@ -208,6 +210,7 @@ def _pushforward(cov: AnnulusCovering, component: int, n_samples: int, exponent:
     ``n N`` angles upstairs.  There ``z^c / sqrt(F')`` is ``z^(c - (n-1)/2) /
     sqrt(n)``: ``sample(radius, n_points, exponent)`` gives the rows' values
     times ``z^exponent`` on that grid, called with ``exponent - (n-1)/2``.
+    For the count ``N / s``, block ``(j, k)`` is block ``(s j, k)`` of this grid.
     """
     r1 = _component_radius(component, cov.rho1)
     upstairs = sample(r1, cov.n * n_samples, exponent - 0.5 * (cov.n - 1))
@@ -232,7 +235,7 @@ def pushforward_section(
     a section with values in C^{n m}.  One inverse FFT on the ``n N`` angles
     upstairs samples every block (see ``_pushforward``).
     """
-    if branch_sign not in (-1, 1):
+    if _as_int(branch_sign, "branch_sign") not in (-1, 1):
         raise ValueError("branch sign must be +1 or -1")
     _check_sample_count(n_samples, spec.degree)
     blocks = _pushforward(cov, component, n_samples, spec.c, partial(_uniform_values, spec.coeffs.T))
@@ -343,29 +346,40 @@ def verify_isometry(
     ``q = 2^(-53 / (n N_max))`` to the nearer circle, so that the trapezoid
     error ``2 q^(n N)`` reaches rounding at the largest count.  ``rng`` draws
     the unit vectors ``v`` and the poles' angles, on rays of every grid so
-    that the error has no phase.
+    that the error has no phase.  The kernels are sampled once per circle at
+    the largest count, which every count must divide; each count reads a
+    strided view, which for power-of-two strides rounds as if sampled anew.
     """
     c = alpha / (2.0 * np.pi)
     degree = _as_int(degree, "degree")
     if degree < 0:
         raise ValueError(f"degree must be non-negative, got {degree}")
+    coeffs = np.zeros((2, len(pairs), 2 * degree + 1, sig.m), dtype=complex)
     for t, (spec_f, spec_h) in enumerate(pairs):
         if spec_f.m != spec_h.m or spec_f.m != sig.m:
             raise ValueError(
                 f"rank mismatch in pair {t}: sections of rank {spec_f.m}/{spec_h.m}, "
                 f"signature rank {sig.m}"
             )
-        for name, spec in (("f", spec_f), ("h", spec_h)):
-            if abs(spec.c - c) >= 1e-12:
+        for side, (name, spec) in enumerate((("f", spec_f), ("h", spec_h))):
+            if not abs(spec.c - c) < 1e-12:  # NaN fails
                 raise ValueError(
                     f"section {name} of pair {t} has multiplier exponent {spec.c}, "
                     f"incompatible with boundary phase {alpha}"
                 )
             if spec.degree > degree:
                 raise ValueError(f"section {name} of pair {t} has degree {spec.degree}, above {degree}")
+            coeffs[side, t, degree - spec.degree : degree + spec.degree + 1] = spec.coeffs
+    finite = np.isfinite(coeffs).all(axis=(2, 3))
+    if not finite.all():
+        t, side = np.argwhere(~finite.T)[0]
+        raise ValueError(f"section {'fh'[side]} of pair {t} has non-finite coefficients")
     counts = [_as_int(n_samples, "sample count") for n_samples in sample_counts]
     if min(counts, default=1) < 1:
         raise ValueError(f"sample counts must be positive, got {counts}")
+    top = max(counts, default=1)
+    if any(top % n_samples for n_samples in counts):
+        raise ValueError(f"sample counts {[N for N in counts if top % N]} do not divide the largest, {top}")
 
     pipeline = annulus_pipeline(cov.n, alpha, sig)
     n, m = cov.n, sig.m
@@ -373,7 +387,7 @@ def verify_isometry(
     diagonal = np.arange(len(degrees))
     basis = partial(_uniform_values, np.eye(2 * degree + 1))
     # the kernels' poles, at the ratio q to their circles and on a ray 2 pi j / (n gcd) of every grid
-    q, grid = 2.0 ** (-53.0 / (n * max(counts, default=1))), n * math.gcd(*counts)
+    q, grid = 2.0 ** (-53.0 / (n * top)), n * math.gcd(top, *counts)
     poles = np.exp(2j * np.pi * rng.integers(grid, size=2) / grid) * np.array([1.0 / q, cov.rho1 * q])
     vectors = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -392,17 +406,14 @@ def verify_isometry(
         total_gap, total_scale = total_gap + gap, total_scale + scale
 
         closed = _cauchy_pairing(poles, r1, c)
-        scale = np.sqrt(closed.diagonal().real)
+        scale, exact = np.sqrt(closed.diagonal().real), closed * (vectors.conj() @ J @ vectors.T)
+        fine = _pushforward(cov, comp, top, c, partial(_cauchy_values, poles))
         for i, n_samples in enumerate(counts):
-            pushed = _pushforward(cov, comp, n_samples, c, partial(_cauchy_values, poles))
+            pushed = fine[:, :: top // n_samples]
             gap = _gram(pushed[..., None] * vectors[:, None, None, :], J2) * (2.0 * np.pi * r2 / n_samples)
-            gap -= closed * (vectors.conj() @ J @ vectors.T)
+            gap -= exact
             convergence[i] = max(convergence[i], (np.abs(gap) / np.outer(scale, scale)).max())
 
-    coeffs = np.zeros((2, len(pairs), 2 * degree + 1, m), dtype=complex)
-    for t, pair in enumerate(pairs):
-        for side, spec in enumerate(pair):
-            coeffs[side, t, degree - spec.degree : degree + spec.degree + 1] = spec.coeffs
     a, b = coeffs.reshape(2, len(pairs), (2 * degree + 1) * m)
     gaps = np.abs(np.einsum("ti,ij,tj->t", b.conj(), total_gap, a))
     norms = np.sqrt(np.abs(a) ** 2 @ total_scale) * np.sqrt(np.abs(b) ** 2 @ total_scale)

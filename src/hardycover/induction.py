@@ -494,13 +494,19 @@ class SignatureData:
         if mats[0].ndim != 2:
             raise ValueError(f"J_0 has shape {mats[0].shape}, expected a square matrix")
         m = mats[0].shape[0]
-        for i, J in enumerate(mats):
-            if J.shape != (m, m):
-                raise ValueError(f"J_{i} has shape {J.shape}, expected {(m, m)}")
-            if not BlockMonomial.of(J).compare_adjoint()[0] < TOL_EXACT:  # NaN fails
-                raise ValueError(f"J_{i} is not selfadjoint")
-            if not unitarity_residual(J) < TOL_EXACT:
-                raise ValueError(f"J_{i} is not unitary")
+        # J_0 .. J_{fit-1} are m x m: one selfadjoint and one unitary comparison over their stack
+        fit = next((i for i, J in enumerate(mats) if J.shape != (m, m)), len(mats))
+        if fit:
+            stack = np.stack(mats[:fit])
+            adjoint = stack.conj().swapaxes(1, 2)
+            gaps = np.abs((stack - adjoint, stack @ adjoint - np.eye(m)))
+            failed = ~(gaps.max(axis=(2, 3), initial=0.0) < TOL_EXACT)  # (2, fit); NaN fails
+            if failed.any():
+                i = int(failed.any(axis=0).argmax())
+                raise ValueError(f"J_{i} is not {'selfadjoint' if failed[0, i] else 'unitary'}")
+        if fit < len(mats):
+            raise ValueError(f"J_{fit} has shape {mats[fit].shape}, expected {(m, m)}")
+        for J in mats:
             J.setflags(write=False)
         object.__setattr__(self, "J_list", mats)
 

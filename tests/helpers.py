@@ -2,6 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+import json
+import math
+from functools import partial
+from unittest import mock
+
 import numpy as np
 from hypothesis import assume, strategies as st
 
@@ -13,10 +20,12 @@ from hardycover import (
     coset_of,
     double_group,
     mirror_monodromy,
+    random_section,
     schreier_transversal,
     sigma,
     surface_group,
 )
+from hardycover import cli, hardy
 from hardycover.induction import matrix_to_json
 
 
@@ -242,3 +251,56 @@ def dense_symmetry_residuals(images: dict, G2: np.ndarray, J2_list, p) -> dict[s
             rhs = chi(apply_involution(p, R)) @ chi(T_base)
             out[f"monodromy-transport[{comp},{label}]"] = maxabs(lhs - rhs)
     return out
+
+
+# Isometry oracle: the isometry path sampled one section and one count at a time.
+
+
+def per_count_convergence(cov, alpha, sig, J2_diagonal, counts, rng) -> np.ndarray:
+    """``verify_isometry``'s convergence table with the Cauchy kernels sampled afresh at every count.
+
+    ``rng`` is in the state ``verify_isometry`` draws the kernels from: the
+    poles' angles, then the unit vectors.
+    """
+    c, n, m = alpha / (2.0 * np.pi), cov.n, sig.m
+    q, grid = 2.0 ** (-53.0 / (n * max(counts))), n * math.gcd(*counts)
+    poles = np.exp(2j * np.pi * rng.integers(grid, size=2) / grid) * np.array([1.0 / q, cov.rho1 * q])
+    vectors = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    convergence = np.zeros(len(counts))
+    for comp, (J, J2) in enumerate(zip(sig.J_list, J2_diagonal)):
+        r1, r2 = (1.0, 1.0) if comp == 0 else (cov.rho1, cov.rho2)
+        closed = hardy._cauchy_pairing(poles, r1, c)
+        scale = np.sqrt(closed.diagonal().real)
+        for i, n_samples in enumerate(counts):
+            pushed = hardy._pushforward(cov, comp, n_samples, c, partial(hardy._cauchy_values, poles))
+            gap = hardy._gram(pushed[..., None] * vectors[:, None, None, :], J2) * (2.0 * np.pi * r2 / n_samples)
+            gap -= closed * (vectors.conj() @ J @ vectors.T)
+            convergence[i] = max(convergence[i], (np.abs(gap) / np.outer(scale, scale)).max())
+    return convergence
+
+
+def reference_isometry_report(config: dict) -> str:
+    """``emit_report(run_pipeline(config), "json")`` of an isometry config along the per-section, per-count path.
+
+    The CLI's ``verify_isometry`` is replaced by one that ignores the pairs
+    and generator it is given and draws from a fresh generator of the
+    config's seed: each section through ``random_section``, f then h per
+    trial, and the kernels after them, sampled at every count on its own.
+    The Gram checks and the trials' gaps are the library's, read on those
+    pairs.  An isometry change meant to leave reports alone must give this
+    report byte for byte.
+    """
+    cfg = cli.parse_config(json.dumps(config))
+    seed = cfg.params["seed"]
+
+    def reference(cov, alpha, sig, degree, pairs, counts, rng):
+        rng, c = np.random.default_rng(seed), alpha / (2.0 * np.pi)
+        pairs = [(random_section(rng, sig.m, degree, c), random_section(rng, sig.m, degree, c)) for _ in pairs]
+        kernels = copy.deepcopy(rng)
+        result = hardy.verify_isometry(cov, alpha, sig, degree, pairs, counts, rng)
+        convergence = per_count_convergence(cov, alpha, sig, result.pipeline.J2_diagonal, counts, kernels)
+        return dataclasses.replace(result, convergence=convergence)
+
+    with mock.patch.object(cli, "verify_isometry", reference):
+        return cli.emit_report(cli.run_pipeline(cfg), "json")

@@ -33,7 +33,7 @@ from hardycover.cli import (
 )
 from hardycover.induction import BlockMonomial, Check, matrix_to_json, rep_to_json
 
-from helpers import random_induce_config
+from helpers import random_induce_config, reference_isometry_report
 
 
 def isometry_config(**overrides):
@@ -608,6 +608,27 @@ class TestEmission:
         cfg3 = parse_config(json.dumps(isometry_config(samples=128, trials=3, seed=0)))
         doc0, doc3 = (json.loads(emit_report(run_pipeline(cfg), fmt="json")) for cfg in (cfg0, cfg3))
         assert len(doc0["extras"]["per_trial_residuals"]) == 2 and len(doc3["extras"]["per_trial_residuals"]) == 3
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"m": 2},
+            {"degree": 20},
+            {"degree": 40, "samples": 128},
+            {"rho1": 0.3},
+            {"rho1": 0.95, "n": 7, "degree": 30},
+            {"n": 1},
+            *({"degree": 8, "samples": 1024, "trials": 20, "seed": seed} for seed in (1, 2, 3, 97, 1234)),
+        ],
+        ids=["readme", "m-2", "degree-20", "degree-40-samples-128", "rho1-0.3", "rho1-0.95-n7-degree-30", "n-1",
+             *(f"bench-seed-{seed}" for seed in (1, 2, 3, 97, 1234))],
+    )
+    def test_isometry_report_matches_the_per_section_per_count_path(self, overrides):
+        # one trial draw and one kernel grid per circle give the report of the path that
+        # draws each section and samples the kernels at each count on its own, byte for byte
+        config = isometry_config(**overrides)
+        assert emit_report(run_pipeline(parse_config(json.dumps(config))), "json") == reference_isometry_report(config)
 
     def test_text_rendering(self):
         cfg = parse_config('{"mode": "verify", "n": 2, "alpha": 0.1, "signs": [1, 1]}')

@@ -10,6 +10,7 @@ the sampling code.
 """
 
 import dataclasses
+import inspect
 import math
 import tracemalloc
 from unittest import mock
@@ -34,7 +35,7 @@ from hardycover import (
 from hardycover import hardy
 from hardycover.induction import BlockMonomial
 
-from helpers import random_signature_matrix
+from helpers import per_count_convergence, random_signature_matrix
 
 TWO_PI = 2.0 * np.pi
 
@@ -105,6 +106,21 @@ class TestAnnulusCover:
         cov = make_annulus_cover(0.6, np.int64(3))
         assert cov.n == 3 and type(cov.n) is int
         assert cov.rho2 == make_annulus_cover(0.6, 3).rho2
+
+
+class TestSectionSpec:
+    def test_bool_degree_refused(self):
+        # True == 1, so three rows used to fit a degree-True section
+        with pytest.raises(ValueError, match="'degree': True is not an integer"):
+            SectionSpec(m=1, c=0.0, degree=True, coeffs=np.ones((3, 1)))
+
+    def test_bool_rank_refused(self):
+        with pytest.raises(ValueError, match="'m': True is not an integer"):
+            SectionSpec(m=True, c=0.0, degree=0, coeffs=np.ones((1, 1)))
+
+    def test_numpy_integers_accepted(self):
+        spec = SectionSpec(m=np.int64(2), c=0.0, degree=np.int32(1), coeffs=np.ones((3, 2)))
+        assert spec.coeffs.shape == (3, 2)
 
 
 class TestSampling:
@@ -219,6 +235,12 @@ class TestPushforward:
         assert pushed.branch_sign == -1
         with pytest.raises(ValueError, match="branch sign"):
             pushforward_section(cov, constant_section(), 0, 16, branch_sign=2)
+
+    def test_bool_branch_sign_refused(self):
+        # True == 1, so it used to be taken as the sign +1
+        cov = make_annulus_cover(0.6, 2)
+        with pytest.raises(ValueError, match="'branch_sign': True is not an integer"):
+            pushforward_section(cov, constant_section(), 0, 16, branch_sign=True)
 
 
 class TestInnerProduct:
@@ -486,6 +508,34 @@ class TestIsometry:
         with pytest.raises(ValueError, match="degree 3, above 2"):
             verify_isometry(cov, 0.0, self.SIG, 2, [(spec, spec)], [64], np.random.default_rng(0))
 
+    def test_edge_inputs_refused_before_work(self, monkeypatch):
+        monkeypatch.setattr(hardy, "annulus_pipeline", None)
+        cov = make_annulus_cover(0.6, 3)
+        spec = random_section(np.random.default_rng(0), 1, 2, 0.0)
+        run = lambda pairs, counts: verify_isometry(cov, 0.0, self.SIG, 2, pairs, counts, np.random.default_rng(0))
+        # every count is read from the largest count's grid, so each must divide it
+        with pytest.raises(ValueError, match=r"sample counts \[96, 160\] do not divide the largest, 256"):
+            run([(spec, spec)], [64, 96, 128, 160, 256])
+        # non-finite coefficients used to give the trial gap 0.0
+        for value in (np.nan, np.inf, -np.inf * 1j):
+            coeffs = spec.coeffs.copy()
+            coeffs[1, 0] = value
+            bad = SectionSpec(m=1, c=0.0, degree=2, coeffs=coeffs)
+            with pytest.raises(ValueError, match="section h of pair 1 has non-finite coefficients"):
+                run([(spec, spec), (spec, bad), (bad, spec)], [64])
+            with pytest.raises(ValueError, match="section f of pair 0 has non-finite coefficients"):
+                run([(bad, bad)], [64])
+        # a NaN exponent used to pass the multiplier check
+        nan_c = SectionSpec(m=1, c=math.nan, degree=2, coeffs=spec.coeffs)
+        with pytest.raises(ValueError, match="section h of pair 0 has multiplier exponent nan"):
+            run([(spec, nan_c)], [64])
+
+    def test_no_counts_give_an_empty_table(self):
+        # no counts used to make the pole grid 0 and fail in the generator
+        result = run_isometry(make_annulus_cover(0.6, 3), [], 0.7, self.SIG, counts=[])
+        assert result.convergence.shape == (0,)
+        assert gram_residual(result) < 1e-13
+
     def test_one_run_builds_the_pipeline_once(self, monkeypatch):
         import json
 
@@ -526,6 +576,54 @@ class TestIsometry:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+# verify_isometry's read of the count N from the kernels' grid at the largest count
+STRIDED_READ = "fine[:, :: top // n_samples]"
+
+
+def verify_isometry_reading(read):
+    """``verify_isometry`` with its read of each count from the kernel grid replaced by ``read``."""
+    source = inspect.getsource(hardy.verify_isometry)
+    assert source.count(STRIDED_READ) == 1
+    namespace = dict(vars(hardy))
+    exec(compile(source.replace(STRIDED_READ, read), hardy.__file__, "exec"), namespace)
+    return namespace["verify_isometry"]
+
+
+class TestKernelGrid:
+    """Each count's kernel samples are every ``(top / N)``-th of the largest count's, bit for bit."""
+
+    SIG = SignatureData(J_list=(np.eye(1), -np.eye(1)))
+    TOP = 2048
+
+    def tables(self, verify, n):
+        cov, alpha = make_annulus_cover(0.6, n), 0.7
+        counts = [1 << k for k in range(6, self.TOP.bit_length())]
+        strided = verify(cov, alpha, self.SIG, 8, [], counts, np.random.default_rng(n)).convergence
+        J2 = annulus_pipeline(n, alpha, self.SIG).J2_diagonal
+        return strided, per_count_convergence(cov, alpha, self.SIG, J2, counts, np.random.default_rng(n))
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_strided_equals_direct(self, n):
+        strided, direct = self.tables(verify_isometry, n)
+        assert np.array_equal(strided, direct)
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            # the first N angles of the grid instead of every (top / N)-th
+            "fine[:, :n_samples]",
+            # the stride taken over the flattened (angle, sheet) axis, so it also steps across sheets
+            "fine.reshape(2, -1)[:, :: top // n_samples].reshape(2, n_samples, -1)",
+        ],
+        ids=["prefix", "sheet-axis-stride"],
+    )
+    @pytest.mark.parametrize("n", [3, 7])
+    def test_mutant_read_fails(self, read, n):
+        # at n = 1 there is no sheet axis to step across, so both mutants are checked on several sheets
+        strided, direct = self.tables(verify_isometry_reading(read), n)
+        assert not np.array_equal(strided, direct)
 
 
 def per_pair_gaps(cov, pairs, sig, counts, J2):

@@ -573,6 +573,21 @@ class TestSignatureData:
         with pytest.raises(ValueError, match=re.escape(f"J_1 has shape {shape}")):
             SignatureData(J_list=(np.eye(1), J))
 
+    @pytest.mark.parametrize(
+        "J_list, message",
+        [
+            ((np.diag([1.0, 0.5]), np.array([[0.0, 1.0], [0.0, 0.0]])), "J_0 is not unitary"),
+            ((-np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(3)), "J_1 is not selfadjoint"),
+            ((np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(3)), "J_0 is not selfadjoint"),
+            ((np.eye(2), np.eye(3), np.diag([1.0, 0.5])), "J_1 has shape (3, 3)"),
+            ((-np.eye(2), np.eye(2), np.diag([1.0, 0.5])), "J_2 is not unitary"),
+        ],
+    )
+    def test_names_the_first_refused_value(self, J_list, message):
+        # the values are checked as one stack, but the first J that fails, in order, is named
+        with pytest.raises(ValueError, match=re.escape(message)):
+            SignatureData(J_list=J_list)
+
     def test_g_is_first(self):
         sig = SignatureData(J_list=(np.diag([1.0, -1.0]), np.eye(2)))
         assert np.array_equal(sig.G, np.diag([1.0, -1.0]))
