@@ -8,8 +8,9 @@ checked once, at parse, each refusal naming its field: values, sampling
 budgets for every mode; the ``chi1`` images of ``induce`` are checked and
 converted as one array.  Reports are deterministic given the config
 (``isometry``, the only mode that draws random numbers, takes its ``seed``
-from it): the JSON emission is byte-stable, with wall-clock timing shown
-only in the text rendering.
+from it, draws every trial as one coefficient array and leaves the
+convergence table's counts to ``verify_isometry``): the JSON emission is
+byte-stable, with wall-clock timing shown only in the text rendering.
 
 The JSON report is the text of ``json.dumps(doc, sort_keys=True, indent=2)``,
 written by ``_json`` with three bulk paths: images from their block-monomials
@@ -35,7 +36,7 @@ from . import __version__
 from .covering import covering_from_json, schreier_transversal
 from .cyclic import annulus_pipeline
 from .groups import double_group, presentation_to_json, surface_group
-from .hardy import SectionSpec, make_annulus_cover, verify_isometry
+from .hardy import make_annulus_cover, verify_isometry
 from .induction import (
     BlockMonomial,
     Check,
@@ -313,14 +314,10 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
     cov = make_annulus_cover(float(p["rho1"]), p["n"])
     alpha, tolerance, degree, samples = float(p["alpha"]), float(p["tolerance"]), p["degree"], p["samples"]
     rng = np.random.default_rng(p["seed"])
-    c, m = alpha / (2.0 * np.pi), p["m"]
     # every trial at once, in the stream order of one random_section per section
-    draws = rng.standard_normal((p["trials"], 2, 2, 2 * degree + 1, m))
+    draws = rng.standard_normal((p["trials"], 2, 2, 2 * degree + 1, p["m"]))
     coeffs = draws[:, :, 0] + 1j * draws[:, :, 1]
-    pairs = [(SectionSpec(m, c, degree, f), SectionSpec(m, c, degree, h)) for f, h in coeffs]
-    # doublings of 64 from the first that samples the degree up to the configured count
-    counts = [1 << k for k in range(6, samples.bit_length()) if 1 << k >= 2 * degree + 2] or [samples]
-    result = verify_isometry(cov, alpha, _signature_from_params(p), degree, pairs, counts, rng)
+    result = verify_isometry(cov, alpha, _signature_from_params(p), coeffs, samples, rng)
     report.checks += result.pipeline.report.checks
     for comp, (residual, block) in enumerate(result.gram):
         report.checks.append(Check(f"isometry-gram[{comp}]", residual, tolerance, block))
@@ -328,7 +325,7 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
     report.extras["per_trial_residuals"] = residuals
     report.checks.append(Check("isometry-residual[max]", max(residuals), tolerance))
 
-    table = [[n_samples, residual] for n_samples, residual in zip(counts, result.convergence.tolist())]
+    table = [[n_samples, residual] for n_samples, residual in zip(result.counts, result.convergence.tolist())]
     report.extras["convergence"] = table
     # each doubling must at least halve the kernels' error until it is below the tolerance
     monotone_violation = max(

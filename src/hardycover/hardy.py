@@ -81,6 +81,7 @@ class SectionSpec:
 
     ``coeffs`` has shape ``(2*degree + 1, m)``; row ``j`` is the coefficient
     of ``z^(j - degree)``.  ``m`` and ``degree`` are ints; bools are refused.
+    ``c`` and the coefficients must be finite.
     """
 
     m: int
@@ -91,11 +92,15 @@ class SectionSpec:
     def __post_init__(self) -> None:
         _as_int(self.m, "m")
         _as_int(self.degree, "degree")
+        if not math.isfinite(self.c):
+            raise ValueError(f"invalid value for field 'c': {self.c!r} is not finite")
         arr = np.asarray(self.coeffs, dtype=complex)
         if arr.shape != (2 * self.degree + 1, self.m):
             raise ValueError(
                 f"coefficients have shape {arr.shape}, expected {(2 * self.degree + 1, self.m)}"
             )
+        if not np.isfinite(arr).all():
+            raise ValueError("invalid value for field 'coeffs': entries are not all finite")
         object.__setattr__(self, "coeffs", arr)
 
 
@@ -129,7 +134,9 @@ class BoundarySection:
         return self.samples.shape[1]
 
 
-def _check_sample_count(n_samples: int, degree: int) -> None:
+def _check_sample_count(n_samples: int, degree: int) -> int:
+    """``n_samples`` as an int, refused unless it is a power of two that samples the degree."""
+    n_samples = _as_int(n_samples, "sample count")
     if n_samples < 2 * degree + 2:
         raise ValueError(
             f"{n_samples} samples undersample a degree-{degree} section "
@@ -137,6 +144,7 @@ def _check_sample_count(n_samples: int, degree: int) -> None:
         )
     if n_samples & (n_samples - 1):
         raise ValueError(f"sample count must be a power of two, got {n_samples}")
+    return n_samples
 
 
 def section_values(spec: SectionSpec, radius: float, angles: np.ndarray) -> np.ndarray:
@@ -308,13 +316,14 @@ class IsometryResult:
 
     ``gram``: per circle, the largest Gram gap and the degrees ``(d', d)`` of
     its entry.  ``trials``: each pair's gap.  ``convergence``: the largest
-    Cauchy-kernel gap per sample count.  ``pipeline``: the source of ``J2``,
-    with the report of its symmetry checks.
+    Cauchy-kernel gap at each sample count of ``counts``.  ``pipeline``: the
+    source of ``J2``, with the report of its symmetry checks.
     """
 
     pipeline: CyclicPipeline
     gram: tuple[tuple[float, tuple[int, int]], ...]
     trials: np.ndarray
+    counts: tuple[int, ...]
     convergence: np.ndarray
 
 
@@ -322,12 +331,15 @@ def verify_isometry(
     cov: AnnulusCovering,
     alpha: float,
     sig: SignatureData,
-    degree: int,
-    pairs: Sequence[tuple[SectionSpec, SectionSpec]],
-    sample_counts: Sequence[int],
+    coeffs: np.ndarray,
+    samples: int,
     rng: np.random.Generator,
 ) -> IsometryResult:
     """The pushforward's isometry on sections ``z^c (sum_{|d| <= degree} a_d z^d)``, ``c = alpha / (2 pi)``.
+
+    ``coeffs[t]`` holds pair ``t``'s ``f`` then ``h``, entry ``j`` the coefficient
+    of ``z^(j - degree)``: its shape ``(trials, 2, 2 degree + 1, sig.m)`` gives
+    the degree and the trial count.
 
     The pairing is sesquilinear, so the theorem is the equality, per circle,
     of two Gram matrices on the basis ``z^(c+d) e_j``: the base side's is
@@ -341,53 +353,36 @@ def verify_isometry(
     ``sqrt(a^* S a b^* S b)``, with ``dG`` and ``S = diag(s)`` summed over
     both circles.
 
-    The convergence table pairs two Cauchy kernels ``z^c v / (z - p)``: one
-    pole beyond ``|z| = 1``, one inside ``|z| = rho1``, each at the ratio
-    ``q = 2^(-53 / (n N_max))`` to the nearer circle, so that the trapezoid
-    error ``2 q^(n N)`` reaches rounding at the largest count.  ``rng`` draws
-    the unit vectors ``v`` and the poles' angles, on rays of every grid so
-    that the error has no phase.  The kernels are sampled once per circle at
-    the largest count, which every count must divide; each count reads a
+    The convergence table pairs two Cauchy kernels ``z^c v / (z - p)`` at
+    the doublings of 64 from the first ``>= 2 degree + 2`` up to ``samples``
+    (``[samples]`` if there are none); ``samples`` is a power of two that
+    samples the degree.  One pole lies beyond ``|z| = 1``, one inside
+    ``|z| = rho1``, each at the ratio ``q = 2^(-53 / (n samples))`` to the
+    nearer circle, so that the trapezoid error ``2 q^(n N)`` reaches rounding
+    at ``N = samples``.  ``rng`` draws the unit vectors ``v`` and the poles'
+    angles, on rays of every grid so that the error has no phase.  The
+    kernels are sampled once per circle at ``samples``; each count reads a
     strided view, which for power-of-two strides rounds as if sampled anew.
     """
     c = alpha / (2.0 * np.pi)
-    degree = _as_int(degree, "degree")
-    if degree < 0:
-        raise ValueError(f"degree must be non-negative, got {degree}")
-    coeffs = np.zeros((2, len(pairs), 2 * degree + 1, sig.m), dtype=complex)
-    for t, (spec_f, spec_h) in enumerate(pairs):
-        if spec_f.m != spec_h.m or spec_f.m != sig.m:
-            raise ValueError(
-                f"rank mismatch in pair {t}: sections of rank {spec_f.m}/{spec_h.m}, "
-                f"signature rank {sig.m}"
-            )
-        for side, (name, spec) in enumerate((("f", spec_f), ("h", spec_h))):
-            if not abs(spec.c - c) < 1e-12:  # NaN fails
-                raise ValueError(
-                    f"section {name} of pair {t} has multiplier exponent {spec.c}, "
-                    f"incompatible with boundary phase {alpha}"
-                )
-            if spec.degree > degree:
-                raise ValueError(f"section {name} of pair {t} has degree {spec.degree}, above {degree}")
-            coeffs[side, t, degree - spec.degree : degree + spec.degree + 1] = spec.coeffs
+    coeffs = np.asarray(coeffs, dtype=complex)
+    if coeffs.ndim != 4 or coeffs.shape[1] != 2 or coeffs.shape[2] % 2 == 0 or coeffs.shape[3] != sig.m:
+        raise ValueError(f"coefficients have shape {coeffs.shape}, expected (trials, 2, 2 degree + 1, {sig.m})")
     finite = np.isfinite(coeffs).all(axis=(2, 3))
     if not finite.all():
-        t, side = np.argwhere(~finite.T)[0]
+        t, side = np.argwhere(~finite)[0]
         raise ValueError(f"section {'fh'[side]} of pair {t} has non-finite coefficients")
-    counts = [_as_int(n_samples, "sample count") for n_samples in sample_counts]
-    if min(counts, default=1) < 1:
-        raise ValueError(f"sample counts must be positive, got {counts}")
-    top = max(counts, default=1)
-    if any(top % n_samples for n_samples in counts):
-        raise ValueError(f"sample counts {[N for N in counts if top % N]} do not divide the largest, {top}")
+    degree = coeffs.shape[2] // 2
+    samples = _check_sample_count(samples, degree)
+    counts = tuple(1 << k for k in range(6, samples.bit_length()) if 1 << k >= 2 * degree + 2) or (samples,)
 
     pipeline = annulus_pipeline(cov.n, alpha, sig)
     n, m = cov.n, sig.m
     degrees, n_gram = np.arange(-degree, degree + 1), 1 << (2 * degree + 1).bit_length()
     diagonal = np.arange(len(degrees))
     basis = partial(_uniform_values, np.eye(2 * degree + 1))
-    # the kernels' poles, at the ratio q to their circles and on a ray 2 pi j / (n gcd) of every grid
-    q, grid = 2.0 ** (-53.0 / (n * top)), n * math.gcd(top, *counts)
+    # the kernels' poles, at the ratio q to their circles and on a ray 2 pi j / (n counts[0]) of every grid
+    q, grid = 2.0 ** (-53.0 / (n * samples)), n * counts[0]
     poles = np.exp(2j * np.pi * rng.integers(grid, size=2) / grid) * np.array([1.0 / q, cov.rho1 * q])
     vectors = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
@@ -407,15 +402,15 @@ def verify_isometry(
 
         closed = _cauchy_pairing(poles, r1, c)
         scale, exact = np.sqrt(closed.diagonal().real), closed * (vectors.conj() @ J @ vectors.T)
-        fine = _pushforward(cov, comp, top, c, partial(_cauchy_values, poles))
+        fine = _pushforward(cov, comp, samples, c, partial(_cauchy_values, poles))
         for i, n_samples in enumerate(counts):
-            pushed = fine[:, :: top // n_samples]
+            pushed = fine[:, :: samples // n_samples]
             gap = _gram(pushed[..., None] * vectors[:, None, None, :], J2) * (2.0 * np.pi * r2 / n_samples)
             gap -= exact
             convergence[i] = max(convergence[i], (np.abs(gap) / np.outer(scale, scale)).max())
 
-    a, b = coeffs.reshape(2, len(pairs), (2 * degree + 1) * m)
+    a, b = coeffs.reshape(len(coeffs), 2, len(degrees) * m).transpose(1, 0, 2)
     gaps = np.abs(np.einsum("ti,ij,tj->t", b.conj(), total_gap, a))
     norms = np.sqrt(np.abs(a) ** 2 @ total_scale) * np.sqrt(np.abs(b) ** 2 @ total_scale)
     trials = np.divide(gaps, norms, out=np.zeros_like(gaps), where=norms > 0)
-    return IsometryResult(pipeline=pipeline, gram=tuple(gram), trials=trials, convergence=convergence)
+    return IsometryResult(pipeline=pipeline, gram=tuple(gram), trials=trials, counts=counts, convergence=convergence)

@@ -280,26 +280,35 @@ def per_count_convergence(cov, alpha, sig, J2_diagonal, counts, rng) -> np.ndarr
     return convergence
 
 
+def pair_coeffs(pairs, degree: int, m: int) -> np.ndarray:
+    """``verify_isometry``'s coefficient array of section pairs, each section zero-padded to ``degree``."""
+    coeffs = np.zeros((len(pairs), 2, 2 * degree + 1, m), dtype=complex)
+    for t, pair in enumerate(pairs):
+        for side, spec in enumerate(pair):
+            coeffs[t, side, degree - spec.degree : degree + spec.degree + 1] = spec.coeffs
+    return coeffs
+
+
 def reference_isometry_report(config: dict) -> str:
     """``emit_report(run_pipeline(config), "json")`` of an isometry config along the per-section, per-count path.
 
-    The CLI's ``verify_isometry`` is replaced by one that ignores the pairs
-    and generator it is given and draws from a fresh generator of the
-    config's seed: each section through ``random_section``, f then h per
-    trial, and the kernels after them, sampled at every count on its own.
+    The CLI's ``verify_isometry`` is replaced by one that ignores the
+    coefficients and generator it is given and draws from a fresh generator
+    of the config's seed: each section through ``random_section``, f then h
+    per trial, and the kernels after them, sampled at every count on its own.
     The Gram checks and the trials' gaps are the library's, read on those
-    pairs.  An isometry change meant to leave reports alone must give this
-    report byte for byte.
+    sections' stacked coefficients.  An isometry change meant to leave
+    reports alone must give this report byte for byte.
     """
     cfg = cli.parse_config(json.dumps(config))
     seed = cfg.params["seed"]
 
-    def reference(cov, alpha, sig, degree, pairs, counts, rng):
-        rng, c = np.random.default_rng(seed), alpha / (2.0 * np.pi)
-        pairs = [(random_section(rng, sig.m, degree, c), random_section(rng, sig.m, degree, c)) for _ in pairs]
+    def reference(cov, alpha, sig, coeffs, samples, rng):
+        rng, c, degree = np.random.default_rng(seed), alpha / (2.0 * np.pi), coeffs.shape[2] // 2
+        pairs = [(random_section(rng, sig.m, degree, c), random_section(rng, sig.m, degree, c)) for _ in coeffs]
         kernels = copy.deepcopy(rng)
-        result = hardy.verify_isometry(cov, alpha, sig, degree, pairs, counts, rng)
-        convergence = per_count_convergence(cov, alpha, sig, result.pipeline.J2_diagonal, counts, kernels)
+        result = hardy.verify_isometry(cov, alpha, sig, pair_coeffs(pairs, degree, sig.m), samples, rng)
+        convergence = per_count_convergence(cov, alpha, sig, result.pipeline.J2_diagonal, result.counts, kernels)
         return dataclasses.replace(result, convergence=convergence)
 
     with mock.patch.object(cli, "verify_isometry", reference):

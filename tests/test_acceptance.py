@@ -40,7 +40,7 @@ from hardycover import (
 )
 from hardycover.covering import expand_schreier_word
 
-from helpers import commuting_unitaries, haar_unitary, random_word
+from helpers import commuting_unitaries, haar_unitary, pair_coeffs, random_word
 
 TORUS = double_group(0, 2)
 
@@ -294,7 +294,7 @@ def test_criterion_5_numerical_isometry():
     ok = True
 
     pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(20)]
-    result = verify_isometry(cov, ISO_ALPHA, ISO_SIG, 8, pairs, [2048], rng)
+    result = verify_isometry(cov, ISO_ALPHA, ISO_SIG, pair_coeffs(pairs, 8, 1), 2048, rng)
     ok &= max(residual for residual, _ in result.gram) < 1e-13
     ok &= result.trials.max() < 1e-13
 
@@ -317,10 +317,11 @@ def test_criterion_6_convergence():
     rng = np.random.default_rng(1)
     pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(20)]
     tolerance = 1e-9
-    counts = [64, 128, 256, 512, 1024]
-    # the Cauchy kernels, which no grid integrates exactly
-    residuals = verify_isometry(cov, ISO_ALPHA, ISO_SIG, 8, pairs, counts, rng).convergence
-    ok = all(
+    # the Cauchy kernels, which no grid integrates exactly, at 64 ... 1024 samples
+    result = verify_isometry(cov, ISO_ALPHA, ISO_SIG, pair_coeffs(pairs, 8, 1), 1024, rng)
+    residuals = result.convergence
+    ok = result.counts == (64, 128, 256, 512, 1024)
+    ok &= all(
         nxt <= max(prev / 2.0, tolerance) for prev, nxt in zip(residuals, residuals[1:])
     )
     ok &= residuals[-1] < tolerance
@@ -363,7 +364,7 @@ def test_criterion_7_degenerate_cases():
     c = ISO_ALPHA / (2.0 * np.pi)
     pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(5)]
     # the base side is closed form and the covered side sampled, so they agree to rounding
-    identity = verify_isometry(cov1, ISO_ALPHA, ISO_SIG, 8, pairs, [1024], rng)
+    identity = verify_isometry(cov1, ISO_ALPHA, ISO_SIG, pair_coeffs(pairs, 8, 1), 1024, rng)
     ok &= max(residual for residual, _ in identity.gram) < 1e-14
     ok &= bool(np.all(identity.trials < 1e-14))
 

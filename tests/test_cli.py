@@ -548,6 +548,17 @@ class TestIsometryMode:
         assert [row[0] for row in report.extras["convergence"]] == counts
         assert counts[0] >= 2 * degree + 2
 
+    def test_run_builds_no_section_spec(self, monkeypatch):
+        # the trials reach verify_isometry as one coefficient array, not one SectionSpec per section
+        from hardycover import hardy
+
+        made = []
+        original = hardy.SectionSpec.__post_init__
+        monkeypatch.setattr(hardy.SectionSpec, "__post_init__", lambda self: made.append(1) or original(self))
+        report = run_pipeline(self.quick(samples=128, trials=5))
+        assert report.passed and len(report.extras["per_trial_residuals"]) == 5
+        assert made == []
+
 
 def dense_induced_export(config):
     """The dense induced images of an ``induce`` config, block by block from chi1.

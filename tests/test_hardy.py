@@ -35,7 +35,7 @@ from hardycover import (
 from hardycover import hardy
 from hardycover.induction import BlockMonomial
 
-from helpers import per_count_convergence, random_signature_matrix
+from helpers import pair_coeffs, per_count_convergence, random_signature_matrix
 
 TWO_PI = 2.0 * np.pi
 
@@ -122,6 +122,23 @@ class TestSectionSpec:
         spec = SectionSpec(m=np.int64(2), c=0.0, degree=np.int32(1), coeffs=np.ones((3, 2)))
         assert spec.coeffs.shape == (3, 2)
 
+    # a non-finite exponent or coefficient used to give all-NaN samples with no error
+
+    def test_nan_exponent_refused(self):
+        with pytest.raises(ValueError, match="'c': nan is not finite"):
+            SectionSpec(m=1, c=math.nan, degree=0, coeffs=np.ones((1, 1)))
+
+    def test_infinite_exponent_refused(self):
+        with pytest.raises(ValueError, match="'c': -inf is not finite"):
+            SectionSpec(m=1, c=-math.inf, degree=0, coeffs=np.ones((1, 1)))
+
+    @pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, -np.inf)], ids=["inf", "nan", "imaginary-inf"])
+    def test_non_finite_coefficient_refused(self, value):
+        coeffs = np.ones((3, 2), dtype=complex)
+        coeffs[2, 1] = value
+        with pytest.raises(ValueError, match="'coeffs': entries are not all finite"):
+            SectionSpec(m=2, c=0.0, degree=1, coeffs=coeffs)
+
 
 class TestSampling:
     def test_constant_section(self):
@@ -151,6 +168,13 @@ class TestSampling:
     def test_power_of_two_required(self):
         with pytest.raises(ValueError, match="power of two"):
             sample_section(constant_section(), 0, 12, 0.5)
+
+    def test_non_integer_count_refused(self):
+        # a float count used to raise numpy's TypeError from the power-of-two test
+        with pytest.raises(ValueError, match="'sample count': 8.0 is not an integer"):
+            sample_section(constant_section(), 0, 8.0, 0.5)
+        with pytest.raises(ValueError, match=r"'sample count': np.float64\(8.0\) is not an integer"):
+            pushforward_section(make_annulus_cover(0.5, 2), constant_section(), 0, np.float64(8.0))
 
     @pytest.mark.parametrize("component", [0, 1])
     @pytest.mark.parametrize(
@@ -368,12 +392,9 @@ class TestBranchIndependence:
         assert abs(values[0] - values[1]) < 1e-12 * (1.0 + abs(values[0]))
 
 
-def readme_counts(samples=1024):
-    return [N for N in (64, 128, 256, 512, 1024, 2048) if N <= samples]
-
-
-def run_isometry(cov, pairs, alpha, sig, degree=8, counts=(64, 128, 256, 512, 1024), seed=0):
-    return verify_isometry(cov, alpha, sig, degree, pairs, list(counts), np.random.default_rng(seed))
+def run_isometry(cov, pairs, alpha, sig, degree=8, samples=1024, seed=0):
+    coeffs = pair_coeffs(pairs, degree, sig.m)
+    return verify_isometry(cov, alpha, sig, coeffs, samples, np.random.default_rng(seed))
 
 
 def gram_residual(result):
@@ -390,8 +411,10 @@ class TestIsometry:
         alpha = 0.7
         c = alpha / TWO_PI
         pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(3)]
-        result = run_isometry(cov, pairs, alpha, self.SIG, counts=[64, 128, 256])
+        # a numpy integer count is accepted
+        result = run_isometry(cov, pairs, alpha, self.SIG, samples=np.int64(256))
         assert result.trials.shape == (3,) and result.convergence.shape == (3,)
+        assert result.counts == (64, 128, 256)
         assert gram_residual(result) < 1e-14
         assert result.trials.max() < 1e-14
 
@@ -401,11 +424,11 @@ class TestIsometry:
         alpha = 0.7
         c = alpha / TWO_PI
         pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(5)]
-        result = run_isometry(cov, pairs, alpha, self.SIG, counts=[2048])
+        result = run_isometry(cov, pairs, alpha, self.SIG, samples=2048)
         assert result.pipeline.report.passed
         assert gram_residual(result) < 1e-13
         assert np.all(result.trials < 1e-13)
-        assert result.convergence[0] < 1e-13
+        assert result.convergence[-1] < 1e-13
 
     def test_constant_sections_positive_case(self):
         from hardycover import annulus_pipeline
@@ -420,31 +443,13 @@ class TestIsometry:
         expected = TWO_PI * (1.0 + 0.6)
         assert base == pytest.approx(expected, abs=1e-9)
         assert covered == pytest.approx(expected, abs=1e-9)
-        assert run_isometry(cov, [(const, const)], 0.0, sig, degree=0, counts=[512]).trials[0] < 1e-14
+        assert run_isometry(cov, [(const, const)], 0.0, sig, degree=0, samples=512).trials[0] < 1e-14
 
-    def test_multiplier_mismatch_rejected(self):
-        rng = np.random.default_rng(10)
-        cov = make_annulus_cover(0.6, 2)
-        with pytest.raises(ValueError, match="incompatible with boundary phase"):
-            run_isometry(
-                cov,
-                [(random_section(rng, 1, 4, 0.0), random_section(rng, 1, 4, 0.0))],
-                0.7,
-                self.SIG,
-                counts=[256],
-            )
-
-    def test_rank_mismatch_rejected(self):
-        rng = np.random.default_rng(11)
-        cov = make_annulus_cover(0.6, 2)
-        with pytest.raises(ValueError, match="rank mismatch"):
-            run_isometry(
-                cov,
-                [(random_section(rng, 2, 4, 0.0), random_section(rng, 2, 4, 0.0))],
-                0.0,
-                self.SIG,
-                counts=[256],
-            )
+    def test_rank_mismatch_rejected(self, monkeypatch):
+        # rank-2 sections against a rank-1 signature: the last axis is the rank
+        monkeypatch.setattr(hardy, "annulus_pipeline", None)
+        with pytest.raises(ValueError, match=r"shape \(1, 2, 9, 2\), expected \(trials, 2, 2 degree \+ 1, 1\)"):
+            verify_isometry(make_annulus_cover(0.6, 2), 0.0, self.SIG, np.ones((1, 2, 9, 2)), 256, None)
 
     def test_matrix_rank_fixture(self):
         rng = np.random.default_rng(12)
@@ -453,9 +458,9 @@ class TestIsometry:
         alpha = 1.3
         c = alpha / TWO_PI
         pair = (random_section(rng, 2, 6, c), random_section(rng, 2, 6, c))
-        result = run_isometry(cov, [pair], alpha, sig, degree=6, counts=[1024])
+        result = run_isometry(cov, [pair], alpha, sig, degree=6, samples=1024)
         assert gram_residual(result) < 1e-13 and result.trials[0] < 1e-13
-        assert result.convergence[0] < 1e-13
+        assert result.convergence[-1] < 1e-13
 
     def test_convergence_through_doublings(self):
         # the Cauchy kernels' relative error at least halves per doubling until it is below
@@ -463,8 +468,9 @@ class TestIsometry:
         cov = make_annulus_cover(0.6, 3)
         tolerance = 1e-9
         for samples in (64, 1024, 2**16):
-            counts = [N for N in (1 << k for k in range(6, 17)) if N <= samples]
-            table = run_isometry(cov, [], 0.7, self.SIG, counts=counts, seed=13).convergence
+            result = run_isometry(cov, [], 0.7, self.SIG, samples=samples, seed=13)
+            assert result.counts == tuple(N for N in (1 << k for k in range(6, 17)) if N <= samples)
+            table = result.convergence
             for prev, nxt in zip(table, table[1:]):
                 assert nxt <= max(prev / 2.0, tolerance)
             assert table[-1] < 1e-12
@@ -491,50 +497,37 @@ class TestIsometry:
                 assert relative_gap(pushed[::step], direct) < 1e-12
 
     def test_sample_counts_validated_before_work(self, monkeypatch):
-        from hardycover import hardy
-
         monkeypatch.setattr(hardy, "annulus_pipeline", None)
         cov = make_annulus_cover(0.6, 3)
-        pair = (constant_section(), constant_section())
-        for degree, counts, match in (
-            (0, [64, 0], "positive"),
-            (0, [64, 2.5], "not an integer"),
-            (-1, [64], "non-negative"),
-            (True, [64], "not an integer"),
+        coeffs = pair_coeffs([(constant_section(), constant_section())], 8, 1)
+        for samples, match in (
+            (96, "must be a power of two, got 96"),
+            (16, "16 samples undersample a degree-8 section"),
+            (0, "undersample"),
+            (256.0, "'sample count': 256.0 is not an integer"),
+            (True, "'sample count': True is not an integer"),
         ):
             with pytest.raises(ValueError, match=match):
-                verify_isometry(cov, 0.0, self.SIG, degree, [pair], counts, np.random.default_rng(0))
-        spec = random_section(np.random.default_rng(0), 1, 3, 0.0)
-        with pytest.raises(ValueError, match="degree 3, above 2"):
-            verify_isometry(cov, 0.0, self.SIG, 2, [(spec, spec)], [64], np.random.default_rng(0))
+                verify_isometry(cov, 0.0, self.SIG, coeffs, samples, np.random.default_rng(0))
 
     def test_edge_inputs_refused_before_work(self, monkeypatch):
         monkeypatch.setattr(hardy, "annulus_pipeline", None)
         cov = make_annulus_cover(0.6, 3)
-        spec = random_section(np.random.default_rng(0), 1, 2, 0.0)
-        run = lambda pairs, counts: verify_isometry(cov, 0.0, self.SIG, 2, pairs, counts, np.random.default_rng(0))
-        # every count is read from the largest count's grid, so each must divide it
-        with pytest.raises(ValueError, match=r"sample counts \[96, 160\] do not divide the largest, 256"):
-            run([(spec, spec)], [64, 96, 128, 160, 256])
+        run = lambda coeffs: verify_isometry(cov, 0.0, self.SIG, coeffs, 64, np.random.default_rng(0))
+        # not 4-D, a second axis other than (f, h), and an even width, which no degree has
+        for shape in ((2, 5, 1), (1, 3, 5, 1), (1, 1, 5, 1), (1, 2, 4, 1), (1, 2, 0, 1)):
+            with pytest.raises(ValueError, match=rf"coefficients have shape \({', '.join(map(str, shape))},?\)"):
+                run(np.ones(shape))
         # non-finite coefficients used to give the trial gap 0.0
+        spec = random_section(np.random.default_rng(0), 1, 2, 0.0)
         for value in (np.nan, np.inf, -np.inf * 1j):
-            coeffs = spec.coeffs.copy()
-            coeffs[1, 0] = value
-            bad = SectionSpec(m=1, c=0.0, degree=2, coeffs=coeffs)
+            coeffs = pair_coeffs([(spec, spec)] * 3, 2, 1)
+            coeffs[2, 0, 3, 0] = value
+            with pytest.raises(ValueError, match="section f of pair 2 has non-finite coefficients"):
+                run(coeffs)
+            coeffs[1, 1, 1, 0] = value
             with pytest.raises(ValueError, match="section h of pair 1 has non-finite coefficients"):
-                run([(spec, spec), (spec, bad), (bad, spec)], [64])
-            with pytest.raises(ValueError, match="section f of pair 0 has non-finite coefficients"):
-                run([(bad, bad)], [64])
-        # a NaN exponent used to pass the multiplier check
-        nan_c = SectionSpec(m=1, c=math.nan, degree=2, coeffs=spec.coeffs)
-        with pytest.raises(ValueError, match="section h of pair 0 has multiplier exponent nan"):
-            run([(spec, nan_c)], [64])
-
-    def test_no_counts_give_an_empty_table(self):
-        # no counts used to make the pole grid 0 and fail in the generator
-        result = run_isometry(make_annulus_cover(0.6, 3), [], 0.7, self.SIG, counts=[])
-        assert result.convergence.shape == (0,)
-        assert gram_residual(result) < 1e-13
+                run(coeffs)
 
     def test_one_run_builds_the_pipeline_once(self, monkeypatch):
         import json
@@ -558,7 +551,7 @@ class TestIsometry:
         assert len(calls) == 1
 
     def test_empty_pair_list(self):
-        result = run_isometry(make_annulus_cover(0.6, 3), [], 0.7, self.SIG, counts=[64, 128, 256])
+        result = run_isometry(make_annulus_cover(0.6, 3), [], 0.7, self.SIG, samples=256)
         assert result.trials.shape == (0,)
         assert gram_residual(result) < 1e-13
 
@@ -578,8 +571,8 @@ class TestIsometry:
         assert peak < 2**20
 
 
-# verify_isometry's read of the count N from the kernels' grid at the largest count
-STRIDED_READ = "fine[:, :: top // n_samples]"
+# verify_isometry's read of the count N from the kernels' grid at the largest count, samples
+STRIDED_READ = "fine[:, :: samples // n_samples]"
 
 
 def verify_isometry_reading(read):
@@ -599,10 +592,11 @@ class TestKernelGrid:
 
     def tables(self, verify, n):
         cov, alpha = make_annulus_cover(0.6, n), 0.7
-        counts = [1 << k for k in range(6, self.TOP.bit_length())]
-        strided = verify(cov, alpha, self.SIG, 8, [], counts, np.random.default_rng(n)).convergence
+        result = verify(cov, alpha, self.SIG, np.zeros((0, 2, 17, 1)), self.TOP, np.random.default_rng(n))
+        assert result.counts == tuple(1 << k for k in range(6, self.TOP.bit_length()))
         J2 = annulus_pipeline(n, alpha, self.SIG).J2_diagonal
-        return strided, per_count_convergence(cov, alpha, self.SIG, J2, counts, np.random.default_rng(n))
+        direct = per_count_convergence(cov, alpha, self.SIG, J2, result.counts, np.random.default_rng(n))
+        return result.convergence, direct
 
     @pytest.mark.parametrize("n", [1, 3, 7])
     def test_strided_equals_direct(self, n):
@@ -615,7 +609,7 @@ class TestKernelGrid:
             # the first N angles of the grid instead of every (top / N)-th
             "fine[:, :n_samples]",
             # the stride taken over the flattened (angle, sheet) axis, so it also steps across sheets
-            "fine.reshape(2, -1)[:, :: top // n_samples].reshape(2, n_samples, -1)",
+            "fine.reshape(2, -1)[:, :: samples // n_samples].reshape(2, n_samples, -1)",
         ],
         ids=["prefix", "sheet-axis-stride"],
     )
@@ -682,7 +676,7 @@ class TestBatchedIsometry:
         compare_trial_gaps(cov, pairs, alpha, sig, degree, skew)
 
     def test_mixed_degrees_padded(self):
-        # sections of degree below the checked one sit zero-padded in the degree-8 Gram basis
+        # sections of degree below the checked one sit zero-padded in the degree-8 coefficient array
         rng = np.random.default_rng(20)
         c = 0.7 / TWO_PI
         sig = SignatureData(J_list=(np.eye(1), -np.eye(1)))
@@ -704,7 +698,7 @@ def compare_trial_gaps(cov, pairs, alpha, sig, degree, skew):
     if skew:
         pipeline = dataclasses.replace(pipeline, J2_diagonal=off_isometry_weights(pipeline.J2_diagonal))
     with mock.patch.object(hardy, "annulus_pipeline", lambda *args: pipeline):
-        result = run_isometry(cov, pairs, alpha, sig, degree=degree, counts=[8])
+        result = run_isometry(cov, pairs, alpha, sig, degree=degree, samples=32)
     assert result.trials.shape == (len(pairs),)
     if not pairs:
         return
