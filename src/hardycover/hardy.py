@@ -163,6 +163,7 @@ def section_values(spec: SectionSpec, radius: float, angles: np.ndarray) -> np.n
 
 
 def _component_radius(component: int, rho: float) -> float:
+    component = _as_int(component, "component")
     if component == 0:
         return 1.0
     if component == 1:
@@ -198,7 +199,7 @@ def sample_section(
     _check_sample_count(n_samples, spec.degree)
     radius = _component_radius(component, rho)
     return BoundarySection(
-        component=component,
+        component=int(component),
         radius=radius,
         samples=_uniform_values(spec.coeffs.T, radius, n_samples, spec.c).T,
     )
@@ -249,7 +250,7 @@ def pushforward_section(
     blocks = _pushforward(cov, component, n_samples, spec.c, partial(_uniform_values, spec.coeffs.T))
     blocks /= branch_sign
     return BoundarySection(
-        component=component,
+        component=int(component),
         radius=_component_radius(component, cov.rho2),
         samples=blocks.transpose(1, 2, 0).reshape(n_samples, cov.n * spec.m),  # (m, N, n) -> (N, n m)
         branch_sign=branch_sign,
@@ -286,15 +287,18 @@ def indefinite_inner_product(
     return complex(total)
 
 
-def _gram(rows: np.ndarray, J: BlockMonomial) -> np.ndarray:
-    """``[g^* J f]`` over pairs of ``rows``, ``g`` the row and ``f`` the column, each ``(..., n, m)`` blocks summed.
+def _weigh(rows: np.ndarray, J: BlockMonomial) -> np.ndarray:
+    """``J f`` for each ``f`` of ``rows``, ``(..., n, m)`` blocks: block k is ``blocks[k] f[perm[k]]``.
 
-    Block k of ``J f`` is ``blocks[k] f[perm[k]]``; a sheet-diagonal weight
-    gathers nothing.  One matrix product sums every pair.
+    A sheet-diagonal weight gathers nothing.
     """
     f = rows if (J.perm == np.arange(J.n)).all() else rows[..., J.perm, :]
-    weighted = np.einsum("kde,...ke->...kd", J.blocks, f).reshape(len(rows), -1)
-    return rows.reshape(len(rows), -1).conj() @ weighted.T
+    return np.einsum("kde,...ke->...kd", J.blocks, f)
+
+
+def _gram(rows: np.ndarray, J: BlockMonomial) -> np.ndarray:
+    """``[g^* J f]`` over pairs of ``rows``, ``g`` the row and ``f`` the column: one matrix product sums every pair."""
+    return rows.reshape(len(rows), -1).conj() @ _weigh(rows, J).reshape(len(rows), -1).T
 
 
 def _cauchy_pairing(poles: np.ndarray, radius: float, c: float) -> np.ndarray:
@@ -390,7 +394,7 @@ def verify_isometry(
     for comp, (J, J2) in enumerate(zip(sig.J_list, pipeline.J2_diagonal)):
         r1, r2 = _component_radius(comp, cov.rho1), _component_radius(comp, cov.rho2)
         # basis row (d, j) is z^(c+d) e_j: each pushed Laurent row times each e_j
-        pushed = np.einsum("dNk,je->djNke", _pushforward(cov, comp, n_gram, c, basis), np.eye(m))
+        pushed = _pushforward(cov, comp, n_gram, c, basis)[:, None, :, :, None] * np.eye(m)[:, None, None, :]
         weights = 2.0 * np.pi * r1 ** (2.0 * c + 2.0 * degrees + 1.0)
         gap = _gram(pushed.reshape(-1, n_gram, n, m), J2) * (2.0 * np.pi * r2 / n_gram)
         gap.reshape(-1, m, len(diagonal), m)[diagonal, :, diagonal] -= weights[:, None, None] * J
@@ -402,11 +406,12 @@ def verify_isometry(
 
         closed = _cauchy_pairing(poles, r1, c)
         scale, exact = np.sqrt(closed.diagonal().real), closed * (vectors.conj() @ J @ vectors.T)
-        fine = _pushforward(cov, comp, samples, c, partial(_cauchy_values, poles))
+        # the kernels times their vectors on the finest grid, conjugated and weighted by J2 once
+        fine = _pushforward(cov, comp, samples, c, partial(_cauchy_values, poles))[..., None] * vectors[:, None, None]
+        grids = fine.conj(), _weigh(fine, J2)
         for i, n_samples in enumerate(counts):
-            pushed = fine[:, :: samples // n_samples]
-            gap = _gram(pushed[..., None] * vectors[:, None, None, :], J2) * (2.0 * np.pi * r2 / n_samples)
-            gap -= exact
+            g, f = (grid[:, :: samples // n_samples].reshape(2, -1) for grid in grids)
+            gap = g @ f.T * (2.0 * np.pi * r2 / n_samples) - exact
             convergence[i] = max(convergence[i], (np.abs(gap) / np.outer(scale, scale)).max())
 
     a, b = coeffs.reshape(len(coeffs), 2, len(degrees) * m).transpose(1, 0, 2)

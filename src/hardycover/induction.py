@@ -139,13 +139,12 @@ class BlockMonomial:
         """
         if self.blocks.shape != other.blocks.shape:
             raise ValueError(f"block shapes {self.blocks.shape} and {other.blocks.shape} differ")
-        same = self.perm == other.perm
-        mine = self.blocks - np.where(same[:, None, None], other.blocks, 0)
-        mine = np.abs(mine).max(axis=(1, 2), initial=0.0)
-        theirs = np.where(same, 0.0, np.abs(other.blocks).max(axis=(1, 2), initial=0.0))
-        k = int(np.maximum(mine, theirs).argmax())
-        column = self.perm[k] if mine[k] >= theirs[k] else other.perm[k]
-        return float(max(mine[k], theirs[k])), (k + 1, int(column) + 1)
+        if (self.perm == other.perm).all():  # the fast case of _compare
+            worst = np.abs(self.blocks - other.blocks).max(axis=(1, 2), initial=0.0)
+            k = int(worst.argmax())
+            return float(worst[k]), (k + 1, int(self.perm[k]) + 1)
+        residual, row, column = _compare(self.perm[None], self.blocks[None], other.perm, other.blocks)
+        return float(residual[0]), (int(row[0]) + 1, int(column[0]) + 1)
 
     def compare_adjoint(self) -> tuple[float, tuple[int, int]]:
         """``compare(self.adjoint())``, also where ``perm`` is not a permutation.
@@ -368,12 +367,14 @@ class MatrixRep:
         however many rows there are.  No row is padded with identity factors:
         each image is the product of its own letters, in their order.
         """
-        order = np.argsort(-np.count_nonzero(rows, axis=1), kind="stable")
+        lengths = np.count_nonzero(rows, axis=1)
+        order = np.argsort(-lengths, kind="stable")
         # position-major; an ended row reads 0 past the running prefix, an empty one the identity
         codes = rows[order].T if rows.shape[1] else np.zeros((1, len(rows)), dtype=np.intp)
         perms, blocks = self._table[0][codes[0]], self._table[1][codes[0]]
-        for position in codes[1:]:
-            a = np.count_nonzero(position)
+        # the rows longer than p, still running at position p: counted on the sorted lengths
+        running = np.searchsorted(-lengths[order], -np.arange(1, len(codes))).tolist()
+        for position, a in zip(codes[1:], running):
             perms[:a], blocks[:a] = _product(perms[:a], blocks[:a], position[:a], self._table)
         back = np.argsort(order)  # to the given order
         return perms[back], blocks[back]
@@ -436,21 +437,34 @@ def _adjoint(perms: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndar
     return inverse, blocks[rows, inverse].conj().swapaxes(2, 3)
 
 
+def _compare(perms, blocks, other_perms, other_blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``BlockMonomial.compare`` per stack entry against ``other``, one or a stack: residual, row, column from 0.
+
+    Where the sheet maps agree on every row, as on every passing check, the
+    residual is the largest block difference and its column the shared one.
+    """
+    w, same = np.arange(len(perms)), perms == other_perms
+    if same.all():
+        worst = np.abs(blocks - other_blocks).max(axis=(2, 3), initial=0.0)
+        k = worst.argmax(axis=1)
+        return worst[w, k], k, perms[w, k]
+    mine = np.abs(blocks - np.where(same[..., None, None], other_blocks, 0))
+    mine = mine.max(axis=(2, 3), initial=0.0)
+    theirs = np.where(same, 0.0, np.abs(other_blocks).max(axis=(-2, -1), initial=0.0))
+    worst = np.maximum(mine, theirs)
+    k = worst.argmax(axis=1)
+    other_column = np.where(same, perms, other_perms)[w, k]
+    return worst[w, k], k, np.where(mine[w, k] >= theirs[w, k], perms[w, k], other_column)
+
+
 def _checks(names: Sequence[str], perms, blocks, other_perms, other_blocks) -> CheckReport:
     """A ``TOL_EXACT`` check per stack entry, of its ``BlockMonomial.compare`` with ``other``.
 
     ``other`` is one block-monomial or a stack of them.  The report keeps the
     checks as arrays until they are read.
     """
-    same = perms == other_perms
-    mine = np.abs(blocks - np.where(same[..., None, None], other_blocks, 0))
-    mine = mine.max(axis=(2, 3), initial=0.0)
-    theirs = np.where(same, 0.0, np.abs(other_blocks).max(axis=(-2, -1), initial=0.0))
-    worst, w = np.maximum(mine, theirs), np.arange(len(perms))
-    k = worst.argmax(axis=1)
-    other_column = np.where(same, perms, other_perms)[w, k]
-    column = np.where(mine[w, k] >= theirs[w, k], perms[w, k], other_column)
-    return _StackedReport(names, worst[w, k], k + 1, column + 1)
+    residuals, rows, columns = _compare(perms, blocks, other_perms, other_blocks)
+    return _StackedReport(names, residuals, rows + 1, columns + 1)
 
 
 def _pairing_symmetry(rep: MatrixRep, perms, blocks, G: BlockMonomial) -> CheckReport:
@@ -541,35 +555,31 @@ def extend_to_double(
     surf = chi_S.presentation
     if not isinstance(surf, GroupPresentation):
         raise ValueError("chi_S must represent a bordered-surface group")
+    if not isinstance(p, DoubledPresentation):
+        raise ValueError("p must present the double")
     if (surf.s, surf.k) != (p.s, p.k):
         raise ValueError(f"presentation mismatch: chi_S is ({surf.s},{surf.k}), double is ({p.s},{p.k})")
     if sig.m != chi_S.m:
         raise ValueError(f"signature rank {sig.m} does not match representation rank {chi_S.m}")
     if len(sig.J_list) != surf.k:
         raise ValueError(f"need {surf.k} signature matrices, got {len(sig.J_list)}")
-    J = [BlockMonomial.of(J_i) for J_i in sig.J_list]
-    for i in range(surf.k):
-        a = chi_S.images[f"A{i}"]
-        res = (a.adjoint() @ J[i] @ a).compare(J[i])[0]
-        if res >= TOL_EXACT:
-            raise ValueError(
-                f"signature data incompatible with chi(A{i}): residual {res:.3e}"
-            )
+    # chi_S's images in alphabet order, A0..A{k-1} then the handles A'1, B'1, ..., on one sheet only
+    k, m, G, J = surf.k, chi_S.m, sig.G, np.stack(sig.J_list)
+    blocks = chi_S._table[1][1 : len(surf.alphabet) + 1]
+    if blocks.shape[1] != 1:
+        raise ValueError(f"block shapes {blocks.shape[1:]} and {(1, m, m)} differ")
+    a, handles = blocks[:k, 0], blocks[k:, 0]
+    residuals = np.abs(a.conj().swapaxes(1, 2) @ J @ a - J).max(axis=(1, 2), initial=0.0)
+    if (residuals >= TOL_EXACT).any():
+        i = int((residuals >= TOL_EXACT).argmax())
+        raise ValueError(f"signature data incompatible with chi(A{i}): residual {residuals[i]:.3e}")
 
-    G = J[0]
-    images: dict[str, BlockMonomial] = {}
-    for j in range(1, surf.k):
-        images[f"A{j}"] = chi_S.images[f"A{j}"]
-        images[f"B{j}"] = G @ J[j]
-    for i in range(1, surf.s + 1):
-        images[f"A'{i}"] = chi_S.images[f"A'{i}"]
-        images[f"B'{i}"] = chi_S.images[f"B'{i}"]
-        images[f"A''{i}"] = G @ chi_S.images[f"B'{i}"] @ G
-        images[f"B''{i}"] = G @ chi_S.images[f"A'{i}"] @ G
-    chi_X = MatrixRep(presentation=p, m=chi_S.m, images=images)
-
-    mirrored = chi_X.evaluate_many([apply_involution(p, p.gen(label)) for label in p.alphabet])
-    reports = check_representation(chi_X), _pairing_symmetry(chi_X, *mirrored, G)
+    # A_j and B_j = G J_j for j >= 1, the handles, then A''_i = G chi(B'_i) G and B''_i = G chi(A'_i) G
+    mirrored = G @ handles.reshape(-1, 2, m, m)[:, ::-1].reshape(-1, m, m) @ G
+    images = np.concatenate([np.stack([a[1:], G @ J[1:]], axis=1).reshape(-1, m, m), handles, mirrored])
+    chi_X = MatrixRep._stacked(p, np.zeros((len(images), 1), dtype=np.intp), images[:, None])
+    # the mirrored generators are the words tau(x)
+    reports = check_representation(chi_X), _pairing_symmetry(chi_X, *chi_X.evaluate_many(p.tau), BlockMonomial.of(G))
     if not all(report.passed for report in reports):
         report = CheckReport(reports[0].checks + reports[1].checks)
         raise ExtensionError(f"extension inconsistent: {report.worst()}", report)

@@ -25,7 +25,7 @@ from hardycover import (
     sigma,
     surface_group,
 )
-from hardycover import cli, hardy
+from hardycover import BlockMonomial, cli, hardy
 from hardycover.induction import matrix_to_json
 
 
@@ -251,6 +251,37 @@ def dense_symmetry_residuals(images: dict, G2: np.ndarray, J2_list, p) -> dict[s
             rhs = chi(apply_involution(p, R)) @ chi(T_base)
             out[f"monodromy-transport[{comp},{label}]"] = maxabs(lhs - rhs)
     return out
+
+
+# Comparison and extension references: the general formulas, one block-monomial at a time.
+
+
+def reference_compare(perm, blocks, other_perm, other_blocks) -> tuple[float, tuple[int, int]]:
+    """``BlockMonomial.compare`` by its general formula, whatever the sheet maps agree on.
+
+    Where the maps disagree on a row both blocks are residual; the block
+    ``(row, column)`` counts from 1.
+    """
+    same = np.asarray(perm) == other_perm
+    mine = np.abs(blocks - np.where(same[:, None, None], other_blocks, 0)).max(axis=(1, 2), initial=0.0)
+    theirs = np.where(same, 0.0, np.abs(other_blocks).max(axis=(1, 2), initial=0.0))
+    k = int(np.maximum(mine, theirs).argmax())
+    column = perm[k] if mine[k] >= theirs[k] else other_perm[k]
+    return float(max(mine[k], theirs[k])), (k + 1, int(column) + 1)
+
+
+def reference_extension_images(chi_S, sig, p) -> dict:
+    """The double's images of ``extend_to_double``, each built on its own through ``BlockMonomial`` products."""
+    G, J = BlockMonomial.of(sig.G), [BlockMonomial.of(J_i) for J_i in sig.J_list]
+    images = {}
+    for j in range(1, p.k):
+        images[f"A{j}"], images[f"B{j}"] = chi_S.images[f"A{j}"], G @ J[j]
+    for i in range(1, p.s + 1):
+        images[f"A'{i}"], images[f"B'{i}"] = chi_S.images[f"A'{i}"], chi_S.images[f"B'{i}"]
+    for i in range(1, p.s + 1):
+        images[f"A''{i}"] = G @ chi_S.images[f"B'{i}"] @ G
+        images[f"B''{i}"] = G @ chi_S.images[f"A'{i}"] @ G
+    return images
 
 
 # Isometry oracle: the isometry path sampled one section and one count at a time.

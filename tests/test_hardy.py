@@ -165,6 +165,19 @@ class TestSampling:
         with pytest.raises(ValueError, match="undersample"):
             sample_section(spec, 0, 16, 0.5)
 
+    def test_non_integer_component_refused(self):
+        # True == 1 and 1.0 == 1, so both used to be read as the inner circle and stored as given
+        cov = make_annulus_cover(0.5, 2)
+        with pytest.raises(ValueError, match="'component': True is not an integer"):
+            sample_section(constant_section(), True, 8, 0.5)
+        with pytest.raises(ValueError, match="'component': 1.0 is not an integer"):
+            pushforward_section(cov, constant_section(), 1.0, 8)
+        with pytest.raises(ValueError, match="boundary components 0 and 1, got 2"):
+            sample_section(constant_section(), 2, 8, 0.5)
+        for component in (1, np.int64(1)):
+            assert type(sample_section(constant_section(), component, 8, 0.5).component) is int
+            assert type(pushforward_section(cov, constant_section(), component, 8).component) is int
+
     def test_power_of_two_required(self):
         with pytest.raises(ValueError, match="power of two"):
             sample_section(constant_section(), 0, 12, 0.5)
@@ -571,8 +584,9 @@ class TestIsometry:
         assert peak < 2**20
 
 
-# verify_isometry's read of the count N from the kernels' grid at the largest count, samples
-STRIDED_READ = "fine[:, :: samples // n_samples]"
+# verify_isometry's read of the count N from each of the kernels' grids at the largest count, samples:
+# the conjugated kernels and the weighted ones, each (2, samples, n, m)
+STRIDED_READ = "grid[:, :: samples // n_samples]"
 
 
 def verify_isometry_reading(read):
@@ -607,9 +621,9 @@ class TestKernelGrid:
         "read",
         [
             # the first N angles of the grid instead of every (top / N)-th
-            "fine[:, :n_samples]",
+            "grid[:, :n_samples]",
             # the stride taken over the flattened (angle, sheet) axis, so it also steps across sheets
-            "fine.reshape(2, -1)[:, :: samples // n_samples].reshape(2, n_samples, -1)",
+            "grid.reshape(2, -1)[:, :: samples // n_samples].reshape(2, n_samples, -1)",
         ],
         ids=["prefix", "sheet-axis-stride"],
     )

@@ -1,9 +1,11 @@
 """Matrix representations: extension to the double, induction, pairing transport."""
 
 import functools
+import inspect
 import json
 import operator
 import re
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -54,6 +56,8 @@ from helpers import (
     haar_unitary,
     random_signature_matrix,
     random_word,
+    reference_compare,
+    reference_extension_images,
     reference_factorize,
     reference_nu_decompose,
     reference_walk,
@@ -301,6 +305,57 @@ class TestExtendToDouble:
         # the message names the worst check, its block and its residual against the tolerance
         assert re.search(r"relator\[0\] at block \(1, 1\): 1\.3e\+00 vs 1e-12$", str(err.value))
         assert str(err.value) == f"extension inconsistent: {err.value.report.worst()}"
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("s", [0, 1, 2])
+    def test_stacked_table_matches_image_by_image(self, s, k, m):
+        chi_S, sig = extendable_surface_rep(np.random.default_rng([s, k, m]), s, k, m)
+        p = double_group(s, k)
+        chi_X = extend_to_double(chi_S, sig, p)
+        reference = MatrixRep(presentation=p, m=m, images=reference_extension_images(chi_S, sig, p))
+        for ours, theirs in zip(chi_X._table, reference._table):
+            assert ours.shape == theirs.shape and ours.dtype == theirs.dtype
+            assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("k, i", [(1, 0), (2, 0), (2, 1), (3, 1), (3, 2)])
+    def test_incompatible_component_is_named(self, k, i):
+        # chi(A_i) in another basis than J_i; the relator is checked only after compatibility
+        chi_S, sig = extendable_surface_rep(np.random.default_rng([k, i]), 1, k, 2)
+        images = dict(chi_S.images, **{f"A{i}": haar_unitary(np.random.default_rng(i), 2)})
+        chi_S = MatrixRep(presentation=chi_S.presentation, m=2, images=images)
+        with pytest.raises(ValueError, match=rf"signature data incompatible with chi\(A{i}\): residual"):
+            extend_to_double(chi_S, sig, double_group(1, k))
+
+    def test_several_sheets_refused(self):
+        # a rank-2 chi_S over two sheets of 1 x 1 blocks is not read as one sheet of 2 x 2 blocks
+        swap = BlockMonomial([1, 0], np.ones((2, 1, 1)))
+        chi_S = MatrixRep(presentation=surface_group(0, 2), m=2, images={"A0": swap, "A1": swap.adjoint()})
+        sig = SignatureData(J_list=(np.eye(2), np.eye(2)))
+        with pytest.raises(ValueError, match=re.escape("block shapes (2, 1, 1) and (1, 2, 2) differ")):
+            extend_to_double(chi_S, sig, TORUS)
+
+    def test_bordered_presentation_refused_as_the_double(self):
+        sig = SignatureData(J_list=(np.eye(1), np.eye(1)))
+        with pytest.raises(ValueError, match="p must present the double"):
+            extend_to_double(scalar_annulus_rep(0.7), sig, surface_group(0, 2))
+
+
+def extendable_surface_rep(rng, s, k, m):
+    """A representation of ``surface_group(s, k)`` and signature data that extend to the double.
+
+    Every image and every ``J_i`` is diagonal in one random basis, so all
+    commute: the relator fixes ``chi(A0)``, and the double's relator and
+    symmetry conditions hold.
+    """
+    p, basis = surface_group(s, k), haar_unitary(rng, m)
+    images = {
+        label: basis @ np.diag(np.exp(1j * rng.uniform(0, 2 * np.pi, m))) @ basis.conj().T
+        for label in p.alphabet[1:]
+    }
+    images["A0"] = dense_product(images, p.alphabet, Word(p.relator.letters[:-1], p.alphabet), m).conj().T
+    sig = SignatureData(J_list=tuple(random_signature_matrix(rng, m, basis) for _ in range(k)))
+    return MatrixRep(presentation=p, m=m, images=images), sig
 
 
 class TestInduceRepresentation:
@@ -913,6 +968,77 @@ class TestBlockMonomial:
             tracemalloc.stop()
         assert pipe.report.passed
         assert peak < 32 * 2**20
+
+
+COMPARE_CASES = ["equal", "one-row", "everywhere"]
+
+
+def mismatch(rng, perms, case):
+    """``perms`` with the block column of one row, or of every row, moved to another sheet."""
+    perms, n = perms.copy(), perms.shape[-1]
+    if case == "one-row":
+        row = np.unravel_index(rng.integers(perms.size), perms.shape)
+        perms[row] = (perms[row] + rng.integers(1, n)) % n
+    elif case == "everywhere":
+        perms = (perms + rng.integers(1, n, size=perms.shape)) % n
+    return perms
+
+
+def noise(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def mutant(function, anchor, replacement):
+    """``function`` of ``induction`` with ``anchor`` in its source replaced by ``replacement``."""
+    source = textwrap.dedent(inspect.getsource(function))
+    assert source.count(anchor) == 1
+    namespace = dict(vars(induction))
+    exec(compile(source.replace(anchor, replacement), induction.__file__, "exec"), namespace)
+    return namespace[function.__name__]
+
+
+class TestCompareFastCase:
+    """Where the sheet maps agree on every row the comparison takes a fast case; it must give the general formula."""
+
+    @pytest.mark.parametrize("case", COMPARE_CASES)
+    def test_compare_gives_the_general_formula(self, case):
+        rng = np.random.default_rng(COMPARE_CASES.index(case))
+        for _ in range(40):
+            n, m = rng.integers(2, 7), rng.integers(1, 4)
+            perm = rng.permutation(n)
+            a = BlockMonomial(perm, noise(rng, n, m, m))
+            b = BlockMonomial(mismatch(rng, perm, case), noise(rng, n, m, m))
+            assert a.compare(b) == reference_compare(a.perm, a.blocks, b.perm, b.blocks)
+
+    @pytest.mark.parametrize("stacked", [False, True], ids=["one-other", "stacked-other"])
+    @pytest.mark.parametrize("case", COMPARE_CASES)
+    def test_checks_give_the_general_formula(self, case, stacked):
+        rng = np.random.default_rng([COMPARE_CASES.index(case), stacked])
+        for _ in range(20):
+            w, n, m = rng.integers(1, 6), rng.integers(2, 7), rng.integers(1, 4)
+            other_perms = np.stack([rng.permutation(n) for _ in range(w)]) if stacked else rng.permutation(n)
+            perms = mismatch(rng, np.broadcast_to(other_perms, (w, n)), case)
+            blocks, other_blocks = noise(rng, w, n, m, m), noise(rng, *(w,) * stacked, n, m, m)
+            report = induction._checks([f"c[{i}]" for i in range(w)], perms, blocks, other_perms, other_blocks)
+            other = lambda i: (other_perms[i], other_blocks[i]) if stacked else (other_perms, other_blocks)
+            expected = [reference_compare(perms[i], blocks[i], *other(i)) for i in range(w)]
+            assert [(c.residual, c.block) for c in report.checks] == expected
+
+    @pytest.mark.parametrize("case", ["one-row", "everywhere"])
+    def test_a_fast_case_that_ignores_a_moved_block_fails(self, case):
+        # equal blocks, one or every block in another column: the general formula reads the moved blocks
+        compare = mutant(BlockMonomial.compare, "(self.perm == other.perm).all()", "True")
+        stacked = mutant(induction._compare, "same.all()", "True")
+        rng = np.random.default_rng(7)
+        perm, blocks = rng.permutation(4), noise(rng, 4, 2, 2)
+        a, b = BlockMonomial(perm, blocks), BlockMonomial(mismatch(rng, perm, case), blocks)
+        expected = reference_compare(a.perm, a.blocks, b.perm, b.blocks)
+        assert a.compare(b) == expected and expected[0] > 0
+        assert compare(a, b) != expected
+        report = induction._checks(["c"], a.perm[None], a.blocks[None], b.perm, b.blocks)
+        assert [(c.residual, c.block) for c in report.checks] == [expected]
+        residual, _, _ = stacked(a.perm[None], a.blocks[None], b.perm, b.blocks)
+        assert residual.tolist() == [0.0]
 
 
 def random_surface_rep(rng, p, m):
