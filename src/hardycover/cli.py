@@ -13,10 +13,12 @@ convergence table's counts to ``verify_isometry``): the JSON emission is
 byte-stable, with wall-clock timing shown only in the text rendering.
 
 The JSON report is the text of ``json.dumps(doc, sort_keys=True, indent=2)``,
-written by ``_json`` with three bulk paths: images from their block-monomials
-(``_dense_json``), arrays of numbers and dicts of same-shape arrays with one
-``json.dumps`` of all their numbers (``_array_json``), and the check list from
-one ``json.dumps`` of its residuals and tolerances (``_checks_json``).
+each image in ``doc`` standing for its dense ``nm x nm`` matrix as rows of
+``[re, im]`` float pairs.  ``_json`` writes it with three bulk paths: images
+from their block-monomials (``_dense_json``), arrays of numbers and dicts of
+same-shape arrays with one ``json.dumps`` of all their numbers
+(``_array_json``), and the check list from one ``json.dumps`` of its
+residuals and tolerances (``_checks_json``).
 """
 
 from __future__ import annotations
@@ -202,7 +204,7 @@ def _check_induce(p: dict) -> np.ndarray:
                 f"invalid value for field 'covering.perms.{gen}': {images!r} is not a list of ints"
             )
     names = [f"chi1.images.{label}" for label in chi1["images"]]
-    return matrices_from_json(list(chi1["images"].values()), (m, m), names, whole=True)
+    return matrices_from_json(list(chi1["images"].values()), (m, m), names)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -292,7 +294,7 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
     report.checks += check_representation(chi1).prefixed("chi1:").checks
     chi2 = induce_representation(cov, trans, chi1)
     report.checks += check_representation(chi2).prefixed("chi2:").checks
-    report.extras["induced"] = rep_to_json(chi2, cov, dense=False)
+    report.extras["induced"] = rep_to_json(chi2, cov)
     report.extras["transversal"], generators = map(list, trans.word_strings)
     report.extras["schreier_generators"] = dict(zip(trans.alphabet, generators))
 
@@ -400,7 +402,7 @@ def run_pipeline(cfg: RunConfig) -> Report:
 
 
 def _dense_json(mat: BlockMonomial, indent: str, out: list[str]) -> None:
-    """Append ``mat.dense()`` as ``_json`` writes its ``matrix_to_json`` lists.
+    """Append ``mat.dense()`` as ``_json`` writes it: rows of ``[re, im]`` float pairs.
 
     Off the blocks every entry is one constant ``+0.0, +0.0`` pair; one call
     of the C encoder converts the block entries.
@@ -531,7 +533,8 @@ def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> s
     """Render the report; JSON output is byte-stable for a fixed config.
 
     JSON images are written from the block-monomials, byte-identical to
-    ``json.dumps(doc, sort_keys=True, indent=2)`` of their ``matrix_to_json`` lists.
+    ``json.dumps(doc, sort_keys=True, indent=2)`` of their dense matrices as
+    rows of ``[re, im]`` float pairs.
     """
     if fmt == "json":
         chunks: list[str] = []

@@ -51,7 +51,6 @@ __all__ = [
     "expand_schreier_word",
     "subgroup_relators",
     "compose_coverings",
-    "covering_to_json",
     "covering_from_json",
 ]
 
@@ -181,25 +180,6 @@ def sigma(cov: CoveringAction, w: Word) -> tuple[int, ...]:
     return tuple((_walk(cov.moves, w, np.arange(cov.n))[2] + 1).tolist())
 
 
-class _EdgeMap(Mapping):
-    """``(sheet from 1, generator)`` to Schreier generator, None on a tree edge: a view of the edges."""
-
-    def __init__(self, edges: np.ndarray):
-        self._edges = edges
-
-    def __getitem__(self, edge: tuple[int, int]) -> int | None:
-        i, gi = edge
-        if not (1 <= i <= self._edges.shape[1] and 0 <= gi < len(self._edges)):
-            raise KeyError(edge)
-        return None if (sg := int(self._edges[gi, i - 1])) < 0 else sg
-
-    def __iter__(self):
-        return ((i, gi) for i in range(1, self._edges.shape[1] + 1) for gi in range(len(self._edges)))
-
-    def __len__(self) -> int:
-        return self._edges.size
-
-
 @dataclass(frozen=True, eq=False)
 class Transversal:
     """Schreier transversal of the covering subgroup, and the subgroup's presentation.
@@ -208,20 +188,18 @@ class Transversal:
     in breadth-first discovery order.  ``alphabet`` has one Schreier generator
     per non-tree edge, labelled ``X@i`` for the edge (sheet i, generator X),
     in sheet order; the read-only ``(G, n)`` array ``edges[gi, i-1]`` holds
-    its index, or -1 on a tree edge, and ``edge_to_generator`` is a mapping
-    view of it.  As a presentation it has ``alphabet`` and ``relators``, so
-    coverings and representations can be built on it.  The relators are
-    rewritten once, into ``relator_rows``; their ``Word`` form, the tree
-    words ``reps`` and the ``defining_words`` are built on first read, and
-    ``word_strings`` writes the latter two with no ``Word`` built.
+    its index, or -1 on a tree edge.  As a presentation it has ``alphabet``
+    and ``relators``, so coverings and representations can be built on it.
+    The relators are rewritten once, into ``relator_rows``; their ``Word``
+    form, the tree words ``reps`` and the ``defining_words`` are built on
+    first read, and ``word_strings`` writes the latter two with no ``Word``
+    built.
     """
 
     covering: CoveringAction
     tree_edges: tuple[tuple[int, int], ...]
     alphabet: tuple[str, ...]
     edges: np.ndarray
-
-    edge_to_generator = property(lambda self: _EdgeMap(self.edges))
 
     @cached_property
     def reps(self) -> tuple[Word, ...]:
@@ -372,13 +350,6 @@ def compose_coverings(
     images = cov.forward[:, :, None] * inner.n + inner_moves[trans.edges + 1] + 1
     perms = {label: row.reshape(-1).tolist() for label, row in zip(cov.presentation.alphabet, images)}
     return build_covering(cov.presentation, perms)
-
-
-def covering_to_json(cov: CoveringAction) -> dict:
-    return {
-        "n": cov.n,
-        "perms": {lbl: list(row) for lbl, row in zip(cov.presentation.alphabet, cov.perms)},
-    }
 
 
 def covering_from_json(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 __all__ = [
     "InvalidSurfaceError",
@@ -28,9 +28,7 @@ __all__ = [
     "boundary_loop",
     "mirror_monodromy",
     "presentation_to_json",
-    "presentation_from_json",
     "word_to_json",
-    "word_from_json",
 ]
 
 
@@ -306,16 +304,6 @@ def word_to_json(w: Word) -> list[list]:
     return [[w.alphabet[g], e] for g, e in w.letters]
 
 
-def word_from_json(data: Iterable, alphabet: tuple[str, ...]) -> Word:
-    lookup = {label: i for i, label in enumerate(alphabet)}
-    letters = []
-    for i, (label, exp) in enumerate(data):
-        if label not in lookup:
-            raise ValueError(f"unknown generator {label!r}")
-        letters.append((lookup[label], _as_int(exp, f"exponent of letter {i}")))
-    return Word(tuple(letters), alphabet)
-
-
 def presentation_to_json(p: GroupPresentation | DoubledPresentation) -> dict:
     doc = {
         "s": p.s,
@@ -327,14 +315,3 @@ def presentation_to_json(p: GroupPresentation | DoubledPresentation) -> dict:
         doc["tau"] = {lbl: word_to_json(t) for lbl, t in zip(p.alphabet, p.tau)}
         doc["genus"] = p.genus
     return doc
-
-
-def presentation_from_json(doc: Mapping) -> GroupPresentation | DoubledPresentation:
-    """Rebuild a presentation from its JSON form and check it against (s, k)."""
-    s, k = _as_int(doc["s"], "s"), _as_int(doc["k"], "k")
-    rebuilt = double_group(s, k) if "tau" in doc else surface_group(s, k)
-    if list(rebuilt.alphabet) != list(doc["generators"]):
-        raise ValueError("generator list does not match the (s, k) presentation")
-    if rebuilt.relator != word_from_json(doc["relator"], rebuilt.alphabet):
-        raise ValueError("relator does not match the (s, k) presentation")
-    return rebuilt

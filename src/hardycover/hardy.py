@@ -113,17 +113,11 @@ def random_section(rng: np.random.Generator, m: int, degree: int, c: float) -> S
 
 @dataclass(frozen=True, eq=False)
 class BoundarySection:
-    """Sampled boundary values on one circle, at ``theta_j = 2 pi j / N``.
-
-    ``samples`` has one row per angle; ``branch_sign`` records the global
-    sign choice of the covering square root (trivially +1 before pushing
-    forward).
-    """
+    """Sampled boundary values on one circle: one row of ``samples`` per angle ``theta_j = 2 pi j / N``."""
 
     component: int
     radius: float
     samples: np.ndarray
-    branch_sign: int = 1
 
     @property
     def n_samples(self) -> int:
@@ -233,27 +227,24 @@ def pushforward_section(
     spec: SectionSpec,
     component: int,
     n_samples: int,
-    branch_sign: int = 1,
 ) -> BoundarySection:
     """Pushforward of a section along the power map, sampled on a circle downstairs.
 
     At a boundary point ``w`` of the target annulus the value is the vector of
     blocks ``f(z_k) / sqrt(F'(z_k))`` over the n preimages ``z_k``, with both
     the root of ``z_k`` and the root of the derivative ``F' = n z^{n-1}``
-    continued in the angle.  The blocks are stacked in preimage order, giving
+    continued in the angle from their positive values at angle 0; a global
+    sign on the latter would enter every pairing ``g^* J2 f`` squared, so no
+    check could tell it.  The blocks are stacked in preimage order, giving
     a section with values in C^{n m}.  One inverse FFT on the ``n N`` angles
     upstairs samples every block (see ``_pushforward``).
     """
-    if _as_int(branch_sign, "branch_sign") not in (-1, 1):
-        raise ValueError("branch sign must be +1 or -1")
     _check_sample_count(n_samples, spec.degree)
     blocks = _pushforward(cov, component, n_samples, spec.c, partial(_uniform_values, spec.coeffs.T))
-    blocks /= branch_sign
     return BoundarySection(
         component=int(component),
         radius=_component_radius(component, cov.rho2),
         samples=blocks.transpose(1, 2, 0).reshape(n_samples, cov.n * spec.m),  # (m, N, n) -> (N, n m)
-        branch_sign=branch_sign,
     )
 
 

@@ -9,7 +9,7 @@ induced ``chi2`` (of rank ``n m``) are all ``MatrixRep``.
 Every matrix is a ``BlockMonomial``: a sheet permutation plus one ``m x m``
 block per sheet; an ordinary matrix is the case ``n = 1``.  By the block
 formulas below, a product costs one batched ``m x m`` product per sheet, and
-no ``nm x nm`` array is formed except by ``dense``, for export.  A
+no ``nm x nm`` array is formed except by ``dense``.  A
 representation stacks its images and their adjoints in one table, and
 evaluates a batch of words together: each letter position costs one gather
 and one batched product for every word still running, so its checks take
@@ -52,7 +52,6 @@ from .groups import (
     DoubledPresentation,
     GroupPresentation,
     Word,
-    _as_int,
     apply_involution,
     boundary_loop,
     mirror_monodromy,
@@ -74,8 +73,6 @@ __all__ = [
     "pairing_signature_matrices",
     "verify_symmetry_conditions",
     "rep_to_json",
-    "rep_from_json",
-    "matrix_to_json",
     "matrices_from_json",
 ]
 
@@ -158,7 +155,7 @@ class BlockMonomial:
         return self.compare(_trusted(p, np.where(paired, self.blocks[p].conj().swapaxes(1, 2), 0)))
 
     def dense(self) -> np.ndarray:
-        """The ``nm x nm`` matrix, for export."""
+        """The ``nm x nm`` matrix, the dense reference that block results are checked against."""
         n, m = self.n, self.m
         out = np.zeros((n, m, n, m), dtype=complex)
         out[np.arange(n), :, self.perm, :] = self.blocks
@@ -176,11 +173,6 @@ def _freeze(out: BlockMonomial, perm: np.ndarray, blocks: np.ndarray) -> BlockMo
 def _trusted(perm: np.ndarray, blocks: np.ndarray) -> BlockMonomial:
     """The result of an operation on valid block-monomials, which needs no check."""
     return _freeze(object.__new__(BlockMonomial), perm, blocks)
-
-
-def unitarity_residual(u: BlockMonomial | np.ndarray) -> float:
-    u = BlockMonomial.of(u)
-    return (u @ u.adjoint()).compare(BlockMonomial.identity(u.n, u.m))[0]
 
 
 @dataclass(frozen=True)
@@ -239,9 +231,6 @@ class CheckReport:
         c = max(self.failing(), key=lambda c: c.residual)
         return f"{c.name} at block {c.block}: {c.residual:.1e} vs {c.tolerance:g}"
 
-    def to_json(self) -> dict:
-        return {"passed": self.passed, "checks": [c.to_json() for c in self.checks]}
-
     def prefixed(self, prefix: str) -> "CheckReport":
         """The same checks, each name after ``prefix``."""
         return CheckReport(tuple(Check(prefix + c.name, c.residual, c.tolerance, c.block) for c in self.checks))
@@ -279,7 +268,8 @@ class MatrixRep:
 
     The presentation is a surface group, its double, or a Schreier
     transversal (the covering subgroup on its Schreier generators).  Images
-    are given as ``m x m`` arrays or as block-monomials of total rank ``m``,
+    are given by generator label, one for each label of the alphabet and no
+    other, as ``m x m`` arrays or as block-monomials of total rank ``m``,
     all of one block shape; each must permute the sheets.  They are stored
     in one read-only table of ``2G + 1`` entries, sheet maps ``(2G + 1, n)``
     and blocks ``(2G + 1, n, m, m)``: the identity, the images in alphabet
@@ -297,6 +287,9 @@ class MatrixRep:
         missing = [lbl for lbl in alphabet if lbl not in self.images]
         if missing:
             raise ValueError(f"no image supplied for generator(s) {missing}")
+        if len(self.images) != len(alphabet):  # every generator has its image, so the rest are unknown
+            unknown = [lbl for lbl in self.images if lbl not in alphabet]
+            raise ValueError(f"image supplied for unknown generator(s) {unknown}")
         images, m = [self.images[lbl] for lbl in alphabet], self.m
         if all(type(img) is np.ndarray and img.shape == (m, m) for img in images):
             # plain m x m arrays: stacked in one array as one-sheet blocks, with no wrapper per image
@@ -726,10 +719,6 @@ def verify_symmetry_conditions(
     return CheckReport(checks + list(_checks(names, *lhs, *rhs).checks))
 
 
-def matrix_to_json(mat: np.ndarray) -> list:
-    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, dtype=complex)]
-
-
 _list_of = lambda value, size: type(value) in (list, tuple) and len(value) == size
 
 
@@ -746,14 +735,12 @@ def flatten_levels(items: Sequence, sizes: Sequence[int]) -> list | None:
     return items
 
 
-def matrices_from_json(
-    mats: Sequence, shape: tuple[int, int], names: Sequence[str], whole: bool = False
-) -> np.ndarray:
+def matrices_from_json(mats: Sequence, shape: tuple[int, int], names: Sequence[str]) -> np.ndarray:
     """``mats``, each a ``shape`` list of rows of ``[re, im]`` pairs, as one ``(G, *shape)`` complex array.
 
     One array step checks and converts them all: each part an int or float (not a bool), finite as a
     float, read through a float view that keeps signs of zero.  Only if it refuses are the matrices
-    scanned, to name the first entry refused, ``names[g][i][j]``, or with ``whole`` the matrix ``names[g]``.
+    scanned, to name the first one refused, ``names[g]``, or for a pair not finite its entry ``names[g][i][j]``.
     """
     rows, cols = shape
     parts = flatten_levels(mats, (rows, cols, 2))  # matrices, then rows, then entries
@@ -768,44 +755,30 @@ def matrices_from_json(
             raise ValueError(matrix)
         for i, row in enumerate(mat):
             for j, x in enumerate(row):
-                entry = f"invalid value for field '{name}[{i}][{j}]': {x!r} "
                 if not (_list_of(x, 2) and all(isinstance(v, Real) and not isinstance(v, bool) for v in x)):
-                    raise ValueError(matrix if whole else entry + "is not an [re, im] pair")
+                    raise ValueError(matrix)
                 with suppress(OverflowError):
                     if all(map(math.isfinite, x)):
                         continue
-                raise ValueError(entry + "is not finite as a float")
+                raise ValueError(f"invalid value for field '{name}[{i}][{j}]': {x!r} is not finite as a float")
     raise AssertionError("matrices refused by the array step but not by the scan")
 
 
-def rep_to_json(rep: MatrixRep, covering: CoveringAction | None = None, dense: bool = True) -> dict:
-    """JSON form of ``rep``; given the covering it was induced along, the block form.
+def rep_to_json(rep: MatrixRep, covering: CoveringAction) -> dict:
+    """The block form of ``rep``, induced along ``covering``: images left as block-monomials.
 
-    Images are written as dense matrices (with ``dense=False``, left as
-    block-monomials).  The block form has the block rank ``m``, the sheet
-    count ``n`` and, per generator, ``block_structure``: the pairs ``[k,
-    sigma_g(k)]``, k = 1..n, of the nonzero blocks, read from the covering's
-    sheet permutations.
+    It has the block rank ``m``, the sheet count ``n`` and, per generator,
+    ``block_structure``: the pairs ``[k, sigma_g(k)]``, k = 1..n, of the
+    nonzero blocks, read from the covering's sheet permutations.
     """
-    images = {lbl: matrix_to_json(mat.dense()) if dense else mat for lbl, mat in rep.images.items()}
-    if covering is None:
-        return {"m": rep.m, "images": images}
     if rep.presentation is not covering.presentation or rep.m % covering.n:
         raise ValueError("representation was not induced along this covering")
     return {
         "m": rep.m // covering.n,
-        "images": images,
+        "images": dict(rep.images),
         "n": covering.n,
         "block_structure": {
             lbl: [[k, j] for k, j in enumerate(perm, start=1)]
             for lbl, perm in zip(covering.presentation.alphabet, covering.perms)
         },
     }
-
-
-def rep_from_json(
-    presentation: GroupPresentation | DoubledPresentation, doc: Mapping
-) -> MatrixRep:
-    m, labels = _as_int(doc["m"], "m"), list(doc["images"])
-    images = matrices_from_json(list(doc["images"].values()), (m, m), [f"images.{lbl}" for lbl in labels])
-    return MatrixRep(presentation=presentation, m=m, images=dict(zip(labels, images)))

@@ -26,7 +26,6 @@ from hardycover import (
     surface_group,
 )
 from hardycover import BlockMonomial, cli, hardy
-from hardycover.induction import matrix_to_json
 
 
 def haar_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -70,15 +69,15 @@ def reference_factorize(cov, trans, k: int, g: Word) -> tuple[Word, int]:
 
 
 def reference_walk(cov, trans, start, w):
-    """``w`` walked from one sheet, letter by letter through ``edge_to_generator``, as a ``Word``."""
+    """``w`` walked from one sheet, letter by letter through the edge array, as a ``Word``."""
     letters, sheet = [], start
     for gen, exp in w.letters:
         if exp > 0:
-            sg, sheet = trans.edge_to_generator[sheet, gen], cov.perms[gen][sheet - 1]
+            sg, sheet = int(trans.edges[gen, sheet - 1]), cov.perms[gen][sheet - 1]
         else:
             sheet = cov.perms[gen].index(sheet) + 1
-            sg = trans.edge_to_generator[sheet, gen]
-        if sg is not None:
+            sg = int(trans.edges[gen, sheet - 1])
+        if sg >= 0:  # -1 on a tree edge
             letters.append((sg, exp))
     return Word(tuple(letters), trans.alphabet), sheet
 
@@ -204,6 +203,11 @@ def random_induce_config(seed: int, n: int = 64, m: int = 2) -> dict:
 # Dense references: the nm x nm matrices the block-monomial code must agree with.
 
 
+def matrix_to_json(mat: np.ndarray) -> list:
+    """A dense matrix as rows of ``[re, im]`` float pairs: the text the JSON report writes for an image."""
+    return [[[float(v.real), float(v.imag)] for v in row] for row in np.asarray(mat, dtype=complex)]
+
+
 def dense_product(images: dict, alphabet, w: Word, dim: int) -> np.ndarray:
     """The image of ``w`` as a product of dense matrices, letter by letter."""
     out = np.eye(dim, dtype=complex)
@@ -221,8 +225,8 @@ def dense_induced_images(cov, trans, chi1) -> dict[str, np.ndarray]:
         big = np.zeros((n * m, n * m), dtype=complex)
         for k in range(1, n + 1):
             j = cov.perms[gi][k - 1]
-            sg = trans.edge_to_generator[(k, gi)]
-            block = np.eye(m) if sg is None else chi1.images[trans.alphabet[sg]].dense()
+            sg = trans.edges[gi, k - 1]
+            block = np.eye(m) if sg < 0 else chi1.images[trans.alphabet[sg]].dense()
             big[(k - 1) * m : k * m, (j - 1) * m : j * m] = block
         images[label] = big
     return images

@@ -31,9 +31,9 @@ from hardycover.cli import (
     parse_config,
     run_pipeline,
 )
-from hardycover.induction import BlockMonomial, Check, matrix_to_json, rep_to_json
+from hardycover.induction import BlockMonomial, Check, rep_to_json
 
-from helpers import random_induce_config, reference_isometry_report
+from helpers import matrix_to_json, random_induce_config, reference_isometry_report
 
 
 def isometry_config(**overrides):
@@ -262,7 +262,7 @@ class TestInduceConfig:
     def test_one_sheet_cover_induces(self):
         assert run_pipeline(parse_config(json.dumps(self.one_sheet()))).passed
 
-    @pytest.mark.parametrize("m", [True, 1.9, "1", 0])
+    @pytest.mark.parametrize("m", [True, 1.9, 1.0, "1", 0])
     def test_chi1_rank_must_be_positive_int(self, m):
         with pytest.raises(ValueError, match="field 'chi1.m'"):
             parse_config(self.with_value("chi1.m", m))
@@ -421,6 +421,13 @@ class TestInduceMode:
         report = run_pipeline(parse_config(json.dumps(doc)))
         assert report.error == "ValueError: no image supplied for generator(s) ['B1@2']"
         assert report.checks == [] and "induced" not in report.extras
+
+    def test_unknown_label_refused(self):
+        doc = self.torus_config()
+        doc["chi1"]["images"]["bogus"] = [[[5, 0]]]
+        report = run_pipeline(parse_config(json.dumps(doc)))
+        assert report.error == "ValueError: image supplied for unknown generator(s) ['bogus']"
+        assert not report.passed and report.checks == [] and "induced" not in report.extras
 
     def test_bulk_path_builds_nothing_per_image(self, monkeypatch):
         from hardycover import groups, induction
@@ -719,7 +726,11 @@ def written_whole(value):
 
 
 def chi1_variant(kind):
-    """The torus-3 ``induce`` config with its chi1 written another way; every check still passes."""
+    """The torus-3 ``induce`` config with its chi1 written another way.
+
+    Every check still passes, except that an image for a label outside the
+    alphabet is refused.
+    """
     config = TestInduceMode().torus_config()
     images = config["chi1"]["images"]
     if kind == "int-parts":
@@ -764,7 +775,8 @@ class TestJsonWriter:
         if report.passed and config["mode"] == "induce":
             chi2, cov = induced_along(config)
             # compared as text, so the sign of every zero counts
-            expected = json.dumps(rep_to_json(chi2, cov), sort_keys=True)
+            dense = lambda mat: matrix_to_json(mat.dense())
+            expected = json.dumps(rep_to_json(chi2, cov), sort_keys=True, default=dense)
             assert json.dumps(json.loads(text)["extras"]["induced"], sort_keys=True) == expected
             echo = json.dumps(json.loads(text)["config"]["chi1"], sort_keys=True)
             assert echo == json.dumps(config["chi1"], sort_keys=True)

@@ -152,6 +152,14 @@ class TestPipeline:
         pipe = annulus_pipeline(3, 0.7, scalar_signs(1, -1))
         assert max(c.residual for c in pipe.report.checks) < 1e-13
 
+    def test_pairing_route_mutant_fails_only_signature_route_equality(self, monkeypatch):
+        # J_{2,i} read off the pairing as G2 for every component, not chi2(B_i)^* G2
+        from hardycover import cyclic
+
+        monkeypatch.setattr(cyclic, "pairing_signature_matrices", lambda chi2, G2, p: [G2] * p.k)
+        report = annulus_pipeline(3, 0.7, scalar_signs(1, -1)).report
+        assert [(c.name, c.residual) for c in report.failing()] == [("signature-route-equality[1]", 2.0)]
+
     def test_word_letters_grow_linearly_in_the_sheet_count(self, monkeypatch):
         # rewriting and the pairing build no Word at all; the walks they make instead
         # are counted as letters walked times start sheets: quadratic growth would

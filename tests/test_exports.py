@@ -1,6 +1,8 @@
 """The public names of each layer and of the package."""
 
+import dataclasses
 import importlib
+import inspect
 import types
 
 import pytest
@@ -8,6 +10,50 @@ import pytest
 import hardycover
 
 LAYERS = ("groups", "covering", "induction", "cyclic", "hardy", "cli")
+
+# each name is called by a mode, by the benchmark or by a test oracle
+EXPORTS = {
+    "groups": [
+        "InvalidSurfaceError", "Word", "GroupPresentation", "DoubledPresentation", "surface_group", "double_group",
+        "apply_involution", "boundary_loop", "mirror_monodromy", "presentation_to_json", "word_to_json",
+    ],
+    "covering": [
+        "CoveringAction", "Transversal", "build_covering", "identity_covering", "coset_of", "sigma",
+        "schreier_transversal", "schreier_walk", "schreier_rewrite", "expand_schreier_word", "subgroup_relators",
+        "compose_coverings", "covering_from_json",
+    ],
+    "induction": [
+        "TOL_EXACT", "BlockMonomial", "Check", "CheckReport", "MatrixRep", "SignatureData", "ExtensionError",
+        "check_representation", "extend_to_double", "induce_representation", "build_G2", "build_J2_diagonal",
+        "pairing_signature_matrices", "verify_symmetry_conditions", "rep_to_json", "matrices_from_json",
+    ],
+    "cyclic": [
+        "cyclic_cover", "annulus_surface_rep", "annulus_double_rep", "boundary_subgroup_rep", "CyclicPipeline",
+        "annulus_pipeline",
+    ],
+    "hardy": [
+        "AnnulusCovering", "SectionSpec", "BoundarySection", "make_annulus_cover", "random_section",
+        "section_values", "sample_section", "pushforward_section", "indefinite_inner_product", "IsometryResult",
+        "verify_isometry",
+    ],
+    "cli": ["RunConfig", "Report", "parse_config", "run_pipeline", "emit_report", "main"],
+}
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_exported_names_are_pinned(layer):
+    assert importlib.import_module(f"hardycover.{layer}").__all__ == EXPORTS[layer]
+
+
+def test_options_no_caller_sets_stay_gone():
+    from hardycover import BoundarySection, CheckReport, Transversal, induction, pushforward_section
+
+    parameters = lambda f: list(inspect.signature(f).parameters)
+    assert parameters(induction.rep_to_json) == ["rep", "covering"]
+    assert parameters(induction.matrices_from_json) == ["mats", "shape", "names"]
+    assert parameters(pushforward_section) == ["cov", "spec", "component", "n_samples"]
+    assert [f.name for f in dataclasses.fields(BoundarySection)] == ["component", "radius", "samples"]
+    assert not hasattr(Transversal, "edge_to_generator") and not hasattr(CheckReport, "to_json")
 
 
 @pytest.mark.parametrize("layer", LAYERS)

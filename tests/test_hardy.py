@@ -60,7 +60,7 @@ def relative_gap(values, reference):
     return np.max(np.abs(values - reference)) / np.max(np.abs(reference))
 
 
-def direct_pushforward(cov, spec, component, n_samples, branch_sign=1):
+def direct_pushforward(cov, spec, component, n_samples, root_sign=1):
     """Pushforward samples summed term by term at each sheet's preimage angles."""
     r1 = 1.0 if component == 0 else cov.rho1
     theta = TWO_PI * np.arange(n_samples) / n_samples
@@ -68,7 +68,7 @@ def direct_pushforward(cov, spec, component, n_samples, branch_sign=1):
     for k in range(cov.n):
         phi = (theta + TWO_PI * k) / cov.n
         root_deriv = np.exp(0.5 * (cov.n - 1) * (np.log(r1) + 1j * phi))
-        root_deriv *= branch_sign * np.sqrt(cov.n)
+        root_deriv *= root_sign * np.sqrt(cov.n)
         blocks.append(section_values(spec, r1, phi) / root_deriv[:, None])
     return np.concatenate(blocks, axis=1)
 
@@ -228,7 +228,7 @@ class TestPushforward:
 
     @pytest.mark.parametrize("component", [0, 1])
     @pytest.mark.parametrize(
-        "n, degree, n_samples, rho, c, branch_sign",
+        "n, degree, n_samples, rho, c, root_sign",
         [
             (1, 3, 8, 0.6, 0.0, 1),
             (2, 1, 4, 0.5, 0.25, -1),
@@ -238,13 +238,14 @@ class TestPushforward:
         ],
     )
     def test_one_fft_matches_per_sheet_sums(
-        self, n, degree, n_samples, rho, c, branch_sign, component
+        self, n, degree, n_samples, rho, c, root_sign, component
     ):
-        # n * n_samples is not a power of two for n = 3, 5, 6
+        # n * n_samples is not a power of two for n = 3, 5, 6; the pushforward divides by the root
+        # of F' that is positive at angle 0, so the reference on the other root is its negative
         cov = make_annulus_cover(rho, n)
         spec = random_section(np.random.default_rng(n), 2, degree, c)
-        pushed = pushforward_section(cov, spec, component, n_samples, branch_sign=branch_sign)
-        direct = direct_pushforward(cov, spec, component, n_samples, branch_sign)
+        pushed = pushforward_section(cov, spec, component, n_samples)
+        direct = root_sign * direct_pushforward(cov, spec, component, n_samples, root_sign)
         assert pushed.samples.shape == (n_samples, 2 * n)
         assert relative_gap(pushed.samples, direct) < 1e-13
 
@@ -265,19 +266,6 @@ class TestPushforward:
         spec = SectionSpec(m=1, c=0.0, degree=1, coeffs=coeffs)
         pushed = pushforward_section(cov, spec, 0, 16)
         assert np.allclose(pushed.samples, np.full((16, 3), 1.0 / np.sqrt(3.0)), atol=1e-14)
-
-    def test_branch_flag_recorded(self):
-        cov = make_annulus_cover(0.6, 2)
-        pushed = pushforward_section(cov, constant_section(), 0, 16, branch_sign=-1)
-        assert pushed.branch_sign == -1
-        with pytest.raises(ValueError, match="branch sign"):
-            pushforward_section(cov, constant_section(), 0, 16, branch_sign=2)
-
-    def test_bool_branch_sign_refused(self):
-        # True == 1, so it used to be taken as the sign +1
-        cov = make_annulus_cover(0.6, 2)
-        with pytest.raises(ValueError, match="'branch_sign': True is not an integer"):
-            pushforward_section(cov, constant_section(), 0, 16, branch_sign=True)
 
 
 class TestInnerProduct:
@@ -397,11 +385,11 @@ class TestBranchIndependence:
         J2 = annulus_pipeline(2, 0.0, sig).J2_diagonal
         spec_f = random_section(rng, 1, 5, 0.0)
         spec_h = random_section(rng, 1, 5, 0.0)
-        values = []
-        for sign in (1, -1):
-            f = tuple(pushforward_section(cov, spec_f, comp, 128, branch_sign=sign) for comp in (0, 1))
-            h = tuple(pushforward_section(cov, spec_h, comp, 128, branch_sign=sign) for comp in (0, 1))
-            values.append(indefinite_inner_product(f, h, J2))
+        f = tuple(pushforward_section(cov, spec_f, comp, 128) for comp in (0, 1))
+        h = tuple(pushforward_section(cov, spec_h, comp, 128) for comp in (0, 1))
+        # the other sign of the derivative's root negates every pushed sample
+        flip = lambda sections: tuple(dataclasses.replace(s, samples=-s.samples) for s in sections)
+        values = [indefinite_inner_product(f, h, J2), indefinite_inner_product(flip(f), flip(h), J2)]
         assert abs(values[0] - values[1]) < 1e-12 * (1.0 + abs(values[0]))
 
 
