@@ -12,13 +12,11 @@ from it, draws every trial as one coefficient array and leaves the
 convergence table's counts to ``verify_isometry``): the JSON emission is
 byte-stable, with wall-clock timing shown only in the text rendering.
 
-The JSON report is the text of ``json.dumps(doc, sort_keys=True, indent=2)``,
-each image in ``doc`` standing for its dense ``nm x nm`` matrix as rows of
-``[re, im]`` float pairs.  ``_json`` writes it with three bulk paths: images
-from their block-monomials (``_dense_json``), arrays of numbers and dicts of
-same-shape arrays with one ``json.dumps`` of all their numbers
-(``_array_json``), and the check list from one ``json.dumps`` of its
-residuals and tolerances (``_checks_json``).
+The JSON report is one line, the text of ``json.dumps(doc, sort_keys=True)``
+of ``Report.to_json_doc``, each image in ``doc`` standing for its dense
+``nm x nm`` matrix as rows of ``[re, im]`` float pairs.  ``_json`` writes
+every subtree without an image with one ``json.dumps`` and each image from
+its block-monomial (``_dense_json``); ``python -m json.tool`` indents it.
 """
 
 from __future__ import annotations
@@ -45,7 +43,6 @@ from .induction import (
     MatrixRep,
     SignatureData,
     check_representation,
-    flatten_levels,
     induce_representation,
     matrices_from_json,
     rep_to_json,
@@ -182,7 +179,7 @@ def _check_generators(p: dict) -> None:
 
 _COVERING_FIELDS = {"n": (True, None, _pos_int), "perms": (True, None, _object)}
 _CHI1_FIELDS = {"m": (True, None, _pos_int), "images": (True, None, _object)}
-# induce exports each image as a dense (n m)^2 matrix: 2**20 entries are ~70 MB of JSON
+# induce exports each image as a dense (n m)^2 matrix: 2**20 entries are ~13 MB of JSON
 DENSE_EXPORT_ENTRIES = 2**20
 
 
@@ -238,14 +235,10 @@ class Report:
         return self.error is None and all(c.passed for c in self.checks)
 
     def to_json_doc(self) -> dict:
-        """The run-stable document (no timing); a ``BlockMonomial`` stands for its dense matrix."""
-        return self._document([c.to_json() for c in self.checks])
-
-    def _document(self, checks: list) -> dict:
-        """``to_json_doc`` with ``checks`` standing for the list of ``Check.to_json`` forms."""
+        """The run-stable document (no timing) that the JSON report writes; an image stands for its dense matrix."""
         return {
             "config": self.config,
-            "checks": checks,
+            "checks": [c.to_json() for c in self.checks],
             "extras": self.extras,
             "error": self.error,
             "passed": self.passed,
@@ -401,144 +394,60 @@ def run_pipeline(cfg: RunConfig) -> Report:
     return report
 
 
-def _dense_json(mat: BlockMonomial, indent: str, out: list[str]) -> None:
-    """Append ``mat.dense()`` as ``_json`` writes it: rows of ``[re, im]`` float pairs.
+def _dense_json(mat: BlockMonomial) -> str:
+    """``json.dumps`` of ``mat.dense()`` as rows of ``[re, im]`` float pairs, written from the blocks.
 
-    Off the blocks every entry is one constant ``+0.0, +0.0`` pair; one call
-    of the C encoder converts the block entries.
+    One ``json.dumps`` spells the block entries, block row by block row; off
+    the blocks every entry is the constant ``[0.0, 0.0]``.
     """
     n, m = mat.n, mat.m
-    row, entry, part = (indent + "  " * depth for depth in (1, 2, 3))
-    pair = lambda re, im: f"[\n{part}{re},\n{part}{im}\n{entry}]"
-    zero, sep = pair("0.0", "0.0"), ",\n" + entry
-    values = np.stack([mat.blocks.real, mat.blocks.imag], -1).ravel().tolist()
-    parts = json.dumps(values)[1:-1].split(", ")
-    entries = [pair(re, im) for re, im in zip(parts[::2], parts[1::2])]
-    opener = "[\n" + row
+    pairs = np.stack([mat.blocks.real, mat.blocks.imag], -1).reshape(n * m, m, 2).tolist()
+    block_rows = json.dumps(pairs)[3:-3].split("]], [[")
+    rows: list[str] = []
     for k, column in enumerate(mat.perm.tolist()):
-        before, after = (zero + sep) * (column * m), (sep + zero) * ((n - 1 - column) * m)
-        for r in range(k * m * m, (k + 1) * m * m, m):
-            out.append(f"{opener}[\n{entry}{before}{sep.join(entries[r:r + m])}{after}\n{row}]")
-            opener = ",\n" + row
-    out.append(f"\n{indent}]")
+        before, after = "[0.0, 0.0], " * (column * m), ", [0.0, 0.0]" * ((n - 1 - column) * m)
+        rows += [f"[{before}[{row}]{after}]" for row in block_rows[k * m : (k + 1) * m]]
+    return "[" + ", ".join(rows) + "]"
 
 
-def _array_json(keys: list[str] | None, items: list, indent: str, out: list[str]) -> bool:
-    """Append ``items``, or with ``keys`` the dict of them, if they are one array of ints and floats.
+def _dense_lists(value: Any) -> list:
+    """The ``default`` of ``json.dumps``: an image in a list stands for its dense rows of ``[re, im]`` pairs."""
+    if type(value) is not BlockMonomial:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    dense = value.dense()
+    return np.stack([dense.real, dense.imag], -1).tolist()
 
-    The array must be rectangular and non-empty with every number at one
-    depth (with ``keys``, at least one list deep in each value); else nothing
-    is appended and the result is False.  One ``json.dumps`` spells every
-    number, and the text between two numbers depends only on how many
-    dimensions roll over there: those separators are made once per depth.
+
+def _holds_image(doc: dict) -> bool:
+    """Whether an image is a value of ``doc`` or of a dict in it, at any depth."""
+    return any(type(v) is BlockMonomial or type(v) is dict and _holds_image(v) for v in doc.values())
+
+
+def _json(value: Any, out: list[str]) -> None:
+    """Append ``json.dumps(value, sort_keys=True)`` of a string-keyed document, each image as its dense matrix.
+
+    A subtree without an image is one call of the C encoder; a dict that
+    holds one is joined key by key, and an image in it is ``_dense_json``.
     """
-    shape, first = [len(items)], items[0]
-    while type(first) in (list, tuple) and first:
-        shape.append(len(first))
-        first = first[0]
-    if type(first) not in (int, float) or keys and len(shape) < 2:  # most other content fails here
-        return False
-    numbers = flatten_levels(items, shape[1:])
-    if numbers is None or not {*map(type, numbers)} <= {int, float}:
-        return False
-    depth = len(shape)  # the container at level 0, every number at level ``depth``
-    at = [indent + "  " * level for level in range(depth + 1)]
-    opening, closing = [f"[\n{a}" for a in at], [f"\n{a}]" for a in at]
-    opens = lambda j: "".join(opening[depth - j + 1 :])  # j lists open, their items at ``depth``
-    closes = lambda j: "".join(closing[depth - j : depth][::-1])  # j lists close after a number
-    # before a number where the last j dimensions roll over: j lists close, a comma, j lists open
-    block: list[str] = []  # the texts before the numbers of one item, all but the first
-    for j, size in enumerate(reversed(shape[1:])):
-        block += ([f"{closes(j)},\n{at[depth - j]}{opens(j)}"] + block) * (size - 1)
-    opened, between = opens(depth - 1), f"{closes(depth - 1)},\n{at[1]}"
-    if keys:
-        heads = [f"{between}{encode_basestring_ascii(key)}: {opened}" for key in keys]
-        heads[0] = f"{{\n{at[1]}{encode_basestring_ascii(keys[0])}: {opened}"
-    else:
-        heads = [f"[\n{at[1]}{opened}"] + [between + opened] * (len(items) - 1)
-    text = [""] * (2 * len(numbers))  # the text before each number, then the number
-    text[::2] = ([""] + block) * len(items)
-    text[:: 2 * len(block) + 2] = heads
-    text[1::2] = json.dumps(numbers)[1:-1].split(", ")
-    out += text
-    out.append(f"{closes(depth - 1)}\n{indent}{'}' if keys else ']'}")
-    return True
-
-
-def _checks_json(checks: list[Check], indent: str, out: list[str]) -> None:
-    """Append the list of ``Check.to_json`` forms of ``checks``, without making them.
-
-    One ``json.dumps`` spells every residual and tolerance, and each check
-    fills one template.
-    """
-    item, field = indent + "  ", indent + "    "
-    template = "{\n" + ",\n".join(f'{field}"{key}": %s' for key in ("name", "passed", "residual", "tolerance"))
-    template += f"\n{item}}}"
-    count = len(checks)
-    numbers = json.dumps([c.residual for c in checks] + [c.tolerance for c in checks])[1:-1].split(", ")
-    filled = (
-        template % (encode_basestring_ascii(c.name), "true" if c.passed else "false", residual, tolerance)
-        for c, residual, tolerance in zip(checks, numbers[:count], numbers[count:])
-    )
-    out.append(f"[\n{item}" + f",\n{item}".join(filled) + f"\n{indent}]")
-
-
-class _CheckList(list):
-    """A report's checks in the document that ``emit_report`` writes: ``_checks_json`` writes them."""
-
-
-def _json(value: Any, indent: str, out: list[str]) -> None:
-    """Append ``json.dumps(value, sort_keys=True, indent=2)`` of a string-keyed document.
-
-    ``json`` also writes a str by ``encode_basestring_ascii`` and an int or a
-    finite float as its ``repr``.  An array of numbers is written whole by
-    ``_array_json``.
-    """
-    kind = type(value)
-    if kind is str:
-        return out.append(encode_basestring_ascii(value))
-    if kind is int or kind is float and math.isfinite(value):
-        return out.append(repr(value))
-    if kind is bool:
-        return out.append("true" if value else "false")
-    if kind is BlockMonomial:
-        return _dense_json(value, indent, out)
-    if not (value and isinstance(value, (dict, list, tuple))):
-        return out.append(json.dumps(value))
-    if kind is _CheckList:
-        return _checks_json(value, indent, out)
-    inner = indent + "  "
-    if isinstance(value, dict):
-        keys = sorted(value)
-        if _array_json(keys, [value[key] for key in keys], indent, out):
-            return
-        head, sep = "{\n" + inner, ",\n" + inner
-        for key in keys:
-            out.append(f"{head}{encode_basestring_ascii(key)}: ")
-            _json(value[key], inner, out)
-            head = sep
-        return out.append(f"\n{indent}}}")
-    # most lists of other content are told by their first item without a call
-    if type(value[0]) in (int, float, list, tuple) and _array_json(None, value, indent, out):
-        return
-    head, sep = "[\n" + inner, ",\n" + inner
-    for item in value:
-        out.append(head)
-        _json(item, inner, out)
-        head = sep
-    out.append(f"\n{indent}]")
+    if type(value) is BlockMonomial:
+        return out.append(_dense_json(value))
+    if not (type(value) is dict and _holds_image(value)):
+        return out.append(json.dumps(value, sort_keys=True, default=_dense_lists))
+    for i, key in enumerate(sorted(value)):
+        out.append(f"{', ' if i else '{'}{encode_basestring_ascii(key)}: ")
+        _json(value[key], out)
+    out.append("}")
 
 
 def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> str:
     """Render the report; JSON output is byte-stable for a fixed config.
 
-    JSON images are written from the block-monomials, byte-identical to
-    ``json.dumps(doc, sort_keys=True, indent=2)`` of their dense matrices as
-    rows of ``[re, im]`` float pairs.
+    The JSON report is one line, ``json.dumps(report.to_json_doc(),
+    sort_keys=True)`` with each image as its dense matrix, then a newline.
     """
     if fmt == "json":
         chunks: list[str] = []
-        _json(report._document(_CheckList(report.checks)), "", chunks)
+        _json(report.to_json_doc(), chunks)
         chunks.append("\n")
         rendered = "".join(chunks)
     elif fmt == "text":

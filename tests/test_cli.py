@@ -36,6 +36,12 @@ from hardycover.induction import BlockMonomial, Check, rep_to_json
 from helpers import matrix_to_json, random_induce_config, reference_isometry_report
 
 
+def documented_configs():
+    """The JSON config examples of README.md, as text."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+
+
 def isometry_config(**overrides):
     cfg = {"mode": "isometry", "rho1": 0.6, "n": 3, "alpha": 0.7, "signs": [1, -1]}
     cfg.update(overrides)
@@ -233,8 +239,7 @@ class TestParseConfig:
             parse_config(json.dumps(doc))
 
     def test_every_documented_config_accepted(self):
-        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-        blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+        blocks = documented_configs()
         assert len(blocks) == 3
         for block in blocks:
             parse_config(block)
@@ -668,7 +673,7 @@ class TestEmission:
 def dense_dumps(report):
     """The JSON report as ``json.dumps`` writes it with every image as its ``matrix_to_json`` lists."""
     dense = lambda mat: matrix_to_json(mat.dense())
-    return json.dumps(report.to_json_doc(), sort_keys=True, indent=2, default=dense) + "\n"
+    return json.dumps(report.to_json_doc(), sort_keys=True, default=dense) + "\n"
 
 
 def induced_along(config):
@@ -701,6 +706,8 @@ ARRAY_NUMBERS = REPORTED_FLOATS | st.integers(2**53 + 1, 2**80) | st.integers(-(
 ESCAPED_KEYS = ['a"b', "back\\slash", "caf\u00e9", "\u2603", "tab\tnew\nline", "", "A1@3"]
 
 
+# one image: sheet 0 holds its block in column 1, sheet 1 in column 0
+IMAGE = BlockMonomial(np.array([1, 0]), (np.arange(8.0) - 0.5j).reshape(2, 2, 2))
 ARRAY_SHAPES = st.integers(1, 4).flatmap(lambda depth: st.lists(st.integers(1, 3), min_size=depth, max_size=depth))
 
 
@@ -712,17 +719,6 @@ def arrays_of(draw, shape):
         kind = draw(st.sampled_from([list, tuple]))
         array = [kind(array[i : i + size]) for i in range(0, len(array), size)]
     return array
-
-
-def written_whole(value):
-    """Whether ``_array_json`` takes ``value`` (a non-empty list or dict), and if so, the text it writes."""
-    out = []
-    if isinstance(value, dict):
-        keys = sorted(value)
-        taken = cli._array_json(keys, [value[key] for key in keys], "", out)
-    else:
-        taken = cli._array_json(None, value, "", out)
-    return taken and "".join(out)
 
 
 def chi1_variant(kind):
@@ -746,7 +742,7 @@ def chi1_variant(kind):
 
 
 class TestJsonWriter:
-    """The JSON report is ``json.dumps(doc, sort_keys=True, indent=2)`` of the dense document, byte for byte."""
+    """The JSON report is ``json.dumps(doc, sort_keys=True)`` of the dense document, byte for byte."""
 
     @pytest.mark.parametrize(
         "config",
@@ -795,6 +791,13 @@ class TestJsonWriter:
         report = Report(config={"mode": "induce"}, extras={"images": {"X": mat, "nested": [[mat]]}})
         assert emit_report(report, fmt="json") == dense_dumps(report)
 
+    def test_images_without_entries(self):
+        # no sheets, and sheets of rank 0: both are the empty matrix
+        for mat in (BlockMonomial(np.zeros(0), np.zeros((0, 0, 0))), BlockMonomial(np.zeros(3), np.zeros((3, 0, 0)))):
+            report = Report(config={"mode": "induce"}, extras={"images": {"X": mat, "nested": [mat]}})
+            assert emit_report(report, fmt="json") == dense_dumps(report)
+            assert '"X": []' in emit_report(report, fmt="json")
+
     @settings(max_examples=60, deadline=None)
     @given(doc=JSON_DOCUMENTS)
     def test_drawn_documents(self, doc):
@@ -804,9 +807,9 @@ class TestJsonWriter:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_drawn_arrays_written_whole(self, data):
+        # next to an image, so the array is written by a call of its own
         array = data.draw(arrays_of(data.draw(ARRAY_SHAPES)))
-        assert written_whole(array) == json.dumps(array, sort_keys=True, indent=2)
-        report = Report(config={"mode": "group"}, extras={"array": array, "nested": {"deeper": [array]}})
+        report = Report(config={"mode": "group"}, extras={"array": array, "nested": {"deeper": [array]}, "X": IMAGE})
         assert emit_report(report, fmt="json") == dense_dumps(report)
 
     @settings(max_examples=60, deadline=None)
@@ -815,13 +818,17 @@ class TestJsonWriter:
         shape = data.draw(ARRAY_SHAPES.filter(lambda shape: len(shape) < 4))
         keys = data.draw(st.lists(st.sampled_from(ESCAPED_KEYS) | st.text(max_size=4), min_size=1, unique=True))
         arrays = {key: data.draw(arrays_of(shape)) for key in keys}
-        assert written_whole(arrays) == json.dumps(arrays, sort_keys=True, indent=2)
-        report = Report(config={"mode": "group", "images": arrays}, extras={"list": [arrays, arrays]})
+        images = {key: IMAGE for key in keys}
+        report = Report(config={"mode": "group", "images": arrays}, extras={"list": [arrays, arrays], "images": images})
         assert emit_report(report, fmt="json") == dense_dumps(report)
 
     def test_escaped_keys_written_whole(self):
         arrays = {key: [[i, -0.0], [float("nan"), 1e16]] for i, key in enumerate(ESCAPED_KEYS)}
-        assert written_whole(arrays) == json.dumps(arrays, sort_keys=True, indent=2)
+        report = Report(config={"mode": "group"}, extras={"arrays": arrays, "images": dict.fromkeys(ESCAPED_KEYS, IMAGE)})
+        text = emit_report(report, fmt="json")
+        assert text == dense_dumps(report)
+        # the keys of a dict of images are joined one by one
+        assert '"tab\\tnew\\nline": [[[0.0, 0.0], [0.0, 0.0], [0.0, -0.5]' in text and '"caf\\u00e9": [[' in text
 
     @pytest.mark.parametrize(
         "value",
@@ -852,22 +859,50 @@ class TestJsonWriter:
         ],
     )
     def test_other_content_takes_the_generic_path(self, value):
-        assert written_whole(value) is False
-        report = Report(config={"mode": "group"}, extras={"value": value, "empty": [], "empty_dict": {}})
-        assert emit_report(report, fmt="json") == dense_dumps(report)
+        for extras in ({"value": value}, {"value": value, "X": IMAGE}, {"value": {"in": value, "X": IMAGE}}):
+            report = Report(config={"mode": "group"}, extras={**extras, "empty": [], "empty_dict": {}})
+            assert emit_report(report, fmt="json") == dense_dumps(report)
+
+    def test_other_types_refused_as_by_json(self):
+        for bad in ({1, 2}, b"bytes", object()):
+            with pytest.raises(TypeError) as by_json:
+                json.dumps(bad)
+            for extras in ({"X": IMAGE, "bad": bad}, {"X": [IMAGE, bad]}, {"bad": [bad]}):
+                with pytest.raises(TypeError, match=f"^{by_json.value}$"):
+                    emit_report(Report(config={"mode": "group"}, extras=extras), fmt="json")
 
     def test_report_arrays_written_whole(self, monkeypatch):
-        written = []
-        original = cli._array_json
-        monkeypatch.setattr(cli, "_array_json", lambda *args: original(*args) and not written.append(args[1]))
-        for config in (TestInduceMode().torus_config(), isometry_config(samples=128, trials=2)):
-            report = run_pipeline(parse_config(json.dumps(config)))
-            assert emit_report(report, fmt="json") == dense_dumps(report)
-        chi1, perms = TestInduceMode().torus_config()["chi1"]["images"], {"A1": [2, 3, 1], "B1": [1, 2, 3]}
-        assert [chi1[key] for key in sorted(chi1)] in written
-        assert [perms[key] for key in sorted(perms)] in written
-        assert [1, -1] in written and report.extras["convergence"] in written
-        assert report.extras["per_trial_residuals"] in written
+        # every subtree without an image is one call of the C encoder, and so is every image's blocks
+        written, dumps = [], json.dumps
+
+        def emitted(report):
+            written.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(json, "dumps", lambda value, **kw: written.append(value) or dumps(value, **kw))
+                return emit_report(report, fmt="json")
+
+        report = run_pipeline(parse_config(json.dumps(isometry_config(samples=128, trials=2))))
+        assert emitted(report) == dense_dumps(report)
+        assert written == [report.to_json_doc()]
+        report = run_pipeline(parse_config(json.dumps(TestInduceMode().torus_config())))
+        assert emitted(report) == dense_dumps(report)
+        images = report.extras["induced"]["images"]
+        # checks, config, error, passed, versions; schreier_generators, transversal; block_structure, m, n
+        assert len(written) == 10 + len(images)
+        assert report.config in written and [c.to_json() for c in report.checks] in written
+
+    def test_induce_report_is_one_line(self):
+        text = emit_report(run_pipeline(parse_config(json.dumps(random_induce_config(seed=5)))), fmt="json")
+        assert text.count("\n") == 1 and text.endswith("\n")
+
+    def test_documented_reports_are_strict_json(self):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        for block in documented_configs():
+            report = run_pipeline(parse_config(block))
+            assert report.passed
+            assert json.loads(emit_report(report, fmt="json"), parse_constant=refuse)["passed"] is True
 
     @settings(max_examples=60, deadline=None)
     @given(
