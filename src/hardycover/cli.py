@@ -12,11 +12,15 @@ from it, draws every trial as one coefficient array and leaves the
 convergence table's counts to ``verify_isometry``): the JSON emission is
 byte-stable, with wall-clock timing shown only in the text rendering.
 
-The JSON report is one line, the text of ``json.dumps(doc, sort_keys=True)``
-of ``Report.to_json_doc``, each image in ``doc`` standing for its dense
-``nm x nm`` matrix as rows of ``[re, im]`` float pairs.  ``_json`` writes
-every subtree without an image with one ``json.dumps`` and each image from
-its block-monomial (``_dense_json``); ``python -m json.tool`` indents it.
+A report holds its checks as one ``CheckReport`` table, which each mode
+appends to.  The JSON report is one line, the text of ``json.dumps(doc,
+sort_keys=True)`` of ``Report.to_json_doc``, each image in ``doc`` standing
+for its dense ``nm x nm`` matrix as rows of ``[re, im]`` float pairs and the
+check table for its rows ``{name, passed, residual, tolerance}``.  ``_json``
+writes each run of keys whose values hold neither with one ``json.dumps``,
+each image from its block-monomial (``_dense_json``) and the table from its
+columns (``_checks_json``), so no ``Check`` row is made; ``python -m
+json.tool`` indents it.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from typing import Any, Callable
 
@@ -40,6 +45,7 @@ from .hardy import make_annulus_cover, verify_isometry
 from .induction import (
     BlockMonomial,
     Check,
+    CheckReport,
     MatrixRep,
     SignatureData,
     check_representation,
@@ -220,25 +226,37 @@ def parse_config(text: str) -> RunConfig:
     return RunConfig(mode=mode, params=params, chi1_images=check(params))
 
 
+# the table a report starts from, shared: a table is read-only, and appending makes a new one
+_NO_CHECKS = CheckReport.rows([])
+
+
 @dataclass
 class Report:
-    """Outcome of one pipeline run: config echo, named checks, artifacts."""
+    """Outcome of one pipeline run: config echo, the table of named checks each mode appends to, artifacts."""
 
     config: dict
-    checks: list[Check] = field(default_factory=list)
+    table: CheckReport = _NO_CHECKS
     extras: dict = field(default_factory=dict)
     error: str | None = None
     timing_seconds: float = 0.0
 
     @property
+    def checks(self) -> tuple[Check, ...]:
+        return self.table.checks
+
+    @property
     def passed(self) -> bool:
-        return self.error is None and all(c.passed for c in self.checks)
+        return self.error is None and self.table.passed
 
     def to_json_doc(self) -> dict:
-        """The run-stable document (no timing) that the JSON report writes; an image stands for its dense matrix."""
+        """The run-stable document (no timing) that the JSON report writes.
+
+        An image stands for its dense matrix, and the check table for its
+        rows, each the dict ``{name, passed, residual, tolerance}``.
+        """
         return {
             "config": self.config,
-            "checks": [c.to_json() for c in self.checks],
+            "checks": self.table,
             "extras": self.extras,
             "error": self.error,
             "passed": self.passed,
@@ -284,9 +302,9 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
     chi1 = MatrixRep(presentation=trans, m=p["chi1"]["m"], images=images)
 
     # the chi1 checks are reported even when induce_representation refuses chi1
-    report.checks += check_representation(chi1).prefixed("chi1:").checks
+    report.table += check_representation(chi1).prefixed("chi1:")
     chi2 = induce_representation(cov, trans, chi1)
-    report.checks += check_representation(chi2).prefixed("chi2:").checks
+    report.table += check_representation(chi2).prefixed("chi2:")
     report.extras["induced"] = rep_to_json(chi2, cov)
     report.extras["transversal"], generators = map(list, trans.word_strings)
     report.extras["schreier_generators"] = dict(zip(trans.alphabet, generators))
@@ -300,8 +318,7 @@ def _signature_from_params(p: dict) -> SignatureData:
 def _run_verify(cfg: RunConfig, report: Report) -> None:
     p = cfg.params
     pipeline = annulus_pipeline(p["n"], float(p["alpha"]), _signature_from_params(p))
-    report.checks += check_representation(pipeline.chi2).prefixed("chi2:").checks
-    report.checks += pipeline.report.checks
+    report.table += check_representation(pipeline.chi2).prefixed("chi2:") + pipeline.report
 
 
 def _run_isometry(cfg: RunConfig, report: Report) -> None:
@@ -313,12 +330,11 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
     draws = rng.standard_normal((p["trials"], 2, 2, 2 * degree + 1, p["m"]))
     coeffs = draws[:, :, 0] + 1j * draws[:, :, 1]
     result = verify_isometry(cov, alpha, _signature_from_params(p), coeffs, samples, rng)
-    report.checks += result.pipeline.report.checks
-    for comp, (residual, block) in enumerate(result.gram):
-        report.checks.append(Check(f"isometry-gram[{comp}]", residual, tolerance, block))
+    report.table += result.pipeline.report
+    rows = [(f"isometry-gram[{comp}]", gap, tolerance, block) for comp, (gap, block) in enumerate(result.gram)]
     residuals = result.trials.tolist()
     report.extras["per_trial_residuals"] = residuals
-    report.checks.append(Check("isometry-residual[max]", max(residuals), tolerance))
+    rows.append(("isometry-residual[max]", max(residuals), tolerance, None))
 
     table = [[n_samples, residual] for n_samples, residual in zip(result.counts, result.convergence.tolist())]
     report.extras["convergence"] = table
@@ -326,8 +342,9 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
     monotone_violation = max(
         [0.0] + [table[i + 1][1] - max(table[i][1] / 2.0, tolerance) for i in range(len(table) - 1)]
     )
-    report.checks.append(Check("convergence-monotone", monotone_violation, tolerance))
-    report.checks.append(Check("convergence-final", table[-1][1], tolerance))
+    rows.append(("convergence-monotone", monotone_violation, tolerance, None))
+    rows.append(("convergence-final", table[-1][1], tolerance, None))
+    report.table += CheckReport.rows(rows)
 
 
 # mode -> (runner, field table, check of the filled fields, which returns the chi1 images of
@@ -418,24 +435,58 @@ def _dense_lists(value: Any) -> list:
     return np.stack([dense.real, dense.imag], -1).tolist()
 
 
-def _holds_image(doc: dict) -> bool:
-    """Whether an image is a value of ``doc`` or of a dict in it, at any depth."""
-    return any(type(v) is BlockMonomial or type(v) is dict and _holds_image(v) for v in doc.values())
+def _checks_json(table: CheckReport) -> str:
+    """``json.dumps`` of the table's rows as ``{name, passed, residual, tolerance}`` dicts, keys sorted.
+
+    Written from the columns: each name through ``encode_basestring_ascii``,
+    every residual by one ``json.dumps`` of the column, and each distinct
+    tolerance once, told apart by its bits so that ``0.0`` and ``-0.0`` differ.
+    """
+    if not table.names:
+        return "[]"
+    residuals = json.dumps(table.residuals.tolist())[1:-1].split(", ")
+    bits, tolerances = table.tolerances.view(np.int64).tolist(), table.tolerances.tolist()
+    distinct = dict(zip(bits, tolerances))
+    spelled = dict(zip(distinct, json.dumps(list(distinct.values()))[1:-1].split(", ")))
+    passed = (table.residuals < table.tolerances).tolist()
+    rows = [
+        f'{{"name": {encode_basestring_ascii(name)}, "passed": {"true" if ok else "false"}, '
+        f'"residual": {r}, "tolerance": {spelled[t]}}}'
+        for name, ok, r, t in zip(table.names, passed, residuals, bits)
+    ]
+    return "[" + ", ".join(rows) + "]"
+
+
+# the values written by a writer of their own: an image as its dense matrix, a check table as its rows
+_WRITERS: dict[type, Callable[[Any], str]] = {BlockMonomial: _dense_json, CheckReport: _checks_json}
+
+
+def _written(value: Any) -> bool:
+    """Whether ``value`` has a writer of its own, or is a dict that holds one at any depth."""
+    return type(value) in _WRITERS or type(value) is dict and any(map(_written, value.values()))
 
 
 def _json(value: Any, out: list[str]) -> None:
     """Append ``json.dumps(value, sort_keys=True)`` of a string-keyed document, each image as its dense matrix.
 
-    A subtree without an image is one call of the C encoder; a dict that
-    holds one is joined key by key, and an image in it is ``_dense_json``.
+    A subtree without an image or a check table is one call of the C
+    encoder; a dict that holds one is joined in key order, each run of keys
+    whose values hold neither written by one call, and an image or a table
+    by its writer in ``_WRITERS``.
     """
-    if type(value) is BlockMonomial:
-        return out.append(_dense_json(value))
-    if not (type(value) is dict and _holds_image(value)):
+    if not _written(value):
         return out.append(json.dumps(value, sort_keys=True, default=_dense_lists))
-    for i, key in enumerate(sorted(value)):
-        out.append(f"{', ' if i else '{'}{encode_basestring_ascii(key)}: ")
-        _json(value[key], out)
+    writer = _WRITERS.get(type(value))
+    if writer is not None:
+        return out.append(writer(value))
+    for i, (own, keys) in enumerate(groupby(sorted(value), lambda key: _written(value[key]))):
+        out.append(", " if i else "{")
+        if not own:
+            out.append(json.dumps({key: value[key] for key in keys}, sort_keys=True, default=_dense_lists)[1:-1])
+            continue
+        for j, key in enumerate(keys):
+            out.append(f"{', ' if j else ''}{encode_basestring_ascii(key)}: ")
+            _json(value[key], out)
     out.append("}")
 
 

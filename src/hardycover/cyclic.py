@@ -28,8 +28,8 @@ from .covering import (
 )
 from .groups import DoubledPresentation, _as_int, double_group, surface_group
 from .induction import (
+    TOL_EXACT,
     BlockMonomial,
-    Check,
     CheckReport,
     MatrixRep,
     SignatureData,
@@ -130,9 +130,11 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     J2_diag = build_J2_diagonal(cov, sig)
     J2_pair = pairing_signature_matrices(chi2, G2, p)
 
-    checks = list(verify_symmetry_conditions(chi2, G2, J2_diag, p).checks)
-    for comp, (a, b) in enumerate(zip(J2_diag, J2_pair)):
-        checks.append(Check.exact(f"signature-route-equality[{comp}]", a.compare(b)))
+    report = verify_symmetry_conditions(chi2, G2, J2_diag, p)
+    routes = [a.compare(b) for a, b in zip(J2_diag, J2_pair)]
+    report += CheckReport.rows(
+        [(f"signature-route-equality[{comp}]", r, TOL_EXACT, block) for comp, (r, block) in enumerate(routes)]
+    )
     return CyclicPipeline(
         covering=cov,
         transversal=trans,
@@ -142,5 +144,5 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
         G2=G2,
         J2_diagonal=J2_diag,
         J2_pairing=J2_pair,
-        report=CheckReport(tuple(checks)),
+        report=report,
     )

@@ -32,7 +32,9 @@ The three constructions here are the block formulas of the covering theory:
 
 All identities asserted by these constructions are re-verified numerically at
 build time rather than trusted, blockwise: a block off the sheet pattern still
-counts, and a check records the block where its largest residual sits.
+counts, and a check records the block where its largest residual sits.  A
+report is one ``CheckReport`` table whose columns are the arrays of a stacked
+comparison; a ``Check`` is one of its rows, made only when read.
 """
 
 from __future__ import annotations
@@ -177,7 +179,7 @@ def _trusted(perm: np.ndarray, blocks: np.ndarray) -> BlockMonomial:
 
 @dataclass(frozen=True)
 class Check:
-    """A named residual and the tolerance it must stay below, both stored as floats.
+    """One row of a ``CheckReport``: a named residual and the tolerance it must stay below, as floats.
 
     ``block`` is the block ``(row, column)`` of the largest residual where
     there is one: a sheet block, or for the isometry Gram checks the Laurent
@@ -193,73 +195,108 @@ class Check:
         object.__setattr__(self, "residual", float(self.residual))
         object.__setattr__(self, "tolerance", float(self.tolerance))
 
-    @classmethod
-    def exact(cls, name: str, comparison: tuple[float, tuple[int, int]]) -> "Check":
-        """A ``TOL_EXACT`` check of a ``BlockMonomial.compare`` result."""
-        residual, block = comparison
-        return cls(name, residual, TOL_EXACT, block)
-
     @property
     def passed(self) -> bool:
         return self.residual < self.tolerance
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "residual": self.residual,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+
+# the block of a row that has none; a sheet block counts from 1, but Gram degrees can be 0 or negative
+_NO_BLOCK = np.iinfo(np.intp).min
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CheckReport:
-    checks: tuple[Check, ...]
+    """Named residuals and the tolerances they must stay below, as one column table.
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CheckReport) and self.checks == other.checks
+    ``names`` holds one name per row; ``residuals`` and ``tolerances`` are
+    float arrays and ``blocks`` a ``(k, 2)`` int array, all read-only (the
+    constructor copies what it is given).  A row passes when its residual is below its tolerance, so a NaN
+    residual fails.  ``checks``, ``failing`` and ``worst`` make ``Check`` rows
+    on demand; ``passed``, ``prefixed`` and ``+`` read and join the columns.
+    """
+
+    names: tuple[str, ...]
+    residuals: np.ndarray
+    tolerances: np.ndarray
+    blocks: np.ndarray
+
+    def __post_init__(self) -> None:
+        residuals, tolerances = np.array(self.residuals, dtype=float), np.array(self.tolerances, dtype=float)
+        blocks = np.array(self.blocks, dtype=np.intp).reshape(-1, 2)
+        if not len(self.names) == len(residuals) == len(tolerances) == len(blocks):
+            lengths = [len(column) for column in (residuals, tolerances, blocks)]
+            raise ValueError(f"{len(self.names)} names for columns of {lengths} rows")
+        _fill_table(self, tuple(self.names), residuals, tolerances, blocks)
+
+    @classmethod
+    def rows(cls, rows: Sequence[tuple[str, float, float, tuple[int, int] | None]]) -> "CheckReport":
+        """The table of ``(name, residual, tolerance, block)`` rows, ``block`` None where there is none."""
+        names, residuals, tolerances, blocks = zip(*rows) if rows else ((),) * 4
+        blocks = np.array([(_NO_BLOCK, _NO_BLOCK) if b is None else b for b in blocks], dtype=np.intp).reshape(-1, 2)
+        return _trusted_table(names, np.array(residuals, dtype=float), np.array(tolerances, dtype=float), blocks)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return bool((self.residuals < self.tolerances).all())  # NaN fails
+
+    @property
+    def checks(self) -> tuple[Check, ...]:
+        return self._rows(np.arange(len(self.names)))
 
     def failing(self) -> tuple[Check, ...]:
-        return tuple(c for c in self.checks if not c.passed)
+        return self._rows(self._failing())
 
     def worst(self) -> str:
-        """The failing check of largest residual: its name, block, residual and tolerance."""
-        c = max(self.failing(), key=lambda c: c.residual)
+        """The failing check of largest residual, a NaN first: its name, block, residual and tolerance."""
+        failing = self._failing()
+        (c,) = self._rows(failing[[self.residuals[failing].argmax()]])
         return f"{c.name} at block {c.block}: {c.residual:.1e} vs {c.tolerance:g}"
 
     def prefixed(self, prefix: str) -> "CheckReport":
-        """The same checks, each name after ``prefix``."""
-        return CheckReport(tuple(Check(prefix + c.name, c.residual, c.tolerance, c.block) for c in self.checks))
+        """The same checks, each name after ``prefix``: the columns are shared."""
+        names = tuple(prefix + name for name in self.names)
+        return _trusted_table(names, self.residuals, self.tolerances, self.blocks)
+
+    def __add__(self, other: "CheckReport") -> "CheckReport":
+        """The rows of ``self``, then those of ``other``."""
+        return _joined([self, other])
+
+    def _failing(self) -> np.ndarray:
+        return np.flatnonzero(~(self.residuals < self.tolerances))  # NaN fails
+
+    def _rows(self, indices: np.ndarray) -> tuple[Check, ...]:
+        residuals, tolerances, blocks = (a[indices].tolist() for a in (self.residuals, self.tolerances, self.blocks))
+        names = [self.names[i] for i in indices.tolist()]
+        return tuple(
+            Check(name, residual, tolerance, None if block[0] == _NO_BLOCK else tuple(block))
+            for name, residual, tolerance, block in zip(names, residuals, tolerances, blocks)
+        )
 
 
-class _StackedReport(CheckReport):
-    """The report of one stacked comparison, at ``TOL_EXACT``: names, residuals and blocks as arrays.
+def _fill_table(out: CheckReport, names: tuple[str, ...], residuals, tolerances, blocks) -> CheckReport:
+    residuals.setflags(write=False)
+    tolerances.setflags(write=False)
+    blocks.setflags(write=False)
+    vars(out).update(names=names, residuals=residuals, tolerances=tolerances, blocks=blocks)
+    return out
 
-    ``passed`` reads the residuals; ``checks`` makes the ``Check`` objects on
-    first read, and through it ``failing`` and ``worst``.
-    """
 
-    def __init__(self, names: list[str], residuals, rows, columns):
-        object.__setattr__(self, "_arrays", (names, residuals, rows, columns))
+def _trusted_table(names: tuple[str, ...], residuals, tolerances, blocks) -> CheckReport:
+    """A table made by an operation on valid tables or from a comparison's arrays, which needs no check."""
+    return _fill_table(object.__new__(CheckReport), names, residuals, tolerances, blocks)
 
-    @cached_property
-    def checks(self) -> tuple[Check, ...]:
-        names, *arrays = self._arrays
-        found = zip(names, *(a.tolist() for a in arrays))
-        return tuple(Check(name, residual, TOL_EXACT, (row, col)) for name, residual, row, col in found)
 
-    @property
-    def passed(self) -> bool:
-        return bool(self._arrays[1].max(initial=0.0) < TOL_EXACT)  # NaN fails
-
-    def prefixed(self, prefix: str) -> CheckReport:
-        """The same checks, each name after ``prefix``: the arrays are shared, no ``Check`` is made."""
-        names, *arrays = self._arrays
-        return _StackedReport([prefix + name for name in names], *arrays)
+def _joined(tables: Sequence[CheckReport]) -> CheckReport:
+    """The rows of ``tables`` in order, one concatenation per column; a table joined to none is itself."""
+    tables = [table for table in tables if table.names] or tables[:1]
+    if len(tables) == 1:
+        return tables[0]
+    return _trusted_table(
+        sum((table.names for table in tables), ()),
+        np.concatenate([table.residuals for table in tables]),
+        np.concatenate([table.tolerances for table in tables]),
+        np.concatenate([table.blocks for table in tables]),
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -453,11 +490,14 @@ def _compare(perms, blocks, other_perms, other_blocks) -> tuple[np.ndarray, np.n
 def _checks(names: Sequence[str], perms, blocks, other_perms, other_blocks) -> CheckReport:
     """A ``TOL_EXACT`` check per stack entry, of its ``BlockMonomial.compare`` with ``other``.
 
-    ``other`` is one block-monomial or a stack of them.  The report keeps the
-    checks as arrays until they are read.
+    ``other`` is one block-monomial or a stack of them.  The comparison's
+    arrays are the report's columns.
     """
     residuals, rows, columns = _compare(perms, blocks, other_perms, other_blocks)
-    return _StackedReport(names, residuals, rows + 1, columns + 1)
+    tolerances, blocks = np.empty(len(rows)), np.empty((len(rows), 2), dtype=np.intp)
+    tolerances.fill(TOL_EXACT)
+    blocks[:, 0], blocks[:, 1] = rows + 1, columns + 1
+    return _trusted_table(tuple(names), residuals, tolerances, blocks)
 
 
 def _pairing_symmetry(rep: MatrixRep, perms, blocks, G: BlockMonomial) -> CheckReport:
@@ -563,8 +603,9 @@ def extend_to_double(
         raise ValueError(f"block shapes {blocks.shape[1:]} and {(1, m, m)} differ")
     a, handles = blocks[:k, 0], blocks[k:, 0]
     residuals = np.abs(a.conj().swapaxes(1, 2) @ J @ a - J).max(axis=(1, 2), initial=0.0)
-    if (residuals >= TOL_EXACT).any():
-        i = int((residuals >= TOL_EXACT).argmax())
+    failed = ~(residuals < TOL_EXACT)  # NaN fails
+    if failed.any():
+        i = int(failed.argmax())
         raise ValueError(f"signature data incompatible with chi(A{i}): residual {residuals[i]:.3e}")
 
     # A_j and B_j = G J_j for j >= 1, the handles, then A''_i = G chi(B'_i) G and B''_i = G chi(A'_i) G
@@ -574,7 +615,7 @@ def extend_to_double(
     # the mirrored generators are the words tau(x)
     reports = check_representation(chi_X), _pairing_symmetry(chi_X, *chi_X.evaluate_many(p.tau), BlockMonomial.of(G))
     if not all(report.passed for report in reports):
-        report = CheckReport(reports[0].checks + reports[1].checks)
+        report = reports[0] + reports[1]
         raise ExtensionError(f"extension inconsistent: {report.worst()}", report)
     return chi_X
 
@@ -702,21 +743,23 @@ def verify_symmetry_conditions(
     perms, blocks = chi2.evaluate_many(mirrored + loops + T_base + moved)
     g, k = len(gens), len(loops)
 
-    checks = [Check.exact("pairing-selfadjoint", G2.compare_adjoint())]
-    checks += _pairing_symmetry(chi2, perms[:g], blocks[:g], G2).checks
+    exact = lambda name, comparison: (name, comparison[0], TOL_EXACT, comparison[1])
+    selfadjoint = CheckReport.rows([exact("pairing-selfadjoint", G2.compare_adjoint())])
+    signatures = []
     for comp, (J2, loop) in enumerate(zip(J2_list, map(_trusted, perms[g:], blocks[g:]))):
-        checks.append(Check.exact(f"signature-selfadjoint[{comp}]", J2.compare_adjoint()))
-        involution = (J2 @ J2).compare(chi2.identity)
-        checks.append(Check.exact(f"signature-involution[{comp}]", involution))
-        boundary = (loop.adjoint() @ J2 @ loop).compare(J2)
-        checks.append(Check.exact(f"boundary-compatibility[{comp}]", boundary))
+        signatures += [
+            exact(f"signature-selfadjoint[{comp}]", J2.compare_adjoint()),
+            exact(f"signature-involution[{comp}]", (J2 @ J2).compare(chi2.identity)),
+            exact(f"boundary-compatibility[{comp}]", (loop.adjoint() @ J2 @ loop).compare(J2)),
+        ]
     # chi(T_moved) chi(R) against chi(tau R) chi(T), for each component's T and generator R
     comps, gen_index = np.divmod(np.arange(p.k * g), g)
     T = perms[g + k : g + k + p.k], blocks[g + k : g + k + p.k]
     lhs = _product(perms[g + k + p.k :], blocks[g + k + p.k :], gen_index + 1, chi2._table)
     rhs = _product(perms[gen_index], blocks[gen_index], comps, T)
     names = [f"monodromy-transport[{comp},{label}]" for comp in range(p.k) for label in p.alphabet]
-    return CheckReport(checks + list(_checks(names, *lhs, *rhs).checks))
+    pairing, monodromy = _pairing_symmetry(chi2, perms[:g], blocks[:g], G2), _checks(names, *lhs, *rhs)
+    return _joined([selfadjoint, pairing, CheckReport.rows(signatures), monodromy])
 
 
 _list_of = lambda value, size: type(value) in (list, tuple) and len(value) == size

@@ -31,7 +31,7 @@ from hardycover.cli import (
     parse_config,
     run_pipeline,
 )
-from hardycover.induction import BlockMonomial, Check, rep_to_json
+from hardycover.induction import BlockMonomial, Check, CheckReport, rep_to_json
 
 from helpers import matrix_to_json, random_induce_config, reference_isometry_report
 
@@ -425,14 +425,14 @@ class TestInduceMode:
         doc["chi1"]["images"]["B1@9"] = [[[1.0, 0.0]]]  # a label outside the alphabet does not stand in
         report = run_pipeline(parse_config(json.dumps(doc)))
         assert report.error == "ValueError: no image supplied for generator(s) ['B1@2']"
-        assert report.checks == [] and "induced" not in report.extras
+        assert report.checks == () and "induced" not in report.extras
 
     def test_unknown_label_refused(self):
         doc = self.torus_config()
         doc["chi1"]["images"]["bogus"] = [[[5, 0]]]
         report = run_pipeline(parse_config(json.dumps(doc)))
         assert report.error == "ValueError: image supplied for unknown generator(s) ['bogus']"
-        assert not report.passed and report.checks == [] and "induced" not in report.extras
+        assert not report.passed and report.checks == () and "induced" not in report.extras
 
     def test_bulk_path_builds_nothing_per_image(self, monkeypatch):
         from hardycover import groups, induction
@@ -670,10 +670,21 @@ class TestEmission:
         assert json.loads(out.read_text())["passed"] is True
 
 
+def row_dicts(rows):
+    """``(name, residual, tolerance, ...)`` rows as the JSON report's check dicts."""
+    return [{"name": r[0], "passed": r[1] < r[2], "residual": r[1], "tolerance": r[2]} for r in rows]
+
+
 def dense_dumps(report):
-    """The JSON report as ``json.dumps`` writes it with every image as its ``matrix_to_json`` lists."""
-    dense = lambda mat: matrix_to_json(mat.dense())
-    return json.dumps(report.to_json_doc(), sort_keys=True, default=dense) + "\n"
+    """The JSON report as ``json.dumps`` writes it, every image as its ``matrix_to_json`` lists and the
+    check table as the dicts of its ``Check`` rows."""
+
+    def default(value):
+        if isinstance(value, CheckReport):
+            return row_dicts([(c.name, c.residual, c.tolerance) for c in value.checks])
+        return matrix_to_json(value.dense())
+
+    return json.dumps(report.to_json_doc(), sort_keys=True, default=default) + "\n"
 
 
 def induced_along(config):
@@ -719,6 +730,39 @@ def arrays_of(draw, shape):
         kind = draw(st.sampled_from([list, tuple]))
         array = [kind(array[i : i + size]) for i in range(0, len(array), size)]
     return array
+
+
+CHECK_NAMES = st.sampled_from(ESCAPED_KEYS + ['relator["0"]', "%s %d", "a, b"]) | st.text(max_size=6)
+RESIDUALS = st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-05]) | st.floats()
+TOLERANCES = st.sampled_from([1e-12, 1e-9, float("inf")]) | st.floats(allow_nan=False)
+
+
+@st.composite
+def check_tables(draw):
+    """A check table joined from stacked segments and single rows, some prefixed, with its rows as drawn.
+
+    A stacked segment is built from its columns, one tolerance and a sheet block per row, as a
+    comparison builds it; single rows have any tolerance and a block, which may be missing or
+    hold degrees 0 or below, as the Gram checks' do.
+    """
+    table, rows = CheckReport.rows([]), []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            k, tolerance = draw(st.integers(0, 5)), draw(TOLERANCES)
+            column = lambda values: draw(st.lists(values, min_size=k, max_size=k))
+            names, residuals = column(CHECK_NAMES), column(RESIDUALS)
+            blocks = column(st.tuples(st.integers(1, 9), st.integers(1, 9)))
+            segment_rows = list(zip(names, residuals, [tolerance] * k, blocks))
+            segment = CheckReport(names, residuals, [tolerance] * k, blocks)
+        else:
+            block = st.none() | st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+            segment_rows = draw(st.lists(st.tuples(CHECK_NAMES, RESIDUALS, TOLERANCES, block), max_size=4))
+            segment = CheckReport.rows(segment_rows)
+        if draw(st.booleans()):
+            prefix = draw(CHECK_NAMES)
+            segment, segment_rows = segment.prefixed(prefix), [(prefix + name, *row) for name, *row in segment_rows]
+        table, rows = table + segment, rows + segment_rows
+    return table, rows
 
 
 def chi1_variant(kind):
@@ -872,7 +916,9 @@ class TestJsonWriter:
                     emit_report(Report(config={"mode": "group"}, extras=extras), fmt="json")
 
     def test_report_arrays_written_whole(self, monkeypatch):
-        # every subtree without an image is one call of the C encoder, and so is every image's blocks
+        # every run of keys whose values hold no image and no check table is one call of the C encoder,
+        # and so is every image's blocks; a check table is one call for its residuals and one for its
+        # distinct tolerances
         written, dumps = [], json.dumps
 
         def emitted(report):
@@ -883,13 +929,17 @@ class TestJsonWriter:
 
         report = run_pipeline(parse_config(json.dumps(isometry_config(samples=128, trials=2))))
         assert emitted(report) == dense_dumps(report)
-        assert written == [report.to_json_doc()]
+        doc, residuals = report.to_json_doc(), [c.residual for c in report.checks]
+        del doc["checks"]
+        assert written == [residuals, [1e-12, 1e-9], doc]
         report = run_pipeline(parse_config(json.dumps(TestInduceMode().torus_config())))
         assert emitted(report) == dense_dumps(report)
         images = report.extras["induced"]["images"]
-        # checks, config, error, passed, versions; schreier_generators, transversal; block_structure, m, n
-        assert len(written) == 10 + len(images)
-        assert report.config in written and [c.to_json() for c in report.checks] in written
+        # residuals, tolerances, {config, error}, {passed, versions}; {schreier_generators, transversal};
+        # {block_structure}, {m, n}
+        assert len(written) == 7 + len(images)
+        assert {"config": report.config, "error": None} in written and [1e-12] in written
+        assert [c.residual for c in report.checks] in written
 
     def test_induce_report_is_one_line(self):
         text = emit_report(run_pipeline(parse_config(json.dumps(random_induce_config(seed=5)))), fmt="json")
@@ -904,45 +954,48 @@ class TestJsonWriter:
             assert report.passed
             assert json.loads(emit_report(report, fmt="json"), parse_constant=refuse)["passed"] is True
 
-    @settings(max_examples=60, deadline=None)
-    @given(
-        checks=st.lists(
-            st.builds(
-                Check,
-                st.sampled_from(ESCAPED_KEYS) | st.text(),
-                st.floats() | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324]),
-                st.floats(allow_nan=False) | st.sampled_from([1e-12, float("inf")]),
-            ),
-            max_size=5,
-        )
-    )
-    def test_drawn_check_lists(self, checks):
-        report = Report(config={"mode": "group"}, checks=checks)
-        assert emit_report(report, fmt="json") == dense_dumps(report)
+    @settings(max_examples=100, deadline=None)
+    @given(drawn=check_tables())
+    def test_drawn_check_lists(self, drawn):
+        table, rows = drawn
+        report = Report(config={"mode": "group"}, table=table)
+        expected = json.dumps({**report.to_json_doc(), "checks": row_dicts(rows)}, sort_keys=True) + "\n"
+        assert emit_report(report, fmt="json") == expected
+        # the rows read back off the table, NaN and -0.0 included, and its pass verdict
+        assert repr([(c.name, c.residual, c.tolerance, c.block) for c in table.checks]) == repr(rows)
+        assert report.passed == all(r[1] < r[2] for r in rows)
 
     def test_non_finite_residuals_and_escaped_names(self):
-        names = ['relator["0"]', "back\\slash", "caf\u00e9[\u2603]", "%s %d", "a, b"]
-        residuals = [float("nan"), float("inf"), -float("inf"), -0.0, 1e-300]
-        checks = [Check(name, residual, 1e-12) for name, residual in zip(names, residuals)]
-        report = Report(config={"mode": "verify"}, checks=checks)
+        names = ['relator["0"]', "back\\slash", "caf\u00e9[\u2603]", "%s %d", "a, b", "tab\tnew\nline", ""]
+        residuals = [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e16, 1e-05]
+        tolerances = [1e-12, 1e-9, float("inf"), -0.0, 0.0, 1e-12, 1e-9]
+        stacked = CheckReport(names, residuals, tolerances, np.ones((7, 2)))
+        rows = [("single", float("nan"), 0.0, None), ("zero-block", 1e-16, 1e-12, (0, 0))]
+        report = Report(config={"mode": "verify"}, table=stacked.prefixed("p:") + CheckReport.rows(rows))
         text = emit_report(report, fmt="json")
+        drawn = [("p:" + name, *row) for name, *row in zip(names, residuals, tolerances)] + rows
+        assert text == json.dumps({**report.to_json_doc(), "checks": row_dicts(drawn)}, sort_keys=True) + "\n"
         assert text == dense_dumps(report)
         assert '"residual": NaN' in text and '"residual": -Infinity' in text and '"residual": -0.0' in text
+        assert '"tolerance": -0.0' in text and '"tolerance": 0.0' in text and '"tolerance": Infinity' in text
+        # a Gram check's block of degrees (0, 0) is a block, not its absence
+        assert report.checks[-1].block == (0, 0) and report.checks[-2].block is None
 
-    def test_induce_builds_each_reported_check_once(self, monkeypatch):
+    def test_induce_report_written_without_check_rows(self, monkeypatch):
+        # the 262 checks of the 64-sheet report are written from the table's columns; reading them makes the rows
         made = []
         original = Check.__post_init__
         monkeypatch.setattr(Check, "__post_init__", lambda self: made.append(self.name) or original(self))
-        cfg = parse_config(json.dumps(TestInduceMode().torus_config()))
-        report = run_pipeline(cfg)
+        report = run_pipeline(parse_config(json.dumps(random_induce_config(seed=5))))
         emit_report(report, fmt="json")
-        assert report.passed and len(report.checks) == 10
-        assert sorted(made) == sorted(c.name for c in report.checks)
+        assert report.passed and made == []
+        assert len(report.checks) == 262 and len(made) == 262
 
     def test_text_names_block_and_excess_of_a_failing_check(self):
         moved = BlockMonomial(np.array([0, 2, 1]), np.ones((3, 1, 1)))
-        check = Check.exact("relator[0]", BlockMonomial.identity(3, 1).compare(moved))
-        report = Report(config={"mode": "induce"}, checks=[check, Check("unitarity", 0.0, 1e-12, (1, 1))])
+        residual, block = BlockMonomial.identity(3, 1).compare(moved)
+        rows = [("relator[0]", residual, 1e-12, block), ("unitarity", 0.0, 1e-12, (1, 1))]
+        report = Report(config={"mode": "induce"}, table=CheckReport.rows(rows))
         lines = emit_report(report, fmt="text").splitlines()
         assert lines[1] == (
             "  [FAIL] relator[0]: residual 1.000e+00 (tolerance 1.0e-12) at block (2, 2), "

@@ -152,6 +152,16 @@ class TestPipeline:
         pipe = annulus_pipeline(3, 0.7, scalar_signs(1, -1))
         assert max(c.residual for c in pipe.report.checks) < 1e-13
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="inputs and products share one absolute TOL_EXACT: J_0 within 4e-13 of -1 is accepted, "
+        "but two transported identities then miss by 1.6e-12",
+    )
+    def test_accepted_signature_data_passes_the_pipeline(self):
+        sig = SignatureData(J_list=(np.array([[-1.0 - 4e-13]]), np.array([[-1.0]])))
+        report = annulus_pipeline(2, 0.0, sig).report
+        assert [c.name for c in report.failing()] == []
+
     def test_pairing_route_mutant_fails_only_signature_route_equality(self, monkeypatch):
         # J_{2,i} read off the pairing as G2 for every component, not chi2(B_i)^* G2
         from hardycover import cyclic
@@ -226,10 +236,9 @@ class TestPipeline:
         made.clear()
         checks = check_representation(pipe.chi1).checks
         assert len(made) == len(checks) == 2 * 256 + 1
-        assert check_representation(pipe.chi1).checks is checks
-        # a report kept as arrays is equal, and hashes equal, to the report of its checks
-        assert check_representation(pipe.chi1) == CheckReport(checks) != CheckReport(checks[1:])
-        assert hash(check_representation(pipe.chi1)) == hash(CheckReport(checks))
+        # the rows read off the table are those of the table built row by row
+        rows = [(c.name, c.residual, c.tolerance, c.block) for c in checks]
+        assert CheckReport.rows(rows).checks == checks
 
     def test_lazy_failures_name_the_checks_they_become(self):
         # a 1e-9 phase on one Schreier generator fails the two relators it appears in

@@ -46,7 +46,7 @@ def test_exported_names_are_pinned(layer):
 
 
 def test_options_no_caller_sets_stay_gone():
-    from hardycover import BoundarySection, CheckReport, Transversal, induction, pushforward_section
+    from hardycover import BoundarySection, Check, CheckReport, Transversal, induction, pushforward_section
 
     parameters = lambda f: list(inspect.signature(f).parameters)
     assert parameters(induction.rep_to_json) == ["rep", "covering"]
@@ -54,6 +54,8 @@ def test_options_no_caller_sets_stay_gone():
     assert parameters(pushforward_section) == ["cov", "spec", "component", "n_samples"]
     assert [f.name for f in dataclasses.fields(BoundarySection)] == ["component", "radius", "samples"]
     assert not hasattr(Transversal, "edge_to_generator") and not hasattr(CheckReport, "to_json")
+    # a check table is written from its columns: no row has a JSON form, and there is one report type
+    assert not hasattr(Check, "to_json") and not hasattr(Check, "exact") and not hasattr(induction, "_StackedReport")
 
 
 @pytest.mark.parametrize("layer", LAYERS)

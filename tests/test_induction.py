@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import json
 import operator
 import re
 import textwrap
@@ -204,17 +205,37 @@ class TestCheckRepresentation:
         monkeypatch.setattr(Check, "__post_init__", lambda self: made.append(1) or original(self))
         stacked = report.prefixed("chi1:")
         assert made == [] and stacked.passed is report.passed is False
+        assert all(getattr(stacked, c) is getattr(report, c) for c in ("residuals", "tolerances", "blocks"))
         # the same checks as prefixing each Check of the report
-        expected = CheckReport(report.checks).prefixed("chi1:").checks
+        expected = tuple(Check("chi1:" + c.name, c.residual, c.tolerance, c.block) for c in report.checks)
         assert stacked.checks == expected
         assert [c.name for c in expected] == ["chi1:unitarity[A1]", "chi1:unitarity[B1]", "chi1:relator[0]"]
         assert stacked.worst().startswith("chi1:relator[0] at block (1, 1)")
 
     def test_report_serializes(self):
+        from hardycover.cli import Report, emit_report
+
         report = check_representation(commuting_torus_rep(np.random.default_rng(6), 1))
-        docs = [c.to_json() for c in report.checks]
+        docs = json.loads(emit_report(Report(config={}, table=report), fmt="json"))["checks"]
         assert report.passed and all(doc["passed"] is True for doc in docs)
-        assert all(set(doc) == {"name", "residual", "tolerance", "passed"} for doc in docs)
+        assert [list(doc) for doc in docs] == [["name", "passed", "residual", "tolerance"]] * 3
+
+    @pytest.mark.parametrize("order", [[0, 1], [1, 0]], ids=["nan-last", "nan-first"])
+    def test_worst_names_a_nan_residual_in_either_order(self, order):
+        rows = [("a", 1.0, 1e-12, (1, 1)), ("b", float("nan"), 1e-12, (2, 2))]
+        report = CheckReport.rows([rows[i] for i in order])
+        assert report.worst() == "b at block (2, 2): nan vs 1e-12"
+        assert [c.name for c in report.failing()] == [rows[i][0] for i in order]
+
+    def test_table_columns_are_read_only_copies(self):
+        residuals = np.array([0.0, 1.0])
+        report = CheckReport(["a", "b"], residuals, [1e-12, 1e-12], [[1, 1], [2, 2]])
+        residuals[1] = 0.0
+        assert not report.passed and report.residuals.tolist() == [0.0, 1.0]
+        for column in (report.residuals, report.tolerances, report.blocks):
+            assert not column.flags.writeable
+        with pytest.raises(ValueError, match="2 names for columns of"):
+            CheckReport(["a", "b"], [0.0], [1e-12], [[1, 1]])
 
 
 def scalar_annulus_rep(alpha):
@@ -282,6 +303,13 @@ class TestExtendToDouble:
             assert np.allclose(
                 chi_X.images["A''1"].dense(), sig.G @ v @ sig.G, atol=1e-14
             )
+
+    def test_nan_boundary_image_refused(self):
+        # a NaN in chi(A0) fails the compatibility precondition rather than passing it
+        chi_S = MatrixRep(surface_group(0, 2), 1, {"A0": np.array([[np.nan]]), "A1": np.array([[1.0]])})
+        sig = SignatureData(J_list=(np.eye(1), -np.eye(1)))
+        with pytest.raises(ValueError, match=re.escape("signature data incompatible with chi(A0): residual nan")):
+            extend_to_double(chi_S, sig, TORUS)
 
     def test_incompatible_signature_rejected(self):
         rng = np.random.default_rng(10)
