@@ -270,7 +270,7 @@ class Report:
             line = f"  [{status}] {c.name}: residual {c.residual:.3e} (tolerance {c.tolerance:.1e})"
             if c.block:
                 line += f" at block {c.block}"
-            if not c.passed:
+            if not c.passed and c.tolerance > 0:  # no multiple of a tolerance that is not positive
                 line += f", {c.residual / c.tolerance:.3g} times its tolerance"
             lines.append(line)
         if self.error:

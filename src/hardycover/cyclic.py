@@ -28,11 +28,12 @@ from .covering import (
 )
 from .groups import DoubledPresentation, _as_int, double_group, surface_group
 from .induction import (
-    TOL_EXACT,
     BlockMonomial,
     CheckReport,
     MatrixRep,
     SignatureData,
+    _checks,
+    _stack,
     build_G2,
     build_J2_diagonal,
     extend_to_double,
@@ -130,19 +131,9 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     J2_diag = build_J2_diagonal(cov, sig)
     J2_pair = pairing_signature_matrices(chi2, G2, p)
 
-    report = verify_symmetry_conditions(chi2, G2, J2_diag, p)
-    routes = [a.compare(b) for a, b in zip(J2_diag, J2_pair)]
-    report += CheckReport.rows(
-        [(f"signature-route-equality[{comp}]", r, TOL_EXACT, block) for comp, (r, block) in enumerate(routes)]
-    )
+    routes = [f"signature-route-equality[{comp}]" for comp in range(p.k)]
+    report = verify_symmetry_conditions(chi2, G2, J2_diag, p) + _checks(routes, [(_stack(J2_diag), _stack(J2_pair))])
     return CyclicPipeline(
-        covering=cov,
-        transversal=trans,
-        chi_X1=chi_X1,
-        chi1=chi1,
-        chi2=chi2,
-        G2=G2,
-        J2_diagonal=J2_diag,
-        J2_pairing=J2_pair,
-        report=report,
+        covering=cov, transversal=trans, chi_X1=chi_X1, chi1=chi1, chi2=chi2,
+        G2=G2, J2_diagonal=J2_diag, J2_pairing=J2_pair, report=report,
     )

@@ -33,8 +33,10 @@ The three constructions here are the block formulas of the covering theory:
 All identities asserted by these constructions are re-verified numerically at
 build time rather than trusted, blockwise: a block off the sheet pattern still
 counts, and a check records the block where its largest residual sits.  A
-report is one ``CheckReport`` table whose columns are the arrays of a stacked
-comparison; a ``Check`` is one of its rows, made only when read.
+report is one ``CheckReport`` table, made by one ``_checks`` call from a list
+of stacked comparisons: their concatenated arrays are its columns, and
+``_checks`` fills in the tolerance.  A ``Check`` is one of its rows, made
+only when read.
 """
 
 from __future__ import annotations
@@ -135,26 +137,12 @@ class BlockMonomial:
         """Max-abs entry of ``self - other`` and the block ``(row, column)`` it sits in, from 1.
 
         Where the permutations disagree on a row both blocks are residual.
+        The one-entry case of ``_compare``, which the checks run over stacks.
         """
         if self.blocks.shape != other.blocks.shape:
             raise ValueError(f"block shapes {self.blocks.shape} and {other.blocks.shape} differ")
-        if (self.perm == other.perm).all():  # the fast case of _compare
-            worst = np.abs(self.blocks - other.blocks).max(axis=(1, 2), initial=0.0)
-            k = int(worst.argmax())
-            return float(worst[k]), (k + 1, int(self.perm[k]) + 1)
         residual, row, column = _compare(self.perm[None], self.blocks[None], other.perm, other.blocks)
         return float(residual[0]), (int(row[0]) + 1, int(column[0]) + 1)
-
-    def compare_adjoint(self) -> tuple[float, tuple[int, int]]:
-        """``compare(self.adjoint())``, also where ``perm`` is not a permutation.
-
-        Block ``(k, perm[k])`` of ``self - self^*`` is ``blocks[k] -
-        blocks[perm[k]]^*`` if ``perm[perm[k]] = k``, else ``blocks[k]``; the
-        only other nonzero blocks are the adjoints of the latter.
-        """
-        p = self.perm
-        paired = (p[p] == np.arange(self.n))[:, None, None]
-        return self.compare(_trusted(p, np.where(paired, self.blocks[p].conj().swapaxes(1, 2), 0)))
 
     def dense(self) -> np.ndarray:
         """The ``nm x nm`` matrix, the dense reference that block results are checked against."""
@@ -258,8 +246,11 @@ class CheckReport:
         return _trusted_table(names, self.residuals, self.tolerances, self.blocks)
 
     def __add__(self, other: "CheckReport") -> "CheckReport":
-        """The rows of ``self``, then those of ``other``."""
-        return _joined([self, other])
+        """The rows of ``self``, then those of ``other``, one concatenation per column; an empty table adds none."""
+        if not (self.names and other.names):
+            return other if other.names else self
+        pairs = zip((self.residuals, self.tolerances, self.blocks), (other.residuals, other.tolerances, other.blocks))
+        return _trusted_table(self.names + other.names, *map(np.concatenate, pairs))
 
     def _failing(self) -> np.ndarray:
         return np.flatnonzero(~(self.residuals < self.tolerances))  # NaN fails
@@ -284,19 +275,6 @@ def _fill_table(out: CheckReport, names: tuple[str, ...], residuals, tolerances,
 def _trusted_table(names: tuple[str, ...], residuals, tolerances, blocks) -> CheckReport:
     """A table made by an operation on valid tables or from a comparison's arrays, which needs no check."""
     return _fill_table(object.__new__(CheckReport), names, residuals, tolerances, blocks)
-
-
-def _joined(tables: Sequence[CheckReport]) -> CheckReport:
-    """The rows of ``tables`` in order, one concatenation per column; a table joined to none is itself."""
-    tables = [table for table in tables if table.names] or tables[:1]
-    if len(tables) == 1:
-        return tables[0]
-    return _trusted_table(
-        sum((table.names for table in tables), ()),
-        np.concatenate([table.residuals for table in tables]),
-        np.concatenate([table.tolerances for table in tables]),
-        np.concatenate([table.blocks for table in tables]),
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -363,10 +341,6 @@ class MatrixRep:
         vars(rep).update(presentation=presentation, m=n * m, _table=table, images=images)
         return rep
 
-    @cached_property
-    def identity(self) -> BlockMonomial:
-        return _trusted(self._table[0][0], self._table[1][0])
-
     def evaluate(self, w: Word) -> BlockMonomial:
         """The image of ``w``: the one-word case of ``evaluate_many``."""
         perms, blocks = self.evaluate_many([w])
@@ -419,7 +393,7 @@ class MatrixRep:
         rows[:g, :2], rows[g:, : relators.shape[1]] = np.arange(1, g + 1)[:, None] * [1, -1], relators
         names = [f"unitarity[{label}]" for label in p.alphabet]
         names += [f"relator[{i}]" for i in range(len(relators))]
-        return _checks(names, *self._fold(rows), self._table[0][0], self._table[1][0])
+        return _checks(names, [(self._fold(rows), (self._table[0][0], self._table[1][0]))])
 
 
 class _TableImages(Mapping):
@@ -468,7 +442,7 @@ def _adjoint(perms: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _compare(perms, blocks, other_perms, other_blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``BlockMonomial.compare`` per stack entry against ``other``, one or a stack: residual, row, column from 0.
+    """``BlockMonomial.compare`` of each stack entry with ``other``, one or a stack: residual, row, column from 0.
 
     Where the sheet maps agree on every row, as on every passing check, the
     residual is the largest block difference and its column the shared one.
@@ -487,26 +461,44 @@ def _compare(perms, blocks, other_perms, other_blocks) -> tuple[np.ndarray, np.n
     return worst[w, k], k, np.where(mine[w, k] >= theirs[w, k], perms[w, k], other_column)
 
 
-def _checks(names: Sequence[str], perms, blocks, other_perms, other_blocks) -> CheckReport:
-    """A ``TOL_EXACT`` check per stack entry, of its ``BlockMonomial.compare`` with ``other``.
+def _adjoint_on_pattern(perms: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per stack entry ``X``, a stack to compare it with in place of ``X^*``, also where ``perms`` is not a permutation.
 
-    ``other`` is one block-monomial or a stack of them.  The comparison's
-    arrays are the report's columns.
+    Block ``(k, p[k])`` of ``X - X^*`` is ``blocks[k] - blocks[p[k]]^*`` if ``p[p[k]] = k``, else
+    ``blocks[k]``; the only other nonzero blocks are the adjoints of the latter.
     """
-    residuals, rows, columns = _compare(perms, blocks, other_perms, other_blocks)
+    w = np.arange(len(perms))[:, None]
+    paired = perms[w, perms] == np.arange(perms.shape[1])
+    return perms, np.where(paired[..., None, None], blocks[w, perms].conj().swapaxes(2, 3), 0)
+
+
+def _checks(names: Sequence[str], comparisons, order=None) -> CheckReport:
+    """A ``TOL_EXACT`` check per stack entry of each ``(lhs, rhs)`` pair of stacks, ``rhs`` one entry or a stack.
+
+    The ``_compare`` arrays, joined in turn or picked by the 1-D index
+    ``order``, are the report's columns; this is where every symbolic check
+    gets its tolerance.
+    """
+    results = [_compare(*lhs, *rhs) for lhs, rhs in comparisons]
+    residuals, rows, columns = results[0] if len(results) == 1 else map(np.concatenate, zip(*results))
+    if order is not None:
+        residuals, rows, columns = residuals[order], rows[order], columns[order]
     tolerances, blocks = np.empty(len(rows)), np.empty((len(rows), 2), dtype=np.intp)
     tolerances.fill(TOL_EXACT)
     blocks[:, 0], blocks[:, 1] = rows + 1, columns + 1
     return _trusted_table(tuple(names), residuals, tolerances, blocks)
 
 
-def _pairing_symmetry(rep: MatrixRep, perms, blocks, G: BlockMonomial) -> CheckReport:
-    """``pairing-symmetry[x]``, ``chi(tau x)^* G chi(x)`` against ``G``, from the ``chi(tau x)``."""
+def _pairing_symmetry(rep: MatrixRep, perms, blocks, G: BlockMonomial) -> tuple[np.ndarray, np.ndarray]:
+    """The stack of ``chi(tau x)^* G chi(x)`` per generator ``x``, from the ``chi(tau x)``; ``G`` is its right side."""
     gens = np.arange(len(perms))
     lhs = _product(*_adjoint(perms, blocks), gens * 0, (G.perm[None], G.blocks[None]))
-    lhs = _product(*lhs, gens + 1, rep._table)
-    names = [f"pairing-symmetry[{label}]" for label in rep.presentation.alphabet]
-    return _checks(names, *lhs, G.perm, G.blocks)
+    return _product(*lhs, gens + 1, rep._table)
+
+
+def _stack(mats: Sequence[BlockMonomial]) -> tuple[np.ndarray, np.ndarray]:
+    """Block-monomials of one block shape as one stack: sheet maps ``(W, n)`` and blocks ``(W, n, m, m)``."""
+    return np.array([a.perm for a in mats]), np.array([a.blocks for a in mats])
 
 
 def check_representation(rep: MatrixRep) -> CheckReport:
@@ -613,7 +605,10 @@ def extend_to_double(
     images = np.concatenate([np.stack([a[1:], G @ J[1:]], axis=1).reshape(-1, m, m), handles, mirrored])
     chi_X = MatrixRep._stacked(p, np.zeros((len(images), 1), dtype=np.intp), images[:, None])
     # the mirrored generators are the words tau(x)
-    reports = check_representation(chi_X), _pairing_symmetry(chi_X, *chi_X.evaluate_many(p.tau), BlockMonomial.of(G))
+    G = BlockMonomial.of(G)
+    pairing = _pairing_symmetry(chi_X, *chi_X.evaluate_many(p.tau), G)
+    names = [f"pairing-symmetry[{label}]" for label in p.alphabet]
+    reports = check_representation(chi_X), _checks(names, [(pairing, (G.perm, G.blocks))])
     if not all(report.passed for report in reports):
         report = reports[0] + reports[1]
         raise ExtensionError(f"extension inconsistent: {report.worst()}", report)
@@ -732,34 +727,48 @@ def verify_symmetry_conditions(
     Checks that G2 is selfadjoint and intertwines ``chi2`` with its mirror,
     that each per-component J is a signature matrix invariant under the
     boundary loop, and that the mirror-monodromy transport identity holds in
-    the image.  Every check runs blockwise.
+    the image.  Every check runs blockwise, each kind as one stacked
+    comparison, and the report is one ``_checks`` of them all.  Refuses other
+    than one ``J2`` per boundary component, each of ``chi2``'s block shape.
     """
+    if len(J2_list) != p.k:
+        raise ValueError(f"need {p.k} signature matrices, got {len(J2_list)}")
+    shape = chi2._table[1].shape[1:]
+    for name, mat in [("G2", G2), *((f"J2_list[{i}]", J2) for i, J2 in enumerate(J2_list))]:
+        if mat.blocks.shape != shape:
+            raise ValueError(f"{name} has block shape {mat.blocks.shape}, expected {shape}")
     # one call evaluates every word: mirrored generators, boundary loops, mirror monodromies, moved
     gens = [p.gen(label) for label in p.alphabet]
     mirrored = [apply_involution(p, R) for R in gens]
-    loops = [boundary_loop(p, comp) for comp in range(len(J2_list))]
+    loops = [boundary_loop(p, comp) for comp in range(p.k)]
     T_base = [mirror_monodromy(p, comp) for comp in range(p.k)]
     moved = [tau_R * T * R.inverse() for T in T_base for R, tau_R in zip(gens, mirrored)]
     perms, blocks = chi2.evaluate_many(mirrored + loops + T_base + moved)
-    g, k = len(gens), len(loops)
-
-    exact = lambda name, comparison: (name, comparison[0], TOL_EXACT, comparison[1])
-    selfadjoint = CheckReport.rows([exact("pairing-selfadjoint", G2.compare_adjoint())])
-    signatures = []
-    for comp, (J2, loop) in enumerate(zip(J2_list, map(_trusted, perms[g:], blocks[g:]))):
-        signatures += [
-            exact(f"signature-selfadjoint[{comp}]", J2.compare_adjoint()),
-            exact(f"signature-involution[{comp}]", (J2 @ J2).compare(chi2.identity)),
-            exact(f"boundary-compatibility[{comp}]", (loop.adjoint() @ J2 @ loop).compare(J2)),
-        ]
+    g, k, comps = len(gens), p.k, np.arange(p.k)
+    # G2 then every J2, one stack for their selfadjointness; J2 J2 and loop^* J2 loop per component
+    paired = _stack([G2, *J2_list])
+    J2, loop = (paired[0][1:], paired[1][1:]), (perms[g : g + k], blocks[g : g + k])
+    compatibility = _product(*_product(*_adjoint(*loop), comps, J2), comps, loop)
     # chi(T_moved) chi(R) against chi(tau R) chi(T), for each component's T and generator R
-    comps, gen_index = np.divmod(np.arange(p.k * g), g)
-    T = perms[g + k : g + k + p.k], blocks[g + k : g + k + p.k]
-    lhs = _product(perms[g + k + p.k :], blocks[g + k + p.k :], gen_index + 1, chi2._table)
-    rhs = _product(perms[gen_index], blocks[gen_index], comps, T)
-    names = [f"monodromy-transport[{comp},{label}]" for comp in range(p.k) for label in p.alphabet]
-    pairing, monodromy = _pairing_symmetry(chi2, perms[:g], blocks[:g], G2), _checks(names, *lhs, *rhs)
-    return _joined([selfadjoint, pairing, CheckReport.rows(signatures), monodromy])
+    T_comps, gen_index = np.divmod(np.arange(k * g), g)
+    T = perms[g + k : g + 2 * k], blocks[g + k : g + 2 * k]
+    lhs = _product(perms[g + 2 * k :], blocks[g + 2 * k :], gen_index + 1, chi2._table)
+    rhs = _product(perms[gen_index], blocks[gen_index], T_comps, T)
+    comparisons = [
+        (paired, _adjoint_on_pattern(*paired)),  # rows 0 (G2) and 1 + comp
+        (_pairing_symmetry(chi2, perms[:g], blocks[:g], G2), (G2.perm, G2.blocks)),  # from 1 + k
+        (_product(*J2, comps, J2), (chi2._table[0][0], chi2._table[1][0])),  # from 1 + k + g
+        (compatibility, J2),  # from 1 + 2k + g
+        (lhs, rhs),  # from 1 + 3k + g
+    ]
+    # report order: G2's selfadjointness, pairing symmetry, the three signature rows per component, transport
+    per_comp = (comps[:, None] + [1, 1 + k + g, 1 + 2 * k + g]).ravel()
+    order = np.concatenate([[0], 1 + k + np.arange(g), per_comp, 1 + 3 * k + g + np.arange(k * g)])
+    names = ["pairing-selfadjoint", *(f"pairing-symmetry[{label}]" for label in p.alphabet)]
+    signatures = "signature-selfadjoint", "signature-involution", "boundary-compatibility"
+    names += [f"{check}[{comp}]" for comp in range(k) for check in signatures]
+    names += [f"monodromy-transport[{comp},{label}]" for comp in range(k) for label in p.alphabet]
+    return _checks(names, comparisons, order)
 
 
 _list_of = lambda value, size: type(value) in (list, tuple) and len(value) == size

@@ -1004,6 +1004,17 @@ class TestJsonWriter:
         assert lines[2] == "  [ok  ] unitarity: residual 0.000e+00 (tolerance 1.0e-12) at block (1, 1)"
         assert "block" not in emit_report(report, fmt="json")
 
+    def test_text_gives_no_excess_over_a_tolerance_that_is_not_positive(self):
+        rows = [("zero", 1.0, 0.0, None), ("minus-zero", 1.0, -0.0, (1, 1)), ("negative", 0.0, -1.0, None)]
+        rows.append(("positive", 2.0, 1.0, None))
+        lines = emit_report(Report(config={"mode": "verify"}, table=CheckReport.rows(rows)), fmt="text").splitlines()
+        assert lines[1:5] == [
+            "  [FAIL] zero: residual 1.000e+00 (tolerance 0.0e+00)",
+            "  [FAIL] minus-zero: residual 1.000e+00 (tolerance -0.0e+00) at block (1, 1)",
+            "  [FAIL] negative: residual 0.000e+00 (tolerance -1.0e+00)",
+            "  [FAIL] positive: residual 2.000e+00 (tolerance 1.0e+00), 2 times its tolerance",
+        ]
+
 
 class TestMain:
     def test_group_subcommand(self, capsys):

@@ -170,6 +170,20 @@ class TestPipeline:
         report = annulus_pipeline(3, 0.7, scalar_signs(1, -1)).report
         assert [(c.name, c.residual) for c in report.failing()] == [("signature-route-equality[1]", 2.0)]
 
+    def test_report_is_two_tables_and_one_join(self, monkeypatch):
+        # counted, not timed: the symmetry rows are one table, the route rows another, joined once
+        from hardycover import induction
+
+        made, joins = [], []
+        trusted, add = induction._trusted_table, induction.CheckReport.__add__
+        monkeypatch.setattr(induction, "_trusted_table", lambda *columns: made.append(trusted(*columns)) or made[-1])
+        monkeypatch.setattr(induction.CheckReport, "__add__", lambda a, b: joins.append((a, b)) or add(a, b))
+        report = annulus_pipeline(7, 0.7, scalar_signs(1, -1)).report
+        assert len(joins) == 1 and report is made[-1]
+        symmetry, routes = joins[0]
+        assert any(symmetry is table for table in made) and any(routes is table for table in made)
+        assert routes.names == ("signature-route-equality[0]", "signature-route-equality[1]")
+
     def test_word_letters_grow_linearly_in_the_sheet_count(self, monkeypatch):
         # rewriting and the pairing build no Word at all; the walks they make instead
         # are counted as letters walked times start sheets: quadratic growth would

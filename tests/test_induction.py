@@ -467,7 +467,7 @@ class TestInduceRepresentation:
         assert check_representation(chi2).passed
         for label in ("A1", "B1"):
             image = chi2.images[label]
-            assert (image @ image.adjoint()).compare(chi2.identity)[0] < 1e-12
+            assert (image @ image.adjoint()).compare(BlockMonomial.identity(n, m))[0] < 1e-12
 
     def test_block_monomial_structure(self):
         rng = np.random.default_rng(14)
@@ -631,6 +631,30 @@ class TestSymmetryReport:
         chi2, G2, J2 = self.fixture(n=1)
         report = verify_symmetry_conditions(chi2, G2, J2, TORUS)
         assert report.passed
+
+    def test_refuses_signature_matrices_that_do_not_fit(self):
+        # a short list would drop components' rows, a long one reach past the boundary loops
+        chi2, G2, J2 = self.fixture()
+        for wrong in (J2[:1], J2 + J2[:1]):
+            with pytest.raises(ValueError, match=f"need 2 signature matrices, got {len(wrong)}"):
+                verify_symmetry_conditions(chi2, G2, wrong, TORUS)
+        wide = BlockMonomial.identity(3, 2)
+        with pytest.raises(ValueError, match=re.escape("J2_list[1] has block shape (3, 2, 2), expected (3, 1, 1)")):
+            verify_symmetry_conditions(chi2, G2, [J2[0], wide], TORUS)
+        with pytest.raises(ValueError, match=re.escape("G2 has block shape (4, 1, 1), expected (3, 1, 1)")):
+            verify_symmetry_conditions(chi2, BlockMonomial.identity(4, 1), J2, TORUS)
+
+    def test_report_is_one_table(self, monkeypatch):
+        # counted, not timed: every row comes from one stacked comparison, with no table to join
+        made, joins = [], []
+        trusted, add = induction._trusted_table, CheckReport.__add__
+        monkeypatch.setattr(induction, "_trusted_table", lambda *columns: made.append(trusted(*columns)) or made[-1])
+        monkeypatch.setattr(CheckReport, "__add__", lambda a, b: joins.append((a, b)) or add(a, b))
+        chi2, G2, J2 = self.fixture(n=5)
+        made.clear()
+        report = verify_symmetry_conditions(chi2, G2, J2, TORUS)
+        assert len(made) == 1 and made[0] is report and joins == []
+        assert len(report.names) == 1 + 2 + 3 * 2 + 2 * 2
 
 
 class TestSignatureData:
@@ -915,7 +939,10 @@ class TestBlockMonomial:
         assert abs(residual - dense_maxabs(A - B)) < 1e-13
         block = (A - B)[(k - 1) * m : k * m, (j - 1) * m : j * m]
         assert abs(dense_maxabs(block) - residual) < 1e-13
-        residual, (k, j) = a.compare_adjoint()
+        # the one-entry stack against its adjoint on its own sheet pattern, also where perm is not a permutation
+        stack = a.perm[None], a.blocks[None]
+        (residual,), (k,), (j,) = induction._compare(*stack, *induction._adjoint_on_pattern(*stack))
+        k, j = k + 1, j + 1
         assert abs(residual - dense_maxabs(A - A.conj().T)) < 1e-13
         block = (A - A.conj().T)[(k - 1) * m : k * m, (j - 1) * m : j * m]
         assert abs(dense_maxabs(block) - residual) < 1e-13
@@ -1039,7 +1066,8 @@ class TestCompareFastCase:
             other_perms = np.stack([rng.permutation(n) for _ in range(w)]) if stacked else rng.permutation(n)
             perms = mismatch(rng, np.broadcast_to(other_perms, (w, n)), case)
             blocks, other_blocks = noise(rng, w, n, m, m), noise(rng, *(w,) * stacked, n, m, m)
-            report = induction._checks([f"c[{i}]" for i in range(w)], perms, blocks, other_perms, other_blocks)
+            names = [f"c[{i}]" for i in range(w)]
+            report = induction._checks(names, [((perms, blocks), (other_perms, other_blocks))])
             other = lambda i: (other_perms[i], other_blocks[i]) if stacked else (other_perms, other_blocks)
             expected = [reference_compare(perms[i], blocks[i], *other(i)) for i in range(w)]
             assert [(c.residual, c.block) for c in report.checks] == expected
@@ -1047,15 +1075,13 @@ class TestCompareFastCase:
     @pytest.mark.parametrize("case", ["one-row", "everywhere"])
     def test_a_fast_case_that_ignores_a_moved_block_fails(self, case):
         # equal blocks, one or every block in another column: the general formula reads the moved blocks
-        compare = mutant(BlockMonomial.compare, "(self.perm == other.perm).all()", "True")
         stacked = mutant(induction._compare, "same.all()", "True")
         rng = np.random.default_rng(7)
         perm, blocks = rng.permutation(4), noise(rng, 4, 2, 2)
         a, b = BlockMonomial(perm, blocks), BlockMonomial(mismatch(rng, perm, case), blocks)
         expected = reference_compare(a.perm, a.blocks, b.perm, b.blocks)
         assert a.compare(b) == expected and expected[0] > 0
-        assert compare(a, b) != expected
-        report = induction._checks(["c"], a.perm[None], a.blocks[None], b.perm, b.blocks)
+        report = induction._checks(["c"], [((a.perm[None], a.blocks[None]), (b.perm, b.blocks))])
         assert [(c.residual, c.block) for c in report.checks] == [expected]
         residual, _, _ = stacked(a.perm[None], a.blocks[None], b.perm, b.blocks)
         assert residual.tolist() == [0.0]
@@ -1087,6 +1113,25 @@ class TestAgainstDenseReference:
             w = random_word(rng, p.alphabet, int(rng.integers(0, 12)))
             expected = dense_product(reference, p.alphabet, w, cov.n * m)
             assert dense_maxabs(chi2.evaluate(w).dense() - expected) < 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 7), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_stacked_report_on_random_cyclic_covers(self, n, m, seed):
+        # non-diagonal J, and G2 with one nu entry moved: rows in the report's order, each to the dense residual
+        rng = np.random.default_rng(seed)
+        sig = SignatureData(J_list=tuple(random_signature_matrix(rng, m) for _ in range(2)))
+        pipe = annulus_pipeline(n, rng.uniform(0, 2 * np.pi), sig)
+        assert pipe.report.passed
+        images = {label: img.dense() for label, img in pipe.chi2.images.items()}
+        J2 = [J.dense() for J in pipe.J2_diagonal]
+        nu, k = pipe.G2.perm.copy(), rng.integers(n)
+        nu[k] = (nu[k] + rng.integers(1, n)) % n if n > 1 else nu[k]
+        p = pipe.covering.presentation
+        for G2 in (pipe.G2, BlockMonomial(nu, pipe.G2.blocks)):
+            report = verify_symmetry_conditions(pipe.chi2, G2, pipe.J2_diagonal, p)
+            reference = dense_symmetry_residuals(images, G2.dense(), J2, p)
+            assert report.names == tuple(reference)
+            np.testing.assert_allclose(report.residuals, list(reference.values()), rtol=0, atol=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -1283,7 +1328,7 @@ class TestRewritingAgainstWords:
 def rows_through(rep, w, gen, sheet):
     """The block rows of ``rep(w)`` whose walk uses block ``sheet`` of the image of ``gen``."""
     rows = []
-    for start in range(rep.identity.n):
+    for start in range(next(iter(rep.images.values())).n):
         k = start
         for g, exp in w.letters:
             perm = rep.images[rep.presentation.alphabet[g]].perm
