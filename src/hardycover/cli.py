@@ -6,7 +6,8 @@ annulus family), ``isometry`` (numerical isometry check).  Configs are
 checked once, at parse, each refusal naming its field: values, sampling
 (``isometry`` samples a power of two, at least ``2 degree + 2``) and size
 budgets for every mode; the ``chi1`` images of ``induce`` are checked and
-converted as one array.  Reports are deterministic given the config
+converted as one array, which the echoed config carries along with the
+parts given as ints.  Reports are deterministic given the config
 (``isometry``, the only mode that draws random numbers, takes its ``seed``
 from it, draws every trial as one coefficient array and leaves the
 convergence table's counts to ``verify_isometry``): the JSON emission is
@@ -16,11 +17,17 @@ A report holds its checks as one ``CheckReport`` table, which each mode
 appends to.  The JSON report is one line, the text of ``json.dumps(doc,
 sort_keys=True)`` of ``Report.to_json_doc``, each image in ``doc`` standing
 for its dense ``nm x nm`` matrix as rows of ``[re, im]`` float pairs and the
-check table for its rows ``{name, passed, residual, tolerance}``.  ``_json``
-writes each run of keys whose values hold neither with one ``json.dumps``,
-each image from its block-monomial (``_dense_json``) and the table from its
-columns (``_checks_json``), so no ``Check`` row is made; ``python -m
-json.tool`` indents it.
+check table for its rows ``{name, passed, residual, tolerance}``.  Each
+emission makes one float table of the floats behind the images' blocks, the
+echoed ``chi1`` images and the check table's columns, and spells each
+distinct float once, by one ``json.dumps``; induce's images repeat chi1's
+entries, so that table is less than half as long as the floats written.
+``_json`` then writes each run of keys whose values hold none of these with
+one ``json.dumps``, and each image (``_dense_json``), the echo
+(``_echo_json``) and the check table (``_checks_json``, so no ``Check`` row
+is made) piece by piece from the table's spellings, into one list of pieces
+joined once.  An image is written only as a dict's value; ``python -m
+json.tool`` indents the report.
 """
 
 from __future__ import annotations
@@ -31,9 +38,9 @@ import math
 import sys
 import time
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import accumulate, groupby
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -69,12 +76,23 @@ _object = lambda v: isinstance(v, dict)
 _signs = lambda v: isinstance(v, list) and len(v) == 2 and all(_int(x) and x in (1, -1) for x in v)
 
 
+class _EchoedImages(dict):
+    """``chi1.images`` as the config gave them, with what parse made of them: ``array``, one
+    ``(G, m, m)`` array in the config's label order, and ``ints``, each part given as an int by its
+    index in the array's float view."""
+
+    __slots__ = ("array", "ints")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     mode: str
     params: dict[str, Any]
-    # induce: chi1.images as converted at parse, one (G, m, m) array in the config's label order
-    chi1_images: np.ndarray | None = field(default=None, compare=False)
+
+    @property
+    def chi1_images(self) -> np.ndarray:
+        """induce: chi1.images as converted at parse, one (G, m, m) array in the config's label order."""
+        return self.params["chi1"]["images"].array
 
     def echo(self) -> dict:
         return {"mode": self.mode, **self.params}
@@ -189,8 +207,8 @@ _CHI1_FIELDS = {"m": (True, None, _pos_int), "images": (True, None, _object)}
 DENSE_EXPORT_ENTRIES = 2**20
 
 
-def _check_induce(p: dict) -> np.ndarray:
-    """Check the nested ``covering`` and ``chi1``, each bad value named by its path; return chi1's images."""
+def _check_induce(p: dict) -> None:
+    """Check the nested ``covering`` and ``chi1``, each bad value named by its path; convert chi1's images."""
     _check_generators(p)
     covering = _fields(p["covering"], _COVERING_FIELDS, "'covering'", "covering.")
     chi1 = _fields(p["chi1"], _CHI1_FIELDS, "'chi1'", "chi1.")
@@ -207,7 +225,8 @@ def _check_induce(p: dict) -> np.ndarray:
                 f"invalid value for field 'covering.perms.{gen}': {images!r} is not a list of ints"
             )
     names = [f"chi1.images.{label}" for label in chi1["images"]]
-    return matrices_from_json(list(chi1["images"].values()), (m, m), names)
+    images = p["chi1"]["images"] = _EchoedImages(chi1["images"])
+    images.array, images.ints = matrices_from_json(list(images.values()), (m, m), names)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -223,7 +242,8 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError(f"unknown mode {mode!r}; expected one of {list(_MODES)}")
     _, schema, check = _MODES[mode]
     params = _fields(raw, schema, f"mode {mode!r}")
-    return RunConfig(mode=mode, params=params, chi1_images=check(params))
+    check(params)
+    return RunConfig(mode=mode, params=params)
 
 
 # the table a report starts from, shared: a table is read-only, and appending makes a new one
@@ -347,9 +367,9 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
     report.table += CheckReport.rows(rows)
 
 
-# mode -> (runner, field table, check of the filled fields, which returns the chi1 images of
-# induce); a field table maps name -> (required, default, validator)
-_MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict, Callable[[dict], Any]]] = {
+# mode -> (runner, field table, check of the filled fields); a field table maps
+# name -> (required, default, validator)
+_MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict, Callable[[dict], None]]] = {
     "group": (
         _run_group,
         {
@@ -411,82 +431,127 @@ def run_pipeline(cfg: RunConfig) -> Report:
     return report
 
 
-def _dense_json(mat: BlockMonomial) -> str:
-    """``json.dumps`` of ``mat.dense()`` as rows of ``[re, im]`` float pairs, written from the blocks.
+def _dense_json(mat: BlockMonomial, spelled: np.ndarray, out: list[str]) -> None:
+    """Append ``json.dumps`` of ``mat.dense()`` as rows of ``[re, im]`` float pairs, written from the blocks.
 
-    One ``json.dumps`` spells the block entries, block row by block row; off
-    the blocks every entry is the constant ``[0.0, 0.0]``.
+    Block row by block row, each row is its block's ``m`` pairs, ``spelled``
+    in the blocks' order, between the runs of the constant ``[0.0, 0.0]`` off
+    the block.
     """
     n, m = mat.n, mat.m
-    pairs = np.stack([mat.blocks.real, mat.blocks.imag], -1).reshape(n * m, m, 2).tolist()
-    block_rows = json.dumps(pairs)[3:-3].split("]], [[")
-    rows: list[str] = []
-    for k, column in enumerate(mat.perm.tolist()):
-        before, after = "[0.0, 0.0], " * (column * m), ", [0.0, 0.0]" * ((n - 1 - column) * m)
-        rows += [f"[{before}[{row}]{after}]" for row in block_rows[k * m : (k + 1) * m]]
-    return "[" + ", ".join(rows) + "]"
+    if not n * m:
+        return out.append("[]")
+    runs = [(f"[{'[0.0, 0.0], ' * (c * m)}[", f"]{', [0.0, 0.0]' * ((n - 1 - c) * m)}]") for c in range(n)]
+    before, after = np.array(runs, dtype=object)[np.repeat(mat.perm, m)].T
+    # per row: the run before, then each part and the separator after it, the run after and ", "
+    pieces = np.empty((n * m, 4 * m + 2), dtype=object)
+    pieces[:, 0], pieces[:, 1:-2:2], pieces[:, -2], pieces[:, -1] = before, spelled.reshape(n * m, 2 * m), after, ", "
+    pieces[:, 2:-2:4], pieces[:, 4:-2:4], pieces[-1, -1] = ", ", "], [", "]"
+    out.append("[")
+    out += pieces.ravel().tolist()
 
 
-def _dense_lists(value: Any) -> list:
-    """The ``default`` of ``json.dumps``: an image in a list stands for its dense rows of ``[re, im]`` pairs."""
-    if type(value) is not BlockMonomial:
-        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-    dense = value.dense()
-    return np.stack([dense.real, dense.imag], -1).tolist()
+def _echo_json(images: _EchoedImages, spelled: np.ndarray, out: list[str]) -> None:
+    """Append ``json.dumps(images, sort_keys=True)``: each image's rows of ``[re, im]`` pairs.
+
+    A part is ``spelled`` in the array's order, or as given if the config
+    gave an int, written over its spelling in this value's slice of the table.
+    """
+    if not images:
+        return out.append("{}")
+    g, m, _ = images.array.shape
+    for index, value in images.ints.items():
+        spelled[index] = repr(value)
+    labels = list(images)
+    order = sorted(range(g), key=labels.__getitem__)
+    # after each part of an image: within a pair, between pairs, between rows, at its end
+    after = [", ", "], ["] * (m * m)
+    after[2 * m - 1 :: 2 * m] = ["]], [["] * m
+    after[-1] = "]]]"
+    pieces = np.empty((g, 4 * m * m + 1), dtype=object)
+    pieces[:, 0] = [f"{', ' if i else '{'}{encode_basestring_ascii(labels[k])}: [[[" for i, k in enumerate(order)]
+    pieces[:, 1::2], pieces[:, 2::2] = spelled.reshape(g, 2 * m * m)[order], after
+    out += pieces.ravel().tolist()
+    out.append("}")
 
 
-def _checks_json(table: CheckReport) -> str:
-    """``json.dumps`` of the table's rows as ``{name, passed, residual, tolerance}`` dicts, keys sorted.
+def _checks_json(table: CheckReport, spelled: np.ndarray, out: list[str]) -> None:
+    """Append the table's rows as ``{name, passed, residual, tolerance}`` dicts, keys sorted.
 
     Written from the columns: each name through ``encode_basestring_ascii``,
-    every residual by one ``json.dumps`` of the column, and each distinct
-    tolerance once, told apart by its bits so that ``0.0`` and ``-0.0`` differ.
+    and the residuals, then the tolerances, ``spelled``.
     """
-    if not table.names:
-        return "[]"
-    residuals = json.dumps(table.residuals.tolist())[1:-1].split(", ")
-    bits, tolerances = table.tolerances.view(np.int64).tolist(), table.tolerances.tolist()
-    distinct = dict(zip(bits, tolerances))
-    spelled = dict(zip(distinct, json.dumps(list(distinct.values()))[1:-1].split(", ")))
+    count = len(table.names)
+    if not count:
+        return out.append("[]")
     passed = (table.residuals < table.tolerances).tolist()
-    rows = [
-        f'{{"name": {encode_basestring_ascii(name)}, "passed": {"true" if ok else "false"}, '
-        f'"residual": {r}, "tolerance": {spelled[t]}}}'
-        for name, ok, r, t in zip(table.names, passed, residuals, bits)
+    residuals, tolerances = spelled[:count].tolist(), spelled[count:].tolist()
+    out.append("[")
+    out += [
+        f'{sep}{{"name": {encode_basestring_ascii(name)}, "passed": {"true" if ok else "false"}, '
+        f'"residual": {r}, "tolerance": {t}}}'
+        for sep, name, ok, r, t in zip([""] + [", "] * (count - 1), table.names, passed, residuals, tolerances)
     ]
-    return "[" + ", ".join(rows) + "]"
+    out.append("]")
 
 
-# the values written by a writer of their own: an image as its dense matrix, a check table as its rows
-_WRITERS: dict[type, Callable[[Any], str]] = {BlockMonomial: _dense_json, CheckReport: _checks_json}
+# the values written by a writer of their own: type -> (the floats it spells, in its order; the writer)
+_WRITERS: dict[type, tuple[Callable[[Any], np.ndarray], Callable[[Any, np.ndarray, list[str]], None]]] = {
+    BlockMonomial: (lambda mat: np.ascontiguousarray(mat.blocks).view(float).ravel(), _dense_json),
+    _EchoedImages: (lambda images: images.array.view(float).ravel(), _echo_json),
+    CheckReport: (lambda table: np.concatenate([table.residuals, table.tolerances]), _checks_json),
+}
+
+
+def _held(value: Any) -> Iterator:
+    """The values with a writer of their own in a string-keyed document: ``value`` or a dict's value, at any depth."""
+    if type(value) in _WRITERS:
+        yield value
+    elif type(value) is dict:
+        for item in value.values():
+            yield from _held(item)
 
 
 def _written(value: Any) -> bool:
     """Whether ``value`` has a writer of its own, or is a dict that holds one at any depth."""
-    return type(value) in _WRITERS or type(value) is dict and any(map(_written, value.values()))
+    return next(_held(value), None) is not None
 
 
-def _json(value: Any, out: list[str]) -> None:
+def _spellings(values: Iterable) -> dict[int, np.ndarray]:
+    """The floats of each value, by ``id``, as ``json.dumps`` spells them: the one float table of a report.
+
+    The floats of all values are spelled by one ``json.dumps`` of the
+    distinct ones, told apart by their bits, so that ``0.0`` and ``-0.0``
+    differ and NaN and the infinities are kept.
+    """
+    values = {id(value): value for value in values}
+    arrays = [_WRITERS[type(value)][0](value) for value in values.values()]
+    distinct, slot = np.unique(np.concatenate([np.zeros(0), *arrays]).view(np.int64), return_inverse=True)
+    spelled = np.array(json.dumps(distinct.view(float).tolist())[1:-1].split(", "), dtype=object)[slot]
+    ends = accumulate(map(len, arrays))
+    return {key: spelled[end - len(array) : end] for key, array, end in zip(values, arrays, ends)}
+
+
+def _json(value: Any, out: list[str], spelled: dict[int, np.ndarray]) -> None:
     """Append ``json.dumps(value, sort_keys=True)`` of a string-keyed document, each image as its dense matrix.
 
-    A subtree without an image or a check table is one call of the C
-    encoder; a dict that holds one is joined in key order, each run of keys
-    whose values hold neither written by one call, and an image or a table
-    by its writer in ``_WRITERS``.
+    A subtree without a value that has a writer of its own is one call of
+    the C encoder; a dict that holds one is joined in key order, each run of
+    keys whose values hold none written by one call, and a value with a
+    writer of its own by that writer, from its floats as ``spelled``.
     """
     if not _written(value):
-        return out.append(json.dumps(value, sort_keys=True, default=_dense_lists))
-    writer = _WRITERS.get(type(value))
-    if writer is not None:
-        return out.append(writer(value))
+        return out.append(json.dumps(value, sort_keys=True))
+    if type(value) in _WRITERS:
+        return _WRITERS[type(value)][1](value, spelled[id(value)], out)
     for i, (own, keys) in enumerate(groupby(sorted(value), lambda key: _written(value[key]))):
         out.append(", " if i else "{")
         if not own:
-            out.append(json.dumps({key: value[key] for key in keys}, sort_keys=True, default=_dense_lists)[1:-1])
+            out.append(json.dumps({key: value[key] for key in keys}, sort_keys=True)[1:-1])
             continue
         for j, key in enumerate(keys):
             out.append(f"{', ' if j else ''}{encode_basestring_ascii(key)}: ")
-            _json(value[key], out)
+            _json(value[key], out, spelled)
     out.append("}")
 
 
@@ -497,8 +562,8 @@ def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> s
     sort_keys=True)`` with each image as its dense matrix, then a newline.
     """
     if fmt == "json":
-        chunks: list[str] = []
-        _json(report.to_json_doc(), chunks)
+        doc, chunks = report.to_json_doc(), []
+        _json(doc, chunks, _spellings(_held(doc)))
         chunks.append("\n")
         rendered = "".join(chunks)
     elif fmt == "text":

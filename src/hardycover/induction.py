@@ -113,10 +113,6 @@ class BlockMonomial:
             return matrix
         return cls(np.zeros(1, dtype=np.intp), np.asarray(matrix, dtype=complex)[None])
 
-    @classmethod
-    def identity(cls, n: int, m: int) -> "BlockMonomial":
-        return cls(np.arange(n), np.broadcast_to(np.eye(m, dtype=complex), (n, m, m)))
-
     n = property(lambda self: self.blocks.shape[0])
     m = property(lambda self: self.blocks.shape[1])
 
@@ -132,17 +128,6 @@ class BlockMonomial:
         if inverse.min() < 0:
             raise ValueError("the adjoint is block-monomial only for a sheet permutation")
         return _trusted(inverse, self.blocks[inverse].conj().swapaxes(1, 2))
-
-    def compare(self, other: "BlockMonomial") -> tuple[float, tuple[int, int]]:
-        """Max-abs entry of ``self - other`` and the block ``(row, column)`` it sits in, from 1.
-
-        Where the permutations disagree on a row both blocks are residual.
-        The one-entry case of ``_compare``, which the checks run over stacks.
-        """
-        if self.blocks.shape != other.blocks.shape:
-            raise ValueError(f"block shapes {self.blocks.shape} and {other.blocks.shape} differ")
-        residual, row, column = _compare(self.perm[None], self.blocks[None], other.perm, other.blocks)
-        return float(residual[0]), (int(row[0]) + 1, int(column[0]) + 1)
 
     def dense(self) -> np.ndarray:
         """The ``nm x nm`` matrix, the dense reference that block results are checked against."""
@@ -341,11 +326,6 @@ class MatrixRep:
         vars(rep).update(presentation=presentation, m=n * m, _table=table, images=images)
         return rep
 
-    def evaluate(self, w: Word) -> BlockMonomial:
-        """The image of ``w``: the one-word case of ``evaluate_many``."""
-        perms, blocks = self.evaluate_many([w])
-        return _trusted(perms[0], blocks[0])
-
     def evaluate_many(self, words: Sequence[Word]) -> tuple[np.ndarray, np.ndarray]:
         """The images of ``words``: sheet maps ``(W, n)`` and blocks ``(W, n, m, m)``.
 
@@ -442,10 +422,11 @@ def _adjoint(perms: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndar
 
 
 def _compare(perms, blocks, other_perms, other_blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``BlockMonomial.compare`` of each stack entry with ``other``, one or a stack: residual, row, column from 0.
+    """The max-abs entry of each stack entry minus ``other``, one or a stack: residual, row, column from 0.
 
-    Where the sheet maps agree on every row, as on every passing check, the
-    residual is the largest block difference and its column the shared one.
+    Where the sheet maps disagree on a row both blocks are residual.  Where
+    they agree on every row, as on every passing check, the residual is the
+    largest block difference and its column the shared one.
     """
     w, same = np.arange(len(perms)), perms == other_perms
     if same.all():
@@ -787,20 +768,25 @@ def flatten_levels(items: Sequence, sizes: Sequence[int]) -> list | None:
     return items
 
 
-def matrices_from_json(mats: Sequence, shape: tuple[int, int], names: Sequence[str]) -> np.ndarray:
+def matrices_from_json(
+    mats: Sequence, shape: tuple[int, int], names: Sequence[str]
+) -> tuple[np.ndarray, dict[int, int]]:
     """``mats``, each a ``shape`` list of rows of ``[re, im]`` pairs, as one ``(G, *shape)`` complex array.
 
     One array step checks and converts them all: each part an int or float (not a bool), finite as a
     float, read through a float view that keeps signs of zero.  Only if it refuses are the matrices
     scanned, to name the first one refused, ``names[g]``, or for a pair not finite its entry ``names[g][i][j]``.
+    Also returned: each part given as an int, by its index in the array's float view.
     """
     rows, cols = shape
     parts = flatten_levels(mats, (rows, cols, 2))  # matrices, then rows, then entries
-    if parts is not None and all(issubclass(t, Real) and not issubclass(t, bool) for t in {*map(type, parts)}):
+    types = set() if parts is None else {*map(type, parts)}
+    if parts is not None and all(issubclass(t, Real) and not issubclass(t, bool) for t in types):
         with suppress(OverflowError):  # from an int too large for a float, named below
             values = np.array(parts, dtype=float)
             if np.isfinite(values).all():
-                return values.view(complex).reshape(len(mats), rows, cols)
+                ints = {i: v for i, v in enumerate(parts) if isinstance(v, int)} if types - {float} else {}
+                return values.view(complex).reshape(len(mats), rows, cols), ints
     for name, mat in zip(names, mats):
         matrix = f"invalid value for field '{name}': {mat!r} is not an {rows}x{cols} list of [re, im] pairs"
         if not (_list_of(mat, rows) and all(_list_of(row, cols) for row in mat)):

@@ -25,7 +25,7 @@ from hardycover import (
     sigma,
     surface_group,
 )
-from hardycover import BlockMonomial, cli, hardy
+from hardycover import BlockMonomial, cli, hardy, induction
 
 
 def haar_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -260,8 +260,28 @@ def dense_symmetry_residuals(images: dict, G2: np.ndarray, J2_list, p) -> dict[s
 # Comparison and extension references: the general formulas, one block-monomial at a time.
 
 
+def identity(n: int, m: int) -> BlockMonomial:
+    """The identity of ``n`` sheets of rank ``m``."""
+    return BlockMonomial(np.arange(n), np.broadcast_to(np.eye(m, dtype=complex), (n, m, m)))
+
+
+def evaluate(rep, w: Word) -> BlockMonomial:
+    """The image of ``w`` under ``rep``: the one-word case of ``MatrixRep.evaluate_many``."""
+    perms, blocks = rep.evaluate_many([w])
+    return BlockMonomial(perms[0], blocks[0])
+
+
+def compare(a: BlockMonomial, b: BlockMonomial) -> tuple[float, tuple[int, int]]:
+    """Max-abs entry of ``a - b`` and the block ``(row, column)`` it sits in, from 1: the one-entry case of
+    the checks' stacked ``_compare``.  Where the permutations disagree on a row both blocks are residual."""
+    if a.blocks.shape != b.blocks.shape:
+        raise ValueError(f"block shapes {a.blocks.shape} and {b.blocks.shape} differ")
+    residual, row, column = induction._compare(a.perm[None], a.blocks[None], b.perm, b.blocks)
+    return float(residual[0]), (int(row[0]) + 1, int(column[0]) + 1)
+
+
 def reference_compare(perm, blocks, other_perm, other_blocks) -> tuple[float, tuple[int, int]]:
-    """``BlockMonomial.compare`` by its general formula, whatever the sheet maps agree on.
+    """``compare`` by its general formula, whatever the sheet maps agree on.
 
     Where the maps disagree on a row both blocks are residual; the block
     ``(row, column)`` counts from 1.

@@ -40,7 +40,7 @@ from hardycover import (
 )
 from hardycover.covering import expand_schreier_word
 
-from helpers import commuting_unitaries, haar_unitary, pair_coeffs, random_word
+from helpers import commuting_unitaries, evaluate, haar_unitary, pair_coeffs, random_word
 
 TORUS = double_group(0, 2)
 
@@ -153,7 +153,7 @@ def test_criterion_2_induced_representations():
                 chi2 = induce_representation(cov, trans, chi1)
                 dim = n * m
                 eye = eye_cache.setdefault(dim, np.eye(dim))
-                ok &= float(np.max(np.abs(chi2.evaluate(TORUS.relator).dense() - eye))) < 1e-12
+                ok &= float(np.max(np.abs(evaluate(chi2, TORUS.relator).dense() - eye))) < 1e-12
                 for label in ("A1", "B1"):
                     u = chi2.images[label].dense()
                     ok &= float(np.max(np.abs(u @ u.conj().T - eye))) < 1e-12
@@ -248,9 +248,7 @@ def tower_trace_gap(inner_perms, m, seed, n_words=100):
             presentation=t_comp,
             m=m,
             images={
-                label: chiK.evaluate(
-                    schreier_rewrite(inner, t_inner, schreier_rewrite(outer, t_outer, w))
-                )
+                label: evaluate(chiK, schreier_rewrite(inner, t_inner, schreier_rewrite(outer, t_outer, w)))
                 for label, w in zip(t_comp.alphabet, t_comp.defining_words)
             },
         ),
@@ -259,7 +257,7 @@ def tower_trace_gap(inner_perms, m, seed, n_words=100):
     worst = 0.0
     for _ in range(n_words):
         w = random_word(rng, TORUS.alphabet, int(rng.integers(0, 30)))
-        gap = abs(np.trace(one_step.evaluate(w).dense()) - np.trace(two_step.evaluate(w).dense()))
+        gap = abs(np.trace(evaluate(one_step, w).dense()) - np.trace(evaluate(two_step, w).dense()))
         worst = max(worst, float(gap))
     return worst
 

@@ -33,7 +33,7 @@ from hardycover.cli import (
 )
 from hardycover.induction import BlockMonomial, Check, CheckReport, rep_to_json
 
-from helpers import matrix_to_json, random_induce_config, reference_isometry_report
+from helpers import compare, identity, matrix_to_json, random_induce_config, reference_isometry_report
 
 
 def documented_configs():
@@ -248,11 +248,11 @@ class TestParseConfig:
 
 class TestInduceConfig:
     def one_sheet(self):
-        identity = [[[1.0, 0.0]]]
+        one = [[[1.0, 0.0]]]
         return {
             "mode": "induce", "s": 0, "k": 2,
             "covering": {"n": 1, "perms": {"A1": [1], "B1": [1]}},
-            "chi1": {"m": 1, "images": {"A1@1": identity, "B1@1": identity}},
+            "chi1": {"m": 1, "images": {"A1@1": one, "B1@1": one}},
         }
 
     def with_value(self, path, value):
@@ -769,11 +769,20 @@ def chi1_variant(kind):
     """The torus-3 ``induce`` config with its chi1 written another way.
 
     Every check still passes, except that an image for a label outside the
-    alphabet is refused.
+    alphabet is refused and an image far from unitary fails.
     """
     config = TestInduceMode().torus_config()
     images = config["chi1"]["images"]
-    if kind == "int-parts":
+    if kind == "shared-value":
+        images["A1@3"] = images["B1@1"]
+    elif kind == "signed-zeros":
+        one = [[[1.0, -0.0]]]
+        images.update({"A1@3": [[[-1.0, 0.0]]], "B1@1": one, "B1@2": [[[1, -0.0]]], "B1@3": one})
+    elif kind == "big-int":
+        images["A1@3"] = [[[2**53 + 1, 0]]]
+    elif kind == "overflowing":
+        images["A1@3"] = [[[1e308, -1e308]]]
+    elif kind == "int-parts":
         images.update({"A1@3": [[[0, 1]]], "B1@1": [[[-1, 0]]], "B1@2": [[[-1, 0]]], "B1@3": [[[-1, 0]]]})
     elif kind == "negative-zero":
         minus_one = [[[-1.0, -0.0]]]
@@ -799,29 +808,58 @@ class TestJsonWriter:
             chi1_variant("negative-zero"),
             chi1_variant("labels-reordered"),
             chi1_variant("label-outside-alphabet"),
+            chi1_variant("shared-value"),
+            chi1_variant("signed-zeros"),
+            chi1_variant("big-int"),
+            # the CLI runs with numpy's warnings on, so the residuals overflow to inf and NaN
+            pytest.param(chi1_variant("overflowing"), marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
             {"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]},
             isometry_config(samples=128, trials=2),
         ],
         ids=[
             "induce-one-sheet", "induce-torus-3", "induce-64-sheets", "induce-failing", "induce-int-parts",
             "induce-negative-zero", "induce-labels-reordered", "induce-label-outside-alphabet",
+            "induce-shared-value", "induce-signed-zeros", "induce-big-int", "induce-overflowing",
             "verify", "isometry",
         ],
     )
     def test_report_is_dumps_of_the_dense_document(self, config):
-        report = run_pipeline(parse_config(json.dumps(config)))
+        cfg = parse_config(json.dumps(config))
+        report = run_pipeline(cfg)
         text = emit_report(report, fmt="json")
         assert text == dense_dumps(report)
-        if report.passed and config["mode"] == "induce":
+        if config["mode"] != "induce":
+            return
+        # the echo is the config as given, compared as text, so ints and the sign of every zero count
+        echo = json.dumps(json.loads(text)["config"]["chi1"], sort_keys=True)
+        assert echo == json.dumps(config["chi1"], sort_keys=True)
+        if report.passed:
             chi2, cov = induced_along(config)
-            # compared as text, so the sign of every zero counts
             dense = lambda mat: matrix_to_json(mat.dense())
             expected = json.dumps(rep_to_json(chi2, cov), sort_keys=True, default=dense)
             assert json.dumps(json.loads(text)["extras"]["induced"], sort_keys=True) == expected
-            echo = json.dumps(json.loads(text)["config"]["chi1"], sort_keys=True)
-            assert echo == json.dumps(config["chi1"], sort_keys=True)
-        elif config["mode"] == "induce":
+        else:
             assert "induced" not in report.extras
+
+    def test_edge_values_of_the_float_table(self):
+        # an int echoed as given, while the array holds its float
+        cfg = parse_config(json.dumps(chi1_variant("big-int")))
+        text = emit_report(run_pipeline(cfg), fmt="json")
+        assert cfg.chi1_images[0, 0, 0] == float(2**53 + 1) == 2**53
+        assert '"A1@3": [[[9007199254740993, 0]]]' in text
+        # one value under all four labels, in the echo and in the blocks of chi2 off the tree edges
+        text = emit_report(run_pipeline(parse_config(json.dumps(chi1_variant("shared-value")))), fmt="json")
+        assert text.count("[0.5403023058681398, 0.8414709848078965]") == 4 + 4
+        # 0.0 and -0.0 in one report, each where it was
+        text = emit_report(run_pipeline(parse_config(json.dumps(chi1_variant("signed-zeros")))), fmt="json")
+        assert '"A1@3": [[[-1.0, 0.0]]]' in text and '"B1@1": [[[1.0, -0.0]]]' in text
+        assert '"B1@2": [[[1, -0.0]]]' in text
+        # residuals that overflowed: the table keeps NaN and inf
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_pipeline(parse_config(json.dumps(chi1_variant("overflowing"))))
+        text = emit_report(report, fmt="json")
+        assert not report.passed and np.isnan(report.table.residuals).any() and np.isinf(report.table.residuals).any()
+        assert '"residual": NaN' in text and '"residual": Infinity' in text
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -832,13 +870,13 @@ class TestJsonWriter:
         mat = BlockMonomial(np.array(perm), np.array(parts).view(complex).reshape(n, m, m))
         # -0.0 survives in the complex blocks, in either part
         assert np.signbit(mat.blocks.view(float)).ravel().tolist() == np.signbit(parts).tolist()
-        report = Report(config={"mode": "induce"}, extras={"images": {"X": mat, "nested": [[mat]]}})
+        report = Report(config={"mode": "induce"}, extras={"images": {"X": mat, "nested": {"Y": mat}}})
         assert emit_report(report, fmt="json") == dense_dumps(report)
 
     def test_images_without_entries(self):
         # no sheets, and sheets of rank 0: both are the empty matrix
         for mat in (BlockMonomial(np.zeros(0), np.zeros((0, 0, 0))), BlockMonomial(np.zeros(3), np.zeros((3, 0, 0)))):
-            report = Report(config={"mode": "induce"}, extras={"images": {"X": mat, "nested": [mat]}})
+            report = Report(config={"mode": "induce"}, extras={"images": {"X": mat, "nested": {"Y": mat}}})
             assert emit_report(report, fmt="json") == dense_dumps(report)
             assert '"X": []' in emit_report(report, fmt="json")
 
@@ -911,14 +949,43 @@ class TestJsonWriter:
         for bad in ({1, 2}, b"bytes", object()):
             with pytest.raises(TypeError) as by_json:
                 json.dumps(bad)
-            for extras in ({"X": IMAGE, "bad": bad}, {"X": [IMAGE, bad]}, {"bad": [bad]}):
+            for extras in ({"X": IMAGE, "bad": bad}, {"X": {"Y": IMAGE, "bad": [bad]}}, {"bad": [bad]}):
                 with pytest.raises(TypeError, match=f"^{by_json.value}$"):
                     emit_report(Report(config={"mode": "group"}, extras=extras), fmt="json")
+        # an image is written only as a dict's value: in a list it is refused like any other unknown type
+        for extras in ({"X": [IMAGE]}, {"X": IMAGE, "list": [[IMAGE]]}, {"table": [CheckReport.rows([])]}):
+            with pytest.raises(TypeError, match=r"^Object of type \w+ is not JSON serializable$"):
+                emit_report(Report(config={"mode": "group"}, extras=extras), fmt="json")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_drawn_reports_sharing_values(self, data):
+        # the echoed chi1 images, an image and the check columns draw from one pool, so they share floats
+        pool = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 5e-324, 1e16, 0.1])
+        m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+        pair = st.lists(pool | st.sampled_from([0, 1, -1, 2**53 + 1]), min_size=2, max_size=2)
+        square = st.lists(st.lists(pair, min_size=m, max_size=m), min_size=m, max_size=m)
+        labels = data.draw(st.lists(st.sampled_from(ESCAPED_KEYS) | st.text(max_size=4), max_size=4, unique=True))
+        config = TestInduceConfig().one_sheet()
+        config["chi1"] = {"m": m, "images": {label: data.draw(square) for label in labels}}
+        parts = data.draw(st.lists(pool, min_size=2 * n * m * m, max_size=2 * n * m * m))
+        perm = data.draw(st.permutations(range(n)))
+        image = BlockMonomial(np.array(perm), np.array(parts).view(complex).reshape(n, m, m))
+        k = data.draw(st.integers(0, 4))
+        column = lambda values: data.draw(st.lists(values, min_size=k, max_size=k))
+        table = CheckReport(column(CHECK_NAMES), column(pool | st.sampled_from([float("nan"), float("inf")])),
+                            column(pool), np.ones((k, 2)))
+        report = Report(config=parse_config(json.dumps(config)).echo(), table=table,
+                        extras={"images": {"X": image, "Y": image}})
+        text = emit_report(report, fmt="json")
+        assert text == dense_dumps(report)
+        echo = json.dumps(json.loads(text)["config"]["chi1"], sort_keys=True)
+        assert echo == json.dumps(config["chi1"], sort_keys=True)
 
     def test_report_arrays_written_whole(self, monkeypatch):
-        # every run of keys whose values hold no image and no check table is one call of the C encoder,
-        # and so is every image's blocks; a check table is one call for its residuals and one for its
-        # distinct tolerances
+        # every run of keys whose values hold nothing with a writer of its own is one call of the C encoder;
+        # the floats of the images, the echoed chi1 images and the check table are one more, of their
+        # distinct values, made again by each report written
         written, dumps = [], json.dumps
 
         def emitted(report):
@@ -927,19 +994,25 @@ class TestJsonWriter:
                 patch.setattr(json, "dumps", lambda value, **kw: written.append(value) or dumps(value, **kw))
                 return emit_report(report, fmt="json")
 
+        def floats_in(value):
+            if isinstance(value, dict):
+                return sum(map(floats_in, value.values()))
+            return sum(map(floats_in, value)) if isinstance(value, (list, tuple)) else type(value) is float
+
+        distinct = lambda *arrays: np.unique(np.concatenate([a.view(float).ravel() for a in arrays]).view(np.int64))
         report = run_pipeline(parse_config(json.dumps(isometry_config(samples=128, trials=2))))
         assert emitted(report) == dense_dumps(report)
-        doc, residuals = report.to_json_doc(), [c.residual for c in report.checks]
+        doc = report.to_json_doc()
         del doc["checks"]
-        assert written == [residuals, [1e-12, 1e-9], doc]
-        report = run_pipeline(parse_config(json.dumps(TestInduceMode().torus_config())))
-        assert emitted(report) == dense_dumps(report)
-        images = report.extras["induced"]["images"]
-        # residuals, tolerances, {config, error}, {passed, versions}; {schreier_generators, transversal};
-        # {block_structure}, {m, n}
-        assert len(written) == 7 + len(images)
-        assert {"config": report.config, "error": None} in written and [1e-12] in written
-        assert [c.residual for c in report.checks] in written
+        assert written == [distinct(report.table.residuals, report.table.tolerances).view(float).tolist(), doc]
+        cfg = parse_config(json.dumps(random_induce_config(seed=5)))
+        report = run_pipeline(cfg)
+        images = report.extras["induced"]["images"].values()
+        count = len(distinct(cfg.chi1_images, *(image.blocks for image in images), report.table.residuals,
+                             report.table.tolerances))
+        for _ in range(2):
+            assert emitted(report) == dense_dumps(report)
+            assert floats_in(written) == count == 1803  # of the 4116 the report spells
 
     def test_induce_report_is_one_line(self):
         text = emit_report(run_pipeline(parse_config(json.dumps(random_induce_config(seed=5)))), fmt="json")
@@ -993,7 +1066,7 @@ class TestJsonWriter:
 
     def test_text_names_block_and_excess_of_a_failing_check(self):
         moved = BlockMonomial(np.array([0, 2, 1]), np.ones((3, 1, 1)))
-        residual, block = BlockMonomial.identity(3, 1).compare(moved)
+        residual, block = compare(identity(3, 1), moved)
         rows = [("relator[0]", residual, 1e-12, block), ("unitarity", 0.0, 1e-12, (1, 1))]
         report = Report(config={"mode": "induce"}, table=CheckReport.rows(rows))
         lines = emit_report(report, fmt="text").splitlines()

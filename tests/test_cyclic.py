@@ -22,7 +22,7 @@ from hardycover import (
 )
 from hardycover.cyclic import annulus_double_rep, annulus_surface_rep
 
-from helpers import haar_unitary
+from helpers import compare, haar_unitary
 
 
 def scalar_signs(e0, e1):
@@ -112,7 +112,7 @@ class TestTransport:
         assert "boundary-compatibility[1]" in failing
         assert "boundary-compatibility[0]" not in failing
         u, J1 = BlockMonomial.of(core), BlockMonomial.of(sig.J_list[1])
-        moved = (u.adjoint() @ J1 @ u).compare(J1)[0]
+        moved = compare(u.adjoint() @ J1 @ u, J1)[0]
         assert moved > 0.5
         assert failing["boundary-compatibility[1]"].residual == moved
 

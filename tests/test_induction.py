@@ -49,11 +49,14 @@ from helpers import (
     GENUS_THREE,
     bordered_coverings,
     commuting_unitaries,
+    compare,
     dense_induced_images,
     dense_product,
     dense_symmetry_residuals,
+    evaluate,
     genus_three_coverings,
     haar_unitary,
+    identity,
     random_signature_matrix,
     random_word,
     reference_compare,
@@ -90,25 +93,25 @@ class TestEvaluate:
     def test_empty_word(self):
         rng = np.random.default_rng(0)
         rep = commuting_torus_rep(rng, 2)
-        assert np.array_equal(rep.evaluate(TORUS.identity()).dense(), np.eye(2))
+        assert np.array_equal(evaluate(rep, TORUS.identity()).dense(), np.eye(2))
 
     def test_conjugation(self):
         rng = np.random.default_rng(1)
         u, v = haar_unitary(rng, 3), haar_unitary(rng, 3)
         rep = MatrixRep(presentation=TORUS, m=3, images={"A1": u, "B1": v})
         w = TORUS.word([("A1", 1), ("B1", 1), ("A1", -1)])
-        assert np.allclose(rep.evaluate(w).dense(), u @ v @ u.conj().T, atol=1e-14)
+        assert np.allclose(evaluate(rep, w).dense(), u @ v @ u.conj().T, atol=1e-14)
 
     def test_relator_of_commuting_rep(self):
         rng = np.random.default_rng(2)
         rep = commuting_torus_rep(rng, 2)
-        assert np.max(np.abs(rep.evaluate(TORUS.relator).dense() - np.eye(2))) < 1e-12
+        assert np.max(np.abs(evaluate(rep, TORUS.relator).dense() - np.eye(2))) < 1e-12
 
     def test_unknown_generators(self):
         rng = np.random.default_rng(3)
         rep = commuting_torus_rep(rng, 2)
         with pytest.raises(ValueError):
-            rep.evaluate(surface_group(0, 2).gen("A0"))
+            evaluate(rep, surface_group(0, 2).gen("A0"))
 
     @pytest.mark.parametrize("extra", [["bogus"], ["Z@7", "A0"]])
     def test_images_of_unknown_generators_refused_by_name(self, extra):
@@ -175,7 +178,7 @@ class TestCheckRepresentation:
 
     def test_refuses_an_image_that_is_no_sheet_permutation(self):
         # block columns 1, 1: the image has no adjoint, so no check could run on it
-        p, eye = surface_group(0, 2), BlockMonomial.identity
+        p, eye = surface_group(0, 2), identity
         images = {"A0": BlockMonomial([0, 0], np.ones((2, 1, 1))), "A1": eye(2, 1)}
         message = "image of A0 is not a sheet permutation: block columns [1] repeat"
         with pytest.raises(ValueError, match=re.escape(message)):
@@ -467,7 +470,7 @@ class TestInduceRepresentation:
         assert check_representation(chi2).passed
         for label in ("A1", "B1"):
             image = chi2.images[label]
-            assert (image @ image.adjoint()).compare(BlockMonomial.identity(n, m))[0] < 1e-12
+            assert compare(image @ image.adjoint(), identity(n, m))[0] < 1e-12
 
     def test_block_monomial_structure(self):
         rng = np.random.default_rng(14)
@@ -504,8 +507,8 @@ class TestInduceRepresentation:
         for _ in range(500):
             w1 = random_word(rng, TORUS.alphabet, int(rng.integers(0, 10)))
             w2 = random_word(rng, TORUS.alphabet, int(rng.integers(0, 10)))
-            lhs = chi2.evaluate(w1 * w2).dense()
-            rhs = chi2.evaluate(w1).dense() @ chi2.evaluate(w2).dense()
+            lhs = evaluate(chi2, w1 * w2).dense()
+            rhs = evaluate(chi2, w1).dense() @ evaluate(chi2, w2).dense()
             assert np.max(np.abs(lhs - rhs)) < 1e-10
 
 
@@ -554,7 +557,7 @@ class TestPairingTransport:
             h_k, nu_k = reference_nu_decompose(cov, trans, k)
             block = G2.dense()[(k - 1) * m : k * m, (nu_k - 1) * m : nu_k * m]
             h_sub = schreier_rewrite(cov, trans, h_k)
-            assert np.allclose(block, sig.G @ chi1.evaluate(h_sub).dense(), atol=1e-13)
+            assert np.allclose(block, sig.G @ evaluate(chi1, h_sub).dense(), atol=1e-13)
         # transported pairing stays selfadjoint and intertwines the induction
         chi2 = induce_representation(cov, trans, chi1)
         report = verify_symmetry_conditions(chi2, G2, build_J2_diagonal(cov, sig), TORUS)
@@ -578,9 +581,9 @@ class TestPairingTransport:
 
     def test_pairing_off_an_involution_invariant_subgroup_fails(self):
         # this cover's subgroup is not invariant under the involution: nu = (1, 2, 2, 2)
-        identity, swap = (1, 2, 3, 4), (1, 2, 4, 3)
-        perms = {"A1": (2, 3, 1, 4), "B1": (3, 1, 2, 4), "A'1": swap, "B'1": identity}
-        cov = build_covering(GENUS_THREE, {**perms, "A''1": identity, "B''1": swap})
+        fixed, swap = (1, 2, 3, 4), (1, 2, 4, 3)
+        perms = {"A1": (2, 3, 1, 4), "B1": (3, 1, 2, 4), "A'1": swap, "B'1": fixed}
+        cov = build_covering(GENUS_THREE, {**perms, "A''1": fixed, "B''1": swap})
         trans = schreier_transversal(cov)
         rng = np.random.default_rng(19)
         chi1 = restricted_subgroup_rep(cov, trans, genus_three_rep(rng, 2), 2)
@@ -638,11 +641,11 @@ class TestSymmetryReport:
         for wrong in (J2[:1], J2 + J2[:1]):
             with pytest.raises(ValueError, match=f"need 2 signature matrices, got {len(wrong)}"):
                 verify_symmetry_conditions(chi2, G2, wrong, TORUS)
-        wide = BlockMonomial.identity(3, 2)
+        wide = identity(3, 2)
         with pytest.raises(ValueError, match=re.escape("J2_list[1] has block shape (3, 2, 2), expected (3, 1, 1)")):
             verify_symmetry_conditions(chi2, G2, [J2[0], wide], TORUS)
         with pytest.raises(ValueError, match=re.escape("G2 has block shape (4, 1, 1), expected (3, 1, 1)")):
-            verify_symmetry_conditions(chi2, BlockMonomial.identity(4, 1), J2, TORUS)
+            verify_symmetry_conditions(chi2, identity(4, 1), J2, TORUS)
 
     def test_report_is_one_table(self, monkeypatch):
         # counted, not timed: every row comes from one stacked comparison, with no table to join
@@ -755,7 +758,7 @@ def assert_walks_match_tree_words(cov, psi, G1, other):
         expected = np.zeros((n * m, n * m), dtype=complex)
         for k in range(1, n + 1):
             h, j = reference_factorize(cov, trans, k, p.gen(label))
-            block(expected, k, j)[...] = chi1.evaluate(schreier_rewrite(cov, trans, h)).dense()
+            block(expected, k, j)[...] = evaluate(chi1, schreier_rewrite(cov, trans, h)).dense()
         assert np.array_equal(chi2.images[label].dense(), expected)
 
     # the pairing exists only on a covering subgroup invariant under the involution
@@ -766,7 +769,7 @@ def assert_walks_match_tree_words(cov, psi, G1, other):
         expected = np.zeros((n * m, n * m), dtype=complex)
         for k in range(1, n + 1):
             h_k, nu_k = reference_nu_decompose(cov, trans, k)
-            block(expected, k, nu_k)[...] = G1 @ chi1.evaluate(schreier_rewrite(cov, trans, h_k)).dense()
+            block(expected, k, nu_k)[...] = G1 @ evaluate(chi1, schreier_rewrite(cov, trans, h_k)).dense()
         assert np.array_equal(build_G2(cov, trans, chi1, G1).dense(), expected)
 
     conjugates = [rep * r * rep.inverse() for r in p.relators for rep in trans.reps]
@@ -834,9 +837,7 @@ class TestInductionInStages:
         comp = compose_coverings(outer, t_outer, inner)
         t_comp = schreier_transversal(comp)
         one_images = {
-            label: chiK.evaluate(
-                schreier_rewrite(inner, t_inner, schreier_rewrite(outer, t_outer, w))
-            )
+            label: evaluate(chiK, schreier_rewrite(inner, t_inner, schreier_rewrite(outer, t_outer, w)))
             for label, w in zip(t_comp.alphabet, t_comp.defining_words)
         }
         one_step = induce_representation(
@@ -845,7 +846,7 @@ class TestInductionInStages:
 
         for _ in range(100):
             w = random_word(rng, TORUS.alphabet, int(rng.integers(0, 30)))
-            diff = abs(np.trace(one_step.evaluate(w).dense()) - np.trace(two_step.evaluate(w).dense()))
+            diff = abs(np.trace(evaluate(one_step, w).dense()) - np.trace(evaluate(two_step, w).dense()))
             assert diff < 1e-10
 
 
@@ -895,18 +896,22 @@ class TestRepSerialization:
                 mats[refused][data.draw(st.integers(0, m - 1))][data.draw(st.integers(0, m - 1))] = bad
         names = [f"images.M{k}" for k in range(g)]
         if refused is None:
-            out = induction.matrices_from_json(mats, (m, m), names)
+            out, ints = induction.matrices_from_json(mats, (m, m), names)
             expected = np.array([[[complex(*x) for x in row] for row in mat] for mat in mats], dtype=complex)
             # bit for bit, so -0.0 and every int's rounding count
             assert out.shape == (g, m, m)
             assert np.array_equal(out.view(np.int64), expected.reshape(g, m, m).view(np.int64))
+            parts = [v for mat in mats for row in mat for x in row for v in x]
+            assert ints == {i: v for i, v in enumerate(parts) if type(v) is int}
         else:
             with pytest.raises(ValueError, match=re.escape(f"field '{names[refused]}'")):
                 induction.matrices_from_json(mats, (m, m), names)
 
     def test_reader_accepts_integer_parts(self):
-        images = induction.matrices_from_json([[[[0, 1]]], [[[-1, 0]]]], (1, 1), ["images.A1", "images.B1"])
+        images, ints = induction.matrices_from_json([[[[0, 1]]], [[[-1, 0.0]]]], (1, 1), ["images.A1", "images.B1"])
         assert images.tolist() == [[[1j]], [[-1]]]
+        # each int part by its index in the float view, so that the config can be echoed as given
+        assert ints == {0: 0, 1: 1, 2: -1}
 
 
 @st.composite
@@ -935,7 +940,7 @@ class TestBlockMonomial:
         b = data.draw(block_monomials(n, m, data.draw(st.booleans())))
         A, B = a.dense(), b.dense()
         assert dense_maxabs((a @ b).dense() - A @ B) < 1e-13
-        residual, (k, j) = a.compare(b)
+        residual, (k, j) = compare(a, b)
         assert abs(residual - dense_maxabs(A - B)) < 1e-13
         block = (A - B)[(k - 1) * m : k * m, (j - 1) * m : j * m]
         assert abs(dense_maxabs(block) - residual) < 1e-13
@@ -956,9 +961,9 @@ class TestBlockMonomial:
         rng = np.random.default_rng(20)
         u = haar_unitary(rng, 3)
         assert np.array_equal(BlockMonomial.of(u).dense(), u)
-        assert np.array_equal(BlockMonomial.identity(4, 2).dense(), np.eye(8))
+        assert np.array_equal(identity(4, 2).dense(), np.eye(8))
         one = BlockMonomial.of(u)
-        assert (one @ one.adjoint()).compare(BlockMonomial.identity(1, 3))[0] < 1e-14
+        assert compare(one @ one.adjoint(), identity(1, 3))[0] < 1e-14
 
     @pytest.mark.parametrize(
         "perm, shape", [((0, 2), (2, 1, 1)), ((0, -1), (2, 1, 1)), ((0, 1), (3, 1, 1)), ((0,), (1, 2, 3))]
@@ -986,7 +991,7 @@ class TestBlockMonomial:
         moved = a.perm.copy()
         moved[2] = a.perm[0]
         b = BlockMonomial(moved, a.blocks)
-        residual, block = a.compare(b)
+        residual, block = compare(a, b)
         assert residual == dense_maxabs(a.dense() - b.dense())
         assert residual == dense_maxabs(a.blocks[2])
         assert block in ((3, a.perm[2] + 1), (3, a.perm[0] + 1))
@@ -1055,7 +1060,7 @@ class TestCompareFastCase:
             perm = rng.permutation(n)
             a = BlockMonomial(perm, noise(rng, n, m, m))
             b = BlockMonomial(mismatch(rng, perm, case), noise(rng, n, m, m))
-            assert a.compare(b) == reference_compare(a.perm, a.blocks, b.perm, b.blocks)
+            assert compare(a, b) == reference_compare(a.perm, a.blocks, b.perm, b.blocks)
 
     @pytest.mark.parametrize("stacked", [False, True], ids=["one-other", "stacked-other"])
     @pytest.mark.parametrize("case", COMPARE_CASES)
@@ -1080,7 +1085,7 @@ class TestCompareFastCase:
         perm, blocks = rng.permutation(4), noise(rng, 4, 2, 2)
         a, b = BlockMonomial(perm, blocks), BlockMonomial(mismatch(rng, perm, case), blocks)
         expected = reference_compare(a.perm, a.blocks, b.perm, b.blocks)
-        assert a.compare(b) == expected and expected[0] > 0
+        assert compare(a, b) == expected and expected[0] > 0
         report = induction._checks(["c"], [((a.perm[None], a.blocks[None]), (b.perm, b.blocks))])
         assert [(c.residual, c.block) for c in report.checks] == [expected]
         residual, _, _ = stacked(a.perm[None], a.blocks[None], b.perm, b.blocks)
@@ -1112,7 +1117,7 @@ class TestAgainstDenseReference:
         for _ in range(10):
             w = random_word(rng, p.alphabet, int(rng.integers(0, 12)))
             expected = dense_product(reference, p.alphabet, w, cov.n * m)
-            assert dense_maxabs(chi2.evaluate(w).dense() - expected) < 1e-13
+            assert dense_maxabs(evaluate(chi2, w).dense() - expected) < 1e-13
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 7), m=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
@@ -1166,7 +1171,7 @@ def left_fold(rep, w):
     images = [rep.images[rep.presentation.alphabet[gen]] for gen, _ in w.letters]
     factors = [u if exp > 0 else u.adjoint() for u, (_, exp) in zip(images, w.letters)]
     if not factors:
-        return BlockMonomial.identity(*rep.images[rep.presentation.alphabet[0]].blocks.shape[:2])
+        return identity(*rep.images[rep.presentation.alphabet[0]].blocks.shape[:2])
     return functools.reduce(operator.matmul, factors)
 
 
@@ -1177,9 +1182,9 @@ def report_by_compare(rep, relators=None):
     """
     alphabet = rep.presentation.alphabet
     relators = rep.presentation.relators if relators is None else relators
-    eye = BlockMonomial.identity(*rep.images[alphabet[0]].blocks.shape[:2])
-    out = [(f"unitarity[{x}]", *(u @ u.adjoint()).compare(eye)) for x, u in rep.images.items()]
-    return out + [(f"relator[{i}]", *left_fold(rep, r).compare(eye)) for i, r in enumerate(relators)]
+    eye = identity(*rep.images[alphabet[0]].blocks.shape[:2])
+    out = [(f"unitarity[{x}]", *compare(u @ u.adjoint(), eye)) for x, u in rep.images.items()]
+    return out + [(f"relator[{i}]", *compare(left_fold(rep, r), eye)) for i, r in enumerate(relators)]
 
 
 class TestStackedEvaluation:
@@ -1209,7 +1214,7 @@ class TestStackedEvaluation:
         for w, perm, block in zip(words, perms, blocks):
             expected = left_fold(rep, w)
             assert np.array_equal(perm, expected.perm) and np.array_equal(block, expected.blocks)
-            single = rep.evaluate(w)
+            single = evaluate(rep, w)
             assert np.array_equal(single.perm, perm) and np.array_equal(single.blocks, block)
         # residuals and blocks bitwise equal to one compare per check
         checks = [(c.name, c.residual, c.block) for c in check_representation(rep).checks]
@@ -1237,7 +1242,7 @@ class TestStackedEvaluation:
         t_img, u_img = commuting_unitaries(rng, 2, 2)
         chiK = cyclic_subgroup_rep(inner, t_inner, t_img, u_img)
         chiH = induce_representation(inner, t_inner, chiK)
-        restricted = {x: chiH.evaluate(w) for x, w in zip(t_outer.alphabet, t_outer.defining_words)}
+        restricted = {x: evaluate(chiH, w) for x, w in zip(t_outer.alphabet, t_outer.defining_words)}
         chi1 = MatrixRep(presentation=t_outer, m=8, images=restricted)
         assert check_representation(chi1).passed
         label, sheet = "B1@1", 2  # the perturbed block, sheets from 0
