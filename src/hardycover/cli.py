@@ -6,28 +6,33 @@ annulus family), ``isometry`` (numerical isometry check).  Configs are
 checked once, at parse, each refusal naming its field: values, sampling
 (``isometry`` samples a power of two, at least ``2 degree + 2``) and size
 budgets for every mode; the ``chi1`` images of ``induce`` are checked and
-converted as one array, which the echoed config carries along with the
-parts given as ints.  Reports are deterministic given the config
-(``isometry``, the only mode that draws random numbers, takes its ``seed``
-from it, draws every trial as one coefficient array and leaves the
+converted as one array by ``matrices_from_json``, the JSON reader, which
+also records the parts given as ints.  Reports are deterministic given the
+config (``isometry``, the only mode that draws random numbers, takes its
+``seed`` from it, draws every trial as one coefficient array and leaves the
 convergence table's counts to ``verify_isometry``): the JSON emission is
 byte-stable, with wall-clock timing shown only in the text rendering.
 
-A report holds its checks as one ``CheckReport`` table, which each mode
-appends to.  The JSON report is one line, the text of ``json.dumps(doc,
-sort_keys=True)`` of ``Report.to_json_doc``, each image in ``doc`` standing
-for its dense ``nm x nm`` matrix as rows of ``[re, im]`` float pairs and the
-check table for its rows ``{name, passed, residual, tolerance}``.  Each
-emission makes one float table of the floats behind the images' blocks, the
-echoed ``chi1`` images and the check table's columns, and spells each
-distinct float once, by one ``json.dumps``; induce's images repeat chi1's
-entries, so that table is less than half as long as the floats written.
-``_json`` then writes each run of keys whose values hold none of these with
-one ``json.dumps``, and each image (``_dense_json``), the echo
-(``_echo_json``) and the check table (``_checks_json``, so no ``Check`` row
-is made) piece by piece from the table's spellings, into one list of pieces
-joined once.  An image is written only as a dict's value; ``python -m
-json.tool`` indents the report.
+A report's matrices come in tables of one type, ``_Images``: a dict equal
+to the labels -> images mapping that carries the stack the images are
+written from.  The echoed ``chi1.images`` is one (the config as given, over
+the parse-time array), and so are the ``images`` of the ``induced`` extra
+(``chi2``'s images, over rows ``1..G`` of its table).  A report holds its
+checks as one ``CheckReport`` table, which each mode appends to.
+
+The JSON report is one line, the text of ``json.dumps(doc, sort_keys=True)``
+of ``Report.to_json_doc``, each image in ``doc`` standing for its dense ``nm
+x nm`` matrix as rows of ``[re, im]`` float pairs and the check table for
+its rows ``{name, passed, residual, tolerance}``.  Each emission makes one
+float table of the floats behind every ``_Images`` stack and the check
+table's columns, and spells each distinct float once, by one
+``json.dumps``; induce's images repeat chi1's entries, so that table is
+less than half as long as the floats written.  ``_json`` then writes each
+run of keys whose values hold none of these with one ``json.dumps``, each
+table of images (``_images_json``) and the check table (``_checks_json``,
+so no ``Check`` row is made) piece by piece from the table's spellings,
+into one list of pieces joined once.  A table is written only as a dict's
+value; ``python -m json.tool`` indents the report.
 """
 
 from __future__ import annotations
@@ -37,10 +42,12 @@ import json
 import math
 import sys
 import time
+from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby
 from json.encoder import encode_basestring_ascii
-from typing import Any, Callable, Iterable, Iterator
+from numbers import Real
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -50,15 +57,12 @@ from .cyclic import annulus_pipeline
 from .groups import double_group, presentation_to_json, surface_group
 from .hardy import make_annulus_cover, verify_isometry
 from .induction import (
-    BlockMonomial,
     Check,
     CheckReport,
     MatrixRep,
     SignatureData,
     check_representation,
     induce_representation,
-    matrices_from_json,
-    rep_to_json,
 )
 
 __all__ = ["RunConfig", "Report", "parse_config", "run_pipeline", "emit_report", "main"]
@@ -76,12 +80,20 @@ _object = lambda v: isinstance(v, dict)
 _signs = lambda v: isinstance(v, list) and len(v) == 2 and all(_int(x) and x in (1, -1) for x in v)
 
 
-class _EchoedImages(dict):
-    """``chi1.images`` as the config gave them, with what parse made of them: ``array``, one
-    ``(G, m, m)`` array in the config's label order, and ``ints``, each part given as an int by its
-    index in the array's float view."""
+class _Images(dict):
+    """A report's matrices: a dict equal to the labels -> images mapping, with the stack they are written from.
 
-    __slots__ = ("array", "ints")
+    ``perms`` ``(G, n)`` and ``blocks`` ``(G, n, m, m)`` hold the images in
+    the dict's order, each the ``nm x nm`` matrix whose block row ``k`` holds
+    ``blocks[g, k]`` in block column ``perms[g, k]``; ``ints`` holds each
+    part given as an int, by its index in the blocks' float view.
+    """
+
+    __slots__ = ("perms", "blocks", "ints")
+
+    def __init__(self, images, perms: np.ndarray, blocks: np.ndarray, ints: dict[int, int] | None = None):
+        super().__init__(images)
+        self.perms, self.blocks, self.ints = perms, blocks, ints or {}
 
 
 @dataclass(frozen=True)
@@ -92,7 +104,7 @@ class RunConfig:
     @property
     def chi1_images(self) -> np.ndarray:
         """induce: chi1.images as converted at parse, one (G, m, m) array in the config's label order."""
-        return self.params["chi1"]["images"].array
+        return self.params["chi1"]["images"].blocks[:, 0]
 
     def echo(self) -> dict:
         return {"mode": self.mode, **self.params}
@@ -225,8 +237,59 @@ def _check_induce(p: dict) -> None:
                 f"invalid value for field 'covering.perms.{gen}': {images!r} is not a list of ints"
             )
     names = [f"chi1.images.{label}" for label in chi1["images"]]
-    images = p["chi1"]["images"] = _EchoedImages(chi1["images"])
-    images.array, images.ints = matrices_from_json(list(images.values()), (m, m), names)
+    array, ints = matrices_from_json(list(chi1["images"].values()), (m, m), names)
+    # the echo: the images as given, each over one sheet
+    p["chi1"]["images"] = _Images(chi1["images"], np.zeros((len(array), 1), np.intp), array[:, None], ints)
+
+
+_list_of = lambda value, size: type(value) in (list, tuple) and len(value) == size
+
+
+def flatten_levels(items: Sequence, sizes: Sequence[int]) -> list | None:
+    """The values ``len(sizes)`` levels below ``items``, in order, as one list.
+
+    Each level is checked and flattened as a whole: its items must all be
+    lists or tuples of the level's size, else the result is None.
+    """
+    for size in sizes:
+        if not {*map(type, items)} <= {list, tuple} or {*map(len, items)} - {size}:
+            return None
+        items = [*chain.from_iterable(items)]
+    return items
+
+
+def matrices_from_json(
+    mats: Sequence, shape: tuple[int, int], names: Sequence[str]
+) -> tuple[np.ndarray, dict[int, int]]:
+    """``mats``, each a ``shape`` list of rows of ``[re, im]`` pairs, as one ``(G, *shape)`` complex array.
+
+    One array step checks and converts them all: each part an int or float (not a bool), finite as a
+    float, read through a float view that keeps signs of zero.  Only if it refuses are the matrices
+    scanned, to name the first one refused, ``names[g]``, or for a pair not finite its entry ``names[g][i][j]``.
+    Also returned: each part given as an int, by its index in the array's float view.
+    """
+    rows, cols = shape
+    parts = flatten_levels(mats, (rows, cols, 2))  # matrices, then rows, then entries
+    types = set() if parts is None else {*map(type, parts)}
+    if parts is not None and all(issubclass(t, Real) and not issubclass(t, bool) for t in types):
+        with suppress(OverflowError):  # from an int too large for a float, named below
+            values = np.array(parts, dtype=float)
+            if np.isfinite(values).all():
+                ints = {i: v for i, v in enumerate(parts) if isinstance(v, int)} if types - {float} else {}
+                return values.view(complex).reshape(len(mats), rows, cols), ints
+    for name, mat in zip(names, mats):
+        matrix = f"invalid value for field '{name}': {mat!r} is not an {rows}x{cols} list of [re, im] pairs"
+        if not (_list_of(mat, rows) and all(_list_of(row, cols) for row in mat)):
+            raise ValueError(matrix)
+        for i, row in enumerate(mat):
+            for j, x in enumerate(row):
+                if not (_list_of(x, 2) and all(isinstance(v, Real) and not isinstance(v, bool) for v in x)):
+                    raise ValueError(matrix)
+                with suppress(OverflowError):
+                    if all(map(math.isfinite, x)):
+                        continue
+                raise ValueError(f"invalid value for field '{name}[{i}][{j}]': {x!r} is not finite as a float")
+    raise AssertionError("matrices refused by the array step but not by the scan")
 
 
 def parse_config(text: str) -> RunConfig:
@@ -271,8 +334,9 @@ class Report:
     def to_json_doc(self) -> dict:
         """The run-stable document (no timing) that the JSON report writes.
 
-        An image stands for its dense matrix, and the check table for its
-        rows, each the dict ``{name, passed, residual, tolerance}``.
+        A table of images stands for its dict of dense matrices, and the
+        check table for its rows, each the dict ``{name, passed, residual,
+        tolerance}``.
         """
         return {
             "config": self.config,
@@ -325,7 +389,8 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
     report.table += check_representation(chi1).prefixed("chi1:")
     chi2 = induce_representation(cov, trans, chi1)
     report.table += check_representation(chi2).prefixed("chi2:")
-    report.extras["induced"] = rep_to_json(chi2, cov)
+    perms, blocks = (array[1 : len(chi2.images) + 1] for array in chi2._table)  # the images, in alphabet order
+    report.extras["induced"] = {"images": _Images(chi2.images, perms, blocks), "m": p["chi1"]["m"], "n": cov.n}
     report.extras["transversal"], generators = map(list, trans.word_strings)
     report.extras["schreier_generators"] = dict(zip(trans.alphabet, generators))
 
@@ -431,48 +496,36 @@ def run_pipeline(cfg: RunConfig) -> Report:
     return report
 
 
-def _dense_json(mat: BlockMonomial, spelled: np.ndarray, out: list[str]) -> None:
-    """Append ``json.dumps`` of ``mat.dense()`` as rows of ``[re, im]`` float pairs, written from the blocks.
+def _images_json(images: _Images, spelled: np.ndarray, out: list[str]) -> None:
+    """Append ``json.dumps(images, sort_keys=True)``, each image as its dense matrix's rows of ``[re, im]`` pairs.
 
-    Block row by block row, each row is its block's ``m`` pairs, ``spelled``
-    in the blocks' order, between the runs of the constant ``[0.0, 0.0]`` off
-    the block.
+    Written from the stack, in sorted-label order, block row by block row:
+    each row is its block's ``m`` pairs, ``spelled`` in the blocks' order,
+    between the runs of the constant ``[0.0, 0.0]`` off the block, made once
+    per table.  A part given as an int is written as given, over its
+    spelling in this value's slice of the table.
     """
-    n, m = mat.n, mat.m
-    if not n * m:
-        return out.append("[]")
-    runs = [(f"[{'[0.0, 0.0], ' * (c * m)}[", f"]{', [0.0, 0.0]' * ((n - 1 - c) * m)}]") for c in range(n)]
-    before, after = np.array(runs, dtype=object)[np.repeat(mat.perm, m)].T
-    # per row: the run before, then each part and the separator after it, the run after and ", "
-    pieces = np.empty((n * m, 4 * m + 2), dtype=object)
-    pieces[:, 0], pieces[:, 1:-2:2], pieces[:, -2], pieces[:, -1] = before, spelled.reshape(n * m, 2 * m), after, ", "
-    pieces[:, 2:-2:4], pieces[:, 4:-2:4], pieces[-1, -1] = ", ", "], [", "]"
-    out.append("[")
-    out += pieces.ravel().tolist()
-
-
-def _echo_json(images: _EchoedImages, spelled: np.ndarray, out: list[str]) -> None:
-    """Append ``json.dumps(images, sort_keys=True)``: each image's rows of ``[re, im]`` pairs.
-
-    A part is ``spelled`` in the array's order, or as given if the config
-    gave an int, written over its spelling in this value's slice of the table.
-    """
-    if not images:
+    g, n, m, _ = images.blocks.shape
+    if not g:
         return out.append("{}")
-    g, m, _ = images.array.shape
     for index, value in images.ints.items():
         spelled[index] = repr(value)
     labels = list(images)
     order = sorted(range(g), key=labels.__getitem__)
-    # after each part of an image: within a pair, between pairs, between rows, at its end
-    after = [", ", "], ["] * (m * m)
-    after[2 * m - 1 :: 2 * m] = ["]], [["] * m
-    after[-1] = "]]]"
-    pieces = np.empty((g, 4 * m * m + 1), dtype=object)
-    pieces[:, 0] = [f"{', ' if i else '{'}{encode_basestring_ascii(labels[k])}: [[[" for i, k in enumerate(order)]
-    pieces[:, 1::2], pieces[:, 2::2] = spelled.reshape(g, 2 * m * m)[order], after
+    # by block column: what comes before a row, ", " first unless it is its image's first, and after it
+    runs = [("[0.0, 0.0], " * (c * m), ", [0.0, 0.0]" * ((n - 1 - c) * m)) for c in range(n)]
+    before = np.array([[f"{sep}[{left}[" for left, _ in runs] for sep in ("", ", ")], dtype=object)
+    after = np.array([f"]{right}]" for _, right in runs], dtype=object)
+    columns = np.repeat(images.perms[order], m, axis=1)
+    # per image: its label, then per row the run before, each part and the separator after it, the last
+    # one the run after
+    pieces = np.empty((g, 1 + n * m * (4 * m + 1)), dtype=object)
+    pieces[:, 0] = [f"{'], ' if i else '{'}{encode_basestring_ascii(labels[k])}: [" for i, k in enumerate(order)]
+    rows = pieces[:, 1:].reshape(g, n * m, 4 * m + 1)
+    rows[..., 0], rows[..., -1] = before[np.minimum(np.arange(n * m), 1), columns], after[columns]
+    rows[..., 1::2], rows[..., 2:-1:4], rows[..., 4:-1:4] = spelled.reshape(g, n * m, 2 * m)[order], ", ", "], ["
     out += pieces.ravel().tolist()
-    out.append("}")
+    out.append("]}")
 
 
 def _checks_json(table: CheckReport, spelled: np.ndarray, out: list[str]) -> None:
@@ -497,24 +550,23 @@ def _checks_json(table: CheckReport, spelled: np.ndarray, out: list[str]) -> Non
 
 # the values written by a writer of their own: type -> (the floats it spells, in its order; the writer)
 _WRITERS: dict[type, tuple[Callable[[Any], np.ndarray], Callable[[Any, np.ndarray, list[str]], None]]] = {
-    BlockMonomial: (lambda mat: np.ascontiguousarray(mat.blocks).view(float).ravel(), _dense_json),
-    _EchoedImages: (lambda images: images.array.view(float).ravel(), _echo_json),
+    _Images: (lambda images: images.blocks.view(float).reshape(-1), _images_json),
     CheckReport: (lambda table: np.concatenate([table.residuals, table.tolerances]), _checks_json),
 }
 
 
-def _held(value: Any) -> Iterator:
-    """The values with a writer of their own in a string-keyed document: ``value`` or a dict's value, at any depth."""
-    if type(value) in _WRITERS:
-        yield value
-    elif type(value) is dict:
-        for item in value.values():
-            yield from _held(item)
+def _held(doc: dict) -> Iterator:
+    """The values with a writer of their own in a string-keyed document: its values, at any depth of dicts."""
+    for value in doc.values():
+        if type(value) in _WRITERS:
+            yield value
+        elif type(value) is dict:
+            yield from _held(value)
 
 
 def _written(value: Any) -> bool:
     """Whether ``value`` has a writer of its own, or is a dict that holds one at any depth."""
-    return next(_held(value), None) is not None
+    return type(value) in _WRITERS or type(value) is dict and next(_held(value), None) is not None
 
 
 def _spellings(values: Iterable) -> dict[int, np.ndarray]:
@@ -533,15 +585,12 @@ def _spellings(values: Iterable) -> dict[int, np.ndarray]:
 
 
 def _json(value: Any, out: list[str], spelled: dict[int, np.ndarray]) -> None:
-    """Append ``json.dumps(value, sort_keys=True)`` of a string-keyed document, each image as its dense matrix.
+    """Append ``json.dumps(value, sort_keys=True)`` of a value that has a writer of its own or holds one.
 
-    A subtree without a value that has a writer of its own is one call of
-    the C encoder; a dict that holds one is joined in key order, each run of
-    keys whose values hold none written by one call, and a value with a
-    writer of its own by that writer, from its floats as ``spelled``.
+    Such a value is written by its writer, from its floats as ``spelled``;
+    a dict that holds one is joined in key order, each run of keys whose
+    values hold none written by one call of the C encoder.
     """
-    if not _written(value):
-        return out.append(json.dumps(value, sort_keys=True))
     if type(value) in _WRITERS:
         return _WRITERS[type(value)][1](value, spelled[id(value)], out)
     for i, (own, keys) in enumerate(groupby(sorted(value), lambda key: _written(value[key]))):
@@ -560,6 +609,7 @@ def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> s
 
     The JSON report is one line, ``json.dumps(report.to_json_doc(),
     sort_keys=True)`` with each image as its dense matrix, then a newline.
+    The document always holds the check table, so ``_json`` can write it.
     """
     if fmt == "json":
         doc, chunks = report.to_json_doc(), []

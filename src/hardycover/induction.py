@@ -41,12 +41,9 @@ only when read.
 
 from __future__ import annotations
 
-import math
-from contextlib import suppress
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, zip_longest
-from numbers import Real
+from itertools import zip_longest
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -76,8 +73,6 @@ __all__ = [
     "build_J2_diagonal",
     "pairing_signature_matrices",
     "verify_symmetry_conditions",
-    "rep_to_json",
-    "matrices_from_json",
 ]
 
 # Identities that hold by construction are checked to 1e-12.
@@ -750,73 +745,3 @@ def verify_symmetry_conditions(
     names += [f"{check}[{comp}]" for comp in range(k) for check in signatures]
     names += [f"monodromy-transport[{comp},{label}]" for comp in range(k) for label in p.alphabet]
     return _checks(names, comparisons, order)
-
-
-_list_of = lambda value, size: type(value) in (list, tuple) and len(value) == size
-
-
-def flatten_levels(items: Sequence, sizes: Sequence[int]) -> list | None:
-    """The values ``len(sizes)`` levels below ``items``, in order, as one list.
-
-    Each level is checked and flattened as a whole: its items must all be
-    lists or tuples of the level's size, else the result is None.
-    """
-    for size in sizes:
-        if not {*map(type, items)} <= {list, tuple} or {*map(len, items)} - {size}:
-            return None
-        items = [*chain.from_iterable(items)]
-    return items
-
-
-def matrices_from_json(
-    mats: Sequence, shape: tuple[int, int], names: Sequence[str]
-) -> tuple[np.ndarray, dict[int, int]]:
-    """``mats``, each a ``shape`` list of rows of ``[re, im]`` pairs, as one ``(G, *shape)`` complex array.
-
-    One array step checks and converts them all: each part an int or float (not a bool), finite as a
-    float, read through a float view that keeps signs of zero.  Only if it refuses are the matrices
-    scanned, to name the first one refused, ``names[g]``, or for a pair not finite its entry ``names[g][i][j]``.
-    Also returned: each part given as an int, by its index in the array's float view.
-    """
-    rows, cols = shape
-    parts = flatten_levels(mats, (rows, cols, 2))  # matrices, then rows, then entries
-    types = set() if parts is None else {*map(type, parts)}
-    if parts is not None and all(issubclass(t, Real) and not issubclass(t, bool) for t in types):
-        with suppress(OverflowError):  # from an int too large for a float, named below
-            values = np.array(parts, dtype=float)
-            if np.isfinite(values).all():
-                ints = {i: v for i, v in enumerate(parts) if isinstance(v, int)} if types - {float} else {}
-                return values.view(complex).reshape(len(mats), rows, cols), ints
-    for name, mat in zip(names, mats):
-        matrix = f"invalid value for field '{name}': {mat!r} is not an {rows}x{cols} list of [re, im] pairs"
-        if not (_list_of(mat, rows) and all(_list_of(row, cols) for row in mat)):
-            raise ValueError(matrix)
-        for i, row in enumerate(mat):
-            for j, x in enumerate(row):
-                if not (_list_of(x, 2) and all(isinstance(v, Real) and not isinstance(v, bool) for v in x)):
-                    raise ValueError(matrix)
-                with suppress(OverflowError):
-                    if all(map(math.isfinite, x)):
-                        continue
-                raise ValueError(f"invalid value for field '{name}[{i}][{j}]': {x!r} is not finite as a float")
-    raise AssertionError("matrices refused by the array step but not by the scan")
-
-
-def rep_to_json(rep: MatrixRep, covering: CoveringAction) -> dict:
-    """The block form of ``rep``, induced along ``covering``: images left as block-monomials.
-
-    It has the block rank ``m``, the sheet count ``n`` and, per generator,
-    ``block_structure``: the pairs ``[k, sigma_g(k)]``, k = 1..n, of the
-    nonzero blocks, read from the covering's sheet permutations.
-    """
-    if rep.presentation is not covering.presentation or rep.m % covering.n:
-        raise ValueError("representation was not induced along this covering")
-    return {
-        "m": rep.m // covering.n,
-        "images": dict(rep.images),
-        "n": covering.n,
-        "block_structure": {
-            lbl: [[k, j] for k, j in enumerate(perm, start=1)]
-            for lbl, perm in zip(covering.presentation.alphabet, covering.perms)
-        },
-    }

@@ -31,7 +31,7 @@ from hardycover.cli import (
     parse_config,
     run_pipeline,
 )
-from hardycover.induction import BlockMonomial, Check, CheckReport, rep_to_json
+from hardycover.induction import BlockMonomial, Check, CheckReport
 
 from helpers import compare, identity, matrix_to_json, random_induce_config, reference_isometry_report
 
@@ -396,8 +396,9 @@ class TestInduceMode:
         report = run_pipeline(parse_config(json.dumps(self.torus_config())))
         assert report.passed
         induced = report.extras["induced"]
-        assert induced["n"] == 3
-        assert induced["block_structure"]["A1"] == [[1, 2], [2, 3], [3, 1]]
+        assert sorted(induced) == ["images", "m", "n"] and (induced["n"], induced["m"]) == (3, 1)
+        # block row k of chi2(A1) holds its block in column sigma_A1(k): 1 -> 2 -> 3 -> 1
+        assert induced["images"]["A1"].perm.tolist() == [1, 2, 0]
         assert report.extras["transversal"] == ["1", "A1", "A1 A1"]
 
     def test_inconsistent_chi1_names_relator(self):
@@ -450,19 +451,27 @@ class TestInduceMode:
 
         counted(induction.BlockMonomial)
         counted(groups.Word)
+        # each table of images is written whole: one call for the echoed chi1, one for chi2's images
+        floats, writer = cli._WRITERS[cli._Images]
+        tables = []
+        counting = lambda images, *args: tables.append(images) or writer(images, *args)
+        monkeypatch.setitem(cli._WRITERS, cli._Images, (floats, counting))
         seen = []
         for n in (16, 64):
             config = random_induce_config(seed=5, n=n)
             cfg = parse_config(json.dumps(config))
             counts.update(BlockMonomial=0, Word=0)
+            tables.clear()
             report = run_pipeline(cfg)
             emit_report(report, fmt="json")
             assert report.passed
+            echo, induced = report.config["chi1"]["images"], report.extras["induced"]["images"]
+            assert len(tables) == 2 and tables[0] is echo and tables[1] is induced
             seen.append((len(config["chi1"]["images"]), dict(counts)))
         (small, few), (large, many) = seen
         assert large >= 190 > small
-        # chi1 is stacked with no BlockMonomial per image, and the extras are written with no Word
-        assert few == many and many["BlockMonomial"] <= 2 and many["Word"] <= 2
+        # chi1 and chi2 are stacked and written with no BlockMonomial made, and the extras with no Word
+        assert few == many and many["BlockMonomial"] == 0 and many["Word"] <= 2
 
     def test_invalid_covering_reported_not_raised(self):
         cfg_doc = self.torus_config()
@@ -717,8 +726,17 @@ ARRAY_NUMBERS = REPORTED_FLOATS | st.integers(2**53 + 1, 2**80) | st.integers(-(
 ESCAPED_KEYS = ['a"b', "back\\slash", "caf\u00e9", "\u2603", "tab\tnew\nline", "", "A1@3"]
 
 
-# one image: sheet 0 holds its block in column 1, sheet 1 in column 0
+def images_table(images):
+    """A dict of block-monomials of one block shape as a report's table of images."""
+    mats = list(images.values())
+    n, m = (mats[0].n, mats[0].m) if mats else (0, 0)
+    perms = np.array([mat.perm for mat in mats], dtype=np.intp).reshape(len(mats), n)
+    return cli._Images(images, perms, np.array([mat.blocks for mat in mats], dtype=complex).reshape(len(mats), n, m, m))
+
+
+# one image: sheet 0 holds its block in column 1, sheet 1 in column 0; and a table of it alone
 IMAGE = BlockMonomial(np.array([1, 0]), (np.arange(8.0) - 0.5j).reshape(2, 2, 2))
+IMAGES = images_table({"I": IMAGE})
 ARRAY_SHAPES = st.integers(1, 4).flatmap(lambda depth: st.lists(st.integers(1, 3), min_size=depth, max_size=depth))
 
 
@@ -836,7 +854,8 @@ class TestJsonWriter:
         if report.passed:
             chi2, cov = induced_along(config)
             dense = lambda mat: matrix_to_json(mat.dense())
-            expected = json.dumps(rep_to_json(chi2, cov), sort_keys=True, default=dense)
+            induced = {"images": dict(chi2.images), "m": config["chi1"]["m"], "n": cov.n}
+            expected = json.dumps(induced, sort_keys=True, default=dense)
             assert json.dumps(json.loads(text)["extras"]["induced"], sort_keys=True) == expected
         else:
             assert "induced" not in report.extras
@@ -861,24 +880,45 @@ class TestJsonWriter:
         assert not report.passed and np.isnan(report.table.residuals).any() and np.isinf(report.table.residuals).any()
         assert '"residual": NaN' in text and '"residual": Infinity' in text
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(data=st.data())
     def test_drawn_block_monomials(self, data):
-        n, m = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
-        perm = data.draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
-        parts = data.draw(st.lists(REPORTED_FLOATS, min_size=2 * n * m * m, max_size=2 * n * m * m))
-        mat = BlockMonomial(np.array(perm), np.array(parts).view(complex).reshape(n, m, m))
-        # -0.0 survives in the complex blocks, in either part
-        assert np.signbit(mat.blocks.view(float)).ravel().tolist() == np.signbit(parts).tolist()
-        report = Report(config={"mode": "induce"}, extras={"images": {"X": mat, "nested": {"Y": mat}}})
+        # a table of g images over n sheets of rank m, under escaped labels in any order; each image is
+        # its block-monomial, or if it has a part given as an int, its dense matrix as given
+        g, n, m = data.draw(st.integers(0, 4)), data.draw(st.integers(0, 4)), data.draw(st.integers(0, 3))
+        keys = st.sampled_from(ESCAPED_KEYS) | st.text(max_size=4)
+        labels = data.draw(st.lists(keys, min_size=g, max_size=g, unique=True))
+        perms = np.array([data.draw(st.permutations(range(n))) for _ in labels], dtype=np.intp).reshape(g, n)
+        size = 2 * n * m * m  # parts per image
+        parts = data.draw(st.lists(ARRAY_NUMBERS | st.integers(-2, 2), min_size=g * size, max_size=g * size))
+        blocks = np.array(parts, dtype=float).view(complex).reshape(g, n, m, m)
+        ints = {i: v for i, v in enumerate(parts) if type(v) is int}
+        images = {}
+        for i, label in enumerate(labels):
+            own = parts[i * size : (i + 1) * size]
+            if any(type(v) is int for v in own):
+                dense = [[[0.0, 0.0] for _ in range(n * m)] for _ in range(n * m)]
+                for at, (k, r, c) in enumerate(np.ndindex(n, m, m)):
+                    dense[k * m + r][perms[i, k] * m + c] = own[2 * at : 2 * at + 2]
+                images[label] = dense
+            else:
+                images[label] = BlockMonomial(perms[i], blocks[i])
+                # -0.0 survives in the complex blocks, in either part
+                assert np.signbit(images[label].blocks.view(float)).ravel().tolist() == np.signbit(own).tolist()
+        table = cli._Images(images, perms, blocks, ints)
+        report = Report(config={"mode": "induce"}, extras={"images": table, "nested": {"Y": table}})
         assert emit_report(report, fmt="json") == dense_dumps(report)
 
     def test_images_without_entries(self):
-        # no sheets, and sheets of rank 0: both are the empty matrix
+        # no sheets, and sheets of rank 0: both are the empty matrix; and a table without images
         for mat in (BlockMonomial(np.zeros(0), np.zeros((0, 0, 0))), BlockMonomial(np.zeros(3), np.zeros((3, 0, 0)))):
-            report = Report(config={"mode": "induce"}, extras={"images": {"X": mat, "nested": {"Y": mat}}})
+            table = images_table({"X": mat, "Y": mat})
+            report = Report(config={"mode": "induce"}, extras={"images": table, "nested": {"Y": table}})
             assert emit_report(report, fmt="json") == dense_dumps(report)
-            assert '"X": []' in emit_report(report, fmt="json")
+            assert '"images": {"X": [], "Y": []}' in emit_report(report, fmt="json")
+        report = Report(config={"mode": "induce"}, extras={"images": images_table({}), "nested": {}})
+        assert emit_report(report, fmt="json") == dense_dumps(report)
+        assert '"extras": {"images": {}, "nested": {}}' in emit_report(report, fmt="json")
 
     @settings(max_examples=60, deadline=None)
     @given(doc=JSON_DOCUMENTS)
@@ -891,7 +931,7 @@ class TestJsonWriter:
     def test_drawn_arrays_written_whole(self, data):
         # next to an image, so the array is written by a call of its own
         array = data.draw(arrays_of(data.draw(ARRAY_SHAPES)))
-        report = Report(config={"mode": "group"}, extras={"array": array, "nested": {"deeper": [array]}, "X": IMAGE})
+        report = Report(config={"mode": "group"}, extras={"array": array, "nested": {"deeper": [array]}, "X": IMAGES})
         assert emit_report(report, fmt="json") == dense_dumps(report)
 
     @settings(max_examples=60, deadline=None)
@@ -900,16 +940,17 @@ class TestJsonWriter:
         shape = data.draw(ARRAY_SHAPES.filter(lambda shape: len(shape) < 4))
         keys = data.draw(st.lists(st.sampled_from(ESCAPED_KEYS) | st.text(max_size=4), min_size=1, unique=True))
         arrays = {key: data.draw(arrays_of(shape)) for key in keys}
-        images = {key: IMAGE for key in keys}
+        images = images_table({key: IMAGE for key in keys})
         report = Report(config={"mode": "group", "images": arrays}, extras={"list": [arrays, arrays], "images": images})
         assert emit_report(report, fmt="json") == dense_dumps(report)
 
     def test_escaped_keys_written_whole(self):
         arrays = {key: [[i, -0.0], [float("nan"), 1e16]] for i, key in enumerate(ESCAPED_KEYS)}
-        report = Report(config={"mode": "group"}, extras={"arrays": arrays, "images": dict.fromkeys(ESCAPED_KEYS, IMAGE)})
+        images = images_table(dict.fromkeys(ESCAPED_KEYS, IMAGE))
+        report = Report(config={"mode": "group"}, extras={"arrays": arrays, "images": images})
         text = emit_report(report, fmt="json")
         assert text == dense_dumps(report)
-        # the keys of a dict of images are joined one by one
+        # the labels of a table of images are written one by one
         assert '"tab\\tnew\\nline": [[[0.0, 0.0], [0.0, 0.0], [0.0, -0.5]' in text and '"caf\\u00e9": [[' in text
 
     @pytest.mark.parametrize(
@@ -941,7 +982,7 @@ class TestJsonWriter:
         ],
     )
     def test_other_content_takes_the_generic_path(self, value):
-        for extras in ({"value": value}, {"value": value, "X": IMAGE}, {"value": {"in": value, "X": IMAGE}}):
+        for extras in ({"value": value}, {"value": value, "X": IMAGES}, {"value": {"in": value, "X": IMAGES}}):
             report = Report(config={"mode": "group"}, extras={**extras, "empty": [], "empty_dict": {}})
             assert emit_report(report, fmt="json") == dense_dumps(report)
 
@@ -949,12 +990,19 @@ class TestJsonWriter:
         for bad in ({1, 2}, b"bytes", object()):
             with pytest.raises(TypeError) as by_json:
                 json.dumps(bad)
-            for extras in ({"X": IMAGE, "bad": bad}, {"X": {"Y": IMAGE, "bad": [bad]}}, {"bad": [bad]}):
+            for extras in ({"X": IMAGES, "bad": bad}, {"X": {"Y": IMAGES, "bad": [bad]}}, {"bad": [bad]}):
                 with pytest.raises(TypeError, match=f"^{by_json.value}$"):
                     emit_report(Report(config={"mode": "group"}, extras=extras), fmt="json")
-        # an image is written only as a dict's value: in a list it is refused like any other unknown type
-        for extras in ({"X": [IMAGE]}, {"X": IMAGE, "list": [[IMAGE]]}, {"table": [CheckReport.rows([])]}):
+        # a table is written only as a dict's value: in a list json takes it for a plain dict and refuses
+        # its block-monomials, and a check table like any other unknown type
+        for extras in ({"X": [IMAGES]}, {"X": IMAGES, "list": [[IMAGES]]}, {"table": [CheckReport.rows([])]}):
             with pytest.raises(TypeError, match=r"^Object of type \w+ is not JSON serializable$"):
+                emit_report(Report(config={"mode": "group"}, extras=extras), fmt="json")
+        # an image is written only in a table: a bare block-monomial has no writer of its own
+        with pytest.raises(TypeError) as by_json:
+            json.dumps(IMAGE)
+        for extras in ({"X": IMAGE}, {"X": {"Y": IMAGE}}, {"X": IMAGES, "Y": IMAGE}, {"X": {"I": IMAGES, "Y": IMAGE}}):
+            with pytest.raises(TypeError, match=f"^{by_json.value}$"):
                 emit_report(Report(config={"mode": "group"}, extras=extras), fmt="json")
 
     @settings(max_examples=80, deadline=None)
@@ -976,7 +1024,7 @@ class TestJsonWriter:
         table = CheckReport(column(CHECK_NAMES), column(pool | st.sampled_from([float("nan"), float("inf")])),
                             column(pool), np.ones((k, 2)))
         report = Report(config=parse_config(json.dumps(config)).echo(), table=table,
-                        extras={"images": {"X": image, "Y": image}})
+                        extras={"images": images_table({"X": image, "Y": image})})
         text = emit_report(report, fmt="json")
         assert text == dense_dumps(report)
         echo = json.dumps(json.loads(text)["config"]["chi1"], sort_keys=True)

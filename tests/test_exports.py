@@ -25,7 +25,7 @@ EXPORTS = {
     "induction": [
         "TOL_EXACT", "BlockMonomial", "Check", "CheckReport", "MatrixRep", "SignatureData", "ExtensionError",
         "check_representation", "extend_to_double", "induce_representation", "build_G2", "build_J2_diagonal",
-        "pairing_signature_matrices", "verify_symmetry_conditions", "rep_to_json", "matrices_from_json",
+        "pairing_signature_matrices", "verify_symmetry_conditions",
     ],
     "cyclic": [
         "cyclic_cover", "annulus_surface_rep", "annulus_double_rep", "boundary_subgroup_rep", "CyclicPipeline",
@@ -46,11 +46,14 @@ def test_exported_names_are_pinned(layer):
 
 
 def test_options_no_caller_sets_stay_gone():
-    from hardycover import BoundarySection, Check, CheckReport, Transversal, induction, pushforward_section
+    from hardycover import BoundarySection, Check, CheckReport, Transversal, cli, induction, pushforward_section
 
     parameters = lambda f: list(inspect.signature(f).parameters)
-    assert parameters(induction.rep_to_json) == ["rep", "covering"]
-    assert parameters(induction.matrices_from_json) == ["mats", "shape", "names"]
+    # the JSON reader sits beside the writer; the algebra layer builds no JSON
+    assert parameters(cli.matrices_from_json) == ["mats", "shape", "names"]
+    assert not hasattr(induction, "matrices_from_json") and not hasattr(induction, "rep_to_json")
+    # a report's values with a writer of their own: one table of images type, one check table type
+    assert list(cli._WRITERS) == [cli._Images, CheckReport]
     assert parameters(pushforward_section) == ["cov", "spec", "component", "n_samples"]
     assert [f.name for f in dataclasses.fields(BoundarySection)] == ["component", "radius", "samples"]
     assert not hasattr(Transversal, "edge_to_generator") and not hasattr(CheckReport, "to_json")

@@ -42,8 +42,8 @@ from hardycover import (
 )
 from hardycover.covering import expand_schreier_word
 from hardycover.cyclic import annulus_double_rep
-from hardycover import induction
-from hardycover.induction import Check, rep_to_json
+from hardycover import cli, induction
+from hardycover.induction import Check
 
 from helpers import (
     GENUS_THREE,
@@ -480,9 +480,9 @@ class TestInduceRepresentation:
         chi2 = induce_representation(cov, trans, cyclic_subgroup_rep(cov, trans, t_img, u_img))
         n = cov.n
         m = chi2.m // n
-        doc = rep_to_json(chi2, cov)
         for label in ("A1", "B1"):
-            structure = tuple(tuple(pair) for pair in doc["block_structure"][label])
+            # block row k holds its block in column sigma_g(k), both from 1
+            structure = tuple((k + 1, j + 1) for k, j in enumerate(chi2.images[label].perm.tolist()))
             perm = sigma(cov, TORUS.gen(label))
             assert structure == tuple((k, perm[k - 1]) for k in range(1, 6))
             # the nonzero blocks of the dense image are exactly the reported ones
@@ -852,22 +852,20 @@ class TestInductionInStages:
 
 class TestRepSerialization:
     def test_induced_rep_exports_blocks(self):
+        # the induce report's extra: the block rank, the sheet count and chi2's images as block-monomials
         cov = torus_cover(2)
         trans = schreier_transversal(cov)
-        chi1 = cyclic_subgroup_rep(cov, trans, np.eye(1), np.eye(1))
-        chi2 = induce_representation(cov, trans, chi1)
-        doc = rep_to_json(chi2, cov)
+        config = {
+            "mode": "induce", "s": 0, "k": 2,
+            "covering": {"n": 2, "perms": dict(zip(TORUS.alphabet, map(list, cov.perms)))},
+            "chi1": {"m": 1, "images": dict.fromkeys(trans.alphabet, [[[1.0, 0.0]]])},
+        }
+        report = cli.run_pipeline(cli.parse_config(json.dumps(config)))
+        doc = report.extras["induced"]
+        assert report.passed and sorted(doc) == ["images", "m", "n"]
         assert doc["m"] == 1 and doc["n"] == 2
-        assert doc["images"] == dict(chi2.images)  # the block-monomials themselves
-        assert doc["block_structure"]["A1"] == [[1, 2], [2, 1]]
-        assert doc["block_structure"]["B1"] == [[1, 1], [2, 2]]
-
-    def test_block_form_needs_the_inducing_covering(self):
-        cov = torus_cover(2)
-        trans = schreier_transversal(cov)
-        chi2 = induce_representation(cov, trans, cyclic_subgroup_rep(cov, trans, np.eye(1), np.eye(1)))
-        with pytest.raises(ValueError, match="not induced along"):
-            rep_to_json(chi2, torus_cover(3))
+        assert {label: image.perm.tolist() for label, image in doc["images"].items()} == {"A1": [1, 0], "B1": [0, 1]}
+        assert all((image.blocks == 1).all() for image in doc["images"].values())
 
     @pytest.mark.parametrize(
         "entry", [[True, False], [1.0, True], ["1", 0.0], [1.0], [1.0, 0.0, 0.0], 1.0, None]
@@ -875,7 +873,7 @@ class TestRepSerialization:
     def test_reader_rejects_entries_that_are_not_number_pairs(self, entry):
         # the matrix holding the entry is named
         with pytest.raises(ValueError, match=re.escape("field 'images.B1': [[") + ".* is not an 1x1 list of"):
-            induction.matrices_from_json([[[[1.0, 0.0]]], [[entry]]], (1, 1), ["images.A1", "images.B1"])
+            cli.matrices_from_json([[[[1.0, 0.0]]], [[entry]]], (1, 1), ["images.A1", "images.B1"])
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -896,7 +894,7 @@ class TestRepSerialization:
                 mats[refused][data.draw(st.integers(0, m - 1))][data.draw(st.integers(0, m - 1))] = bad
         names = [f"images.M{k}" for k in range(g)]
         if refused is None:
-            out, ints = induction.matrices_from_json(mats, (m, m), names)
+            out, ints = cli.matrices_from_json(mats, (m, m), names)
             expected = np.array([[[complex(*x) for x in row] for row in mat] for mat in mats], dtype=complex)
             # bit for bit, so -0.0 and every int's rounding count
             assert out.shape == (g, m, m)
@@ -905,10 +903,10 @@ class TestRepSerialization:
             assert ints == {i: v for i, v in enumerate(parts) if type(v) is int}
         else:
             with pytest.raises(ValueError, match=re.escape(f"field '{names[refused]}'")):
-                induction.matrices_from_json(mats, (m, m), names)
+                cli.matrices_from_json(mats, (m, m), names)
 
     def test_reader_accepts_integer_parts(self):
-        images, ints = induction.matrices_from_json([[[[0, 1]]], [[[-1, 0.0]]]], (1, 1), ["images.A1", "images.B1"])
+        images, ints = cli.matrices_from_json([[[[0, 1]]], [[[-1, 0.0]]]], (1, 1), ["images.A1", "images.B1"])
         assert images.tolist() == [[[1j]], [[-1]]]
         # each int part by its index in the float view, so that the config can be echoed as given
         assert ints == {0: 0, 1: 1, 2: -1}
