@@ -385,9 +385,11 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
     images = dict(zip(p["chi1"]["images"], cfg.chi1_images))
     chi1 = MatrixRep(presentation=trans, m=p["chi1"]["m"], images=images)
 
-    # the chi1 checks are reported even when induce_representation refuses chi1
-    report.table += check_representation(chi1).prefixed("chi1:")
-    chi2 = induce_representation(cov, trans, chi1)
+    try:
+        chi2 = induce_representation(cov, trans, chi1)
+    finally:
+        # chi1's checks, read off chi2's fold, are reported also when induce_representation refuses
+        report.table += check_representation(chi1).prefixed("chi1:")
     report.table += check_representation(chi2).prefixed("chi2:")
     perms, blocks = (array[1 : len(chi2.images) + 1] for array in chi2._table)  # the images, in alphabet order
     report.extras["induced"] = {"images": _Images(chi2.images, perms, blocks), "m": p["chi1"]["m"], "n": cov.n}

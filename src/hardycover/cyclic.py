@@ -32,14 +32,13 @@ from .induction import (
     CheckReport,
     MatrixRep,
     SignatureData,
-    _checks,
-    _stack,
+    _induce,
+    _symmetry_report,
+    _symmetry_words,
     build_G2,
     build_J2_diagonal,
     extend_to_double,
-    induce_representation,
     pairing_signature_matrices,
-    verify_symmetry_conditions,
 )
 
 __all__ = [
@@ -119,20 +118,23 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     Extends the boundary data to the torus double, induces up the cyclic
     cover, transports the pairing and signature matrices, and verifies every
     symmetry condition including agreement of the two signature routes.
+    Each representation is folded once: ``chi_X1`` over its checks and its
+    mirrored generators, ``chi2`` over its checks and the symmetry report's
+    words (``chi1``'s checks are read off that fold), and ``chi1`` over
+    ``G2``'s tree words.  The report is one table, the symmetry and route
+    rows of one ``_checks`` call.
     """
     cov = cyclic_cover(n)
     p = cov.presentation
     assert isinstance(p, DoubledPresentation)
     trans = schreier_transversal(cov)
-    chi_X1 = annulus_double_rep(sig.m, alpha, sig)
+    chi_X1 = extend_to_double(annulus_surface_rep(sig.m, alpha), sig, p)
     chi1 = boundary_subgroup_rep(cov, trans, chi_X1)
-    chi2 = induce_representation(cov, trans, chi1)
+    chi2, images = _induce(cov, trans, chi1, _symmetry_words(p))
     G2 = build_G2(cov, trans, chi1, sig.G)
     J2_diag = build_J2_diagonal(cov, sig)
     J2_pair = pairing_signature_matrices(chi2, G2, p)
-
-    routes = [f"signature-route-equality[{comp}]" for comp in range(p.k)]
-    report = verify_symmetry_conditions(chi2, G2, J2_diag, p) + _checks(routes, [(_stack(J2_diag), _stack(J2_pair))])
+    report = _symmetry_report(chi2, G2, J2_diag, p, images, J2_pair)
     return CyclicPipeline(
         covering=cov, transversal=trans, chi_X1=chi_X1, chi1=chi1, chi2=chi2,
         G2=G2, J2_diagonal=J2_diag, J2_pairing=J2_pair, report=report,

@@ -33,10 +33,17 @@ The three constructions here are the block formulas of the covering theory:
 All identities asserted by these constructions are re-verified numerically at
 build time rather than trusted, blockwise: a block off the sheet pattern still
 counts, and a check records the block where its largest residual sits.  A
-report is one ``CheckReport`` table, made by one ``_checks`` call from a list
-of stacked comparisons: their concatenated arrays are its columns, and
+report is one ``CheckReport`` table, made by one ``_checks`` call from the
+per-block residuals and columns that ``_compare`` makes of a list of stacked
+comparisons: each row's largest residual and its block are its columns, and
 ``_checks`` fills in the tolerance.  A ``Check`` is one of its rows, made
 only when read.
+
+A construction folds a representation's check rows once, with the words it
+reads: ``extend_to_double`` the double's mirrored generators, and in the
+cyclic pipeline ``induce_representation`` the symmetry report's words.
+``chi1``'s checks are regrouped from ``chi2``'s fold, not folded (see
+``induce_representation``).
 """
 
 from __future__ import annotations
@@ -53,7 +60,6 @@ from .groups import (
     DoubledPresentation,
     GroupPresentation,
     Word,
-    apply_involution,
     boundary_loop,
     mirror_monodromy,
 )
@@ -358,17 +364,33 @@ class MatrixRep:
         back = np.argsort(order)  # to the given order
         return perms[back], blocks[back]
 
+    def _checked(self, extra: np.ndarray) -> tuple[list[str], tuple, tuple[np.ndarray, np.ndarray]]:
+        """One fold of the check rows, then the code rows ``extra``: the checks' names and comparison, ``extra`` folded.
+
+        The check rows are ``chi(x) chi(x)^*``, an image then its adjoint, for
+        each generator, then the relators; a transversal's relators are the
+        code rows it rewrote them into, with no Word between.  The comparison
+        pairs their stack with the identity.
+        """
+        p, g = self.presentation, len(self.presentation.alphabet)
+        relators = p.relator_rows if isinstance(p, Transversal) else self._rows(p.relators)
+        count = g + len(relators)
+        rows = np.zeros((count + len(extra), max(relators.shape[1], extra.shape[1], 2)), dtype=np.intp)
+        rows[:g, :2], rows[g:count, : relators.shape[1]] = np.arange(1, g + 1)[:, None] * [1, -1], relators
+        rows[count:, : extra.shape[1]] = extra
+        perms, blocks = self._fold(rows)
+        check = (perms[:count], blocks[:count]), (self._table[0][0], self._table[1][0])
+        return _check_names(p.alphabet, len(relators)), check, (perms[count:], blocks[count:])
+
     @cached_property
     def _check_report(self) -> CheckReport:
-        p, g = self.presentation, len(self.presentation.alphabet)
-        # chi(x) chi(x)^*, an image then its adjoint, for each generator, and the relators: one fold;
-        # a transversal's relators are the code rows it rewrote them into, with no Word between
-        relators = p.relator_rows if isinstance(p, Transversal) else self._rows(p.relators)
-        rows = np.zeros((g + len(relators), max(relators.shape[1], 2)), dtype=np.intp)
-        rows[:g, :2], rows[g:, : relators.shape[1]] = np.arange(1, g + 1)[:, None] * [1, -1], relators
-        names = [f"unitarity[{label}]" for label in p.alphabet]
-        names += [f"relator[{i}]" for i in range(len(relators))]
-        return _checks(names, [(self._fold(rows), (self._table[0][0], self._table[1][0]))])
+        names, check, _ = self._checked(_code_rows([]))
+        return _checks(names, _compare([check]))
+
+
+def _check_names(alphabet: Sequence[str], relators: int) -> list[str]:
+    """The names of a representation's check rows: ``unitarity`` per generator, then ``relator`` per relator."""
+    return [f"unitarity[{label}]" for label in alphabet] + [f"relator[{i}]" for i in range(relators)]
 
 
 class _TableImages(Mapping):
@@ -416,25 +438,31 @@ def _adjoint(perms: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndar
     return inverse, blocks[rows, inverse].conj().swapaxes(2, 3)
 
 
-def _compare(perms, blocks, other_perms, other_blocks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The max-abs entry of each stack entry minus ``other``, one or a stack: residual, row, column from 0.
+def _compare(comparisons) -> tuple[np.ndarray, np.ndarray]:
+    """Each ``(lhs, rhs)`` pair of stacks in turn, ``rhs`` one entry or a stack, block row by block row.
 
-    Where the sheet maps disagree on a row both blocks are residual.  Where
-    they agree on every row, as on every passing check, the residual is the
-    largest block difference and its column the shared one.
+    Returns, per entry of every ``lhs`` and per block row, the max-abs entry
+    of ``lhs - rhs`` and its block column from 0: two ``(W, n)`` arrays, the
+    pairs' rows joined.  Where the sheet maps disagree on a row both blocks
+    are residual, and the column is that of the larger.  Where they agree
+    on every row of a pair, as on every passing check, the residual is the
+    block difference and its column the shared one.
     """
-    w, same = np.arange(len(perms)), perms == other_perms
-    if same.all():
-        worst = np.abs(blocks - other_blocks).max(axis=(2, 3), initial=0.0)
-        k = worst.argmax(axis=1)
-        return worst[w, k], k, perms[w, k]
-    mine = np.abs(blocks - np.where(same[..., None, None], other_blocks, 0))
-    mine = mine.max(axis=(2, 3), initial=0.0)
-    theirs = np.where(same, 0.0, np.abs(other_blocks).max(axis=(-2, -1), initial=0.0))
-    worst = np.maximum(mine, theirs)
-    k = worst.argmax(axis=1)
-    other_column = np.where(same, perms, other_perms)[w, k]
-    return worst[w, k], k, np.where(mine[w, k] >= theirs[w, k], perms[w, k], other_column)
+    residuals, columns = [], []
+    for (perms, blocks), (other_perms, other_blocks) in comparisons:
+        same = perms == other_perms
+        if same.all():
+            residuals.append(np.abs(blocks - other_blocks).max(axis=(2, 3), initial=0.0))
+            columns.append(perms)
+            continue
+        mine = np.abs(blocks - np.where(same[..., None, None], other_blocks, 0))
+        mine = mine.max(axis=(2, 3), initial=0.0)
+        theirs = np.where(same, 0.0, np.abs(other_blocks).max(axis=(-2, -1), initial=0.0))
+        residuals.append(np.maximum(mine, theirs))
+        columns.append(np.where(mine >= theirs, perms, other_perms))  # where they agree, theirs is 0
+    if len(residuals) == 1:
+        return residuals[0], columns[0]
+    return np.concatenate(residuals), np.concatenate(columns)
 
 
 def _adjoint_on_pattern(perms: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -448,21 +476,20 @@ def _adjoint_on_pattern(perms: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarr
     return perms, np.where(paired[..., None, None], blocks[w, perms].conj().swapaxes(2, 3), 0)
 
 
-def _checks(names: Sequence[str], comparisons, order=None) -> CheckReport:
-    """A ``TOL_EXACT`` check per stack entry of each ``(lhs, rhs)`` pair of stacks, ``rhs`` one entry or a stack.
+def _checks(names: Sequence[str], compared: tuple[np.ndarray, np.ndarray], order=None) -> CheckReport:
+    """A ``TOL_EXACT`` check per row of ``compared``, the per-block residuals and columns that ``_compare`` makes.
 
-    The ``_compare`` arrays, joined in turn or picked by the 1-D index
-    ``order``, are the report's columns; this is where every symbolic check
-    gets its tolerance.
+    A row's check reads its largest residual, the first NaN if any, and the
+    block ``(row, column)`` where it sits; the 1-D index ``order`` picks and
+    orders the rows.  This is where every symbolic check gets its tolerance.
     """
-    results = [_compare(*lhs, *rhs) for lhs, rhs in comparisons]
-    residuals, rows, columns = results[0] if len(results) == 1 else map(np.concatenate, zip(*results))
-    if order is not None:
-        residuals, rows, columns = residuals[order], rows[order], columns[order]
+    residuals, columns = compared
+    rows = np.arange(len(residuals)) if order is None else order
+    k = residuals.argmax(axis=1)[rows]
     tolerances, blocks = np.empty(len(rows)), np.empty((len(rows), 2), dtype=np.intp)
     tolerances.fill(TOL_EXACT)
-    blocks[:, 0], blocks[:, 1] = rows + 1, columns + 1
-    return _trusted_table(tuple(names), residuals, tolerances, blocks)
+    blocks[:, 0], blocks[:, 1] = k + 1, columns[rows, k] + 1
+    return _trusted_table(tuple(names), residuals[rows, k], tolerances, blocks)
 
 
 def _pairing_symmetry(rep: MatrixRep, perms, blocks, G: BlockMonomial) -> tuple[np.ndarray, np.ndarray]:
@@ -485,8 +512,11 @@ def check_representation(rep: MatrixRep) -> CheckReport:
     defined.  ``chi(x) chi(x)^*`` of every generator and the image of every
     relator come from one stacked fold of the table, and each check reads
     its residual and block from the stacked comparison with the identity.
-    The report is computed once per representation and kept on it; the
-    images are read-only, so it cannot go stale.
+    The report is made once per representation and kept on it; the images
+    are read-only, so it cannot go stale.  ``induce_representation`` keeps
+    the reports of both of its representations from its one fold of
+    ``chi2``: ``chi2``'s own, and ``chi1``'s regrouped from it, so neither
+    is folded again here.
     """
     return rep._check_report
 
@@ -551,7 +581,11 @@ def extend_to_double(
     The extension copies ``A_j`` and the handle generators, sets
     ``chi(B_j) = G J_j`` and mirrors handles by ``chi(A''_i) = G chi(B'_i) G``,
     ``chi(B''_i) = G chi(A'_i) G``; the relator image and the symmetry
-    condition ``chi(T^tau)^* G chi(T) = G`` are then verified.
+    condition ``chi(T^tau)^* G chi(T) = G`` are then verified.  The
+    unitarity, relator and pairing-symmetry rows come from one fold of the
+    result's check rows and mirrored generators ``tau(x)``, and one
+    ``_checks`` call: the table an ``ExtensionError`` carries.  The result
+    does not keep them, so ``check_representation`` would fold it again.
     """
     surf = chi_S.presentation
     if not isinstance(surf, GroupPresentation):
@@ -580,13 +614,13 @@ def extend_to_double(
     mirrored = G @ handles.reshape(-1, 2, m, m)[:, ::-1].reshape(-1, m, m) @ G
     images = np.concatenate([np.stack([a[1:], G @ J[1:]], axis=1).reshape(-1, m, m), handles, mirrored])
     chi_X = MatrixRep._stacked(p, np.zeros((len(images), 1), dtype=np.intp), images[:, None])
-    # the mirrored generators are the words tau(x)
+    # the checks and the mirrored generators, the words tau(x), in one fold: one table of all three kinds
+    names, check, mirrored = chi_X._checked(chi_X._rows(p.tau))
     G = BlockMonomial.of(G)
-    pairing = _pairing_symmetry(chi_X, *chi_X.evaluate_many(p.tau), G)
-    names = [f"pairing-symmetry[{label}]" for label in p.alphabet]
-    reports = check_representation(chi_X), _checks(names, [(pairing, (G.perm, G.blocks))])
-    if not all(report.passed for report in reports):
-        report = reports[0] + reports[1]
+    pairing = _pairing_symmetry(chi_X, *mirrored, G)
+    names += [f"pairing-symmetry[{label}]" for label in p.alphabet]
+    report = _checks(names, _compare([check, (pairing, (G.perm, G.blocks))]))
+    if not report.passed:
         raise ExtensionError(f"extension inconsistent: {report.worst()}", report)
     return chi_X
 
@@ -600,22 +634,29 @@ def induce_representation(
     ``x`` has its only nonzero block in column ``k.x``: ``chi1(x@k)``, the
     Schreier generator of the edge, or ``I`` on a tree edge.  The result has
     rank ``n m``; images of ``chi1`` over ``n1`` sheets give images over ``n
-    n1`` sheets, ``(k, a)`` numbered ``(k - 1) n1 + a``.  Refuses inconsistent
-    subgroup data, and names the worst check, block and residual of a result
-    that fails verification.
+    n1`` sheets, ``(k, a)`` numbered ``(k - 1) n1 + a``.
+
+    Both check reports come from one fold of the result's check rows, and
+    are kept for ``check_representation``.  ``chi2``'s is that fold's own.
+    ``chi1``'s is regrouped from it (Reidemeister-Schreier): block row
+    ``(k, a)`` of ``chi2(x) chi2(x)^*`` is row ``a`` of ``chi1(x@k)
+    chi1(x@k)^*``, and of ``chi2``'s relator ``i`` is row ``a`` of ``chi1``'s
+    relator ``i n + k``, that relator rewritten from sheet ``k``; the other
+    factors are the identity blocks of tree edges, and ``X I = I X = X``
+    exactly for finite ``X``.  So ``chi1``'s rows equal its own fold bit for
+    bit, and a fault of the gather still fails ``chi2``'s rows.  Refuses
+    inconsistent subgroup data, naming each failing ``chi1`` row, and names
+    the worst check, block and residual of a result that fails verification.
     """
+    return _induce(cov, trans, chi1)[0]
+
+
+def _induce(
+    cov: CoveringAction, trans: Transversal, chi1: MatrixRep, words: Sequence[Word] = ()
+) -> tuple[MatrixRep, tuple[np.ndarray, np.ndarray]]:
+    """``induce_representation``, and the images of ``words`` under the result, folded with its checks."""
     if chi1.presentation is not trans or trans.covering is not cov:
         raise ValueError("subgroup representation belongs to a different covering")
-    consistency = check_representation(chi1)
-    if not consistency.passed:
-        failures = []
-        for check in consistency.failing():
-            what = check.name
-            if what.startswith("relator["):
-                what = f"rewritten relator {trans.relators[int(what[8:-1])]}"
-            failures.append(f"{what} has residual {check.residual:.3e}")
-        raise ValueError("subgroup representation inconsistent: " + "; ".join(failures))
-
     # chi1's table entry per edge: its Schreier generator's image, or the identity (0) on tree edges
     sub_perms, sub_blocks = chi1._table
     _, n1, m1, _ = sub_blocks.shape
@@ -624,10 +665,29 @@ def induce_representation(
     blocks = sub_blocks[which].reshape(-1, cov.n * n1, m1, m1)
     induced = MatrixRep._stacked(cov.presentation, perms, blocks)
 
-    verification = check_representation(induced)
+    names, check, images = induced._checked(induced._rows(words))
+    compared = _compare([check])
+    verification = vars(induced)["_check_report"] = _checks(names, compared)
+    # chi1's rows: unitarity[x@k] is block row k of unitarity[x], relator[i n + k] block row k of relator[i],
+    # each over chi1's n1 sub-sheets
+    n, relators = cov.n, len(cov.presentation.relators)
+    sheets, gens = np.nonzero(trans.edges.T >= 0)  # each Schreier generator's sheet and base letter
+    rows = np.concatenate([gens, len(cov.presentation.alphabet) + np.repeat(np.arange(relators), n)])
+    sheets = np.concatenate([sheets, np.tile(np.arange(n), relators)])
+    residuals, columns = (a.reshape(len(a), n, n1)[rows, sheets] for a in compared)
+    consistency = _checks(_check_names(trans.alphabet, relators * n), (residuals, columns % n1))
+    vars(chi1).setdefault("_check_report", consistency)
+    if not consistency.passed:
+        failures = []
+        for c in consistency.failing():
+            what = c.name
+            if what.startswith("relator["):
+                what = f"rewritten relator {trans.relators[int(what[8:-1])]}"
+            failures.append(f"{what} has residual {c.residual:.3e}")
+        raise ValueError("subgroup representation inconsistent: " + "; ".join(failures))
     if not verification.passed:
         raise ValueError(f"induced representation failed verification: {verification.worst()}")
-    return induced
+    return induced, images
 
 
 def build_G2(
@@ -704,8 +764,40 @@ def verify_symmetry_conditions(
     that each per-component J is a signature matrix invariant under the
     boundary loop, and that the mirror-monodromy transport identity holds in
     the image.  Every check runs blockwise, each kind as one stacked
-    comparison, and the report is one ``_checks`` of them all.  Refuses other
-    than one ``J2`` per boundary component, each of ``chi2``'s block shape.
+    comparison, and the report is one ``_checks`` of them all.  Refuses
+    other than one ``J2`` per boundary component, each of ``chi2``'s block
+    shape.  The words whose images it reads are built and folded here; the
+    cyclic pipeline folds them with ``chi2``'s checks instead.
+    """
+    return _symmetry_report(chi2, G2, J2_list, p, chi2.evaluate_many(_symmetry_words(p)))
+
+
+def _symmetry_words(p: DoubledPresentation) -> list[Word]:
+    """The words whose images the symmetry report reads, in its order.
+
+    The mirrored generators ``tau(R)``, then per component the boundary
+    loop, then the mirror monodromy ``T``, then ``tau(R) T R^-1`` for each
+    ``T`` and generator ``R``.
+    """
+    loops = [boundary_loop(p, comp) for comp in range(p.k)]
+    T_base = [mirror_monodromy(p, comp) for comp in range(p.k)]
+    moved = [tau_R * T * p.gen(label, -1) for T in T_base for label, tau_R in zip(p.alphabet, p.tau)]
+    return [*p.tau, *loops, *T_base, *moved]
+
+
+def _symmetry_report(
+    chi2: MatrixRep,
+    G2: BlockMonomial,
+    J2_list: Sequence[BlockMonomial],
+    p: DoubledPresentation,
+    images: tuple[np.ndarray, np.ndarray],
+    J2_pairing: Sequence[BlockMonomial] = (),
+) -> CheckReport:
+    """``verify_symmetry_conditions`` from ``images``, ``chi2``'s images of ``_symmetry_words(p)``.
+
+    Given the signature matrices read off the pairing, ``J2_pairing``, the
+    rows ``signature-route-equality[comp]`` comparing them with ``J2_list``
+    follow, from the same ``_checks`` call.
     """
     if len(J2_list) != p.k:
         raise ValueError(f"need {p.k} signature matrices, got {len(J2_list)}")
@@ -713,14 +805,8 @@ def verify_symmetry_conditions(
     for name, mat in [("G2", G2), *((f"J2_list[{i}]", J2) for i, J2 in enumerate(J2_list))]:
         if mat.blocks.shape != shape:
             raise ValueError(f"{name} has block shape {mat.blocks.shape}, expected {shape}")
-    # one call evaluates every word: mirrored generators, boundary loops, mirror monodromies, moved
-    gens = [p.gen(label) for label in p.alphabet]
-    mirrored = [apply_involution(p, R) for R in gens]
-    loops = [boundary_loop(p, comp) for comp in range(p.k)]
-    T_base = [mirror_monodromy(p, comp) for comp in range(p.k)]
-    moved = [tau_R * T * R.inverse() for T in T_base for R, tau_R in zip(gens, mirrored)]
-    perms, blocks = chi2.evaluate_many(mirrored + loops + T_base + moved)
-    g, k, comps = len(gens), p.k, np.arange(p.k)
+    perms, blocks = images
+    g, k, comps = len(p.alphabet), p.k, np.arange(p.k)
     # G2 then every J2, one stack for their selfadjointness; J2 J2 and loop^* J2 loop per component
     paired = _stack([G2, *J2_list])
     J2, loop = (paired[0][1:], paired[1][1:]), (perms[g : g + k], blocks[g : g + k])
@@ -739,9 +825,13 @@ def verify_symmetry_conditions(
     ]
     # report order: G2's selfadjointness, pairing symmetry, the three signature rows per component, transport
     per_comp = (comps[:, None] + [1, 1 + k + g, 1 + 2 * k + g]).ravel()
-    order = np.concatenate([[0], 1 + k + np.arange(g), per_comp, 1 + 3 * k + g + np.arange(k * g)])
+    order = [[0], 1 + k + np.arange(g), per_comp, 1 + 3 * k + g + np.arange(k * g)]
     names = ["pairing-selfadjoint", *(f"pairing-symmetry[{label}]" for label in p.alphabet)]
     signatures = "signature-selfadjoint", "signature-involution", "boundary-compatibility"
     names += [f"{check}[{comp}]" for comp in range(k) for check in signatures]
     names += [f"monodromy-transport[{comp},{label}]" for comp in range(k) for label in p.alphabet]
-    return _checks(names, comparisons, order)
+    if J2_pairing:
+        comparisons.append((J2, _stack(J2_pairing)))  # from 1 + 3k + g + kg
+        order.append(1 + 3 * k + g + k * g + comps)
+        names += [f"signature-route-equality[{comp}]" for comp in range(k)]
+    return _checks(names, _compare(comparisons), np.concatenate(order))

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
+import hashlib
 import json
 import math
 from functools import partial
@@ -13,12 +15,15 @@ import numpy as np
 from hypothesis import assume, strategies as st
 
 from hardycover import (
+    MatrixRep,
     Word,
     apply_involution,
     boundary_loop,
     build_covering,
+    check_representation,
     coset_of,
     double_group,
+    induce_representation,
     mirror_monodromy,
     random_section,
     schreier_transversal,
@@ -26,6 +31,43 @@ from hardycover import (
     surface_group,
 )
 from hardycover import BlockMonomial, cli, hardy, induction
+
+
+def count_calls(monkeypatch, owner, name: str) -> list[list]:
+    """Patch ``owner.name`` to record each call and forward it; returns the record, one ``[args, result]`` per call.
+
+    ``owner`` is a module or a class; a method's ``args`` start with the
+    instance.  A call is recorded before it runs, so one that raises stays
+    with result None.  A count guard reads ``len`` of the record.
+    """
+    original, calls = getattr(owner, name), []
+
+    def counted(*args):
+        call = [args, None]
+        calls.append(call)
+        call[1] = original(*args)
+        return call[1]
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def assert_same_text(text: str, expected: str) -> None:
+    """Fail unless ``text == expected``, comparing lengths and sha256 digests rather than the strings.
+
+    Reports of about a megabyte make a string diff run for minutes; a
+    mismatch names the first differing offset with about 80 characters of
+    each side from a little before it.
+    """
+    digest = lambda s: hashlib.sha256(s.encode("utf-8", "surrogatepass")).hexdigest()
+    if len(text) == len(expected) and digest(text) == digest(expected):
+        return
+    at = next((i for i, (a, b) in enumerate(zip(text, expected)) if a != b), min(len(text), len(expected)))
+    start = max(at - 20, 0)
+    raise AssertionError(
+        f"texts of {len(text)} and {len(expected)} characters first differ at offset {at}: "
+        f"{text[start : start + 80]!r} != {expected[start : start + 80]!r}"
+    )
 
 
 def haar_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -273,11 +315,33 @@ def evaluate(rep, w: Word) -> BlockMonomial:
 
 def compare(a: BlockMonomial, b: BlockMonomial) -> tuple[float, tuple[int, int]]:
     """Max-abs entry of ``a - b`` and the block ``(row, column)`` it sits in, from 1: the one-entry case of
-    the checks' stacked ``_compare``.  Where the permutations disagree on a row both blocks are residual."""
+    the checks' stacked ``_compare`` and ``_checks``.  Where the permutations disagree on a row both blocks
+    are residual."""
     if a.blocks.shape != b.blocks.shape:
         raise ValueError(f"block shapes {a.blocks.shape} and {b.blocks.shape} differ")
-    residual, row, column = induction._compare(a.perm[None], a.blocks[None], b.perm, b.blocks)
-    return float(residual[0]), (int(row[0]) + 1, int(column[0]) + 1)
+    compared = induction._compare([((a.perm[None], a.blocks[None]), (b.perm, b.blocks))])
+    (check,) = induction._checks(["c"], compared).checks
+    return check.residual, check.block
+
+
+def assert_chi1_rows_read_off_chi2(cov, trans, chi1) -> None:
+    """``chi1``'s check table as ``induce_representation`` reads it off ``chi2``'s fold equals, bit for bit,
+    the fold of ``chi1``'s own table: names, residuals (NaN and inf included), tolerances and blocks.
+
+    ``chi1`` must have no report yet; the reading is made whether or not the induction refuses.
+    """
+    g = len(trans.alphabet)
+    assert "_check_report" not in vars(chi1)
+    twin = MatrixRep._stacked(trans, chi1._table[0][1 : g + 1], chi1._table[1][1 : g + 1])
+    with np.errstate(all="ignore"):  # entries near the largest float overflow to inf and NaN in both folds
+        own = check_representation(twin)  # a fold of chi1's table
+        with contextlib.suppress(ValueError):
+            induce_representation(cov, trans, chi1)
+    read = vars(chi1)["_check_report"]
+    assert read.names == own.names and read is not own
+    assert read.residuals.tobytes() == own.residuals.tobytes()
+    assert read.tolerances.tobytes() == own.tolerances.tobytes()
+    assert np.array_equal(read.blocks, own.blocks)
 
 
 def reference_compare(perm, blocks, other_perm, other_blocks) -> tuple[float, tuple[int, int]]:

@@ -33,7 +33,16 @@ from hardycover.cli import (
 )
 from hardycover.induction import BlockMonomial, Check, CheckReport
 
-from helpers import compare, identity, matrix_to_json, random_induce_config, reference_isometry_report
+from helpers import (
+    assert_chi1_rows_read_off_chi2,
+    assert_same_text,
+    compare,
+    count_calls,
+    identity,
+    matrix_to_json,
+    random_induce_config,
+    reference_isometry_report,
+)
 
 
 def documented_configs():
@@ -410,14 +419,14 @@ class TestInduceMode:
     def test_chi1_relators_rewritten_once(self, monkeypatch):
         from hardycover import covering
 
-        # the rewriting entry point, behind Transversal.relator_rows and subgroup_relators
-        calls = []
-        original = covering._rewrite_relators
-        monkeypatch.setattr(
-            covering, "_rewrite_relators", lambda *args: calls.append(1) or original(*args)
-        )
+        # the rewriting entry point, behind Transversal.relator_rows and subgroup_relators: chi1's rows are
+        # read off chi2's fold, so only a refusal, which names the rewritten relators, rewrites them
+        calls = count_calls(monkeypatch, covering, "_rewrite_relators")
         report = run_pipeline(parse_config(json.dumps(self.torus_config())))
-        assert report.passed
+        assert report.passed and sum(name.startswith("chi1:") for name in report.table.names) == 4 + 3
+        assert len(calls) == 0
+        report = run_pipeline(parse_config(json.dumps(self.torus_config(u2_phase=0.5))))
+        assert "rewritten relator B1@2 B1@1^-1 has residual" in report.error
         assert len(calls) == 1
 
     def test_missing_label_refused_as_before(self):
@@ -624,10 +633,11 @@ class TestEmission:
         cfg = parse_config(json.dumps(config))
         first = emit_report(run_pipeline(cfg), fmt="json")
         assert json.loads(first)["passed"] is True
-        assert emit_report(run_pipeline(cfg), fmt="json") == first
+        assert_same_text(emit_report(run_pipeline(cfg), fmt="json"), first)
         if config["mode"] == "induce":
             exported = json.loads(first)["extras"]["induced"]["images"]
-            assert exported == dense_induced_export(config)
+            expected = json.dumps(dense_induced_export(config), sort_keys=True)
+            assert_same_text(json.dumps(exported, sort_keys=True), expected)
 
 
     def test_seed_changes_document(self):
@@ -783,6 +793,12 @@ def check_tables(draw):
     return table, rows
 
 
+CHI1_VARIANTS = [
+    "int-parts", "negative-zero", "labels-reordered", "label-outside-alphabet", "shared-value", "signed-zeros",
+    "big-int", "overflowing",
+]
+
+
 def chi1_variant(kind):
     """The torus-3 ``induce`` config with its chi1 written another way.
 
@@ -845,7 +861,7 @@ class TestJsonWriter:
         cfg = parse_config(json.dumps(config))
         report = run_pipeline(cfg)
         text = emit_report(report, fmt="json")
-        assert text == dense_dumps(report)
+        assert_same_text(text, dense_dumps(report))
         if config["mode"] != "induce":
             return
         # the echo is the config as given, compared as text, so ints and the sign of every zero count
@@ -856,7 +872,7 @@ class TestJsonWriter:
             dense = lambda mat: matrix_to_json(mat.dense())
             induced = {"images": dict(chi2.images), "m": config["chi1"]["m"], "n": cov.n}
             expected = json.dumps(induced, sort_keys=True, default=dense)
-            assert json.dumps(json.loads(text)["extras"]["induced"], sort_keys=True) == expected
+            assert_same_text(json.dumps(json.loads(text)["extras"]["induced"], sort_keys=True), expected)
         else:
             assert "induced" not in report.extras
 
@@ -1104,13 +1120,42 @@ class TestJsonWriter:
 
     def test_induce_report_written_without_check_rows(self, monkeypatch):
         # the 262 checks of the 64-sheet report are written from the table's columns; reading them makes the rows
-        made = []
-        original = Check.__post_init__
-        monkeypatch.setattr(Check, "__post_init__", lambda self: made.append(self.name) or original(self))
+        made = count_calls(monkeypatch, Check, "__post_init__")
         report = run_pipeline(parse_config(json.dumps(random_induce_config(seed=5))))
         emit_report(report, fmt="json")
         assert report.passed and made == []
         assert len(report.checks) == 262 and len(made) == 262
+
+    @pytest.mark.parametrize("n", [1, 128])
+    def test_each_representation_folded_once(self, monkeypatch, n):
+        # counted, not timed: verify and isometry fold chi_X1 (checks and tau words), chi2 (checks and the
+        # symmetry words; chi1's checks are read off it) and chi1 (G2's tree words); induce folds chi2 alone
+        from hardycover import induction
+
+        folds = count_calls(monkeypatch, induction.MatrixRep, "_fold")
+        products = count_calls(monkeypatch, induction, "_product")
+        verify = {"mode": "verify", "n": n, "alpha": 0.7, "signs": [1, -1]}
+        for config in (verify, isometry_config(n=n, samples=128, trials=2), random_induce_config(seed=5, n=n)):
+            folds.clear()
+            products.clear()
+            report = run_pipeline(parse_config(json.dumps(config)))
+            assert report.passed
+            assert len(folds) == (1 if config["mode"] == "induce" else 3)
+            assert len(products) < 24
+
+    @pytest.mark.parametrize("kind", CHI1_VARIANTS)
+    def test_chi1_variant_rows_read_off_chi2(self, kind):
+        # chi1 as the induce mode builds it, from the images as converted at parse
+        config = chi1_variant(kind)
+        presentation = (double_group if config.get("double", True) else surface_group)(config["s"], config["k"])
+        cov = covering_from_json(presentation, config["covering"])
+        trans = schreier_transversal(cov)
+        images = dict(zip(config["chi1"]["images"], parse_config(json.dumps(config)).chi1_images))
+        if kind == "label-outside-alphabet":  # refused before there is a chi1
+            with pytest.raises(ValueError, match="unknown generator"):
+                MatrixRep(presentation=trans, m=config["chi1"]["m"], images=images)
+            return
+        assert_chi1_rows_read_off_chi2(cov, trans, MatrixRep(presentation=trans, m=config["chi1"]["m"], images=images))
 
     def test_text_names_block_and_excess_of_a_failing_check(self):
         moved = BlockMonomial(np.array([0, 2, 1]), np.ones((3, 1, 1)))

@@ -22,7 +22,7 @@ from hardycover import (
 )
 from hardycover.cyclic import annulus_double_rep, annulus_surface_rep
 
-from helpers import compare, haar_unitary
+from helpers import compare, count_calls, haar_unitary
 
 
 def scalar_signs(e0, e1):
@@ -170,19 +170,19 @@ class TestPipeline:
         report = annulus_pipeline(3, 0.7, scalar_signs(1, -1)).report
         assert [(c.name, c.residual) for c in report.failing()] == [("signature-route-equality[1]", 2.0)]
 
-    def test_report_is_two_tables_and_one_join(self, monkeypatch):
-        # counted, not timed: the symmetry rows are one table, the route rows another, joined once
+    def test_report_is_one_table(self, monkeypatch):
+        # counted, not timed: the symmetry and route rows are one table of one _checks call, with no join;
+        # the pipeline makes one _checks call per report: chi_X1's, chi2's, chi1's (read off chi2's) and this one
         from hardycover import induction
 
-        made, joins = [], []
-        trusted, add = induction._trusted_table, induction.CheckReport.__add__
-        monkeypatch.setattr(induction, "_trusted_table", lambda *columns: made.append(trusted(*columns)) or made[-1])
-        monkeypatch.setattr(induction.CheckReport, "__add__", lambda a, b: joins.append((a, b)) or add(a, b))
+        made = count_calls(monkeypatch, induction, "_trusted_table")
+        checks = count_calls(monkeypatch, induction, "_checks")
+        joins = count_calls(monkeypatch, CheckReport, "__add__")
         report = annulus_pipeline(7, 0.7, scalar_signs(1, -1)).report
-        assert len(joins) == 1 and report is made[-1]
-        symmetry, routes = joins[0]
-        assert any(symmetry is table for table in made) and any(routes is table for table in made)
-        assert routes.names == ("signature-route-equality[0]", "signature-route-equality[1]")
+        assert joins == [] and len(checks) == len(made) == 4
+        assert report is made[-1][1] is checks[-1][1]
+        assert len(report.names) == 1 + 2 + 3 * 2 + 2 * 2 + 2
+        assert report.names[-2:] == ("signature-route-equality[0]", "signature-route-equality[1]")
 
     def test_word_letters_grow_linearly_in_the_sheet_count(self, monkeypatch):
         # rewriting and the pairing build no Word at all; the walks they make instead
@@ -219,13 +219,14 @@ class TestPipeline:
             walked.clear()
             pipe = annulus_pipeline(n, 0.7, scalar_signs(1, -1))
             assert pipe.report.passed
-            # the tree words are never built on this path
+            # the tree words are never built on this path, and chi1's relators are read off chi2's fold
             assert "reps" not in vars(pipe.transversal)
             assert "defining_words" not in vars(pipe.transversal)
             assert "relators" not in vars(pipe.transversal)
+            assert "relator_rows" not in vars(pipe.transversal)
             counts[n], built[n] = sum(walked), len(words)
-        # from every sheet: the relator, by the cover's check and by the rewriting, and tau(A1)
-        assert counts[256] == (4 + 4 + 3) * 256
+        # from every sheet: the relator, by the cover's check, and tau(A1)
+        assert counts[256] == (4 + 3) * 256
         assert counts[512] <= 2.2 * counts[256]
         assert built[512] == built[256]  # the Words of the presentations and symmetry words only
 

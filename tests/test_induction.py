@@ -1,9 +1,11 @@
 """Matrix representations: extension to the double, induction, pairing transport."""
 
+import ast
 import functools
 import inspect
 import json
 import operator
+import pathlib
 import re
 import textwrap
 import tracemalloc
@@ -47,9 +49,11 @@ from hardycover.induction import Check
 
 from helpers import (
     GENUS_THREE,
+    assert_chi1_rows_read_off_chi2,
     bordered_coverings,
     commuting_unitaries,
     compare,
+    count_calls,
     dense_induced_images,
     dense_product,
     dense_symmetry_residuals,
@@ -222,6 +226,22 @@ class TestCheckRepresentation:
         docs = json.loads(emit_report(Report(config={}, table=report), fmt="json"))["checks"]
         assert report.passed and all(doc["passed"] is True for doc in docs)
         assert [list(doc) for doc in docs] == [["name", "passed", "residual", "tolerance"]] * 3
+
+    def test_only_checks_writes_the_exact_tolerance(self):
+        # every symbolic check gets TOL_EXACT from _checks; anywhere else in the package it is only compared with
+        package = pathlib.Path(induction.__file__).parent
+        writers = set()
+        for path in sorted(package.glob("*.py")):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for function in ast.walk(tree):
+                if not isinstance(function, ast.FunctionDef):
+                    continue
+                compares = [node for node in ast.walk(function) if isinstance(node, ast.Compare)]
+                compared = {id(side) for node in compares for side in node.comparators}
+                for node in ast.walk(function):
+                    if isinstance(node, ast.Name) and node.id == "TOL_EXACT" and id(node) not in compared:
+                        writers.add(f"{path.name}:{function.name}")
+        assert writers == {"induction.py:_checks"}
 
     @pytest.mark.parametrize("order", [[0, 1], [1, 0]], ids=["nan-last", "nan-first"])
     def test_worst_names_a_nan_residual_in_either_order(self, order):
@@ -436,27 +456,21 @@ class TestInduceRepresentation:
         with pytest.raises(ValueError, match=r"rewritten relator B1@2 B1@1\^-1"):
             induce_representation(cov, trans, chi1)
 
-    def test_failed_verification_names_check_block_and_residual(self, monkeypatch):
-        # a consistent chi1's report wrapped around one corrupted block: the
-        # image of B1@3 is scaled off the unit circle, which the induced
-        # representation's unitarity check sees in block (3, 3) of chi2(B1)
+    def test_failed_verification_names_check_block_and_residual(self):
+        # a gather mutant that puts a hyperbolic rotation X on the tree edge of A1 at sheet 3: chi1's rows,
+        # read off chi2's fold, never see a tree edge's unitarity, and its relator rows pass since X
+        # preserves chi1(B1@k) = diag(1, -1) (X Y X^* = Y); so only chi2's unitarity[A1] fails, in block (3, 3)
         cov = torus_cover(4)
         trans = schreier_transversal(cov)
-        t_img, u_img = np.array([[np.exp(0.4j)]]), np.array([[np.exp(1.1j)]])
-        good = cyclic_subgroup_rep(cov, trans, t_img, u_img)
-        images = dict(good.images, **{"B1@3": (1 + 1e-6) * u_img})
-        bad = MatrixRep(presentation=trans, m=1, images=images)
-        assert not check_representation(bad).passed
-        real = induction.check_representation
-        monkeypatch.setattr(
-            induction,
-            "check_representation",
-            lambda rep: check_representation(good) if rep is bad else real(rep),
-        )
-        with pytest.raises(
-            ValueError, match=re.escape("unitarity[B1] at block (3, 3): 2.0e-06 vs 1e-12")
-        ):
-            induce_representation(cov, trans, bad)
+        chi1 = cyclic_subgroup_rep(cov, trans, np.eye(2), np.diag([1.0 + 0j, -1.0]))
+        rotated = "np.array([[np.cosh(1e-6), np.sinh(1e-6)], [np.sinh(1e-6), np.cosh(1e-6)]])"
+        on_edge = "((which == 0) & (np.arange(cov.n) == 2))[..., None, None, None]"
+        gather = "blocks = sub_blocks[which]"
+        induce = mutant(induction._induce, gather, f"blocks = np.where({on_edge}, {rotated}, sub_blocks[which])")
+        message = "induced representation failed verification: unitarity[A1] at block (3, 3): 2.0e-06 vs 1e-12"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            induce(cov, trans, chi1)
+        assert check_representation(chi1).passed and induce_representation(cov, trans, chi1)
 
     @pytest.mark.parametrize("n", [2, 3, 5])
     @pytest.mark.parametrize("m", [1, 2])
@@ -649,14 +663,11 @@ class TestSymmetryReport:
 
     def test_report_is_one_table(self, monkeypatch):
         # counted, not timed: every row comes from one stacked comparison, with no table to join
-        made, joins = [], []
-        trusted, add = induction._trusted_table, CheckReport.__add__
-        monkeypatch.setattr(induction, "_trusted_table", lambda *columns: made.append(trusted(*columns)) or made[-1])
-        monkeypatch.setattr(CheckReport, "__add__", lambda a, b: joins.append((a, b)) or add(a, b))
         chi2, G2, J2 = self.fixture(n=5)
-        made.clear()
+        made = count_calls(monkeypatch, induction, "_trusted_table")
+        joins = count_calls(monkeypatch, CheckReport, "__add__")
         report = verify_symmetry_conditions(chi2, G2, J2, TORUS)
-        assert len(made) == 1 and made[0] is report and joins == []
+        assert len(made) == 1 and made[0][1] is report and joins == []
         assert len(report.names) == 1 + 2 + 3 * 2 + 2 * 2
 
 
@@ -808,27 +819,31 @@ class TestWalkAgainstTreeWords:
         assert_walks_match_tree_words(cov, psi, G1, other)
 
 
+def two_by_two_tower(rng, m):
+    """A 2-sheet cover of a 2-sheet cover of the torus, and chiK on the smallest subgroup: the restriction
+    of commuting unitaries, through each generator's expansion into the base group."""
+    outer = torus_cover(2)
+    t_outer = schreier_transversal(outer)
+    inner = build_covering(t_outer, {"B1@1": (2, 1), "A1@2": (1, 2), "B1@2": (2, 1)})
+    t_inner = schreier_transversal(inner)
+    a, b = commuting_unitaries(rng, m, 2)
+    psi = {"A1": a, "B1": b}
+    chiK_images = {}
+    for label, w in zip(t_inner.alphabet, t_inner.defining_words):
+        ambient = expand_schreier_word(t_outer, w)
+        mat = np.eye(m, dtype=complex)
+        for gen, exp in ambient.letters:
+            factor = psi[TORUS.alphabet[gen]]
+            mat = mat @ (factor if exp > 0 else factor.conj().T)
+        chiK_images[label] = mat
+    return outer, t_outer, inner, t_inner, MatrixRep(presentation=t_inner, m=m, images=chiK_images)
+
+
 class TestInductionInStages:
     def test_two_by_two_tower_traces(self):
         rng = np.random.default_rng(17)
-        outer = torus_cover(2)
-        t_outer = schreier_transversal(outer)
-        inner = build_covering(t_outer, {"B1@1": (2, 1), "A1@2": (1, 2), "B1@2": (2, 1)})
-        t_inner = schreier_transversal(inner)
-
         m = 2
-        a, b = commuting_unitaries(rng, m, 2)
-        psi = {"A1": a, "B1": b}
-        # chi on the smallest subgroup, via double expansion of its generators
-        chiK_images = {}
-        for label, w in zip(t_inner.alphabet, t_inner.defining_words):
-            ambient = expand_schreier_word(t_outer, w)
-            mat = np.eye(m, dtype=complex)
-            for gen, exp in ambient.letters:
-                factor = psi[TORUS.alphabet[gen]]
-                mat = mat @ (factor if exp > 0 else factor.conj().T)
-            chiK_images[label] = mat
-        chiK = MatrixRep(presentation=t_inner, m=m, images=chiK_images)
+        outer, t_outer, inner, t_inner, chiK = two_by_two_tower(rng, m)
 
         chiH = induce_representation(inner, t_inner, chiK)
         chiH_sub = MatrixRep(presentation=t_outer, m=m * inner.n, images=chiH.images)
@@ -848,6 +863,89 @@ class TestInductionInStages:
             w = random_word(rng, TORUS.alphabet, int(rng.integers(0, 30)))
             diff = abs(np.trace(evaluate(one_step, w).dense()) - np.trace(evaluate(two_step, w).dense()))
             assert diff < 1e-10
+
+
+# gather mutants of the induction: chi2 built from conjugate-transposed blocks, and from chi1's first
+# Schreier generator's image on every tree edge in place of the identity
+GATHER_MUTANTS = {
+    "conjugate-transposed": ("blocks = sub_blocks[which]", "blocks = sub_blocks[which].conj().swapaxes(-1, -2)"),
+    "tree-edge-not-identity": ("which = trans.edges + 1", "which = np.where(trans.edges < 0, 1, trans.edges + 1)"),
+}
+
+
+class TestChecksReadOffTheInducedFold:
+    """chi1's check rows are regrouped from chi2's fold; they must be those of chi1's own fold, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_random_coverings(self, data):
+        # the TestRandomCoverings draws, with chi1 the restriction of a surface representation or, so that
+        # rows fail too, drawn at random per Schreier generator over n1 sheets: with n1 = 2 the sheet maps
+        # of its relators' images disagree with the identity's, so the comparison's general case is read off
+        p = data.draw(surfaces)
+        cov = data.draw(bordered_coverings(p))
+        trans = schreier_transversal(cov)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        m, n1 = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+        if n1 == 1 and data.draw(st.booleans()):
+            rho = random_surface_rep(rng, p, m)
+            images = {lbl: dense_product(rho, p.alphabet, w, m) for lbl, w in zip(trans.alphabet, trans.defining_words)}
+        else:
+            blocks = lambda: np.stack([haar_unitary(rng, m) for _ in range(n1)])
+            images = {lbl: BlockMonomial(rng.permutation(n1), blocks()) for lbl in trans.alphabet}
+        assert_chi1_rows_read_off_chi2(cov, trans, MatrixRep(presentation=trans, m=n1 * m, images=images))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 128])
+    @pytest.mark.parametrize("phase", [0.0, 1e-9], ids=["consistent", "perturbed"])
+    def test_cyclic_covers(self, n, phase):
+        cov = torus_cover(n)
+        trans = schreier_transversal(cov)
+        sig = SignatureData(J_list=(np.eye(1), -np.eye(1)))
+        images = dict(annulus_boundary_chi1(cov, trans, 0.7, sig).images)
+        images[trans.alphabet[-1]] = images[trans.alphabet[-1]].blocks[0] * np.exp(1j * phase) * (1 + phase)
+        assert_chi1_rows_read_off_chi2(cov, trans, MatrixRep(presentation=trans, m=1, images=images))
+
+    @pytest.mark.parametrize("scale", [1.0, 1 + 1e-6], ids=["consistent", "second-sub-sheet-scaled"])
+    def test_induction_in_stages(self, scale):
+        # chi1 over n1 = 2 sheets: each of its rows is the worst of its two sub-sheet blocks of chi2's rows
+        rng = np.random.default_rng(17)
+        outer, t_outer, inner, t_inner, chiK = two_by_two_tower(rng, 2)
+        # the inner stage induces from a transversal, whose relators are one per outer sheet
+        images = {label: haar_unitary(rng, 2) for label in t_inner.alphabet}
+        assert_chi1_rows_read_off_chi2(inner, t_inner, MatrixRep(presentation=t_inner, m=2, images=images))
+        images = dict(induce_representation(inner, t_inner, chiK).images)
+        blocks = images["B1@1"].blocks.copy()
+        blocks[1] *= scale
+        images["B1@1"] = BlockMonomial(images["B1@1"].perm, blocks)
+        chiH_sub = MatrixRep(presentation=t_outer, m=2 * inner.n, images=images)
+        assert_chi1_rows_read_off_chi2(outer, t_outer, chiH_sub)
+        # the scaled block is row 2 of unitarity[B1@1], found by the argmax over the sub-sheets
+        failing = {c.name: c.block for c in check_representation(chiH_sub).failing()}
+        assert failing == {} if scale == 1.0 else failing["unitarity[B1@1]"] == (2, 2)
+
+    @pytest.mark.parametrize("kind", list(GATHER_MUTANTS))
+    def test_gather_mutants_fail_chi2_rows(self, monkeypatch, kind):
+        # chi2's rows are a fold of chi2's own table: a fault of the gather fails them; chi1's rows, read
+        # off the same fold, fail too, so the mutant is refused as inconsistent subgroup data
+        from helpers import random_induce_config
+
+        config = random_induce_config(seed=7, n=16)
+        cov = build_covering(surface_group(1, 2), config["covering"]["perms"])
+        trans = schreier_transversal(cov)
+        images = {
+            lbl: np.array([[complex(*x) for x in row] for row in mat]) for lbl, mat in config["chi1"]["images"].items()
+        }
+        chi1 = MatrixRep(presentation=trans, m=2, images=images)
+        tables = count_calls(monkeypatch, induction, "_checks")
+        assert induce_representation(cov, trans, chi1) and all(table.passed for _, table in tables)
+        tables.clear()
+        induce = mutant(induction._induce, *GATHER_MUTANTS[kind])
+        with pytest.raises(ValueError, match="subgroup representation inconsistent"):
+            induce(cov, trans, MatrixRep(presentation=trans, m=2, images=images))
+        chi2_rows = tables[0][1]
+        assert chi2_rows.names[:4] == ("unitarity[A0]", "unitarity[A1]", "unitarity[A'1]", "unitarity[B'1]")
+        assert [c.name for c in chi2_rows.failing()] == ["relator[0]"]
+        assert chi2_rows.worst().startswith("relator[0]") and chi2_rows.residuals[-1] > 1e-3
 
 
 class TestRepSerialization:
@@ -944,8 +1042,9 @@ class TestBlockMonomial:
         assert abs(dense_maxabs(block) - residual) < 1e-13
         # the one-entry stack against its adjoint on its own sheet pattern, also where perm is not a permutation
         stack = a.perm[None], a.blocks[None]
-        (residual,), (k,), (j,) = induction._compare(*stack, *induction._adjoint_on_pattern(*stack))
-        k, j = k + 1, j + 1
+        compared = induction._compare([(stack, induction._adjoint_on_pattern(*stack))])
+        (check,) = induction._checks(["c"], compared).checks
+        residual, (k, j) = check.residual, check.block
         assert abs(residual - dense_maxabs(A - A.conj().T)) < 1e-13
         block = (A - A.conj().T)[(k - 1) * m : k * m, (j - 1) * m : j * m]
         assert abs(dense_maxabs(block) - residual) < 1e-13
@@ -1070,7 +1169,7 @@ class TestCompareFastCase:
             perms = mismatch(rng, np.broadcast_to(other_perms, (w, n)), case)
             blocks, other_blocks = noise(rng, w, n, m, m), noise(rng, *(w,) * stacked, n, m, m)
             names = [f"c[{i}]" for i in range(w)]
-            report = induction._checks(names, [((perms, blocks), (other_perms, other_blocks))])
+            report = induction._checks(names, induction._compare([((perms, blocks), (other_perms, other_blocks))]))
             other = lambda i: (other_perms[i], other_blocks[i]) if stacked else (other_perms, other_blocks)
             expected = [reference_compare(perms[i], blocks[i], *other(i)) for i in range(w)]
             assert [(c.residual, c.block) for c in report.checks] == expected
@@ -1084,10 +1183,11 @@ class TestCompareFastCase:
         a, b = BlockMonomial(perm, blocks), BlockMonomial(mismatch(rng, perm, case), blocks)
         expected = reference_compare(a.perm, a.blocks, b.perm, b.blocks)
         assert compare(a, b) == expected and expected[0] > 0
-        report = induction._checks(["c"], [((a.perm[None], a.blocks[None]), (b.perm, b.blocks))])
+        pair = (a.perm[None], a.blocks[None]), (b.perm, b.blocks)
+        report = induction._checks(["c"], induction._compare([pair]))
         assert [(c.residual, c.block) for c in report.checks] == [expected]
-        residual, _, _ = stacked(a.perm[None], a.blocks[None], b.perm, b.blocks)
-        assert residual.tolist() == [0.0]
+        residuals, _ = stacked([pair])
+        assert residuals.max(axis=1).tolist() == [0.0]
 
 
 def random_surface_rep(rng, p, m):
