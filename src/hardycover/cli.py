@@ -180,10 +180,16 @@ def _check_isometry(p: dict) -> None:
     log_least = (2 * c + 2 * degree + 1) * math.log(rho1) - math.log(n)
     if log_most > math.log(sys.float_info.max) or log_least < math.log(sys.float_info.min):
         raise ValueError(
-            f"invalid value for field 'rho1': {rho1!r} with n={n}, degree={degree}, alpha={p['alpha']!r} "
-            f"gives inner-circle pairing terms from 1e{log_least / math.log(10):.0f} to "
-            f"1e{log_most / math.log(10):.0f}, so the pairing overflows or underflows"
+            f"invalid values for fields 'rho1', 'n', 'degree' and 'alpha': rho1={rho1!r}, n={n}, "
+            f"degree={degree}, alpha={p['alpha']!r} give inner-circle pairing terms from "
+            f"{_power_of_ten(log_least)} to {_power_of_ten(log_most)}, so the pairing overflows or underflows"
         )
+
+
+def _power_of_ten(log: float) -> str:
+    """``e^log`` as ``1e<exponent>``: ``1e-404``, or ``1e-7.06e+306`` where the exponent has over six digits."""
+    exponent = log / math.log(10)
+    return f"1e{exponent:.0f}" if abs(exponent) < 1e6 else f"1e{exponent:.3g}"
 
 
 # verify builds about 1.5 KB per block entry (tracemalloc peak 91 MB at n = 2**16, m = 1)

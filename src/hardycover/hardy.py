@@ -19,10 +19,12 @@ Conventions, fixed once for the whole module:
   branch factors ``z^c`` and ``1 / sqrt(F')`` are evaluated by continuity in
   the literal angle ``theta_j``, as everywhere else.
 
-One sampler serves every uniform grid, one pushforward all sections, and one
-pairing, ``_gram``, every sum ``g^* J f``.  ``verify_isometry`` checks the
-isometry as an identity of Gram matrices on the Laurent basis, exact on a
-small grid, and its convergence on Cauchy kernels, which are not band-limited.
+One sampler serves every Laurent grid and one pushforward all sections.
+``_gram`` sums each pairing ``g^* J f`` over its whole grid; ``_pointwise``
+pairs at each angle, for sums over every ``s``-th angle.  ``verify_isometry``
+checks the isometry as an identity of Gram matrices on the Laurent basis,
+exact on a small grid, and its convergence on Cauchy kernels, which are not
+band-limited.
 """
 
 from __future__ import annotations
@@ -199,10 +201,25 @@ def sample_section(
     )
 
 
-def _cauchy_values(poles: np.ndarray, radius: float, n_points: int, exponent: float) -> np.ndarray:
-    """``z^exponent / (z - pole)`` at the angles ``2 pi j / n_points``, one row per pole, continued in the angle."""
-    log_z = np.log(radius) + 1j * (2.0 * np.pi * np.arange(n_points) / n_points)
-    return np.exp(exponent * log_z) / (np.exp(log_z) - poles[:, None])
+def _grid_exponentials(n_points: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
+    """``e^{i theta_j}`` and ``e^{i exponent theta_j}`` on the angles ``theta_j = 2 pi j / n_points``."""
+    angles = 2.0 * np.pi * np.arange(n_points) / n_points
+    return np.exp(1j * angles), np.exp(1j * (exponent * angles))
+
+
+def _cauchy_values(
+    poles: np.ndarray, grids: dict, radius: float, n_points: int, exponent: float
+) -> np.ndarray:
+    """``z^exponent / (z - pole)`` at the angles ``2 pi j / n_points``, one row per pole, continued in the angle.
+
+    On ``|z| = radius`` that is ``radius^exponent e^{i exponent theta} / (radius
+    e^{i theta} - pole)``.  The grid's two exponentials are kept in ``grids``
+    by ``(n_points, exponent)``, so circles sampled on one grid share them.
+    """
+    if (n_points, exponent) not in grids:
+        grids[n_points, exponent] = _grid_exponentials(n_points, exponent)
+    turn, branch = grids[n_points, exponent]
+    return radius**exponent * branch / (radius * turn - poles[:, None])
 
 
 def _pushforward(cov: AnnulusCovering, component: int, n_samples: int, exponent: float, sample) -> np.ndarray:
@@ -292,6 +309,24 @@ def _gram(rows: np.ndarray, J: BlockMonomial) -> np.ndarray:
     return rows.reshape(len(rows), -1).conj() @ _weigh(rows, J).reshape(len(rows), -1).T
 
 
+def _pointwise(rows: np.ndarray, J: BlockMonomial) -> np.ndarray:
+    """``[g^* J f]`` over pairs of ``rows`` at each angle: ``(len, len, N)`` for ``(len, N, n, m)`` rows.
+
+    ``g`` is the row and ``f`` the column, as in ``_gram``; the sum runs over
+    the sheets and the rank only.
+    """
+    return np.einsum("ajkd,bjkd->abj", rows.conj(), _weigh(rows, J), order="C")
+
+
+def _strided_sums(pairings: np.ndarray, step: int) -> np.ndarray:
+    """Pointwise ``pairings`` summed over every ``step``-th angle, ``(len, len)``.
+
+    The angle axis is last, so numpy sums it pairwise, strided or not: the
+    sum rounds as that of pairings formed on the coarser grid alone.
+    """
+    return pairings[:, :, ::step].sum(axis=-1)
+
+
 def _cauchy_pairing(poles: np.ndarray, radius: float, c: float) -> np.ndarray:
     """Entry ``(a, b)`` is ``[k_b, k_a]`` for the kernels ``k_p = z^c / (z - p)`` on the circle ``|z| = radius``.
 
@@ -355,9 +390,12 @@ def verify_isometry(
     ``|z| = rho1``, each at the ratio ``q = 2^(-53 / (n samples))`` to the
     nearer circle, so that the trapezoid error ``2 q^(n N)`` reaches rounding
     at ``N = samples``.  ``rng`` draws the unit vectors ``v`` and the poles'
-    angles, on rays of every grid so that the error has no phase.  The
-    kernels are sampled once per circle at ``samples``; each count reads a
-    strided view, which for power-of-two strides rounds as if sampled anew.
+    angles, on rays of every grid so that the error has no phase.  Both
+    circles' kernels come from one pair of exponentials ``e^{i theta}``,
+    ``e^{i e theta}`` on the ``n samples`` angles upstairs, ``e = c - (n-1)/2``,
+    and are paired once per circle at each angle of ``samples``; count ``N``
+    sums every ``samples / N``-th pairing, which for power-of-two strides
+    rounds as sampling and pairing on ``N`` angles alone would.
     """
     c = alpha / (2.0 * np.pi)
     coeffs = np.asarray(coeffs, dtype=complex)
@@ -381,7 +419,8 @@ def verify_isometry(
     poles = np.exp(2j * np.pi * rng.integers(grid, size=2) / grid) * np.array([1.0 / q, cov.rho1 * q])
     vectors = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    gram, total_gap, total_scale, convergence = [], 0.0, 0.0, np.zeros(len(counts))
+    kernels = partial(_cauchy_values, poles, {})  # both circles' kernels from one pair of grid exponentials
+    gram, total_gap, total_scale, sums, exact, norms = [], 0.0, 0.0, [], [], []
     for comp, (J, J2) in enumerate(zip(sig.J_list, pipeline.J2_diagonal)):
         r1, r2 = _component_radius(comp, cov.rho1), _component_radius(comp, cov.rho2)
         # basis row (d, j) is z^(c+d) e_j: each pushed Laurent row times each e_j
@@ -396,14 +435,16 @@ def verify_isometry(
         total_gap, total_scale = total_gap + gap, total_scale + scale
 
         closed = _cauchy_pairing(poles, r1, c)
-        scale, exact = np.sqrt(closed.diagonal().real), closed * (vectors.conj() @ J @ vectors.T)
-        # the kernels times their vectors on the finest grid, conjugated and weighted by J2 once
-        fine = _pushforward(cov, comp, samples, c, partial(_cauchy_values, poles))[..., None] * vectors[:, None, None]
-        grids = fine.conj(), _weigh(fine, J2)
-        for i, n_samples in enumerate(counts):
-            g, f = (grid[:, :: samples // n_samples].reshape(2, -1) for grid in grids)
-            gap = g @ f.T * (2.0 * np.pi * r2 / n_samples) - exact
-            convergence[i] = max(convergence[i], (np.abs(gap) / np.outer(scale, scale)).max())
+        norms.append(np.sqrt(closed.diagonal().real))
+        exact.append(closed * (vectors.conj() @ J @ vectors.T))
+        # the kernels times their vectors on the finest grid, paired once at each angle
+        fine = _pushforward(cov, comp, samples, c, kernels)[..., None] * vectors[:, None, None]
+        pairings = _pointwise(fine, J2)
+        sums.append([_strided_sums(pairings, samples // n_samples) for n_samples in counts])
+    # every count of both circles in one pass: trapezoid weight, closed form, the kernels' norms, worst entry
+    weights = 2.0 * np.pi * np.array([1.0, cov.rho2])[:, None] / np.array(counts)
+    kernel_gaps, norms = np.array(sums) * weights[..., None, None] - np.array(exact)[:, None], np.array(norms)
+    convergence = (np.abs(kernel_gaps) / (norms[:, None, :, None] * norms[:, None, None, :])).max(axis=(0, 2, 3))
 
     a, b = coeffs.reshape(len(coeffs), 2, len(degrees) * m).transpose(1, 0, 2)
     gaps = np.abs(np.einsum("ti,ij,tj->t", b.conj(), total_gap, a))

@@ -644,9 +644,11 @@ def induce_representation(
     relator ``i n + k``, that relator rewritten from sheet ``k``; the other
     factors are the identity blocks of tree edges, and ``X I = I X = X``
     exactly for finite ``X``.  So ``chi1``'s rows equal its own fold bit for
-    bit, and a fault of the gather still fails ``chi2``'s rows.  Refuses
-    inconsistent subgroup data, naming each failing ``chi1`` row, and names
-    the worst check, block and residual of a result that fails verification.
+    bit, and a fault of the gather still fails ``chi2``'s rows.  Where the
+    rows read off fail, ``chi1``'s own table is folded and kept as its report:
+    if it passes, the fault is the induction's.  Refuses inconsistent subgroup
+    data, naming each failing ``chi1`` row, and names the worst check, block
+    and residual of a result that fails verification.
     """
     return _induce(cov, trans, chi1)[0]
 
@@ -676,10 +678,14 @@ def _induce(
     sheets = np.concatenate([sheets, np.tile(np.arange(n), relators)])
     residuals, columns = (a.reshape(len(a), n, n1)[rows, sheets] for a in compared)
     consistency = _checks(_check_names(trans.alphabet, relators * n), (residuals, columns % n1))
-    vars(chi1).setdefault("_check_report", consistency)
-    if not consistency.passed:
+    own = vars(chi1).setdefault("_check_report", consistency)
+    if own is consistency and not own.passed:
+        # a fault of the gather fails these rows too: chi1's own fold tells it from inconsistent chi1
+        del vars(chi1)["_check_report"]
+        own = chi1._check_report
+    if not own.passed:
         failures = []
-        for c in consistency.failing():
+        for c in own.failing():
             what = c.name
             if what.startswith("relator["):
                 what = f"rewritten relator {trans.relators[int(what[8:-1])]}"

@@ -328,20 +328,30 @@ def assert_chi1_rows_read_off_chi2(cov, trans, chi1) -> None:
     """``chi1``'s check table as ``induce_representation`` reads it off ``chi2``'s fold equals, bit for bit,
     the fold of ``chi1``'s own table: names, residuals (NaN and inf included), tolerances and blocks.
 
-    ``chi1`` must have no report yet; the reading is made whether or not the induction refuses.
+    So does the report ``chi1`` keeps: the table read off where it passes, and
+    ``chi1``'s own fold, made after the refusal, where it fails.  ``chi1`` must
+    have no report yet; the reading is made whether or not the induction refuses.
     """
     g = len(trans.alphabet)
     assert "_check_report" not in vars(chi1)
     twin = MatrixRep._stacked(trans, chi1._table[0][1 : g + 1], chi1._table[1][1 : g + 1])
+    checks, tables = induction._checks, []
+
+    def recording(*args):
+        tables.append(checks(*args))
+        return tables[-1]
+
     with np.errstate(all="ignore"):  # entries near the largest float overflow to inf and NaN in both folds
         own = check_representation(twin)  # a fold of chi1's table
-        with contextlib.suppress(ValueError):
+        with mock.patch.object(induction, "_checks", recording), contextlib.suppress(ValueError):
             induce_representation(cov, trans, chi1)
-    read = vars(chi1)["_check_report"]
-    assert read.names == own.names and read is not own
-    assert read.residuals.tobytes() == own.residuals.tobytes()
-    assert read.tolerances.tobytes() == own.tolerances.tobytes()
-    assert np.array_equal(read.blocks, own.blocks)
+    read, kept = tables[1], vars(chi1)["_check_report"]  # tables[0] is chi2's
+    assert kept is (read if read.passed else tables[2])
+    for table in (read, kept):
+        assert table.names == own.names and table is not own
+        assert table.residuals.tobytes() == own.residuals.tobytes()
+        assert table.tolerances.tobytes() == own.tolerances.tobytes()
+        assert np.array_equal(table.blocks, own.blocks)
 
 
 def reference_compare(perm, blocks, other_perm, other_blocks) -> tuple[float, tuple[int, int]]:
@@ -392,8 +402,9 @@ def per_count_convergence(cov, alpha, sig, J2_diagonal, counts, rng) -> np.ndarr
         closed = hardy._cauchy_pairing(poles, r1, c)
         scale = np.sqrt(closed.diagonal().real)
         for i, n_samples in enumerate(counts):
-            pushed = hardy._pushforward(cov, comp, n_samples, c, partial(hardy._cauchy_values, poles))
-            gap = hardy._gram(pushed[..., None] * vectors[:, None, None, :], J2) * (2.0 * np.pi * r2 / n_samples)
+            pushed = hardy._pushforward(cov, comp, n_samples, c, partial(hardy._cauchy_values, poles, {}))
+            pairings = hardy._pointwise(pushed[..., None] * vectors[:, None, None, :], J2)
+            gap = pairings.sum(axis=-1) * (2.0 * np.pi * r2 / n_samples)
             gap -= closed * (vectors.conj() @ J @ vectors.T)
             convergence[i] = max(convergence[i], (np.abs(gap) / np.outer(scale, scale)).max())
     return convergence

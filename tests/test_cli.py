@@ -153,12 +153,12 @@ class TestParseConfig:
         with pytest.raises(ValueError, match="field 'rho1'.*underflows"):
             parse_config(json.dumps(isometry_config(rho1=0.01, n=200)))
         # n=150 does not underflow, but its inner-circle samples overflow in the pairing
-        with pytest.raises(ValueError, match="field 'rho1'.*overflows"):
+        with pytest.raises(ValueError, match="fields 'rho1', 'n', 'degree' and 'alpha': rho1=0.01, n=150.*overflows"):
             parse_config(json.dumps(isometry_config(rho1=0.01, n=150)))
 
     def test_overflowing_samples_rejected(self, tmp_path, capsys):
         doc = isometry_config(rho1=0.01, n=150, degree=8, samples=64)
-        with pytest.raises(ValueError, match="field 'rho1'.*n=150, degree=8.*overflows"):
+        with pytest.raises(ValueError, match="fields 'rho1', 'n', 'degree' and 'alpha': .*n=150, degree=8.*overflows"):
             parse_config(json.dumps(doc))
         config = tmp_path / "overflow.json"
         config.write_text(json.dumps(doc))
@@ -201,10 +201,20 @@ class TestParseConfig:
     def test_underflowing_gram_scale_rejected(self):
         # c = alpha / (2 pi) = 200: the inner circle's Gram scales 2 pi 0.1**(2c + 2 degree + 1) underflow
         doc = isometry_config(rho1=0.1, alpha=400 * math.pi)
-        with pytest.raises(ValueError, match="field 'rho1'.*alpha=.*underflows"):
+        with pytest.raises(ValueError, match="fields 'rho1', 'n', 'degree' and 'alpha': rho1=0.1, .*alpha=.*underflows"):
             parse_config(json.dumps(doc))
         report = run_pipeline(parse_config(json.dumps(isometry_config(rho1=0.1, alpha=200 * math.pi))))
         assert report.passed
+
+    @pytest.mark.parametrize("alpha, terms", [(1e308, "1e-7.06e+306"), (-1e308, "1e7.06e+306"), (-1e300, "1e7.06e+298")])
+    def test_huge_alpha_refusal_names_every_field_briefly(self, alpha, terms):
+        # alpha, not rho1, puts the pairing out of range: the four fields of the bound are named, and the
+        # terms' decimal exponents are printed to three digits rather than in full
+        with pytest.raises(ValueError) as refused:
+            parse_config(json.dumps(isometry_config(alpha=alpha)))
+        message = str(refused.value)
+        assert message.startswith(f"invalid values for fields 'rho1', 'n', 'degree' and 'alpha': rho1=0.6, n=3, degree=8, alpha={alpha!r} ")
+        assert f"terms from {terms} to {terms}," in message and len(message) < 300
 
     @pytest.mark.parametrize("samples", [100, 96, 1000, 2**18 - 1])
     def test_samples_not_a_power_of_two_refused(self, samples, tmp_path, capsys):

@@ -10,7 +10,6 @@ the sampling code.
 """
 
 import dataclasses
-import inspect
 import math
 import tracemalloc
 from unittest import mock
@@ -35,7 +34,7 @@ from hardycover import (
 from hardycover import hardy
 from hardycover.induction import BlockMonomial
 
-from helpers import pair_coeffs, per_count_convergence, random_signature_matrix
+from helpers import count_calls, pair_coeffs, per_count_convergence, random_signature_matrix
 
 TWO_PI = 2.0 * np.pi
 
@@ -572,54 +571,124 @@ class TestIsometry:
         assert peak < 2**20
 
 
-# verify_isometry's read of the count N from each of the kernels' grids at the largest count, samples:
-# the conjugated kernels and the weighted ones, each (2, samples, n, m)
-STRIDED_READ = "grid[:, :: samples // n_samples]"
+def per_sheet_pairings(rows, J):
+    """``hardy._pointwise`` before its sum over the sheets: ``(len, len, N, n)``."""
+    return np.einsum("ajkd,bjkd->abjk", rows.conj(), hardy._weigh(rows, J), order="C")
 
 
-def verify_isometry_reading(read):
-    """``verify_isometry`` with its read of each count from the kernel grid replaced by ``read``."""
-    source = inspect.getsource(hardy.verify_isometry)
-    assert source.count(STRIDED_READ) == 1
-    namespace = dict(vars(hardy))
-    exec(compile(source.replace(STRIDED_READ, read), hardy.__file__, "exec"), namespace)
-    return namespace["verify_isometry"]
+# mutants of verify_isometry's read of the count N from the pointwise pairings on the largest count's grid:
+# the names of hardy they replace, and the replacements
+MUTANT_READS = {
+    # the first N angles of the grid instead of every (top / N)-th
+    "prefix": {"_strided_sums": lambda pairings, step: pairings[:, :, : pairings.shape[2] // step].sum(axis=-1)},
+    # the pairings kept per (angle, sheet) and the stride taken over the flattened (angle, sheet) axis, so it
+    # also steps across sheets
+    "sheet-axis-stride": {
+        "_pointwise": per_sheet_pairings,
+        "_strided_sums": lambda pairings, step: pairings.reshape(*pairings.shape[:2], -1)[..., ::step].sum(axis=-1),
+    },
+}
 
 
 class TestKernelGrid:
-    """Each count's kernel samples are every ``(top / N)``-th of the largest count's, bit for bit."""
+    """Each count's kernel pairing sums every ``(top / N)``-th pointwise pairing of the largest count's grid.
+
+    The oracle samples and pairs each count on its own grid; the tables agree
+    bit for bit.
+    """
 
     SIG = SignatureData(J_list=(np.eye(1), -np.eye(1)))
     TOP = 2048
 
-    def tables(self, verify, n):
+    def tables(self, n, monkeypatch):
+        """The convergence table of ``verify_isometry`` as patched, then the oracle's with the patches undone."""
         cov, alpha = make_annulus_cover(0.6, n), 0.7
-        result = verify(cov, alpha, self.SIG, np.zeros((0, 2, 17, 1)), self.TOP, np.random.default_rng(n))
+        result = verify_isometry(cov, alpha, self.SIG, np.zeros((0, 2, 17, 1)), self.TOP, np.random.default_rng(n))
+        monkeypatch.undo()
         assert result.counts == tuple(1 << k for k in range(6, self.TOP.bit_length()))
         J2 = annulus_pipeline(n, alpha, self.SIG).J2_diagonal
         direct = per_count_convergence(cov, alpha, self.SIG, J2, result.counts, np.random.default_rng(n))
         return result.convergence, direct
 
     @pytest.mark.parametrize("n", [1, 3, 7])
-    def test_strided_equals_direct(self, n):
-        strided, direct = self.tables(verify_isometry, n)
+    def test_strided_equals_direct(self, monkeypatch, n):
+        strided, direct = self.tables(n, monkeypatch)
         assert np.array_equal(strided, direct)
 
-    @pytest.mark.parametrize(
-        "read",
-        [
-            # the first N angles of the grid instead of every (top / N)-th
-            "grid[:, :n_samples]",
-            # the stride taken over the flattened (angle, sheet) axis, so it also steps across sheets
-            "grid.reshape(2, -1)[:, :: samples // n_samples].reshape(2, n_samples, -1)",
-        ],
-        ids=["prefix", "sheet-axis-stride"],
-    )
+    @pytest.mark.parametrize("read", list(MUTANT_READS))
     @pytest.mark.parametrize("n", [3, 7])
-    def test_mutant_read_fails(self, read, n):
+    def test_mutant_read_fails(self, monkeypatch, read, n):
         # at n = 1 there is no sheet axis to step across, so both mutants are checked on several sheets
-        strided, direct = self.tables(verify_isometry_reading(read), n)
+        for name, value in MUTANT_READS[read].items():
+            monkeypatch.setattr(hardy, name, value)
+        strided, direct = self.tables(n, monkeypatch)
         assert not np.array_equal(strided, direct)
+
+    @pytest.mark.parametrize("samples", [64, 1024, 2048])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_one_pair_of_grid_exponentials_per_call(self, monkeypatch, samples, n):
+        # both circles' kernels share the exponentials of the n samples upstairs angles, whatever the counts;
+        # the kernels are pushed forward once per circle, at samples, and no count samples them again
+        grids = count_calls(monkeypatch, hardy, "_grid_exponentials")
+        pushes = count_calls(monkeypatch, hardy, "_pushforward")
+        result = verify_isometry(
+            make_annulus_cover(0.6, n), 0.7, self.SIG, np.zeros((2, 2, 17, 1)), samples, np.random.default_rng(0)
+        )
+        assert len(result.counts) == samples.bit_length() - 6
+        assert [args for args, _ in grids] == [(n * samples, 0.7 / TWO_PI - 0.5 * (n - 1))]
+        assert [args[2] for args, _ in pushes] == [32, samples] * 2  # the Gram basis, then the kernels
+
+
+def dense_kernel_table(cov, alpha, sig, J2_diagonal, counts, rng) -> np.ndarray:
+    """``verify_isometry``'s convergence table from kernels summed at each count's preimage angles, paired by ``_gram``.
+
+    Shares neither the kernel sampler nor the pointwise pairing with the
+    library.  ``rng`` is in the state ``verify_isometry`` draws the kernels
+    from: the poles' angles, then the unit vectors.
+    """
+    c, n, m = alpha / TWO_PI, cov.n, sig.m
+    q, grid = 2.0 ** (-53.0 / (n * max(counts))), n * counts[0]
+    poles = np.exp(2j * np.pi * rng.integers(grid, size=2) / grid) * np.array([1.0 / q, cov.rho1 * q])
+    vectors = rng.standard_normal((2, m)) + 1j * rng.standard_normal((2, m))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    table = np.zeros(len(counts))
+    for comp, (J, J2) in enumerate(zip(sig.J_list, J2_diagonal)):
+        r1, r2 = (1.0, 1.0) if comp == 0 else (cov.rho1, cov.rho2)
+        closed = hardy._cauchy_pairing(poles, r1, c)
+        norms = np.sqrt(closed.diagonal().real)
+        for i, N in enumerate(counts):
+            # sheet k's preimage of theta_j has angle (theta_j + 2 pi k) / n; z^c / (z - p) over sqrt(n z^(n-1))
+            phi = (TWO_PI * np.arange(N)[:, None] / N + TWO_PI * np.arange(n)) / n
+            log_z = np.log(r1) + 1j * phi
+            values = np.exp((c - 0.5 * (n - 1)) * log_z) / np.sqrt(n) / (np.exp(log_z) - poles[:, None, None])
+            gap = hardy._gram(values[..., None] * vectors[:, None, None], J2) * (TWO_PI * r2 / N)
+            gap -= closed * (vectors.conj() @ J @ vectors.T)
+            table[i] = max(table[i], (np.abs(gap) / np.outer(norms, norms)).max())
+    return table
+
+
+class TestKernelTable:
+    """The convergence table against a pairing it does not share: dense ``_gram`` sums of kernels sampled per count."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2, 3, 5]),
+        m=st.sampled_from([1, 2]),
+        rho1=st.floats(0.3, 0.95),
+        samples=st.sampled_from([64, 256, 1024]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_table_matches_dense_pairing_per_count(self, n, m, rho1, samples, seed):
+        rng = np.random.default_rng(seed)
+        alpha = float(rng.uniform(-3.0, 3.0))
+        # non-diagonal for m = 2: a random eigenbasis per circle
+        sig = SignatureData(J_list=tuple(random_signature_matrix(rng, m) for _ in range(2)))
+        cov = make_annulus_cover(rho1, n)
+        result = verify_isometry(cov, alpha, sig, np.zeros((0, 2, 1, m)), samples, np.random.default_rng(seed))
+        assert result.counts == tuple(1 << k for k in range(6, samples.bit_length()))
+        J2 = result.pipeline.J2_diagonal
+        dense = dense_kernel_table(cov, alpha, sig, J2, result.counts, np.random.default_rng(seed))
+        assert np.abs(result.convergence - dense).max() < 1e-13
 
 
 def per_pair_gaps(cov, pairs, sig, counts, J2):

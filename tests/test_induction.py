@@ -926,7 +926,8 @@ class TestChecksReadOffTheInducedFold:
     @pytest.mark.parametrize("kind", list(GATHER_MUTANTS))
     def test_gather_mutants_fail_chi2_rows(self, monkeypatch, kind):
         # chi2's rows are a fold of chi2's own table: a fault of the gather fails them; chi1's rows, read
-        # off the same fold, fail too, so the mutant is refused as inconsistent subgroup data
+        # off the same fold, fail too, but chi1's own fold passes, so the mutant fails verification and
+        # chi1 keeps its own table
         from helpers import random_induce_config
 
         config = random_induce_config(seed=7, n=16)
@@ -940,12 +941,15 @@ class TestChecksReadOffTheInducedFold:
         assert induce_representation(cov, trans, chi1) and all(table.passed for _, table in tables)
         tables.clear()
         induce = mutant(induction._induce, *GATHER_MUTANTS[kind])
-        with pytest.raises(ValueError, match="subgroup representation inconsistent"):
-            induce(cov, trans, MatrixRep(presentation=trans, m=2, images=images))
-        chi2_rows = tables[0][1]
+        chi1 = MatrixRep(presentation=trans, m=2, images=images)
+        with pytest.raises(ValueError, match=r"^induced representation failed verification: relator\[0\] at block"):
+            induce(cov, trans, chi1)
+        (chi2_rows, read_off, own) = (table for _, table in tables)
         assert chi2_rows.names[:4] == ("unitarity[A0]", "unitarity[A1]", "unitarity[A'1]", "unitarity[B'1]")
         assert [c.name for c in chi2_rows.failing()] == ["relator[0]"]
         assert chi2_rows.worst().startswith("relator[0]") and chi2_rows.residuals[-1] > 1e-3
+        assert not read_off.passed and read_off.names == own.names
+        assert own.passed and check_representation(chi1) is own
 
 
 class TestRepSerialization:
