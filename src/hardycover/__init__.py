@@ -58,15 +58,8 @@ from .cyclic import (
 )
 from .hardy import (
     AnnulusCovering,
-    BoundarySection,
     IsometryResult,
-    SectionSpec,
-    indefinite_inner_product,
     make_annulus_cover,
-    pushforward_section,
-    random_section,
-    sample_section,
-    section_values,
     verify_isometry,
 )
 

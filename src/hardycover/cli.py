@@ -12,6 +12,8 @@ config (``isometry``, the only mode that draws random numbers, takes its
 ``seed`` from it, draws every trial as one coefficient array and leaves the
 convergence table's counts to ``verify_isometry``): the JSON emission is
 byte-stable, with wall-clock timing shown only in the text rendering.
+Each mode runs with numpy's overflow raising, so a finite config whose
+products overflow gets an error report, not an ``Infinity`` residual.
 
 A report's matrices come in tables of one type, ``_Images``: a dict equal
 to the labels -> images mapping that carries the stack the images are
@@ -419,7 +421,7 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
     cov = make_annulus_cover(float(p["rho1"]), p["n"])
     alpha, tolerance, degree, samples = float(p["alpha"]), float(p["tolerance"]), p["degree"], p["samples"]
     rng = np.random.default_rng(p["seed"])
-    # every trial at once, in the stream order of one random_section per section
+    # every trial at once; per section the real parts' draws, then the imaginary parts', f before h
     draws = rng.standard_normal((p["trials"], 2, 2, 2 * degree + 1, p["m"]))
     coeffs = draws[:, :, 0] + 1j * draws[:, :, 1]
     result = verify_isometry(cov, alpha, _signature_from_params(p), coeffs, samples, rng)
@@ -497,7 +499,8 @@ def run_pipeline(cfg: RunConfig) -> Report:
     report = Report(config=cfg.echo())
     start = time.perf_counter()
     try:
-        _MODES[cfg.mode][0](cfg, report)
+        with np.errstate(over="raise"):  # an overflow is an error, never an inf in the report
+            _MODES[cfg.mode][0](cfg, report)
     except Exception as exc:  # noqa: BLE001 - contract: never crash
         report.error = f"{type(exc).__name__}: {exc}"
     report.timing_seconds = time.perf_counter() - start

@@ -1,4 +1,4 @@
-"""Boundary sampling, pushforward, and indefinite inner products on annuli.
+"""The pushforward's isometry of indefinite Hardy spaces along the power maps of annuli.
 
 Conventions, fixed once for the whole module:
 
@@ -19,20 +19,19 @@ Conventions, fixed once for the whole module:
   branch factors ``z^c`` and ``1 / sqrt(F')`` are evaluated by continuity in
   the literal angle ``theta_j``, as everywhere else.
 
-One sampler serves every Laurent grid and one pushforward all sections.
-``_gram`` sums each pairing ``g^* J f`` over its whole grid; ``_pointwise``
-pairs at each angle, for sums over every ``s``-th angle.  ``verify_isometry``
-checks the isometry as an identity of Gram matrices on the Laurent basis,
-exact on a small grid, and its convergence on Cauchy kernels, which are not
-band-limited.
+``verify_isometry`` is the one analytic path.  It checks the isometry as
+an identity of Gram matrices on the Laurent basis, exact on a small grid,
+and its convergence on Cauchy kernels, which are not band-limited.  Its
+private kernels do the work: ``_uniform_values`` samples every Laurent
+grid, ``_cauchy_values`` every kernel grid, and ``_pushforward`` pushes
+either forward; ``_gram`` sums each pairing ``g^* J f`` over its whole grid
+and ``_pointwise`` pairs at each angle, for sums over every ``s``-th angle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Sequence
 
 import numpy as np
 
@@ -40,19 +39,7 @@ from .groups import _as_int
 from .induction import BlockMonomial, SignatureData
 from .cyclic import CyclicPipeline, annulus_pipeline
 
-__all__ = [
-    "AnnulusCovering",
-    "SectionSpec",
-    "BoundarySection",
-    "make_annulus_cover",
-    "random_section",
-    "section_values",
-    "sample_section",
-    "pushforward_section",
-    "indefinite_inner_product",
-    "IsometryResult",
-    "verify_isometry",
-]
+__all__ = ["AnnulusCovering", "make_annulus_cover", "IsometryResult", "verify_isometry"]
 
 
 @dataclass(frozen=True)
@@ -77,59 +64,6 @@ def make_annulus_cover(rho1: float, n: int) -> AnnulusCovering:
     return AnnulusCovering(rho1=float(rho1), n=n, rho2=float(rho1) ** n)
 
 
-@dataclass(frozen=True, eq=False)
-class SectionSpec:
-    """Truncated Laurent section ``z^c (sum_{|d| <= degree} a_d z^d)`` with values in C^m.
-
-    ``coeffs`` has shape ``(2*degree + 1, m)``; row ``j`` is the coefficient
-    of ``z^(j - degree)``.  ``m`` and ``degree`` are ints; bools are refused.
-    ``c`` and the coefficients must be finite.
-    """
-
-    m: int
-    c: float
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        _as_int(self.m, "m")
-        _as_int(self.degree, "degree")
-        if not math.isfinite(self.c):
-            raise ValueError(f"invalid value for field 'c': {self.c!r} is not finite")
-        arr = np.asarray(self.coeffs, dtype=complex)
-        if arr.shape != (2 * self.degree + 1, self.m):
-            raise ValueError(
-                f"coefficients have shape {arr.shape}, expected {(2 * self.degree + 1, self.m)}"
-            )
-        if not np.isfinite(arr).all():
-            raise ValueError("invalid value for field 'coeffs': entries are not all finite")
-        object.__setattr__(self, "coeffs", arr)
-
-
-def random_section(rng: np.random.Generator, m: int, degree: int, c: float) -> SectionSpec:
-    """Section with independent standard complex Gaussian coefficients."""
-    shape = (2 * degree + 1, m)
-    coeffs = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return SectionSpec(m=m, c=float(c), degree=degree, coeffs=coeffs)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundarySection:
-    """Sampled boundary values on one circle: one row of ``samples`` per angle ``theta_j = 2 pi j / N``."""
-
-    component: int
-    radius: float
-    samples: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.samples.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.samples.shape[1]
-
-
 def _check_sample_count(n_samples: int, degree: int) -> int:
     """``n_samples`` as an int, refused unless it is a power of two that samples the degree."""
     n_samples = _as_int(n_samples, "sample count")
@@ -143,30 +77,6 @@ def _check_sample_count(n_samples: int, degree: int) -> int:
     return n_samples
 
 
-def section_values(spec: SectionSpec, radius: float, angles: np.ndarray) -> np.ndarray:
-    """Section values at ``radius * e^{i angle}``, the multiplier continued in the angle.
-
-    Angles are taken literally (not reduced mod 2 pi), which is what realizes
-    branch-by-continuity.  This direct sum serves arbitrary angles; the
-    samplers on uniform grids use the inverse FFT of ``_uniform_values``.
-    """
-    angles = np.asarray(angles, dtype=float)
-    degrees = np.arange(-spec.degree, spec.degree + 1)
-    basis = np.exp(1j * np.outer(angles, degrees)) * radius ** degrees.astype(float)
-    values = basis @ spec.coeffs
-    multiplier = np.exp(spec.c * (np.log(radius) + 1j * angles))
-    return multiplier[:, None] * values
-
-
-def _component_radius(component: int, rho: float) -> float:
-    component = _as_int(component, "component")
-    if component == 0:
-        return 1.0
-    if component == 1:
-        return float(rho)
-    raise ValueError(f"annulus has boundary components 0 and 1, got {component}")
-
-
 def _uniform_values(
     coeffs: np.ndarray, radius: float, n_points: int, exponent: float
 ) -> np.ndarray:
@@ -174,9 +84,9 @@ def _uniform_values(
 
     Entry ``j`` of a ``coeffs`` row of width ``2 degree + 1`` is the
     coefficient of ``z^(j - degree)``.  One inverse FFT transforms every row,
-    then the grid's branch multiplier is applied in place.  With ``exponent =
-    spec.c`` a row is ``section_values`` on the same angles up to rounding,
-    provided ``n_points >= 2 * degree + 1``.
+    then the grid's branch multiplier is applied in place.  A row is the
+    term-by-term sum at the same angles up to rounding, provided ``n_points
+    >= 2 * degree + 1``.
     """
     degrees = np.arange(coeffs.shape[1]) - coeffs.shape[1] // 2
     spectrum = np.zeros((coeffs.shape[0], n_points), dtype=complex)
@@ -186,19 +96,6 @@ def _uniform_values(
     angles = 2.0 * np.pi * np.arange(n_points) / n_points
     # multiplier first: numpy rounds a complex product by its operand order
     return np.multiply(np.exp(exponent * (np.log(radius) + 1j * angles)), values, out=values)
-
-
-def sample_section(
-    spec: SectionSpec, component: int, n_samples: int, rho: float
-) -> BoundarySection:
-    """Boundary samples of a section on one circle of the annulus A(rho)."""
-    _check_sample_count(n_samples, spec.degree)
-    radius = _component_radius(component, rho)
-    return BoundarySection(
-        component=int(component),
-        radius=radius,
-        samples=_uniform_values(spec.coeffs.T, radius, n_samples, spec.c).T,
-    )
 
 
 def _grid_exponentials(n_points: int, exponent: float) -> tuple[np.ndarray, np.ndarray]:
@@ -231,68 +128,14 @@ def _pushforward(cov: AnnulusCovering, component: int, n_samples: int, exponent:
     sqrt(n)``: ``sample(radius, n_points, exponent)`` gives the rows' values
     times ``z^exponent`` on that grid, called with ``exponent - (n-1)/2``.
     For the count ``N / s``, block ``(j, k)`` is block ``(s j, k)`` of this grid.
+    The root of ``F'`` is the one positive at angle 0; the other global sign
+    would enter every pairing ``g^* J2 f`` squared, so no check could tell it.
     """
-    r1 = _component_radius(component, cov.rho1)
+    r1 = (1.0, cov.rho1)[component]
     upstairs = sample(r1, cov.n * n_samples, exponent - 0.5 * (cov.n - 1))
     upstairs /= np.sqrt(cov.n)
     # column k N + j of a row is its value on sheet k at theta_j
     return upstairs.reshape(-1, cov.n, n_samples).transpose(0, 2, 1)
-
-
-def pushforward_section(
-    cov: AnnulusCovering,
-    spec: SectionSpec,
-    component: int,
-    n_samples: int,
-) -> BoundarySection:
-    """Pushforward of a section along the power map, sampled on a circle downstairs.
-
-    At a boundary point ``w`` of the target annulus the value is the vector of
-    blocks ``f(z_k) / sqrt(F'(z_k))`` over the n preimages ``z_k``, with both
-    the root of ``z_k`` and the root of the derivative ``F' = n z^{n-1}``
-    continued in the angle from their positive values at angle 0; a global
-    sign on the latter would enter every pairing ``g^* J2 f`` squared, so no
-    check could tell it.  The blocks are stacked in preimage order, giving
-    a section with values in C^{n m}.  One inverse FFT on the ``n N`` angles
-    upstairs samples every block (see ``_pushforward``).
-    """
-    _check_sample_count(n_samples, spec.degree)
-    blocks = _pushforward(cov, component, n_samples, spec.c, partial(_uniform_values, spec.coeffs.T))
-    return BoundarySection(
-        component=int(component),
-        radius=_component_radius(component, cov.rho2),
-        samples=blocks.transpose(1, 2, 0).reshape(n_samples, cov.n * spec.m),  # (m, N, n) -> (N, n m)
-    )
-
-
-def indefinite_inner_product(
-    f_sections: tuple[BoundarySection, ...],
-    g_sections: tuple[BoundarySection, ...],
-    J_list: Sequence[BlockMonomial | np.ndarray],
-) -> complex:
-    """Sum over boundary components of the weighted boundary pairing of f against g.
-
-    Each component contributes the trapezoid sum of ``g(theta)^* J f(theta)``
-    times the ``|dz| = r d theta`` density.  The first argument varies in the
-    sesquilinear form's linear slot.  A weight over ``n`` sheets acts on the
-    samples as ``(N, n, m)`` blocks; a square array is the one-sheet case.
-    """
-    if not (len(f_sections) == len(g_sections) == len(J_list)):
-        raise ValueError("need one section pair and one weight per boundary component")
-    total = 0.0 + 0.0j
-    for f, g, J in zip(f_sections, g_sections, J_list):
-        J = BlockMonomial.of(J)
-        if f.n_samples != g.n_samples:
-            raise ValueError("sections sampled at different resolutions")
-        if f.component != g.component or f.radius != g.radius:
-            raise ValueError("sections sampled on different circles")
-        if J.n * J.m != f.dim or g.dim != f.dim:
-            raise ValueError(
-                f"dimension mismatch: sections in C^{f.dim}/C^{g.dim}, weight of rank {J.n * J.m}"
-            )
-        rows = np.stack([f.samples, g.samples]).reshape(2, f.n_samples, J.n, J.m)
-        total += _gram(rows, J)[1, 0] * (2.0 * np.pi * f.radius / f.n_samples)
-    return complex(total)
 
 
 def _weigh(rows: np.ndarray, J: BlockMonomial) -> np.ndarray:
@@ -422,7 +265,7 @@ def verify_isometry(
     kernels = partial(_cauchy_values, poles, {})  # both circles' kernels from one pair of grid exponentials
     gram, total_gap, total_scale, sums, exact, norms = [], 0.0, 0.0, [], [], []
     for comp, (J, J2) in enumerate(zip(sig.J_list, pipeline.J2_diagonal)):
-        r1, r2 = _component_radius(comp, cov.rho1), _component_radius(comp, cov.rho2)
+        r1, r2 = (1.0, cov.rho1)[comp], (1.0, cov.rho2)[comp]
         # basis row (d, j) is z^(c+d) e_j: each pushed Laurent row times each e_j
         pushed = _pushforward(cov, comp, n_gram, c, basis)[:, None, :, :, None] * np.eye(m)[:, None, None, :]
         weights = 2.0 * np.pi * r1 ** (2.0 * c + 2.0 * degrees + 1.0)

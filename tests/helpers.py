@@ -25,7 +25,6 @@ from hardycover import (
     double_group,
     induce_representation,
     mirror_monodromy,
-    random_section,
     schreier_transversal,
     sigma,
     surface_group,
@@ -385,6 +384,30 @@ def reference_extension_images(chi_S, sig, p) -> dict:
 # Isometry oracle: the isometry path sampled one section and one count at a time.
 
 
+def random_coeffs(rng: np.random.Generator, m: int, degree: int) -> np.ndarray:
+    """A section's ``(2 degree + 1, m)`` standard complex Gaussian coefficients: the real parts' draws, then the
+    imaginary parts', the stream order of the CLI's draw."""
+    shape = (2 * degree + 1, m)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def section_values(coeffs: np.ndarray, c: float, radius: float, angles: np.ndarray) -> np.ndarray:
+    """Values of ``z^c sum_d a_d z^d`` at ``radius * e^{i angle}``, the multiplier continued in the angle.
+
+    Row ``j`` of ``coeffs``, of shape ``(2 degree + 1, m)``, is the
+    coefficient of ``z^(j - degree)``.  Angles are taken literally (not
+    reduced mod 2 pi), which is what realizes branch-by-continuity.  This
+    direct sum serves arbitrary angles; the library samples uniform grids by
+    the inverse FFT of ``hardy._uniform_values``.
+    """
+    angles = np.asarray(angles, dtype=float)
+    degrees = np.arange(len(coeffs)) - len(coeffs) // 2
+    basis = np.exp(1j * np.outer(angles, degrees)) * radius ** degrees.astype(float)
+    values = basis @ coeffs
+    multiplier = np.exp(c * (np.log(radius) + 1j * angles))
+    return multiplier[:, None] * values
+
+
 def per_count_convergence(cov, alpha, sig, J2_diagonal, counts, rng) -> np.ndarray:
     """``verify_isometry``'s convergence table with the Cauchy kernels sampled afresh at every count.
 
@@ -411,11 +434,13 @@ def per_count_convergence(cov, alpha, sig, J2_diagonal, counts, rng) -> np.ndarr
 
 
 def pair_coeffs(pairs, degree: int, m: int) -> np.ndarray:
-    """``verify_isometry``'s coefficient array of section pairs, each section zero-padded to ``degree``."""
+    """``verify_isometry``'s coefficient array of pairs of ``(2 d + 1, m)`` coefficient arrays, each zero-padded
+    to ``degree``."""
     coeffs = np.zeros((len(pairs), 2, 2 * degree + 1, m), dtype=complex)
     for t, pair in enumerate(pairs):
-        for side, spec in enumerate(pair):
-            coeffs[t, side, degree - spec.degree : degree + spec.degree + 1] = spec.coeffs
+        for side, section in enumerate(pair):
+            d = len(section) // 2
+            coeffs[t, side, degree - d : degree + d + 1] = section
     return coeffs
 
 
@@ -424,8 +449,9 @@ def reference_isometry_report(config: dict) -> str:
 
     The CLI's ``verify_isometry`` is replaced by one that ignores the
     coefficients and generator it is given and draws from a fresh generator
-    of the config's seed: each section through ``random_section``, f then h
-    per trial, and the kernels after them, sampled at every count on its own.
+    of the config's seed: each section's coefficients by ``random_coeffs``,
+    f then h per trial, and the kernels after them, sampled at every count on
+    its own.
     The Gram checks and the trials' gaps are the library's, read on those
     sections' stacked coefficients.  An isometry change meant to leave
     reports alone must give this report byte for byte.
@@ -434,8 +460,8 @@ def reference_isometry_report(config: dict) -> str:
     seed = cfg.params["seed"]
 
     def reference(cov, alpha, sig, coeffs, samples, rng):
-        rng, c, degree = np.random.default_rng(seed), alpha / (2.0 * np.pi), coeffs.shape[2] // 2
-        pairs = [(random_section(rng, sig.m, degree, c), random_section(rng, sig.m, degree, c)) for _ in coeffs]
+        rng, degree = np.random.default_rng(seed), coeffs.shape[2] // 2
+        pairs = [(random_coeffs(rng, sig.m, degree), random_coeffs(rng, sig.m, degree)) for _ in coeffs]
         kernels = copy.deepcopy(rng)
         result = hardy.verify_isometry(cov, alpha, sig, pair_coeffs(pairs, degree, sig.m), samples, rng)
         convergence = per_count_convergence(cov, alpha, sig, result.pipeline.J2_diagonal, result.counts, kernels)

@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from hardycover import (
+    BlockMonomial,
     SignatureData,
     annulus_pipeline,
     build_covering,
@@ -27,7 +28,6 @@ from hardycover import (
     induce_representation,
     make_annulus_cover,
     pairing_signature_matrices,
-    random_section,
     schreier_rewrite,
     schreier_transversal,
     sigma,
@@ -38,9 +38,10 @@ from hardycover import (
     verify_symmetry_conditions,
     MatrixRep,
 )
+from hardycover import hardy
 from hardycover.covering import expand_schreier_word
 
-from helpers import commuting_unitaries, evaluate, haar_unitary, pair_coeffs, random_word
+from helpers import commuting_unitaries, evaluate, haar_unitary, pair_coeffs, random_coeffs, random_word
 
 TORUS = double_group(0, 2)
 
@@ -284,22 +285,21 @@ ISO_SIG = SignatureData(J_list=(np.eye(1), -np.eye(1)))
 
 def test_criterion_5_numerical_isometry():
     start = time.perf_counter()
-    from hardycover import SectionSpec, indefinite_inner_product, sample_section
-
     cov = make_annulus_cover(ISO_RHO, ISO_N)
-    c = ISO_ALPHA / (2.0 * np.pi)
     rng = np.random.default_rng(0)
     ok = True
 
-    pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(20)]
+    pairs = [(random_coeffs(rng, 1, 8), random_coeffs(rng, 1, 8)) for _ in range(20)]
     result = verify_isometry(cov, ISO_ALPHA, ISO_SIG, pair_coeffs(pairs, 8, 1), 2048, rng)
     ok &= max(residual for residual, _ in result.gram) < 1e-13
     ok &= result.trials.max() < 1e-13
 
-    const = SectionSpec(m=1, c=0.0, degree=0, coeffs=np.ones((1, 1), dtype=complex))
+    # the constant section 1 on A(rho), sampled and paired by the kernels: <1, 1> = 2 pi (1 - rho)
     for rho in (cov.rho1, cov.rho2):
-        secs = tuple(sample_section(const, comp, 2048, rho) for comp in (0, 1))
-        value = indefinite_inner_product(secs, secs, ISO_SIG.J_list)
+        value = 0.0
+        for r, J in zip((1.0, rho), ISO_SIG.J_list):
+            samples = hardy._uniform_values(np.ones((1, 1)), r, 2048, 0.0).T[None, :, None, :]
+            value += hardy._gram(samples, BlockMonomial.of(J))[0, 0] * (2.0 * np.pi * r / 2048)
         ok &= abs(value - 2.0 * np.pi * (1.0 - rho)) < 1e-10
 
     elapsed = time.perf_counter() - start
@@ -311,9 +311,8 @@ def test_criterion_5_numerical_isometry():
 def test_criterion_6_convergence():
     start = time.perf_counter()
     cov = make_annulus_cover(ISO_RHO, ISO_N)
-    c = ISO_ALPHA / (2.0 * np.pi)
     rng = np.random.default_rng(1)
-    pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(20)]
+    pairs = [(random_coeffs(rng, 1, 8), random_coeffs(rng, 1, 8)) for _ in range(20)]
     tolerance = 1e-9
     # the Cauchy kernels, which no grid integrates exactly, at 64 ... 1024 samples
     result = verify_isometry(cov, ISO_ALPHA, ISO_SIG, pair_coeffs(pairs, 8, 1), 1024, rng)
@@ -359,8 +358,7 @@ def test_criterion_7_degenerate_cases():
     ok &= max(c.residual for c in pipe.report.checks) < 1e-14
     cov1 = make_annulus_cover(ISO_RHO, 1)
     rng = np.random.default_rng(2)
-    c = ISO_ALPHA / (2.0 * np.pi)
-    pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(5)]
+    pairs = [(random_coeffs(rng, 1, 8), random_coeffs(rng, 1, 8)) for _ in range(5)]
     # the base side is closed form and the covered side sampled, so they agree to rounding
     identity = verify_isometry(cov1, ISO_ALPHA, ISO_SIG, pair_coeffs(pairs, 8, 1), 1024, rng)
     ok &= max(residual for residual, _ in identity.gram) < 1e-14

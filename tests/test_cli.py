@@ -588,16 +588,19 @@ class TestIsometryMode:
         assert [row[0] for row in report.extras["convergence"]] == counts
         assert counts[0] >= 2 * degree + 2
 
-    def test_run_builds_no_section_spec(self, monkeypatch):
-        # the trials reach verify_isometry as one coefficient array, not one SectionSpec per section
+    def test_kernel_calls_independent_of_trials(self, monkeypatch):
+        # the trials reach verify_isometry as one coefficient array: the Laurent basis and the Cauchy kernels
+        # are sampled and pushed forward as often for 20 trials as for 1, and no trial is sampled on its own
         from hardycover import hardy
 
-        made = []
-        original = hardy.SectionSpec.__post_init__
-        monkeypatch.setattr(hardy.SectionSpec, "__post_init__", lambda self: made.append(1) or original(self))
-        report = run_pipeline(self.quick(samples=128, trials=5))
-        assert report.passed and len(report.extras["per_trial_residuals"]) == 5
-        assert made == []
+        counts = []
+        for trials in (1, 20):
+            with monkeypatch.context() as patch:
+                calls = [count_calls(patch, hardy, name) for name in ("_uniform_values", "_pushforward")]
+                report = run_pipeline(self.quick(samples=128, trials=trials))
+            assert report.passed and len(report.extras["per_trial_residuals"]) == trials
+            counts.append([len(record) for record in calls])
+        assert counts[0] == counts[1] and min(counts[0]) > 0
 
 
 def dense_induced_export(config):
@@ -697,6 +700,15 @@ class TestEmission:
         out = tmp_path / "report.json"
         emit_report(run_pipeline(cfg), fmt="json", path=str(out))
         assert json.loads(out.read_text())["passed"] is True
+
+
+def strict_json(text):
+    """``json.loads`` of a report that refuses ``NaN``, ``Infinity`` and ``-Infinity``."""
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=refuse)
 
 
 def row_dicts(rows):
@@ -855,8 +867,13 @@ class TestJsonWriter:
             chi1_variant("shared-value"),
             chi1_variant("signed-zeros"),
             chi1_variant("big-int"),
-            # the CLI runs with numpy's warnings on, so the residuals overflow to inf and NaN
+            # numpy's warnings do not raise in the CLI, so only the run's own error state stops these overflows
             pytest.param(chi1_variant("overflowing"), marks=pytest.mark.filterwarnings("ignore::RuntimeWarning")),
+            # a finite entry whose products overflow, once written with "residual": Infinity
+            pytest.param(
+                json.loads(TestInduceConfig().with_value("chi1.images.A1@1", [[[1e300, 0]]])),
+                marks=pytest.mark.filterwarnings("ignore::RuntimeWarning"),
+            ),
             {"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]},
             isometry_config(samples=128, trials=2),
         ],
@@ -864,7 +881,7 @@ class TestJsonWriter:
             "induce-one-sheet", "induce-torus-3", "induce-64-sheets", "induce-failing", "induce-int-parts",
             "induce-negative-zero", "induce-labels-reordered", "induce-label-outside-alphabet",
             "induce-shared-value", "induce-signed-zeros", "induce-big-int", "induce-overflowing",
-            "verify", "isometry",
+            "induce-entry-1e300", "verify", "isometry",
         ],
     )
     def test_report_is_dumps_of_the_dense_document(self, config):
@@ -872,6 +889,8 @@ class TestJsonWriter:
         report = run_pipeline(cfg)
         text = emit_report(report, fmt="json")
         assert_same_text(text, dense_dumps(report))
+        # strict JSON: no NaN or Infinity, even where a product overflowed
+        assert strict_json(text)["error"] == report.error
         if config["mode"] != "induce":
             return
         # the echo is the config as given, compared as text, so ints and the sign of every zero count
@@ -899,12 +918,14 @@ class TestJsonWriter:
         text = emit_report(run_pipeline(parse_config(json.dumps(chi1_variant("signed-zeros")))), fmt="json")
         assert '"A1@3": [[[-1.0, 0.0]]]' in text and '"B1@1": [[[1.0, -0.0]]]' in text
         assert '"B1@2": [[[1, -0.0]]]' in text
-        # residuals that overflowed: the table keeps NaN and inf
+        # residuals that would overflow: the run stops at the overflow, whatever the caller's numpy error
+        # state, and the report holds no NaN or Infinity
         with np.errstate(over="ignore", invalid="ignore"):
             report = run_pipeline(parse_config(json.dumps(chi1_variant("overflowing"))))
         text = emit_report(report, fmt="json")
-        assert not report.passed and np.isnan(report.table.residuals).any() and np.isinf(report.table.residuals).any()
-        assert '"residual": NaN' in text and '"residual": Infinity' in text
+        assert not report.passed and report.error.startswith("FloatingPointError: overflow encountered in ")
+        assert np.isfinite(report.table.residuals).all()
+        assert "NaN" not in text and "Infinity" not in text
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -1093,13 +1114,10 @@ class TestJsonWriter:
         assert text.count("\n") == 1 and text.endswith("\n")
 
     def test_documented_reports_are_strict_json(self):
-        def refuse(constant):
-            raise ValueError(f"{constant} is not JSON")
-
         for block in documented_configs():
             report = run_pipeline(parse_config(block))
             assert report.passed
-            assert json.loads(emit_report(report, fmt="json"), parse_constant=refuse)["passed"] is True
+            assert strict_json(emit_report(report, fmt="json"))["passed"] is True
 
     @settings(max_examples=100, deadline=None)
     @given(drawn=check_tables())

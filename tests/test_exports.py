@@ -1,9 +1,11 @@
 """The public names of each layer and of the package."""
 
-import dataclasses
 import importlib
 import inspect
+import re
 import types
+import warnings
+from pathlib import Path
 
 import pytest
 
@@ -31,11 +33,7 @@ EXPORTS = {
         "cyclic_cover", "annulus_surface_rep", "annulus_double_rep", "boundary_subgroup_rep", "CyclicPipeline",
         "annulus_pipeline",
     ],
-    "hardy": [
-        "AnnulusCovering", "SectionSpec", "BoundarySection", "make_annulus_cover", "random_section",
-        "section_values", "sample_section", "pushforward_section", "indefinite_inner_product", "IsometryResult",
-        "verify_isometry",
-    ],
+    "hardy": ["AnnulusCovering", "make_annulus_cover", "IsometryResult", "verify_isometry"],
     "cli": ["RunConfig", "Report", "parse_config", "run_pipeline", "emit_report", "main"],
 }
 
@@ -46,7 +44,7 @@ def test_exported_names_are_pinned(layer):
 
 
 def test_options_no_caller_sets_stay_gone():
-    from hardycover import BoundarySection, Check, CheckReport, Transversal, cli, induction, pushforward_section
+    from hardycover import Check, CheckReport, Transversal, cli, hardy, induction
 
     parameters = lambda f: list(inspect.signature(f).parameters)
     # the JSON reader sits beside the writer; the algebra layer builds no JSON
@@ -54,8 +52,12 @@ def test_options_no_caller_sets_stay_gone():
     assert not hasattr(induction, "matrices_from_json") and not hasattr(induction, "rep_to_json")
     # a report's values with a writer of their own: one table of images type, one check table type
     assert list(cli._WRITERS) == [cli._Images, CheckReport]
-    assert parameters(pushforward_section) == ["cov", "spec", "component", "n_samples"]
-    assert [f.name for f in dataclasses.fields(BoundarySection)] == ["component", "radius", "samples"]
+    # one analytic path: verify_isometry takes every section as one coefficient array, and the per-section
+    # API that no mode ran is gone from the layer and the package
+    assert parameters(hardy.verify_isometry) == ["cov", "alpha", "sig", "coeffs", "samples", "rng"]
+    retired = ("SectionSpec", "BoundarySection", "random_section", "section_values", "sample_section",
+               "pushforward_section", "indefinite_inner_product", "_component_radius")
+    assert [name for name in retired if hasattr(hardy, name) or hasattr(hardycover, name)] == []
     assert not hasattr(Transversal, "edge_to_generator") and not hasattr(CheckReport, "to_json")
     # a check table is written from its columns: no row has a JSON form, and there is one report type
     assert not hasattr(Check, "to_json") and not hasattr(Check, "exact") and not hasattr(induction, "_StackedReport")
@@ -76,3 +78,18 @@ def test_package_re_exports_only_layer_names():
     for name in names:
         layer = importlib.import_module(getattr(hardycover, name).__module__)
         assert getattr(layer, name) is getattr(hardycover, name)
+
+
+def test_readme_tour_runs():
+    # README's one python block, with warnings as errors, so the documented example cannot rot
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (tour,) = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    namespace = {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exec(compile(tour, "README.md", "exec"), namespace)
+    # the values the tour's comments give
+    result = namespace["result"]
+    assert result.counts == (64, 128, 256, 512, 1024) and result.pipeline.report.passed
+    assert max(gap for gap, _ in result.gram) < 1e-14 and result.trials.shape == (1,) and result.trials[0] < 1e-16
+    assert result.convergence[0] == pytest.approx(0.22, abs=0.01) and result.convergence[-1] < 1e-14

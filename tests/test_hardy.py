@@ -6,12 +6,15 @@ boundary pairing on a circle of radius r has the exact Fourier closed form
     2 pi r^(2c+1) sum_d r^(2d) b_d^* J a_d,
 
 so every quadrature value can be checked against a formula that never touches
-the sampling code.
+the sampling code.  Sections are their ``(2 degree + 1, m)`` coefficient
+arrays; the tests sample, push forward and pair them through ``hardy``'s
+kernels, the ones ``verify_isometry`` runs.
 """
 
 import dataclasses
 import math
 import tracemalloc
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -19,39 +22,60 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hardycover import (
-    BoundarySection,
-    SectionSpec,
     SignatureData,
     annulus_pipeline,
-    indefinite_inner_product,
     make_annulus_cover,
-    pushforward_section,
-    random_section,
-    sample_section,
-    section_values,
     verify_isometry,
 )
 from hardycover import hardy
 from hardycover.induction import BlockMonomial
 
-from helpers import count_calls, pair_coeffs, per_count_convergence, random_signature_matrix
+from helpers import (
+    count_calls,
+    pair_coeffs,
+    per_count_convergence,
+    random_coeffs,
+    random_signature_matrix,
+    section_values,
+)
 
 TWO_PI = 2.0 * np.pi
+CONSTANT = np.ones((1, 1), dtype=complex)  # the constant section 1, of degree 0 and rank 1
 
 
-def fourier_inner_product(spec_f, spec_h, rho, J_list):
+def sampled(coeffs, c, radius, n_samples):
+    """``hardy._uniform_values`` of a section on one circle, as one-sheet ``(N, 1, m)`` samples."""
+    return hardy._uniform_values(coeffs.T, radius, n_samples, c).T[:, None, :]
+
+
+def pushed(cov, coeffs, c, component, n_samples):
+    """``hardy._pushforward`` of a section on one circle downstairs, as ``(N, n, m)`` samples."""
+    blocks = hardy._pushforward(cov, component, n_samples, c, partial(hardy._uniform_values, coeffs.T))
+    return blocks.transpose(1, 2, 0)
+
+
+def pairing(f, h, J_list, radii):
+    """``<f, h>``: per circle, ``hardy._gram`` of the ``(N, n, m)`` samples times the trapezoid weight ``2 pi r / N``.
+
+    ``f`` varies in the sesquilinear form's linear slot.
+    """
+    total = 0.0 + 0.0j
+    for f_c, h_c, J, r in zip(f, h, J_list, radii):
+        total += hardy._gram(np.stack([f_c, h_c]), BlockMonomial.of(J))[1, 0] * (TWO_PI * r / len(f_c))
+    return complex(total)
+
+
+def fourier_inner_product(coeffs_f, coeffs_h, c, rho, J_list):
     """Closed-form boundary pairing of truncated sections over both circles."""
-    assert spec_f.degree == spec_h.degree and spec_f.c == spec_h.c
-    degrees = np.arange(-spec_f.degree, spec_f.degree + 1)
+    assert coeffs_f.shape == coeffs_h.shape
+    degrees = np.arange(len(coeffs_f)) - len(coeffs_f) // 2
     total = 0.0 + 0.0j
     for comp, J in enumerate(J_list):
         r = 1.0 if comp == 0 else rho
         acc = 0.0 + 0.0j
         for row, d in enumerate(degrees):
-            acc += (spec_h.coeffs[row].conj() @ np.asarray(J) @ spec_f.coeffs[row]) * r ** (
-                2.0 * d
-            )
-        total += TWO_PI * r ** (2.0 * spec_f.c + 1.0) * acc
+            acc += (coeffs_h[row].conj() @ np.asarray(J) @ coeffs_f[row]) * r ** (2.0 * d)
+        total += TWO_PI * r ** (2.0 * c + 1.0) * acc
     return complex(total)
 
 
@@ -59,8 +83,8 @@ def relative_gap(values, reference):
     return np.max(np.abs(values - reference)) / np.max(np.abs(reference))
 
 
-def direct_pushforward(cov, spec, component, n_samples, root_sign=1):
-    """Pushforward samples summed term by term at each sheet's preimage angles."""
+def direct_pushforward(cov, coeffs, c, component, n_samples, root_sign=1):
+    """Pushforward samples summed term by term at each sheet's preimage angles, as ``(N, n, m)``."""
     r1 = 1.0 if component == 0 else cov.rho1
     theta = TWO_PI * np.arange(n_samples) / n_samples
     blocks = []
@@ -68,14 +92,15 @@ def direct_pushforward(cov, spec, component, n_samples, root_sign=1):
         phi = (theta + TWO_PI * k) / cov.n
         root_deriv = np.exp(0.5 * (cov.n - 1) * (np.log(r1) + 1j * phi))
         root_deriv *= root_sign * np.sqrt(cov.n)
-        blocks.append(section_values(spec, r1, phi) / root_deriv[:, None])
-    return np.concatenate(blocks, axis=1)
+        blocks.append(section_values(coeffs, c, r1, phi) / root_deriv[:, None])
+    return np.stack(blocks, axis=1)
 
 
-def constant_section(m=1, value=1.0):
-    coeffs = np.zeros((1, m), dtype=complex)
-    coeffs[0, 0] = value
-    return SectionSpec(m=m, c=0.0, degree=0, coeffs=coeffs)
+def laurent(degree, d):
+    """The monomial ``z^d`` as a degree-``degree`` section of rank 1."""
+    coeffs = np.zeros((2 * degree + 1, 1), dtype=complex)
+    coeffs[degree + d, 0] = 1.0
+    return coeffs
 
 
 class TestAnnulusCover:
@@ -107,86 +132,47 @@ class TestAnnulusCover:
         assert cov.rho2 == make_annulus_cover(0.6, 3).rho2
 
 
-class TestSectionSpec:
-    def test_bool_degree_refused(self):
-        # True == 1, so three rows used to fit a degree-True section
-        with pytest.raises(ValueError, match="'degree': True is not an integer"):
-            SectionSpec(m=1, c=0.0, degree=True, coeffs=np.ones((3, 1)))
-
-    def test_bool_rank_refused(self):
-        with pytest.raises(ValueError, match="'m': True is not an integer"):
-            SectionSpec(m=True, c=0.0, degree=0, coeffs=np.ones((1, 1)))
-
-    def test_numpy_integers_accepted(self):
-        spec = SectionSpec(m=np.int64(2), c=0.0, degree=np.int32(1), coeffs=np.ones((3, 2)))
-        assert spec.coeffs.shape == (3, 2)
-
-    # a non-finite exponent or coefficient used to give all-NaN samples with no error
-
-    def test_nan_exponent_refused(self):
-        with pytest.raises(ValueError, match="'c': nan is not finite"):
-            SectionSpec(m=1, c=math.nan, degree=0, coeffs=np.ones((1, 1)))
-
-    def test_infinite_exponent_refused(self):
-        with pytest.raises(ValueError, match="'c': -inf is not finite"):
-            SectionSpec(m=1, c=-math.inf, degree=0, coeffs=np.ones((1, 1)))
-
-    @pytest.mark.parametrize("value", [np.inf, np.nan, complex(0.0, -np.inf)], ids=["inf", "nan", "imaginary-inf"])
-    def test_non_finite_coefficient_refused(self, value):
-        coeffs = np.ones((3, 2), dtype=complex)
-        coeffs[2, 1] = value
-        with pytest.raises(ValueError, match="'coeffs': entries are not all finite"):
-            SectionSpec(m=2, c=0.0, degree=1, coeffs=coeffs)
+def run_counts(samples, degree=0):
+    """``verify_isometry`` on one pair of degree-``degree`` sections at the sample count ``samples``."""
+    sig = SignatureData(J_list=(np.eye(1), -np.eye(1)))
+    coeffs = np.zeros((1, 2, 2 * degree + 1, 1))
+    return verify_isometry(make_annulus_cover(0.5, 2), 0.0, sig, coeffs, samples, np.random.default_rng(0))
 
 
 class TestSampling:
     def test_constant_section(self):
-        sec = sample_section(constant_section(), 0, 8, 0.5)
-        assert np.allclose(sec.samples, np.ones((8, 1)), atol=0)
-        assert sec.radius == 1.0
+        samples = hardy._uniform_values(CONSTANT.T, 1.0, 8, 0.0)
+        assert np.allclose(samples, np.ones((1, 8)), atol=0)
 
     def test_linear_section_inner_circle(self):
-        coeffs = np.zeros((3, 1), dtype=complex)
-        coeffs[2, 0] = 1.0  # coefficient of z^1
-        spec = SectionSpec(m=1, c=0.0, degree=1, coeffs=coeffs)
-        sec = sample_section(spec, 1, 8, 0.5)
+        samples = hardy._uniform_values(laurent(1, 1).T, 0.5, 8, 0.0)
         theta = TWO_PI * np.arange(8) / 8
-        assert np.allclose(sec.samples[:, 0], 0.5 * np.exp(1j * theta), atol=1e-15)
+        assert np.allclose(samples[0], 0.5 * np.exp(1j * theta), atol=1e-15)
 
     def test_fractional_multiplier_branch(self):
-        spec = SectionSpec(m=1, c=0.25, degree=0, coeffs=np.ones((1, 1), dtype=complex))
-        sec = sample_section(spec, 0, 16, 0.5)
+        samples = hardy._uniform_values(CONSTANT.T, 1.0, 16, 0.25)
         theta = TWO_PI * np.arange(16) / 16
-        assert np.allclose(sec.samples[:, 0], np.exp(0.25j * theta), atol=1e-14)
+        assert np.allclose(samples[0], np.exp(0.25j * theta), atol=1e-14)
 
-    def test_undersampling_rejected(self):
-        spec = random_section(np.random.default_rng(0), 1, 8, 0.0)
-        with pytest.raises(ValueError, match="undersample"):
-            sample_section(spec, 0, 16, 0.5)
+    # the sample-count refusals, made by verify_isometry before any work
 
-    def test_non_integer_component_refused(self):
-        # True == 1 and 1.0 == 1, so both used to be read as the inner circle and stored as given
-        cov = make_annulus_cover(0.5, 2)
-        with pytest.raises(ValueError, match="'component': True is not an integer"):
-            sample_section(constant_section(), True, 8, 0.5)
-        with pytest.raises(ValueError, match="'component': 1.0 is not an integer"):
-            pushforward_section(cov, constant_section(), 1.0, 8)
-        with pytest.raises(ValueError, match="boundary components 0 and 1, got 2"):
-            sample_section(constant_section(), 2, 8, 0.5)
-        for component in (1, np.int64(1)):
-            assert type(sample_section(constant_section(), component, 8, 0.5).component) is int
-            assert type(pushforward_section(cov, constant_section(), component, 8).component) is int
+    def test_undersampling_rejected(self, monkeypatch):
+        monkeypatch.setattr(hardy, "annulus_pipeline", None)
+        with pytest.raises(ValueError, match="16 samples undersample a degree-8 section"):
+            run_counts(16, degree=8)
 
-    def test_power_of_two_required(self):
+    def test_power_of_two_required(self, monkeypatch):
+        monkeypatch.setattr(hardy, "annulus_pipeline", None)
         with pytest.raises(ValueError, match="power of two"):
-            sample_section(constant_section(), 0, 12, 0.5)
+            run_counts(12)
 
-    def test_non_integer_count_refused(self):
+    def test_non_integer_count_refused(self, monkeypatch):
         # a float count used to raise numpy's TypeError from the power-of-two test
+        monkeypatch.setattr(hardy, "annulus_pipeline", None)
         with pytest.raises(ValueError, match="'sample count': 8.0 is not an integer"):
-            sample_section(constant_section(), 0, 8.0, 0.5)
+            run_counts(8.0)
         with pytest.raises(ValueError, match=r"'sample count': np.float64\(8.0\) is not an integer"):
-            pushforward_section(make_annulus_cover(0.5, 2), constant_section(), 0, np.float64(8.0))
+            run_counts(np.float64(8.0))
 
     @pytest.mark.parametrize("component", [0, 1])
     @pytest.mark.parametrize(
@@ -201,29 +187,28 @@ class TestSampling:
         ],
     )
     def test_fft_samples_match_direct_sum(self, degree, n_samples, m, c, rho, component):
-        spec = random_section(np.random.default_rng(degree), m, degree, c)
-        sec = sample_section(spec, component, n_samples, rho)
+        coeffs = random_coeffs(np.random.default_rng(degree), m, degree)
         radius = 1.0 if component == 0 else rho
-        direct = section_values(spec, radius, TWO_PI * np.arange(n_samples) / n_samples)
-        assert relative_gap(sec.samples, direct) < 1e-13
+        samples = hardy._uniform_values(coeffs.T, radius, n_samples, c).T
+        direct = section_values(coeffs, c, radius, TWO_PI * np.arange(n_samples) / n_samples)
+        assert relative_gap(samples, direct) < 1e-13
 
     def test_monodromy_of_continued_values(self):
-        spec = random_section(np.random.default_rng(1), 2, 4, 0.35 / TWO_PI)
+        coeffs, c = random_coeffs(np.random.default_rng(1), 2, 4), 0.35 / TWO_PI
         theta = TWO_PI * np.arange(32) / 32
-        base = section_values(spec, 0.7, theta)
-        shifted = section_values(spec, 0.7, theta + TWO_PI)
+        base = section_values(coeffs, c, 0.7, theta)
+        shifted = section_values(coeffs, c, 0.7, theta + TWO_PI)
         assert np.max(np.abs(shifted - np.exp(0.35j) * base)) < 1e-12
 
 
 class TestPushforward:
     def test_degree_one_is_identity(self):
         cov = make_annulus_cover(0.6, 1)
-        spec = random_section(np.random.default_rng(2), 2, 5, 0.1)
+        coeffs = random_coeffs(np.random.default_rng(2), 2, 5)
         for component in (0, 1):
             for n_samples in (16, 64, 1024):
-                direct = sample_section(spec, component, n_samples, 0.6)
-                pushed = pushforward_section(cov, spec, component, n_samples)
-                assert np.array_equal(pushed.samples, direct.samples)
+                direct = sampled(coeffs, 0.1, (1.0, 0.6)[component], n_samples)
+                assert np.array_equal(pushed(cov, coeffs, 0.1, component, n_samples), direct)
 
     @pytest.mark.parametrize("component", [0, 1])
     @pytest.mark.parametrize(
@@ -242,55 +227,44 @@ class TestPushforward:
         # n * n_samples is not a power of two for n = 3, 5, 6; the pushforward divides by the root
         # of F' that is positive at angle 0, so the reference on the other root is its negative
         cov = make_annulus_cover(rho, n)
-        spec = random_section(np.random.default_rng(n), 2, degree, c)
-        pushed = pushforward_section(cov, spec, component, n_samples)
-        direct = root_sign * direct_pushforward(cov, spec, component, n_samples, root_sign)
-        assert pushed.samples.shape == (n_samples, 2 * n)
-        assert relative_gap(pushed.samples, direct) < 1e-13
+        coeffs = random_coeffs(np.random.default_rng(n), 2, degree)
+        samples = pushed(cov, coeffs, c, component, n_samples)
+        direct = root_sign * direct_pushforward(cov, coeffs, c, component, n_samples, root_sign)
+        assert samples.shape == (n_samples, n, 2)
+        assert relative_gap(samples, direct) < 1e-13
 
     def test_two_sheets_constant_section(self):
         # preimage angles (theta + 2 pi k)/2; the derivative root is sqrt(2 z_k)
-        cov = make_annulus_cover(0.6, 2)
-        pushed = pushforward_section(cov, constant_section(), 0, 16)
+        samples = pushed(make_annulus_cover(0.6, 2), CONSTANT, 0.0, 0, 16)
         theta = TWO_PI * np.arange(16) / 16
         for k in (0, 1):
             expected = np.exp(-0.25j * (theta + TWO_PI * k)) / np.sqrt(2.0)
-            assert np.allclose(pushed.samples[:, k], expected, atol=1e-14)
+            assert np.allclose(samples[:, k, 0], expected, atol=1e-14)
 
     def test_three_sheets_linear_section(self):
         # odd degree: the derivative root needs no branch and blocks are constant
-        cov = make_annulus_cover(0.6, 3)
-        coeffs = np.zeros((3, 1), dtype=complex)
-        coeffs[2, 0] = 1.0
-        spec = SectionSpec(m=1, c=0.0, degree=1, coeffs=coeffs)
-        pushed = pushforward_section(cov, spec, 0, 16)
-        assert np.allclose(pushed.samples, np.full((16, 3), 1.0 / np.sqrt(3.0)), atol=1e-14)
+        samples = pushed(make_annulus_cover(0.6, 3), laurent(1, 1), 0.0, 0, 16)
+        assert np.allclose(samples, np.full((16, 3, 1), 1.0 / np.sqrt(3.0)), atol=1e-14)
 
 
 class TestInnerProduct:
     def test_constant_indefinite(self):
         rho = 0.5
-        secs = tuple(sample_section(constant_section(), c, 64, rho) for c in (0, 1))
-        value = indefinite_inner_product(secs, secs, (np.eye(1), -np.eye(1)))
+        secs = tuple(sampled(CONSTANT, 0.0, r, 64) for r in (1.0, rho))
+        value = pairing(secs, secs, (np.eye(1), -np.eye(1)), (1.0, rho))
         assert value == pytest.approx(TWO_PI * (1 - rho), abs=1e-10)
 
     def test_constant_definite(self):
         rho = 0.5
-        secs = tuple(sample_section(constant_section(), c, 64, rho) for c in (0, 1))
-        value = indefinite_inner_product(secs, secs, (np.eye(1), np.eye(1)))
+        secs = tuple(sampled(CONSTANT, 0.0, r, 64) for r in (1.0, rho))
+        value = pairing(secs, secs, (np.eye(1), np.eye(1)), (1.0, rho))
         assert value == pytest.approx(TWO_PI * (1 + rho), abs=1e-10)
 
     def test_fourier_orthogonality(self):
         rho = 0.5
-        coeffs = np.zeros((3, 1), dtype=complex)
-        coeffs[2, 0] = 1.0
-        linear = SectionSpec(m=1, c=0.0, degree=1, coeffs=coeffs)
-        wide = np.zeros((3, 1), dtype=complex)
-        wide[1, 0] = 1.0
-        const = SectionSpec(m=1, c=0.0, degree=1, coeffs=wide)
-        f = tuple(sample_section(linear, c, 64, rho) for c in (0, 1))
-        g = tuple(sample_section(const, c, 64, rho) for c in (0, 1))
-        value = indefinite_inner_product(f, g, (np.eye(1), np.eye(1)))
+        f = tuple(sampled(laurent(1, 1), 0.0, r, 64) for r in (1.0, rho))
+        g = tuple(sampled(laurent(1, 0), 0.0, r, 64) for r in (1.0, rho))
+        value = pairing(f, g, (np.eye(1), np.eye(1)), (1.0, rho))
         assert abs(value) < 1e-12
 
     def test_random_sections_match_fourier_oracle(self):
@@ -303,12 +277,12 @@ class TestInnerProduct:
         )
         for _ in range(10):
             c = float(rng.uniform(-0.5, 0.5))
-            spec_f = random_section(rng, 2, 6, c)
-            spec_h = random_section(rng, 2, 6, c)
-            f = tuple(sample_section(spec_f, comp, 128, rho) for comp in (0, 1))
-            h = tuple(sample_section(spec_h, comp, 128, rho) for comp in (0, 1))
-            quad = indefinite_inner_product(f, h, J_list)
-            oracle = fourier_inner_product(spec_f, spec_h, rho, J_list)
+            coeffs_f = random_coeffs(rng, 2, 6)
+            coeffs_h = random_coeffs(rng, 2, 6)
+            f = tuple(sampled(coeffs_f, c, r, 128) for r in (1.0, rho))
+            h = tuple(sampled(coeffs_h, c, r, 128) for r in (1.0, rho))
+            quad = pairing(f, h, J_list, (1.0, rho))
+            oracle = fourier_inner_product(coeffs_f, coeffs_h, c, rho, J_list)
             assert abs(quad - oracle) < 1e-10 * (1.0 + abs(oracle))
 
     def test_positive_definite_case(self):
@@ -316,14 +290,13 @@ class TestInnerProduct:
         rho = 0.6
         J_list = (np.eye(1), np.eye(1))
         for _ in range(10):
-            spec = random_section(rng, 1, 6, 0.2)
-            secs = tuple(sample_section(spec, comp, 128, rho) for comp in (0, 1))
-            value = indefinite_inner_product(secs, secs, J_list)
+            coeffs = random_coeffs(rng, 1, 6)
+            secs = tuple(sampled(coeffs, 0.2, r, 128) for r in (1.0, rho))
+            value = pairing(secs, secs, J_list, (1.0, rho))
             assert abs(value.imag) < 1e-10
             assert value.real > 0.0
-        zero = SectionSpec(m=1, c=0.2, degree=0, coeffs=np.zeros((1, 1), dtype=complex))
-        z = tuple(sample_section(zero, comp, 64, rho) for comp in (0, 1))
-        assert indefinite_inner_product(z, z, J_list) == 0.0
+        z = tuple(sampled(np.zeros((1, 1), dtype=complex), 0.2, r, 64) for r in (1.0, rho))
+        assert pairing(z, z, J_list, (1.0, rho)) == 0.0
 
     def test_sheet_permuting_weight_matches_dense(self):
         # block k of J f is blocks[k] f[perm[k]]: the same sum as with the dense nm x nm weight
@@ -332,25 +305,10 @@ class TestInnerProduct:
         blocks = rng.standard_normal((n, m, m)) + 1j * rng.standard_normal((n, m, m))
         J = BlockMonomial(np.array([2, 0, 1]), blocks)
         shape = (n_samples, n * m)
-        f, g = (
-            BoundarySection(0, 1.0, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-            for _ in range(2)
-        )
-        dense = np.einsum("Ni,ij,Nj->", g.samples.conj(), J.dense(), f.samples) * TWO_PI / n_samples
-        assert abs(indefinite_inner_product((f,), (g,), (J,)) - dense) < 1e-12 * abs(dense)
-
-    def test_dimension_mismatch(self):
-        rho = 0.5
-        secs = tuple(sample_section(constant_section(), c, 64, rho) for c in (0, 1))
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            indefinite_inner_product(secs, secs, (np.eye(2), np.eye(2)))
-
-    def test_resolution_mismatch(self):
-        rho = 0.5
-        f = (sample_section(constant_section(), 0, 64, rho),)
-        g = (sample_section(constant_section(), 0, 32, rho),)
-        with pytest.raises(ValueError, match="resolutions"):
-            indefinite_inner_product(f, g, (np.eye(1),))
+        f, g = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for _ in range(2))
+        dense = np.einsum("Ni,ij,Nj->", g.conj(), J.dense(), f) * TWO_PI / n_samples
+        value = pairing((f.reshape(n_samples, n, m),), (g.reshape(n_samples, n, m),), (J,), (1.0,))
+        assert abs(value - dense) < 1e-12 * abs(dense)
 
 
 class TestChangeOfVariables:
@@ -359,18 +317,15 @@ class TestChangeOfVariables:
         rng = np.random.default_rng(14)
         cov = make_annulus_cover(0.6, 3)
         sig = SignatureData(J_list=(np.eye(1), -np.eye(1)))
-        from hardycover import annulus_pipeline
-
         J2 = annulus_pipeline(3, 0.0, sig).J2_diagonal
-        spec_f = random_section(rng, 1, 8, 0.0)
-        spec_h = random_section(rng, 1, 8, 0.0)
+        coeffs_f = random_coeffs(rng, 1, 8)
+        coeffs_h = random_coeffs(rng, 1, 8)
         for comp in (0, 1):
-            f1 = (sample_section(spec_f, comp, 1024, cov.rho1),)
-            h1 = (sample_section(spec_h, comp, 1024, cov.rho1),)
-            upstairs = indefinite_inner_product(f1, h1, (sig.J_list[comp],))
-            f2 = (pushforward_section(cov, spec_f, comp, 1024),)
-            h2 = (pushforward_section(cov, spec_h, comp, 1024),)
-            downstairs = indefinite_inner_product(f2, h2, (J2[comp],))
+            r1, r2 = (1.0, cov.rho1)[comp], (1.0, cov.rho2)[comp]
+            f1, h1 = (sampled(coeffs, 0.0, r1, 1024) for coeffs in (coeffs_f, coeffs_h))
+            upstairs = pairing((f1,), (h1,), (sig.J_list[comp],), (r1,))
+            f2, h2 = (pushed(cov, coeffs, 0.0, comp, 1024) for coeffs in (coeffs_f, coeffs_h))
+            downstairs = pairing((f2,), (h2,), (J2[comp],), (r2,))
             assert abs(downstairs - upstairs) < 1e-9
 
 
@@ -379,16 +334,15 @@ class TestBranchIndependence:
         rng = np.random.default_rng(7)
         cov = make_annulus_cover(0.6, 2)
         sig = SignatureData(J_list=(np.eye(1), -np.eye(1)))
-        from hardycover import annulus_pipeline
-
         J2 = annulus_pipeline(2, 0.0, sig).J2_diagonal
-        spec_f = random_section(rng, 1, 5, 0.0)
-        spec_h = random_section(rng, 1, 5, 0.0)
-        f = tuple(pushforward_section(cov, spec_f, comp, 128) for comp in (0, 1))
-        h = tuple(pushforward_section(cov, spec_h, comp, 128) for comp in (0, 1))
+        coeffs_f = random_coeffs(rng, 1, 5)
+        coeffs_h = random_coeffs(rng, 1, 5)
+        f = tuple(pushed(cov, coeffs_f, 0.0, comp, 128) for comp in (0, 1))
+        h = tuple(pushed(cov, coeffs_h, 0.0, comp, 128) for comp in (0, 1))
         # the other sign of the derivative's root negates every pushed sample
-        flip = lambda sections: tuple(dataclasses.replace(s, samples=-s.samples) for s in sections)
-        values = [indefinite_inner_product(f, h, J2), indefinite_inner_product(flip(f), flip(h), J2)]
+        flip = lambda sections: tuple(-s for s in sections)
+        radii = (1.0, cov.rho2)
+        values = [pairing(f, h, J2, radii), pairing(flip(f), flip(h), J2, radii)]
         assert abs(values[0] - values[1]) < 1e-12 * (1.0 + abs(values[0]))
 
 
@@ -409,8 +363,7 @@ class TestIsometry:
         rng = np.random.default_rng(8)
         cov = make_annulus_cover(0.6, 1)
         alpha = 0.7
-        c = alpha / TWO_PI
-        pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(3)]
+        pairs = [(random_coeffs(rng, 1, 8), random_coeffs(rng, 1, 8)) for _ in range(3)]
         # a numpy integer count is accepted
         result = run_isometry(cov, pairs, alpha, self.SIG, samples=np.int64(256))
         assert result.trials.shape == (3,) and result.convergence.shape == (3,)
@@ -422,8 +375,7 @@ class TestIsometry:
         rng = np.random.default_rng(9)
         cov = make_annulus_cover(0.6, 3)
         alpha = 0.7
-        c = alpha / TWO_PI
-        pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(5)]
+        pairs = [(random_coeffs(rng, 1, 8), random_coeffs(rng, 1, 8)) for _ in range(5)]
         result = run_isometry(cov, pairs, alpha, self.SIG, samples=2048)
         assert result.pipeline.report.passed
         assert gram_residual(result) < 1e-13
@@ -431,19 +383,16 @@ class TestIsometry:
         assert result.convergence[-1] < 1e-13
 
     def test_constant_sections_positive_case(self):
-        from hardycover import annulus_pipeline
-
         cov = make_annulus_cover(0.6, 3)
         sig = SignatureData(J_list=(np.eye(1), np.eye(1)))
-        const = constant_section()
-        f1 = tuple(sample_section(const, comp, 512, cov.rho1) for comp in (0, 1))
-        base = indefinite_inner_product(f1, f1, sig.J_list)
-        f2 = tuple(pushforward_section(cov, const, comp, 512) for comp in (0, 1))
-        covered = indefinite_inner_product(f2, f2, annulus_pipeline(3, 0.0, sig).J2_diagonal)
+        f1 = tuple(sampled(CONSTANT, 0.0, r, 512) for r in (1.0, cov.rho1))
+        base = pairing(f1, f1, sig.J_list, (1.0, cov.rho1))
+        f2 = tuple(pushed(cov, CONSTANT, 0.0, comp, 512) for comp in (0, 1))
+        covered = pairing(f2, f2, annulus_pipeline(3, 0.0, sig).J2_diagonal, (1.0, cov.rho2))
         expected = TWO_PI * (1.0 + 0.6)
         assert base == pytest.approx(expected, abs=1e-9)
         assert covered == pytest.approx(expected, abs=1e-9)
-        assert run_isometry(cov, [(const, const)], 0.0, sig, degree=0, samples=512).trials[0] < 1e-14
+        assert run_isometry(cov, [(CONSTANT, CONSTANT)], 0.0, sig, degree=0, samples=512).trials[0] < 1e-14
 
     def test_rank_mismatch_rejected(self, monkeypatch):
         # rank-2 sections against a rank-1 signature: the last axis is the rank
@@ -456,8 +405,7 @@ class TestIsometry:
         cov = make_annulus_cover(0.6, 2)
         sig = SignatureData(J_list=(np.diag([1.0, -1.0]), np.diag([-1.0, 1.0])))
         alpha = 1.3
-        c = alpha / TWO_PI
-        pair = (random_section(rng, 2, 6, c), random_section(rng, 2, 6, c))
+        pair = (random_coeffs(rng, 2, 6), random_coeffs(rng, 2, 6))
         result = run_isometry(cov, [pair], alpha, sig, degree=6, samples=1024)
         assert gram_residual(result) < 1e-13 and result.trials[0] < 1e-13
         assert result.convergence[-1] < 1e-13
@@ -484,22 +432,21 @@ class TestIsometry:
         rng = np.random.default_rng(15)
         cov = make_annulus_cover(0.6, 3)
         c = 0.7 / TWO_PI
-        spec = random_section(rng, 1, 8, c)
+        coeffs = random_coeffs(rng, 1, 8)
         n_max = 1024
         for comp in (0, 1):
-            fine = sample_section(spec, comp, n_max, cov.rho1).samples
-            pushed = pushforward_section(cov, spec, comp, n_max).samples
+            r1 = (1.0, cov.rho1)[comp]
+            fine = sampled(coeffs, c, r1, n_max)
+            fine_pushed = pushed(cov, coeffs, c, comp, n_max)
             for n_samples in (32, 64, 256):
                 step = n_max // n_samples
-                direct = sample_section(spec, comp, n_samples, cov.rho1).samples
-                assert relative_gap(fine[::step], direct) < 1e-12
-                direct = pushforward_section(cov, spec, comp, n_samples).samples
-                assert relative_gap(pushed[::step], direct) < 1e-12
+                assert relative_gap(fine[::step], sampled(coeffs, c, r1, n_samples)) < 1e-12
+                assert relative_gap(fine_pushed[::step], pushed(cov, coeffs, c, comp, n_samples)) < 1e-12
 
     def test_sample_counts_validated_before_work(self, monkeypatch):
         monkeypatch.setattr(hardy, "annulus_pipeline", None)
         cov = make_annulus_cover(0.6, 3)
-        coeffs = pair_coeffs([(constant_section(), constant_section())], 8, 1)
+        coeffs = pair_coeffs([(CONSTANT, CONSTANT)], 8, 1)
         for samples, match in (
             (96, "must be a power of two, got 96"),
             (16, "16 samples undersample a degree-8 section"),
@@ -519,9 +466,9 @@ class TestIsometry:
             with pytest.raises(ValueError, match=rf"coefficients have shape \({', '.join(map(str, shape))},?\)"):
                 run(np.ones(shape))
         # non-finite coefficients used to give the trial gap 0.0
-        spec = random_section(np.random.default_rng(0), 1, 2, 0.0)
+        section = random_coeffs(np.random.default_rng(0), 1, 2)
         for value in (np.nan, np.inf, -np.inf * 1j):
-            coeffs = pair_coeffs([(spec, spec)] * 3, 2, 1)
+            coeffs = pair_coeffs([(section, section)] * 3, 2, 1)
             coeffs[2, 0, 3, 0] = value
             with pytest.raises(ValueError, match="section f of pair 2 has non-finite coefficients"):
                 run(coeffs)
@@ -559,8 +506,7 @@ class TestIsometry:
         # n = 3, degree 8, counts 64 ... 1024, 20 trials: the Gram basis is 17 sections on 96
         # angles and each kernel grid 2 x 3072 entries, whatever the trial count
         rng = np.random.default_rng(0)
-        c = 0.7 / TWO_PI
-        pairs = [(random_section(rng, 1, 8, c), random_section(rng, 1, 8, c)) for _ in range(20)]
+        pairs = [(random_coeffs(rng, 1, 8), random_coeffs(rng, 1, 8)) for _ in range(20)]
         cov = make_annulus_cover(0.6, 3)
         tracemalloc.start()
         try:
@@ -691,27 +637,22 @@ class TestKernelTable:
         assert np.abs(result.convergence - dense).max() < 1e-13
 
 
-def per_pair_gaps(cov, pairs, sig, counts, J2):
-    """The isometry gaps one pair and one sample count at a time, from the public API."""
+def per_pair_gaps(cov, pairs, c, sig, counts, J2):
+    """The isometry gaps one pair and one sample count at a time, each section sampled and pushed on its own."""
     gaps = np.empty((len(counts), len(pairs)))
-    for t, (spec_f, spec_h) in enumerate(pairs):
+    for t, pair in enumerate(pairs):
         for i, n_samples in enumerate(counts):
-            f1, h1 = (
-                tuple(sample_section(spec, comp, n_samples, cov.rho1) for comp in (0, 1))
-                for spec in (spec_f, spec_h)
-            )
-            f2, h2 = (
-                tuple(pushforward_section(cov, spec, comp, n_samples) for comp in (0, 1))
-                for spec in (spec_f, spec_h)
-            )
-            base = indefinite_inner_product(f1, h1, sig.J_list)
-            gaps[i, t] = abs(indefinite_inner_product(f2, h2, J2) - base)
+            f1, h1 = (tuple(sampled(coeffs, c, r, n_samples) for r in (1.0, cov.rho1)) for coeffs in pair)
+            f2, h2 = (tuple(pushed(cov, coeffs, c, comp, n_samples) for comp in (0, 1)) for coeffs in pair)
+            base = pairing(f1, h1, sig.J_list, (1.0, cov.rho1))
+            gaps[i, t] = abs(pairing(f2, h2, J2, (1.0, cov.rho2)) - base)
     return gaps
 
 
-def positive_norm(spec, rho):
+def positive_norm(coeffs, c, rho):
     """``|f|`` in the positive pairing ``J = I``, which bounds ``|<f, h>_J| <= |f| |h|`` for unitary ``J``."""
-    return math.sqrt(fourier_inner_product(spec, spec, rho, (np.eye(spec.m), np.eye(spec.m))).real)
+    eye = np.eye(coeffs.shape[1])
+    return math.sqrt(fourier_inner_product(coeffs, coeffs, c, rho, (eye, eye)).real)
 
 
 def off_isometry_weights(J2):
@@ -720,7 +661,7 @@ def off_isometry_weights(J2):
 
 
 class TestBatchedIsometry:
-    """Every trial's gap is read from one Gram gap; the per-pair public-API path is the oracle.
+    """Every trial's gap is read from one Gram gap; the per-pair, per-section path is the oracle.
 
     True gaps are rounding noise, so ``skew`` runs with covered-side weights
     that break the isometry: its gaps are of the pairings' size.
@@ -738,21 +679,19 @@ class TestBatchedIsometry:
     def test_matches_per_pair_reference(self, n, m, degree, trials, skew, seed):
         rng = np.random.default_rng(seed)
         alpha = float(rng.uniform(-3.0, 3.0))
-        c = alpha / TWO_PI
         # non-diagonal for m = 2: a random eigenbasis per circle
         sig = SignatureData(J_list=tuple(random_signature_matrix(rng, m) for _ in range(2)))
         cov = make_annulus_cover(0.6, n)
         degrees = rng.integers(0, degree + 1, size=(trials, 2))
-        pairs = [(random_section(rng, m, df, c), random_section(rng, m, dh, c)) for df, dh in degrees]
+        pairs = [(random_coeffs(rng, m, df), random_coeffs(rng, m, dh)) for df, dh in degrees]
         compare_trial_gaps(cov, pairs, alpha, sig, degree, skew)
 
     def test_mixed_degrees_padded(self):
         # sections of degree below the checked one sit zero-padded in the degree-8 coefficient array
         rng = np.random.default_rng(20)
-        c = 0.7 / TWO_PI
         sig = SignatureData(J_list=(np.eye(1), -np.eye(1)))
         degrees = [(2, 5), (8, 8), (0, 3), (7, 1)]
-        pairs = [(random_section(rng, 1, df, c), random_section(rng, 1, dh, c)) for df, dh in degrees]
+        pairs = [(random_coeffs(rng, 1, df), random_coeffs(rng, 1, dh)) for df, dh in degrees]
         cov = make_annulus_cover(0.6, 3)
         for skew in (False, True):
             compare_trial_gaps(cov, pairs, 0.7, sig, 8, skew)
@@ -773,9 +712,10 @@ def compare_trial_gaps(cov, pairs, alpha, sig, degree, skew):
     assert result.trials.shape == (len(pairs),)
     if not pairs:
         return
+    c = alpha / TWO_PI
     n_gram = 1 << (2 * degree + 1).bit_length()  # the Gram grid: every pair sums the same points
-    norms = [positive_norm(f, cov.rho1) * positive_norm(h, cov.rho1) for f, h in pairs]
-    reference = per_pair_gaps(cov, pairs, sig, [n_gram], pipeline.J2_diagonal)[0] / norms
+    norms = [positive_norm(f, c, cov.rho1) * positive_norm(h, c, cov.rho1) for f, h in pairs]
+    reference = per_pair_gaps(cov, pairs, c, sig, [n_gram], pipeline.J2_diagonal)[0] / norms
     assert np.max(np.abs(result.trials - reference)) < 1e-12
     if skew:
         assert reference.max() > 1e-3
