@@ -2,16 +2,18 @@
 
 Subcommands: ``group`` (emit a presentation), ``induce`` (run the induction
 pipeline on an explicit covering), ``verify`` (symmetry suite on the cyclic
-annulus family), ``isometry`` (numerical isometry check).  Configs are
-checked once, at parse, each refusal naming its field: values, sampling
-(``isometry`` samples a power of two, at least ``2 degree + 2``) and size
-budgets for every mode; the ``chi1`` images of ``induce`` are checked and
-converted as one array by ``matrices_from_json``, the JSON reader, which
-also records the parts given as ints.  Reports are deterministic given the
-config (``isometry``, the only mode that draws random numbers, takes its
-``seed`` from it, draws every trial as one coefficient array and leaves the
-convergence table's counts to ``verify_isometry``): the JSON emission is
-byte-stable, with wall-clock timing shown only in the text rendering.
+annulus family), ``isometry`` (numerical isometry check), each reading a
+config file of its mode.  A config is refused only at parse, each refusal
+naming its field: values, size budgets, and the rules of ``hardy`` and the
+covering reader.  Parse builds what the run uses: ``isometry``'s annulus
+cover, and ``induce``'s covering, transversal and ``chi1``, whose images are
+converted as one array by ``matrices_from_json``, the JSON reader (which
+records the parts given as ints), and stacked in label order.  Reports are
+deterministic given the config (``isometry``, the only mode that draws
+random numbers, takes its ``seed`` from it, draws every trial as one
+coefficient array and leaves the convergence table's counts to
+``verify_isometry``): the JSON emission is byte-stable, with wall-clock
+timing shown only in the text rendering.
 Each mode runs with numpy's overflow raising, so a finite config whose
 products overflow gets an error report, not an ``Infinity`` residual.
 
@@ -57,7 +59,7 @@ from . import __version__
 from .covering import covering_from_json, schreier_transversal
 from .cyclic import annulus_pipeline
 from .groups import double_group, presentation_to_json, surface_group
-from .hardy import make_annulus_cover, verify_isometry
+from .hardy import AnnulusCovering, _check_sample_count, make_annulus_cover, verify_isometry
 from .induction import (
     Check,
     CheckReport,
@@ -100,13 +102,10 @@ class _Images(dict):
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A checked config: its mode and fields, and (private, ``_built``) what parse built for the run."""
+
     mode: str
     params: dict[str, Any]
-
-    @property
-    def chi1_images(self) -> np.ndarray:
-        """induce: chi1.images as converted at parse, one (G, m, m) array in the config's label order."""
-        return self.params["chi1"]["images"].blocks[:, 0]
 
     def echo(self) -> dict:
         return {"mode": self.mode, **self.params}
@@ -146,7 +145,8 @@ def _fields(raw: dict, schema: dict, where: str, prefix: str = "") -> dict:
 ISOMETRY_GRID_ENTRIES = 2**20
 
 
-def _check_isometry(p: dict) -> None:
+def _check_isometry(p: dict) -> AnnulusCovering:
+    """The budgets, ``hardy``'s sampling and radius rules and the pairing's range; the annulus cover."""
     rho1, n, degree, samples, m = p["rho1"], p["n"], p["degree"], p["samples"], p["m"]
     if n * samples * m > ISOMETRY_GRID_ENTRIES:
         raise ValueError(
@@ -160,17 +160,8 @@ def _check_isometry(p: dict) -> None:
             f"invalid values for fields 'degree', 'n' and 'm': degree={degree}, n={n}, m={m} give "
             f"{basis_entries} entries for the Gram basis upstairs, over the budget of {ISOMETRY_GRID_ENTRIES}"
         )
-    # the convergence table's counts double up to samples
-    if samples & (samples - 1):
-        raise ValueError(f"invalid value for field 'samples': {samples} is not a power of two")
-    if samples < 2 * degree + 2:
-        raise ValueError(
-            f"invalid values for fields 'samples' and 'degree': {samples} samples undersample a "
-            f"degree-{degree} section (need at least {2 * degree + 2})"
-        )
-    # the covered annulus has inner radius rho1**n, which must be a normal float
-    if rho1**n < sys.float_info.min:
-        raise ValueError(f"invalid value for field 'rho1': {rho1!r} ** n={n} underflows")
+    _check_sample_count(samples, degree)
+    cov = make_annulus_cover(rho1, n)
     # The inner-circle pushforward samples have size about rho1**-e, with
     # e = degree + (n - 1)/2 - c, c = alpha/(2 pi).  Each is a sum of 2*degree + 1
     # terms with coefficients of standard Gaussian size (bounded here by 10),
@@ -186,6 +177,7 @@ def _check_isometry(p: dict) -> None:
             f"degree={degree}, alpha={p['alpha']!r} give inner-circle pairing terms from "
             f"{_power_of_ten(log_least)} to {_power_of_ten(log_most)}, so the pairing overflows or underflows"
         )
+    return cov
 
 
 def _power_of_ten(log: float) -> str:
@@ -227,8 +219,8 @@ _CHI1_FIELDS = {"m": (True, None, _pos_int), "images": (True, None, _object)}
 DENSE_EXPORT_ENTRIES = 2**20
 
 
-def _check_induce(p: dict) -> None:
-    """Check the nested ``covering`` and ``chi1``, each bad value named by its path; convert chi1's images."""
+def _check_induce(p: dict) -> MatrixRep:
+    """Check the nested ``covering`` and ``chi1``, each fault named by its path; chi1 on the covering's transversal."""
     _check_generators(p)
     covering = _fields(p["covering"], _COVERING_FIELDS, "'covering'", "covering.")
     chi1 = _fields(p["chi1"], _CHI1_FIELDS, "'chi1'", "chi1.")
@@ -239,15 +231,23 @@ def _check_induce(p: dict) -> None:
             f"export of {count} images with {count * (n * m) ** 2} entries, over the "
             f"budget of {DENSE_EXPORT_ENTRIES}"
         )
-    for gen, images in covering["perms"].items():
-        if not (isinstance(images, list) and all(_int(v) for v in images)):
-            raise ValueError(
-                f"invalid value for field 'covering.perms.{gen}': {images!r} is not a list of ints"
-            )
+    presentation = (double_group if p["double"] else surface_group)(p["s"], p["k"])
+    trans = schreier_transversal(covering_from_json(presentation, covering, "covering."))
     names = [f"chi1.images.{label}" for label in chi1["images"]]
     array, ints = matrices_from_json(list(chi1["images"].values()), (m, m), names)
     # the echo: the images as given, each over one sheet
     p["chi1"]["images"] = _Images(chi1["images"], np.zeros((len(array), 1), np.intp), array[:, None], ints)
+    row = {label: i for i, label in enumerate(chi1["images"])}
+    missing = [label for label in trans.alphabet if label not in row]
+    if missing or len(row) != len(trans.alphabet):  # every label has its image, so the rest are unknown
+        known = set(trans.alphabet)
+        unknown = [label for label in row if label not in known]
+        raise ValueError(
+            f"invalid value for field 'chi1.images': missing labels {missing}, unknown labels {unknown}; "
+            f"the Schreier labels are {list(trans.alphabet)}"
+        )
+    order = [row[label] for label in trans.alphabet]
+    return MatrixRep._stacked(trans, np.zeros((len(order), 1), np.intp), array[order, None])
 
 
 _list_of = lambda value, size: type(value) in (list, tuple) and len(value) == size
@@ -313,8 +313,9 @@ def parse_config(text: str) -> RunConfig:
         raise ValueError(f"unknown mode {mode!r}; expected one of {list(_MODES)}")
     _, schema, check = _MODES[mode]
     params = _fields(raw, schema, f"mode {mode!r}")
-    check(params)
-    return RunConfig(mode=mode, params=params)
+    cfg = RunConfig(mode=mode, params=params)
+    object.__setattr__(cfg, "_built", check(params))
+    return cfg
 
 
 # the table a report starts from, shared: a table is read-only, and appending makes a new one
@@ -386,13 +387,8 @@ def _run_group(cfg: RunConfig, report: Report) -> None:
 
 
 def _run_induce(cfg: RunConfig, report: Report) -> None:
-    p = cfg.params
-    presentation = (double_group if p["double"] else surface_group)(p["s"], p["k"])
-    cov = covering_from_json(presentation, p["covering"])
-    trans = schreier_transversal(cov)
-    images = dict(zip(p["chi1"]["images"], cfg.chi1_images))
-    chi1 = MatrixRep(presentation=trans, m=p["chi1"]["m"], images=images)
-
+    chi1 = cfg._built
+    trans, cov = chi1.presentation, chi1.presentation.covering
     try:
         chi2 = induce_representation(cov, trans, chi1)
     finally:
@@ -400,7 +396,7 @@ def _run_induce(cfg: RunConfig, report: Report) -> None:
         report.table += check_representation(chi1).prefixed("chi1:")
     report.table += check_representation(chi2).prefixed("chi2:")
     perms, blocks = (array[1 : len(chi2.images) + 1] for array in chi2._table)  # the images, in alphabet order
-    report.extras["induced"] = {"images": _Images(chi2.images, perms, blocks), "m": p["chi1"]["m"], "n": cov.n}
+    report.extras["induced"] = {"images": _Images(chi2.images, perms, blocks), "m": chi1.m, "n": cov.n}
     report.extras["transversal"], generators = map(list, trans.word_strings)
     report.extras["schreier_generators"] = dict(zip(trans.alphabet, generators))
 
@@ -417,8 +413,7 @@ def _run_verify(cfg: RunConfig, report: Report) -> None:
 
 
 def _run_isometry(cfg: RunConfig, report: Report) -> None:
-    p = cfg.params
-    cov = make_annulus_cover(float(p["rho1"]), p["n"])
+    p, cov = cfg.params, cfg._built
     alpha, tolerance, degree, samples = float(p["alpha"]), float(p["tolerance"]), p["degree"], p["samples"]
     rng = np.random.default_rng(p["seed"])
     # every trial at once; per section the real parts' draws, then the imaginary parts', f before h
@@ -442,9 +437,9 @@ def _run_isometry(cfg: RunConfig, report: Report) -> None:
     report.table += CheckReport.rows(rows)
 
 
-# mode -> (runner, field table, check of the filled fields); a field table maps
-# name -> (required, default, validator)
-_MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict, Callable[[dict], None]]] = {
+# mode -> (runner, field table, check of the filled fields, which returns what the run uses); a field
+# table maps name -> (required, default, validator)
+_MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict, Callable[[dict], Any]]] = {
     "group": (
         _run_group,
         {
@@ -645,24 +640,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    group = sub.add_parser("group", help="emit a surface or double presentation")
-    group.add_argument("--genus", type=int, required=True)
-    group.add_argument("--boundary", type=int, required=True)
-    group.add_argument("--double", action="store_true")
-    group.add_argument("--format", choices=("json", "text"), default="json")
-    group.add_argument("--out", default=None)
-
-    for name, extra in (
-        ("induce", ()),
-        ("verify", ()),
-        ("isometry", ("samples", "degree", "seed")),
-    ):
-        cmd = sub.add_parser(name, help=f"run the {name} pipeline from a config file")
+    for name, fmt in (("group", "json"), ("induce", "text"), ("verify", "text"), ("isometry", "text")):
+        cmd = sub.add_parser(name, help=f"run the {name} mode of a config file")
         cmd.add_argument("--config", required=True)
-        for flag in extra:
-            cmd.add_argument(f"--{flag}", type=int, default=None)
-        cmd.add_argument("--format", choices=("json", "text"), default="text")
+        cmd.add_argument("--format", choices=("json", "text"), default=fmt)
         cmd.add_argument("--out", default=None)
     return parser
 
@@ -670,16 +651,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "group":
-            raw = {"mode": "group", "s": args.genus, "k": args.boundary, "double": args.double}
-        else:
-            with open(args.config, "r", encoding="utf-8") as handle:
-                raw = json.load(handle, object_pairs_hook=_config_object)
-            for flag in ("samples", "degree", "seed"):
-                value = getattr(args, flag, None)
-                if value is not None:
-                    raw[flag] = value
-        cfg = parse_config(json.dumps(raw))
+        with open(args.config, "r", encoding="utf-8") as handle:
+            cfg = parse_config(handle.read())
+        if cfg.mode != args.command:
+            raise ValueError(f"the config's mode {cfg.mode!r} is not the subcommand {args.command!r}")
         report = run_pipeline(cfg)
         rendered = emit_report(report, fmt=args.format, path=args.out)
     except OSError as exc:

@@ -90,26 +90,33 @@ class CoveringAction:
 def build_covering(
     presentation: GroupPresentation | DoubledPresentation | Transversal,
     perms: Mapping[str, Sequence[int]],
+    field: str = "perms",
 ) -> CoveringAction:
-    """Validate and assemble a covering action from per-generator permutations."""
+    """Validate and assemble a covering action from per-generator permutations; refusals name ``field[.X]``."""
     alphabet = presentation.alphabet
+    refuse = lambda name, why: ValueError(f"invalid value for field {name!r}: {why}")
+    if not isinstance(perms, Mapping):
+        raise refuse(field, f"{perms!r} is not a mapping of generators to sheet images")
     missing = [lbl for lbl in alphabet if lbl not in perms]
     if missing:
-        raise ValueError(f"no permutation supplied for generator(s) {missing}")
+        raise refuse(field, f"no permutation supplied for generator(s) {missing}")
     unknown = [lbl for lbl in perms if lbl not in alphabet]
     if unknown:
-        raise ValueError(f"permutation supplied for unknown generator(s) {unknown}")
+        raise refuse(field, f"permutation supplied for unknown generator(s) {unknown}")
+    for lbl in alphabet:
+        if not isinstance(perms[lbl], (Sequence, np.ndarray)):
+            raise refuse(f"{field}.{lbl}", f"{perms[lbl]!r} is not a list of sheets")
 
     sizes = {len(perms[lbl]) for lbl in alphabet}
     if len(sizes) > 1:
-        raise ValueError(f"permutations act on different sheet counts {sorted(sizes)}")
+        raise refuse(field, f"permutations act on different sheet counts {sorted(sizes)}")
     n = sizes.pop() if sizes else 1
     if n < 1:
-        raise ValueError("sheet count must be at least 1")
-    rows = [[v if type(v) is int else _as_int(v, f"perms.{lbl}") for v in perms[lbl]] for lbl in alphabet]
+        raise refuse(field, "sheet count must be at least 1")
+    rows = [[v if type(v) is int else _as_int(v, f"{field}.{lbl}") for v in perms[lbl]] for lbl in alphabet]
     for lbl, row in zip(alphabet, rows):
         if sorted(row) != list(range(1, n + 1)):
-            raise ValueError(f"images for generator {lbl} are not a bijection of 1..{n}")
+            raise refuse(f"{field}.{lbl}", f"images for generator {lbl} are not a bijection of 1..{n}")
     g = len(rows)
     moves = np.zeros((2 * g, n), dtype=np.intp)
     moves[:g] = np.array(rows, dtype=np.intp).reshape(-1, n) - 1
@@ -120,14 +127,14 @@ def build_covering(
     if len(cov._tree) != n - 1:
         reached = {1} | {cov.perms[gi][i - 1] for i, gi in cov._tree}
         unreachable = [k for k in range(1, n + 1) if k not in reached]
-        raise ValueError(f"disconnected cover: sheets {unreachable} unreachable")
+        raise refuse(field, f"disconnected cover: sheets {unreachable} unreachable")
 
     every = np.arange(n)
     for relator in presentation.relators:
         ends = _walk(cov.moves, relator, every)[2]
         if (ends != every).any():
             image = tuple((ends + 1).tolist())
-            raise ValueError(f"not a covering of this surface: relator {relator} acts as {image}")
+            raise refuse(field, f"not a covering of this surface: relator {relator} acts as {image}")
     return cov
 
 
@@ -355,9 +362,15 @@ def compose_coverings(
 def covering_from_json(
     presentation: GroupPresentation | DoubledPresentation | Transversal,
     doc: Mapping,
+    prefix: str = "",
 ) -> CoveringAction:
-    n = _as_int(doc["n"], "n")
-    cov = build_covering(presentation, doc["perms"])
+    """The covering of a ``{"n", "perms"}`` document; each refusal names its field, after ``prefix``."""
+    for name in ("n", "perms"):
+        if name not in doc:
+            raise ValueError(f"missing required field {prefix + name!r}")
+    n = _as_int(doc["n"], prefix + "n")
+    cov = build_covering(presentation, doc["perms"], prefix + "perms")
     if cov.n != n:
-        raise ValueError(f"declared sheet count {doc['n']} does not match permutations on {cov.n}")
+        message = f"declared sheet count {doc['n']} does not match permutations on {cov.n}"
+        raise ValueError(f"invalid value for field {prefix + 'n'!r}: {message}")
     return cov

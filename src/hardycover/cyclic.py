@@ -63,13 +63,9 @@ def cyclic_cover(n: int) -> CoveringAction:
 
 def annulus_surface_rep(m: int, alpha: float) -> MatrixRep:
     """Scalar-multiplier representation of the annulus group: the outer loop acts by e^{i alpha}."""
-    p = surface_group(0, 2)
     phase = np.exp(1j * alpha)
-    return MatrixRep(
-        presentation=p,
-        m=m,
-        images={"A0": phase * np.eye(m), "A1": np.conj(phase) * np.eye(m)},
-    )
+    blocks = np.array([phase * np.eye(m), np.conj(phase) * np.eye(m)])[:, None]  # A0, A1: one sheet each
+    return MatrixRep._stacked(surface_group(0, 2), np.zeros((2, 1), np.intp), blocks)
 
 
 def annulus_double_rep(m: int, alpha: float, sig: SignatureData) -> MatrixRep:

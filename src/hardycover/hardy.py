@@ -30,6 +30,7 @@ and ``_pointwise`` pairs at each angle, for sums over every ``s``-th angle.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from functools import partial
 
@@ -56,24 +57,28 @@ class AnnulusCovering:
 
 
 def make_annulus_cover(rho1: float, n: int) -> AnnulusCovering:
+    """The degree-``n`` power map onto ``A(rho1^n)``, refused unless ``rho1^n`` is a normal float."""
     if not 0.0 < rho1 < 1.0:
         raise ValueError(f"inner radius must lie in (0, 1), got {rho1}")
     n = _as_int(n, "n")
     if n < 1:
         raise ValueError(f"sheet count must be at least 1, got {n}")
-    return AnnulusCovering(rho1=float(rho1), n=n, rho2=float(rho1) ** n)
+    rho1 = float(rho1)
+    if rho1**n < sys.float_info.min:
+        raise ValueError(f"invalid value for field 'rho1': {rho1!r} ** n={n} underflows")
+    return AnnulusCovering(rho1=rho1, n=n, rho2=rho1**n)
 
 
 def _check_sample_count(n_samples: int, degree: int) -> int:
     """``n_samples`` as an int, refused unless it is a power of two that samples the degree."""
-    n_samples = _as_int(n_samples, "sample count")
+    n_samples = _as_int(n_samples, "samples")
+    if n_samples & (n_samples - 1):
+        raise ValueError(f"invalid value for field 'samples': {n_samples} is not a power of two")
     if n_samples < 2 * degree + 2:
         raise ValueError(
-            f"{n_samples} samples undersample a degree-{degree} section "
-            f"(need at least {2 * degree + 2})"
+            f"invalid values for fields 'samples' and 'degree': {n_samples} samples undersample a "
+            f"degree-{degree} section (need at least {2 * degree + 2})"
         )
-    if n_samples & (n_samples - 1):
-        raise ValueError(f"sample count must be a power of two, got {n_samples}")
     return n_samples
 
 

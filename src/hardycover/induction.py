@@ -291,18 +291,13 @@ class MatrixRep:
         if len(self.images) != len(alphabet):  # every generator has its image, so the rest are unknown
             unknown = [lbl for lbl in self.images if lbl not in alphabet]
             raise ValueError(f"image supplied for unknown generator(s) {unknown}")
-        images, m = [self.images[lbl] for lbl in alphabet], self.m
-        if all(type(img) is np.ndarray and img.shape == (m, m) for img in images):
-            # plain m x m arrays: stacked in one array as one-sheet blocks, with no wrapper per image
-            perms, blocks = np.zeros((len(images), 1), np.intp), np.array(images, complex).reshape(-1, 1, m, m)
-        else:
-            images = [BlockMonomial.of(img) for img in images]
-            n, m, _ = images[0].blocks.shape if images else (1, self.m, 0)
-            if n * m != self.m or any(img.blocks.shape != (n, m, m) for img in images):
-                shapes = {lbl: img.blocks.shape for lbl, img in zip(alphabet, images)}
-                raise ValueError(f"image blocks {shapes} are not one block shape of rank {self.m}")
-            perms = np.array([img.perm for img in images], dtype=np.intp).reshape(-1, n)
-            blocks = np.array([img.blocks for img in images], dtype=complex).reshape(-1, n, m, m)
+        images = [BlockMonomial.of(self.images[lbl]) for lbl in alphabet]
+        n, m, _ = images[0].blocks.shape if images else (1, self.m, 0)
+        if n * m != self.m or any(img.blocks.shape != (n, m, m) for img in images):
+            shapes = {lbl: img.blocks.shape for lbl, img in zip(alphabet, images)}
+            raise ValueError(f"image blocks {shapes} are not one block shape of rank {self.m}")
+        perms = np.array([img.perm for img in images], dtype=np.intp).reshape(-1, n)
+        blocks = np.array([img.blocks for img in images], dtype=complex).reshape(-1, n, m, m)
         vars(self).update(vars(MatrixRep._stacked(self.presentation, perms, blocks)))
 
     @classmethod

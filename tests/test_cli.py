@@ -220,11 +220,11 @@ class TestParseConfig:
     def test_samples_not_a_power_of_two_refused(self, samples, tmp_path, capsys):
         with pytest.raises(ValueError, match=f"field 'samples': {samples} is not a power of two"):
             parse_config(json.dumps(isometry_config(samples=samples)))
-        # the command-line override is checked the same way
+        # the command line reads the same refusal from the config file
         config = tmp_path / "iso.json"
-        config.write_text(json.dumps(isometry_config()))
-        assert main(["isometry", "--config", str(config), "--samples", str(samples)]) == 2
-        assert "'samples'" in capsys.readouterr().err
+        config.write_text(json.dumps(isometry_config(samples=samples)))
+        assert main(["isometry", "--config", str(config)]) == 2
+        assert f"field 'samples': {samples} is not a power of two" in capsys.readouterr().err
 
     @pytest.mark.parametrize("degree, samples", [(8, 16), (31, 32), (40, 64), (1, 2)])
     def test_undersampled_config_refused(self, degree, samples):
@@ -347,24 +347,32 @@ class TestInduceConfig:
             parse_config(self.with_value("chi1.images.A1@1", [[[10**400, 0]]]))
         # an int that is a float is accepted, and becomes that float
         cfg = parse_config(self.with_value("chi1.images.A1@1", [[[2**53 + 1, 0]]]))
-        assert cfg.chi1_images[0, 0, 0] == float(2**53 + 1)
+        assert cfg._built.images["A1@1"].blocks[0, 0, 0] == float(2**53 + 1)
 
     def test_chi1_images_converted_once_at_parse(self):
         doc = self.one_sheet()
         doc["chi1"]["images"] = {"B1@1": [[[-0.0, 1]]], "A1@1": [[[1, -0.0]]]}
         cfg = parse_config(json.dumps(doc))
-        assert cfg.chi1_images.shape == (2, 1, 1) and cfg.chi1_images.dtype == complex
-        parts = cfg.chi1_images.view(float).ravel()
+        array = cfg.params["chi1"]["images"].blocks[:, 0]  # the echo's stack, in the config's label order
+        assert array.shape == (2, 1, 1) and array.dtype == complex
+        parts = array.view(float).ravel()
         assert parts.tolist() == [-0.0, 1.0, 1.0, -0.0]
         assert np.signbit(parts).tolist() == [True, False, False, True]
         assert cfg.echo()["chi1"] == doc["chi1"]  # the echo is the config as given
+        # chi1 is stacked from the same array, in the transversal's label order
+        chi1 = cfg._built
+        assert chi1.presentation.alphabet == ("A1@1", "B1@1")
+        stacked = np.stack([chi1.images[label].blocks[0] for label in ("B1@1", "A1@1")])
+        assert stacked.view(float).ravel().tobytes() == parts.tobytes()
 
     @pytest.mark.parametrize("n, m, accepted", [(362, 2, True), (725, 1, False), (363, 2, False)])
     def test_dense_export_budget(self, n, m, accepted):
         # two images of rank n m: 2 * 724**2 entries fit in DENSE_EXPORT_ENTRIES = 2**20, 2 * 725**2 do not
+        # an n-cycle and the identity: the Schreier labels are A1@n and every B1@k
         doc = self.one_sheet()
-        doc["covering"] = {"n": n, "perms": {"A1": list(range(1, n + 1)), "B1": list(range(1, n + 1))}}
-        doc["chi1"] = {"m": m, "images": {}}
+        doc["covering"] = {"n": n, "perms": {"A1": [*range(2, n + 1), 1], "B1": list(range(1, n + 1))}}
+        eye = [[[float(i == j), 0.0] for j in range(m)] for i in range(m)]
+        doc["chi1"] = {"m": m, "images": {label: eye for label in [f"A1@{n}", *(f"B1@{k}" for k in range(1, n + 1))]}}
         assert (2 * (n * m) ** 2 <= DENSE_EXPORT_ENTRIES) is accepted
         if accepted:
             parse_config(json.dumps(doc))
@@ -440,19 +448,48 @@ class TestInduceMode:
         assert len(calls) == 1
 
     def test_missing_label_refused_as_before(self):
+        # refused at parse, with the labels the covering's transversal has
         doc = self.torus_config()
         del doc["chi1"]["images"]["B1@2"]
         doc["chi1"]["images"]["B1@9"] = [[[1.0, 0.0]]]  # a label outside the alphabet does not stand in
-        report = run_pipeline(parse_config(json.dumps(doc)))
-        assert report.error == "ValueError: no image supplied for generator(s) ['B1@2']"
-        assert report.checks == () and "induced" not in report.extras
+        with pytest.raises(ValueError) as refused:
+            parse_config(json.dumps(doc))
+        assert str(refused.value) == (
+            "invalid value for field 'chi1.images': missing labels ['B1@2'], unknown labels ['B1@9']; "
+            "the Schreier labels are ['B1@1', 'B1@2', 'A1@3', 'B1@3']"
+        )
 
     def test_unknown_label_refused(self):
         doc = self.torus_config()
         doc["chi1"]["images"]["bogus"] = [[[5, 0]]]
-        report = run_pipeline(parse_config(json.dumps(doc)))
-        assert report.error == "ValueError: image supplied for unknown generator(s) ['bogus']"
-        assert not report.passed and report.checks == () and "induced" not in report.extras
+        with pytest.raises(ValueError, match=re.escape("'chi1.images': missing labels [], unknown labels ['bogus']")):
+            parse_config(json.dumps(doc))
+
+    FAULTS = {
+        "non-bijective-row": ("covering.perms.A1", lambda doc: doc["covering"]["perms"].update(A1=[2, 2, 1])),
+        "disconnected": ("covering.perms", lambda doc: doc["covering"]["perms"].update(A1=[2, 1, 3])),
+        "missing-generator": ("covering.perms", lambda doc: doc["covering"]["perms"].pop("B1")),
+        "extra-generator": ("covering.perms", lambda doc: doc["covering"]["perms"].update(C1=[1, 2, 3])),
+        "rows-of-different-lengths": ("covering.perms", lambda doc: doc["covering"]["perms"].update(B1=[1, 2])),
+        "sheet-count-disagrees": ("covering.n", lambda doc: doc["covering"].update(n=4)),
+        "extra-label": ("chi1.images", lambda doc: doc["chi1"]["images"].update({"A1@1": [[[1.0, 0.0]]]})),
+        "missing-label": ("chi1.images", lambda doc: doc["chi1"]["images"].pop("A1@3")),
+    }
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_structural_fault_refused_at_parse(self, fault, tmp_path, capsys):
+        # each of these ran into the pipeline and exited 1, naming no field
+        field, corrupt = self.FAULTS[fault]
+        doc = self.torus_config()
+        corrupt(doc)
+        config, out = tmp_path / "induce.json", tmp_path / "induced.json"
+        config.write_text(json.dumps(doc))
+        assert main(["induce", "--config", str(config), "--format", "json", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"configuration error: invalid value for field '{field}': ")
+        assert captured.out == "" and not out.exists()
+        if field == "chi1.images":
+            assert "the Schreier labels are ['B1@1', 'B1@2', 'A1@3', 'B1@3']" in captured.err
 
     def test_bulk_path_builds_nothing_per_image(self, monkeypatch):
         from hardycover import groups, induction
@@ -492,12 +529,15 @@ class TestInduceMode:
         # chi1 and chi2 are stacked and written with no BlockMonomial made, and the extras with no Word
         assert few == many and many["BlockMonomial"] == 0 and many["Word"] <= 2
 
-    def test_invalid_covering_reported_not_raised(self):
+    def test_invalid_covering_reported_not_raised(self, tmp_path, capsys):
+        # reported at parse, by the covering reader's field and message, with exit 2 and no traceback
         cfg_doc = self.torus_config()
         cfg_doc["covering"]["perms"] = {"A1": [2, 1, 3], "B1": [2, 3, 1]}
-        report = run_pipeline(parse_config(json.dumps(cfg_doc)))
-        assert not report.passed
-        assert "not a covering" in report.error
+        config = tmp_path / "induce.json"
+        config.write_text(json.dumps(cfg_doc))
+        assert main(["induce", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "invalid value for field 'covering.perms': not a covering of this surface: relator" in err
 
 
 class TestGroupMode:
@@ -825,7 +865,7 @@ def chi1_variant(kind):
     """The torus-3 ``induce`` config with its chi1 written another way.
 
     Every check still passes, except that an image for a label outside the
-    alphabet is refused and an image far from unitary fails.
+    alphabet is refused at parse and an image far from unitary fails.
     """
     config = TestInduceMode().torus_config()
     images = config["chi1"]["images"]
@@ -863,7 +903,6 @@ class TestJsonWriter:
             chi1_variant("int-parts"),
             chi1_variant("negative-zero"),
             chi1_variant("labels-reordered"),
-            chi1_variant("label-outside-alphabet"),
             chi1_variant("shared-value"),
             chi1_variant("signed-zeros"),
             chi1_variant("big-int"),
@@ -879,8 +918,7 @@ class TestJsonWriter:
         ],
         ids=[
             "induce-one-sheet", "induce-torus-3", "induce-64-sheets", "induce-failing", "induce-int-parts",
-            "induce-negative-zero", "induce-labels-reordered", "induce-label-outside-alphabet",
-            "induce-shared-value", "induce-signed-zeros", "induce-big-int", "induce-overflowing",
+            "induce-negative-zero", "induce-labels-reordered", "induce-shared-value", "induce-signed-zeros", "induce-big-int", "induce-overflowing",
             "induce-entry-1e300", "verify", "isometry",
         ],
     )
@@ -909,7 +947,7 @@ class TestJsonWriter:
         # an int echoed as given, while the array holds its float
         cfg = parse_config(json.dumps(chi1_variant("big-int")))
         text = emit_report(run_pipeline(cfg), fmt="json")
-        assert cfg.chi1_images[0, 0, 0] == float(2**53 + 1) == 2**53
+        assert cfg._built.images["A1@3"].blocks[0, 0, 0] == float(2**53 + 1) == 2**53
         assert '"A1@3": [[[9007199254740993, 0]]]' in text
         # one value under all four labels, in the echo and in the blocks of chi2 off the tree edges
         text = emit_report(run_pipeline(parse_config(json.dumps(chi1_variant("shared-value")))), fmt="json")
@@ -1061,8 +1099,11 @@ class TestJsonWriter:
         pair = st.lists(pool | st.sampled_from([0, 1, -1, 2**53 + 1]), min_size=2, max_size=2)
         square = st.lists(st.lists(pair, min_size=m, max_size=m), min_size=m, max_size=m)
         labels = data.draw(st.lists(st.sampled_from(ESCAPED_KEYS) | st.text(max_size=4), max_size=4, unique=True))
-        config = TestInduceConfig().one_sheet()
-        config["chi1"] = {"m": m, "images": {label: data.draw(square) for label in labels}}
+        images = {label: data.draw(square) for label in labels}
+        # the echo as parse makes it: the images as given, over the array they are converted to
+        array, ints = cli.matrices_from_json(list(images.values()), (m, m), labels)
+        config = {"mode": "induce", "chi1": {"m": m, "images": images}}
+        echo = {**config, "chi1": {"m": m, "images": cli._Images(images, np.zeros((len(array), 1), np.intp), array[:, None], ints)}}
         parts = data.draw(st.lists(pool, min_size=2 * n * m * m, max_size=2 * n * m * m))
         perm = data.draw(st.permutations(range(n)))
         image = BlockMonomial(np.array(perm), np.array(parts).view(complex).reshape(n, m, m))
@@ -1070,7 +1111,7 @@ class TestJsonWriter:
         column = lambda values: data.draw(st.lists(values, min_size=k, max_size=k))
         table = CheckReport(column(CHECK_NAMES), column(pool | st.sampled_from([float("nan"), float("inf")])),
                             column(pool), np.ones((k, 2)))
-        report = Report(config=parse_config(json.dumps(config)).echo(), table=table,
+        report = Report(config=echo, table=table,
                         extras={"images": images_table({"X": image, "Y": image})})
         text = emit_report(report, fmt="json")
         assert text == dense_dumps(report)
@@ -1103,8 +1144,8 @@ class TestJsonWriter:
         cfg = parse_config(json.dumps(random_induce_config(seed=5)))
         report = run_pipeline(cfg)
         images = report.extras["induced"]["images"].values()
-        count = len(distinct(cfg.chi1_images, *(image.blocks for image in images), report.table.residuals,
-                             report.table.tolerances))
+        count = len(distinct(cfg.params["chi1"]["images"].blocks, *(image.blocks for image in images),
+                             report.table.residuals, report.table.tolerances))
         for _ in range(2):
             assert emitted(report) == dense_dumps(report)
             assert floats_in(written) == count == 1803  # of the 4116 the report spells
@@ -1173,17 +1214,14 @@ class TestJsonWriter:
 
     @pytest.mark.parametrize("kind", CHI1_VARIANTS)
     def test_chi1_variant_rows_read_off_chi2(self, kind):
-        # chi1 as the induce mode builds it, from the images as converted at parse
+        # chi1 as the induce mode runs it: built at parse, from the images as converted there
         config = chi1_variant(kind)
-        presentation = (double_group if config.get("double", True) else surface_group)(config["s"], config["k"])
-        cov = covering_from_json(presentation, config["covering"])
-        trans = schreier_transversal(cov)
-        images = dict(zip(config["chi1"]["images"], parse_config(json.dumps(config)).chi1_images))
         if kind == "label-outside-alphabet":  # refused before there is a chi1
-            with pytest.raises(ValueError, match="unknown generator"):
-                MatrixRep(presentation=trans, m=config["chi1"]["m"], images=images)
+            with pytest.raises(ValueError, match=re.escape("'chi1.images': missing labels [], unknown labels ['Z@7']")):
+                parse_config(json.dumps(config))
             return
-        assert_chi1_rows_read_off_chi2(cov, trans, MatrixRep(presentation=trans, m=config["chi1"]["m"], images=images))
+        chi1 = parse_config(json.dumps(config))._built
+        assert_chi1_rows_read_off_chi2(chi1.presentation.covering, chi1.presentation, chi1)
 
     def test_text_names_block_and_excess_of_a_failing_check(self):
         moved = BlockMonomial(np.array([0, 2, 1]), np.ones((3, 1, 1)))
@@ -1211,25 +1249,48 @@ class TestJsonWriter:
 
 
 class TestMain:
-    def test_group_subcommand(self, capsys):
-        code = main(["group", "--genus", "0", "--boundary", "2", "--double"])
+    def test_group_subcommand(self, tmp_path, capsys):
+        # a config file like every other mode's; the report is JSON unless --format says otherwise
+        config = tmp_path / "group.json"
+        config.write_text('{"mode": "group", "s": 0, "k": 2, "double": true}')
+        code = main(["group", "--config", str(config)])
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["extras"]["presentation"]["generators"] == ["A1", "B1"]
 
     def test_isometry_subcommand_with_overrides(self, tmp_path, capsys):
+        # the command line overrides no config field: samples and seed are read from the config only
         config = tmp_path / "iso.json"
-        config.write_text(json.dumps(isometry_config(trials=2)))
+        config.write_text(json.dumps(isometry_config(trials=2, samples=128, seed=3)))
+        for flag in ("--samples", "--degree", "--seed"):
+            with pytest.raises(SystemExit) as refused:
+                main(["isometry", "--config", str(config), flag, "64"])
+            assert refused.value.code == 2 and f"unrecognized arguments: {flag} 64" in capsys.readouterr().err
         out = tmp_path / "report.json"
-        code = main([
-            "isometry", "--config", str(config),
-            "--samples", "128", "--seed", "3",
-            "--format", "json", "--out", str(out),
-        ])
-        assert code == 0
+        assert main(["isometry", "--config", str(config), "--format", "json", "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["config"]["samples"] == 128
         assert doc["config"]["seed"] == 3
+
+    def test_config_of_another_mode_refused(self, tmp_path, capsys):
+        config = tmp_path / "iso.json"
+        config.write_text(json.dumps(isometry_config()))
+        assert main(["verify", "--config", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert "mode 'isometry' is not the subcommand 'verify'" in captured.err and captured.out == ""
+        # a config that is no JSON object is refused the same way, whatever the subcommand
+        config.write_text("[1, 2]")
+        assert main(["isometry", "--config", str(config)]) == 2
+        assert "configuration must be a JSON object" in capsys.readouterr().err
+
+    def test_config_read_once_and_never_dumped(self, tmp_path, monkeypatch, capsys):
+        config = tmp_path / "verify.json"
+        config.write_text('{"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]}')
+        opened = []
+        monkeypatch.setattr(cli, "open", lambda *args, **kw: opened.append(args[0]) or open(*args, **kw), raising=False)
+        monkeypatch.setattr(json, "dumps", lambda *args, **kw: pytest.fail("json.dumps called"))
+        assert main(["verify", "--config", str(config), "--format", "text"]) == 0
+        assert opened == [str(config)] and "passed: True" in capsys.readouterr().out
 
     def test_failing_pipeline_exits_one(self, tmp_path):
         config = tmp_path / "bad.json"

@@ -93,6 +93,26 @@ class TestBuildCovering:
         with pytest.raises(ValueError, match=f"field 'perms.{label}'"):
             build_covering(TORUS, perms)
 
+    @pytest.mark.parametrize(
+        "perms, field, why",
+        [
+            ({"A1": None, "B1": (1, 2)}, "perms.A1", "None is not a list of sheets"),
+            ({"A1": (2, 1), "B1": 2}, "perms.B1", "2 is not a list of sheets"),
+            ([(2, 1), (1, 2)], "perms", "[(2, 1), (1, 2)] is not a mapping of generators to sheet images"),
+            ({"A1": (2, 1)}, "perms", "no permutation supplied for generator(s) ['B1']"),
+            ({"A1": (1, 1), "B1": (1, 2)}, "perms.A1", "images for generator A1 are not a bijection of 1..2"),
+            ({"A1": (1, 2), "B1": (1, 2)}, "perms", "disconnected cover: sheets [2] unreachable"),
+        ],
+        ids=["none-row", "int-row", "not-a-mapping", "missing-generator", "non-bijective", "disconnected"],
+    )
+    def test_malformed_input_refused_by_field(self, perms, field, why):
+        # a malformed row used to raise TypeError from len(); each refusal names its field, or the caller's
+        for name in ("perms", "covering.perms"):
+            named = field.replace("perms", name, 1)
+            with pytest.raises(ValueError) as refused:
+                build_covering(TORUS, perms, name)
+            assert str(refused.value) == f"invalid value for field {named!r}: {why}"
+
     def test_numpy_integer_images_accepted(self):
         cov = build_covering(TORUS, {"A1": np.array([2, 1]), "B1": np.arange(1, 3)})
         assert cov.perms == ((2, 1), (1, 2))
@@ -350,6 +370,16 @@ class TestCoveringSerialization:
             doc["perms"][field[6:]][1] = value
         with pytest.raises(ValueError, match=f"field '{field}'"):
             covering_from_json(TORUS, doc)
+
+    @pytest.mark.parametrize("missing", ["n", "perms"])
+    def test_reader_refuses_a_missing_field(self, cover3, missing):
+        # used to raise KeyError
+        doc = covering_doc(cover3)
+        del doc[missing]
+        with pytest.raises(ValueError, match=f"^missing required field '{missing}'$"):
+            covering_from_json(TORUS, doc)
+        with pytest.raises(ValueError, match=f"^missing required field 'covering.{missing}'$"):
+            covering_from_json(TORUS, doc, "covering.")
 
     def test_covering_of_a_transversal_round_trip(self):
         outer = torus_cover(2)

@@ -2,7 +2,9 @@
 
 import importlib
 import inspect
+import json
 import re
+import shlex
 import types
 import warnings
 from pathlib import Path
@@ -61,6 +63,11 @@ def test_options_no_caller_sets_stay_gone():
     assert not hasattr(Transversal, "edge_to_generator") and not hasattr(CheckReport, "to_json")
     # a check table is written from its columns: no row has a JSON form, and there is one report type
     assert not hasattr(Check, "to_json") and not hasattr(Check, "exact") and not hasattr(induction, "_StackedReport")
+    # one way in: every subcommand reads a config file and takes only the report's format and path
+    (subcommands,) = [action.choices for action in cli.build_parser()._actions if action.dest == "command"]
+    options = {name: [a.option_strings[-1] for a in cmd._actions if a.dest != "help"] for name, cmd in subcommands.items()}
+    assert options == dict.fromkeys(("group", "induce", "verify", "isometry"), ["--config", "--format", "--out"])
+    assert not hasattr(cli.RunConfig, "chi1_images")
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -93,3 +100,23 @@ def test_readme_tour_runs():
     assert result.counts == (64, 128, 256, 512, 1024) and result.pipeline.report.passed
     assert max(gap for gap, _ in result.gram) < 1e-14 and result.trials.shape == (1,) and result.trials[0] < 1e-16
     assert result.convergence[0] == pytest.approx(0.22, abs=0.01) and result.convergence[-1] < 1e-14
+
+
+def test_readme_command_lines_and_configs_run(tmp_path):
+    # README's command lines parse as given, and each of its JSON configs runs and passes from a file
+    from hardycover import cli
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    (commands,) = [block for block in re.findall(r"```sh\n(.*?)```", readme, flags=re.S) if "\nhardycover " in block]
+    lines = [shlex.split(line) for line in commands.splitlines() if line.startswith("hardycover ")]
+    assert {line[1] for line in lines} == {"group", "induce", "verify", "isometry"}
+    for line in lines:
+        cli.build_parser().parse_args(line[1:])
+    # the JSON blocks, and the group config the command lines write
+    configs = re.findall(r"```json\n(.*?)```", readme, flags=re.S) + re.findall(r"^echo '(.*)' >", commands, flags=re.M)
+    assert len(configs) == 4
+    for i, text in enumerate(configs):
+        config, out = tmp_path / f"config{i}.json", tmp_path / f"report{i}.json"
+        config.write_text(text)
+        assert cli.main([json.loads(text)["mode"], "--config", str(config), "--format", "json", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["passed"] is True

@@ -121,6 +121,12 @@ class TestAnnulusCover:
         with pytest.raises(ValueError):
             make_annulus_cover(0.5, 0)
 
+    def test_underflowing_inner_radius_refused(self):
+        # rho1**n below the least normal float: 0.01**200 is 0.0, which the pairing then divides by
+        with pytest.raises(ValueError, match=r"^invalid value for field 'rho1': 0.01 \*\* n=200 underflows$"):
+            make_annulus_cover(0.01, 200)
+        assert make_annulus_cover(0.01, 150).rho2 == 0.01**150 > 0.0
+
     @pytest.mark.parametrize("n", [True, False, 2.0, 2.5, "3", None])
     def test_refuses_non_integer_degree(self, n):
         with pytest.raises(ValueError, match="is not an integer"):
@@ -154,25 +160,30 @@ class TestSampling:
         theta = TWO_PI * np.arange(16) / 16
         assert np.allclose(samples[0], np.exp(0.25j * theta), atol=1e-14)
 
-    # the sample-count refusals, made by verify_isometry before any work
+    # the sample-count refusals, made by verify_isometry before any work, in the config's wording
 
     def test_undersampling_rejected(self, monkeypatch):
         monkeypatch.setattr(hardy, "annulus_pipeline", None)
-        with pytest.raises(ValueError, match="16 samples undersample a degree-8 section"):
+        with pytest.raises(ValueError) as refused:
             run_counts(16, degree=8)
+        assert str(refused.value) == (
+            "invalid values for fields 'samples' and 'degree': 16 samples undersample a degree-8 section "
+            "(need at least 18)"
+        )
 
     def test_power_of_two_required(self, monkeypatch):
         monkeypatch.setattr(hardy, "annulus_pipeline", None)
-        with pytest.raises(ValueError, match="power of two"):
+        with pytest.raises(ValueError) as refused:
             run_counts(12)
+        assert str(refused.value) == "invalid value for field 'samples': 12 is not a power of two"
 
     def test_non_integer_count_refused(self, monkeypatch):
         # a float count used to raise numpy's TypeError from the power-of-two test
         monkeypatch.setattr(hardy, "annulus_pipeline", None)
-        with pytest.raises(ValueError, match="'sample count': 8.0 is not an integer"):
-            run_counts(8.0)
-        with pytest.raises(ValueError, match=r"'sample count': np.float64\(8.0\) is not an integer"):
-            run_counts(np.float64(8.0))
+        for samples in (8.0, np.float64(8.0)):
+            with pytest.raises(ValueError) as refused:
+                run_counts(samples)
+            assert str(refused.value) == f"invalid value for field 'samples': {samples!r} is not an integer"
 
     @pytest.mark.parametrize("component", [0, 1])
     @pytest.mark.parametrize(
@@ -447,15 +458,20 @@ class TestIsometry:
         monkeypatch.setattr(hardy, "annulus_pipeline", None)
         cov = make_annulus_cover(0.6, 3)
         coeffs = pair_coeffs([(CONSTANT, CONSTANT)], 8, 1)
-        for samples, match in (
-            (96, "must be a power of two, got 96"),
-            (16, "16 samples undersample a degree-8 section"),
-            (0, "undersample"),
-            (256.0, "'sample count': 256.0 is not an integer"),
-            (True, "'sample count': True is not an integer"),
+        # the config's rules and wording: a power of two first, then at least 2 degree + 2
+        for samples, message in (
+            (96, "invalid value for field 'samples': 96 is not a power of two"),
+            (16, "invalid values for fields 'samples' and 'degree': 16 samples undersample a degree-8 section "
+                 "(need at least 18)"),
+            (0, "invalid values for fields 'samples' and 'degree': 0 samples undersample a degree-8 section "
+                "(need at least 18)"),
+            # a float count used to raise numpy's TypeError from the power-of-two test
+            (256.0, "invalid value for field 'samples': 256.0 is not an integer"),
+            (True, "invalid value for field 'samples': True is not an integer"),
         ):
-            with pytest.raises(ValueError, match=match):
+            with pytest.raises(ValueError) as refused:
                 verify_isometry(cov, 0.0, self.SIG, coeffs, samples, np.random.default_rng(0))
+            assert str(refused.value) == message
 
     def test_edge_inputs_refused_before_work(self, monkeypatch):
         monkeypatch.setattr(hardy, "annulus_pipeline", None)

@@ -155,16 +155,15 @@ class TestCheckRepresentation:
         assert not report.passed
         assert any(c.name.startswith("relator") for c in report.failing())
 
-    def test_plain_images_stacked_with_no_wrapper(self, monkeypatch):
+    def test_plain_and_listed_images_read_through_block_monomial(self, monkeypatch):
+        # one input path: every image, an array or nested lists, is read through BlockMonomial.of
         calls = []
         original = BlockMonomial.__post_init__
         monkeypatch.setattr(BlockMonomial, "__post_init__", lambda self: calls.append(1) or original(self))
         u, v = np.diag([1.0, -1.0]), np.array([[0.0, 1.0], [1.0, 0.0]])
         rep = MatrixRep(presentation=TORUS, m=2, images={"A1": u, "B1": v})
-        assert calls == []
-        # nested lists are still read, each through BlockMonomial.of
         listed = MatrixRep(presentation=TORUS, m=2, images={"A1": u.tolist(), "B1": v.tolist()})
-        assert len(calls) == 2 and np.array_equal(listed.images["B1"].dense(), v)
+        assert len(calls) == 4 and np.array_equal(listed.images["B1"].dense(), v)
         assert np.array_equal(rep.images["A1"].dense(), u) and np.array_equal(rep.images["B1"].dense(), v)
         assert u.flags.writeable
 
