@@ -144,6 +144,27 @@ def identity_covering(
     return build_covering(presentation, {lbl: (1,) for lbl in presentation.alphabet})
 
 
+def _rolled_covering(
+    presentation: GroupPresentation | DoubledPresentation | Transversal, n: int
+) -> CoveringAction:
+    """The n-sheeted cover on which the first generator rolls the sheets and every other fixes them.
+
+    Written directly, as ``build_covering`` returns it: the action is
+    transitive, its breadth-first tree is the path along the first
+    generator, and a relator acts as the roll by its exponent sum in that
+    generator.  The caller vouches that every sum is 0, since the checks of
+    outside input are not run.
+    """
+    g = len(presentation.alphabet)
+    shift = np.zeros((2 * g, 1), dtype=np.intp)
+    shift[0], shift[g] = 1, -1  # the first generator, and its inverse
+    moves = (np.arange(n, dtype=np.intp) + shift) % n
+    moves.setflags(write=False)
+    cov = CoveringAction(presentation=presentation, n=n, moves=moves)
+    vars(cov)["_tree"] = [(i, 0) for i in range(1, n)]  # the cached breadth-first tree
+    return cov
+
+
 def _walk(steps: np.ndarray, w: Word, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``w`` walked from each of ``starts`` at once: code rows, zero past their lengths; end sheets.
 

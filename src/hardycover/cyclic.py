@@ -20,12 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .covering import (
-    CoveringAction,
-    Transversal,
-    build_covering,
-    schreier_transversal,
-)
+from .covering import CoveringAction, Transversal, _rolled_covering, schreier_transversal
 from .groups import DoubledPresentation, _as_int, double_group, surface_group
 from .induction import (
     BlockMonomial,
@@ -52,13 +47,16 @@ __all__ = [
 
 
 def cyclic_cover(n: int) -> CoveringAction:
-    """Degree-n cyclic cover of the annulus double: A1 an n-cycle, B1 the identity."""
+    """Degree-n cyclic cover of the annulus double: A1 an n-cycle, B1 the identity.
+
+    Written directly, as ``build_covering`` would return it for those two
+    permutations: the torus relator has exponent sum 0 in A1, so the cover
+    kills it, and ``build_covering``'s checks of outside input are not run.
+    """
     n = _as_int(n, "n")
     if n < 1:
         raise ValueError(f"sheet count must be at least 1, got {n}")
-    p = double_group(0, 2)
-    cycle = tuple(range(2, n + 1)) + (1,)
-    return build_covering(p, {"A1": cycle, "B1": tuple(range(1, n + 1))})
+    return _rolled_covering(double_group(0, 2), n)
 
 
 def annulus_surface_rep(m: int, alpha: float) -> MatrixRep:
@@ -117,8 +115,10 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     Each representation is folded once: ``chi_X1`` over its checks and its
     mirrored generators, ``chi2`` over its checks and the symmetry report's
     words (``chi1``'s checks are read off that fold), and ``chi1`` over
-    ``G2``'s tree words.  The report is one table, the symmetry and route
-    rows of one ``_checks`` call.
+    ``G2``'s tree words.  The cover is written directly and each derived
+    block-monomial is built trusted from validated parts, so nothing made
+    here is validated a second time.  The report is one table, the symmetry
+    and route rows of one ``_checks`` call.
     """
     cov = cyclic_cover(n)
     p = cov.presentation

@@ -43,7 +43,8 @@ A construction folds a representation's check rows once, with the words it
 reads: ``extend_to_double`` the double's mirrored generators, and in the
 cyclic pipeline ``induce_representation`` the symmetry report's words.
 ``chi1``'s checks are regrouped from ``chi2``'s fold, not folded (see
-``induce_representation``).
+``induce_representation``).  A value built here from validated parts is
+made trusted, not validated again.
 """
 
 from __future__ import annotations
@@ -221,8 +222,10 @@ class CheckReport:
         return self._rows(self._failing())
 
     def worst(self) -> str:
-        """The failing check of largest residual, a NaN first: its name, block, residual and tolerance."""
+        """The worst failing check, a NaN first: its name, block, residual and tolerance; or that none failed."""
         failing = self._failing()
+        if not len(failing):
+            return "no check failed"
         (c,) = self._rows(failing[[self.residuals[failing].argmax()]])
         return f"{c.name} at block {c.block}: {c.residual:.1e} vs {c.tolerance:g}"
 
@@ -528,7 +531,7 @@ class SignatureData:
     J_list: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        mats = tuple(np.array(J, dtype=complex) for J in self.J_list)
+        mats = tuple(np.array(J, dtype=complex, order="C") for J in self.J_list)
         if not mats:
             raise ValueError("at least one signature matrix required")
         if mats[0].ndim != 2:
@@ -611,7 +614,7 @@ def extend_to_double(
     chi_X = MatrixRep._stacked(p, np.zeros((len(images), 1), dtype=np.intp), images[:, None])
     # the checks and the mirrored generators, the words tau(x), in one fold: one table of all three kinds
     names, check, mirrored = chi_X._checked(chi_X._rows(p.tau))
-    G = BlockMonomial.of(G)
+    G = _trusted(np.zeros(1, dtype=np.intp), G[None])
     pairing = _pairing_symmetry(chi_X, *mirrored, G)
     names += [f"pairing-symmetry[{label}]" for label in p.alphabet]
     report = _checks(names, _compare([check, (pairing, (G.perm, G.blocks))]))
@@ -700,11 +703,13 @@ def build_G2(
     ``i -x-> j`` gives ``h_j = h_i w``, ``w`` being ``tau(x)`` walked from sheet
     ``nu(i)``, and ``nu(j)`` is where that walk ends.  The product is taken
     on words, each ``tau(x)`` walked from every sheet once and joined to
-    ``h_i`` as ``Word`` joins, so rounding does not build up along the tree.
-    Constant unitary selfadjoint ``G1`` only (the unitary flat regime).
-    ``nu`` is an involution exactly when the covering subgroup is invariant
-    under the involution; otherwise the pairing has no meaning, and it is
-    refused, naming the sheets where ``nu(nu(k)) != k``.
+    ``h_i`` as ``Word`` joins, so rounding does not build up along the tree;
+    ``chi1`` then folds the ``h_k`` once.  Constant unitary selfadjoint
+    ``G1`` only (the unitary flat regime).  ``nu`` is an involution exactly
+    when the covering subgroup is invariant under the involution; otherwise
+    the pairing has no meaning, and it is refused, naming the sheets where
+    ``nu(nu(k)) != k``.  An involution is a permutation, so the result is
+    not checked again.
     """
     if chi1.presentation is not trans or trans.covering is not cov:
         raise ValueError("subgroup representation belongs to a different covering")
@@ -714,23 +719,29 @@ def build_G2(
     G1 = np.asarray(G1, dtype=complex)
     if G1.shape != (chi1.m, chi1.m):
         raise ValueError(f"G1 has shape {G1.shape}, expected {(chi1.m, chi1.m)}")
-    # per generator on the tree: the code rows of tau(x) from every sheet, their lengths, the end sheets
-    on_tree = {gi for _, gi in trans.tree_edges}
-    walks = {gi: [a.tolist() for a in trans.walk_sheets(p.tau[gi])] for gi in on_tree}
-    forward, h, nu = cov.forward.tolist(), [[]] * cov.n, [0] * cov.n
+    # per generator on the tree: tau(x) walked from every sheet, each row trimmed to its length, the end sheets
+    walks = {}
+    for gi in {gi for _, gi in trans.tree_edges}:
+        rows, lengths, ends = trans.walk_sheets(p.tau[gi])
+        walks[gi] = [tuple(row[:k]) for row, k in zip(rows.tolist(), lengths.tolist())], ends.tolist()
+    forward, h, nu = cov.forward.tolist(), [()] * cov.n, [0] * cov.n
     for i, gi in trans.tree_edges:
-        (rows, lengths, ends), k, c = walks[gi], nu[i - 1], 0
-        head, w = h[i - 1], rows[k][: lengths[k]]
-        while c < min(len(head), len(w)) and head[-1 - c] == -w[c]:
-            c += 1
+        (words, ends), k = walks[gi], nu[i - 1]
+        head, w = h[i - 1], words[k]
+        if head and w and head[-1] == -w[0]:  # the junction cancels
+            c = 1
+            while c < min(len(head), len(w)) and head[-1 - c] == -w[c]:
+                c += 1
+            head, w = head[: len(head) - c], w[c:]
         j = forward[gi][i - 1]
-        h[j], nu[j] = head[: len(head) - c] + w[c:], ends[k]
-    unpaired = [k + 1 for k in range(cov.n) if nu[nu[k]] != k]
-    if unpaired:
+        h[j], nu[j] = head + w, ends[k]
+    nu = np.array(nu, dtype=np.intp)
+    unpaired = np.flatnonzero(nu[nu] != np.arange(cov.n)) + 1
+    if len(unpaired):
         message = "covering subgroup is not invariant under the involution: nu(nu(k)) != k on sheets"
-        raise ValueError(f"{message} {unpaired}")
+        raise ValueError(f"{message} {unpaired.tolist()}")
     h_blocks = chi1._fold(_code_rows(h))[1]
-    return BlockMonomial(nu, G1 @ h_blocks.reshape(-1, *h_blocks.shape[2:]))
+    return _trusted(nu, G1 @ h_blocks.reshape(-1, *h_blocks.shape[2:]))
 
 
 def build_J2_diagonal(cov: CoveringAction, sig: SignatureData) -> list[BlockMonomial]:
@@ -739,11 +750,12 @@ def build_J2_diagonal(cov: CoveringAction, sig: SignatureData) -> list[BlockMono
     ``J_2`` is the direct image of ``J_1``: every lift of a boundary component
     carries that component's base value, so each ``J_2`` is the base value
     repeated on all ``n`` sheets, one contiguous block array.  The values were
-    checked by ``SignatureData``; whether the lifts' stabilizers preserve them
-    is the symmetry report's ``boundary-compatibility`` check.
+    checked by ``SignatureData``, so the result is not checked again; whether
+    the lifts' stabilizers preserve them is the symmetry report's
+    ``boundary-compatibility`` check.
     """
     n, m = cov.n, sig.m
-    return [BlockMonomial(np.arange(n), np.broadcast_to(J, (n, m, m))) for J in sig.J_list]
+    return [_trusted(np.arange(n), np.broadcast_to(J, (n, m, m)).copy()) for J in sig.J_list]
 
 
 def pairing_signature_matrices(

@@ -12,17 +12,19 @@ from hardycover import (
     Word,
     annulus_pipeline,
     boundary_subgroup_rep,
+    build_covering,
     build_G2,
     build_J2_diagonal,
     check_representation,
     cyclic_cover,
+    double_group,
     induce_representation,
     schreier_transversal,
     verify_symmetry_conditions,
 )
 from hardycover.cyclic import annulus_double_rep, annulus_surface_rep
 
-from helpers import compare, count_calls, haar_unitary
+from helpers import compare, count_calls, haar_unitary, random_signature_matrix
 
 
 def scalar_signs(e0, e1):
@@ -47,6 +49,16 @@ class TestCyclicCover:
             cyclic_cover(n)
         with pytest.raises(ValueError, match="is not an integer"):
             annulus_pipeline(n, 0.7, scalar_signs(1, -1))
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 128])
+    def test_written_cover_is_the_validated_one(self, n):
+        # the cover is written directly; build_covering, the validator of outside input, gives the same
+        cov = cyclic_cover(n)
+        built = build_covering(double_group(0, 2), {"A1": [*range(2, n + 1), 1], "B1": [*range(1, n + 1)]})
+        assert cov.moves.dtype == built.moves.dtype and np.array_equal(cov.moves, built.moves)
+        assert not cov.moves.flags.writeable
+        assert cov.perms == built.perms and cov._tree == built._tree
+        assert schreier_transversal(cov).alphabet == schreier_transversal(built).alphabet
 
     def test_accepts_numpy_integer_sheet_counts(self):
         cov = cyclic_cover(np.int64(4))
@@ -148,6 +160,23 @@ class TestPipeline:
                     block = pipe.J2_diagonal[comp].dense()[2 * k : 2 * k + 2, 2 * k : 2 * k + 2]
                     assert np.array_equal(block, sig.J_list[comp])
 
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 128])
+    def test_trusted_values_pass_the_checks_they_skip(self, n, m):
+        # G2 and the J2 are built unchecked from validated parts: each is what the checked constructor
+        # makes of its arrays, C-ordered and read-only, also from Fortran-ordered signature matrices
+        rng = np.random.default_rng(10 * n + m)
+        basis = haar_unitary(rng, m)
+        sig = SignatureData(J_list=tuple(np.asfortranarray(random_signature_matrix(rng, m, basis)) for _ in range(2)))
+        pipe = annulus_pipeline(n, 0.7, sig)
+        assert pipe.report.passed
+        for value in (pipe.G2, *pipe.J2_diagonal):
+            checked = BlockMonomial(value.perm, value.blocks)
+            assert np.array_equal(checked.perm, value.perm) and np.array_equal(checked.blocks, value.blocks)
+            assert value.perm.dtype == np.intp and value.blocks.flags.c_contiguous
+            assert not value.perm.flags.writeable and not value.blocks.flags.writeable
+        assert all(J.flags.c_contiguous for J in sig.J_list)
+
     def test_report_residuals_near_machine_zero(self):
         pipe = annulus_pipeline(3, 0.7, scalar_signs(1, -1))
         assert max(c.residual for c in pipe.report.checks) < 1e-13
@@ -225,8 +254,8 @@ class TestPipeline:
             assert "relators" not in vars(pipe.transversal)
             assert "relator_rows" not in vars(pipe.transversal)
             counts[n], built[n] = sum(walked), len(words)
-        # from every sheet: the relator, by the cover's check, and tau(A1)
-        assert counts[256] == (4 + 3) * 256
+        # from every sheet: tau(A1); the cover is written directly, so its relator is not walked
+        assert counts[256] == 3 * 256
         assert counts[512] <= 2.2 * counts[256]
         assert built[512] == built[256]  # the Words of the presentations and symmetry words only
 

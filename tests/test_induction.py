@@ -249,6 +249,10 @@ class TestCheckRepresentation:
         assert report.worst() == "b at block (2, 2): nan vs 1e-12"
         assert [c.name for c in report.failing()] == [rows[i][0] for i in order]
 
+    @pytest.mark.parametrize("rows", [[("a", 0.0, 1.0, None)], []], ids=["passing", "empty"])
+    def test_worst_of_a_table_with_no_failing_row_says_so(self, rows):
+        assert CheckReport.rows(rows).worst() == "no check failed"
+
     def test_table_columns_are_read_only_copies(self):
         residuals = np.array([0.0, 1.0])
         report = CheckReport(["a", "b"], residuals, [1e-12, 1e-12], [[1, 1], [2, 2]])
