@@ -29,7 +29,6 @@ from .induction import (
     SignatureData,
     _induce,
     _symmetry_report,
-    _symmetry_words,
     build_G2,
     build_J2_diagonal,
     extend_to_double,
@@ -45,6 +44,11 @@ __all__ = [
     "annulus_pipeline",
 ]
 
+# The family's one base surface, the double of the annulus: a torus.  Every cover, extension and check of
+# the family is over this one object, so what is derived from the presentation alone (its layout in
+# ``induction``) is made once per process and kept on it.
+_TORUS = double_group(0, 2)
+
 
 def cyclic_cover(n: int) -> CoveringAction:
     """Degree-n cyclic cover of the annulus double: A1 an n-cycle, B1 the identity.
@@ -56,7 +60,7 @@ def cyclic_cover(n: int) -> CoveringAction:
     n = _as_int(n, "n")
     if n < 1:
         raise ValueError(f"sheet count must be at least 1, got {n}")
-    return _rolled_covering(double_group(0, 2), n)
+    return _rolled_covering(_TORUS, n)
 
 
 def annulus_surface_rep(m: int, alpha: float) -> MatrixRep:
@@ -68,7 +72,7 @@ def annulus_surface_rep(m: int, alpha: float) -> MatrixRep:
 
 def annulus_double_rep(m: int, alpha: float, sig: SignatureData) -> MatrixRep:
     """The annulus representation extended to the torus double with the given signature data."""
-    return extend_to_double(annulus_surface_rep(m, alpha), sig, double_group(0, 2))
+    return extend_to_double(annulus_surface_rep(m, alpha), sig, _TORUS)
 
 
 def boundary_subgroup_rep(
@@ -80,9 +84,11 @@ def boundary_subgroup_rep(
     and receives ``chi_X1(A1)``; every ``B1@i`` is the crossing class and
     receives ``chi_X1(B1)``: the row of its base letter in ``chi_X1``'s table.
     """
+    if cov.presentation.alphabet != ("A1", "B1"):
+        raise ValueError(f"the cover is of {cov.presentation.alphabet}, not the annulus double")
     stray = trans.edges[0, :-1]  # A1 leaves the tree at sheet n only
-    if cov.presentation.alphabet != ("A1", "B1") or stray.max(initial=-1) >= 0:
-        label = trans.alphabet[stray[stray >= 0].min(initial=0)]
+    if stray.max(initial=-1) >= 0:
+        label = trans.alphabet[stray[stray >= 0].min()]
         raise ValueError(f"unexpected Schreier generator {label!r} for a cyclic cover")
     if chi_X1.presentation.alphabet != ("A1", "B1"):
         raise ValueError(f"chi_X1 represents {chi_X1.presentation.alphabet}, not the annulus double")
@@ -119,6 +125,15 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     block-monomial is built trusted from validated parts, so nothing made
     here is validated a second time.  The report is one table, the symmetry
     and route rows of one ``_checks`` call.
+
+    Every call is over the same torus, ``_TORUS``, and keeps on it what
+    depends on the presentation alone: the check and ``tau`` code rows, the
+    symmetry words and their rows, both torus folds' sort plans, and the
+    report's names and row order.  The first call in a process builds them;
+    later calls build no ``Word`` of the torus (``chi_S``'s annulus
+    presentation, one relator, is made per call).  The cover, the
+    transversal and ``G2``'s tree words depend on ``n`` and are made per
+    call.
     """
     cov = cyclic_cover(n)
     p = cov.presentation
@@ -126,7 +141,7 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     trans = schreier_transversal(cov)
     chi_X1 = extend_to_double(annulus_surface_rep(sig.m, alpha), sig, p)
     chi1 = boundary_subgroup_rep(cov, trans, chi_X1)
-    chi2, images = _induce(cov, trans, chi1, _symmetry_words(p))
+    chi2, images = _induce(cov, trans, chi1, symmetric=True)
     G2 = build_G2(cov, trans, chi1, sig.G)
     J2_diag = build_J2_diagonal(cov, sig)
     J2_pair = pairing_signature_matrices(chi2, G2, p)

@@ -45,6 +45,14 @@ cyclic pipeline ``induce_representation`` the symmetry report's words.
 ``chi1``'s checks are regrouped from ``chi2``'s fold, not folded (see
 ``induce_representation``).  A value built here from validated parts is
 made trusted, not validated again.
+
+What a presentation alone determines is built once per presentation object
+and kept on it, as its layout (``_Layout``): the check rows' code rows and
+names, ``tau``'s code rows, the symmetry words and their code rows, the
+sort plans of the folds made over it, and the symmetry report's names and
+row order.  Nothing that depends on a representation, a cover or a sheet
+count is kept, so a presentation made for one op makes these once, and the
+cyclic family's one torus makes them once per process.
 """
 
 from __future__ import annotations
@@ -332,57 +340,47 @@ class MatrixRep:
         left to right as one ``BlockMonomial`` product per letter would take
         it; all words share one pass over the letter positions of the longest.
         """
-        return self._fold(self._rows(words))
+        return self._fold(_plan(self._rows(words)))
 
     def _rows(self, words: Sequence[Word]) -> np.ndarray:
         """Each word as a row of signed codes, zero past its end: ``+-(x+1)`` for generator ``x``."""
         alphabet = self.presentation.alphabet
         if any(w.alphabet is not alphabet and w.alphabet != alphabet for w in words):
             raise ValueError("word not over this representation's generators")
-        return _code_rows([[gen + 1 if exp > 0 else -gen - 1 for gen, exp in w.letters] for w in words])
+        return _word_rows(words)
 
-    def _fold(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The left fold of each row of signed codes, zero past its end; an empty row gives the identity.
+    def _fold(self, plan: tuple[np.ndarray, tuple[int, ...], np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+        """The left fold of each row of signed codes that ``_plan`` planned; an empty row gives the identity.
 
-        A letter's signed code is its entry in the table.  Rows run sorted by
-        length, longest first, so the rows still running at a letter position
-        are a prefix of the stack, and each position costs one ``_product``
-        however many rows there are.  No row is padded with identity factors:
-        each image is the product of its own letters, in their order.
+        A letter's signed code is its entry in the table.  Each letter
+        position costs one ``_product`` over the rows still running there,
+        a prefix of the sorted stack, however many rows there are.  No row is
+        padded with identity factors: each image is the product of its own
+        letters, in their order.
         """
-        lengths = np.count_nonzero(rows, axis=1)
-        order = np.argsort(-lengths, kind="stable")
-        # position-major; an ended row reads 0 past the running prefix, an empty one the identity
-        codes = rows[order].T if rows.shape[1] else np.zeros((1, len(rows)), dtype=np.intp)
+        codes, running, back = plan
         perms, blocks = self._table[0][codes[0]], self._table[1][codes[0]]
-        # the rows longer than p, still running at position p: counted on the sorted lengths
-        running = np.searchsorted(-lengths[order], -np.arange(1, len(codes))).tolist()
         for position, a in zip(codes[1:], running):
             perms[:a], blocks[:a] = _product(perms[:a], blocks[:a], position[:a], self._table)
-        back = np.argsort(order)  # to the given order
         return perms[back], blocks[back]
 
-    def _checked(self, extra: np.ndarray) -> tuple[list[str], tuple, tuple[np.ndarray, np.ndarray]]:
-        """One fold of the check rows, then the code rows ``extra``: the checks' names and comparison, ``extra`` folded.
+    def _checked(self, plan) -> tuple[tuple[str, ...], tuple, tuple[np.ndarray, np.ndarray]]:
+        """One fold of ``plan``, a plan of the presentation's layout: the checks' names and comparison, the rest folded.
 
-        The check rows are ``chi(x) chi(x)^*``, an image then its adjoint, for
-        each generator, then the relators; a transversal's relators are the
-        code rows it rewrote them into, with no Word between.  The comparison
-        pairs their stack with the identity.
+        The layout's check rows are ``chi(x) chi(x)^*``, an image then its
+        adjoint, for each generator, then the relators; the plan folds them,
+        then the rows it adds.  The comparison pairs their stack with the
+        identity.
         """
-        p, g = self.presentation, len(self.presentation.alphabet)
-        relators = p.relator_rows if isinstance(p, Transversal) else self._rows(p.relators)
-        count = g + len(relators)
-        rows = np.zeros((count + len(extra), max(relators.shape[1], extra.shape[1], 2)), dtype=np.intp)
-        rows[:g, :2], rows[g:count, : relators.shape[1]] = np.arange(1, g + 1)[:, None] * [1, -1], relators
-        rows[count:, : extra.shape[1]] = extra
-        perms, blocks = self._fold(rows)
+        names = _Layout(self.presentation).checks[1]
+        perms, blocks = self._fold(plan)
+        count = len(names)
         check = (perms[:count], blocks[:count]), (self._table[0][0], self._table[1][0])
-        return _check_names(p.alphabet, len(relators)), check, (perms[count:], blocks[count:])
+        return names, check, (perms[count:], blocks[count:])
 
     @cached_property
     def _check_report(self) -> CheckReport:
-        names, check, _ = self._checked(_code_rows([]))
+        names, check, _ = self._checked(_Layout(self.presentation).check_plan)
         return _checks(names, _compare([check]))
 
 
@@ -427,6 +425,139 @@ def _code_rows(rows: Sequence[Sequence[int]]) -> np.ndarray:
     """Rows of signed codes as one array, zero past each row's end."""
     codes = np.array(list(zip_longest(*rows, fillvalue=0)), dtype=np.intp).T
     return codes if codes.ndim == 2 else np.zeros((len(rows), 0), dtype=np.intp)
+
+
+def _word_rows(words: Sequence[Word]) -> np.ndarray:
+    """Each word as a row of signed codes, zero past its end: ``+-(x+1)`` for generator ``x``."""
+    return _code_rows([[gen + 1 if exp > 0 else -gen - 1 for gen, exp in w.letters] for w in words])
+
+
+def _plan(rows: np.ndarray) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """How ``MatrixRep._fold`` runs ``rows`` of signed codes: sorted codes, running counts and the way back.
+
+    Rows run sorted by length, longest first, so the rows still running at a
+    letter position are a prefix of the stack.  The plan holds the sorted
+    rows position-major (one position of zeros, the identity's entry, if no
+    row has a letter), the count of rows longer than each position past the
+    first, and the index that puts the results back in the given order.  It
+    reads no representation, so one plan serves every fold of those rows;
+    its arrays are read-only.
+    """
+    lengths = np.count_nonzero(rows, axis=1)
+    order = np.argsort(-lengths, kind="stable")
+    ordered = rows[order] if rows.shape[1] else np.zeros((len(rows), 1), dtype=np.intp)
+    running = tuple(np.searchsorted(-lengths[order], -np.arange(1, ordered.shape[1])).tolist())
+    back = np.argsort(order)
+    return _read_only(ordered).T, running, _read_only(back)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` made read-only, copied first if it views another array, which could still be written."""
+    if array.base is not None:
+        array = array.copy()
+    array.setflags(write=False)
+    return array
+
+
+def _piece(make):
+    """A layout piece: ``make(p)``, made on first read and kept in ``p``'s ``_layout`` dict."""
+    name = make.__name__
+
+    def read(layout: "_Layout"):
+        kept = layout.kept
+        if name not in kept:
+            kept[name] = make(layout.p)
+        return kept[name]
+
+    return property(read, doc=make.__doc__)
+
+
+class _Layout:
+    """Presentation ``p``'s layout: what the checks and folds over ``p`` read of ``p`` alone, for any representation.
+
+    The pieces live in ``p``'s ``_layout`` dict, each made on first read, so
+    every representation of ``p``, in every op, reads the same ones, and a
+    presentation made fresh for one op (a parsed ``induce`` config) makes
+    only the pieces that op reads.  The dict holds no reference back to
+    ``p``; this view of it is made per use.  Words are kept as tuples and
+    arrays read-only, so no reader can change what later readers get.  The
+    sort plans of the cyclic pipeline's two folds over the torus, of
+    ``chi_X1``'s checks with ``tau`` and of ``chi2``'s with the symmetry
+    words, are among the pieces.
+    """
+
+    __slots__ = ("p", "kept")
+
+    def __init__(self, p):
+        self.p, self.kept = p, vars(p).setdefault("_layout", {})
+
+    @_piece
+    def checks(p) -> tuple[np.ndarray, tuple[str, ...]]:
+        """The check rows as code rows, ``x x^-1`` per generator then the relators, and their names.
+
+        A transversal's relators are the code rows it rewrote them into, with no Word between.
+        """
+        g = len(p.alphabet)
+        relators = p.relator_rows if isinstance(p, Transversal) else _word_rows(p.relators)
+        rows = np.zeros((g + len(relators), max(relators.shape[1], 2)), dtype=np.intp)
+        rows[:g, :2], rows[g:, : relators.shape[1]] = np.arange(1, g + 1)[:, None] * [1, -1], relators
+        return _read_only(rows), tuple(_check_names(p.alphabet, len(relators)))
+
+    @_piece
+    def check_plan(p):
+        """The plan of a fold of the check rows alone."""
+        return _plan(_Layout(p).checks[0])
+
+    @_piece
+    def tau(p) -> tuple[np.ndarray, tuple[str, ...]]:
+        """The mirrored generators ``tau(x)`` as code rows, and the names of their pairing-symmetry rows."""
+        return _read_only(_word_rows(p.tau)), tuple(f"pairing-symmetry[{label}]" for label in p.alphabet)
+
+    @_piece
+    def tau_plan(p):
+        """The plan of ``extend_to_double``'s fold: the check rows, then ``tau(x)``."""
+        return _plan(_joined(_Layout(p).checks[0], _Layout(p).tau[0]))
+
+    @_piece
+    def symmetry(p) -> tuple[tuple[Word, ...], np.ndarray]:
+        """``_symmetry_words(p)``, and their code rows."""
+        words = _symmetry_words(p)
+        return words, _read_only(_word_rows(words))
+
+    @_piece
+    def symmetry_plan(p):
+        """The plan of the cyclic pipeline's fold of ``chi2``: the check rows, then the symmetry words."""
+        return _plan(_joined(_Layout(p).checks[0], _Layout(p).symmetry[1]))
+
+    @_piece
+    def symmetry_report(p) -> tuple[tuple[str, ...], np.ndarray]:
+        """``_symmetry_report``'s row names and the order it reads its comparisons' rows in, route rows last.
+
+        The comparisons' rows are G2's then each J2's selfadjointness (``0``,
+        ``1 + comp``), the pairing symmetry (from ``1 + k``), ``J2 J2`` (from
+        ``1 + k + g``), the boundary compatibility (from ``1 + 2k + g``), the
+        transport (from ``1 + 3k + g``) and the signature routes (from
+        ``1 + 3k + g + kg``).  The report gives G2's selfadjointness, the
+        pairing symmetry, the three signature rows per component, the
+        transport, then the routes.
+        """
+        g, k, comps = len(p.alphabet), p.k, np.arange(p.k)
+        per_comp = (comps[:, None] + [1, 1 + k + g, 1 + 2 * k + g]).ravel()
+        routes = 1 + 3 * k + g + k * g + comps
+        order = np.concatenate([[0], 1 + k + np.arange(g), per_comp, 1 + 3 * k + g + np.arange(k * g), routes])
+        signatures = "signature-selfadjoint", "signature-involution", "boundary-compatibility"
+        names = ("pairing-selfadjoint", *_Layout(p).tau[1])
+        names += tuple(f"{check}[{comp}]" for comp in range(k) for check in signatures)
+        names += tuple(f"monodromy-transport[{comp},{label}]" for comp in range(k) for label in p.alphabet)
+        names += tuple(f"signature-route-equality[{comp}]" for comp in range(k))
+        return names, _read_only(order)
+
+
+def _joined(rows: np.ndarray, extra: np.ndarray) -> np.ndarray:
+    """Two stacks of code rows as one, zero past each row's end."""
+    out = np.zeros((len(rows) + len(extra), max(rows.shape[1], extra.shape[1])), dtype=np.intp)
+    out[: len(rows), : rows.shape[1]], out[len(rows) :, : extra.shape[1]] = rows, extra
+    return out
 
 
 def _adjoint(perms: np.ndarray, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -613,11 +744,11 @@ def extend_to_double(
     images = np.concatenate([np.stack([a[1:], G @ J[1:]], axis=1).reshape(-1, m, m), handles, mirrored])
     chi_X = MatrixRep._stacked(p, np.zeros((len(images), 1), dtype=np.intp), images[:, None])
     # the checks and the mirrored generators, the words tau(x), in one fold: one table of all three kinds
-    names, check, mirrored = chi_X._checked(chi_X._rows(p.tau))
+    layout = _Layout(p)
+    names, check, mirrored = chi_X._checked(layout.tau_plan)
     G = _trusted(np.zeros(1, dtype=np.intp), G[None])
     pairing = _pairing_symmetry(chi_X, *mirrored, G)
-    names += [f"pairing-symmetry[{label}]" for label in p.alphabet]
-    report = _checks(names, _compare([check, (pairing, (G.perm, G.blocks))]))
+    report = _checks(names + layout.tau[1], _compare([check, (pairing, (G.perm, G.blocks))]))
     if not report.passed:
         raise ExtensionError(f"extension inconsistent: {report.worst()}", report)
     return chi_X
@@ -652,9 +783,12 @@ def induce_representation(
 
 
 def _induce(
-    cov: CoveringAction, trans: Transversal, chi1: MatrixRep, words: Sequence[Word] = ()
+    cov: CoveringAction, trans: Transversal, chi1: MatrixRep, symmetric: bool = False
 ) -> tuple[MatrixRep, tuple[np.ndarray, np.ndarray]]:
-    """``induce_representation``, and the images of ``words`` under the result, folded with its checks."""
+    """``induce_representation``, and if ``symmetric`` the images of the symmetry words under the result.
+
+    Those words are folded with its checks, by the plan the base presentation's layout keeps.
+    """
     if chi1.presentation is not trans or trans.covering is not cov:
         raise ValueError("subgroup representation belongs to a different covering")
     # chi1's table entry per edge: its Schreier generator's image, or the identity (0) on tree edges
@@ -665,7 +799,8 @@ def _induce(
     blocks = sub_blocks[which].reshape(-1, cov.n * n1, m1, m1)
     induced = MatrixRep._stacked(cov.presentation, perms, blocks)
 
-    names, check, images = induced._checked(induced._rows(words))
+    layout = _Layout(cov.presentation)
+    names, check, images = induced._checked(layout.symmetry_plan if symmetric else layout.check_plan)
     compared = _compare([check])
     verification = vars(induced)["_check_report"] = _checks(names, compared)
     # chi1's rows: unitarity[x@k] is block row k of unitarity[x], relator[i n + k] block row k of relator[i],
@@ -740,7 +875,7 @@ def build_G2(
     if len(unpaired):
         message = "covering subgroup is not invariant under the involution: nu(nu(k)) != k on sheets"
         raise ValueError(f"{message} {unpaired.tolist()}")
-    h_blocks = chi1._fold(_code_rows(h))[1]
+    h_blocks = chi1._fold(_plan(_code_rows(h)))[1]
     return _trusted(nu, G1 @ h_blocks.reshape(-1, *h_blocks.shape[2:]))
 
 
@@ -779,13 +914,17 @@ def verify_symmetry_conditions(
     the image.  Every check runs blockwise, each kind as one stacked
     comparison, and the report is one ``_checks`` of them all.  Refuses
     other than one ``J2`` per boundary component, each of ``chi2``'s block
-    shape.  The words whose images it reads are built and folded here; the
-    cyclic pipeline folds them with ``chi2``'s checks instead.
+    shape.  The words whose images it reads, their code rows and the
+    report's names and row order are built once per presentation and kept
+    on ``p`` (its layout); only their fold is made here.  The cyclic
+    pipeline folds them with ``chi2``'s checks instead.
     """
-    return _symmetry_report(chi2, G2, J2_list, p, chi2.evaluate_many(_symmetry_words(p)))
+    if p.alphabet != chi2.presentation.alphabet:
+        raise ValueError("word not over this representation's generators")
+    return _symmetry_report(chi2, G2, J2_list, p, chi2._fold(_plan(_Layout(p).symmetry[1])))
 
 
-def _symmetry_words(p: DoubledPresentation) -> list[Word]:
+def _symmetry_words(p: DoubledPresentation) -> tuple[Word, ...]:
     """The words whose images the symmetry report reads, in its order.
 
     The mirrored generators ``tau(R)``, then per component the boundary
@@ -795,7 +934,7 @@ def _symmetry_words(p: DoubledPresentation) -> list[Word]:
     loops = [boundary_loop(p, comp) for comp in range(p.k)]
     T_base = [mirror_monodromy(p, comp) for comp in range(p.k)]
     moved = [tau_R * T * p.gen(label, -1) for T in T_base for label, tau_R in zip(p.alphabet, p.tau)]
-    return [*p.tau, *loops, *T_base, *moved]
+    return (*p.tau, *loops, *T_base, *moved)
 
 
 def _symmetry_report(
@@ -836,15 +975,9 @@ def _symmetry_report(
         (compatibility, J2),  # from 1 + 2k + g
         (lhs, rhs),  # from 1 + 3k + g
     ]
-    # report order: G2's selfadjointness, pairing symmetry, the three signature rows per component, transport
-    per_comp = (comps[:, None] + [1, 1 + k + g, 1 + 2 * k + g]).ravel()
-    order = [[0], 1 + k + np.arange(g), per_comp, 1 + 3 * k + g + np.arange(k * g)]
-    names = ["pairing-selfadjoint", *(f"pairing-symmetry[{label}]" for label in p.alphabet)]
-    signatures = "signature-selfadjoint", "signature-involution", "boundary-compatibility"
-    names += [f"{check}[{comp}]" for comp in range(k) for check in signatures]
-    names += [f"monodromy-transport[{comp},{label}]" for comp in range(k) for label in p.alphabet]
+    names, order = _Layout(p).symmetry_report  # the route rows come last
     if J2_pairing:
         comparisons.append((J2, _stack(J2_pairing)))  # from 1 + 3k + g + kg
-        order.append(1 + 3 * k + g + k * g + comps)
-        names += [f"signature-route-equality[{comp}]" for comp in range(k)]
-    return _checks(names, _compare(comparisons), np.concatenate(order))
+    else:
+        names, order = names[:-k], order[:-k]
+    return _checks(names, _compare(comparisons), order)

@@ -211,21 +211,36 @@ def close_relator(p, perms: dict, n: int) -> dict:
     return {**perms, "A0": a0}
 
 
-def random_induce_config(seed: int, n: int = 64, m: int = 2) -> dict:
+def random_induce_config(seed: int, n: int = 64, m: int = 2, double: bool = False) -> dict:
     """``induce`` config of a random transitive ``n``-sheet cover of the genus-1 surface with 2 boundary circles.
 
     ``chi1`` is the restriction of a random unitary representation ``rho`` of
-    the surface group to the covering subgroup, so every check passes.
+    the surface group to the covering subgroup, so every check passes.  With
+    ``double``, the cover is of the torus ``double_group(0, 2)`` instead:
+    ``A1`` a random n-cycle and ``B1`` a random power of it, and ``rho`` two
+    commuting unitaries.
     """
     rng = np.random.default_rng(seed)
-    p = surface_group(1, 2)
-    while True:
-        perms = {lbl: (rng.permutation(n) + 1).tolist() for lbl in p.alphabet[1:]}
-        perms = close_relator(p, perms, n)
-        if is_transitive(list(perms.values()), n):
-            break
-    rho = {lbl: haar_unitary(rng, m) for lbl in p.alphabet[1:]}
-    rho["A0"] = dense_product(rho, p.alphabet, Word(p.relator.letters[:-1], p.alphabet), m).conj().T
+    if double:
+        p, cycle = double_group(0, 2), rng.permutation(n)
+        a1 = [0] * n
+        for i, j in zip(cycle, np.roll(cycle, -1)):
+            a1[i] = int(j) + 1
+        b1 = list(range(1, n + 1))
+        for _ in range(int(rng.integers(0, n))):
+            b1 = [a1[i - 1] for i in b1]
+        perms = {"A1": a1, "B1": b1}
+        u = haar_unitary(rng, m)
+        rho = {lbl: u @ np.diag(np.exp(2j * np.pi * rng.random(m))) @ u.conj().T for lbl in p.alphabet}
+    else:
+        p = surface_group(1, 2)
+        while True:
+            perms = {lbl: (rng.permutation(n) + 1).tolist() for lbl in p.alphabet[1:]}
+            perms = close_relator(p, perms, n)
+            if is_transitive(list(perms.values()), n):
+                break
+        rho = {lbl: haar_unitary(rng, m) for lbl in p.alphabet[1:]}
+        rho["A0"] = dense_product(rho, p.alphabet, Word(p.relator.letters[:-1], p.alphabet), m).conj().T
     trans = schreier_transversal(build_covering(p, perms))
     images = {
         lbl: matrix_to_json(dense_product(rho, p.alphabet, w, m))
@@ -233,9 +248,9 @@ def random_induce_config(seed: int, n: int = 64, m: int = 2) -> dict:
     }
     return {
         "mode": "induce",
-        "s": 1,
-        "k": 2,
-        "double": False,
+        "s": p.s,
+        "k": p.k,
+        "double": double,
         "covering": {"n": n, "perms": perms},
         "chi1": {"m": m, "images": images},
     }

@@ -1198,19 +1198,27 @@ class TestJsonWriter:
     @pytest.mark.parametrize("n", [1, 128])
     def test_each_representation_folded_once(self, monkeypatch, n):
         # counted, not timed: verify and isometry fold chi_X1 (checks and tau words), chi2 (checks and the
-        # symmetry words; chi1's checks are read off it) and chi1 (G2's tree words); induce folds chi2 alone
+        # symmetry words; chi1's checks are read off it) and chi1 (G2's tree words); induce folds chi2 alone,
+        # over a presentation parsed for the op, and builds no symmetry words, not even over a double
         from hardycover import induction
 
         folds = count_calls(monkeypatch, induction.MatrixRep, "_fold")
         products = count_calls(monkeypatch, induction, "_product")
+        symmetry_words = count_calls(monkeypatch, induction, "_symmetry_words")
         verify = {"mode": "verify", "n": n, "alpha": 0.7, "signs": [1, -1]}
-        for config in (verify, isometry_config(n=n, samples=128, trials=2), random_induce_config(seed=5, n=n)):
+        induce = [random_induce_config(seed=5, n=n, double=double) for double in (False, True)]
+        for config in (verify, isometry_config(n=n, samples=128, trials=2), *induce):
             folds.clear()
             products.clear()
+            symmetry_words.clear()
             report = run_pipeline(parse_config(json.dumps(config)))
             assert report.passed
-            assert len(folds) == (1 if config["mode"] == "induce" else 3)
-            assert len(products) < 24
+            if config["mode"] == "induce":
+                assert len(folds) == 1 and len(symmetry_words) == 0
+            else:
+                # 3 products in each torus fold, 9 outside the folds, 1 in G2's; on one sheet G2's tree
+                # words are all empty, so their fold makes none
+                assert len(folds) == 3 and len(products) == (15 if n == 1 else 16)
 
     @pytest.mark.parametrize("kind", CHI1_VARIANTS)
     def test_chi1_variant_rows_read_off_chi2(self, kind):

@@ -1,5 +1,7 @@
 """End-to-end symbolic pipeline on the cyclic annulus-double family."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -90,10 +92,18 @@ class TestBoundaryRep:
 
 
     def test_refuses_a_representation_of_another_presentation(self):
-        # images are read by generator position, so chi_X1 must be over (A1, B1)
+        # images are read by generator position, so chi_X1 must be over (A1, B1), and so must the cover
         cov = cyclic_cover(3)
         with pytest.raises(ValueError, match="not the annulus double"):
             boundary_subgroup_rep(cov, schreier_transversal(cov), annulus_surface_rep(1, 0.4))
+        # a cover of the genus-2 double: its B1@1 is a legitimate Schreier generator, not the fault
+        fixed = [1, 2, 3]
+        other = build_covering(double_group(0, 3), {"A1": [2, 3, 1], "B1": fixed, "A2": fixed, "B2": fixed})
+        chi_X1 = annulus_double_rep(1, 0.4, scalar_signs(1, -1))
+        message = "the cover is of ('A1', 'B1', 'A2', 'B2'), not the annulus double"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            boundary_subgroup_rep(other, schreier_transversal(other), chi_X1)
+
 
 class TestTransport:
     def test_all_sheets_carry_base_values(self):
@@ -177,6 +187,46 @@ class TestPipeline:
             assert not value.perm.flags.writeable and not value.blocks.flags.writeable
         assert all(J.flags.c_contiguous for J in sig.J_list)
 
+    def test_kept_torus_layout_is_read_only_and_that_of_a_fresh_torus(self):
+        # every op reuses the layout kept on the family's torus: no reader may change it, and it must be
+        # what a fresh double_group(0, 2) derives, bit for bit, with the same report
+        from hardycover import cyclic, induction
+
+        rng = np.random.default_rng(12)
+        sig = SignatureData(J_list=tuple(random_signature_matrix(rng, 2) for _ in range(2)))
+        pipe = annulus_pipeline(7, 0.7, sig)
+        fresh = double_group(0, 2)
+        pieces = [name for name, attr in vars(induction._Layout).items() if isinstance(attr, property)]
+        warm, cold = (induction._Layout(p) for p in (cyclic._TORUS, fresh))
+        for layout in (warm, cold):
+            for name in pieces:
+                getattr(layout, name)
+        assert sorted(warm.kept) == sorted(cold.kept) == sorted(pieces)
+        assert warm.kept is vars(cyclic._TORUS)["_layout"] and cold.kept is vars(fresh)["_layout"]
+        assert type(cold.symmetry[0]) is tuple and all(type(w) is Word for w in cold.symmetry[0])
+
+        def leaves(value):
+            if isinstance(value, tuple):
+                return [leaf for item in value for leaf in leaves(item)]
+            return [value]
+
+        for name in pieces:
+            kept, made = leaves(warm.kept[name]), leaves(cold.kept[name])
+            assert len(kept) == len(made)
+            for a, b in zip(kept, made):
+                if isinstance(a, np.ndarray):
+                    assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+                    with pytest.raises(ValueError, match="read-only"):
+                        a[...] = 0
+                    assert a.base is None or not a.base.flags.writeable
+                else:
+                    assert type(a) is type(b) and a == b, name
+        report = verify_symmetry_conditions(pipe.chi2, pipe.G2, pipe.J2_diagonal, fresh)
+        routes = len(sig.J_list)  # the pipeline's report ends with one route row per component
+        assert report.names == pipe.report.names[:-routes]
+        for column in ("residuals", "tolerances", "blocks"):
+            assert np.array_equal(getattr(report, column), getattr(pipe.report, column)[:-routes])
+
     def test_report_residuals_near_machine_zero(self):
         pipe = annulus_pipeline(3, 0.7, scalar_signs(1, -1))
         assert max(c.residual for c in pipe.report.checks) < 1e-13
@@ -242,6 +292,7 @@ class TestPipeline:
         monkeypatch.setattr(covering, "_walk", counting_walk)
         monkeypatch.setattr(covering, "_rewrite_relators", wordless("rewriting", covering._rewrite_relators))
         monkeypatch.setattr(cyclic, "build_G2", wordless("build_G2", cyclic.build_G2))
+        annulus_pipeline(3, 0.7, scalar_signs(1, -1))  # the warm-up: the torus keeps its layout from here on
         counts, built = {}, {}
         for n in (256, 512):
             words.clear()
@@ -257,7 +308,9 @@ class TestPipeline:
         # from every sheet: tau(A1); the cover is written directly, so its relator is not walked
         assert counts[256] == 3 * 256
         assert counts[512] <= 2.2 * counts[256]
-        assert built[512] == built[256]  # the Words of the presentations and symmetry words only
+        # the torus's symmetry words and presentation are kept from the warm-up; the one Word left is the
+        # annulus relator of the surface_group(0, 2) that annulus_surface_rep presents each call's chi_S over
+        assert built[256] == built[512] == 1
 
     def test_chi1_checks_are_made_when_read(self, monkeypatch):
         made = []
