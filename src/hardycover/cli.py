@@ -171,11 +171,17 @@ def _check_isometry(p: dict) -> AnnulusCovering:
     log_most = 2 * (math.log(10 * (2 * degree + 1)) - (degree + (n - 1) / 2 - c) * math.log(rho1))
     log_most += math.log(samples * m)
     log_least = (2 * c + 2 * degree + 1) * math.log(rho1) - math.log(n)
-    if log_most > math.log(sys.float_info.max) or log_least < math.log(sys.float_info.min):
+    # name only the side that fails: at a huge |alpha| both bounds print alike, and only one of them fails
+    failing = []
+    if log_least < math.log(sys.float_info.min):
+        failing.append((f"as small as {_power_of_ten(log_least)}", "underflows"))
+    if log_most > math.log(sys.float_info.max):
+        failing.append((f"as large as {_power_of_ten(log_most)}", "overflows"))
+    if failing:
+        terms, fails = (" and ".join(side) for side in zip(*failing))
         raise ValueError(
             f"invalid values for fields 'rho1', 'n', 'degree' and 'alpha': rho1={rho1!r}, n={n}, "
-            f"degree={degree}, alpha={p['alpha']!r} give inner-circle pairing terms from "
-            f"{_power_of_ten(log_least)} to {_power_of_ten(log_most)}, so the pairing overflows or underflows"
+            f"degree={degree}, alpha={p['alpha']!r} give inner-circle pairing terms {terms}, so the pairing {fails}"
         )
     return cov
 

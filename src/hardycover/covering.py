@@ -75,8 +75,8 @@ class CoveringAction:
         return tuple(map(tuple, (self.forward + 1).tolist()))
 
     @cached_property
-    def _tree(self) -> list[tuple[int, int]]:
-        """Breadth-first parent edges ``(i, gi)`` from sheet 1, along positive letters only."""
+    def _tree(self) -> np.ndarray:
+        """Breadth-first parent edges ``(i, gi)`` from sheet 1, along positive letters only, as a read-only array."""
         rows, seen, queue, tree = self.forward.tolist(), [True] + [False] * (self.n - 1), [0], []
         for i in queue:
             for gi, row in enumerate(rows):
@@ -84,6 +84,8 @@ class CoveringAction:
                     seen[row[i]] = True
                     tree.append((i + 1, gi))
                     queue.append(row[i])
+        tree = np.array(tree, dtype=np.intp).reshape(-1, 2)
+        tree.setflags(write=False)
         return tree
 
 
@@ -125,7 +127,7 @@ def build_covering(
     cov = CoveringAction(presentation=presentation, n=n, moves=moves)
 
     if len(cov._tree) != n - 1:
-        reached = {1} | {cov.perms[gi][i - 1] for i, gi in cov._tree}
+        reached = {1} | {cov.perms[gi][i - 1] for i, gi in cov._tree.tolist()}
         unreachable = [k for k in range(1, n + 1) if k not in reached]
         raise refuse(field, f"disconnected cover: sheets {unreachable} unreachable")
 
@@ -161,7 +163,10 @@ def _rolled_covering(
     moves = (np.arange(n, dtype=np.intp) + shift) % n
     moves.setflags(write=False)
     cov = CoveringAction(presentation=presentation, n=n, moves=moves)
-    vars(cov)["_tree"] = [(i, 0) for i in range(1, n)]  # the cached breadth-first tree
+    tree = np.zeros((n - 1, 2), dtype=np.intp)  # the cached breadth-first tree: (i, 0) for i in 1..n-1
+    tree[:, 0] = np.arange(1, n)
+    tree.setflags(write=False)
+    vars(cov)["_tree"] = tree
     return cov
 
 
@@ -212,22 +217,33 @@ def sigma(cov: CoveringAction, w: Word) -> tuple[int, ...]:
 class Transversal:
     """Schreier transversal of the covering subgroup, and the subgroup's presentation.
 
-    ``tree_edges`` holds one parent edge ``(i, gi)`` per sheet past sheet 1,
-    in breadth-first discovery order.  ``alphabet`` has one Schreier generator
-    per non-tree edge, labelled ``X@i`` for the edge (sheet i, generator X),
-    in sheet order; the read-only ``(G, n)`` array ``edges[gi, i-1]`` holds
-    its index, or -1 on a tree edge.  As a presentation it has ``alphabet``
-    and ``relators``, so coverings and representations can be built on it.
-    The relators are rewritten once, into ``relator_rows``; their ``Word``
-    form, the tree words ``reps`` and the ``defining_words`` are built on
-    first read, and ``word_strings`` writes the latter two with no ``Word``
-    built.
+    There is one Schreier generator per non-tree edge, numbered in sheet
+    order; the read-only ``(G, n)`` array ``edges[gi, i-1]`` holds its
+    index, or -1 on a tree edge.  Induction, rewriting and folds run on the
+    indices alone, so ``alphabet``, which labels them ``X@i`` for the edge
+    (sheet i, generator X), is made from ``edges`` on first read; so is
+    ``tree_edges``, one parent edge ``(i, gi)`` per sheet past sheet 1 in
+    breadth-first discovery order, from the covering's tree.  As a
+    presentation it has ``alphabet`` and ``relators``, so coverings and
+    representations can be built on it.  The relators are rewritten once,
+    into ``relator_rows``; their ``Word`` form, the tree words ``reps`` and
+    the ``defining_words`` are built on first read, and ``word_strings``
+    writes the latter two with no ``Word`` built.
     """
 
     covering: CoveringAction
-    tree_edges: tuple[tuple[int, int], ...]
-    alphabet: tuple[str, ...]
     edges: np.ndarray
+
+    @cached_property
+    def tree_edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.covering._tree.tolist()))
+
+    @cached_property
+    def alphabet(self) -> tuple[str, ...]:
+        """The Schreier generators' labels ``X@i``, in the order of their indices in ``edges``."""
+        labels = self.covering.presentation.alphabet
+        sheets, gens = np.nonzero(self.edges.T >= 0)
+        return tuple(f"{labels[gi]}@{i + 1}" for i, gi in zip(sheets.tolist(), gens.tolist()))
 
     @cached_property
     def reps(self) -> tuple[Word, ...]:
@@ -293,18 +309,16 @@ def schreier_transversal(cov: CoveringAction) -> Transversal:
 
     Tree edges follow positive generator letters only, which for permutation
     actions always span the sheets; they are the search ``build_covering``
-    ran to find the cover connected.  No word is built here.
+    ran to find the cover connected.  The free edges are numbered through
+    one mask over the tree; no word, and no label, is built here.
     """
-    alphabet, tree = cov.presentation.alphabet, cov._tree
-    g = len(alphabet)
-    on_tree = {(i - 1) * g + gi for i, gi in tree}
-    free = [e for e in range(cov.n * g) if e not in on_tree]  # sheet-major, the order of the labels
-    edges = np.full(cov.n * g, -1, dtype=np.intp)
-    edges[free] = np.arange(len(free))
-    edges = edges.reshape(cov.n, g).T.copy()
+    tree, g = cov._tree, len(cov.presentation.alphabet)
+    free = np.ones((cov.n, g), dtype=bool)  # sheet-major, the order of the indices
+    free[tree[:, 0] - 1, tree[:, 1]] = False
+    edges = np.full((g, cov.n), -1, dtype=np.intp)
+    edges.T[free] = np.arange(cov.n * g - len(tree))
     edges.setflags(write=False)
-    labels = [f"{alphabet[e % g]}@{e // g + 1}" for e in free]
-    return Transversal(covering=cov, tree_edges=tuple(tree), alphabet=tuple(labels), edges=edges)
+    return Transversal(covering=cov, edges=edges)
 
 
 def _check_pair(cov: CoveringAction, trans: Transversal) -> None:

@@ -29,7 +29,7 @@ from .induction import (
     SignatureData,
     _induce,
     _symmetry_report,
-    build_G2,
+    _transported,
     build_J2_diagonal,
     extend_to_double,
     pairing_signature_matrices,
@@ -97,6 +97,21 @@ def boundary_subgroup_rep(
     return MatrixRep._stacked(trans, perms[base + 1], blocks[base + 1])
 
 
+def _rolled_tree_words(trans: Transversal) -> tuple[np.ndarray, np.ndarray]:
+    """``build_G2``'s walk on the cyclic cover, written directly: ``nu``, and the ``h_k`` as code rows.
+
+    The tree is the path along ``A1``, and ``tau(A1) = B1 A1 B1^-1`` walked
+    from sheet k is ``B1@k (B1@(k+1))^-1``; so ``nu`` is the identity,
+    ``h_1`` is empty and ``h_k = B1@1 (B1@k)^-1`` for k = 2..n, the walk's
+    joins reduced.  Every ``B1`` edge is free, so ``B1@k``'s code is
+    ``edges[1, k-1] + 1``.
+    """
+    n, codes = trans.covering.n, trans.edges[1] + 1
+    rows = np.zeros((n, 2), dtype=np.intp)
+    rows[1:, 0], rows[1:, 1] = codes[0], -codes[1:]
+    return np.arange(n), rows if n > 1 else rows[:, :0]
+
+
 @dataclass(frozen=True, eq=False)
 class CyclicPipeline:
     """Everything the cyclic-cover pipeline produces, plus its verification report."""
@@ -120,11 +135,15 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     symmetry condition including agreement of the two signature routes.
     Each representation is folded once: ``chi_X1`` over its checks and its
     mirrored generators, ``chi2`` over its checks and the symmetry report's
-    words (``chi1``'s checks are read off that fold), and ``chi1`` over
-    ``G2``'s tree words.  The cover is written directly and each derived
+    words, and ``chi1`` over ``G2``'s tree words.  ``chi1``'s checks are
+    read off ``chi2``'s fold when first read, and the Schreier labels are
+    made when first read too; no report here reads either.  The cover and
+    ``G2``'s tree words ``h_k`` are written directly, in closed form
+    (``build_G2``'s general walk is their oracle), and each derived
     block-monomial is built trusted from validated parts, so nothing made
-    here is validated a second time.  The report is one table, the symmetry
-    and route rows of one ``_checks`` call.
+    here is validated a second time and no step loops over the sheets in
+    Python.  The report is one table, the symmetry and route rows of one
+    ``_checks`` call.
 
     Every call is over the same torus, ``_TORUS``, and keeps on it what
     depends on the presentation alone: the check and ``tau`` code rows, the
@@ -133,7 +152,7 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     later calls build no ``Word`` of the torus (``chi_S``'s annulus
     presentation, one relator, is made per call).  The cover, the
     transversal and ``G2``'s tree words depend on ``n`` and are made per
-    call.
+    call, as arrays.
     """
     cov = cyclic_cover(n)
     p = cov.presentation
@@ -142,7 +161,7 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
     chi_X1 = extend_to_double(annulus_surface_rep(sig.m, alpha), sig, p)
     chi1 = boundary_subgroup_rep(cov, trans, chi_X1)
     chi2, images = _induce(cov, trans, chi1, symmetric=True)
-    G2 = build_G2(cov, trans, chi1, sig.G)
+    G2 = _transported(chi1, sig.G, *_rolled_tree_words(trans))
     J2_diag = build_J2_diagonal(cov, sig)
     J2_pair = pairing_signature_matrices(chi2, G2, p)
     report = _symmetry_report(chi2, G2, J2_diag, p, images, J2_pair)

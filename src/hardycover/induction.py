@@ -42,9 +42,9 @@ only when read.
 A construction folds a representation's check rows once, with the words it
 reads: ``extend_to_double`` the double's mirrored generators, and in the
 cyclic pipeline ``induce_representation`` the symmetry report's words.
-``chi1``'s checks are regrouped from ``chi2``'s fold, not folded (see
-``induce_representation``).  A value built here from validated parts is
-made trusted, not validated again.
+``chi1``'s checks are regrouped from ``chi2``'s fold, not folded, and only
+when first read if ``chi2``'s pass (see ``induce_representation``).  A value
+built here from validated parts is made trusted, not validated again.
 
 What a presentation alone determines is built once per presentation object
 and kept on it, as its layout (``_Layout``): the check rows' code rows and
@@ -58,7 +58,7 @@ cyclic family's one torus makes them once per process.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import zip_longest
 from typing import Mapping, Sequence
 
@@ -314,13 +314,13 @@ class MatrixRep:
     @classmethod
     def _stacked(cls, presentation, perms: np.ndarray, blocks: np.ndarray) -> "MatrixRep":
         """The representation of the images stacked in alphabet order, ``(G, n)`` maps and blocks."""
-        (g, n, m, _), alphabet = blocks.shape, presentation.alphabet
+        g, n, m, _ = blocks.shape
         inverse, adjoints = _adjoint(perms, blocks)
         if inverse.min(initial=0) < 0:  # a sheet no block column reaches
             bad = (inverse < 0).any(axis=1).argmax()
             repeated = np.flatnonzero(np.bincount(perms[bad], minlength=n) > 1) + 1
             raise ValueError(
-                f"image of {alphabet[bad]} is not a sheet permutation: "
+                f"image of {presentation.alphabet[bad]} is not a sheet permutation: "
                 f"block columns {repeated.tolist()} repeat"
             )
         table = (np.concatenate([np.arange(n)[None], perms, inverse[::-1]]),
@@ -329,7 +329,7 @@ class MatrixRep:
         for array in table:
             array.setflags(write=False)
         rep = object.__new__(cls)
-        images = _TableImages(alphabet, table)
+        images = _TableImages(presentation, table)
         vars(rep).update(presentation=presentation, m=n * m, _table=table, images=images)
         return rep
 
@@ -380,6 +380,10 @@ class MatrixRep:
 
     @cached_property
     def _check_report(self) -> CheckReport:
+        """The check table, folded; or regrouped from the fold of a passing induction that left it to be read."""
+        regroup = vars(self).pop("_regroup", None)
+        if regroup is not None:
+            return regroup()
         names, check, _ = self._checked(_Layout(self.presentation).check_plan)
         return _checks(names, _compare([check]))
 
@@ -390,11 +394,18 @@ def _check_names(alphabet: Sequence[str], relators: int) -> list[str]:
 
 
 class _TableImages(Mapping):
-    """A representation's images by generator label: views into its table, made on first use."""
+    """A representation's images by generator label: views into its table, made on first use.
 
-    def __init__(self, alphabet: Sequence[str], table: tuple[np.ndarray, np.ndarray]):
-        self._rows = {label: i for i, label in enumerate(alphabet, start=1)}
-        self._table, self._made = table, {}
+    The index of the labels is made on first use too, so a representation
+    that is only folded never reads its presentation's labels.
+    """
+
+    def __init__(self, presentation, table: tuple[np.ndarray, np.ndarray]):
+        self._presentation, self._table, self._made = presentation, table, {}
+
+    @cached_property
+    def _rows(self) -> dict[str, int]:
+        return {label: i for i, label in enumerate(self._presentation.alphabet, start=1)}
 
     def __getitem__(self, label: str) -> BlockMonomial:
         if label not in self._made:
@@ -406,7 +417,7 @@ class _TableImages(Mapping):
         return iter(self._rows)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._table[0]) // 2  # the identity, then each image and its adjoint
 
 
 def _product(perms: np.ndarray, blocks: np.ndarray, rows, table) -> tuple[np.ndarray, np.ndarray]:
@@ -645,7 +656,8 @@ def check_representation(rep: MatrixRep) -> CheckReport:
     are read-only, so it cannot go stale.  ``induce_representation`` keeps
     the reports of both of its representations from its one fold of
     ``chi2``: ``chi2``'s own, and ``chi1``'s regrouped from it, so neither
-    is folded again here.
+    is folded again here.  Where that induction passed, ``chi1``'s table is
+    regrouped here, on the first read, from the arrays the induction kept.
     """
     return rep._check_report
 
@@ -773,9 +785,13 @@ def induce_representation(
     relator ``i n + k``, that relator rewritten from sheet ``k``; the other
     factors are the identity blocks of tree edges, and ``X I = I X = X``
     exactly for finite ``X``.  So ``chi1``'s rows equal its own fold bit for
-    bit, and a fault of the gather still fails ``chi2``'s rows.  Where the
-    rows read off fail, ``chi1``'s own table is folded and kept as its report:
-    if it passes, the fault is the induction's.  Refuses inconsistent subgroup
+    bit, and a fault of the gather still fails ``chi2``'s rows.  While
+    ``chi2``'s rows pass, so does every row of ``chi1``'s, a block row of
+    one of them: the induction keeps the compared arrays, and ``chi1``'s
+    table is regrouped from them when first read, with no fold of ``chi1``.
+    Where ``chi2``'s rows fail the table is regrouped at once; where its rows
+    fail too, ``chi1``'s own table is folded and kept as its report: if it
+    passes, the fault is the induction's.  Refuses inconsistent subgroup
     data, naming each failing ``chi1`` row, and names the worst check, block
     and residual of a result that fails verification.
     """
@@ -803,14 +819,12 @@ def _induce(
     names, check, images = induced._checked(layout.symmetry_plan if symmetric else layout.check_plan)
     compared = _compare([check])
     verification = vars(induced)["_check_report"] = _checks(names, compared)
-    # chi1's rows: unitarity[x@k] is block row k of unitarity[x], relator[i n + k] block row k of relator[i],
-    # each over chi1's n1 sub-sheets
-    n, relators = cov.n, len(cov.presentation.relators)
-    sheets, gens = np.nonzero(trans.edges.T >= 0)  # each Schreier generator's sheet and base letter
-    rows = np.concatenate([gens, len(cov.presentation.alphabet) + np.repeat(np.arange(relators), n)])
-    sheets = np.concatenate([sheets, np.tile(np.arange(n), relators)])
-    residuals, columns = (a.reshape(len(a), n, n1)[rows, sheets] for a in compared)
-    consistency = _checks(_check_names(trans.alphabet, relators * n), (residuals, columns % n1))
+    regroup = partial(_regrouped, cov, trans, n1, compared)
+    if verification.passed:  # so every row of chi1's passes: its table is regrouped when read
+        if "_check_report" not in vars(chi1):
+            vars(chi1)["_regroup"] = regroup
+        return induced, images
+    consistency = regroup()
     own = vars(chi1).setdefault("_check_report", consistency)
     if own is consistency and not own.passed:
         # a fault of the gather fails these rows too: chi1's own fold tells it from inconsistent chi1
@@ -824,9 +838,21 @@ def _induce(
                 what = f"rewritten relator {trans.relators[int(what[8:-1])]}"
             failures.append(f"{what} has residual {c.residual:.3e}")
         raise ValueError("subgroup representation inconsistent: " + "; ".join(failures))
-    if not verification.passed:
-        raise ValueError(f"induced representation failed verification: {verification.worst()}")
-    return induced, images
+    raise ValueError(f"induced representation failed verification: {verification.worst()}")
+
+
+def _regrouped(cov: CoveringAction, trans: Transversal, n1: int, compared) -> CheckReport:
+    """``chi1``'s check table regrouped from ``compared``, the compared check rows of the induced ``chi2``.
+
+    ``unitarity[x@k]`` is block row k of ``unitarity[x]`` and ``relator[i n + k]``
+    block row k of ``relator[i]``, each over ``chi1``'s ``n1`` sub-sheets.
+    """
+    n, relators = cov.n, len(cov.presentation.relators)
+    sheets, gens = np.nonzero(trans.edges.T >= 0)  # each Schreier generator's sheet and base letter
+    rows = np.concatenate([gens, len(cov.presentation.alphabet) + np.repeat(np.arange(relators), n)])
+    sheets = np.concatenate([sheets, np.tile(np.arange(n), relators)])
+    residuals, columns = (a.reshape(len(a), n, n1)[rows, sheets] for a in compared)
+    return _checks(_check_names(trans.alphabet, relators * n), (residuals, columns % n1))
 
 
 def build_G2(
@@ -844,16 +870,28 @@ def build_G2(
     when the covering subgroup is invariant under the involution; otherwise
     the pairing has no meaning, and it is refused, naming the sheets where
     ``nu(nu(k)) != k``.  An involution is a permutation, so the result is
-    not checked again.
+    not checked again.  This walk serves every cover; the cyclic pipeline
+    writes its cover's ``nu`` and ``h_k`` in closed form and makes only the
+    fold, which this walk is the oracle of.
     """
     if chi1.presentation is not trans or trans.covering is not cov:
         raise ValueError("subgroup representation belongs to a different covering")
-    p = cov.presentation
-    if not isinstance(p, DoubledPresentation):
+    if not isinstance(cov.presentation, DoubledPresentation):
         raise ValueError("involution decomposition needs a doubled presentation")
     G1 = np.asarray(G1, dtype=complex)
     if G1.shape != (chi1.m, chi1.m):
         raise ValueError(f"G1 has shape {G1.shape}, expected {(chi1.m, chi1.m)}")
+    nu, rows = _tree_words(cov, trans)
+    unpaired = np.flatnonzero(nu[nu] != np.arange(cov.n)) + 1
+    if len(unpaired):
+        message = "covering subgroup is not invariant under the involution: nu(nu(k)) != k on sheets"
+        raise ValueError(f"{message} {unpaired.tolist()}")
+    return _transported(chi1, G1, nu, rows)
+
+
+def _tree_words(cov: CoveringAction, trans: Transversal) -> tuple[np.ndarray, np.ndarray]:
+    """``build_G2``'s walk: ``nu``, and the words ``h_k`` as rows of signed codes, zero past each row's end."""
+    p = cov.presentation
     # per generator on the tree: tau(x) walked from every sheet, each row trimmed to its length, the end sheets
     walks = {}
     for gi in {gi for _, gi in trans.tree_edges}:
@@ -870,12 +908,16 @@ def build_G2(
             head, w = head[: len(head) - c], w[c:]
         j = forward[gi][i - 1]
         h[j], nu[j] = head + w, ends[k]
-    nu = np.array(nu, dtype=np.intp)
-    unpaired = np.flatnonzero(nu[nu] != np.arange(cov.n)) + 1
-    if len(unpaired):
-        message = "covering subgroup is not invariant under the involution: nu(nu(k)) != k on sheets"
-        raise ValueError(f"{message} {unpaired.tolist()}")
-    h_blocks = chi1._fold(_plan(_code_rows(h)))[1]
+    return np.array(nu, dtype=np.intp), _code_rows(h)
+
+
+def _transported(chi1: MatrixRep, G1: np.ndarray, nu: np.ndarray, rows: np.ndarray) -> BlockMonomial:
+    """``build_G2``'s fold: block ``(k, nu[k])`` is ``G1 chi1(h_k)``, ``h_k`` row k of ``rows``; made trusted.
+
+    ``chi1`` folds the rows once.  The caller vouches that ``nu`` is a
+    permutation and ``G1`` a ``chi1.m``-square complex array.
+    """
+    h_blocks = chi1._fold(_plan(rows))[1]
     return _trusted(nu, G1 @ h_blocks.reshape(-1, *h_blocks.shape[2:]))
 
 

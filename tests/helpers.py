@@ -342,25 +342,36 @@ def assert_chi1_rows_read_off_chi2(cov, trans, chi1) -> None:
     """``chi1``'s check table as ``induce_representation`` reads it off ``chi2``'s fold equals, bit for bit,
     the fold of ``chi1``'s own table: names, residuals (NaN and inf included), tolerances and blocks.
 
-    So does the report ``chi1`` keeps: the table read off where it passes, and
-    ``chi1``'s own fold, made after the refusal, where it fails.  ``chi1`` must
-    have no report yet; the reading is made whether or not the induction refuses.
+    Where ``chi2``'s rows pass, the table is made on its first read, after the
+    induction, with no fold of ``chi1``; where they fail, it is made at once.
+    The report ``chi1`` keeps is the table read off where that passes, and
+    ``chi1``'s own fold, made after the refusal, where it fails.  ``chi1``
+    must have no report yet.
     """
     g = len(trans.alphabet)
     assert "_check_report" not in vars(chi1)
     twin = MatrixRep._stacked(trans, chi1._table[0][1 : g + 1], chi1._table[1][1 : g + 1])
-    checks, tables = induction._checks, []
+    checks, fold, tables, folded = induction._checks, MatrixRep._fold, [], []
 
     def recording(*args):
         tables.append(checks(*args))
         return tables[-1]
 
+    def counting(rep, plan):
+        folded.append(rep)
+        return fold(rep, plan)
+
     with np.errstate(all="ignore"):  # entries near the largest float overflow to inf and NaN in both folds
         own = check_representation(twin)  # a fold of chi1's table
-        with mock.patch.object(induction, "_checks", recording), contextlib.suppress(ValueError):
-            induce_representation(cov, trans, chi1)
-    read, kept = tables[1], vars(chi1)["_check_report"]  # tables[0] is chi2's
+        with mock.patch.object(induction, "_checks", recording), mock.patch.object(MatrixRep, "_fold", counting):
+            with contextlib.suppress(ValueError):
+                induce_representation(cov, trans, chi1)
+            chi2_rows, made_at_once = tables[0], len(tables) > 1
+            kept = check_representation(chi1)  # the first read
+    read = tables[1]
+    assert made_at_once == (not chi2_rows.passed)
     assert kept is (read if read.passed else tables[2])
+    assert [rep is chi1 for rep in folded] == [False] + [True] * (not read.passed)  # chi2's, then chi1's own
     for table in (read, kept):
         assert table.names == own.names and table is not own
         assert table.residuals.tobytes() == own.residuals.tobytes()

@@ -208,13 +208,27 @@ class TestParseConfig:
 
     @pytest.mark.parametrize("alpha, terms", [(1e308, "1e-7.06e+306"), (-1e308, "1e7.06e+306"), (-1e300, "1e7.06e+298")])
     def test_huge_alpha_refusal_names_every_field_briefly(self, alpha, terms):
-        # alpha, not rho1, puts the pairing out of range: the four fields of the bound are named, and the
-        # terms' decimal exponents are printed to three digits rather than in full
+        # alpha, not rho1, puts the pairing out of range: the four fields of the bound are named, the
+        # terms' decimal exponents are printed to three digits rather than in full, and only the side that
+        # fails is named (both bounds print alike at this alpha, so naming both said one bound twice):
+        # a large positive alpha underflows the pairing, a large negative one overflows it
         with pytest.raises(ValueError) as refused:
             parse_config(json.dumps(isometry_config(alpha=alpha)))
         message = str(refused.value)
         assert message.startswith(f"invalid values for fields 'rho1', 'n', 'degree' and 'alpha': rho1=0.6, n=3, degree=8, alpha={alpha!r} ")
-        assert f"terms from {terms} to {terms}," in message and len(message) < 300
+        side = f"as small as {terms}, so the pairing underflows"
+        if alpha < 0:
+            side = f"as large as {terms}, so the pairing overflows"
+        assert message.endswith(f"give inner-circle pairing terms {side}") and len(message) < 300
+        assert ("overflows" in message) != ("underflows" in message)
+
+    def test_pairing_range_refusal_names_both_sides_when_both_fail(self):
+        # a tiny rho1 at a high degree: the largest terms overflow and the least Gram scale underflows
+        with pytest.raises(ValueError) as refused:
+            parse_config(json.dumps(isometry_config(rho1=1e-7, n=2, degree=40, samples=128)))
+        message = str(refused.value)
+        sides = r"terms as small as 1e-\d+ and as large as 1e\d+, so the pairing underflows and overflows$"
+        assert re.search(sides, message)
 
     @pytest.mark.parametrize("samples", [100, 96, 1000, 2**18 - 1])
     def test_samples_not_a_power_of_two_refused(self, samples, tmp_path, capsys):

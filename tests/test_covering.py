@@ -392,6 +392,24 @@ class TestCoveringSerialization:
 class TestRandomCoverings:
     @settings(max_examples=50, deadline=None)
     @given(data=st.data())
+    def test_edges_and_labels_are_the_loop_over_every_edge(self, data):
+        # the free edges are numbered through one mask over the tree, and the labels are made from the
+        # numbers when first read; the reference numbers every (sheet, generator) edge off the tree in turn
+        p = data.draw(surfaces)
+        cov = data.draw(bordered_coverings(p))
+        t = schreier_transversal(cov)
+        assert "alphabet" not in vars(t)
+        tree = t.tree_edges
+        assert len(tree) == cov.n - 1 and all(type(i) is type(gi) is int for i, gi in tree)
+        free = [(i, gi) for i in range(1, cov.n + 1) for gi in range(len(p.alphabet)) if (i, gi) not in tree]
+        expected = [[-1] * cov.n for _ in p.alphabet]
+        for index, (i, gi) in enumerate(free):
+            expected[gi][i - 1] = index
+        assert t.edges.dtype == np.intp and t.edges.tolist() == expected
+        assert t.alphabet == tuple(f"{p.alphabet[gi]}@{i}" for i, gi in free) and t.alphabet is t.alphabet
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
     def test_rewrite_round_trips(self, data):
         p = data.draw(surfaces)
         cov = data.draw(bordered_coverings(p))

@@ -1,5 +1,6 @@
 """End-to-end symbolic pipeline on the cyclic annulus-double family."""
 
+import json
 import re
 
 import numpy as np
@@ -59,7 +60,9 @@ class TestCyclicCover:
         built = build_covering(double_group(0, 2), {"A1": [*range(2, n + 1), 1], "B1": [*range(1, n + 1)]})
         assert cov.moves.dtype == built.moves.dtype and np.array_equal(cov.moves, built.moves)
         assert not cov.moves.flags.writeable
-        assert cov.perms == built.perms and cov._tree == built._tree
+        assert cov.perms == built.perms
+        assert cov._tree.dtype == built._tree.dtype and np.array_equal(cov._tree, built._tree)
+        assert cov._tree.shape == (n - 1, 2) and not cov._tree.flags.writeable
         assert schreier_transversal(cov).alphabet == schreier_transversal(built).alphabet
 
     def test_accepts_numpy_integer_sheet_counts(self):
@@ -137,6 +140,46 @@ class TestTransport:
         moved = compare(u.adjoint() @ J1 @ u, J1)[0]
         assert moved > 0.5
         assert failing["boundary-compatibility[1]"].residual == moved
+
+    @pytest.mark.parametrize("n", [*range(1, 10), 128])
+    def test_closed_form_tree_words_are_the_general_walk(self, n):
+        # the pipeline writes nu and G2's tree words h_k; build_G2's walk of tau(A1) from every sheet is the oracle
+        from hardycover import cyclic, induction
+
+        cov = cyclic_cover(n)
+        trans = schreier_transversal(cov)
+        written, walked = cyclic._rolled_tree_words(trans), induction._tree_words(cov, trans)
+        for a, b in zip(written, walked):
+            assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b)
+        assert written[1].shape == ((n, 2) if n > 1 else (1, 0))  # h_1 is empty, h_k = B1@1 (B1@k)^-1
+
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 128])
+    def test_pipeline_G2_is_build_G2(self, n, m):
+        # bit for bit, from Fortran-ordered random signature matrices, which SignatureData copies C-ordered
+        rng = np.random.default_rng([34, n, m])
+        sig = SignatureData(J_list=tuple(np.asfortranarray(random_signature_matrix(rng, m)) for _ in range(2)))
+        pipe = annulus_pipeline(n, 0.7, sig)
+        assert pipe.report.passed
+        walked = build_G2(pipe.covering, pipe.transversal, pipe.chi1, sig.G)
+        for a, b in ((pipe.G2.perm, walked.perm), (pipe.G2.blocks, walked.blocks)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+    def test_unreduced_tree_word_mutant_fails_the_report(self, monkeypatch):
+        # h_k = B1@1 B1@k, the second letter not inverted: chi1 of it is (G J_1)^2, not I, when G and J_1
+        # do not commute, as random indefinite signature matrices do not
+        from hardycover import cyclic
+
+        rng = np.random.default_rng(34)
+        sig = SignatureData(J_list=(random_signature_matrix(rng, 2), random_signature_matrix(rng, 2)))
+        assert annulus_pipeline(5, 0.7, sig).report.passed
+        written = cyclic._rolled_tree_words
+        monkeypatch.setattr(cyclic, "_rolled_tree_words", lambda trans: (written(trans)[0], abs(written(trans)[1])))
+        failing = annulus_pipeline(5, 0.7, sig).report.failing()
+        assert [c.name for c in failing] == [
+            "pairing-symmetry[A1]", "signature-route-equality[0]", "signature-route-equality[1]"
+        ]
+        assert min(c.residual for c in failing) > 0.1
 
 
 class TestPipeline:
@@ -251,22 +294,22 @@ class TestPipeline:
 
     def test_report_is_one_table(self, monkeypatch):
         # counted, not timed: the symmetry and route rows are one table of one _checks call, with no join;
-        # the pipeline makes one _checks call per report: chi_X1's, chi2's, chi1's (read off chi2's) and this one
+        # the pipeline makes one _checks call per report it reads: chi_X1's, chi2's and this one (chi1's is
+        # read off chi2's fold only when read, and no report here reads it)
         from hardycover import induction
 
         made = count_calls(monkeypatch, induction, "_trusted_table")
         checks = count_calls(monkeypatch, induction, "_checks")
         joins = count_calls(monkeypatch, CheckReport, "__add__")
         report = annulus_pipeline(7, 0.7, scalar_signs(1, -1)).report
-        assert joins == [] and len(checks) == len(made) == 4
+        assert joins == [] and len(checks) == len(made) == 3
         assert report is made[-1][1] is checks[-1][1]
         assert len(report.names) == 1 + 2 + 3 * 2 + 2 * 2 + 2
         assert report.names[-2:] == ("signature-route-equality[0]", "signature-route-equality[1]")
 
     def test_word_letters_grow_linearly_in_the_sheet_count(self, monkeypatch):
-        # rewriting and the pairing build no Word at all; the walks they make instead
-        # are counted as letters walked times start sheets: quadratic growth would
-        # give a ratio near 4
+        # rewriting and the pairing build no Word at all; walks are counted as letters walked times start
+        # sheets, and on this cover none is made: the letters walked per sheet stay flat, at 0
         from hardycover import covering, cyclic
 
         words, walked = [], []
@@ -291,7 +334,8 @@ class TestPipeline:
         monkeypatch.setattr(Word, "__post_init__", counting)
         monkeypatch.setattr(covering, "_walk", counting_walk)
         monkeypatch.setattr(covering, "_rewrite_relators", wordless("rewriting", covering._rewrite_relators))
-        monkeypatch.setattr(cyclic, "build_G2", wordless("build_G2", cyclic.build_G2))
+        monkeypatch.setattr(cyclic, "_rolled_tree_words", wordless("G2's tree words", cyclic._rolled_tree_words))
+        monkeypatch.setattr(cyclic, "_transported", wordless("G2's fold", cyclic._transported))
         annulus_pipeline(3, 0.7, scalar_signs(1, -1))  # the warm-up: the torus keeps its layout from here on
         counts, built = {}, {}
         for n in (256, 512):
@@ -305,12 +349,32 @@ class TestPipeline:
             assert "relators" not in vars(pipe.transversal)
             assert "relator_rows" not in vars(pipe.transversal)
             counts[n], built[n] = sum(walked), len(words)
-        # from every sheet: tau(A1); the cover is written directly, so its relator is not walked
-        assert counts[256] == 3 * 256
-        assert counts[512] <= 2.2 * counts[256]
+        # nothing is walked: the cover is written directly, so its relator is not walked, and G2's tree
+        # words are written in closed form, so tau(A1) is not walked from every sheet
+        assert counts[256] == counts[512] == 0
         # the torus's symmetry words and presentation are kept from the warm-up; the one Word left is the
         # annulus relator of the surface_group(0, 2) that annulus_surface_rep presents each call's chi_S over
         assert built[256] == built[512] == 1
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_warm_op_makes_no_schreier_label_and_no_check_name(self, monkeypatch, n):
+        # counted, not timed: no report of a verify op reads chi1's checks or the Schreier labels, so a warm op
+        # makes neither: Transversal.alphabet stays unmade, and so does chi1's label index
+        from hardycover import cli, cyclic, induction
+
+        text = json.dumps({"mode": "verify", "n": n, "alpha": 0.7, "signs": [1, -1]})
+        op = lambda: cli.emit_report(cli.run_pipeline(cli.parse_config(text)), "json")
+        op()  # the warm-up
+        transversals = count_calls(monkeypatch, cyclic, "schreier_transversal")
+        pipelines = count_calls(monkeypatch, cli, "annulus_pipeline")
+        names = count_calls(monkeypatch, induction, "_check_names")
+        op()
+        (_, trans), (_, pipe) = transversals[0], pipelines[0]
+        assert len(transversals) == 1 and names == []
+        assert "alphabet" not in vars(trans) and "_rows" not in vars(pipe.chi1.images)
+        assert "_check_report" not in vars(pipe.chi1)
+        assert len(check_representation(pipe.chi1).names) == 2 * n + 1  # made on this first read
+        assert "alphabet" in vars(trans)
 
     def test_chi1_checks_are_made_when_read(self, monkeypatch):
         made = []
