@@ -4,7 +4,7 @@ Subcommands: ``group`` (emit a presentation), ``induce`` (run the induction
 pipeline on an explicit covering), ``verify`` (symmetry suite on the cyclic
 annulus family), ``isometry`` (numerical isometry check), each reading a
 config file of its mode.  A config is refused only at parse, each refusal
-naming its field: values, size budgets, and the rules of ``hardy`` and the
+naming its field (a bad value, the rule its field takes): values, size budgets, and the rules of ``hardy`` and the
 covering reader.  Parse builds what the run uses: ``isometry``'s annulus
 cover, and ``induce``'s covering, transversal and ``chi1``, whose images are
 converted as one array by ``matrices_from_json``, the JSON reader (which
@@ -27,7 +27,9 @@ checks as one ``CheckReport`` table, which each mode appends to.
 The JSON report is one line, the text of ``json.dumps(doc, sort_keys=True)``
 of ``Report.to_json_doc``, each image in ``doc`` standing for its dense ``nm
 x nm`` matrix as rows of ``[re, im]`` float pairs and the check table for
-its rows ``{name, passed, residual, tolerance}``.  Each emission makes one
+its rows ``{name, passed, residual, tolerance}``.  A report with no table
+of images (``verify``, ``isometry``, ``group``) is that one ``json.dumps``,
+of the check table's rows.  An ``induce`` report makes one
 float table of the floats behind every ``_Images`` stack and the check
 table's columns, and spells each distinct float once, by one
 ``json.dumps``; induce's images repeat chi1's entries, so that table is
@@ -71,17 +73,28 @@ from .induction import (
 
 __all__ = ["RunConfig", "Report", "parse_config", "run_pipeline", "emit_report", "main"]
 
+
+def _rule(text: str, test: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    """A field validator: ``test``, carrying as ``rule`` the text a refusal by it ends with."""
+    test.rule = text
+    return test
+
+
 # Field validators.  JSON true/false load as bool, a subclass of int, so
 # integer and number fields reject bools explicitly.  A number must be a
 # finite float: NaN, infinities and ints too large for a float are refused.
 _int = lambda v: isinstance(v, int) and not isinstance(v, bool)
-_number = lambda v: (_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
-_nonneg_int = lambda v: _int(v) and v >= 0
-_pos_int = lambda v: _int(v) and v > 0
-_positive = lambda v: _number(v) and v > 0
-_flag = lambda v: isinstance(v, bool)
-_object = lambda v: isinstance(v, dict)
-_signs = lambda v: isinstance(v, list) and len(v) == 2 and all(_int(x) and x in (1, -1) for x in v)
+_number = _rule("a finite number", lambda v: (_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max)
+_nonneg_int = _rule("an integer, 0 or more", lambda v: _int(v) and v >= 0)
+_pos_int = _rule("an integer, 1 or more", lambda v: _int(v) and v > 0)
+_positive = _rule("a finite number above 0", lambda v: _number(v) and v > 0)
+_fraction = _rule("a number strictly between 0 and 1", lambda v: _number(v) and 0 < v < 1)
+_flag = _rule("true or false", lambda v: isinstance(v, bool))
+_object = _rule("an object", lambda v: isinstance(v, dict))
+_signs = _rule(
+    "two signs, each 1 or -1",
+    lambda v: isinstance(v, list) and len(v) == 2 and all(_int(x) and x in (1, -1) for x in v),
+)
 
 
 class _Images(dict):
@@ -122,7 +135,7 @@ def _config_object(pairs: list[tuple[str, Any]]) -> dict:
 
 
 def _fields(raw: dict, schema: dict, where: str, prefix: str = "") -> dict:
-    """Check ``raw`` against a field table and fill defaults; an error names ``prefix + field``."""
+    """Check ``raw`` against a field table and fill defaults; an error names ``prefix + field`` and its rule."""
     unknown = sorted(prefix + name for name in set(raw) - set(schema))
     if unknown:
         raise ValueError(f"unknown field(s) for {where}: {unknown}")
@@ -135,19 +148,20 @@ def _fields(raw: dict, schema: dict, where: str, prefix: str = "") -> dict:
         else:
             value = default
         if not validator(value):
-            raise ValueError(f"invalid value for field {prefix + name!r}: {value!r}")
+            raise ValueError(f"invalid value for field {prefix + name!r}: {value!r} ({validator.rule})")
         params[name] = value
     return params
 
 
 # isometry samples each Cauchy kernel at n * samples angles upstairs, and each of the
-# (2 degree + 1) m Gram basis sections at n N, m values each (16 B per entry)
+# (2 degree + 1) m Gram basis sections at n N, m values each, and draws 2 (2 degree + 1) m
+# coefficients per trial (16 B per entry)
 ISOMETRY_GRID_ENTRIES = 2**20
 
 
 def _check_isometry(p: dict) -> AnnulusCovering:
     """The budgets, ``hardy``'s sampling and radius rules and the pairing's range; the annulus cover."""
-    rho1, n, degree, samples, m = p["rho1"], p["n"], p["degree"], p["samples"], p["m"]
+    rho1, n, degree, samples, m, trials = p["rho1"], p["n"], p["degree"], p["samples"], p["m"], p["trials"]
     if n * samples * m > ISOMETRY_GRID_ENTRIES:
         raise ValueError(
             f"invalid values for fields 'n', 'samples' and 'm': n={n}, samples={samples}, m={m} "
@@ -159,6 +173,12 @@ def _check_isometry(p: dict) -> AnnulusCovering:
         raise ValueError(
             f"invalid values for fields 'degree', 'n' and 'm': degree={degree}, n={n}, m={m} give "
             f"{basis_entries} entries for the Gram basis upstairs, over the budget of {ISOMETRY_GRID_ENTRIES}"
+        )
+    draw_entries = trials * 2 * (2 * degree + 1) * m
+    if draw_entries > ISOMETRY_GRID_ENTRIES:
+        raise ValueError(
+            f"invalid values for fields 'trials', 'degree' and 'm': trials={trials}, degree={degree}, m={m} give "
+            f"{draw_entries} coefficient entries to draw, over the budget of {ISOMETRY_GRID_ENTRIES}"
         )
     _check_sample_count(samples, degree)
     cov = make_annulus_cover(rho1, n)
@@ -479,7 +499,7 @@ _MODES: dict[str, tuple[Callable[[RunConfig, Report], None], dict, Callable[[dic
     "isometry": (
         _run_isometry,
         {
-            "rho1": (True, None, lambda v: _number(v) and 0 < v < 1),
+            "rho1": (True, None, _fraction),
             "n": (True, None, _pos_int),
             "alpha": (True, None, _number),
             "signs": (True, None, _signs),
@@ -538,6 +558,13 @@ def _images_json(images: _Images, spelled: np.ndarray, out: list[str]) -> None:
     rows[..., 1::2], rows[..., 2:-1:4], rows[..., 4:-1:4] = spelled.reshape(g, n * m, 2 * m)[order], ", ", "], ["
     out += pieces.ravel().tolist()
     out.append("]}")
+
+
+def _check_rows(table: CheckReport) -> list[dict]:
+    """The table's rows as the JSON report has them: ``{name, passed, residual, tolerance}`` dicts."""
+    passed = (table.residuals < table.tolerances).tolist()
+    rows = zip(table.names, passed, table.residuals.tolist(), table.tolerances.tolist())
+    return [{"name": name, "passed": ok, "residual": r, "tolerance": t} for name, ok, r, t in rows]
 
 
 def _checks_json(table: CheckReport, spelled: np.ndarray, out: list[str]) -> None:
@@ -621,13 +648,23 @@ def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> s
 
     The JSON report is one line, ``json.dumps(report.to_json_doc(),
     sort_keys=True)`` with each image as its dense matrix, then a newline.
-    The document always holds the check table, so ``_json`` can write it.
+    The document always holds the check table.  Where nothing else in it
+    has a writer of its own, as in every ``verify``, ``isometry`` and
+    ``group`` report, that is what is written: one ``json.dumps``, with the
+    check table as its rows.  A report with a table of images is written by
+    ``_json``, from one float table.
     """
     if fmt == "json":
-        doc, chunks = report.to_json_doc(), []
-        _json(doc, chunks, _spellings(_held(doc)))
-        chunks.append("\n")
-        rendered = "".join(chunks)
+        doc = report.to_json_doc()
+        held = list(_held(doc))
+        if held == [doc["checks"]]:  # no table of images: one json.dumps, the check table as its rows
+            doc["checks"] = _check_rows(doc["checks"])
+            rendered = json.dumps(doc, sort_keys=True) + "\n"
+        else:
+            chunks = []
+            _json(doc, chunks, _spellings(held))
+            chunks.append("\n")
+            rendered = "".join(chunks)
     elif fmt == "text":
         rendered = report.to_text() + "\n"
     else:

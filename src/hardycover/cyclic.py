@@ -16,6 +16,7 @@ block-monomials over the ``n`` sheets, so no ``nm x nm`` array is formed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .induction import (
     CheckReport,
     MatrixRep,
     SignatureData,
+    _extended,
     _induce,
     _symmetry_report,
     _transported,
@@ -63,10 +65,20 @@ def cyclic_cover(n: int) -> CoveringAction:
     return _rolled_covering(_TORUS, n)
 
 
+def _boundary_images(m: int, alpha: float) -> np.ndarray:
+    """The annulus's boundary images ``e^{i alpha} I`` (A0) and ``e^{-i alpha} I`` (A1), ``(2, m, m)``.
+
+    A non-finite ``alpha`` is refused, by name, before any work.
+    """
+    if not math.isfinite(alpha):
+        raise ValueError(f"invalid value for field 'alpha': {alpha!r} is not finite")
+    phase = np.exp(1j * alpha)
+    return np.array([phase * np.eye(m), np.conj(phase) * np.eye(m)])
+
+
 def annulus_surface_rep(m: int, alpha: float) -> MatrixRep:
     """Scalar-multiplier representation of the annulus group: the outer loop acts by e^{i alpha}."""
-    phase = np.exp(1j * alpha)
-    blocks = np.array([phase * np.eye(m), np.conj(phase) * np.eye(m)])[:, None]  # A0, A1: one sheet each
+    blocks = _boundary_images(m, alpha)[:, None]  # A0, A1: one sheet each
     return MatrixRep._stacked(surface_group(0, 2), np.zeros((2, 1), np.intp), blocks)
 
 
@@ -83,6 +95,10 @@ def boundary_subgroup_rep(
     The Schreier generator ``A1@n`` is the core class of the covering torus
     and receives ``chi_X1(A1)``; every ``B1@i`` is the crossing class and
     receives ``chi_X1(B1)``: the row of its base letter in ``chi_X1``'s table.
+    The whole table is gathered from ``chi_X1``'s, adjoints included: the
+    identity, each Schreier generator's base image, then their adjoints in
+    reverse order.  Conjugation is exact, so it is the table ``_stacked``
+    would compute from those images, bit for bit.
     """
     if cov.presentation.alphabet != ("A1", "B1"):
         raise ValueError(f"the cover is of {cov.presentation.alphabet}, not the annulus double")
@@ -93,23 +109,29 @@ def boundary_subgroup_rep(
     if chi_X1.presentation.alphabet != ("A1", "B1"):
         raise ValueError(f"chi_X1 represents {chi_X1.presentation.alphabet}, not the annulus double")
     base = np.nonzero(trans.edges.T >= 0)[1]  # each Schreier generator's base letter
-    perms, blocks = chi_X1._table
-    return MatrixRep._stacked(trans, perms[base + 1], blocks[base + 1])
+    rows = np.concatenate([[0], base + 1, -1 - base[::-1]])
+    return MatrixRep._of_table(trans, tuple(array[rows] for array in chi_X1._table))
 
 
-def _rolled_tree_words(trans: Transversal) -> tuple[np.ndarray, np.ndarray]:
-    """``build_G2``'s walk on the cyclic cover, written directly: ``nu``, and the ``h_k`` as code rows.
+def _rolled_tree_words(trans: Transversal) -> tuple[np.ndarray, np.ndarray, tuple]:
+    """``build_G2``'s walk on the cyclic cover, written directly: ``nu``, the ``h_k`` as code rows, and their plan.
 
     The tree is the path along ``A1``, and ``tau(A1) = B1 A1 B1^-1`` walked
     from sheet k is ``B1@k (B1@(k+1))^-1``; so ``nu`` is the identity,
     ``h_1`` is empty and ``h_k = B1@1 (B1@k)^-1`` for k = 2..n, the walk's
     joins reduced.  Every ``B1`` edge is free, so ``B1@k``'s code is
-    ``edges[1, k-1] + 1``.
+    ``edges[1, k-1] + 1``.  The plan is what ``_plan`` makes of the rows:
+    rows 2..n have both letters and run first, and ``h_1`` runs last.
     """
     n, codes = trans.covering.n, trans.edges[1] + 1
+    ordered = np.zeros((2, n), dtype=np.intp)  # the plan's codes, position-major
+    ordered[0, :-1], ordered[1, :-1] = codes[0], -codes[1:]
     rows = np.zeros((n, 2), dtype=np.intp)
-    rows[1:, 0], rows[1:, 1] = codes[0], -codes[1:]
-    return np.arange(n), rows if n > 1 else rows[:, :0]
+    rows[1:] = ordered[:, :-1].T
+    back = np.arange(-1, n - 1) % n
+    if n == 1:  # no row has a letter: one position, the identity's entry
+        return np.arange(n), rows[:, :0], (ordered[:1], (), back)
+    return np.arange(n), rows, (ordered, (n - 1,), back)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,36 +154,44 @@ def annulus_pipeline(n: int, alpha: float, sig: SignatureData) -> CyclicPipeline
 
     Extends the boundary data to the torus double, induces up the cyclic
     cover, transports the pairing and signature matrices, and verifies every
-    symmetry condition including agreement of the two signature routes.
+    symmetry condition including agreement of the two signature routes.  A
+    non-finite ``alpha`` is refused, by name, before any work.
     Each representation is folded once: ``chi_X1`` over its checks and its
     mirrored generators, ``chi2`` over its checks and the symmetry report's
-    words, and ``chi1`` over ``G2``'s tree words.  ``chi1``'s checks are
-    read off ``chi2``'s fold when first read, and the Schreier labels are
-    made when first read too; no report here reads either.  The cover and
-    ``G2``'s tree words ``h_k`` are written directly, in closed form
-    (``build_G2``'s general walk is their oracle), and each derived
-    block-monomial is built trusted from validated parts, so nothing made
-    here is validated a second time and no step loops over the sheets in
-    Python.  The report is one table, the symmetry and route rows of one
+    words, and ``chi1`` over ``G2``'s tree words.  Nothing a table already
+    holds is computed again: ``chi_X1`` is extended from the boundary images
+    ``e^{+-i alpha} I`` with no ``chi_S`` representation made, ``chi1``'s
+    table is gathered from ``chi_X1``'s, adjoints included, and the route
+    ``chi2(B1)^*`` is read from ``chi2``'s table.  ``chi_X1``'s check table
+    is made only if it fails; ``chi1``'s checks are read off ``chi2``'s fold
+    when first read, and the Schreier labels are made when first read too;
+    no report here reads either.  The cover and ``G2``'s tree words ``h_k``
+    are written directly, in closed form, with the sort plan of their fold
+    (``build_G2``'s general walk and ``_plan`` are their oracles), and each
+    derived block-monomial is built trusted from validated parts, so nothing
+    made here is validated a second time and no step loops over the sheets
+    in Python.  The report is one table, the symmetry and route rows of one
     ``_checks`` call.
 
     Every call is over the same torus, ``_TORUS``, and keeps on it what
     depends on the presentation alone: the check and ``tau`` code rows, the
     symmetry words and their rows, both torus folds' sort plans, and the
     report's names and row order.  The first call in a process builds them;
-    later calls build no ``Word`` of the torus (``chi_S``'s annulus
-    presentation, one relator, is made per call).  The cover, the
-    transversal and ``G2``'s tree words depend on ``n`` and are made per
-    call, as arrays.
+    later calls build no ``Word`` of the torus (the annulus presentation
+    that the extension is checked against, one relator, is made per call).
+    The cover, the transversal and ``G2``'s tree words depend on ``n`` and
+    are made per call, as arrays.
     """
+    boundary = _boundary_images(sig.m, alpha)
     cov = cyclic_cover(n)
     p = cov.presentation
     assert isinstance(p, DoubledPresentation)
     trans = schreier_transversal(cov)
-    chi_X1 = extend_to_double(annulus_surface_rep(sig.m, alpha), sig, p)
+    chi_X1 = _extended(surface_group(0, 2), boundary, sig, p)
     chi1 = boundary_subgroup_rep(cov, trans, chi_X1)
     chi2, images = _induce(cov, trans, chi1, symmetric=True)
-    G2 = _transported(chi1, sig.G, *_rolled_tree_words(trans))
+    nu, _, plan = _rolled_tree_words(trans)
+    G2 = _transported(chi1, sig.G, nu, plan)
     J2_diag = build_J2_diagonal(cov, sig)
     J2_pair = pairing_signature_matrices(chi2, G2, p)
     report = _symmetry_report(chi2, G2, J2_diag, p, images, J2_pair)

@@ -44,7 +44,12 @@ reads: ``extend_to_double`` the double's mirrored generators, and in the
 cyclic pipeline ``induce_representation`` the symmetry report's words.
 ``chi1``'s checks are regrouped from ``chi2``'s fold, not folded, and only
 when first read if ``chi2``'s pass (see ``induce_representation``).  A value
-built here from validated parts is made trusted, not validated again.
+built here from validated parts is made trusted, not validated again, and a
+table already held is read, not rebuilt: ``MatrixRep._of_table`` takes
+gathered rows of another table (the cyclic ``chi1``'s, of ``chi_X1``'s),
+and ``pairing_signature_matrices`` reads ``chi2(B_i)^*`` from ``chi2``'s.
+``extend_to_double`` makes its check table only for the ``ExtensionError``
+of a failing extension.
 
 What a presentation alone determines is built once per presentation object
 and kept on it, as its layout (``_Layout``): the check rows' code rows and
@@ -326,11 +331,16 @@ class MatrixRep:
         table = (np.concatenate([np.arange(n)[None], perms, inverse[::-1]]),
                  np.empty((2 * g + 1, n, m, m), dtype=complex))
         table[1][0], table[1][1 : g + 1], table[1][g + 1 :] = np.eye(m), blocks, adjoints[::-1]
+        return cls._of_table(presentation, table)
+
+    @classmethod
+    def _of_table(cls, presentation, table: tuple[np.ndarray, np.ndarray]) -> "MatrixRep":
+        """The representation of ``table``, fresh arrays laid out as ``_stacked`` lays them; made read-only."""
         for array in table:
             array.setflags(write=False)
         rep = object.__new__(cls)
-        images = _TableImages(presentation, table)
-        vars(rep).update(presentation=presentation, m=n * m, _table=table, images=images)
+        _, n, m, _ = table[1].shape
+        vars(rep).update(presentation=presentation, m=n * m, _table=table, images=_TableImages(presentation, table))
         return rep
 
     def evaluate_many(self, words: Sequence[Word]) -> tuple[np.ndarray, np.ndarray]:
@@ -724,27 +734,33 @@ def extend_to_double(
     ``chi(B''_i) = G chi(A'_i) G``; the relator image and the symmetry
     condition ``chi(T^tau)^* G chi(T) = G`` are then verified.  The
     unitarity, relator and pairing-symmetry rows come from one fold of the
-    result's check rows and mirrored generators ``tau(x)``, and one
-    ``_checks`` call: the table an ``ExtensionError`` carries.  The result
-    does not keep them, so ``check_representation`` would fold it again.
+    result's check rows and mirrored generators ``tau(x)``, compared in one
+    stack; their table, one ``_checks`` call, is made only for the
+    ``ExtensionError`` of a failing extension.  The result does not keep
+    them, so ``check_representation`` would fold it again.
     """
     surf = chi_S.presentation
     if not isinstance(surf, GroupPresentation):
         raise ValueError("chi_S must represent a bordered-surface group")
+    blocks = chi_S._table[1][1 : len(surf.alphabet) + 1]
+    if blocks.shape[1] != 1:
+        raise ValueError(f"block shapes {blocks.shape[1:]} and {(1, chi_S.m, chi_S.m)} differ")
+    return _extended(surf, blocks[:, 0], sig, p)
+
+
+def _extended(surf: GroupPresentation, blocks: np.ndarray, sig: SignatureData, p: DoubledPresentation) -> MatrixRep:
+    """``extend_to_double`` of the one-sheet images ``blocks``, ``(G, m, m)`` in ``surf``'s alphabet order."""
     if not isinstance(p, DoubledPresentation):
         raise ValueError("p must present the double")
     if (surf.s, surf.k) != (p.s, p.k):
         raise ValueError(f"presentation mismatch: chi_S is ({surf.s},{surf.k}), double is ({p.s},{p.k})")
-    if sig.m != chi_S.m:
-        raise ValueError(f"signature rank {sig.m} does not match representation rank {chi_S.m}")
-    if len(sig.J_list) != surf.k:
-        raise ValueError(f"need {surf.k} signature matrices, got {len(sig.J_list)}")
-    # chi_S's images in alphabet order, A0..A{k-1} then the handles A'1, B'1, ..., on one sheet only
-    k, m, G, J = surf.k, chi_S.m, sig.G, np.stack(sig.J_list)
-    blocks = chi_S._table[1][1 : len(surf.alphabet) + 1]
-    if blocks.shape[1] != 1:
-        raise ValueError(f"block shapes {blocks.shape[1:]} and {(1, m, m)} differ")
-    a, handles = blocks[:k, 0], blocks[k:, 0]
+    k, m = surf.k, blocks.shape[-1]
+    if sig.m != m:
+        raise ValueError(f"signature rank {sig.m} does not match representation rank {m}")
+    if len(sig.J_list) != k:
+        raise ValueError(f"need {k} signature matrices, got {len(sig.J_list)}")
+    # chi_S's images in alphabet order, A0..A{k-1} then the handles A'1, B'1, ...
+    G, J, a, handles = sig.G, np.stack(sig.J_list), blocks[:k], blocks[k:]
     residuals = np.abs(a.conj().swapaxes(1, 2) @ J @ a - J).max(axis=(1, 2), initial=0.0)
     failed = ~(residuals < TOL_EXACT)  # NaN fails
     if failed.any():
@@ -755,13 +771,13 @@ def extend_to_double(
     mirrored = G @ handles.reshape(-1, 2, m, m)[:, ::-1].reshape(-1, m, m) @ G
     images = np.concatenate([np.stack([a[1:], G @ J[1:]], axis=1).reshape(-1, m, m), handles, mirrored])
     chi_X = MatrixRep._stacked(p, np.zeros((len(images), 1), dtype=np.intp), images[:, None])
-    # the checks and the mirrored generators, the words tau(x), in one fold: one table of all three kinds
+    # the checks and the mirrored generators, the words tau(x), in one fold: one comparison of all three kinds
     layout = _Layout(p)
     names, check, mirrored = chi_X._checked(layout.tau_plan)
     G = _trusted(np.zeros(1, dtype=np.intp), G[None])
-    pairing = _pairing_symmetry(chi_X, *mirrored, G)
-    report = _checks(names + layout.tau[1], _compare([check, (pairing, (G.perm, G.blocks))]))
-    if not report.passed:
+    compared = _compare([check, (_pairing_symmetry(chi_X, *mirrored, G), (G.perm, G.blocks))])
+    if not (compared[0] < TOL_EXACT).all():  # as the table's verdict: NaN fails
+        report = _checks(names + layout.tau[1], compared)
         raise ExtensionError(f"extension inconsistent: {report.worst()}", report)
     return chi_X
 
@@ -886,7 +902,7 @@ def build_G2(
     if len(unpaired):
         message = "covering subgroup is not invariant under the involution: nu(nu(k)) != k on sheets"
         raise ValueError(f"{message} {unpaired.tolist()}")
-    return _transported(chi1, G1, nu, rows)
+    return _transported(chi1, G1, nu, _plan(rows))
 
 
 def _tree_words(cov: CoveringAction, trans: Transversal) -> tuple[np.ndarray, np.ndarray]:
@@ -911,13 +927,14 @@ def _tree_words(cov: CoveringAction, trans: Transversal) -> tuple[np.ndarray, np
     return np.array(nu, dtype=np.intp), _code_rows(h)
 
 
-def _transported(chi1: MatrixRep, G1: np.ndarray, nu: np.ndarray, rows: np.ndarray) -> BlockMonomial:
-    """``build_G2``'s fold: block ``(k, nu[k])`` is ``G1 chi1(h_k)``, ``h_k`` row k of ``rows``; made trusted.
+def _transported(chi1: MatrixRep, G1: np.ndarray, nu: np.ndarray, plan) -> BlockMonomial:
+    """``build_G2``'s fold: block ``(k, nu[k])`` is ``G1 chi1(h_k)``, ``h_k`` row k of the rows planned; made trusted.
 
-    ``chi1`` folds the rows once.  The caller vouches that ``nu`` is a
-    permutation and ``G1`` a ``chi1.m``-square complex array.
+    ``chi1`` folds the rows once, by ``plan``, what ``_plan`` makes of them.
+    The caller vouches that ``nu`` is a permutation and ``G1`` a
+    ``chi1.m``-square complex array.
     """
-    h_blocks = chi1._fold(_plan(rows))[1]
+    h_blocks = chi1._fold(plan)[1]
     return _trusted(nu, G1 @ h_blocks.reshape(-1, *h_blocks.shape[2:]))
 
 
@@ -938,8 +955,13 @@ def build_J2_diagonal(cov: CoveringAction, sig: SignatureData) -> list[BlockMono
 def pairing_signature_matrices(
     chi2: MatrixRep, G2: BlockMonomial, p: DoubledPresentation
 ) -> list[BlockMonomial]:
-    """Signature matrices read off the pairing: ``J_{2,0} = G2``, ``J_{2,i} = chi2(B_i)^* G2``."""
-    return [G2] + [chi2.images[f"B{i}"].adjoint() @ G2 for i in range(1, p.k)]
+    """Signature matrices read off the pairing: ``J_{2,0} = G2``, ``J_{2,i} = chi2(B_i)^* G2``.
+
+    ``chi2(B_i)^*`` is read from ``chi2``'s table, entry ``2G - x`` for ``B_i`` generator ``x``.
+    """
+    perms, blocks = chi2._table
+    adjoints = [-1 - chi2.presentation.alphabet.index(f"B{i}") for i in range(1, p.k)]
+    return [G2] + [_trusted(perms[x], blocks[x]) @ G2 for x in adjoints]
 
 
 def verify_symmetry_conditions(

@@ -198,6 +198,58 @@ class TestParseConfig:
             with pytest.raises(ValueError, match="fields 'degree', 'n' and 'm'.*budget"):
                 parse_config(json.dumps(doc))
 
+    @pytest.mark.parametrize(
+        "trials, degree, m, accepted",
+        [(20, 8, 1, True), (30840, 8, 1, True), (30841, 8, 1, False), (15420, 8, 2, True), (15421, 8, 2, False),
+         (104857, 2, 1, True), (104858, 2, 1, False), (10**7, 2, 1, False)],
+    )
+    def test_isometry_draw_budget(self, monkeypatch, trials, degree, m, accepted):
+        # the run draws every trial at once, (trials, 2, 2, 2 degree + 1, m) normals: 10**7 trials at degree 2
+        # would be 1.6 GB; a refusal comes before any work, so the cover and the run are never reached
+        doc = isometry_config(trials=trials, degree=degree, m=m, samples=64)
+        entries = trials * 2 * (2 * degree + 1) * m
+        assert (entries <= ISOMETRY_GRID_ENTRIES) is accepted
+        if accepted:
+            assert parse_config(json.dumps(doc)).params["trials"] == trials
+            return
+        for name in ("make_annulus_cover", "verify_isometry", "_check_sample_count"):
+            monkeypatch.setattr(cli, name, None)
+        message = (f"invalid values for fields 'trials', 'degree' and 'm': trials={trials}, degree={degree}, m={m} "
+                   f"give {entries} coefficient entries to draw, over the budget of {ISOMETRY_GRID_ENTRIES}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_config(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "config, field, value, rule",
+        [
+            ({"mode": "group", "s": 0, "k": 2}, "s", -1, "an integer, 0 or more"),
+            ({"mode": "induce", "s": 0, "k": 2, "covering": {}, "chi1": {}}, "k", 0, "an integer, 1 or more"),
+            ({"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]}, "signs", [1], "two signs, each 1 or -1"),
+            (isometry_config(), "tolerance", 0, "a finite number above 0"),
+            (None, "covering.n", 0, "an integer, 1 or more"),  # None: the one-sheet induce config
+            (None, "chi1.images", [], "an object"),
+        ],
+        ids=["group", "induce", "verify", "isometry", "covering", "chi1"],
+    )
+    def test_field_refusal_states_the_rule(self, config, field, value, rule):
+        # one per field table; the prefix the earlier messages had is kept
+        *parents, last = field.split(".")
+        target = config = json.loads(json.dumps(config or TestInduceConfig().one_sheet()))
+        for key in parents:
+            target = target[key]
+        target[last] = value
+        with pytest.raises(ValueError) as refused:
+            parse_config(json.dumps(config))
+        assert str(refused.value) == f"invalid value for field {field!r}: {value!r} ({rule})"
+
+    def test_every_validator_states_its_rule(self):
+        tables = [schema for _, schema, _ in cli._MODES.values()] + [cli._COVERING_FIELDS, cli._CHI1_FIELDS]
+        validators = {validator for table in tables for _, _, validator in table.values()}
+        assert len(validators) == 8 and all(type(v.rule) is str and v.rule for v in validators)
+        assert parse_config(json.dumps(isometry_config())).params["rho1"] == 0.6
+        with pytest.raises(ValueError, match=re.escape("1.5 (a number strictly between 0 and 1)")):
+            parse_config(json.dumps(isometry_config(rho1=1.5)))
+
     def test_underflowing_gram_scale_rejected(self):
         # c = alpha / (2 pi) = 200: the inner circle's Gram scales 2 pi 0.1**(2c + 2 degree + 1) underflow
         doc = isometry_config(rho1=0.1, alpha=400 * math.pi)
@@ -1133,10 +1185,12 @@ class TestJsonWriter:
         assert echo == json.dumps(config["chi1"], sort_keys=True)
 
     def test_report_arrays_written_whole(self, monkeypatch):
-        # every run of keys whose values hold nothing with a writer of its own is one call of the C encoder;
-        # the floats of the images, the echoed chi1 images and the check table are one more, of their
-        # distinct values, made again by each report written
+        # a report with no table of images is one call of the C encoder, its check table as rows, and makes
+        # no float table; in one with images every run of keys whose values hold nothing with a writer of its
+        # own is one call, and the floats of the images, the echoed chi1 images and the check table are one
+        # more, of their distinct values, made again by each report written
         written, dumps = [], json.dumps
+        spellings = count_calls(monkeypatch, cli, "_spellings")
 
         def emitted(report):
             written.clear()
@@ -1153,8 +1207,8 @@ class TestJsonWriter:
         report = run_pipeline(parse_config(json.dumps(isometry_config(samples=128, trials=2))))
         assert emitted(report) == dense_dumps(report)
         doc = report.to_json_doc()
-        del doc["checks"]
-        assert written == [distinct(report.table.residuals, report.table.tolerances).view(float).tolist(), doc]
+        doc["checks"] = row_dicts([(c.name, c.residual, c.tolerance) for c in report.checks])
+        assert written == [doc] and spellings == []
         cfg = parse_config(json.dumps(random_induce_config(seed=5)))
         report = run_pipeline(cfg)
         images = report.extras["induced"]["images"].values()
@@ -1163,6 +1217,18 @@ class TestJsonWriter:
         for _ in range(2):
             assert emitted(report) == dense_dumps(report)
             assert floats_in(written) == count == 1803  # of the 4116 the report spells
+        assert len(spellings) == 2
+
+    def test_image_free_reports_are_one_dumps(self, monkeypatch):
+        # verify, isometry and group reports hold no table of images: no float table and no piecewise writer
+        configs = [{"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]}, isometry_config(samples=128, trials=2),
+                   {"mode": "group", "s": 1, "k": 2, "double": True}]
+        reports = [run_pipeline(parse_config(json.dumps(config))) for config in configs]
+        spellings = count_calls(monkeypatch, cli, "_spellings")
+        pieces = count_calls(monkeypatch, cli, "_json")
+        for report in reports:
+            assert report.passed and emit_report(report, fmt="json") == dense_dumps(report)
+        assert spellings == pieces == []
 
     def test_induce_report_is_one_line(self):
         text = emit_report(run_pipeline(parse_config(json.dumps(random_induce_config(seed=5)))), fmt="json")
@@ -1219,14 +1285,17 @@ class TestJsonWriter:
         folds = count_calls(monkeypatch, induction.MatrixRep, "_fold")
         products = count_calls(monkeypatch, induction, "_product")
         symmetry_words = count_calls(monkeypatch, induction, "_symmetry_words")
+        stacked = count_calls(monkeypatch, induction.MatrixRep, "_stacked")
         verify = {"mode": "verify", "n": n, "alpha": 0.7, "signs": [1, -1]}
         induce = [random_induce_config(seed=5, n=n, double=double) for double in (False, True)]
         for config in (verify, isometry_config(n=n, samples=128, trials=2), *induce):
-            folds.clear()
-            products.clear()
-            symmetry_words.clear()
+            for record in (folds, products, symmetry_words, stacked):
+                record.clear()
             report = run_pipeline(parse_config(json.dumps(config)))
             assert report.passed
+            # a table is stacked, adjoints computed, for chi1 at parse and chi2 in induce; for chi_X1 and chi2
+            # in verify and isometry, where chi1's is gathered from chi_X1's and no chi_S is made (4 before)
+            assert len(stacked) == 2
             if config["mode"] == "induce":
                 assert len(folds) == 1 and len(symmetry_words) == 0
             else:

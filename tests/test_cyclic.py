@@ -93,6 +93,28 @@ class TestBoundaryRep:
             assert chi1.images[label].dense()[0, 0] == pytest.approx(1.0)  # (-1) * (-1)
         assert check_representation(chi1).passed
 
+    @pytest.mark.parametrize("m", [1, 2, 8])
+    @pytest.mark.parametrize("n", [*range(1, 10), 128])
+    def test_gathered_table_is_the_stacked_one(self, n, m):
+        # chi1's table is rows of chi_X1's, adjoints included; _stacked computes it from the images alone
+        rng = np.random.default_rng([36, n, m])
+        sig = SignatureData(J_list=tuple(random_signature_matrix(rng, m) for _ in range(2)))
+        cov = cyclic_cover(n)
+        trans = schreier_transversal(cov)
+        chi_X1 = annulus_double_rep(m, float(rng.uniform(0, 2 * np.pi)), sig)
+        chi1 = boundary_subgroup_rep(cov, trans, chi_X1)
+        g = len(chi1._table[0]) // 2
+        stacked = MatrixRep._stacked(trans, chi1._table[0][1 : g + 1], chi1._table[1][1 : g + 1])
+        assert g == n + 1 and chi1.m == stacked.m == m
+        for ours, theirs in zip(chi1._table, stacked._table):
+            assert (ours.dtype, ours.shape, ours.tobytes()) == (theirs.dtype, theirs.shape, theirs.tobytes())
+            assert not ours.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                ours[...] = 0
+        base = {"A1": 1, "B1": 2}
+        for label, image in chi1.images.items():
+            row = base[label.split("@")[0]]
+            assert np.array_equal(image.blocks, chi_X1._table[1][row]) and np.array_equal(image.perm, [0])
 
     def test_refuses_a_representation_of_another_presentation(self):
         # images are read by generator position, so chi_X1 must be over (A1, B1), and so must the cover
@@ -106,6 +128,28 @@ class TestBoundaryRep:
         message = "the cover is of ('A1', 'B1', 'A2', 'B2'), not the annulus double"
         with pytest.raises(ValueError, match=re.escape(message)):
             boundary_subgroup_rep(other, schreier_transversal(other), chi_X1)
+
+
+class TestAlpha:
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_alpha_refused_by_name_before_any_work(self, monkeypatch, alpha):
+        # numpy's exp used to warn (an error under the suite's filterwarnings), then the extension refused a
+        # residual of nan; no cover, transversal or representation is made before the refusal
+        from hardycover import cyclic, hardy
+
+        for name in ("cyclic_cover", "surface_group"):
+            monkeypatch.setattr(cyclic, name, None)
+        message = re.escape(f"invalid value for field 'alpha': {alpha!r} is not finite")
+        with pytest.raises(ValueError, match=message):
+            annulus_pipeline(3, alpha, scalar_signs(1, -1))
+        with pytest.raises(ValueError, match=message):
+            annulus_surface_rep(1, alpha)
+        with pytest.raises(ValueError, match=message):
+            annulus_double_rep(1, alpha, scalar_signs(1, -1))
+        coeffs = np.ones((1, 2, 17, 1), dtype=complex)
+        with pytest.raises(ValueError, match=message):
+            hardy.verify_isometry(hardy.make_annulus_cover(0.6, 3), alpha, scalar_signs(1, -1), coeffs, 1024,
+                                  np.random.default_rng(0))
 
 
 class TestTransport:
@@ -148,10 +192,17 @@ class TestTransport:
 
         cov = cyclic_cover(n)
         trans = schreier_transversal(cov)
-        written, walked = cyclic._rolled_tree_words(trans), induction._tree_words(cov, trans)
+        *written, plan = cyclic._rolled_tree_words(trans)
+        walked = induction._tree_words(cov, trans)
+        assert len(written) == len(walked) == 2
         for a, b in zip(written, walked):
             assert (a.dtype, a.shape) == (b.dtype, b.shape) and np.array_equal(a, b)
         assert written[1].shape == ((n, 2) if n > 1 else (1, 0))  # h_1 is empty, h_k = B1@1 (B1@k)^-1
+        # the fold's plan is written too: what _plan makes of the rows, codes, running counts and the way back
+        (codes, running, back), (oracle_codes, oracle_running, oracle_back) = plan, induction._plan(written[1])
+        assert running == oracle_running and all(type(a) is int for a in running)
+        for a, b in ((codes, oracle_codes), (back, oracle_back)):
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
     @pytest.mark.parametrize("m", [1, 2, 8])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 128])
@@ -173,8 +224,15 @@ class TestTransport:
         rng = np.random.default_rng(34)
         sig = SignatureData(J_list=(random_signature_matrix(rng, 2), random_signature_matrix(rng, 2)))
         assert annulus_pipeline(5, 0.7, sig).report.passed
+        from hardycover.induction import _plan
+
         written = cyclic._rolled_tree_words
-        monkeypatch.setattr(cyclic, "_rolled_tree_words", lambda trans: (written(trans)[0], abs(written(trans)[1])))
+
+        def unreduced(trans):  # the rows and the plan the fold runs by, both of the mutant
+            nu, rows, _ = written(trans)
+            return nu, abs(rows), _plan(abs(rows))
+
+        monkeypatch.setattr(cyclic, "_rolled_tree_words", unreduced)
         failing = annulus_pipeline(5, 0.7, sig).report.failing()
         assert [c.name for c in failing] == [
             "pairing-symmetry[A1]", "signature-route-equality[0]", "signature-route-equality[1]"
@@ -294,15 +352,15 @@ class TestPipeline:
 
     def test_report_is_one_table(self, monkeypatch):
         # counted, not timed: the symmetry and route rows are one table of one _checks call, with no join;
-        # the pipeline makes one _checks call per report it reads: chi_X1's, chi2's and this one (chi1's is
-        # read off chi2's fold only when read, and no report here reads it)
+        # the pipeline makes one _checks call per report it reads: chi2's and this one (chi_X1's is made only
+        # if its extension fails, and chi1's is read off chi2's fold only when read; no report here reads it)
         from hardycover import induction
 
         made = count_calls(monkeypatch, induction, "_trusted_table")
         checks = count_calls(monkeypatch, induction, "_checks")
         joins = count_calls(monkeypatch, CheckReport, "__add__")
         report = annulus_pipeline(7, 0.7, scalar_signs(1, -1)).report
-        assert joins == [] and len(checks) == len(made) == 3
+        assert joins == [] and len(checks) == len(made) == 2
         assert report is made[-1][1] is checks[-1][1]
         assert len(report.names) == 1 + 2 + 3 * 2 + 2 * 2 + 2
         assert report.names[-2:] == ("signature-route-equality[0]", "signature-route-equality[1]")

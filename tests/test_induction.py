@@ -45,7 +45,7 @@ from hardycover import (
 from hardycover.covering import expand_schreier_word
 from hardycover.cyclic import annulus_double_rep
 from hardycover import cli, induction
-from hardycover.induction import Check
+from hardycover.induction import TOL_EXACT, Check
 
 from helpers import (
     GENUS_THREE,
@@ -394,6 +394,59 @@ class TestExtendToDouble:
         with pytest.raises(ValueError, match=re.escape("block shapes (2, 1, 1) and (1, 2, 2) differ")):
             extend_to_double(chi_S, sig, TORUS)
 
+    @pytest.mark.parametrize("fault", ["inconsistent-handles", "nan-handle", "transposed-mirror"])
+    def test_failing_extension_raises_the_table_of_the_whole_comparison(self, monkeypatch, fault):
+        # the table is made only on failure, and is then the one of every unitarity, relator and
+        # pairing-symmetry row: here built image by image, and compared entry for entry
+        rng = np.random.default_rng(11)
+        p, d, m = surface_group(1, 1), double_group(1, 1), 2
+        sig = SignatureData(J_list=(np.diag([1.0, -1.0]),))
+        handles = {"A'1": haar_unitary(rng, m), "B'1": haar_unitary(rng, m)}  # chi(A0) = I: compatible
+        if fault == "nan-handle":
+            handles["A'1"] = np.where(np.eye(m) > 0, np.nan, 0.0)
+        elif fault == "transposed-mirror":  # consistent handles, and the mutant writes A''1 transposed
+            handles = dict(zip(handles, commuting_unitaries(rng, m, 2)))
+            stacked = MatrixRep._stacked
+
+            def transposed(presentation, perms, blocks):
+                if presentation is d:
+                    blocks = blocks.copy()
+                    blocks[d.alphabet.index("A''1")] = blocks[d.alphabet.index("A''1")].swapaxes(-1, -2)
+                return stacked(presentation, perms, blocks)
+
+            monkeypatch.setattr(MatrixRep, "_stacked", transposed)
+        chi_S = MatrixRep(presentation=p, m=m, images={"A0": np.eye(m), **handles})
+        with pytest.raises(ExtensionError) as err, np.errstate(invalid="ignore"):
+            extend_to_double(chi_S, sig, d)
+        monkeypatch.undo()
+        images = reference_extension_images(chi_S, sig, d)
+        if fault == "transposed-mirror":
+            images["A''1"] = BlockMonomial.of(images["A''1"].blocks[0].T)
+        G = BlockMonomial.of(sig.G)
+        with np.errstate(invalid="ignore"):
+            reference = MatrixRep(presentation=d, m=m, images=images)
+            rows = [(c.name, c.residual, c.tolerance, c.block) for c in check_representation(reference).checks]
+            for x, w in zip(d.alphabet, d.tau):
+                moved = evaluate(reference, w).adjoint() @ G @ reference.images[x]
+                rows.append((f"pairing-symmetry[{x}]", *compare(moved, G)))
+        expected = CheckReport.rows([row if len(row) == 4 else (row[0], row[1], TOL_EXACT, row[2]) for row in rows])
+        report = err.value.report
+        assert report.names == expected.names and not report.passed
+        for column in ("residuals", "tolerances", "blocks"):
+            np.testing.assert_array_equal(getattr(report, column), getattr(expected, column))
+        assert str(err.value) == f"extension inconsistent: {expected.worst()}"
+
+    def test_passing_extension_makes_no_table(self, monkeypatch):
+        checks = count_calls(monkeypatch, induction, "_checks")
+        made = count_calls(monkeypatch, induction, "_trusted_table")
+        for s, k, m in ((0, 2, 1), (1, 2, 2), (2, 3, 3)):
+            chi_S, sig = extendable_surface_rep(np.random.default_rng([s, k, m]), s, k, m)
+            chi_X = extend_to_double(chi_S, sig, double_group(s, k))
+            assert checks == made == []
+            assert check_representation(chi_X).passed  # a fold of its own, made on this read
+            checks.clear()
+            made.clear()
+
     def test_bordered_presentation_refused_as_the_double(self):
         sig = SignatureData(J_list=(np.eye(1), np.eye(1)))
         with pytest.raises(ValueError, match="p must present the double"):
@@ -595,6 +648,22 @@ class TestPairingTransport:
             assert np.array_equal(diagonal[1].dense(), e1 * np.eye(3))
             assert np.array_equal(diagonal[0].dense(), pairing[0].dense())
             assert np.array_equal(diagonal[1].dense(), pairing[1].dense())
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_pairing_route_reads_the_adjoints_of_the_table(self, k):
+        # chi2(B_i)^* is entry 2G - x of chi2's table: bit for bit the adjoint of the image, over any sheets
+        rng = np.random.default_rng([36, k])
+        p, n, m = double_group(1, k), 3, 2
+        unitaries = lambda: [haar_unitary(rng, m) for _ in range(n)]
+        images = {label: BlockMonomial(rng.permutation(n), unitaries()) for label in p.alphabet}
+        chi2 = MatrixRep(presentation=p, m=n * m, images=images)
+        G2 = BlockMonomial(rng.permutation(n), [random_signature_matrix(rng, m) for _ in range(n)])
+        routes = pairing_signature_matrices(chi2, G2, p)
+        expected = [G2] + [images[f"B{i}"].adjoint() @ G2 for i in range(1, k)]
+        assert len(routes) == k and routes[0] is G2
+        for ours, theirs in zip(routes, expected):
+            for a, b in ((ours.perm, theirs.perm), (ours.blocks, theirs.blocks)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
     def test_pairing_off_an_involution_invariant_subgroup_fails(self):
         # this cover's subgroup is not invariant under the involution: nu = (1, 2, 2, 2)
