@@ -17,28 +17,23 @@ timing shown only in the text rendering.
 Each mode runs with numpy's overflow raising, so a finite config whose
 products overflow gets an error report, not an ``Infinity`` residual.
 
-A report's matrices come in tables of one type, ``_Images``: a dict equal
-to the labels -> images mapping that carries the stack the images are
-written from.  The echoed ``chi1.images`` is one (the config as given, over
-the parse-time array), and so are the ``images`` of the ``induced`` extra
-(``chi2``'s images, over rows ``1..G`` of its table).  A report holds its
-checks as one ``CheckReport`` table, which each mode appends to.
+A report's matrices come in tables of one type, ``_Images``: the labels ->
+images mapping with the stack the images are written from.  The echoed
+``chi1.images`` is one (the config as given, over the parse-time array), and
+so are the ``images`` of the ``induced`` extra (``chi2``'s images, over rows
+``1..G`` of its table).  A report holds its checks as one ``CheckReport``
+table, which each mode appends to.
 
-The JSON report is one line, the text of ``json.dumps(doc, sort_keys=True)``
-of ``Report.to_json_doc``, each image in ``doc`` standing for its dense ``nm
-x nm`` matrix as rows of ``[re, im]`` float pairs and the check table for
-its rows ``{name, passed, residual, tolerance}``.  A report with no table
-of images (``verify``, ``isometry``, ``group``) is that one ``json.dumps``,
-of the check table's rows.  An ``induce`` report makes one
-float table of the floats behind every ``_Images`` stack and the check
-table's columns, and spells each distinct float once, by one
-``json.dumps``; induce's images repeat chi1's entries, so that table is
-less than half as long as the floats written.  ``_json`` then writes each
-run of keys whose values hold none of these with one ``json.dumps``, each
-table of images (``_images_json``) and the check table (``_checks_json``,
-so no ``Check`` row is made) piece by piece from the table's spellings,
-into one list of pieces joined once.  A table is written only as a dict's
-value; ``python -m json.tool`` indents the report.
+The JSON report is one line, ``json.dumps(doc, sort_keys=True)`` of
+``Report.to_json_doc`` with each image as its dense ``nm x nm`` matrix of
+``[re, im]`` float pairs and the check table as its rows ``{name, passed,
+residual, tolerance}``, then a newline.  It is written by that one
+``json.dumps``, whose ``default`` hook leaves a hole for each table, and each
+table is written into its hole from its own arrays: the images by
+``_images_json``, from one float table of the image stacks (induce's images
+repeat chi1's entries, so it is less than half as long as the floats
+written), and the check table by ``_checks_json``, from its columns, so no
+``Check`` row is made.  ``python -m json.tool`` indents the report.
 """
 
 from __future__ import annotations
@@ -48,9 +43,10 @@ import json
 import math
 import sys
 import time
+from collections.abc import Mapping
 from contextlib import suppress
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain
 from json.encoder import encode_basestring_ascii
 from numbers import Real
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -97,20 +93,29 @@ _signs = _rule(
 )
 
 
-class _Images(dict):
-    """A report's matrices: a dict equal to the labels -> images mapping, with the stack they are written from.
+class _Images(Mapping):
+    """A report's matrices: the labels -> images mapping, read through, with the stack they are written from.
 
     ``perms`` ``(G, n)`` and ``blocks`` ``(G, n, m, m)`` hold the images in
-    the dict's order, each the ``nm x nm`` matrix whose block row ``k`` holds
-    ``blocks[g, k]`` in block column ``perms[g, k]``; ``ints`` holds each
-    part given as an int, by its index in the blocks' float view.
+    the mapping's order, each the ``nm x nm`` matrix whose block row ``k``
+    holds ``blocks[g, k]`` in block column ``perms[g, k]``; ``ints`` holds
+    each part given as an int, by its index in the blocks' float view.  Not a
+    ``dict``, so that ``json.dumps`` hands it to its ``default`` hook.
     """
 
-    __slots__ = ("perms", "blocks", "ints")
+    __slots__ = ("images", "perms", "blocks", "ints")
 
-    def __init__(self, images, perms: np.ndarray, blocks: np.ndarray, ints: dict[int, int] | None = None):
-        super().__init__(images)
-        self.perms, self.blocks, self.ints = perms, blocks, ints or {}
+    def __init__(self, images: dict, perms: np.ndarray, blocks: np.ndarray, ints: dict[int, int] | None = None):
+        self.images, self.perms, self.blocks, self.ints = images, perms, blocks, ints or {}
+
+    def __getitem__(self, label: str) -> Any:
+        return self.images[label]
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self.images)
+
+    def __len__(self) -> int:
+        return len(self.images)
 
 
 @dataclass(frozen=True)
@@ -153,6 +158,17 @@ def _fields(raw: dict, schema: dict, where: str, prefix: str = "") -> dict:
     return params
 
 
+def _check_budget(entries: int, budget: int, noun: str, fields: dict[str, Any]) -> None:
+    """Refuse the ``fields``, by name and value, if the ``entries`` ``noun`` they give are over the ``budget``."""
+    if entries > budget:
+        *names, last = map(repr, fields)
+        values = ", ".join(f"{name}={value}" for name, value in fields.items())
+        raise ValueError(
+            f"invalid values for fields {', '.join(names)} and {last}: {values} give {entries} {noun}, "
+            f"over the budget of {budget}"
+        )
+
+
 # isometry samples each Cauchy kernel at n * samples angles upstairs, and each of the
 # (2 degree + 1) m Gram basis sections at n N, m values each, and draws 2 (2 degree + 1) m
 # coefficients per trial (16 B per entry)
@@ -162,24 +178,12 @@ ISOMETRY_GRID_ENTRIES = 2**20
 def _check_isometry(p: dict) -> AnnulusCovering:
     """The budgets, ``hardy``'s sampling and radius rules and the pairing's range; the annulus cover."""
     rho1, n, degree, samples, m, trials = p["rho1"], p["n"], p["degree"], p["samples"], p["m"], p["trials"]
-    if n * samples * m > ISOMETRY_GRID_ENTRIES:
-        raise ValueError(
-            f"invalid values for fields 'n', 'samples' and 'm': n={n}, samples={samples}, m={m} "
-            f"give {n * samples * m} entries per section upstairs, over the budget of "
-            f"{ISOMETRY_GRID_ENTRIES}"
-        )
-    basis_entries = (2 * degree + 1) * m * n * (1 << (2 * degree + 1).bit_length()) * m
-    if basis_entries > ISOMETRY_GRID_ENTRIES:
-        raise ValueError(
-            f"invalid values for fields 'degree', 'n' and 'm': degree={degree}, n={n}, m={m} give "
-            f"{basis_entries} entries for the Gram basis upstairs, over the budget of {ISOMETRY_GRID_ENTRIES}"
-        )
-    draw_entries = trials * 2 * (2 * degree + 1) * m
-    if draw_entries > ISOMETRY_GRID_ENTRIES:
-        raise ValueError(
-            f"invalid values for fields 'trials', 'degree' and 'm': trials={trials}, degree={degree}, m={m} give "
-            f"{draw_entries} coefficient entries to draw, over the budget of {ISOMETRY_GRID_ENTRIES}"
-        )
+    _check_budget(n * samples * m, ISOMETRY_GRID_ENTRIES, "entries per section upstairs",
+                  {"n": n, "samples": samples, "m": m})
+    _check_budget((2 * degree + 1) * m * n * (1 << (2 * degree + 1).bit_length()) * m, ISOMETRY_GRID_ENTRIES,
+                  "entries for the Gram basis upstairs", {"degree": degree, "n": n, "m": m})
+    _check_budget(trials * 2 * (2 * degree + 1) * m, ISOMETRY_GRID_ENTRIES, "coefficient entries to draw",
+                  {"trials": trials, "degree": degree, "m": m})
     _check_sample_count(samples, degree)
     cov = make_annulus_cover(rho1, n)
     # The inner-circle pushforward samples have size about rho1**-e, with
@@ -218,11 +222,7 @@ VERIFY_BLOCK_ENTRIES = 2**16
 
 def _check_verify(p: dict) -> None:
     n, m = p["n"], p["m"]
-    if n * m * m > VERIFY_BLOCK_ENTRIES:
-        raise ValueError(
-            f"invalid values for fields 'n' and 'm': n={n}, m={m} give {n * m * m} block entries "
-            f"per image, over the budget of {VERIFY_BLOCK_ENTRIES}"
-        )
+    _check_budget(n * m * m, VERIFY_BLOCK_ENTRIES, "block entries per image", {"n": n, "m": m})
 
 
 # a presentation of 2s + k generators, doubled, takes about 4.3 KB per generator to build and
@@ -232,11 +232,7 @@ PRESENTATION_GENERATORS = 2**14
 
 def _check_generators(p: dict) -> None:
     s, k = p["s"], p["k"]
-    if 2 * s + k > PRESENTATION_GENERATORS:
-        raise ValueError(
-            f"invalid values for fields 's' and 'k': s={s}, k={k} give {2 * s + k} generators, "
-            f"over the budget of {PRESENTATION_GENERATORS}"
-        )
+    _check_budget(2 * s + k, PRESENTATION_GENERATORS, "generators", {"s": s, "k": k})
 
 
 _COVERING_FIELDS = {"n": (True, None, _pos_int), "perms": (True, None, _object)}
@@ -251,12 +247,8 @@ def _check_induce(p: dict) -> MatrixRep:
     covering = _fields(p["covering"], _COVERING_FIELDS, "'covering'", "covering.")
     chi1 = _fields(p["chi1"], _CHI1_FIELDS, "'chi1'", "chi1.")
     n, m, count = covering["n"], chi1["m"], len(covering["perms"])
-    if count * (n * m) ** 2 > DENSE_EXPORT_ENTRIES:
-        raise ValueError(
-            f"invalid values for fields 'covering.n' and 'chi1.m': n={n}, m={m} gives a dense "
-            f"export of {count} images with {count * (n * m) ** 2} entries, over the "
-            f"budget of {DENSE_EXPORT_ENTRIES}"
-        )
+    _check_budget(count * (n * m) ** 2, DENSE_EXPORT_ENTRIES, f"entries in a dense export of {count} images",
+                  {"covering.n": n, "chi1.m": m})
     presentation = (double_group if p["double"] else surface_group)(p["s"], p["k"])
     trans = schreier_transversal(covering_from_json(presentation, covering, "covering."))
     names = [f"chi1.images.{label}" for label in chi1["images"]]
@@ -312,7 +304,7 @@ def matrices_from_json(
                 ints = {i: v for i, v in enumerate(parts) if isinstance(v, int)} if types - {float} else {}
                 return values.view(complex).reshape(len(mats), rows, cols), ints
     for name, mat in zip(names, mats):
-        matrix = f"invalid value for field '{name}': {mat!r} is not an {rows}x{cols} list of [re, im] pairs"
+        matrix = f"invalid value for field '{name}': {mat!r} is not a list of [re, im] pairs of shape {rows}x{cols}"
         if not (_list_of(mat, rows) and all(_list_of(row, cols) for row in mat)):
             raise ValueError(matrix)
         for i, row in enumerate(mat):
@@ -331,7 +323,10 @@ def parse_config(text: str) -> RunConfig:
 
     Every value is checked before any work starts, and an error names the field.
     """
-    raw = json.loads(text, object_pairs_hook=_config_object)
+    try:
+        raw = json.loads(text, object_pairs_hook=_config_object)
+    except RecursionError:
+        raise ValueError("configuration nested too deeply to read") from None
     if not isinstance(raw, dict):
         raise ValueError("configuration must be a JSON object")
     mode = raw.pop("mode", None)
@@ -529,13 +524,13 @@ def run_pipeline(cfg: RunConfig) -> Report:
 
 
 def _images_json(images: _Images, spelled: np.ndarray, out: list[str]) -> None:
-    """Append ``json.dumps(images, sort_keys=True)``, each image as its dense matrix's rows of ``[re, im]`` pairs.
+    """Append ``json.dumps(dict(images), sort_keys=True)``, each image as its dense matrix's rows of ``[re, im]`` pairs.
 
     Written from the stack, in sorted-label order, block row by block row:
     each row is its block's ``m`` pairs, ``spelled`` in the blocks' order,
     between the runs of the constant ``[0.0, 0.0]`` off the block, made once
     per table.  A part given as an int is written as given, over its
-    spelling in this value's slice of the table.
+    spelling in this table's slice of the float table.
     """
     g, n, m, _ = images.blocks.shape
     if not g:
@@ -560,24 +555,18 @@ def _images_json(images: _Images, spelled: np.ndarray, out: list[str]) -> None:
     out.append("]}")
 
 
-def _check_rows(table: CheckReport) -> list[dict]:
-    """The table's rows as the JSON report has them: ``{name, passed, residual, tolerance}`` dicts."""
-    passed = (table.residuals < table.tolerances).tolist()
-    rows = zip(table.names, passed, table.residuals.tolist(), table.tolerances.tolist())
-    return [{"name": name, "passed": ok, "residual": r, "tolerance": t} for name, ok, r, t in rows]
-
-
-def _checks_json(table: CheckReport, spelled: np.ndarray, out: list[str]) -> None:
+def _checks_json(table: CheckReport, out: list[str]) -> None:
     """Append the table's rows as ``{name, passed, residual, tolerance}`` dicts, keys sorted.
 
     Written from the columns: each name through ``encode_basestring_ascii``,
-    and the residuals, then the tolerances, ``spelled``.
+    and the residuals, then the tolerances, spelled by one ``json.dumps``.
     """
     count = len(table.names)
     if not count:
         return out.append("[]")
     passed = (table.residuals < table.tolerances).tolist()
-    residuals, tolerances = spelled[:count].tolist(), spelled[count:].tolist()
+    spelled = json.dumps(table.residuals.tolist() + table.tolerances.tolist())[1:-1].split(", ")
+    residuals, tolerances = spelled[:count], spelled[count:]
     out.append("[")
     out += [
         f'{sep}{{"name": {encode_basestring_ascii(name)}, "passed": {"true" if ok else "false"}, '
@@ -587,84 +576,69 @@ def _checks_json(table: CheckReport, spelled: np.ndarray, out: list[str]) -> Non
     out.append("]")
 
 
-# the values written by a writer of their own: type -> (the floats it spells, in its order; the writer)
-_WRITERS: dict[type, tuple[Callable[[Any], np.ndarray], Callable[[Any, np.ndarray, list[str]], None]]] = {
-    _Images: (lambda images: images.blocks.view(float).reshape(-1), _images_json),
-    CheckReport: (lambda table: np.concatenate([table.residuals, table.tolerances]), _checks_json),
-}
+def _spellings(tables: Iterable[_Images]) -> dict[int, np.ndarray]:
+    """The floats of each table of images, by ``id``, as ``json.dumps`` spells them: the one float table of a report.
 
-
-def _held(doc: dict) -> Iterator:
-    """The values with a writer of their own in a string-keyed document: its values, at any depth of dicts."""
-    for value in doc.values():
-        if type(value) in _WRITERS:
-            yield value
-        elif type(value) is dict:
-            yield from _held(value)
-
-
-def _written(value: Any) -> bool:
-    """Whether ``value`` has a writer of its own, or is a dict that holds one at any depth."""
-    return type(value) in _WRITERS or type(value) is dict and next(_held(value), None) is not None
-
-
-def _spellings(values: Iterable) -> dict[int, np.ndarray]:
-    """The floats of each value, by ``id``, as ``json.dumps`` spells them: the one float table of a report.
-
-    The floats of all values are spelled by one ``json.dumps`` of the
+    The floats of all tables are spelled by one ``json.dumps`` of the
     distinct ones, told apart by their bits, so that ``0.0`` and ``-0.0``
     differ and NaN and the infinities are kept.
     """
-    values = {id(value): value for value in values}
-    arrays = [_WRITERS[type(value)][0](value) for value in values.values()]
+    tables = {id(table): table for table in tables}
+    arrays = [table.blocks.view(float).reshape(-1) for table in tables.values()]
     distinct, slot = np.unique(np.concatenate([np.zeros(0), *arrays]).view(np.int64), return_inverse=True)
     spelled = np.array(json.dumps(distinct.view(float).tolist())[1:-1].split(", "), dtype=object)[slot]
     ends = accumulate(map(len, arrays))
-    return {key: spelled[end - len(array) : end] for key, array, end in zip(values, arrays, ends)}
+    return {key: spelled[end - len(array) : end] for key, array, end in zip(tables, arrays, ends)}
 
 
-def _json(value: Any, out: list[str], spelled: dict[int, np.ndarray]) -> None:
-    """Append ``json.dumps(value, sort_keys=True)`` of a value that has a writer of its own or holds one.
+def _holes(doc: dict) -> tuple[list[str], list]:
+    """``json.dumps(doc, sort_keys=True)`` cut at the holes its ``default`` hook leaves, and the tables held.
 
-    Such a value is written by its writer, from its floats as ``spelled``;
-    a dict that holds one is joined in key order, each run of keys whose
-    values hold none written by one call of the C encoder.
+    ``default`` holds each table of images and check table, in document
+    order, and leaves a string token in its place; any other type is
+    refused with json's own ``TypeError``.  The token is made of NULs, one
+    more each time its quoted text occurs in the text more often than there
+    are holes, so no text of the document is taken for a hole.
     """
-    if type(value) in _WRITERS:
-        return _WRITERS[type(value)][1](value, spelled[id(value)], out)
-    for i, (own, keys) in enumerate(groupby(sorted(value), lambda key: _written(value[key]))):
-        out.append(", " if i else "{")
-        if not own:
-            out.append(json.dumps({key: value[key] for key in keys}, sort_keys=True)[1:-1])
-            continue
-        for j, key in enumerate(keys):
-            out.append(f"{', ' if j else ''}{encode_basestring_ascii(key)}: ")
-            _json(value[key], out, spelled)
-    out.append("}")
+    token = "\0"
+    while True:
+        held = []
+
+        def hold(value: Any) -> str:
+            if type(value) not in (_Images, CheckReport):
+                raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+            held.append(value)
+            return token
+
+        parts = json.dumps(doc, sort_keys=True, default=hold).split(encode_basestring_ascii(token))
+        if len(parts) == len(held) + 1:
+            return parts, held
+        token += "\0"
 
 
 def emit_report(report: Report, fmt: str = "text", path: str | None = None) -> str:
     """Render the report; JSON output is byte-stable for a fixed config.
 
     The JSON report is one line, ``json.dumps(report.to_json_doc(),
-    sort_keys=True)`` with each image as its dense matrix, then a newline.
-    The document always holds the check table.  Where nothing else in it
-    has a writer of its own, as in every ``verify``, ``isometry`` and
-    ``group`` report, that is what is written: one ``json.dumps``, with the
-    check table as its rows.  A report with a table of images is written by
-    ``_json``, from one float table.
+    sort_keys=True)`` with each image as its dense matrix and the check
+    table as its rows, then a newline.  It is that one ``json.dumps``, with
+    each table written into the hole its ``default`` hook left: a table of
+    images by ``_images_json``, from the float table of the report's image
+    tables (made only if it has one), the check table by ``_checks_json``.
     """
     if fmt == "json":
-        doc = report.to_json_doc()
-        held = list(_held(doc))
-        if held == [doc["checks"]]:  # no table of images: one json.dumps, the check table as its rows
-            doc["checks"] = _check_rows(doc["checks"])
-            rendered = json.dumps(doc, sort_keys=True) + "\n"
-        else:
-            chunks = []
-            _json(doc, chunks, _spellings(held))
-            chunks.append("\n")
-            rendered = "".join(chunks)
+        parts, held = _holes(report.to_json_doc())
+        images = [value for value in held if type(value) is _Images]
+        spelled = _spellings(images) if images else {}
+        pieces = [parts[0]]
+        for value, part in zip(held, parts[1:]):
+            if type(value) is _Images:
+                _images_json(value, spelled[id(value)], pieces)
+            else:
+                _checks_json(value, pieces)
+            pieces.append(part)
+        pieces.append("\n")
+        rendered = "".join(pieces)
     elif fmt == "text":
         rendered = report.to_text() + "\n"
     else:

@@ -383,13 +383,13 @@ class TestInduceConfig:
     @pytest.mark.parametrize(
         "value, message",
         [
-            ([[1.0, 0.0]], "': [[1.0, 0.0]] is not an 1x1 list of [re, im] pairs"),
-            ([[[1.0, 0.0], [0.0, 0.0]]], "': [[[1.0, 0.0], [0.0, 0.0]]] is not an 1x1 list of [re, im] pairs"),
-            ([[[1.0, 0.0, 0.0]]], "': [[[1.0, 0.0, 0.0]]] is not an 1x1 list of [re, im] pairs"),
-            ([[[True, 0.0]]], "': [[[True, 0.0]]] is not an 1x1 list of [re, im] pairs"),
-            ([[["1", 0.0]]], "': [[['1', 0.0]]] is not an 1x1 list of [re, im] pairs"),
-            ([[[None, 0.0]]], "': [[[None, 0.0]]] is not an 1x1 list of [re, im] pairs"),
-            ("1", "': '1' is not an 1x1 list of [re, im] pairs"),
+            ([[1.0, 0.0]], "': [[1.0, 0.0]] is not a list of [re, im] pairs of shape 1x1"),
+            ([[[1.0, 0.0], [0.0, 0.0]]], "': [[[1.0, 0.0], [0.0, 0.0]]] is not a list of [re, im] pairs of shape 1x1"),
+            ([[[1.0, 0.0, 0.0]]], "': [[[1.0, 0.0, 0.0]]] is not a list of [re, im] pairs of shape 1x1"),
+            ([[[True, 0.0]]], "': [[[True, 0.0]]] is not a list of [re, im] pairs of shape 1x1"),
+            ([[["1", 0.0]]], "': [[['1', 0.0]]] is not a list of [re, im] pairs of shape 1x1"),
+            ([[[None, 0.0]]], "': [[[None, 0.0]]] is not a list of [re, im] pairs of shape 1x1"),
+            ("1", "': '1' is not a list of [re, im] pairs of shape 1x1"),
             ([[[float("nan"), 0.0]]], "[0][0]': [nan, 0.0] is not finite as a float"),
             ([[[0.0, float("-inf")]]], "[0][0]': [0.0, -inf] is not finite as a float"),
             ([[[1, 10**400]]], f"[0][0]': [1, {10**400}] is not finite as a float"),
@@ -574,10 +574,9 @@ class TestInduceMode:
         counted(induction.BlockMonomial)
         counted(groups.Word)
         # each table of images is written whole: one call for the echoed chi1, one for chi2's images
-        floats, writer = cli._WRITERS[cli._Images]
-        tables = []
+        writer, tables = cli._images_json, []
         counting = lambda images, *args: tables.append(images) or writer(images, *args)
-        monkeypatch.setitem(cli._WRITERS, cli._Images, (floats, counting))
+        monkeypatch.setattr(cli, "_images_json", counting)
         seen = []
         for n in (16, 64):
             config = random_induce_config(seed=5, n=n)
@@ -823,12 +822,14 @@ def row_dicts(rows):
 
 
 def dense_dumps(report):
-    """The JSON report as ``json.dumps`` writes it, every image as its ``matrix_to_json`` lists and the
-    check table as the dicts of its ``Check`` rows."""
+    """The JSON report as ``json.dumps`` writes it, every table of images as its labels -> images dict,
+    every image as its ``matrix_to_json`` lists and the check table as the dicts of its ``Check`` rows."""
 
     def default(value):
         if isinstance(value, CheckReport):
             return row_dicts([(c.name, c.residual, c.tolerance) for c in value.checks])
+        if isinstance(value, cli._Images):
+            return dict(value)
         return matrix_to_json(value.dense())
 
     return json.dumps(report.to_json_doc(), sort_keys=True, default=default) + "\n"
@@ -861,7 +862,8 @@ JSON_DOCUMENTS = st.recursive(
 
 # the numbers of an array: reported floats, and ints a float cannot hold
 ARRAY_NUMBERS = REPORTED_FLOATS | st.integers(2**53 + 1, 2**80) | st.integers(-(2**80), -(2**53) - 1)
-ESCAPED_KEYS = ['a"b', "back\\slash", "caf\u00e9", "\u2603", "tab\tnew\nline", "", "A1@3"]
+# the last three are, or end in, the writer's first hole tokens as json quotes them
+ESCAPED_KEYS = ['a"b', "back\\slash", "caf\u00e9", "\u2603", "tab\tnew\nline", "", "A1@3", "\x00", "\x00\x00", '"\x00']
 
 
 def images_table(images):
@@ -1104,6 +1106,18 @@ class TestJsonWriter:
         # the labels of a table of images are written one by one
         assert '"tab\\tnew\\nline": [[[0.0, 0.0], [0.0, 0.0], [0.0, -0.5]' in text and '"caf\\u00e9": [[' in text
 
+    def test_text_like_a_hole_written_as_text(self):
+        # strings that are, or end in, the quoted hole token, as keys and values next to a table of images and
+        # the check table: each is written as json writes it, and the tables land in their own holes
+        nuls = ["\x00", "\x00\x00", '"\x00']
+        table = CheckReport.rows([(name, 0.5, 1.0, None) for name in nuls])
+        extras = {"nuls": nuls, "keys": dict.fromkeys(nuls, "\x00"), "images": images_table(dict.fromkeys(nuls, IMAGE))}
+        report = Report(config={"mode": "group", "\x00": '"\x00'}, table=table, extras=extras)
+        text = emit_report(report, fmt="json")
+        assert text == dense_dumps(report)
+        doc = strict_json(text)
+        assert doc["extras"]["nuls"] == nuls and [check["name"] for check in doc["checks"]] == nuls
+
     @pytest.mark.parametrize(
         "value",
         [
@@ -1144,12 +1158,12 @@ class TestJsonWriter:
             for extras in ({"X": IMAGES, "bad": bad}, {"X": {"Y": IMAGES, "bad": [bad]}}, {"bad": [bad]}):
                 with pytest.raises(TypeError, match=f"^{by_json.value}$"):
                     emit_report(Report(config={"mode": "group"}, extras=extras), fmt="json")
-        # a table is written only as a dict's value: in a list json takes it for a plain dict and refuses
-        # its block-monomials, and a check table like any other unknown type
-        for extras in ({"X": [IMAGES]}, {"X": IMAGES, "list": [[IMAGES]]}, {"table": [CheckReport.rows([])]}):
-            with pytest.raises(TypeError, match=r"^Object of type \w+ is not JSON serializable$"):
-                emit_report(Report(config={"mode": "group"}, extras=extras), fmt="json")
-        # an image is written only in a table: a bare block-monomial has no writer of its own
+        # a table is written wherever json meets it, in a list too
+        rows = CheckReport.rows([("a", 0.5, 1.0, None)])
+        for extras in ({"X": [IMAGES]}, {"X": IMAGES, "list": [[IMAGES]]}, {"table": [CheckReport.rows([]), rows]}):
+            report = Report(config={"mode": "group"}, extras=extras)
+            assert emit_report(report, fmt="json") == dense_dumps(report)
+        # an image is written only in a table: json refuses a bare block-monomial
         with pytest.raises(TypeError) as by_json:
             json.dumps(IMAGE)
         for extras in ({"X": IMAGE}, {"X": {"Y": IMAGE}}, {"X": IMAGES, "Y": IMAGE}, {"X": {"I": IMAGES, "Y": IMAGE}}):
@@ -1185,10 +1199,9 @@ class TestJsonWriter:
         assert echo == json.dumps(config["chi1"], sort_keys=True)
 
     def test_report_arrays_written_whole(self, monkeypatch):
-        # a report with no table of images is one call of the C encoder, its check table as rows, and makes
-        # no float table; in one with images every run of keys whose values hold nothing with a writer of its
-        # own is one call, and the floats of the images, the echoed chi1 images and the check table are one
-        # more, of their distinct values, made again by each report written
+        # a report is one call of the C encoder over its document, each table a hole, and one more for the check
+        # table's columns; a report with images makes one float table too, of the distinct floats of the images
+        # and the echoed chi1 images, made again by each report written
         written, dumps = [], json.dumps
         spellings = count_calls(monkeypatch, cli, "_spellings")
 
@@ -1206,29 +1219,30 @@ class TestJsonWriter:
         distinct = lambda *arrays: np.unique(np.concatenate([a.view(float).ravel() for a in arrays]).view(np.int64))
         report = run_pipeline(parse_config(json.dumps(isometry_config(samples=128, trials=2))))
         assert emitted(report) == dense_dumps(report)
-        doc = report.to_json_doc()
-        doc["checks"] = row_dicts([(c.name, c.residual, c.tolerance) for c in report.checks])
-        assert written == [doc] and spellings == []
+        columns = report.table.residuals.tolist() + report.table.tolerances.tolist()
+        assert written == [report.to_json_doc(), columns] and spellings == []
         cfg = parse_config(json.dumps(random_induce_config(seed=5)))
         report = run_pipeline(cfg)
         images = report.extras["induced"]["images"].values()
-        count = len(distinct(cfg.params["chi1"]["images"].blocks, *(image.blocks for image in images),
-                             report.table.residuals, report.table.tolerances))
+        count = len(distinct(cfg.params["chi1"]["images"].blocks, *(image.blocks for image in images)))
+        columns = report.table.residuals.tolist() + report.table.tolerances.tolist()
         for _ in range(2):
             assert emitted(report) == dense_dumps(report)
-            assert floats_in(written) == count == 1803  # of the 4116 the report spells
+            doc, table, checks = written
+            assert doc == report.to_json_doc() and checks == columns
+            assert floats_in(table) == count == 1545  # of the 3592 image entries the report spells
         assert len(spellings) == 2
 
     def test_image_free_reports_are_one_dumps(self, monkeypatch):
-        # verify, isometry and group reports hold no table of images: no float table and no piecewise writer
+        # verify, isometry and group reports hold no table of images: they make no float table
         configs = [{"mode": "verify", "n": 3, "alpha": 0.7, "signs": [1, -1]}, isometry_config(samples=128, trials=2),
                    {"mode": "group", "s": 1, "k": 2, "double": True}]
         reports = [run_pipeline(parse_config(json.dumps(config))) for config in configs]
         spellings = count_calls(monkeypatch, cli, "_spellings")
-        pieces = count_calls(monkeypatch, cli, "_json")
+        images = count_calls(monkeypatch, cli, "_images_json")
         for report in reports:
             assert report.passed and emit_report(report, fmt="json") == dense_dumps(report)
-        assert spellings == pieces == []
+        assert spellings == images == []
 
     def test_induce_report_is_one_line(self):
         text = emit_report(run_pipeline(parse_config(json.dumps(random_induce_config(seed=5)))), fmt="json")
@@ -1388,6 +1402,15 @@ class TestMain:
         doc = TestInduceMode().torus_config(u2_phase=0.5)
         config.write_text(json.dumps(doc))
         assert main(["induce", "--config", str(config)]) == 1
+
+    def test_deeply_nested_config_exits_two(self, tmp_path, capsys):
+        # nested past what json.loads can read: refused as a config, with no traceback and no report
+        config, out = tmp_path / "deep.json", tmp_path / "report.json"
+        config.write_text('{"mode": ' + "[" * 100_000 + "]" * 100_000 + "}")
+        assert main(["group", "--config", str(config), "--format", "json", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: configuration nested too deeply to read\n"
+        assert captured.out == "" and not out.exists()
 
     def test_bad_config_exits_two(self, tmp_path, capsys):
         config = tmp_path / "bogus.json"

@@ -1046,7 +1046,8 @@ class TestRepSerialization:
     )
     def test_reader_rejects_entries_that_are_not_number_pairs(self, entry):
         # the matrix holding the entry is named
-        with pytest.raises(ValueError, match=re.escape("field 'images.B1': [[") + ".* is not an 1x1 list of"):
+        refusal = re.escape("field 'images.B1': [[") + r".* is not a list of \[re, im\] pairs of shape 1x1$"
+        with pytest.raises(ValueError, match=refusal):
             cli.matrices_from_json([[[[1.0, 0.0]]], [[entry]]], (1, 1), ["images.A1", "images.B1"])
 
     @settings(max_examples=150, deadline=None)
